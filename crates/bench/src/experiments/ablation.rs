@@ -3,7 +3,8 @@
 //! * **lazy vs eager** — the headline: the same index with cleaning forced
 //!   after every message (the eager strategy of the baselines) vs the lazy
 //!   query-time cleaning.
-//! * **pipelined vs synchronous transfer** — `transfer_chunks = 4` vs `1`.
+//! * **pipelined vs synchronous transfer** — up to 4 planned upload groups
+//!   per cleaning round (the default `transfer_chunks` cap) vs a cap of `1`.
 //! * **X-shuffle width** — warp-wide bundles (2^η = 32) vs degenerate
 //!   2-lane bundles, isolating the butterfly dedup's benefit.
 

@@ -61,7 +61,7 @@ use crate::knn::{knn_device_phase, knn_finalize, refine_unresolved};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
 use crate::object_table::FxBuildHasher;
-use crate::scratch::ScratchPool;
+use crate::scratch::{CellSet, ScratchPool};
 use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
 
@@ -296,7 +296,7 @@ pub fn run_knn_batch(
         // (pending state, refine handle, device-phase end time, primary)
         let mut in_flight = None;
         for (&(q, k), &primary) in queries.iter().zip(&primaries) {
-            let pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
+            let mut pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
             // Compute on the primary shard's device stream, copy-back on
             // its transfer stream (ordered after the compute). Refinement
             // reads the copied-back results, so it waits for the transfer
@@ -342,14 +342,24 @@ pub fn run_knn_batch(
             }
 
             // Hand the refinement inputs to a worker; the next loop
-            // iteration drives the device while it runs.
+            // iteration drives the device while it runs. The candidate set
+            // travels to the worker and comes back with the outcome.
             let unresolved = pending.unresolved.clone();
-            let in_set = pending.in_set.clone();
+            let cells = std::mem::take(&mut pending.cells);
             let l = pending.l;
             let workers = config.refine_workers;
             let multi_source = config.refine_multi_source;
             let handle = s.spawn(move |_| {
-                refine_unresolved(grid, &unresolved, l, &in_set, workers, multi_source, pool)
+                let refined = refine_unresolved(
+                    grid,
+                    &unresolved,
+                    l,
+                    cells.tags(),
+                    workers,
+                    multi_source,
+                    pool,
+                );
+                (refined, cells)
             });
             in_flight = Some((pending, handle, device_end, primary));
         }
@@ -411,8 +421,8 @@ fn finalize_one<'scope>(
     pool: &ScratchPool,
     config: &GGridConfig,
     now: Timestamp,
-    pending: crate::knn::PendingKnn,
-    handle: crossbeam::thread::ScopedJoinHandle<'scope, crate::knn::RefineOutcome>,
+    mut pending: crate::knn::PendingKnn,
+    handle: crossbeam::thread::ScopedJoinHandle<'scope, (crate::knn::RefineOutcome, CellSet)>,
     device_end: SimNanos,
     primary: usize,
     cache: Option<&BatchCleanCache>,
@@ -422,7 +432,8 @@ fn finalize_one<'scope>(
     per_query: &mut Vec<QueryBreakdown>,
 ) {
     let d = shards.num_shards();
-    let refined = handle.join().expect("refinement worker panicked");
+    let (refined, cells) = handle.join().expect("refinement worker panicked");
+    pending.cells = cells;
 
     // Host stream: the refinement, eligible once its device phase ended.
     // Charged at its critical path (busiest worker) — the modeled duration

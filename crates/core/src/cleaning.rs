@@ -1,9 +1,10 @@
 //! Message cleaning (paper Algorithm 2).
 //!
 //! Given a set of cells, freeze their message lists, ship the surviving
-//! buckets to the device in pipelined groups (§V-A), run the X-shuffle
-//! kernel, copy the result table ℛ back, and write the consolidated
-//! per-object messages back into the cells' lists.
+//! buckets to the device in pipelined groups (§V-A; the group count is
+//! planned per round against the link latency, see [`plan_upload`]), run
+//! the X-shuffle kernel, copy the result table ℛ back, and write the
+//! consolidated per-object messages back into the cells' lists.
 //!
 //! Cells whose lists are still exactly the result of their last cleaning
 //! pass (no append since — see the epoch tracking in
@@ -25,7 +26,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gpu_sim::{pipelined_makespan, Device, SimNanos};
+use gpu_sim::xfer::transfer_time;
+use gpu_sim::{pipelined_makespan, Device, DeviceSpec, SimNanos};
 
 use crate::config::GGridConfig;
 use crate::grid::CellId;
@@ -222,20 +224,10 @@ pub fn clean_cells_with_heat(
     let mut h2d_bytes = 0u64;
     let overlapped;
     if !buckets.is_empty() {
-        let chunks = config.transfer_chunks.clamp(1, buckets.len());
-        let per_chunk = buckets.len().div_ceil(chunks);
-        let mut chunk_bytes: Vec<u64> = Vec::with_capacity(chunks);
-        for group in buckets.chunks(per_chunk) {
-            let bytes: u64 = group
-                .iter()
-                .map(|b| b.len() as u64 * CachedMessage::WIRE_BYTES)
-                .sum();
-            chunk_bytes.push(bytes);
-        }
-
         // Parallel processing (Algorithm 2 lines 6–9): one thread per
         // bucket, fused with the resident merge when any cell took the
-        // delta path.
+        // delta path. Launching first makes the kernel time known to the
+        // upload planner.
         let (output, report) = device.launch(buckets.len().max(resident_msgs.len()), |ctx| {
             if resident_msgs.is_empty() {
                 xshuffle_clean(ctx, &buckets, config.eta, horizon)
@@ -244,21 +236,21 @@ pub fn clean_cells_with_heat(
             }
         });
 
-        // Pipelined makespan: copy time per group against a proportional
-        // share of the kernel time.
-        let mut schedule: Vec<(SimNanos, SimNanos)> = Vec::with_capacity(chunk_bytes.len());
-        for &bytes in &chunk_bytes {
-            let copy = device.h2d(bytes);
+        let bucket_bytes: Vec<u64> = buckets
+            .iter()
+            .map(|b| b.len() as u64 * CachedMessage::WIRE_BYTES)
+            .collect();
+        let (groups, makespan) = plan_upload(
+            device.spec(),
+            &bucket_bytes,
+            report.time,
+            config.transfer_chunks,
+        );
+        for &bytes in &groups {
+            device.h2d(bytes);
             h2d_bytes += bytes;
-            let share = if messages == 0 {
-                SimNanos::ZERO
-            } else {
-                let frac = bytes as f64 / (messages as u64 * CachedMessage::WIRE_BYTES) as f64;
-                SimNanos((report.time.0 as f64 * frac) as u64)
-            };
-            schedule.push((copy, share));
         }
-        overlapped = pipelined_makespan(&schedule);
+        overlapped = makespan;
 
         finish_round(
             device, lists, resident, &work, &merge, &prior, output, &mut out, &mut rep,
@@ -291,6 +283,47 @@ pub fn clean_cells_with_heat(
     rep.messages = messages;
     rep.evictions = resident.evictions() - evictions_before;
     (out, rep)
+}
+
+/// Plan the pipelined upload of one cleaning round (§V-A).
+///
+/// Splitting the upload into `c` groups lets the kernel start on the first
+/// group while later ones are still on the wire, but every group pays the
+/// link's fixed latency. The planner tries every `c` in `1..=cap` (capped
+/// by the bucket count), splitting the buckets in order into groups of
+/// `⌈buckets / c⌉`, each carrying a byte-proportional share of
+/// `kernel_time`, and keeps the `c` with the smallest
+/// [`pipelined_makespan`]; on a tie the fewer groups win. Returns the
+/// chosen groups' byte sizes and their makespan.
+fn plan_upload(
+    spec: &DeviceSpec,
+    bucket_bytes: &[u64],
+    kernel_time: SimNanos,
+    cap: usize,
+) -> (Vec<u64>, SimNanos) {
+    let total: u64 = bucket_bytes.iter().sum();
+    let mut best: (Vec<u64>, SimNanos) = (Vec::new(), SimNanos(u64::MAX));
+    let mut schedule: Vec<(SimNanos, SimNanos)> = Vec::new();
+    for c in 1..=cap.clamp(1, bucket_bytes.len().max(1)) {
+        let groups: Vec<u64> = bucket_bytes
+            .chunks(bucket_bytes.len().div_ceil(c).max(1))
+            .map(|g| g.iter().sum())
+            .collect();
+        schedule.clear();
+        schedule.extend(groups.iter().map(|&bytes| {
+            let share = if total == 0 {
+                SimNanos::ZERO
+            } else {
+                SimNanos((kernel_time.0 as f64 * (bytes as f64 / total as f64)) as u64)
+            };
+            (transfer_time(spec, bytes), share)
+        }));
+        let makespan = pipelined_makespan(&schedule);
+        if makespan < best.1 {
+            best = (groups, makespan);
+        }
+    }
+    best
 }
 
 /// Copy-back accounting + CPU-side installation for one cleaning round.
@@ -358,7 +391,6 @@ fn finish_round(
 mod tests {
     use super::*;
     use crate::message::ObjectId;
-    use gpu_sim::DeviceSpec;
     use roadnet::{EdgeId, EdgePosition};
 
     fn msg(o: u64, t: u64) -> CachedMessage {
@@ -468,6 +500,107 @@ mod tests {
         assert_eq!(dev.ledger().h2d_bytes, rep.h2d_bytes);
         assert_eq!(dev.ledger().d2h_bytes, rep.d2h_bytes);
         assert!(rep.time > SimNanos::ZERO);
+    }
+
+    /// Fill cell 0 with `n` fresh messages over `n / 4` objects.
+    fn fill(lists: &CellLists, n: u64) {
+        let mut list = lists.lock(0);
+        for i in 0..n {
+            list.append(msg(i % (n / 4).max(1), 100 + i % 50));
+        }
+    }
+
+    #[test]
+    fn small_round_uploads_in_one_copy() {
+        // A few KB: the wire time is far below the link latency, so every
+        // extra group would only add latency.
+        let mut dev = Device::new(DeviceSpec::quadro_p2000());
+        let lists = CellLists::new(1, 8);
+        let mut resident = ResidentCellStore::new(GGridConfig::default().device_budget_bytes);
+        fill(&lists, 200);
+        let cfg = GGridConfig {
+            transfer_chunks: 4,
+            ..config()
+        };
+        let (_, rep) = clean_cells(
+            &mut dev,
+            &lists,
+            &mut resident,
+            &[CellId(0)],
+            &cfg,
+            Timestamp(200),
+        );
+        assert!(rep.buckets >= 4, "round must be splittable");
+        assert!(rep.h2d_bytes < 16 * 1024);
+        assert_eq!(dev.ledger().h2d_transfers, 1);
+    }
+
+    #[test]
+    fn large_round_uploads_in_several_copies() {
+        // Megabytes on the wire: pipelining hides kernel time behind the
+        // later copies, which pays for the extra latencies.
+        let mut dev = Device::new(DeviceSpec::quadro_p2000());
+        let lists = CellLists::new(1, 256);
+        let mut resident = ResidentCellStore::new(GGridConfig::default().device_budget_bytes);
+        fill(&lists, 60_000);
+        let cfg = GGridConfig {
+            transfer_chunks: 4,
+            ..config()
+        };
+        let (_, rep) = clean_cells(
+            &mut dev,
+            &lists,
+            &mut resident,
+            &[CellId(0)],
+            &cfg,
+            Timestamp(200),
+        );
+        let wire =
+            SimNanos::from_secs_f64(rep.h2d_bytes as f64 / dev.spec().pcie_bandwidth_bytes_per_sec);
+        assert!(wire.0 > 10 * dev.spec().pcie_latency_ns, "wire {wire}");
+        assert!(dev.ledger().h2d_transfers > 1);
+        assert!(dev.ledger().h2d_transfers <= 4, "transfer_chunks caps it");
+    }
+
+    #[test]
+    fn planned_upload_beats_every_fixed_group_count() {
+        let spec = DeviceSpec::quadro_p2000();
+        let fixed = |bytes: &[u64], kernel: SimNanos, c: usize| -> SimNanos {
+            let total: u64 = bytes.iter().sum();
+            let schedule: Vec<(SimNanos, SimNanos)> = bytes
+                .chunks(bytes.len().div_ceil(c))
+                .map(|g| {
+                    let b: u64 = g.iter().sum();
+                    let share = kernel.0 as f64 * b as f64 / total as f64;
+                    (transfer_time(&spec, b), SimNanos(share as u64))
+                })
+                .collect();
+            pipelined_makespan(&schedule)
+        };
+        let cases: [(usize, u64, u64); 6] = [
+            (1, 400, 5_000),
+            (7, 400, 5_000),
+            (20, 2_000, 80_000),
+            (64, 40_000, 40_000),
+            (64, 400_000, 1_000_000),
+            (300, 10_000, 2_000_000),
+        ];
+        for (n, per_bucket, kernel_ns) in cases {
+            // Uneven buckets, so groups differ in size.
+            let bytes: Vec<u64> = (0..n as u64).map(|i| per_bucket + 40 * (i % 5)).collect();
+            let kernel = SimNanos(kernel_ns);
+            for cap in 1..=6 {
+                let (groups, planned) = plan_upload(&spec, &bytes, kernel, cap);
+                assert!(!groups.is_empty() && groups.len() <= cap.min(n));
+                assert_eq!(groups.iter().sum::<u64>(), bytes.iter().sum::<u64>());
+                for c in 1..=cap.min(n) {
+                    assert!(
+                        planned <= fixed(&bytes, kernel, c),
+                        "n={n} cap={cap}: planned {planned} > fixed c={c}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

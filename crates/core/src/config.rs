@@ -22,8 +22,11 @@ pub struct GGridConfig {
     /// same object, in milliseconds. Messages older than `now - t_delta_ms`
     /// are obsolete by contract (§II) and are discarded during cleaning.
     pub t_delta_ms: u64,
-    /// Number of message-list groups per cleaning round used to pipeline
-    /// host→device copies against kernel execution (§V-A).
+    /// Upper bound on the message-list groups per cleaning round used to
+    /// pipeline host→device copies against kernel execution (§V-A). Each
+    /// round picks the group count in `1..=transfer_chunks` with the
+    /// smallest modeled makespan (see `cleaning::plan_upload`); `1` always
+    /// uploads in one copy.
     pub transfer_chunks: usize,
     /// CPU worker threads for the refinement phase (Algorithm 6): the
     /// bounded Dijkstra expansions from unresolved vertices fan out over a

@@ -52,7 +52,7 @@ use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
 use crate::object_table::FxBuildHasher;
 use crate::residency::TopologyStore;
-use crate::scratch::{DenseScratch, ScratchPool};
+use crate::scratch::{CellSet, DenseScratch, ScratchPool};
 use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
 
@@ -71,8 +71,9 @@ pub struct KnnResult {
 /// queries while their refinements run on worker threads.
 pub(crate) struct PendingKnn {
     pub k: usize,
-    pub in_set: Vec<bool>,
-    pub set: Vec<CellId>,
+    /// The candidate cells, in expansion order (pooled; returned to the
+    /// [`ScratchPool`] when the query finalises).
+    pub cells: CellSet,
     pub objects: Vec<CachedMessage>,
     pub estimates: HashMap<ObjectId, Distance, FxBuildHasher>,
     pub positions: HashMap<ObjectId, EdgePosition, FxBuildHasher>,
@@ -156,7 +157,7 @@ pub(crate) fn run_knn(
         grid,
         &pending.unresolved,
         pending.l,
-        &pending.in_set,
+        pending.cells.tags(),
         config.refine_workers,
         config.refine_multi_source,
         pool,
@@ -166,8 +167,9 @@ pub(crate) fn run_knn(
     )
 }
 
-/// One cleaning round of the expansion: clean the not-yet-included cells,
-/// merge their live objects into the pool, and grow the candidate set.
+/// One cleaning round of the expansion: clean `cells` (already added to
+/// the candidate set by the caller) and merge their live objects into the
+/// pool.
 ///
 /// When a [`BatchCleanCache`] is supplied, cells whose consolidated state
 /// the batch's shared pass already produced — and whose list epoch proves
@@ -187,8 +189,6 @@ fn clean_round(
     now: Timestamp,
     primary: usize,
     cells: &[CellId],
-    in_set: &mut [bool],
-    set: &mut Vec<CellId>,
     objects: &mut Vec<CachedMessage>,
     breakdown: &mut QueryBreakdown,
     cpu_excluded: &mut Duration,
@@ -198,13 +198,8 @@ fn clean_round(
     let mut fresh: Vec<CellId> = Vec::with_capacity(cells.len());
     let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
     for &c in cells {
-        if in_set[c.index()] {
-            continue;
-        }
         if let Some(cache) = cache {
             if let Some(msgs) = cache.lookup(lists, c) {
-                in_set[c.index()] = true;
-                set.push(c);
                 objects.extend_from_slice(msgs);
                 breakdown.cells_skipped += 1;
                 if shards.num_shards() > 1 {
@@ -280,8 +275,6 @@ fn clean_round(
         }
     }
     for c in fresh {
-        in_set[c.index()] = true;
-        set.push(c);
         if let Some(msgs) = cleaned.get(&c) {
             objects.extend_from_slice(msgs);
         }
@@ -315,39 +308,34 @@ pub(crate) fn knn_device_phase(
     let mut channels = [false; crate::shard::MAX_DEVICES]; // per-query gather streams
 
     // ---- Step 1: candidate cells (Algorithm 4 lines 1-4) ----
-    let mut in_set = vec![false; grid.num_cells()];
-    let mut set: Vec<CellId> = Vec::new();
+    let mut cells = pool.acquire_cells(grid.num_cells());
     let c_q = grid.cell_of_edge(q.edge);
     let primary = shards.owner_of(c_q);
-    let mut first_round = vec![c_q];
-    first_round.extend_from_slice(grid.neighbors(c_q));
+    let mut ring: Vec<CellId> = std::iter::once(c_q)
+        .chain(grid.neighbors(c_q).iter().copied())
+        .filter(|&c| cells.insert(c))
+        .collect();
 
     let mut objects: Vec<CachedMessage> = Vec::new();
     let target = ((config.rho * k as f64).ceil() as usize).max(k);
 
-    clean_round(
-        shards,
-        lists,
-        config,
-        now,
-        primary,
-        &first_round,
-        &mut in_set,
-        &mut set,
-        &mut objects,
-        &mut breakdown,
-        &mut cpu_excluded,
-        cache,
-        &mut channels,
-    );
-
+    // Expand ring by ring until ρ·k live objects are known. A cell cannot
+    // yield more live objects than its list holds messages, so while the
+    // objects already known plus the messages of the rings queued for this
+    // round stay below the target, ring-by-ring expansion would certainly
+    // clean the next ring as well: queue it into the same round. The cells
+    // cleaned are the same; each merged ring saves an upload, a launch and
+    // a copy-back.
     loop {
-        if objects.len() >= target {
-            break;
-        }
-        let frontier = frontier_of(grid, &in_set, &set);
-        if frontier.is_empty() {
-            break;
+        let mut round = ring.clone();
+        let mut bound = objects.len();
+        while stays_below(lists, &ring, &mut bound, target) {
+            let next = next_ring(grid, &mut cells, &ring);
+            if next.is_empty() {
+                break;
+            }
+            round.extend_from_slice(&next);
+            ring = next;
         }
         clean_round(
             shards,
@@ -355,15 +343,20 @@ pub(crate) fn knn_device_phase(
             config,
             now,
             primary,
-            &frontier,
-            &mut in_set,
-            &mut set,
+            &round,
             &mut objects,
             &mut breakdown,
             &mut cpu_excluded,
             cache,
             &mut channels,
         );
+        if objects.len() >= target {
+            break;
+        }
+        ring = next_ring(grid, &mut cells, &ring);
+        if ring.is_empty() {
+            break;
+        }
     }
 
     // ---- Step 2: candidate distances, with a robustness loop: if fewer
@@ -371,18 +364,16 @@ pub(crate) fn knn_device_phase(
     // expanding (degenerate topologies only; normally runs once). ----
     let mut dist = pool.acquire();
     let mut remote_ns: Vec<(usize, SimNanos)> = Vec::new();
-    let multi = shards.num_shards() > 1;
+    let mut owners = (shards.num_shards() > 1).then(|| pool.acquire_owners(grid.num_cells()));
     let candidates = loop {
         let t0 = Instant::now();
         // Effective owner per ring cell: a remote cell with a *valid*
         // replica on the primary counts as primary-owned (a replica hit) —
         // its relax work stays local, shrinking the ring's device span.
-        let mut owners: Vec<usize> = Vec::new();
         let mut span = 1usize;
-        if multi {
-            owners = vec![usize::MAX; grid.num_cells()];
+        if let Some(owners) = owners.as_mut() {
             let mut seen = [false; crate::shard::MAX_DEVICES];
-            for &c in &set {
+            for &c in cells.tagged() {
                 let own = shards.owner_of(c);
                 let eff = if own != primary
                     && config.replication_enabled()
@@ -393,19 +384,30 @@ pub(crate) fn knn_device_phase(
                 } else {
                     own
                 };
-                owners[c.index()] = eff;
+                owners.set(c, eff as u8);
                 seen[eff] = true;
             }
             span = seen.iter().filter(|&&s| s).count();
             breakdown.ring_span = breakdown.ring_span.max(span);
         }
-        let s = if multi && span > 1 && config.cross_shard_sdist && config.sdist_frontier {
+        let cooperative = span > 1 && config.cross_shard_sdist && config.sdist_frontier;
+        let s = if let Some(owners) = owners.as_ref().filter(|_| cooperative) {
             // Cooperative round: every owning device relaxes its slice of
             // the ring concurrently; the modeled critical path is the max
             // over owners instead of their sum.
             breakdown.cross_shard_rounds += 1;
             let (s, legs) = gpu_sdist_frontier_scattered(
-                shards, primary, &owners, grid, config, &in_set, &set, q, &graph, &objects, k,
+                shards,
+                primary,
+                owners.tags(),
+                grid,
+                config,
+                cells.tags(),
+                cells.tagged(),
+                q,
+                &graph,
+                &objects,
+                k,
                 &mut dist,
             );
             remote_ns.extend(legs);
@@ -413,7 +415,17 @@ pub(crate) fn knn_device_phase(
         } else {
             let (device, _, topo) = shards.parts(primary);
             gpu_sdist(
-                device, grid, topo, config, &in_set, &set, q, &graph, &objects, k, &mut dist,
+                device,
+                grid,
+                topo,
+                config,
+                cells.tags(),
+                cells.tagged(),
+                q,
+                &graph,
+                &objects,
+                k,
+                &mut dist,
             )
         };
         let device = &mut shards.shard_mut(primary).device;
@@ -437,8 +449,8 @@ pub(crate) fn knn_device_phase(
         if finite >= k.min(objects.len()) {
             break candidates;
         }
-        let frontier = frontier_of(grid, &in_set, &set);
-        if frontier.is_empty() {
+        ring = next_ring(grid, &mut cells, &ring);
+        if ring.is_empty() {
             break candidates;
         }
         clean_round(
@@ -447,9 +459,7 @@ pub(crate) fn knn_device_phase(
             config,
             now,
             primary,
-            &frontier,
-            &mut in_set,
-            &mut set,
+            &ring,
             &mut objects,
             &mut breakdown,
             &mut cpu_excluded,
@@ -457,13 +467,16 @@ pub(crate) fn knn_device_phase(
             &mut channels,
         );
     };
+    if let Some(owners) = owners {
+        pool.release_owners(owners);
+    }
     breakdown.candidates = candidates.len();
 
     // Best estimate per object so far.
     let mut estimates: HashMap<ObjectId, Distance, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
+        HashMap::with_capacity_and_hasher(candidates.len(), FxBuildHasher::default());
     let mut positions: HashMap<ObjectId, EdgePosition, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
+        HashMap::with_capacity_and_hasher(candidates.len(), FxBuildHasher::default());
     for &(o, d, p) in &candidates {
         estimates.insert(o, d);
         positions.insert(o, p);
@@ -473,13 +486,13 @@ pub(crate) fn knn_device_phase(
     let l = kth_distance(&candidates, k);
 
     // ---- Step 3: unresolved vertices ----
-    let all_covered = set.len() == grid.num_cells();
+    let all_covered = cells.len() == grid.num_cells();
     let unresolved: Vec<(VertexId, Distance)> = if all_covered || l >= INFINITY {
         Vec::new()
     } else {
         let t0 = Instant::now();
         let device = &mut shards.shard_mut(primary).device;
-        let (u, t) = gpu_unresolved(device, grid, &in_set, &set, &dist, l);
+        let (u, t) = gpu_unresolved(device, grid, cells.tags(), cells.tagged(), &dist, l);
         cpu_excluded += t0.elapsed();
         breakdown.candidate += t;
         u
@@ -503,8 +516,7 @@ pub(crate) fn knn_device_phase(
 
     PendingKnn {
         k,
-        in_set,
-        set,
+        cells,
         objects,
         estimates,
         positions,
@@ -679,8 +691,7 @@ pub(crate) fn knn_finalize(
 ) -> KnnResult {
     let PendingKnn {
         k,
-        mut in_set,
-        mut set,
+        mut cells,
         mut objects,
         mut estimates,
         mut positions,
@@ -706,6 +717,9 @@ pub(crate) fn knn_finalize(
 
         // Lazily clean the cells the refinement wandered into and add their
         // objects to the pool.
+        for &c in &refined.touched_cells {
+            cells.insert(c);
+        }
         clean_round(
             shards,
             lists,
@@ -713,8 +727,6 @@ pub(crate) fn knn_finalize(
             now,
             primary,
             &refined.touched_cells,
-            &mut in_set,
-            &mut set,
             &mut objects,
             &mut breakdown,
             &mut cpu_excluded,
@@ -747,6 +759,7 @@ pub(crate) fn knn_finalize(
     if let Some(s) = refined.best_outer {
         pool.release(s);
     }
+    pool.release_cells(cells);
 
     // ---- Final selection ----
     let mut final_items: Vec<(ObjectId, Distance)> = estimates
@@ -768,16 +781,31 @@ pub(crate) fn knn_finalize(
     }
 }
 
-/// Cells adjacent to the current set but not in it (`neighbors(L) \ L`).
-fn frontier_of(grid: &GraphGrid, in_set: &[bool], set: &[CellId]) -> Vec<CellId> {
-    let mut out: Vec<CellId> = set
+/// The next expansion ring, `neighbors(ring) \ L`, sorted and added to
+/// the candidate set `L`. When `ring` is the ring added last this is the
+/// whole frontier `neighbors(L) \ L`: every earlier ring's neighbours are
+/// already members, so only the last ring needs scanning.
+fn next_ring(grid: &GraphGrid, cells: &mut CellSet, ring: &[CellId]) -> Vec<CellId> {
+    let mut out: Vec<CellId> = ring
         .iter()
         .flat_map(|&c| grid.neighbors(c).iter().copied())
-        .filter(|c| !in_set[c.index()])
+        .filter(|&c| cells.insert(c))
         .collect();
     out.sort_unstable();
-    out.dedup();
     out
+}
+
+/// Add the messages held by `cells`' lists to `bound` — a clean of a cell
+/// yields at most that many live objects — and report whether it stays
+/// below `target`. Counting stops as soon as it does not.
+fn stays_below(lists: &CellLists, cells: &[CellId], bound: &mut usize, target: usize) -> bool {
+    for c in cells {
+        *bound += lists.lock(c.index()).total_messages();
+        if *bound >= target {
+            return false;
+        }
+    }
+    true
 }
 
 /// Distance of the k-th nearest candidate, or `INFINITY` when fewer than k
@@ -1231,7 +1259,7 @@ fn frontier_relax_body(
 fn gpu_sdist_frontier_scattered(
     shards: &mut ShardSet,
     primary: usize,
-    owners: &[usize],
+    owners: &[u8],
     grid: &GraphGrid,
     config: &GGridConfig,
     in_set: &[bool],
@@ -1251,7 +1279,7 @@ fn gpu_sdist_frontier_scattered(
     // the candidate topology on its own device.
     let mut groups: Vec<Vec<CellId>> = vec![Vec::new(); num_shards];
     for &c in set {
-        groups[owners[c.index()]].push(c);
+        groups[owners[c.index()] as usize].push(c);
     }
     for (d, cells) in groups.iter().enumerate() {
         if cells.is_empty() {
@@ -1321,7 +1349,7 @@ fn gpu_sdist_frontier_scattered(
         &objects_at,
         k,
         scratch,
-        &mut |v, ops| slices[owners[grid.cell_of_vertex(v).index()]].add(&ops),
+        &mut |v, ops| slices[owners[grid.cell_of_vertex(v).index()] as usize].add(&ops),
     );
     stats.rounds = rounds;
     stats.frontier_sum = frontier_sum;
@@ -1511,17 +1539,119 @@ mod tests {
     fn frontier_expands_and_respects_set() {
         let (grid, ..) = setup(3);
         let start = grid.cell_of_edge(EdgeId(0));
-        let mut in_set = vec![false; grid.num_cells()];
-        in_set[start.index()] = true;
-        let set = vec![start];
-        let frontier = frontier_of(&grid, &in_set, &set);
+        let mut cells = CellSet::new(grid.num_cells(), false);
+        cells.insert(start);
+        let frontier = next_ring(&grid, &mut cells, &[start]);
         assert!(!frontier.is_empty());
-        assert!(frontier.iter().all(|c| !in_set[c.index()]));
-        // Sorted and deduplicated.
+        assert!(!frontier.contains(&start));
+        // Sorted, deduplicated, and added to the set.
         let mut sorted = frontier.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(frontier, sorted);
+        assert_eq!(&cells.tagged()[1..], &frontier[..]);
+        // The ring after it never re-visits a member.
+        let second = next_ring(&grid, &mut cells, &frontier);
+        assert!(second.iter().all(|c| *c != start && !frontier.contains(c)));
+    }
+
+    #[test]
+    fn sparse_rings_merge_into_one_cleaning_round() {
+        let (grid, lists, device, config) = setup(5);
+        let graph = grid.graph().clone();
+        // One object on every fourth edge: the rings around the query hold
+        // fewer than ⌈ρk⌉ messages, so several must be expanded.
+        let objects: Vec<(u64, EdgePosition)> = (0..graph.num_edges() as u32)
+            .step_by(4)
+            .map(|e| (e as u64, EdgePosition::at_source(EdgeId(e))))
+            .collect();
+        place(&grid, &lists, &objects, 100);
+        let q = EdgePosition::at_source(EdgeId(0));
+        let k = 8;
+        let target = ((config.rho * k as f64).ceil() as usize).max(k);
+
+        // Ring-by-ring expansion from `grid.neighbors`, stopping once ρ·k
+        // objects are known. Every object is placed once, fresh, so a
+        // cell yields exactly as many live objects as it holds messages.
+        let live = |cells: &[CellId]| -> usize {
+            cells
+                .iter()
+                .map(|c| lists.lock(c.index()).total_messages())
+                .sum()
+        };
+        let c_q = grid.cell_of_edge(q.edge);
+        let mut expected = vec![c_q];
+        expected.extend(grid.neighbors(c_q).iter().filter(|&&c| c != c_q));
+        let mut known = live(&expected);
+        let mut rings = 1;
+        while known < target {
+            let mut frontier: Vec<CellId> = expected
+                .iter()
+                .flat_map(|&c| grid.neighbors(c).iter().copied())
+                .filter(|c| !expected.contains(c))
+                .collect();
+            frontier.sort_unstable();
+            frontier.dedup();
+            if frontier.is_empty() {
+                break;
+            }
+            known += live(&frontier);
+            expected.extend_from_slice(&frontier);
+            rings += 1;
+        }
+        assert!(rings >= 3, "fixture must expand several rings, got {rings}");
+
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
+        let pool = ScratchPool::new(graph.num_vertices());
+        let d2h = |shards: &ShardSet| shards.shard(0).device.ledger().d2h_transfers;
+        let before = d2h(&shards);
+        let pending = knn_device_phase(
+            &mut shards,
+            &grid,
+            &lists,
+            &pool,
+            &config,
+            q,
+            k,
+            Timestamp(200),
+            None,
+        );
+        // One copy-back carries the candidates and unresolved vertices;
+        // every other D2H is a cleaning round's.
+        let cleaning_d2h = d2h(&shards) - before - 1;
+        assert!(
+            cleaning_d2h < rings,
+            "{cleaning_d2h} cleaning copy-backs for {rings} rings"
+        );
+        let mut got = pending.cells.tagged().to_vec();
+        got.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(got, expected, "merged rounds must clean the same cells");
+
+        let refined = refine_unresolved(
+            &grid,
+            &pending.unresolved,
+            pending.l,
+            pending.cells.tags(),
+            1,
+            true,
+            &pool,
+        );
+        let result = knn_finalize(
+            &mut shards,
+            &grid,
+            &lists,
+            &config,
+            Timestamp(200),
+            pending,
+            refined,
+            &pool,
+            None,
+        );
+        let want = roadnet::dijkstra::reference_knn(&graph, q, &objects, k);
+        let got_d: Vec<u64> = result.items.iter().map(|&(_, d)| d).collect();
+        let want_d: Vec<u64> = want.iter().map(|&(_, d)| d).collect();
+        assert_eq!(got_d, want_d);
     }
 
     #[test]
@@ -1827,7 +1957,7 @@ mod tests {
                     &grid,
                     &pending.unresolved,
                     pending.l,
-                    &pending.in_set,
+                    pending.cells.tags(),
                     workers,
                     multi_source,
                     &pool,
@@ -1872,7 +2002,7 @@ mod tests {
         if pending.unresolved.len() < 2 {
             return; // no sharing to measure on this topology
         }
-        let args = (&pending.unresolved, pending.l, &pending.in_set);
+        let args = (&pending.unresolved, pending.l, pending.cells.tags());
         let per_vertex = refine_unresolved(&grid, args.0, args.1, args.2, 1, false, &pool);
         let fused = refine_unresolved(&grid, args.0, args.1, args.2, 1, true, &pool);
         assert!(

@@ -14,6 +14,11 @@
 //! a drop-in replacement. Clearing is an epoch bump — O(touched), not
 //! O(|V|) — which is what makes reuse across queries free.
 //!
+//! [`CellTags`] is the per-cell analogue: a dense tag array over the grid's
+//! cells that remembers which cells it tagged, so a kNN query's candidate
+//! set (and, on a sharded server, its per-cell owner map) resets in
+//! O(|set|) instead of being allocated at O(cells) per query.
+//!
 //! [`ScratchPool`] keeps retired scratches on the server so concurrent
 //! refinement workers and the batch pipeline can each borrow one without
 //! reallocating; `acquire` resets before handing out.
@@ -21,6 +26,8 @@
 use parking_lot::Mutex;
 use roadnet::dijkstra::DijkstraScratch;
 use roadnet::graph::{Distance, VertexId, INFINITY};
+
+use crate::grid::CellId;
 
 /// A dense `VertexId → Distance` map with O(touched) clearing.
 #[derive(Debug)]
@@ -120,6 +127,97 @@ impl DenseScratch {
     }
 }
 
+/// A dense `CellId → T` tag array with O(tagged) reset.
+///
+/// Every cell reads `blank` until tagged; [`Self::tagged`] lists the cells
+/// tagged since the last reset, in first-tag order. The kNN path uses
+/// [`CellSet`] for its candidate set (membership mask plus the set in
+/// expansion order) and `CellTags<u8>` for the sharded owner map.
+#[derive(Debug, Default)]
+pub struct CellTags<T> {
+    tags: Vec<T>,
+    tagged: Vec<CellId>,
+    blank: T,
+}
+
+/// A set of cells: the membership mask and the members in insertion order.
+pub type CellSet = CellTags<bool>;
+
+impl<T: Copy + PartialEq> CellTags<T> {
+    pub fn new(num_cells: usize, blank: T) -> Self {
+        Self {
+            tags: vec![blank; num_cells],
+            tagged: Vec::new(),
+            blank,
+        }
+    }
+
+    /// Cells this array can index (the grid it was sized for).
+    pub fn capacity(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Tag `c` with `v`; the first tag since the reset records `c` in
+    /// [`Self::tagged`]. `v` must not be the blank value.
+    #[inline]
+    pub fn set(&mut self, c: CellId, v: T) {
+        debug_assert!(v != self.blank, "tagging a cell blank");
+        if self.tags[c.index()] == self.blank {
+            self.tagged.push(c);
+        }
+        self.tags[c.index()] = v;
+    }
+
+    /// The dense tag array, indexed by `CellId::index()`.
+    pub fn tags(&self) -> &[T] {
+        &self.tags
+    }
+
+    /// Cells tagged since the last reset, in first-tag order.
+    pub fn tagged(&self) -> &[CellId] {
+        &self.tagged
+    }
+
+    /// Blank every tagged cell: O(tagged).
+    pub fn reset(&mut self) {
+        for &c in &self.tagged {
+            self.tags[c.index()] = self.blank;
+        }
+        self.tagged.clear();
+    }
+
+    pub fn size_bytes(&self) -> u64 {
+        (self.tags.capacity() * std::mem::size_of::<T>()
+            + self.tagged.capacity() * std::mem::size_of::<CellId>()) as u64
+    }
+}
+
+impl CellSet {
+    /// Add `c`; returns whether it was new.
+    #[inline]
+    pub fn insert(&mut self, c: CellId) -> bool {
+        let fresh = !self.tags[c.index()];
+        if fresh {
+            self.set(c, true);
+        }
+        fresh
+    }
+
+    #[inline]
+    pub fn contains(&self, c: CellId) -> bool {
+        self.tags[c.index()]
+    }
+
+    /// Number of member cells.
+    pub fn len(&self) -> usize {
+        self.tagged.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.tagged.is_empty()
+    }
+}
+
 /// A pool of [`DenseScratch`]es sized for one graph, shared by the query
 /// path and the refinement workers (batch mode borrows several at once).
 ///
@@ -134,6 +232,8 @@ pub struct ScratchPool {
     budget_bytes: u64,
     pool: Mutex<Vec<DenseScratch>>,
     engines: Mutex<Vec<DijkstraScratch>>,
+    cell_sets: Mutex<Vec<CellSet>>,
+    owner_maps: Mutex<Vec<CellTags<u8>>>,
 }
 
 impl ScratchPool {
@@ -149,6 +249,8 @@ impl ScratchPool {
             budget_bytes,
             pool: Mutex::new(Vec::new()),
             engines: Mutex::new(Vec::new()),
+            cell_sets: Mutex::new(Vec::new()),
+            owner_maps: Mutex::new(Vec::new()),
         }
     }
 
@@ -179,14 +281,27 @@ impl ScratchPool {
         self.pool.lock().len()
     }
 
-    /// Bytes held by idle scratches (dense + Dijkstra). Counted into the
-    /// server's `index_size` so capacity benches see pool growth.
+    /// Bytes held by idle scratches (dense, Dijkstra and cell tags).
+    /// Counted into the server's `index_size` so capacity benches see pool
+    /// growth.
     pub fn scratch_bytes(&self) -> u64 {
         // Lock order: pool before engines, everywhere in this module.
         let pool = self.pool.lock();
         let engines = self.engines.lock();
         pool.iter().map(DenseScratch::size_bytes).sum::<u64>()
             + engines.iter().map(DijkstraScratch::size_bytes).sum::<u64>()
+            + self
+                .cell_sets
+                .lock()
+                .iter()
+                .map(CellTags::size_bytes)
+                .sum::<u64>()
+            + self
+                .owner_maps
+                .lock()
+                .iter()
+                .map(CellTags::size_bytes)
+                .sum::<u64>()
     }
 
     /// Evict oldest idle buffers until the pooled footprint fits the
@@ -232,6 +347,46 @@ impl ScratchPool {
     pub fn pooled_engines(&self) -> usize {
         self.engines.lock().len()
     }
+
+    /// Borrow an empty candidate-cell set for a grid of `num_cells` cells.
+    /// Steady state reuses a retired set, reset in O(|set|).
+    pub fn acquire_cells(&self, num_cells: usize) -> CellSet {
+        acquire_tags(&self.cell_sets, num_cells, false)
+    }
+
+    /// Return a candidate-cell set to the pool.
+    pub fn release_cells(&self, s: CellSet) {
+        self.cell_sets.lock().push(s);
+    }
+
+    /// Borrow a blank per-cell owner map (blank = `u8::MAX`).
+    pub fn acquire_owners(&self, num_cells: usize) -> CellTags<u8> {
+        acquire_tags(&self.owner_maps, num_cells, u8::MAX)
+    }
+
+    /// Return a per-cell owner map to the pool.
+    pub fn release_owners(&self, s: CellTags<u8>) {
+        self.owner_maps.lock().push(s);
+    }
+}
+
+/// Pop a pooled tag array sized for `num_cells` (dropping any sized for
+/// another grid), or allocate one; reset before handing out. Tag arrays
+/// are not byte-budgeted: a query holds at most one of each kind, so the
+/// pool never grows past the number of queries in flight.
+fn acquire_tags<T: Copy + PartialEq>(
+    pool: &Mutex<Vec<CellTags<T>>>,
+    num_cells: usize,
+    blank: T,
+) -> CellTags<T> {
+    let mut pool = pool.lock();
+    while let Some(mut s) = pool.pop() {
+        if s.capacity() == num_cells {
+            s.reset();
+            return s;
+        }
+    }
+    CellTags::new(num_cells, blank)
 }
 
 #[cfg(test)]
@@ -374,6 +529,40 @@ mod tests {
         }
         assert_eq!(pool.pooled(), 8);
         assert!(pool.scratch_bytes() > 0);
+    }
+
+    #[test]
+    fn cell_set_resets_only_its_members() {
+        let pool = ScratchPool::new(4);
+        let mut set = pool.acquire_cells(1000);
+        assert!(set.insert(CellId(7)));
+        assert!(set.insert(CellId(900)));
+        assert!(!set.insert(CellId(7)), "re-insert is a no-op");
+        assert_eq!(set.tagged(), &[CellId(7), CellId(900)]);
+        assert!(set.contains(CellId(900)) && set.tags()[7]);
+        pool.release_cells(set);
+        let again = pool.acquire_cells(1000);
+        assert!(again.is_empty() && again.tags().iter().all(|&t| !t));
+        assert!(pool.scratch_bytes() == 0, "acquired set left the pool");
+        pool.release_cells(again);
+        assert!(pool.scratch_bytes() >= 1000);
+
+        // A set for another grid is dropped, not handed out.
+        assert_eq!(pool.acquire_cells(10).capacity(), 10);
+    }
+
+    #[test]
+    fn owner_map_reads_blank_after_reset() {
+        let pool = ScratchPool::new(4);
+        let mut owners = pool.acquire_owners(16);
+        owners.set(CellId(3), 2);
+        owners.set(CellId(3), 1);
+        assert_eq!(owners.tags()[3], 1);
+        assert_eq!(owners.tagged(), &[CellId(3)]);
+        pool.release_owners(owners);
+        let owners = pool.acquire_owners(16);
+        assert_eq!(owners.tags()[3], u8::MAX);
+        assert!(owners.tagged().is_empty());
     }
 
     #[test]

@@ -64,9 +64,12 @@ use crate::stats::{ingest_model, Hist};
 pub struct ServeConfig {
     /// A batch launches as soon as it holds this many queries.
     pub max_batch_size: usize,
-    /// A batch launches at `t_open + deadline_ns` even if not full.
-    /// `u64::MAX` disables the deadline (fixed-fill batching); `0` groups
-    /// only queries sharing an arrival instant.
+    /// A batch launches at `t_open + deadline_ns` even if not full, where
+    /// `t_open = max(server-free time, first arrival)`. `u64::MAX` disables
+    /// the deadline (fixed-fill batching). `0` takes in only the queries
+    /// that arrived by `t_open`: on an idle server, those sharing the
+    /// opening arrival instant; on a busy one, every query that arrived
+    /// before the server came free, all launching together at that moment.
     pub deadline_ns: u64,
     /// Admission control: a query whose modeled backlog wait (time until
     /// the server is free) already exceeds this at release is shed instead
@@ -705,6 +708,40 @@ mod tests {
         // The second member waited out the rest of the deadline window.
         assert_eq!(out.records[1].batch_wait_ns, 500);
         assert_eq!(out.records[0].batch_wait_ns, 1_000);
+    }
+
+    #[test]
+    fn zero_deadline_gathers_the_busy_period() {
+        let mut s = server();
+        s.ingest_batch(&[(ObjectId(1), pos(0), Timestamp(1))]);
+        let cfg = ServeConfig {
+            max_batch_size: 8,
+            deadline_ns: 0,
+            ..Default::default()
+        };
+        let mut queue = ServeQueue::new(&cfg);
+        let mut c = queue.client();
+        // The first query keeps the server busy well past t = 2; the next
+        // two arrive during that busy period, and a fourth long after.
+        c.query(pos(1), 1, Timestamp(2), 0);
+        c.query(pos(2), 1, Timestamp(2), 1);
+        c.query(pos(3), 1, Timestamp(2), 2);
+        c.query(pos(4), 1, Timestamp(2), 10_000_000_000);
+        drop(c);
+        let out = serve(&mut s, &cfg, queue);
+        assert_eq!(out.report.batches, 3);
+        let r = &out.records;
+        assert_eq!(r[0].batch_size, 1);
+        let free_ns = r[0].arrival_ns + r[0].latency_ns();
+        assert!(free_ns > 2, "the first batch must outlast both arrivals");
+        // Both busy-period arrivals share one batch launched at `free_ns`:
+        // all their wait is queueing, none is batching.
+        for rec in &r[1..3] {
+            assert_eq!(rec.batch_size, 2);
+            assert_eq!(rec.queue_wait_ns, free_ns - rec.arrival_ns);
+            assert_eq!(rec.batch_wait_ns, 0);
+        }
+        assert_eq!(r[3].batch_size, 1);
     }
 
     #[test]
