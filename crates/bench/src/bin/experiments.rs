@@ -6,8 +6,8 @@
 //!
 //! EXPERIMENT ∈ {table2, fig4a, fig4b, fig4c, fig5, fig6, fig7, fig8,
 //!               fig9, fig10, ablation, skew, concurrency, residency,
-//!               sdist, ingest, batch_fusion, subscriptions, sharding,
-//               sharding2, capacity, serving, all}
+//!               ingest, subscriptions, sharding, sharding2, capacity,
+//!               serving, all}
 //! (default: all)
 //! ```
 //!
@@ -19,9 +19,9 @@ use std::path::PathBuf;
 
 use ggrid_bench::csvout::ResultTable;
 use ggrid_bench::experiments::{
-    ablation, batch_fusion, capacity, concurrency, fig10_scalability, fig4_tuning, fig5_datasets,
-    fig6_index_size, fig7_vary_k, fig8_vary_objects, fig9_vary_freq, ingest, residency, sdist,
-    serving, sharding, sharding2, skew, subscriptions, table2_datasets, ExpConfig,
+    ablation, capacity, concurrency, fig10_scalability, fig4_tuning, fig5_datasets,
+    fig6_index_size, fig7_vary_k, fig8_vary_objects, fig9_vary_freq, ingest, residency, serving,
+    sharding, sharding2, skew, subscriptions, table2_datasets, ExpConfig,
 };
 
 fn main() {
@@ -76,9 +76,7 @@ fn main() {
             "skew",
             "concurrency",
             "residency",
-            "sdist",
             "ingest",
-            "batch_fusion",
             "subscriptions",
             "sharding",
             "sharding2",
@@ -125,9 +123,7 @@ fn main() {
             "skew" => vec![("skew".into(), skew::run(&cfg))],
             "concurrency" => vec![("concurrency".into(), concurrency::run(&cfg))],
             "residency" => vec![("residency".into(), residency::run(&cfg))],
-            "sdist" => vec![("sdist".into(), sdist::run(&cfg))],
             "ingest" => vec![("ingest".into(), ingest::run(&cfg))],
-            "batch_fusion" => vec![("batch_fusion".into(), batch_fusion::run(&cfg))],
             "subscriptions" => vec![("subscriptions".into(), subscriptions::run(&cfg))],
             "sharding" => vec![("sharding".into(), sharding::run(&cfg))],
             "sharding2" => vec![("sharding2".into(), sharding2::run(&cfg))],
@@ -159,7 +155,7 @@ fn expect_num(it: &mut std::iter::Peekable<std::slice::Iter<String>>, flag: &str
     }
 }
 
-const HELP: &str = "usage: experiments [table2|fig4a|fig4b|fig4c|fig5|fig6|fig7|fig8|fig9|fig10|ablation|skew|concurrency|residency|sdist|ingest|batch_fusion|subscriptions|sharding|sharding2|capacity|serving|all]...
+const HELP: &str = "usage: experiments [table2|fig4a|fig4b|fig4c|fig5|fig6|fig7|fig8|fig9|fig10|ablation|skew|concurrency|residency|ingest|subscriptions|sharding|sharding2|capacity|serving|all]...
   --quick           small datasets/fleets for a fast pass
   --scale N         divide real dataset sizes by N (default 500)
   --objects N       number of moving objects (default 10000)

@@ -1,7 +1,6 @@
 //! One module per table/figure of the paper's evaluation (§VII).
 
 pub mod ablation;
-pub mod batch_fusion;
 pub mod capacity;
 pub mod concurrency;
 pub mod fig10_scalability;
@@ -13,7 +12,6 @@ pub mod fig8_vary_objects;
 pub mod fig9_vary_freq;
 pub mod ingest;
 pub mod residency;
-pub mod sdist;
 pub mod serving;
 pub mod sharding;
 pub mod sharding2;

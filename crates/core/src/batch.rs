@@ -218,9 +218,7 @@ pub fn run_knn_batch(
         // per-shard legs are independent and run concurrently on their own
         // device streams.
         let (cleaned, reports) = shards.clean_cells_routed(lists, &union, config, now);
-        if config.batch_fusion {
-            cache = Some(BatchCleanCache::build(lists, &union, &cleaned));
-        }
+        cache = Some(BatchCleanCache::build(lists, &union, &cleaned));
         shared.emulation_ns = t0.elapsed().as_nanos() as u64;
         for (owner, rep) in &reports {
             shared.record_cleaning(rep);
@@ -239,31 +237,29 @@ pub fn run_knn_batch(
         // shard, so the per-query sdist rounds find every first-ring CSR
         // slice resident on the device they will run on. With one shard the
         // single group is exactly the union.
-        if config.batch_fusion && config.coalesce_h2d {
-            let mut per_primary: Vec<Vec<CellId>> = vec![Vec::new(); d];
-            for (ring, &p) in rings.iter().zip(&primaries) {
-                per_primary[p].extend_from_slice(ring);
+        let mut per_primary: Vec<Vec<CellId>> = vec![Vec::new(); d];
+        for (ring, &p) in rings.iter().zip(&primaries) {
+            per_primary[p].extend_from_slice(ring);
+        }
+        for (p, mut cells) in per_primary.into_iter().enumerate() {
+            if cells.is_empty() {
+                continue;
             }
-            for (p, mut cells) in per_primary.into_iter().enumerate() {
-                if cells.is_empty() {
-                    continue;
-                }
-                cells.sort_unstable();
-                cells.dedup();
-                let sh = shards.shard_mut(p);
-                let staged = sh.topo.stage(
-                    &mut sh.device,
-                    cells.iter().map(|&c| (c, grid.topology(c).bytes())),
-                );
-                shared.candidate += staged.time;
-                shared.h2d_topo_bytes += staged.bytes;
-                shared.h2d_bytes += staged.bytes;
-                shared.topo_hits += staged.hits as usize;
-                shared.topo_misses += staged.misses as usize;
-                shared.h2d_coalesced_saved += staged.transactions_saved;
-                timeline.push(device_stream(d, p), SimNanos::ZERO, staged.time);
-                serial_time += staged.time;
-            }
+            cells.sort_unstable();
+            cells.dedup();
+            let sh = shards.shard_mut(p);
+            let staged = sh.topo.stage(
+                &mut sh.device,
+                cells.iter().map(|&c| (c, grid.topology(c).bytes())),
+            );
+            shared.candidate += staged.time;
+            shared.h2d_topo_bytes += staged.bytes;
+            shared.h2d_bytes += staged.bytes;
+            shared.topo_hits += staged.hits as usize;
+            shared.topo_misses += staged.misses as usize;
+            shared.h2d_coalesced_saved += staged.transactions_saved;
+            timeline.push(device_stream(d, p), SimNanos::ZERO, staged.time);
+            serial_time += staged.time;
         }
     }
 
@@ -348,17 +344,8 @@ pub fn run_knn_batch(
             let cells = std::mem::take(&mut pending.cells);
             let l = pending.l;
             let workers = config.refine_workers;
-            let multi_source = config.refine_multi_source;
             let handle = s.spawn(move |_| {
-                let refined = refine_unresolved(
-                    grid,
-                    &unresolved,
-                    l,
-                    cells.tags(),
-                    workers,
-                    multi_source,
-                    pool,
-                );
+                let refined = refine_unresolved(grid, &unresolved, l, cells.tags(), workers, pool);
                 (refined, cells)
             });
             in_flight = Some((pending, handle, device_end, primary));
@@ -514,25 +501,6 @@ mod tests {
         let config = GGridConfig {
             eta: 4,
             refine_workers: 4,
-            ..Default::default()
-        };
-        let mut a = loaded_server_with(config.clone());
-        let mut b = loaded_server();
-        let queries = queries();
-        let batch = a.knn_batch(&queries, Timestamp(500));
-        let individual: Vec<_> = queries
-            .iter()
-            .map(|&(q, k)| b.knn(q, k, Timestamp(500)))
-            .collect();
-        assert_eq!(batch.answers, individual);
-    }
-
-    #[test]
-    fn batch_matches_individual_without_fusion() {
-        // The ablation path (no cache, no upfront staging) must also match.
-        let config = GGridConfig {
-            eta: 4,
-            batch_fusion: false,
             ..Default::default()
         };
         let mut a = loaded_server_with(config.clone());

@@ -43,44 +43,20 @@ pub struct GGridConfig {
     /// clean-skip). Answers are identical either way; disabling this exists
     /// for ablations.
     pub clean_skip: bool,
-    /// Device-memory budget (bytes) for keeping consolidated cell lists
-    /// resident on the card. While a cell is resident, re-cleaning it ships
-    /// only the delta appended since its last clean and runs the fused
-    /// merge kernel; least-recently-used cells are evicted when the budget
-    /// (or the card) fills up, falling back to the full-upload path.
-    /// `0` disables residency entirely (ablation / tiny-device setups).
-    /// Answers are identical either way.
+    /// Per-device memory budget (bytes), applied separately to each of the
+    /// two residency stores. The cell store keeps consolidated message
+    /// lists resident: re-cleaning a resident cell ships only the delta
+    /// appended since its last clean and runs the fused merge kernel. The
+    /// topology store keeps per-cell CSR slices resident, so repeated
+    /// `GPU_SDist` rounds over hot cells skip the topology upload. Each
+    /// store evicts least-recently-used cells once its own footprint would
+    /// exceed this budget (or the card fills up), so a device may hold up
+    /// to twice this amount. `0` disables both kinds of residency (ablation
+    /// / tiny-device setups). Answers are identical either way.
     pub device_budget_bytes: u64,
-    /// Run `GPU_SDist` as the near–far frontier kernel (only active
-    /// vertices relax their edges, with k-bounded pruning) instead of the
-    /// dense all-records Bellman–Ford. Answers are identical either way;
-    /// the dense path exists as the reference for ablations and tests.
-    pub sdist_frontier: bool,
     /// Bucket width δ of the frontier kernel's near/far split, in weight
     /// units. `0` (the default) picks the grid's mean edge weight.
     pub sdist_delta: u32,
-    /// Keep per-cell CSR topology slices resident on the device (within
-    /// `device_budget_bytes`), so repeated queries over hot cells skip the
-    /// per-query topology upload. Answers are identical either way.
-    pub topology_resident: bool,
-    /// Batch-fused execution in [`crate::batch::run_knn_batch`]: clean the
-    /// union of the batch's first-ring cells in one X-shuffle round, stage
-    /// the union's topology misses in one coalesced upload, and serve the
-    /// per-query cleaning rounds from the batch's clean-cache. Answers are
-    /// byte-identical to running the queries one at a time; disabling this
-    /// exists for ablations and as the PR-4 baseline.
-    pub batch_fusion: bool,
-    /// Coalesce the topology-cell misses of each `GPU_SDist` round into a
-    /// single staged H2D transfer (one PCIe latency charge for the round)
-    /// instead of one transfer per missed cell. Answers are identical either
-    /// way.
-    pub coalesce_h2d: bool,
-    /// Refine unresolved vertices with one shared multi-source bounded
-    /// Dijkstra per worker (seeded at `D[v]` per vertex) instead of one
-    /// bounded Dijkstra per vertex. The pointwise minimum over sources is
-    /// exactly the per-vertex union, so answers are identical either way;
-    /// the per-vertex path exists for ablations.
-    pub refine_multi_source: bool,
     /// Maximum number of concurrently active kNN subscriptions
     /// ([`crate::server::GGridServer::subscribe_knn`]); registration
     /// beyond this panics (the server's admission control is the caller's
@@ -123,7 +99,7 @@ pub struct GGridConfig {
     /// the modeled timeline and the host min-merges the per-shard frontiers,
     /// so the round's modeled critical path is the max over owners instead
     /// of their sum. Answers are byte-identical either way; only meaningful
-    /// when `num_devices > 1` and `sdist_frontier` is on.
+    /// when `num_devices > 1`.
     pub cross_shard_sdist: bool,
     /// Clean-skip read-heat threshold above which a remote cell's
     /// consolidated list + topology slice are replicated onto the reading
@@ -155,12 +131,7 @@ impl Default for GGridConfig {
             ingest_workers: 1,
             clean_skip: true,
             device_budget_bytes: 64 << 20,
-            sdist_frontier: true,
             sdist_delta: 0,
-            topology_resident: true,
-            batch_fusion: true,
-            coalesce_h2d: true,
-            refine_multi_source: true,
             max_subscriptions: 65_536,
             guard_slack: 0.25,
             num_devices: 1,
@@ -249,12 +220,7 @@ mod tests {
         assert_eq!(c.ingest_workers, 1);
         assert!(c.clean_skip);
         assert_eq!(c.device_budget_bytes, 64 << 20);
-        assert!(c.sdist_frontier);
         assert_eq!(c.sdist_delta, 0, "0 = auto (grid mean edge weight)");
-        assert!(c.topology_resident);
-        assert!(c.batch_fusion);
-        assert!(c.coalesce_h2d);
-        assert!(c.refine_multi_source);
         assert_eq!(c.max_subscriptions, 65_536);
         assert!((c.guard_slack - 0.25).abs() < 1e-9);
         assert_eq!(c.num_devices, 1, "paper's deployment is single-GPU");

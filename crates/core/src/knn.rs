@@ -5,14 +5,15 @@
 //! 1. **Candidate cells** — starting from the query's cell, expand through
 //!    cell adjacency, cleaning each frontier on the device, until at least
 //!    ρ·k live objects are known (Algorithm 4 lines 1–4).
-//! 2. **Candidate distances** — a parallelised Bellman–Ford over the
-//!    subgraph induced by the candidate cells computes shortest distances
-//!    to every vertex (Algorithm 5, `GPU_SDist`); object distances follow
+//! 2. **Candidate distances** — shortest distances over the subgraph
+//!    induced by the candidate cells (Algorithm 5, `GPU_SDist`), computed
+//!    by a near–far frontier kernel that reaches the same fixed point as
+//!    the paper's parallel Bellman–Ford; object distances follow
 //!    as `D[source(o.e)] + o.d`, and a parallel selection yields the k best
 //!    (`GPU_First_k`).
 //! 3. **Unresolved vertices** — boundary vertices of the candidate region
 //!    closer than the k-th candidate (`GPU_Unresolved`, Definition 3).
-//! 4. **Refinement** — the CPU runs a bounded Dijkstra from every
+//! 4. **Refinement** — the CPU runs a bounded Dijkstra seeded at every
 //!    unresolved vertex over the *full* graph (Algorithm 6), lazily
 //!    cleaning any newly touched cells, and merges the improved distance
 //!    estimates into the final answer.
@@ -30,7 +31,7 @@
 //! pure CPU, no shared state, safe to run on a worker thread while the
 //! device serves the next query), and [`knn_finalize`] (lazy cleaning of
 //! refinement-touched cells plus the final selection). `refine_unresolved`
-//! itself fans the per-vertex expansions out over
+//! itself fans the unresolved vertices out over
 //! `GGridConfig::refine_workers` scoped threads; per-worker distance maps
 //! are merged with `min`, which is commutative and associative, so the
 //! merged result — and therefore the answer — is bit-identical for every
@@ -51,7 +52,7 @@ use crate::grid::{CellId, GraphGrid};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
 use crate::object_table::FxBuildHasher;
-use crate::residency::TopologyStore;
+use crate::residency::{StagedTopo, TopologyStore};
 use crate::scratch::{CellSet, DenseScratch, ScratchPool};
 use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
@@ -111,8 +112,8 @@ pub(crate) struct RefineOutcome {
     pub critical_ns: u64,
     /// Worker threads actually used.
     pub workers: usize,
-    /// Vertices settled across all searches (multi-source settles a shared
-    /// vertex once; the per-vertex ablation settles it once per source).
+    /// Vertices settled across all searches (each worker's multi-source
+    /// search settles a shared vertex once).
     pub settled: u64,
     /// Edges examined (relaxation attempts) across all searches.
     pub relaxed: u64,
@@ -159,7 +160,6 @@ pub(crate) fn run_knn(
         pending.l,
         pending.cells.tags(),
         config.refine_workers,
-        config.refine_multi_source,
         pool,
     );
     knn_finalize(
@@ -390,7 +390,7 @@ pub(crate) fn knn_device_phase(
             span = seen.iter().filter(|&&s| s).count();
             breakdown.ring_span = breakdown.ring_span.max(span);
         }
-        let cooperative = span > 1 && config.cross_shard_sdist && config.sdist_frontier;
+        let cooperative = span > 1 && config.cross_shard_sdist;
         let s = if let Some(owners) = owners.as_ref().filter(|_| cooperative) {
             // Cooperative round: every owning device relaxes its slice of
             // the ring concurrently; the modeled critical path is the max
@@ -414,7 +414,7 @@ pub(crate) fn knn_device_phase(
             s
         } else {
             let (device, _, topo) = shards.parts(primary);
-            gpu_sdist(
+            gpu_sdist_frontier(
                 device,
                 grid,
                 topo,
@@ -532,30 +532,27 @@ pub(crate) fn knn_device_phase(
 /// unresolved vertices over the full graph, fanned out over `workers`
 /// scoped threads.
 ///
-/// With `multi_source` each worker runs **one** shared search seeded at
-/// `(v, D[v])` for its whole source group under `radius(l)`. The engine
-/// settles each vertex `u` at `min_v(D[v] + dist_v(u))` — exactly the
-/// pointwise minimum the per-vertex loop computes, because a per-vertex
-/// search from `v` under `radius(l − D[v])` settles `u` iff
-/// `D[v] + dist_v(u) ≤ l` (the same absolute bound), and the min over
-/// sources is reached by a source satisfying it. Shared shortest-path
-/// subtrees are settled once instead of once per source. The per-vertex
-/// loop is kept as the ablation path; DESIGN.md §5.6 has the full argument.
+/// Each worker runs **one** shared search seeded at `(v, D[v])` for its
+/// whole source group under `radius(l)`. The engine settles each vertex `u`
+/// at `min_v(D[v] + dist_v(u))` — exactly the pointwise minimum of one
+/// bounded search per unresolved vertex, because a search from `v` under
+/// `radius(l − D[v])` settles `u` iff `D[v] + dist_v(u) ≤ l` (the same
+/// absolute bound), and the min over sources is reached by a source
+/// satisfying it. Shared shortest-path subtrees are settled once instead of
+/// once per source; DESIGN.md §5.6 has the full argument.
 ///
 /// Pure CPU and side-effect free: it never touches the device or the
 /// message lists, which is what lets a batch scheduler run it concurrently
 /// with another query's device phase. Determinism: each worker builds a
 /// local `best_outer`, maps are merged with `min` (order-independent), and
 /// `touched_cells` is recomputed from the merged map and sorted — so the
-/// outcome is identical for every worker count, including 1, and for both
-/// search strategies.
+/// outcome is identical for every worker count, including 1.
 pub(crate) fn refine_unresolved(
     grid: &GraphGrid,
     unresolved: &[(VertexId, Distance)],
     l: Distance,
     in_set: &[bool],
     workers: usize,
-    multi_source: bool,
     pool: &ScratchPool,
 ) -> RefineOutcome {
     if unresolved.is_empty() {
@@ -564,7 +561,7 @@ pub(crate) fn refine_unresolved(
     let graph = grid.graph().clone();
     let t0 = Instant::now();
 
-    let expand = |chunk: Vec<(VertexId, Distance)>| {
+    let expand = |chunk: &[(VertexId, Distance)]| {
         // Pool bookkeeping sits outside the timed region: `busy_ns` is the
         // time workers spend *searching*, the quantity multi-source
         // refinement shrinks. Attaching pooled scratch is O(1) after the
@@ -574,29 +571,14 @@ pub(crate) fn refine_unresolved(
         let mut engine = DijkstraEngine::with_scratch(&graph, pool.acquire_engine());
         let mut local = pool.acquire();
         let started = BusyClock::start();
-        let mut settled = 0u64;
-        let mut relaxed = 0u64;
-        if multi_source {
-            // Seed costs are the absolute `D[v]`, so settled values are
-            // already absolute distances through some unresolved vertex.
-            engine.run_seeded(&chunk, SearchBounds::radius(l));
-            for &u in engine.settled() {
-                local.min_in(u, engine.distance(u));
-            }
-            settled += engine.settled().len() as u64;
-            relaxed += engine.relaxed();
-        } else {
-            for (v, dv) in chunk {
-                let radius = l - dv; // l > dv by construction
-                engine.run_seeded(&[(v, 0)], SearchBounds::radius(radius));
-                for &u in engine.settled() {
-                    let du = dv + engine.distance(u);
-                    local.min_in(u, du);
-                }
-                settled += engine.settled().len() as u64;
-                relaxed += engine.relaxed();
-            }
+        // Seed costs are the absolute `D[v]`, so settled values are already
+        // absolute distances through some unresolved vertex.
+        engine.run_seeded(chunk, SearchBounds::radius(l));
+        for &u in engine.settled() {
+            local.min_in(u, engine.distance(u));
         }
+        let settled = engine.settled().len() as u64;
+        let relaxed = engine.relaxed();
         let ns = started.elapsed_ns();
         pool.release_engine(engine.into_scratch());
         (local, settled, relaxed, ns)
@@ -604,7 +586,7 @@ pub(crate) fn refine_unresolved(
 
     let workers = workers.max(1).min(unresolved.len());
     let (best_outer, settled, relaxed, mut busy_ns, mut critical_ns) = if workers == 1 {
-        let (local, settled, relaxed, ns) = expand(unresolved.to_vec());
+        let (local, settled, relaxed, ns) = expand(unresolved);
         (local, settled, relaxed, ns, ns)
     } else {
         // Deal vertices round-robin: adjacent unresolved vertices sit on
@@ -622,7 +604,7 @@ pub(crate) fn refine_unresolved(
                         .copied()
                         .collect();
                     let expand = &expand;
-                    s.spawn(move |_| expand(chunk))
+                    s.spawn(move |_| expand(&chunk))
                 })
                 .collect();
             handles
@@ -831,8 +813,7 @@ pub struct SdistStats {
     pub time: gpu_sim::SimNanos,
     /// Relaxation rounds executed.
     pub rounds: u64,
-    /// Summed per-round frontier sizes (dense path: every record, every
-    /// round).
+    /// Summed per-round frontier sizes.
     pub frontier_sum: u64,
     /// Largest single-round frontier.
     pub frontier_max: u64,
@@ -853,137 +834,29 @@ pub struct SdistStats {
     pub h2d_coalesced_saved: u64,
 }
 
+impl SdistStats {
+    /// Fold one device's staged topology upload into the counters (its
+    /// time is charged by the caller, per device).
+    fn record_staged(&mut self, staged: &StagedTopo) {
+        self.topo_hits += staged.hits as usize;
+        self.topo_misses += staged.misses as usize;
+        self.h2d_topo_bytes += staged.bytes;
+        self.h2d_coalesced_saved += staged.transactions_saved;
+    }
+}
+
 /// Algorithm 5 `GPU_SDist`: shortest distances over the subgraph induced by
-/// the candidate cells, landing in `scratch` (reset here). Dispatches
-/// between the near–far frontier kernel and the dense Bellman–Ford
-/// reference per `GGridConfig::sdist_frontier`; the two produce answers
-/// that are byte-identical through the rest of the query (DESIGN.md §5.3).
-#[allow(clippy::too_many_arguments)]
-fn gpu_sdist(
-    device: &mut Device,
-    grid: &GraphGrid,
-    topo: &mut TopologyStore,
-    config: &GGridConfig,
-    in_set: &[bool],
-    set: &[CellId],
-    q: EdgePosition,
-    graph: &roadnet::Graph,
-    objects: &[CachedMessage],
-    k: usize,
-    scratch: &mut DenseScratch,
-) -> SdistStats {
-    if config.sdist_frontier {
-        gpu_sdist_frontier(
-            device, grid, topo, config, in_set, set, q, graph, objects, k, scratch,
-        )
-    } else {
-        gpu_sdist_dense(device, grid, in_set, set, q, graph, scratch)
-    }
-}
-
-/// The dense reference `GPU_SDist`: Bellman–Ford with one thread per vertex
-/// record, every record relaxing its (≤ δᵛ) stored in-edges every round
-/// until fixpoint. Kept behind `sdist_frontier: false` as the
-/// ablation/reference path; it re-uploads the candidate topology every
-/// query, which is exactly the cost the resident frontier path removes.
-#[doc(hidden)]
-pub fn gpu_sdist_dense(
-    device: &mut Device,
-    grid: &GraphGrid,
-    in_set: &[bool],
-    set: &[CellId],
-    q: EdgePosition,
-    graph: &roadnet::Graph,
-    scratch: &mut DenseScratch,
-) -> SdistStats {
-    scratch.reset();
-    let mut stats = SdistStats::default();
-
-    // The dense path ships the candidate subgraph fresh for every query.
-    for &c in set {
-        let bytes = grid.topology(c).bytes();
-        stats.h2d_topo_bytes += bytes;
-        stats.topo_misses += 1;
-        stats.time += device.h2d(bytes);
-    }
-
-    // Collect the records (threads) of the candidate cells.
-    let mut records: Vec<&crate::grid::VertexRecord> = Vec::new();
-    for &c in set {
-        for r in &grid.cell(c).records {
-            records.push(r);
-        }
-    }
-    let threads = records.len().max(1);
-
-    for &c in set {
-        for v in grid.vertices_in(c) {
-            scratch.set(v, INFINITY);
-        }
-    }
-    stats.vertices = scratch.touched_len() as u64;
-    // Seed: the only way off the query edge is its destination vertex —
-    // when its cell made the candidate set.
-    let q_dest = graph.edge(q.edge).dest;
-    if in_set[grid.cell_of_vertex(q_dest).index()] {
-        scratch.set(q_dest, q.to_dest(graph));
-    }
-
-    let (rounds, report) = device.launch(threads, |ctx| {
-        let mut rounds = 0u64;
-        let max_rounds = records.len().max(1);
-        for _round in 0..max_rounds {
-            rounds += 1;
-            let mut changed = false;
-            // One round: every record relaxes its stored in-edges.
-            for r in &records {
-                ctx.charge_alu_one(2 + 4 * r.edges.len() as u64);
-                ctx.charge_read(12 * r.edges.len() as u64 + 8);
-                let mut best = scratch.get(r.vertex);
-                let mut improved = false;
-                for e in &r.edges {
-                    // An unseeded source reads INFINITY and can never win
-                    // the comparison — the map-miss semantics of the old
-                    // per-query HashMap.
-                    let nd = scratch.get(e.source).saturating_add(e.weight as Distance);
-                    if nd < best {
-                        best = nd;
-                        improved = true;
-                    }
-                }
-                if improved {
-                    // Only a record that actually improved pays the global
-                    // write; `changed` alone tracks round convergence.
-                    ctx.charge_write(8);
-                    changed = true;
-                    scratch.set(r.vertex, best);
-                }
-            }
-            ctx.sync_threads();
-            if !changed {
-                break;
-            }
-        }
-        rounds
-    });
-    stats.rounds = rounds;
-    stats.frontier_sum = rounds * records.len() as u64;
-    stats.frontier_max = if rounds > 0 { records.len() as u64 } else { 0 };
-    stats.settled = scratch
-        .iter_touched()
-        .filter(|&(_, d)| d < INFINITY)
-        .count() as u64;
-    stats.time += report.time;
-    stats
-}
-
-/// The frontier `GPU_SDist`: near–far (two-bucket delta-stepping) SSSP over
-/// the candidate cells' resident CSR slices. Only active vertices relax
-/// their out-edges; each bucket phase drains the near pile to a fixpoint —
-/// sealing every vertex whose final distance is below the bucket threshold
-/// — then feeds the sealed vertices' objects into a running k-th candidate
-/// bound and stops as soon as every remaining tentative distance exceeds
-/// it (k-bounded pruning; the exactness argument is in DESIGN.md §5.3).
+/// the candidate cells, landing in `scratch` (reset here).
+///
+/// Runs as near–far (two-bucket delta-stepping) SSSP over the candidate
+/// cells' resident CSR slices. Only active vertices relax their out-edges;
+/// each bucket phase drains the near pile to a fixpoint — sealing every
+/// vertex whose final distance is below the bucket threshold — then feeds
+/// the sealed vertices' objects into a running k-th candidate bound and
+/// stops as soon as every remaining tentative distance exceeds it (k-bounded
+/// pruning; `k = 0` disables it and computes the full induced fixpoint). The
+/// result is the fixed point the paper's parallel Bellman–Ford reaches; the
+/// exactness argument is in DESIGN.md §5.3.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gpu_sdist_frontier(
@@ -999,85 +872,90 @@ pub fn gpu_sdist_frontier(
     k: usize,
     scratch: &mut DenseScratch,
 ) -> SdistStats {
-    scratch.reset();
     let mut stats = SdistStats::default();
 
     // Resident topology: a hot cell's slice is already on the card and
-    // skips the upload entirely. With `coalesce_h2d` the round's misses
-    // ride one staged transfer (a single PCIe latency charge); the
-    // per-cell ablation path pays the fixed latency per missed cell.
-    if config.coalesce_h2d {
-        let staged = topo.stage(device, set.iter().map(|&c| (c, grid.topology(c).bytes())));
-        stats.topo_hits += staged.hits as usize;
-        stats.topo_misses += staged.misses as usize;
-        stats.h2d_topo_bytes += staged.bytes;
-        stats.h2d_coalesced_saved += staged.transactions_saved;
-        stats.time += staged.time;
-    } else {
-        for &c in set {
-            let bytes = grid.topology(c).bytes();
-            if topo.ensure(device, c, bytes) {
-                stats.topo_hits += 1;
-            } else {
-                stats.topo_misses += 1;
-                stats.h2d_topo_bytes += bytes;
-                stats.time += device.h2d(bytes);
-            }
-        }
-    }
+    // skips the upload entirely; the round's misses ride one staged
+    // transfer (a single PCIe latency charge).
+    let staged = topo.stage(device, set.iter().map(|&c| (c, grid.topology(c).bytes())));
+    stats.record_staged(&staged);
+    stats.time += staged.time;
 
     let total_vertices: usize = set.iter().map(|&c| grid.topology(c).num_vertices()).sum();
     stats.vertices = total_vertices as u64;
 
-    let delta = if config.sdist_delta > 0 {
-        config.sdist_delta as u64
-    } else {
-        grid.mean_edge_weight()
-    }
-    .max(1);
-
-    // Live objects per source vertex, for the running k-th candidate
-    // bound. The bound deliberately ignores `object_distance`'s same-edge
-    // shortcut, so it over-estimates the true l and never over-prunes.
-    let mut objects_at: HashMap<VertexId, Vec<Distance>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
-    for m in objects {
-        if let Some(p) = m.position {
-            objects_at
-                .entry(graph.edge(p.edge).source)
-                .or_default()
-                .push(p.from_source());
-        }
-    }
-
-    let q_dest = graph.edge(q.edge).dest;
-    let seeded = in_set[grid.cell_of_vertex(q_dest).index()];
-    if seeded {
-        scratch.set(q_dest, q.to_dest(graph));
-    }
-
-    let ((rounds, frontier_sum, frontier_max, settled, pruned), report) =
-        device.launch(total_vertices.max(1), |ctx| {
-            frontier_relax_body(
-                ctx,
-                grid,
-                in_set,
-                q_dest,
-                seeded,
-                delta,
-                &objects_at,
-                k,
-                scratch,
-                &mut |_, _| {},
-            )
-        });
-    stats.rounds = rounds;
-    stats.frontier_sum = frontier_sum;
-    stats.frontier_max = frontier_max;
-    stats.settled = settled;
-    stats.pruned = pruned;
+    let prelude = FrontierPrelude::new(grid, config, in_set, q, graph, objects, scratch);
+    let ((), report) = device.launch(total_vertices.max(1), |ctx| {
+        frontier_relax_body(
+            ctx,
+            grid,
+            in_set,
+            &prelude,
+            k,
+            scratch,
+            &mut stats,
+            &mut |_, _| {},
+        )
+    });
     stats.time += report.time;
     stats
+}
+
+/// What both frontier kernels derive identically from the query before
+/// relaxing: the bucket width δ, the live objects per source vertex, and
+/// the seed at the query edge's destination.
+struct FrontierPrelude {
+    delta: u64,
+    /// Live objects per source vertex, for the running k-th candidate
+    /// bound. The bound deliberately ignores `object_distance`'s same-edge
+    /// shortcut, so it over-estimates the true l and never over-prunes.
+    objects_at: HashMap<VertexId, Vec<Distance>, FxBuildHasher>,
+    q_dest: VertexId,
+    /// Whether `q_dest`'s cell made the candidate set — the only way off
+    /// the query edge.
+    seeded: bool,
+}
+
+impl FrontierPrelude {
+    /// Build the prelude, resetting `scratch` and seeding it at `q_dest`.
+    fn new(
+        grid: &GraphGrid,
+        config: &GGridConfig,
+        in_set: &[bool],
+        q: EdgePosition,
+        graph: &roadnet::Graph,
+        objects: &[CachedMessage],
+        scratch: &mut DenseScratch,
+    ) -> Self {
+        let delta = if config.sdist_delta > 0 {
+            config.sdist_delta as u64
+        } else {
+            grid.mean_edge_weight()
+        }
+        .max(1);
+        let mut objects_at: HashMap<VertexId, Vec<Distance>, FxBuildHasher> =
+            HashMap::with_hasher(FxBuildHasher::default());
+        for m in objects {
+            if let Some(p) = m.position {
+                objects_at
+                    .entry(graph.edge(p.edge).source)
+                    .or_default()
+                    .push(p.from_source());
+            }
+        }
+        scratch.reset();
+        let q_dest = graph.edge(q.edge).dest;
+        let seeded = in_set[grid.cell_of_vertex(q_dest).index()];
+        if seeded {
+            scratch.set(q_dest, q.to_dest(graph));
+        }
+        Self {
+            delta,
+            objects_at,
+            q_dest,
+            seeded,
+        }
+    }
 }
 
 /// The near–far relaxation shared by [`gpu_sdist_frontier`] and its
@@ -1085,25 +963,25 @@ pub fn gpu_sdist_frontier(
 /// same op slice through `tally`, keyed by the vertex whose owning device
 /// should pay for it; collectives, barriers, and far-pile compaction charge
 /// only `ctx` — they are coordination work, left in the residual the scatter
-/// path bills to the primary device.
+/// path bills to the primary device. Round, frontier, settled and pruned
+/// counts accumulate into `stats`.
 #[allow(clippy::too_many_arguments)]
 fn frontier_relax_body(
     ctx: &mut gpu_sim::KernelCtx,
     grid: &GraphGrid,
     in_set: &[bool],
-    q_dest: VertexId,
-    seeded: bool,
-    delta: u64,
-    objects_at: &HashMap<VertexId, Vec<Distance>, FxBuildHasher>,
+    prelude: &FrontierPrelude,
     k: usize,
     scratch: &mut DenseScratch,
+    stats: &mut SdistStats,
     tally: &mut dyn FnMut(VertexId, OpCounts),
-) -> (u64, u64, u64, u64, u64) {
-    let mut rounds = 0u64;
-    let mut frontier_sum = 0u64;
-    let mut frontier_max = 0u64;
-    let mut settled = 0u64;
-    let mut pruned = 0u64;
+) {
+    let FrontierPrelude {
+        delta,
+        ref objects_at,
+        q_dest,
+        seeded,
+    } = *prelude;
     // Running k-bound: max-heap of the k smallest evaluated
     // candidate distances; its top is the bound l_run ≥ l.
     let mut k_heap = std::collections::BinaryHeap::new();
@@ -1117,9 +995,9 @@ fn frontier_relax_body(
             // ---- drain the near pile at this threshold ----
             let mut sealed_phase: Vec<VertexId> = Vec::new();
             while !near.is_empty() {
-                rounds += 1;
-                frontier_sum += near.len() as u64;
-                frontier_max = frontier_max.max(near.len() as u64);
+                stats.rounds += 1;
+                stats.frontier_sum += near.len() as u64;
+                stats.frontier_max = stats.frontier_max.max(near.len() as u64);
                 let mut next_near: Vec<VertexId> = Vec::new();
                 for &v in &near {
                     sealed_phase.push(v);
@@ -1172,7 +1050,7 @@ fn frontier_relax_body(
             // so no object is ever counted twice. ----
             sealed_phase.sort_unstable_by_key(|v| v.0);
             sealed_phase.dedup();
-            settled += sealed_phase.len() as u64;
+            stats.settled += sealed_phase.len() as u64;
             for &v in &sealed_phase {
                 if let Some(list) = objects_at.get(&v) {
                     ctx.charge_alu_one(2 * list.len() as u64);
@@ -1228,7 +1106,7 @@ fn frontier_relax_body(
             // exceeds the k-th candidate bound no remaining vertex
             // can host a top-k object.
             if min_far > l_run {
-                pruned += far.len() as u64;
+                stats.pruned += far.len() as u64;
                 break;
             }
 
@@ -1239,7 +1117,6 @@ fn frontier_relax_body(
             far = f2;
         }
     }
-    (rounds, frontier_sum, frontier_max, settled, pruned)
 }
 
 /// Cooperative cross-shard `GPU_SDist`: the ring's cells are grouped by
@@ -1270,7 +1147,6 @@ fn gpu_sdist_frontier_scattered(
     k: usize,
     scratch: &mut DenseScratch,
 ) -> (SdistStats, Vec<(usize, SimNanos)>) {
-    scratch.reset();
     let mut stats = SdistStats::default();
     let num_shards = shards.num_shards();
     let mut device_ns = vec![SimNanos::ZERO; num_shards];
@@ -1286,76 +1162,30 @@ fn gpu_sdist_frontier_scattered(
             continue;
         }
         let (device, _, topo) = shards.parts(d);
-        if config.coalesce_h2d {
-            let staged = topo.stage(device, cells.iter().map(|&c| (c, grid.topology(c).bytes())));
-            stats.topo_hits += staged.hits as usize;
-            stats.topo_misses += staged.misses as usize;
-            stats.h2d_topo_bytes += staged.bytes;
-            stats.h2d_coalesced_saved += staged.transactions_saved;
-            device_ns[d] += staged.time;
-        } else {
-            for &c in cells {
-                let bytes = grid.topology(c).bytes();
-                if topo.ensure(device, c, bytes) {
-                    stats.topo_hits += 1;
-                } else {
-                    stats.topo_misses += 1;
-                    stats.h2d_topo_bytes += bytes;
-                    device_ns[d] += device.h2d(bytes);
-                }
-            }
-        }
+        let staged = topo.stage(device, cells.iter().map(|&c| (c, grid.topology(c).bytes())));
+        stats.record_staged(&staged);
+        device_ns[d] += staged.time;
     }
 
     let total_vertices: usize = set.iter().map(|&c| grid.topology(c).num_vertices()).sum();
     stats.vertices = total_vertices as u64;
 
-    let delta = if config.sdist_delta > 0 {
-        config.sdist_delta as u64
-    } else {
-        grid.mean_edge_weight()
-    }
-    .max(1);
-
-    let mut objects_at: HashMap<VertexId, Vec<Distance>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
-    for m in objects {
-        if let Some(p) = m.position {
-            objects_at
-                .entry(graph.edge(p.edge).source)
-                .or_default()
-                .push(p.from_source());
-        }
-    }
-
-    let q_dest = graph.edge(q.edge).dest;
-    let seeded = in_set[grid.cell_of_vertex(q_dest).index()];
-    if seeded {
-        scratch.set(q_dest, q.to_dest(graph));
-    }
-
+    let prelude = FrontierPrelude::new(grid, config, in_set, q, graph, objects, scratch);
     // Meter the relaxation once, tallying each per-vertex charge site
     // against the device that owns the vertex's cell.
     let warp = shards.shard(primary).device.spec().warp_size as usize;
     let mut ctx = gpu_sim::KernelCtx::detached(warp, total_vertices.max(1));
     let mut slices = vec![OpCounts::default(); num_shards];
-    let (rounds, frontier_sum, frontier_max, settled, pruned) = frontier_relax_body(
+    frontier_relax_body(
         &mut ctx,
         grid,
         in_set,
-        q_dest,
-        seeded,
-        delta,
-        &objects_at,
+        &prelude,
         k,
         scratch,
+        &mut stats,
         &mut |v, ops| slices[owners[grid.cell_of_vertex(v).index()] as usize].add(&ops),
     );
-    stats.rounds = rounds;
-    stats.frontier_sum = frontier_sum;
-    stats.frontier_max = frontier_max;
-    stats.settled = settled;
-    stats.pruned = pruned;
 
     // Replay the remote slices on their devices. The per-vertex tallies
     // cover relax and object-bound work; the metered residual (near/far
@@ -1526,6 +1356,34 @@ mod tests {
         (grid, lists, Device::new(DeviceSpec::test_tiny()), config)
     }
 
+    /// The full induced-subgraph fixed point: `gpu_sdist_frontier` with
+    /// pruning disabled (`k = 0`) on a cold topology store.
+    fn induced_sdist(
+        device: &mut Device,
+        grid: &GraphGrid,
+        in_set: &[bool],
+        set: &[CellId],
+        q: EdgePosition,
+        dist: &mut DenseScratch,
+    ) -> SdistStats {
+        let config = GGridConfig::default();
+        let mut topo = TopologyStore::new(config.device_budget_bytes);
+        let graph = grid.graph().clone();
+        gpu_sdist_frontier(
+            device,
+            grid,
+            &mut topo,
+            &config,
+            in_set,
+            set,
+            q,
+            &graph,
+            &[],
+            0,
+            dist,
+        )
+    }
+
     fn place(grid: &GraphGrid, lists: &CellLists, objects: &[(u64, EdgePosition)], t: u64) {
         for &(o, p) in objects {
             let cell = grid.cell_of_edge(p.edge);
@@ -1634,7 +1492,6 @@ mod tests {
             pending.l,
             pending.cells.tags(),
             1,
-            true,
             &pool,
         );
         let result = knn_finalize(
@@ -1674,20 +1531,11 @@ mod tests {
         let set: Vec<crate::grid::CellId> = grid.cell_ids().collect();
         let in_set = vec![true; grid.num_cells()];
         let q = EdgePosition::at_source(EdgeId(4));
-        let mut dist = DenseScratch::new(graph.num_vertices());
-        let stats = gpu_sdist_dense(&mut device, &grid, &in_set, &set, q, &graph, &mut dist);
-        assert!(stats.time > gpu_sim::SimNanos::ZERO);
-        assert!(stats.rounds > 0 && stats.h2d_topo_bytes > 0);
-        let mut engine = DijkstraEngine::new(&graph);
-        engine.run_from_position(q, SearchBounds::UNBOUNDED);
-        for v in graph.vertices() {
-            assert_eq!(dist.get(v), engine.distance(v), "{v:?} diverges");
-        }
-        // The frontier kernel with pruning disabled (k = 0) settles the
-        // exact same distances, paying zero topology upload on a hot store.
+        // With pruning disabled (k = 0) the kernel settles the exact
+        // full-graph distances: every cell is in the induced subgraph.
         let mut topo = TopologyStore::new(config.device_budget_bytes);
         let mut fdist = DenseScratch::new(graph.num_vertices());
-        gpu_sdist_frontier(
+        let cold = gpu_sdist_frontier(
             &mut device,
             &grid,
             &mut topo,
@@ -1700,6 +1548,15 @@ mod tests {
             0,
             &mut fdist,
         );
+        assert!(cold.time > gpu_sim::SimNanos::ZERO);
+        assert!(cold.rounds > 0 && cold.h2d_topo_bytes > 0);
+        assert_eq!(cold.pruned, 0, "k = 0 never prunes");
+        let mut engine = DijkstraEngine::new(&graph);
+        engine.run_from_position(q, SearchBounds::UNBOUNDED);
+        for v in graph.vertices() {
+            assert_eq!(fdist.get(v), engine.distance(v), "{v:?} diverges");
+        }
+        // A hot store pays zero topology upload for the same answer.
         let warm = gpu_sdist_frontier(
             &mut device,
             &grid,
@@ -1738,7 +1595,7 @@ mod tests {
             in_set[c.index()] = true;
         }
         let mut dist = DenseScratch::new(graph.num_vertices());
-        gpu_sdist_dense(&mut device, &grid, &in_set, &set, q, &graph, &mut dist);
+        induced_sdist(&mut device, &grid, &in_set, &set, q, &mut dist);
         let mut engine = DijkstraEngine::new(&graph);
         engine.run_from_position(q, SearchBounds::UNBOUNDED);
         for (v, d) in dist.iter_touched() {
@@ -1754,7 +1611,7 @@ mod tests {
         let set: Vec<crate::grid::CellId> = grid.cell_ids().collect();
         let in_set = vec![true; grid.num_cells()];
         let mut dist = DenseScratch::new(graph.num_vertices());
-        gpu_sdist_dense(&mut device, &grid, &in_set, &set, q, &graph, &mut dist);
+        induced_sdist(&mut device, &grid, &in_set, &set, q, &mut dist);
         let objects: Vec<CachedMessage> = (0..10u64)
             .map(|o| {
                 CachedMessage::update(
@@ -1786,7 +1643,7 @@ mod tests {
             in_set[c.index()] = true;
         }
         let mut dist = DenseScratch::new(graph.num_vertices());
-        gpu_sdist_dense(&mut device, &grid, &in_set, &set, q, &graph, &mut dist);
+        induced_sdist(&mut device, &grid, &in_set, &set, q, &mut dist);
         let l = 50;
         let (unresolved, _) = gpu_unresolved(&mut device, &grid, &in_set, &set, &dist, l);
         for &(v, d) in &unresolved {
@@ -1951,35 +1808,33 @@ mod tests {
             }
         }
 
-        for multi_source in [false, true] {
-            for workers in [1usize, 3, 8] {
-                let got = refine_unresolved(
-                    &grid,
-                    &pending.unresolved,
-                    pending.l,
-                    pending.cells.tags(),
-                    workers,
-                    multi_source,
-                    &pool,
-                );
-                let got_map: HashMap<VertexId, Distance, FxBuildHasher> = got
-                    .best_outer
-                    .as_ref()
-                    .expect("unresolved non-empty => scratch present")
-                    .iter_touched()
-                    .collect();
-                assert_eq!(got_map, want, "workers={workers} multi={multi_source}");
-                assert!(got.touched_cells.windows(2).all(|w| w[0] < w[1]));
-                assert!(got.settled > 0 && got.relaxed > 0);
-            }
+        for workers in [1usize, 3, 8] {
+            let got = refine_unresolved(
+                &grid,
+                &pending.unresolved,
+                pending.l,
+                pending.cells.tags(),
+                workers,
+                &pool,
+            );
+            let got_map: HashMap<VertexId, Distance, FxBuildHasher> = got
+                .best_outer
+                .as_ref()
+                .expect("unresolved non-empty => scratch present")
+                .iter_touched()
+                .collect();
+            assert_eq!(got_map, want, "workers={workers}");
+            assert!(got.touched_cells.windows(2).all(|w| w[0] < w[1]));
+            assert!(got.settled > 0 && got.relaxed > 0);
         }
     }
 
     #[test]
     fn multi_source_refine_does_less_work() {
         // The shared search settles overlapping subtrees once; with several
-        // unresolved sources its settled count can only be <= the per-vertex
-        // union's (which settles shared vertices once per source).
+        // unresolved sources its settled count can only be <= that of one
+        // bounded search per vertex (which settles shared vertices once per
+        // source), replayed here as the reference.
         let (grid, lists, device, config) = setup(7);
         let objects: Vec<(u64, EdgePosition)> = (0..10u64)
             .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
@@ -2002,19 +1857,30 @@ mod tests {
         if pending.unresolved.len() < 2 {
             return; // no sharing to measure on this topology
         }
-        let args = (&pending.unresolved, pending.l, pending.cells.tags());
-        let per_vertex = refine_unresolved(&grid, args.0, args.1, args.2, 1, false, &pool);
-        let fused = refine_unresolved(&grid, args.0, args.1, args.2, 1, true, &pool);
-        assert!(
-            fused.settled <= per_vertex.settled,
-            "fused {} vs per-vertex {}",
-            fused.settled,
-            per_vertex.settled
+        let graph = grid.graph().clone();
+        let mut engine = DijkstraEngine::new(&graph);
+        let (mut settled, mut relaxed) = (0u64, 0u64);
+        for &(v, dv) in &pending.unresolved {
+            engine.run_seeded(&[(v, 0)], SearchBounds::radius(pending.l - dv));
+            settled += engine.settled().len() as u64;
+            relaxed += engine.relaxed();
+        }
+        let fused = refine_unresolved(
+            &grid,
+            &pending.unresolved,
+            pending.l,
+            pending.cells.tags(),
+            1,
+            &pool,
         );
-        assert!(fused.relaxed <= per_vertex.relaxed);
-        if let (Some(a), Some(b)) = (fused.best_outer, per_vertex.best_outer) {
+        assert!(
+            fused.settled <= settled,
+            "fused {} vs per-vertex {settled}",
+            fused.settled
+        );
+        assert!(fused.relaxed <= relaxed);
+        if let Some(a) = fused.best_outer {
             pool.release(a);
-            pool.release(b);
         }
     }
 }

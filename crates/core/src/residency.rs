@@ -20,7 +20,9 @@
 //! (`0` disables the store) and by the card's physical capacity enforced in
 //! [`gpu_sim::mem`]. When either bound is hit, least-recently-used cells
 //! are evicted until the new entry fits; a cell whose consolidated list
-//! alone exceeds the budget is simply never promoted.
+//! alone exceeds the budget is simply never promoted. The
+//! [`TopologyStore`] applies the same budget on its own, separately from
+//! the cell store, so a device holds up to twice the budget across both.
 
 use std::collections::HashMap;
 

@@ -102,11 +102,9 @@ pub struct ShardState {
 impl ShardState {
     fn new(device: Device, config: &GGridConfig) -> Self {
         let resident = ResidentCellStore::new(config.device_budget_bytes);
-        let topo = TopologyStore::new(if config.topology_resident {
-            config.device_budget_bytes
-        } else {
-            0
-        });
+        // Each store is bounded by the full budget on its own: a device may
+        // hold up to twice `device_budget_bytes` across the two.
+        let topo = TopologyStore::new(config.device_budget_bytes);
         Self {
             device,
             resident,
@@ -779,6 +777,42 @@ mod tests {
             replica_invalidations: 0,
             migrations_skipped_read_hot: 0,
         }
+    }
+
+    #[test]
+    fn residency_stores_each_get_the_full_budget() {
+        // `device_budget_bytes` bounds the cell store and the topology
+        // store separately: filling one to the budget evicts nothing from
+        // the other, so a device holds up to twice the budget.
+        use crate::message::{CachedMessage, ObjectId, Timestamp};
+        use roadnet::{EdgeId, EdgePosition};
+        let budget = 8 * CachedMessage::WIRE_BYTES;
+        let config = GGridConfig {
+            device_budget_bytes: budget,
+            ..Default::default()
+        };
+        let mut sh = ShardState::new(Device::new(DeviceSpec::test_tiny()), &config);
+        assert_eq!(sh.resident.budget_bytes(), budget);
+        assert_eq!(sh.topo.budget_bytes(), budget);
+
+        let msgs: Vec<CachedMessage> = (0..8u64)
+            .map(|o| {
+                CachedMessage::update(
+                    ObjectId(o),
+                    EdgePosition::at_source(EdgeId(0)),
+                    Timestamp(1),
+                )
+            })
+            .collect();
+        assert!(sh.resident.install(&mut sh.device, CellId(0), 1, &msgs));
+        let staged = sh.topo.stage(
+            &mut sh.device,
+            [(CellId(1), budget / 2), (CellId(2), budget / 2)],
+        );
+        assert_eq!(staged.misses, 2);
+        assert_eq!(sh.resident.resident_bytes(), budget);
+        assert_eq!(sh.topo.resident_bytes(), budget);
+        assert_eq!(sh.resident.evictions() + sh.topo.evictions(), 0);
     }
 
     #[test]

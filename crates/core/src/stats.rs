@@ -73,11 +73,10 @@ pub struct QueryBreakdown {
     /// Simulated device time of the shortest-distance kernel alone,
     /// including its topology upload (subset of `candidate`).
     pub sdist_time: SimNanos,
-    /// Relaxation rounds the shortest-distance kernel ran (frontier drains
-    /// or dense Bellman–Ford rounds, summed over robustness retries).
+    /// Relaxation rounds the shortest-distance kernel ran (frontier drains,
+    /// summed over robustness retries).
     pub sdist_rounds: u64,
-    /// Summed frontier sizes across those rounds (dense path: every record,
-    /// every round — the work the frontier kernel avoids).
+    /// Summed frontier sizes across those rounds.
     pub sdist_frontier_sum: u64,
     /// Largest single-round frontier.
     pub sdist_frontier_max: u64,
@@ -98,9 +97,8 @@ pub struct QueryBreakdown {
     /// upload of `n` segments, `n - 1` per-transfer latency charges are
     /// saved relative to shipping each segment on its own.
     pub h2d_coalesced_saved: u64,
-    /// Vertices settled by the CPU refinement searches (multi-source mode
-    /// settles each vertex at most once per worker; the per-vertex ablation
-    /// settles shared subtrees once per unresolved source).
+    /// Vertices settled by the CPU refinement searches (each worker's
+    /// multi-source search settles a vertex at most once).
     pub refine_settled: u64,
     /// Out-edges examined (relaxation attempts) by the refinement searches.
     pub refine_relaxed: u64,

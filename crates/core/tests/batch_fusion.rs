@@ -8,14 +8,17 @@
 //!   random batch permutations (the fused cleaning, staged topology, and
 //!   pipelined refinement must not leak one query's schedule into
 //!   another's answer).
-//! * **Multi-source == per-vertex refinement** — toggling
-//!   `refine_multi_source` and sweeping `refine_workers ∈ {1, 2, 4}`
-//!   never changes an answer, tie-breaking included (answers are sorted
-//!   by `(distance, object id)`, so any tie mishandling surfaces as a
-//!   reordered or truncated result).
+//! * **Refinement is worker-count independent and exact** — sweeping
+//!   `refine_workers ∈ {1, 2, 4}` never changes an answer, tie-breaking
+//!   included (answers are sorted by `(distance, object id)`, so any tie
+//!   mishandling surfaces as a reordered or truncated result), and the
+//!   distances equal a full-graph Dijkstra reference.
+
+use std::collections::HashMap;
 
 use ggrid::prelude::*;
 use proptest::prelude::*;
+use roadnet::dijkstra::reference_knn;
 use roadnet::gen::{self, GridCityParams};
 use roadnet::graph::Graph;
 use roadnet::EdgeId;
@@ -77,7 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Batch-fused answers equal one-query-at-a-time answers, for a random
-    /// permutation of the batch and with every fusion feature enabled.
+    /// permutation of the batch.
     #[test]
     fn batch_fused_matches_sequential_under_permutation(
         case in arb_case(),
@@ -106,48 +109,18 @@ proptest! {
         prop_assert_eq!(batch.answers, individual);
     }
 
-    /// Disabling the whole fused path (ablation baseline) gives the same
-    /// answers too.
-    #[test]
-    fn batch_unfused_matches_sequential(case in arb_case()) {
-        let config = GGridConfig {
-            eta: case.eta,
-            batch_fusion: false,
-            coalesce_h2d: false,
-            refine_multi_source: false,
-            ..Default::default()
-        };
-        let mut a = loaded(&case, config.clone());
-        let mut b = loaded(&case, config);
-        let batch = a.knn_batch(&case.queries, Timestamp(10_000));
-        let individual: Vec<_> = case
-            .queries
-            .iter()
-            .map(|&(q, k)| b.knn(q, k, Timestamp(10_000)))
-            .collect();
-        prop_assert_eq!(batch.answers, individual);
-    }
-
-    /// Multi-source refinement returns exactly what the per-vertex
-    /// reference path returns, for every worker count — ties included.
+    /// The multi-source refinement returns identical answers for every
+    /// worker count — ties included — and their distances are the exact
+    /// full-graph ones.
     #[test]
     fn multi_source_refinement_matches_per_vertex(case in arb_case()) {
-        let reference = GGridConfig {
-            eta: case.eta,
-            refine_multi_source: false,
-            refine_workers: 1,
-            ..Default::default()
-        };
-        let mut want_server = loaded(&case, reference);
-        let want: Vec<_> = case
-            .queries
-            .iter()
-            .map(|&(q, k)| want_server.knn(q, k, Timestamp(10_000)))
-            .collect();
+        // Ground truth uses the *latest* position per object.
+        let latest: HashMap<u64, EdgePosition> = case.objects.iter().copied().collect();
+        let objs: Vec<(u64, EdgePosition)> = latest.into_iter().collect();
+        let mut first: Option<Vec<Vec<(ObjectId, u64)>>> = None;
         for workers in [1usize, 2, 4] {
             let config = GGridConfig {
                 eta: case.eta,
-                refine_multi_source: true,
                 refine_workers: workers,
                 ..Default::default()
             };
@@ -157,7 +130,16 @@ proptest! {
                 .iter()
                 .map(|&(q, k)| s.knn(q, k, Timestamp(10_000)))
                 .collect();
-            prop_assert_eq!(&got, &want, "refine_workers={}", workers);
+            for (answer, &(q, k)) in got.iter().zip(&case.queries) {
+                let want = reference_knn(&case.graph, q, &objs, k);
+                let got_d: Vec<u64> = answer.iter().map(|&(_, d)| d).collect();
+                let want_d: Vec<u64> = want.iter().map(|&(_, d)| d).collect();
+                prop_assert_eq!(got_d, want_d, "refine_workers={}", workers);
+            }
+            match &first {
+                None => first = Some(got),
+                Some(want) => prop_assert_eq!(&got, want, "refine_workers={}", workers),
+            }
         }
     }
 }

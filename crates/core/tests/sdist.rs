@@ -1,18 +1,18 @@
 //! Integration tests for the frontier `GPU_SDist` kernel, the resident
 //! topology store, and the dense-scratch plumbing.
 //!
-//! The contract under test: the near–far frontier kernel, the dense
-//! Bellman–Ford reference, and a host-side Dijkstra restricted to the
-//! induced subgraph all settle the *same distances*, under every grid,
-//! bucket width δ, topology budget, and eviction pattern — and a server
-//! running the frontier path returns kNN answers byte-identical to the
-//! dense path, including under multi-worker refinement and batch mode.
+//! The contract under test: the near–far frontier kernel and a host-side
+//! Dijkstra restricted to the induced subgraph settle the *same
+//! distances* — the fixed point of the paper's parallel Bellman–Ford —
+//! under every grid, bucket width δ, topology budget, and eviction
+//! pattern; and a server's kNN answers carry the exact full-graph
+//! distances, including under multi-worker refinement and batch mode.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use ggrid::grid::{CellId, GraphGrid};
-use ggrid::knn::{gpu_sdist_dense, gpu_sdist_frontier};
+use ggrid::knn::gpu_sdist_frontier;
 use ggrid::prelude::*;
 use ggrid::residency::TopologyStore;
 use ggrid::scratch::DenseScratch;
@@ -20,6 +20,7 @@ use gpu_sim::{Device, DeviceSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use roadnet::dijkstra::reference_knn;
 use roadnet::graph::{Distance, Graph, VertexId, INFINITY};
 use roadnet::{gen, EdgeId};
 
@@ -50,7 +51,7 @@ fn candidate_set(grid: &GraphGrid, q: EdgePosition, all: bool) -> (Vec<bool>, Ve
 }
 
 /// Host Dijkstra over the subgraph induced by the candidate cells — the
-/// ground truth both kernels must reproduce.
+/// ground truth the kernel must reproduce.
 fn induced_dijkstra(
     graph: &Graph,
     grid: &GraphGrid,
@@ -116,10 +117,10 @@ fn frontier_config(delta: u32) -> GGridConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Frontier kernel == dense kernel == induced-subgraph Dijkstra, with
-    /// pruning disabled (k = 0, no objects), across random toy graphs,
-    /// query edges, bucket widths, candidate-set shapes, and topology
-    /// budgets — including a forced mid-stream eviction between two runs.
+    /// Frontier kernel == induced-subgraph Dijkstra, with pruning disabled
+    /// (k = 0, no objects), across random toy graphs, query edges, bucket
+    /// widths, candidate-set shapes, and topology budgets — including a
+    /// forced mid-stream eviction between two runs.
     #[test]
     fn frontier_matches_dense_and_dijkstra(
         seed in 0u64..40,
@@ -142,10 +143,6 @@ proptest! {
         let mut device = Device::new(DeviceSpec::test_tiny());
         let config = frontier_config(delta);
 
-        let mut dense = DenseScratch::new(graph.num_vertices());
-        gpu_sdist_dense(&mut device, &grid, &in_set, &set, q, &graph, &mut dense);
-        assert_matches_reference("dense", &grid, &set, &dense, &want);
-
         let budget = [0u64, 600, 64 << 20][budget_sel];
         let mut topo = TopologyStore::new(budget);
         let mut frontier = DenseScratch::new(graph.num_vertices());
@@ -167,74 +164,103 @@ proptest! {
     }
 }
 
-/// Two identically-loaded servers, one per sdist path.
-fn server_pair(seed: u64, workers: usize) -> (GGridServer, GGridServer) {
-    let build = |frontier: bool| {
-        let cfg = GGridConfig {
-            eta: 4,
-            bucket_capacity: 16,
-            refine_workers: workers,
-            sdist_frontier: frontier,
-            ..Default::default()
-        };
-        let s = GGridServer::new(gen::toy(seed), cfg);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead);
-        for round in 0..3u64 {
-            for o in 0..25u64 {
-                let e = EdgeId(rng.gen_range(0..EDGES));
-                s.handle_update(
-                    ObjectId(o),
-                    EdgePosition::at_source(e),
-                    Timestamp(100 + round),
-                );
-            }
-        }
-        s
+/// A server loaded with three rounds of random updates, plus the latest
+/// position per object (the ground truth's object set).
+fn loaded_server(seed: u64, workers: usize) -> (GGridServer, HashMap<u64, EdgePosition>) {
+    let cfg = GGridConfig {
+        eta: 4,
+        bucket_capacity: 16,
+        refine_workers: workers,
+        ..Default::default()
     };
-    (build(false), build(true))
+    let s = GGridServer::new(gen::toy(seed), cfg);
+    let mut latest = HashMap::new();
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xdead);
+    for round in 0..3u64 {
+        for o in 0..25u64 {
+            let p = EdgePosition::at_source(EdgeId(rng.gen_range(0..EDGES)));
+            s.handle_update(ObjectId(o), p, Timestamp(100 + round));
+            latest.insert(o, p);
+        }
+    }
+    (s, latest)
+}
+
+/// The full-graph Dijkstra kNN distances of `q` over `latest`.
+fn reference_distances(
+    graph: &Graph,
+    q: EdgePosition,
+    latest: &HashMap<u64, EdgePosition>,
+    k: usize,
+) -> Vec<Distance> {
+    let objs: Vec<(u64, EdgePosition)> = latest.iter().map(|(&o, &p)| (o, p)).collect();
+    reference_knn(graph, q, &objs, k)
+        .into_iter()
+        .map(|(_, d)| d)
+        .collect()
+}
+
+fn distances(answer: &[(ObjectId, Distance)]) -> Vec<Distance> {
+    answer.iter().map(|&(_, d)| d).collect()
 }
 
 #[test]
 fn knn_answers_identical_dense_vs_frontier() {
-    // The tentpole's contract: flipping the kernel never changes a byte of
-    // the answer stream, for any worker count, across repeated queries
-    // with interleaved updates.
+    // Repeated queries with interleaved updates: every answer carries the
+    // exact full-graph distances, and the answer stream is byte-identical
+    // across refinement worker counts.
+    let mut streams: Vec<Vec<Vec<(ObjectId, Distance)>>> = Vec::new();
     for workers in [1usize, 4] {
-        let (mut dense, mut frontier) = server_pair(21, workers);
+        let (mut s, mut latest) = loaded_server(21, workers);
+        let graph = s.grid().graph().clone();
         let mut rng = SmallRng::seed_from_u64(77);
         let mut t = 900u64;
+        let mut stream = Vec::new();
         for round in 0..10 {
             let q = EdgePosition::at_source(EdgeId(rng.gen_range(0..EDGES)));
             let k = 1 + (round % 7);
+            let got = s.knn(q, k, Timestamp(t));
             assert_eq!(
-                dense.knn(q, k, Timestamp(t)),
-                frontier.knn(q, k, Timestamp(t)),
+                distances(&got),
+                reference_distances(&graph, q, &latest, k),
                 "workers {workers}, round {round}, k {k}"
             );
+            stream.push(got);
             for o in 0..4u64 {
                 t += 1;
                 let p = EdgePosition::at_source(EdgeId(rng.gen_range(0..EDGES)));
-                dense.handle_update(ObjectId(o), p, Timestamp(t));
-                frontier.handle_update(ObjectId(o), p, Timestamp(t));
+                s.handle_update(ObjectId(o), p, Timestamp(t));
+                latest.insert(o, p);
             }
         }
+        streams.push(stream);
     }
+    assert_eq!(streams[0], streams[1], "worker count changed an answer");
 }
 
 #[test]
 fn batch_answers_identical_dense_vs_frontier() {
-    let (mut dense, mut frontier) = server_pair(33, 3);
+    // Batch answers equal one-at-a-time answers on a twin server, and
+    // carry the exact full-graph distances.
+    let (mut batched, latest) = loaded_server(33, 3);
+    let (mut single, _) = loaded_server(33, 3);
+    let graph = batched.grid().graph().clone();
     let queries: Vec<(EdgePosition, usize)> = (0..6u32)
         .map(|i| (EdgePosition::at_source(EdgeId(i * 13 % EDGES)), 4usize))
         .collect();
-    let a = dense.knn_batch(&queries, Timestamp(500));
-    let b = frontier.knn_batch(&queries, Timestamp(500));
-    assert_eq!(a.answers, b.answers);
+    let batch = batched.knn_batch(&queries, Timestamp(500));
+    for (answer, &(q, k)) in batch.answers.iter().zip(&queries) {
+        assert_eq!(answer, &single.knn(q, k, Timestamp(500)));
+        assert_eq!(
+            distances(answer),
+            reference_distances(&graph, q, &latest, k)
+        );
+    }
 }
 
 #[test]
 fn frontier_instrumentation_populates() {
-    let (_, mut s) = server_pair(9, 1);
+    let (mut s, _) = loaded_server(9, 1);
     let q = EdgePosition::at_source(EdgeId(13));
     s.knn(q, 5, Timestamp(900));
     // Cold query: the topology slices had to be shipped.
@@ -326,7 +352,7 @@ fn disabled_topology_residency_always_uploads() {
     let cfg = GGridConfig {
         eta: 4,
         bucket_capacity: 16,
-        topology_resident: false,
+        device_budget_bytes: 0,
         ..Default::default()
     };
     let mut s = GGridServer::new(gen::toy(5), cfg);
