@@ -76,9 +76,10 @@ pub struct WorkerBuffers {
 }
 
 impl WorkerBuffers {
-    /// Append an entry to this worker's buffer for `cell`. Entries are
-    /// pushed in ascending sequence order by construction (the worker walks
-    /// its updates in batch order), so each per-cell vector is a sorted run.
+    /// Append an entry to this worker's buffer for `cell`. The worker walks
+    /// its updates grouped by object-table shard and in batch order within
+    /// a shard, so a per-cell vector is a few ascending runs; draining
+    /// sorts it back into sequence order.
     #[inline]
     pub fn push(&mut self, cell: CellId, seq: u64, m: CachedMessage) {
         let buf = self.cells.entry(cell).or_insert_with(|| {
@@ -215,9 +216,9 @@ impl ThreadIngestDispatcher {
             }
         }
         let mut merged = merged?;
-        // Per-worker runs are already sequence-ascending; the concatenation
-        // of a handful of runs sorts in near-linear time. Sequences are
-        // unique, so the unstable sort is deterministic.
+        // Per-worker vectors are a handful of ascending runs; their
+        // concatenation sorts in near-linear time. Sequences are unique, so
+        // the unstable sort is deterministic.
         merged.sort_unstable_by_key(|&(seq, _)| seq);
         self.buffered_now
             .fetch_sub(merged.len() as u64, Ordering::Relaxed);

@@ -28,6 +28,8 @@
 //! idempotent.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -51,9 +53,17 @@ impl Bucket {
 }
 
 /// The message list of one cell.
+///
+/// The list is `buckets ++ tail`: the newest bucket, the one appends land
+/// in, is kept inline rather than at the back of the deque, so an append
+/// loads the list header and then the slab — two dependent loads, not
+/// three. `tail` is `None` exactly when the list is empty.
 #[derive(Debug)]
 pub struct MessageList {
+    /// Every bucket but the newest, oldest first.
     buckets: VecDeque<Bucket>,
+    /// The newest bucket (`p_t`).
+    tail: Option<Bucket>,
     bucket_capacity: usize,
     /// Bumped on every append; compared against `cleaned_epoch`.
     dirty_epoch: u64,
@@ -86,6 +96,7 @@ impl MessageList {
         assert!(bucket_capacity >= 1);
         Self {
             buckets: VecDeque::new(),
+            tail: None,
             bucket_capacity,
             dirty_epoch: 0,
             cleaned_epoch: None,
@@ -152,30 +163,37 @@ impl MessageList {
     /// preserved, exactly as if each message had been `append`ed singly.
     /// Returns the new dirty epoch (unchanged for an empty run — the cell
     /// was not dirtied).
-    pub fn append_batch<'a>(&mut self, msgs: impl IntoIterator<Item = &'a CachedMessage>) -> u64 {
+    pub fn append_batch(&mut self, msgs: impl IntoIterator<Item = CachedMessage>) -> u64 {
         let mut it = msgs.into_iter().peekable();
         if it.peek().is_none() {
             return self.dirty_epoch;
         }
         self.dirty_epoch += 1;
-        for &m in it {
+        for m in it {
             self.push_tail(m);
         }
         self.dirty_epoch
     }
 
     fn push_tail(&mut self, m: CachedMessage) {
-        let need_new = match self.buckets.back() {
-            Some(b) => b.messages.len() >= self.bucket_capacity,
-            None => true,
+        let b = match &mut self.tail {
+            Some(b) if b.messages.len() < self.bucket_capacity => b,
+            _ => {
+                let fresh = self.alloc_bucket();
+                if let Some(full) = self.tail.replace(fresh) {
+                    self.buckets.push_back(full);
+                }
+                self.tail.as_mut().expect("just opened a tail bucket")
+            }
         };
-        if need_new {
-            let b = self.alloc_bucket();
-            self.buckets.push_back(b);
-        }
-        let b = self.buckets.back_mut().expect("just ensured a tail bucket");
         b.latest = b.latest.max(m.time);
         b.messages.push(m);
+    }
+
+    /// Remove every bucket, oldest first, leaving the list empty.
+    fn take_all(&mut self) -> impl Iterator<Item = Bucket> {
+        let tail = self.tail.take();
+        std::mem::take(&mut self.buckets).into_iter().chain(tail)
     }
 
     /// Freeze and remove every current bucket for cleaning, discarding
@@ -184,9 +202,8 @@ impl MessageList {
     pub fn take_for_cleaning(&mut self, now: Timestamp, t_delta_ms: u64) -> Vec<Bucket> {
         let horizon = now.saturating_sub_ms(t_delta_ms);
         self.consolidated_len = 0;
-        let taken = std::mem::take(&mut self.buckets);
-        let mut kept = Vec::with_capacity(taken.len());
-        for b in taken {
+        let mut kept = Vec::with_capacity(self.num_buckets());
+        for b in self.take_all() {
             if b.latest >= horizon {
                 kept.push(b);
             } else {
@@ -208,9 +225,8 @@ impl MessageList {
         let horizon = now.saturating_sub_ms(t_delta_ms);
         let mut skip = self.consolidated_len;
         self.consolidated_len = 0;
-        let taken = std::mem::take(&mut self.buckets);
         let mut delta = Vec::new();
-        for mut b in taken {
+        for mut b in self.take_all() {
             if skip >= b.messages.len() {
                 // Entirely consolidated prefix: the caller holds a device
                 // mirror of it, so the slab retires to the pool here.
@@ -251,7 +267,13 @@ impl MessageList {
             let mut b = self.alloc_bucket();
             b.messages.extend_from_slice(chunk);
             b.latest = chunk.iter().map(|m| m.time).max().unwrap_or(Timestamp(0));
-            self.buckets.push_front(b);
+            // On an empty list the last chunk becomes the open tail, so
+            // later appends fill it up exactly as they would a deque back.
+            if self.tail.is_none() {
+                self.tail = Some(b);
+            } else {
+                self.buckets.push_front(b);
+            }
         }
     }
 
@@ -284,7 +306,7 @@ impl MessageList {
     /// Whether the list's content is exactly the result of its last
     /// cleaning pass (or the list is empty, which is trivially clean).
     pub fn is_clean(&self) -> bool {
-        self.buckets.is_empty() || self.cleaned_epoch == Some(self.dirty_epoch)
+        self.is_empty() || self.cleaned_epoch == Some(self.dirty_epoch)
     }
 
     /// Serve a clean cell from the cache: the consolidated messages still
@@ -293,8 +315,7 @@ impl MessageList {
     /// live object, so horizon filtering is all a kernel pass would add.
     pub fn snapshot_clean(&self, horizon: Timestamp) -> Vec<CachedMessage> {
         debug_assert!(self.is_clean(), "snapshot of a dirty list");
-        self.buckets
-            .iter()
+        self.buckets()
             .flat_map(|b| b.messages.iter())
             .filter(|m| m.time >= horizon && !m.is_tombstone())
             .copied()
@@ -302,25 +323,25 @@ impl MessageList {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
+        self.tail.is_none()
     }
 
-    /// Read access to the buckets (diagnostics/validation).
+    /// Read access to the buckets, oldest first (diagnostics/validation).
     pub fn buckets(&self) -> impl Iterator<Item = &Bucket> {
-        self.buckets.iter()
+        self.buckets.iter().chain(&self.tail)
     }
 
     pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
+        self.buckets.len() + usize::from(self.tail.is_some())
     }
 
     pub fn total_messages(&self) -> usize {
-        self.buckets.iter().map(|b| b.messages.len()).sum()
+        self.buckets().map(|b| b.messages.len()).sum()
     }
 
     /// Resident bytes: full bucket arrays (buckets are fixed-size slabs).
     pub fn size_bytes(&self) -> u64 {
-        self.buckets.len() as u64 * (self.bucket_capacity as u64 * CachedMessage::WIRE_BYTES + 24)
+        self.num_buckets() as u64 * (self.bucket_capacity as u64 * CachedMessage::WIRE_BYTES + 24)
     }
 }
 
@@ -357,9 +378,64 @@ impl CellLists {
         self.cells[cell_index].lock()
     }
 
+    /// Lock one cell's list, adding the time spent blocked to `wait_ns`.
+    ///
+    /// The fast path is a `try_lock` and reads no clock. On a TSC clock
+    /// source a clock read is an ordered `rdtsc` that waits for every
+    /// outstanding load, so timing every acquisition would serialize the
+    /// cache misses of a batch's appends. Only an acquisition that blocks
+    /// is timed: `wait_ns` is the time spent blocked on contended locks.
+    pub fn lock_metered(
+        &self,
+        cell_index: usize,
+        wait_ns: &AtomicU64,
+    ) -> MutexGuard<'_, MessageList> {
+        let cell = &self.cells[cell_index];
+        if let Some(guard) = cell.try_lock() {
+            return guard;
+        }
+        let w0 = Instant::now();
+        let guard = cell.lock();
+        wait_ns.fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        guard
+    }
+
+    /// Hint the CPU to start loading one cell's lock and list header (the
+    /// open tail bucket included), so a commit loop walking cells in order
+    /// overlaps the cache misses of the next few cells with the appends of
+    /// the current one. A no-op off x86-64.
+    #[inline]
+    pub fn prefetch(&self, cell_index: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(cell) = self.cells.get(cell_index) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let p = (cell as *const Mutex<MessageList>).cast::<i8>();
+            let size = std::mem::size_of::<Mutex<MessageList>>();
+            // Every cache line the cell spans: the lock word and the list
+            // header need not share one.
+            for offset in (0..size).step_by(64).chain([size - 1]) {
+                // SAFETY: SSE is part of the x86-64 baseline, the address
+                // lies inside `cell`, and a prefetch is only a hint: it
+                // never faults and writes nothing.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(p.add(offset)) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = cell_index;
+    }
+
     /// Sum of `f` over all cells (diagnostics; locks one cell at a time).
     pub fn sum_over<T: std::iter::Sum>(&self, f: impl Fn(&MessageList) -> T) -> T {
         self.cells.iter().map(|c| f(&c.lock())).sum()
+    }
+
+    /// Lifetime `(heap allocations, free-list reuses)` of bucket slabs,
+    /// summed over all cells in one pass (one lock per cell).
+    pub fn bucket_alloc_stats(&self) -> (u64, u64) {
+        self.cells.iter().fold((0, 0), |(allocs, reuses), c| {
+            let (a, r) = c.lock().bucket_alloc_stats();
+            (allocs + a, reuses + r)
+        })
     }
 }
 
@@ -563,10 +639,79 @@ mod tests {
     }
 
     #[test]
+    fn metered_lock_times_only_contended_acquisitions() {
+        let lists = CellLists::new(2, 4);
+        let wait = AtomicU64::new(0);
+        lists.lock_metered(0, &wait).append(msg(1, 10));
+        assert_eq!(
+            wait.load(Ordering::Relaxed),
+            0,
+            "an uncontended acquisition adds nothing"
+        );
+        // Hold cell 1 for about 1 ms while another thread asks for it. The
+        // barrier puts the waiter right at the lock before the hold starts
+        // counting; a retry covers a waiter descheduled past the whole hold.
+        for _ in 0..5 {
+            let held = lists.lock(1);
+            let ready = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    ready.wait();
+                    lists.lock_metered(1, &wait).append(msg(2, 20));
+                });
+                ready.wait();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                drop(held);
+            });
+            if wait.load(Ordering::Relaxed) > 0 {
+                break;
+            }
+        }
+        assert!(
+            wait.load(Ordering::Relaxed) > 0,
+            "an acquisition that blocked must be timed"
+        );
+    }
+
+    #[test]
+    fn bucket_alloc_stats_sum_over_cells() {
+        let lists = CellLists::new(3, 2);
+        for i in 0..5 {
+            lists.lock(i % 3).append(msg(i as u64, i as u64));
+        }
+        // Cells 0 and 1 hold two messages (one slab each), cell 2 one.
+        assert_eq!(lists.bucket_alloc_stats(), (3, 0));
+    }
+
+    #[test]
+    fn appends_fill_the_open_tail_before_opening_a_new_bucket() {
+        let sizes =
+            |l: &MessageList| -> Vec<usize> { l.buckets().map(|b| b.messages.len()).collect() };
+        let mut l = MessageList::new(3);
+        // On an empty list the last consolidated chunk is the open tail.
+        l.restore_consolidated(&(0..4).map(|i| msg(i, i)).collect::<Vec<_>>());
+        assert_eq!(sizes(&l), vec![3, 1]);
+        l.append_batch([msg(4, 4), msg(5, 5), msg(6, 6)]);
+        assert_eq!(sizes(&l), vec![3, 3, 1]);
+        // On a non-empty list consolidated chunks go in front of the tail.
+        let _ = l.take_for_cleaning(Timestamp(10), 100);
+        l.append(msg(7, 7));
+        l.restore_consolidated(&[msg(8, 8)]);
+        assert_eq!(sizes(&l), vec![1, 1]);
+        let ids: Vec<u64> = l
+            .buckets()
+            .flat_map(|b| b.messages.iter().map(|m| m.object.0))
+            .collect();
+        assert_eq!(ids, vec![8, 7]);
+        assert_eq!(l.total_messages(), 2);
+        assert_eq!(l.num_buckets(), 2);
+    }
+
+    #[test]
     fn append_batch_bumps_epoch_once() {
         let mut l = MessageList::new(3);
         let e0 = l.epoch();
-        l.append_batch(&[msg(1, 10), msg(2, 11), msg(3, 12), msg(4, 13)]);
+        l.append_batch([msg(1, 10), msg(2, 11), msg(3, 12), msg(4, 13)]);
         assert_eq!(l.epoch(), e0 + 1, "one bump for the whole run");
         assert_eq!(l.total_messages(), 4);
         assert_eq!(l.num_buckets(), 2);
@@ -588,7 +733,7 @@ mod tests {
         assert_eq!(a, b);
         // Empty batch is a no-op: no epoch bump, clean stamp untouched.
         let e = l.epoch();
-        l.append_batch(&[]);
+        l.append_batch([]);
         assert_eq!(l.epoch(), e);
     }
 

@@ -138,8 +138,9 @@ pub fn shard_of(o: ObjectId) -> usize {
 /// callers must never acquire a cell mutex while holding one.
 pub struct ShardedObjectTable {
     shards: Vec<parking_lot::RwLock<ObjectTable>>,
-    /// Per-shard write epochs, bumped on every `set`/`remove`, validating
-    /// the cached snapshot below.
+    /// Per-shard write epochs, bumped after every write (`set`, `remove`,
+    /// or a shard's part of a `set_batch`), validating the cached snapshot
+    /// below.
     epochs: Vec<AtomicU64>,
     cache: parking_lot::Mutex<SnapshotCache>,
     /// Snapshots served from the cache without a rebuild.
@@ -195,6 +196,68 @@ impl ShardedObjectTable {
         let prev = self.shards[s].write().set(o, cell, position, time);
         self.epochs[s].fetch_add(1, Ordering::Release);
         prev
+    }
+
+    /// Batched `setOT`: apply every update of `batch` whose shard satisfies
+    /// `owned`, taking each touched shard's write lock **once** and bumping
+    /// its epoch once. Returns the number of shard locks taken.
+    ///
+    /// A counting sort groups the batch indices by shard, resolving each
+    /// update's cell on the way (a tight loop, so those lookups overlap);
+    /// each shard's updates are then applied in batch order, so every
+    /// object sees its updates in order and each `prev` is exactly what a
+    /// sequential [`Self::set`] per update would have returned.
+    ///
+    /// `visit(index, cell, prev)` runs once per applied update, under that
+    /// shard's lock and grouped by shard — callers that emit messages must
+    /// order them by `index` themselves (both ingest paths do: by
+    /// `(cell, index)` or by sequence number). `visit` must not take a cell
+    /// mutex.
+    pub fn set_batch(
+        &self,
+        batch: &[(ObjectId, EdgePosition, Timestamp)],
+        owned: impl Fn(usize) -> bool,
+        cell_of: impl Fn(EdgePosition) -> CellId,
+        mut visit: impl FnMut(usize, CellId, Option<ObjectEntry>),
+    ) -> u64 {
+        assert!(batch.len() <= u32::MAX as usize, "batch too large to index");
+        let own: [bool; NUM_SHARDS] = std::array::from_fn(&owned);
+        let mut starts = [0u32; NUM_SHARDS + 1];
+        for &(o, _, _) in batch {
+            let s = shard_of(o);
+            if own[s] {
+                starts[s + 1] += 1;
+            }
+        }
+        for s in 0..NUM_SHARDS {
+            starts[s + 1] += starts[s];
+        }
+        let mut fill = starts;
+        let mut order = vec![(0u32, CellId(0)); starts[NUM_SHARDS] as usize];
+        for (i, &(o, position, _)) in batch.iter().enumerate() {
+            let s = shard_of(o);
+            if own[s] {
+                order[fill[s] as usize] = (i as u32, cell_of(position));
+                fill[s] += 1;
+            }
+        }
+        let mut locks = 0u64;
+        for s in 0..NUM_SHARDS {
+            let run = &order[starts[s] as usize..starts[s + 1] as usize];
+            if run.is_empty() {
+                continue;
+            }
+            let mut shard = self.shards[s].write();
+            for &(i, cell) in run {
+                let (o, position, time) = batch[i as usize];
+                let prev = shard.set(o, cell, position, time);
+                visit(i as usize, cell, prev);
+            }
+            drop(shard);
+            self.epochs[s].fetch_add(1, Ordering::Release);
+            locks += 1;
+        }
+        locks
     }
 
     pub fn remove(&self, o: ObjectId) -> Option<ObjectEntry> {
@@ -409,6 +472,59 @@ mod tests {
         let d = t.snapshot();
         assert_eq!(t.snapshot_reuses(), 2);
         assert!(Arc::ptr_eq(&c, &d));
+    }
+
+    #[test]
+    fn set_batch_matches_sequential_sets() {
+        // Repeated objects across several shards, with cell moves.
+        let batch: Vec<(ObjectId, EdgePosition, Timestamp)> = (0..300u64)
+            .map(|i| (ObjectId(i * 7 % 97), pos((i % 11) as u32, 0), Timestamp(i)))
+            .collect();
+        let cell_of = |p: EdgePosition| CellId(p.edge.0 % 5);
+        let reference = ShardedObjectTable::new();
+        let want: Vec<Option<ObjectEntry>> = batch
+            .iter()
+            .map(|&(o, p, t)| reference.set(o, cell_of(p), p, t))
+            .collect();
+
+        let t = ShardedObjectTable::new();
+        let mut got = vec![None; batch.len()];
+        let mut visited = 0;
+        let locks = t.set_batch(
+            &batch,
+            |_| true,
+            cell_of,
+            |i, cell, prev| {
+                assert_eq!(cell, cell_of(batch[i].1));
+                got[i] = prev;
+                visited += 1;
+            },
+        );
+        assert_eq!(visited, batch.len());
+        assert_eq!(got, want, "each prev equals the sequential set's");
+        assert_eq!(*t.snapshot(), *reference.snapshot());
+        let shards: std::collections::HashSet<usize> =
+            batch.iter().map(|&(o, _, _)| shard_of(o)).collect();
+        assert_eq!(locks, shards.len() as u64, "one lock per touched shard");
+
+        // An ownership filter applies only the owned shards.
+        let even = ShardedObjectTable::new();
+        let locks = even.set_batch(
+            &batch,
+            |s| s.is_multiple_of(2),
+            cell_of,
+            |i, _, _| {
+                assert!(shard_of(batch[i].0).is_multiple_of(2));
+            },
+        );
+        assert_eq!(
+            locks,
+            shards.iter().filter(|s| s.is_multiple_of(2)).count() as u64
+        );
+        assert!(even
+            .snapshot()
+            .iter()
+            .all(|&(o, _)| shard_of(o).is_multiple_of(2)));
     }
 
     #[test]

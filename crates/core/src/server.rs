@@ -19,7 +19,7 @@ use crate::ingest_buffer::{BufferedEntry, ThreadIngestDispatcher};
 use crate::knn::{run_knn, KnnResult};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
-use crate::object_table::{shard_of, ShardedObjectTable};
+use crate::object_table::ShardedObjectTable;
 use crate::scratch::ScratchPool;
 use crate::shard::{MigrationReport, ShardSet};
 use crate::stats::{guard_hist_bucket, IngestCounters, QueryBreakdown, ServerCounters};
@@ -27,6 +27,44 @@ use crate::subscription::{
     guard_cover, slacked, Subscription, SubscriptionId, SubscriptionRegistry,
     SubscriptionTickReport,
 };
+
+/// How many cell runs ahead the group commit prefetches a cell's lock and
+/// list header: enough to cover a DRAM miss behind a run's append, few
+/// enough that the lines are still cached when the loop reaches them.
+const PREFETCH_RUNS: usize = 4;
+
+/// A group-commit placement packed into one word, so phase 2 of
+/// [`GGridServer::ingest_batch`] sorts 8-byte keys: the cell in the high
+/// 32 bits, then the update's batch index, then a tombstone bit. Word
+/// order is `(cell, batch index)` order; the message itself is rebuilt
+/// from the batch at commit time.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Placement(u64);
+
+impl Placement {
+    /// `index` must be below 2³¹ (`ingest_batch` asserts it per batch).
+    fn new(cell: CellId, index: usize, tombstone: bool) -> Self {
+        Self((u64::from(cell.0) << 32) | ((index as u64) << 1) | u64::from(tombstone))
+    }
+
+    fn cell(self) -> CellId {
+        CellId((self.0 >> 32) as u32)
+    }
+
+    fn is_tombstone(self) -> bool {
+        self.0 & 1 == 1
+    }
+
+    /// The message this placement stands for in `batch`.
+    fn message(self, batch: &[(ObjectId, EdgePosition, Timestamp)]) -> CachedMessage {
+        let (o, position, time) = batch[(self.0 as u32 >> 1) as usize];
+        if self.is_tombstone() {
+            CachedMessage::tombstone(o, time)
+        } else {
+            CachedMessage::update(o, position, time)
+        }
+    }
+}
 
 /// A G-Grid query server (paper §III–§V).
 ///
@@ -200,8 +238,7 @@ impl GGridServer {
     pub fn counters(&self) -> ServerCounters {
         let mut c = self.counters;
         self.ingest.merge_into(&mut c);
-        c.bucket_allocs = self.lists.sum_over(|l| l.bucket_alloc_stats().0);
-        c.bucket_reuses = self.lists.sum_over(|l| l.bucket_alloc_stats().1);
+        (c.bucket_allocs, c.bucket_reuses) = self.lists.bucket_alloc_stats();
         let (flushes, buffered, high_water) = self.dispatch.stats();
         c.ingest_flushes = flushes;
         c.buffered_messages = buffered;
@@ -321,13 +358,17 @@ impl GGridServer {
 
     /// Append `m` to one cell's message list, metering the lock.
     fn append_one(&self, cell: CellId, m: CachedMessage) {
-        let w0 = Instant::now();
-        let mut list = self.lists.lock(cell.index());
-        self.ingest
-            .cell_lock_wait_ns
-            .fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let mut list = self
+            .lists
+            .lock_metered(cell.index(), &self.ingest.cell_lock_wait_ns);
         self.ingest.cell_locks.fetch_add(1, Ordering::Relaxed);
         list.append(m);
+    }
+
+    /// The cell an update lands in (Algorithm 1 line 2).
+    fn cell_of(&self, position: EdgePosition) -> CellId {
+        debug_assert!(position.is_valid(&self.graph), "invalid object position");
+        self.grid.cell_of_edge(position.edge)
     }
 
     /// Algorithm 1: cache a location update.
@@ -339,9 +380,8 @@ impl GGridServer {
     /// the previous entry makes the old lookup-then-set double walk a
     /// single probe.
     pub fn handle_update(&self, object: ObjectId, position: EdgePosition, time: Timestamp) {
-        debug_assert!(position.is_valid(&self.graph), "invalid object position");
         let t0 = Instant::now();
-        let cell = self.grid.cell_of_edge(position.edge);
+        let cell = self.cell_of(position);
         self.append_one(cell, CachedMessage::update(object, position, time));
         let mut dirtied = 1u64;
         let prev = self.object_table.set(object, cell, position, time);
@@ -391,16 +431,21 @@ impl GGridServer {
     /// calling [`Self::handle_update`] once per element in order — and
     /// identical for every `ingest_workers` count:
     ///
-    /// * **Phase 1 (table)** walks the batch in order; with `W` workers,
-    ///   worker `w` owns the updates whose object shard satisfies
-    ///   `shard_of(o) % W == w`, so all updates of one object are applied
-    ///   by one worker in batch order. Each update emits its destination
+    /// * **Phase 1 (table)** applies the batch through
+    ///   [`ShardedObjectTable::set_batch`]: each touched object-table
+    ///   shard's write lock is taken once, and its updates are applied in
+    ///   batch order. With `W` workers, worker `w` owns the object shards
+    ///   with `shard % W == w`, so all updates of one object are applied by
+    ///   one worker in batch order. Each update emits its destination
     ///   placement and, on a cell move, a tombstone placement for the
     ///   previous cell, both tagged with the update's batch index.
     /// * **Phase 2 (append)** sorts placements by `(cell, batch index)` —
     ///   a total order, since one update contributes at most one message
     ///   per cell — and appends each cell's run under one lock hold.
     ///   Runs are striped over the workers; no two workers touch one cell.
+    ///   The loop prefetches the cell a few runs ahead and reads no clock
+    ///   (see [`CellLists::lock_metered`]), so the cache misses of
+    ///   consecutive runs overlap.
     ///
     /// Returns the set of cells whose dirty epoch the batch bumped (the
     /// run heads — one entry per touched cell, sorted), so consumers like
@@ -413,6 +458,7 @@ impl GGridServer {
         if updates.is_empty() {
             return Vec::new();
         }
+        assert!(updates.len() < 1 << 31, "ingest batch too large");
         let t0 = Instant::now();
         let workers = self.config.ingest_workers.clamp(1, updates.len());
         self.ingest.observe_batch(updates.len());
@@ -420,31 +466,27 @@ impl GGridServer {
             .batched_updates
             .fetch_add(updates.len() as u64, Ordering::Relaxed);
 
-        // Phase 1 — object table. One shard-lock acquisition per update
-        // (set returns the previous entry: single probe).
-        let place = |w: usize| -> (Vec<(CellId, u32, CachedMessage)>, u64) {
+        // Phase 1 — object table, one lock per touched shard (set returns
+        // the previous entry: single probe).
+        let place = |w: usize| -> (Vec<Placement>, u64, u64) {
             let started = Instant::now();
-            let mut out: Vec<(CellId, u32, CachedMessage)> =
-                Vec::with_capacity(updates.len() / workers + 2);
-            for (idx, &(o, position, time)) in updates.iter().enumerate() {
-                if shard_of(o) % workers != w {
-                    continue;
-                }
-                debug_assert!(position.is_valid(&self.graph), "invalid object position");
-                let cell = self.grid.cell_of_edge(position.edge);
-                out.push((cell, idx as u32, CachedMessage::update(o, position, time)));
-                let prev = self.object_table.set(o, cell, position, time);
-                if let Some(prev) = prev {
-                    if prev.cell != cell {
-                        out.push((prev.cell, idx as u32, CachedMessage::tombstone(o, time)));
+            let mut out: Vec<Placement> = Vec::with_capacity(updates.len() / workers + 2);
+            let locks = self.object_table.set_batch(
+                updates,
+                |s| s % workers == w,
+                |p| self.cell_of(p),
+                |idx, cell, prev| {
+                    out.push(Placement::new(cell, idx, false));
+                    if let Some(prev) = prev.filter(|prev| prev.cell != cell) {
+                        out.push(Placement::new(prev.cell, idx, true));
                     }
-                }
-            }
-            (out, started.elapsed().as_nanos() as u64)
+                },
+            );
+            (out, locks, started.elapsed().as_nanos() as u64)
         };
-        let (mut placements, busy1, critical1) = if workers == 1 {
-            let (out, ns) = place(0);
-            (out, ns, ns)
+        let (mut placements, shard_locks, busy1, critical1) = if workers == 1 {
+            let (out, locks, ns) = place(0);
+            (out, locks, ns, ns)
         } else {
             let parts = crossbeam::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
@@ -460,21 +502,19 @@ impl GGridServer {
             })
             .expect("ingest scope failed");
             let mut merged = Vec::with_capacity(updates.len());
-            let (mut busy, mut critical) = (0u64, 0u64);
-            for (out, ns) in parts {
+            let (mut locks, mut busy, mut critical) = (0u64, 0u64, 0u64);
+            for (out, n, ns) in parts {
                 merged.extend(out);
+                locks += n;
                 busy += ns;
                 critical = critical.max(ns);
             }
-            (merged, busy, critical)
+            (merged, locks, busy, critical)
         };
         self.ingest
             .shard_locks
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
-        let tombstones = placements
-            .iter()
-            .filter(|(_, _, m)| m.is_tombstone())
-            .count() as u64;
+            .fetch_add(shard_locks, Ordering::Relaxed);
+        let tombstones = placements.iter().filter(|p| p.is_tombstone()).count() as u64;
         self.ingest
             .tombstones_written
             .fetch_add(tombstones, Ordering::Relaxed);
@@ -483,20 +523,20 @@ impl GGridServer {
             .fetch_add(tombstones, Ordering::Relaxed);
 
         // Phase 2 — group-commit appends. (cell, batch-index) keys are
-        // unique, so the unstable sort is deterministic, and the per-cell
-        // order equals the sequential interleave.
-        placements.sort_unstable_by_key(|&(c, idx, _)| (c, idx));
-        let mut runs: Vec<&[(CellId, u32, CachedMessage)]> = Vec::new();
+        // unique, so the sort is deterministic, and the per-cell order
+        // equals the sequential interleave.
+        placements.sort_unstable();
+        let mut runs: Vec<&[Placement]> = Vec::new();
         let mut rest = placements.as_slice();
-        while let Some(&(cell, _, _)) = rest.first() {
-            let len = rest.iter().take_while(|&&(c, _, _)| c == cell).count();
+        while let Some(&head) = rest.first() {
+            let len = rest.iter().take_while(|p| p.cell() == head.cell()).count();
             let (run, tail) = rest.split_at(len);
             runs.push(run);
             rest = tail;
         }
         let sharded = self.config.num_devices > 1;
         let dirty: Vec<CellId> = if self.track_dirty.load(Ordering::Relaxed) || sharded {
-            runs.iter().map(|run| run[0].0).collect()
+            runs.iter().map(|run| run[0].cell()).collect()
         } else {
             Vec::new()
         };
@@ -515,14 +555,15 @@ impl GGridServer {
             .fetch_add(runs.len() as u64, Ordering::Relaxed);
         let commit = |w: usize| -> u64 {
             let started = Instant::now();
-            for run in runs.iter().skip(w).step_by(workers) {
-                let cell = run[0].0;
-                let w0 = Instant::now();
-                let mut list = self.lists.lock(cell.index());
-                self.ingest
-                    .cell_lock_wait_ns
-                    .fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                list.append_batch(run.iter().map(|(_, _, m)| m));
+            for j in (w..runs.len()).step_by(workers) {
+                if let Some(ahead) = runs.get(j + PREFETCH_RUNS * workers) {
+                    self.lists.prefetch(ahead[0].cell().index());
+                }
+                let run = runs[j];
+                let mut list = self
+                    .lists
+                    .lock_metered(run[0].cell().index(), &self.ingest.cell_lock_wait_ns);
+                list.append_batch(run.iter().map(|p| p.message(updates)));
             }
             started.elapsed().as_nanos() as u64
         };
@@ -607,34 +648,38 @@ impl GGridServer {
         let base = self.dispatch.next_seq(updates.len());
 
         // Phase 1 — object table + private buffers. Same object sharding
-        // as `ingest_batch` (worker `w` owns `shard_of(o) % workers == w`,
-        // so per-object order is preserved); the only lock a worker takes
-        // besides the table shards is its own buffer slot, once.
-        let place = |w: usize| -> (u64, u64, u64) {
+        // and shard grouping as `ingest_batch` (worker `w` owns the object
+        // shards with `shard % workers == w`, so per-object order is
+        // preserved); the only lock a worker takes besides one per touched
+        // table shard is its own buffer slot, once.
+        let place = |w: usize| -> (u64, u64, u64, u64) {
             let started = Instant::now();
             let mut buf = self.dispatch.worker(w);
             let (mut staged, mut tombstones) = (0u64, 0u64);
-            for (idx, &(o, position, time)) in updates.iter().enumerate() {
-                if shard_of(o) % workers != w {
-                    continue;
-                }
-                debug_assert!(position.is_valid(&self.graph), "invalid object position");
-                let cell = self.grid.cell_of_edge(position.edge);
-                let seq = base + idx as u64;
-                buf.push(cell, seq, CachedMessage::update(o, position, time));
-                staged += 1;
-                let prev = self.object_table.set(o, cell, position, time);
-                if let Some(prev) = prev {
-                    if prev.cell != cell {
+            let locks = self.object_table.set_batch(
+                updates,
+                |s| s % workers == w,
+                |p| self.cell_of(p),
+                |idx, cell, prev| {
+                    let (o, position, time) = updates[idx];
+                    let seq = base + idx as u64;
+                    buf.push(cell, seq, CachedMessage::update(o, position, time));
+                    staged += 1;
+                    if let Some(prev) = prev.filter(|prev| prev.cell != cell) {
                         buf.push(prev.cell, seq, CachedMessage::tombstone(o, time));
                         staged += 1;
                         tombstones += 1;
                     }
-                }
-            }
-            (staged, tombstones, started.elapsed().as_nanos() as u64)
+                },
+            );
+            (
+                staged,
+                tombstones,
+                locks,
+                started.elapsed().as_nanos() as u64,
+            )
         };
-        let parts: Vec<(u64, u64, u64)> = if workers == 1 {
+        let parts: Vec<(u64, u64, u64, u64)> = if workers == 1 {
             vec![place(0)]
         } else {
             crossbeam::thread::scope(|s| {
@@ -651,14 +696,15 @@ impl GGridServer {
             })
             .expect("ingest scope failed")
         };
-        let staged: u64 = parts.iter().map(|&(n, _, _)| n).sum();
-        let tombstones: u64 = parts.iter().map(|&(_, t, _)| t).sum();
-        let busy1: u64 = parts.iter().map(|&(_, _, ns)| ns).sum();
-        let critical1: u64 = parts.iter().map(|&(_, _, ns)| ns).max().unwrap_or(0);
+        let staged: u64 = parts.iter().map(|&(n, _, _, _)| n).sum();
+        let tombstones: u64 = parts.iter().map(|&(_, t, _, _)| t).sum();
+        let shard_locks: u64 = parts.iter().map(|&(_, _, l, _)| l).sum();
+        let busy1: u64 = parts.iter().map(|&(_, _, _, ns)| ns).sum();
+        let critical1: u64 = parts.iter().map(|&(_, _, _, ns)| ns).max().unwrap_or(0);
         self.dispatch.note_buffered(staged);
         self.ingest
             .shard_locks
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
+            .fetch_add(shard_locks, Ordering::Relaxed);
         self.ingest
             .tombstones_written
             .fetch_add(tombstones, Ordering::Relaxed);
@@ -712,7 +758,8 @@ impl GGridServer {
     /// lock hold, one `append_batch` (sequence order), one epoch bump —
     /// plus the same dirty-tracking side effects as the other ingest
     /// paths. No buffer-slot mutex is held in here (the groups are owned),
-    /// so the cell locks nest under nothing.
+    /// so the cell locks nest under nothing. Like the `ingest_batch`
+    /// commit, the loop prefetches a few cells ahead and reads no clock.
     fn commit_buffered(&self, groups: Vec<(CellId, Vec<BufferedEntry>)>) -> Vec<CellId> {
         if groups.is_empty() {
             return Vec::new();
@@ -724,13 +771,14 @@ impl GGridServer {
         // itself (a flush amortizes many messages per cell), so unlike
         // `ingest_batch` it is always materialised.
         let dirty: Vec<CellId> = groups.iter().map(|&(c, _)| c).collect();
-        for (cell, run) in groups {
-            let w0 = Instant::now();
-            let mut list = self.lists.lock(cell.index());
-            self.ingest
-                .cell_lock_wait_ns
-                .fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            list.append_batch(run.iter().map(|(_, m)| m));
+        for (j, (cell, run)) in groups.into_iter().enumerate() {
+            if let Some(ahead) = dirty.get(j + PREFETCH_RUNS) {
+                self.lists.prefetch(ahead.index());
+            }
+            let mut list = self
+                .lists
+                .lock_metered(cell.index(), &self.ingest.cell_lock_wait_ns);
+            list.append_batch(run.iter().map(|&(_, m)| m));
             drop(list);
             self.ingest.cell_locks.fetch_add(1, Ordering::Relaxed);
             self.ingest.cells_dirtied.fetch_add(1, Ordering::Relaxed);

@@ -561,10 +561,14 @@ pub struct ServerCounters {
     /// path takes each touched cell's lock once per batch; the per-call
     /// path once per message, twice on a cell move).
     pub ingest_cell_locks: u64,
-    /// Measured wall nanoseconds ingest spent waiting to acquire cell
-    /// mutexes.
+    /// Measured wall nanoseconds ingest spent blocked on contended cell
+    /// mutexes. Uncontended acquisitions are not timed (they read no
+    /// clock), so this is 0 on a single ingest thread.
     pub ingest_cell_lock_wait_ns: u64,
-    /// Object-table shard-lock acquisitions performed by the ingest path.
+    /// Object-table shard-lock acquisitions performed by the ingest path:
+    /// one per call of `handle_update`, one per touched shard per call of
+    /// `ingest_batch` and `ingest_buffered` (whatever the worker count:
+    /// each shard belongs to one worker).
     pub ingest_shard_locks: u64,
     /// Measured wall nanoseconds inside ingest calls, summed across all
     /// ingest workers (the serial work volume).

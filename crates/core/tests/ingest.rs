@@ -194,6 +194,31 @@ fn batch_bumps_touched_cell_epoch_once_and_leaves_others_warm() {
 }
 
 #[test]
+fn shard_locks_count_one_per_touched_shard() {
+    use ggrid::object_table::shard_of;
+    use std::collections::HashSet;
+    let graph = gen::toy(9);
+    let updates = update_stream(9, 300);
+    let shards = updates
+        .iter()
+        .map(|&(o, _, _)| shard_of(o))
+        .collect::<HashSet<_>>()
+        .len() as u64;
+    assert!(shards > 1, "the stream must span several object shards");
+    let locks = |s: &GGridServer| s.counters().ingest_shard_locks;
+    for workers in [1usize, 2, 4] {
+        let s = GGridServer::new(graph.clone(), config(workers));
+        s.ingest_batch(&updates);
+        assert_eq!(locks(&s), shards, "ingest_batch, {workers} workers");
+        s.ingest_buffered(&updates);
+        assert_eq!(locks(&s), 2 * shards, "ingest_buffered, {workers} workers");
+        let (o, p, t) = updates[0];
+        s.handle_update(o, p, Timestamp(t.0 + 1_000));
+        assert_eq!(locks(&s), 2 * shards + 1, "handle_update takes one");
+    }
+}
+
+#[test]
 fn empty_batch_is_a_noop() {
     let graph = gen::toy(1);
     let s = GGridServer::new(graph, config(4));
