@@ -24,6 +24,7 @@
 //! never required for correctness.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gpu_sim::xfer::transfer_time;
@@ -143,15 +144,17 @@ pub fn clean_cells_with_heat(
     // cache (skip). Dirty cells whose consolidated state is still
     // device-resident ship only their delta (merge). Everything else
     // freezes and ships its full list (full). Messages are annotated with
-    // their cell id; expired whole buckets never leave the host.
+    // their cell id; expired whole buckets never leave the host. Buckets
+    // are laid end to end in one flat array, each a range of `wire`, and
+    // each merge cell's resident mirror is one range of `resident_msgs` —
+    // its prior state for the copy-back diff.
     let mut work: Vec<CellId> = Vec::with_capacity(cells.len());
-    let mut merge: Vec<CellId> = Vec::new();
-    let mut buckets: Vec<Vec<WireMessage>> = Vec::new();
+    let mut merge: Vec<(CellId, Range<usize>)> = Vec::new();
+    let mut wire: Vec<WireMessage> = Vec::new();
+    let mut bucket_ranges: Vec<Range<usize>> = Vec::new();
     let mut full_msgs: usize = 0;
     let mut delta_msgs: usize = 0;
     let mut resident_msgs: Vec<WireMessage> = Vec::new();
-    // Prior mirror per merge cell, for changed-object copy-back accounting.
-    let mut prior: HashMap<CellId, Vec<CachedMessage>, FxBuildHasher> = HashMap::default();
     for &c in cells {
         let mut list = lists.lock(c.index());
         if config.clean_skip && list.is_clean() {
@@ -165,51 +168,45 @@ pub fn clean_cells_with_heat(
             }
             continue;
         }
-        let mirror = resident
-            .lookup(device, c, list.cleaned_epoch())
-            .map(<[CachedMessage]>::to_vec);
-        if let Some(mirror) = mirror {
-            debug_assert_eq!(mirror.len(), list.consolidated_len());
-            merge.push(c);
-            resident_msgs.extend(mirror.iter().map(|&msg| WireMessage { msg, cell: c }));
-            prior.insert(c, mirror);
-            for bucket in list.take_delta_for_cleaning(now, config.t_delta_ms) {
-                delta_msgs += bucket.messages.len();
-                buckets.push(
-                    bucket
-                        .messages
-                        .iter()
-                        .map(|&msg| WireMessage { msg, cell: c })
-                        .collect(),
-                );
-                // The frozen slab has served its purpose: pool it for the
-                // next append (same lock acquisition — no extra locking).
-                list.recycle(bucket.messages);
+        let frozen = match resident.lookup(device, c, list.cleaned_epoch()) {
+            Some(mirror) => {
+                debug_assert_eq!(mirror.len(), list.consolidated_len());
+                let start = resident_msgs.len();
+                resident_msgs.extend(mirror.iter().map(|&msg| WireMessage { msg, cell: c }));
+                merge.push((c, start..resident_msgs.len()));
+                let delta = list.take_delta_for_cleaning(now, config.t_delta_ms);
+                delta_msgs += delta.iter().map(|b| b.messages.len()).sum::<usize>();
+                delta
             }
-        } else {
-            work.push(c);
-            for bucket in list.take_for_cleaning(now, config.t_delta_ms) {
-                full_msgs += bucket.messages.len();
-                buckets.push(
-                    bucket
-                        .messages
-                        .iter()
-                        .map(|&msg| WireMessage { msg, cell: c })
-                        .collect(),
-                );
-                list.recycle(bucket.messages);
+            None => {
+                work.push(c);
+                let full = list.take_for_cleaning(now, config.t_delta_ms);
+                full_msgs += full.iter().map(|b| b.messages.len()).sum::<usize>();
+                full
             }
+        };
+        for bucket in frozen {
+            let start = wire.len();
+            wire.extend(
+                bucket
+                    .messages
+                    .iter()
+                    .map(|&msg| WireMessage { msg, cell: c }),
+            );
+            bucket_ranges.push(start..wire.len());
+            // The frozen slab has served its purpose: pool it for the next
+            // append (same lock acquisition — no extra locking).
+            list.recycle(bucket.messages);
         }
     }
     rep.cells_cleaned = work.len() + merge.len();
     rep.resident_hits = merge.len();
 
-    let messages: usize = buckets.iter().map(|b| b.len()).sum();
-    if buckets.is_empty() && resident_msgs.is_empty() {
+    if bucket_ranges.is_empty() && resident_msgs.is_empty() {
         // Nothing survived the freeze: the worked cells are now empty,
         // which is the (trivial) consolidated state — stamp them so the
         // next request skips straight to the cache.
-        for &c in work.iter().chain(&merge) {
+        for &c in work.iter().chain(merge.iter().map(|(c, _)| c)) {
             let mut list = lists.lock(c.index());
             list.mark_clean();
             resident.invalidate(device, c);
@@ -217,6 +214,7 @@ pub fn clean_cells_with_heat(
         rep.evictions = resident.evictions() - evictions_before;
         return (out, rep);
     }
+    let buckets: Vec<&[WireMessage]> = bucket_ranges.iter().map(|r| &wire[r.clone()]).collect();
 
     // Upload in pipelined groups: the device starts cleaning the first
     // group while later groups are still on the wire (§V-A). Resident
@@ -253,17 +251,33 @@ pub fn clean_cells_with_heat(
         overlapped = makespan;
 
         finish_round(
-            device, lists, resident, &work, &merge, &prior, output, &mut out, &mut rep,
+            device,
+            lists,
+            resident,
+            &work,
+            &merge,
+            &resident_msgs,
+            output,
+            &mut out,
+            &mut rep,
         );
         rep.kernel_time = report.time;
     } else {
         // Delta-only round where every delta bucket expired on the host:
         // the merge kernel runs on resident state alone.
         let (output, report) = device.launch(resident_msgs.len(), |ctx| {
-            xshuffle_merge(ctx, &resident_msgs, &[], config.eta, horizon)
+            xshuffle_merge::<&[WireMessage]>(ctx, &resident_msgs, &[], config.eta, horizon)
         });
         finish_round(
-            device, lists, resident, &work, &merge, &prior, output, &mut out, &mut rep,
+            device,
+            lists,
+            resident,
+            &work,
+            &merge,
+            &resident_msgs,
+            output,
+            &mut out,
+            &mut rep,
         );
         rep.kernel_time = report.time;
         overlapped = report.time;
@@ -280,7 +294,7 @@ pub fn clean_cells_with_heat(
     rep.time = rep.compute_time + rep.copy_back_time;
     rep.h2d_bytes = h2d_bytes;
     rep.buckets = buckets.len();
-    rep.messages = messages;
+    rep.messages = wire.len();
     rep.evictions = resident.evictions() - evictions_before;
     (out, rep)
 }
@@ -330,40 +344,46 @@ fn plan_upload(
 ///
 /// Cells cleaned through the full path copy their whole consolidated list
 /// back; cells cleaned through the resident merge path copy back only the
-/// objects that changed relative to the prior resident mirror (plus 8-byte
-/// ids for removed objects), and their device buffer is refreshed in place.
-/// Every cleaned cell is stamped clean and, when the store accepts it,
-/// (re-)promoted to device residency.
+/// objects that changed relative to the prior resident mirror (their range
+/// of `resident_msgs`), plus 8-byte ids for removed objects, and their
+/// device buffer is refreshed in place. Every cleaned cell is stamped clean
+/// and, when the store accepts it, (re-)promoted to device residency.
 #[allow(clippy::too_many_arguments)]
 fn finish_round(
     device: &mut Device,
     lists: &CellLists,
     resident: &mut ResidentCellStore,
     work: &[CellId],
-    merge: &[CellId],
-    prior: &HashMap<CellId, Vec<CachedMessage>, FxBuildHasher>,
+    merge: &[(CellId, Range<usize>)],
+    resident_msgs: &[WireMessage],
     mut output: crate::xshuffle::CleanOutput,
     out: &mut CleanedObjects,
     rep: &mut CleaningReport,
 ) {
     let mut d2h_bytes = 0u64;
-    for &c in work.iter().chain(merge) {
+    // The prior mirror of the merge cell being diffed, by object; reused
+    // across cells. Mirrors and kernel output both hold at most one message
+    // per object.
+    let mut before: HashMap<ObjectId, CachedMessage, FxBuildHasher> = HashMap::default();
+    let full = work.iter().map(|&c| (c, None));
+    let merged = merge.iter().map(|(c, r)| (*c, Some(r.clone())));
+    for (c, prior) in full.chain(merged) {
         let msgs = output.per_cell.remove(&c).unwrap_or_default();
-        if let Some(prev) = prior.get(&c) {
-            // Merge path: diff against the resident mirror.
-            let before: HashMap<ObjectId, CachedMessage, FxBuildHasher> =
-                prev.iter().map(|m| (m.object, *m)).collect();
-            let changed = msgs
-                .iter()
-                .filter(|m| before.get(&m.object) != Some(*m))
-                .count() as u64;
-            let removed = prev
-                .iter()
-                .filter(|m| !msgs.iter().any(|n| n.object == m.object))
-                .count() as u64;
-            d2h_bytes += changed * CachedMessage::WIRE_BYTES + removed * 8;
-        } else {
-            d2h_bytes += msgs.len() as u64 * CachedMessage::WIRE_BYTES;
+        match prior {
+            Some(range) => {
+                // Merge path, one pass over each side: an output message is
+                // changed unless it matches its prior copy, and the prior
+                // objects left unmatched were removed.
+                before.clear();
+                before.extend(resident_msgs[range].iter().map(|w| (w.msg.object, w.msg)));
+                let changed = msgs
+                    .iter()
+                    .filter(|m| before.remove(&m.object) != Some(**m))
+                    .count() as u64;
+                let removed = before.len() as u64;
+                d2h_bytes += changed * CachedMessage::WIRE_BYTES + removed * 8;
+            }
+            None => d2h_bytes += msgs.len() as u64 * CachedMessage::WIRE_BYTES,
         }
 
         // Satellite of Algorithm 2 line 11: install move-only — the
@@ -797,6 +817,56 @@ mod tests {
             .find(|m| m.object == ObjectId(3))
             .unwrap();
         assert_eq!(newest.time, Timestamp(210));
+    }
+
+    #[test]
+    fn merge_copy_back_counts_added_changed_and_removed_objects() {
+        // Cell 0 is resident with objects 0..6. Its delta then adds object
+        // 6, moves object 1 within the cell, deletes object 2, and moves
+        // object 3 to cell 1; objects 0, 4 and 5 are untouched.
+        let (mut dev, lists, mut resident) = setup(2);
+        for o in 0..6 {
+            lists.lock(0).append(msg(o, 100));
+        }
+        let cfg = config();
+        clean_cells(
+            &mut dev,
+            &lists,
+            &mut resident,
+            &[CellId(0)],
+            &cfg,
+            Timestamp(150),
+        );
+        assert!(resident.contains(CellId(0)));
+        let moved =
+            CachedMessage::update(ObjectId(1), EdgePosition::new(EdgeId(0), 3), Timestamp(160));
+        lists.lock(0).append(msg(6, 160));
+        lists.lock(0).append(moved);
+        lists
+            .lock(0)
+            .append(CachedMessage::tombstone(ObjectId(2), Timestamp(160)));
+        lists
+            .lock(0)
+            .append(CachedMessage::tombstone(ObjectId(3), Timestamp(160)));
+        lists.lock(1).append(msg(3, 160));
+        let (objs, rep) = clean_cells(
+            &mut dev,
+            &lists,
+            &mut resident,
+            &[CellId(0), CellId(1)],
+            &cfg,
+            Timestamp(200),
+        );
+        assert_eq!(rep.resident_hits, 1);
+        let mut live: Vec<u64> = objs[&CellId(0)].iter().map(|m| m.object.0).collect();
+        live.sort_unstable();
+        assert_eq!(live, [0, 1, 4, 5, 6]);
+        // Merged cell 0: two changed objects (6 added, 1 moved) ship whole,
+        // two removed ones (2, 3) ship as 8-byte ids. Cold cell 1 ships its
+        // whole list (object 3).
+        let expect = 2 * CachedMessage::WIRE_BYTES + 2 * 8 + CachedMessage::WIRE_BYTES;
+        assert_eq!(rep.d2h_bytes, expect);
+        assert_eq!(rep.d2h_bytes, 112, "copy-back bytes of the reference build");
     }
 
     #[test]

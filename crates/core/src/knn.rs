@@ -1333,6 +1333,9 @@ fn gpu_unresolved(
 }
 
 #[cfg(test)]
+mod golden;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use gpu_sim::DeviceSpec;

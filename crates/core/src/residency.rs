@@ -23,14 +23,90 @@
 //! alone exceeds the budget is simply never promoted. The
 //! [`TopologyStore`] applies the same budget on its own, separately from
 //! the cell store, so a device holds up to twice the budget across both.
+//!
+//! ## Bookkeeping cost
+//!
+//! Both stores sit on the query's hit path (every cleaning round looks up
+//! and installs cell lists; every `GPU_SDist` round stages topology), so
+//! their bookkeeping is amortised O(1) per operation, never a walk over the
+//! resident set:
+//!
+//! * **Running totals.** Resident bytes (and, for the cell store, the
+//!   replica count and bytes) are counters that every insert and remove
+//!   updates in the same place, so every byte and count accessor is O(1).
+//! * **Recency order.** Every install and hit appends a `(tick, cell)`
+//!   stamp to a [`Recency`] queue, in tick order, and records the tick as
+//!   the entry's `last_used`. The LRU victim is the oldest stamp that is
+//!   still its cell's `last_used` — exactly the `min (last_used, cell)` a
+//!   scan over every entry would pick. Superseded stamps are dropped as the
+//!   victim search passes them and compacted away in bulk, so a touch is
+//!   O(1) and a victim amortised O(1).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use gpu_sim::{BufferId, BufferTag, Device};
 
 use crate::grid::CellId;
 use crate::message::CachedMessage;
 use crate::object_table::FxBuildHasher;
+
+/// Recency order of a store's resident cells: an append-only queue of
+/// `(tick, cell)` stamps in tick order.
+///
+/// Every install and every hit pushes a fresh stamp — ticks strictly
+/// increase, so the queue stays sorted — and records the tick as the
+/// entry's `last_used`. A stamp is *live* while it is still its cell's
+/// `last_used`; the one a later touch or a removal supersedes goes stale in
+/// place. The LRU victim is the first live stamp: the entry with the
+/// smallest `last_used`, which is exactly the `min (last_used, cell)` a
+/// scan over every entry picks (ticks are unique, so the cell never has to
+/// break a tie). The victim search pops the stale stamps it passes, and the
+/// queue is compacted once stale stamps outnumber live ones several times
+/// over, so every operation is amortised O(1).
+#[derive(Debug, Default)]
+struct Recency {
+    tick: u64,
+    stamps: VecDeque<(u64, CellId)>,
+}
+
+impl Recency {
+    /// Stamp `cell` as the most recently used; returns its new tick.
+    fn stamp(&mut self, cell: CellId) -> u64 {
+        self.tick += 1;
+        self.stamps.push_back((self.tick, cell));
+        self.tick
+    }
+
+    /// The least-recently-used cell. `last_used(cell)` is the cell's
+    /// current tick, `None` if it is not resident.
+    fn victim(&mut self, last_used: impl Fn(CellId) -> Option<u64>) -> Option<CellId> {
+        while let Some(&(tick, cell)) = self.stamps.front() {
+            if last_used(cell) == Some(tick) {
+                return Some(cell);
+            }
+            self.stamps.pop_front();
+        }
+        None
+    }
+
+    /// Drop the stale stamps once the queue holds more than four per
+    /// `live` entry (plus slack): O(queue) work at most once per O(queue)
+    /// stamps pushed.
+    fn compact(&mut self, live: usize, last_used: impl Fn(CellId) -> Option<u64>) {
+        if self.stamps.len() > 4 * live + 16 {
+            self.stamps
+                .retain(|&(tick, cell)| last_used(cell) == Some(tick));
+        }
+    }
+
+    /// Live stamps, recounted (consistency checks).
+    fn live(&self, last_used: impl Fn(CellId) -> Option<u64>) -> usize {
+        self.stamps
+            .iter()
+            .filter(|&&(tick, cell)| last_used(cell) == Some(tick))
+            .count()
+    }
+}
 
 /// One cell's device-resident consolidated state.
 #[derive(Debug)]
@@ -60,7 +136,12 @@ impl ResidentEntry {
 pub struct ResidentCellStore {
     budget_bytes: u64,
     entries: HashMap<CellId, ResidentEntry, FxBuildHasher>,
-    tick: u64,
+    recency: Recency,
+    /// Running totals over `entries`, kept by [`Self::insert_entry`] and
+    /// [`Self::remove_entry`].
+    resident_bytes: u64,
+    replica_cells: usize,
+    replica_bytes: u64,
     evictions: u64,
     /// Bytes other device-resident structures (the batch clean-cache)
     /// have charged against this budget; eviction decisions count them as
@@ -75,7 +156,10 @@ impl ResidentCellStore {
         Self {
             budget_bytes,
             entries: HashMap::with_hasher(FxBuildHasher::default()),
-            tick: 0,
+            recency: Recency::default(),
+            resident_bytes: 0,
+            replica_cells: 0,
+            replica_bytes: 0,
             evictions: 0,
             external_bytes: 0,
         }
@@ -91,7 +175,7 @@ impl ResidentCellStore {
 
     /// Bytes currently mirrored on the device.
     pub fn resident_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes()).sum()
+        self.resident_bytes
     }
 
     pub fn resident_cells(&self) -> usize {
@@ -113,7 +197,7 @@ impl ResidentCellStore {
         if !self.enabled() || bytes == 0 {
             return;
         }
-        while self.resident_bytes() + self.external_bytes + bytes > self.budget_bytes {
+        while self.resident_bytes + self.external_bytes + bytes > self.budget_bytes {
             if self.evict_lru(device).is_none() {
                 break;
             }
@@ -148,15 +232,15 @@ impl ResidentCellStore {
         match self.entries.get(&cell) {
             None => None,
             Some(e) if cleaned_epoch != Some(e.epoch) => {
-                let e = self.entries.remove(&cell).expect("entry just seen");
+                let e = self.remove_entry(cell).expect("entry just seen");
                 device.free_buffer(e.buffer);
                 self.evictions += 1;
                 None
             }
             Some(_) => {
-                self.tick += 1;
+                self.compact_recency();
                 let e = self.entries.get_mut(&cell).expect("entry just seen");
-                e.last_used = self.tick;
+                e.last_used = self.recency.stamp(cell);
                 Some(&e.mirror)
             }
         }
@@ -213,13 +297,13 @@ impl ResidentCellStore {
 
         // Free the cell's previous buffer first: the new allocation below
         // must not be blocked by state it is replacing.
-        if let Some(e) = self.entries.remove(&cell) {
+        if let Some(e) = self.remove_entry(cell) {
             device.free_buffer(e.buffer);
         }
 
         // Budget eviction (never counts the slot being refreshed; external
         // charges squeeze the same budget).
-        while self.resident_bytes() + self.external_bytes + bytes > self.budget_bytes {
+        while self.resident_bytes + self.external_bytes + bytes > self.budget_bytes {
             if self.evict_lru(device).is_none() {
                 return false; // bytes <= budget and store empty (or all external)
             }
@@ -238,18 +322,75 @@ impl ResidentCellStore {
             }
         };
 
-        self.tick += 1;
-        self.entries.insert(
+        self.compact_recency();
+        let last_used = self.recency.stamp(cell);
+        self.insert_entry(
             cell,
             ResidentEntry {
                 buffer,
                 epoch,
                 mirror: messages.to_vec(),
-                last_used: self.tick,
+                last_used,
                 tag,
             },
         );
         true
+    }
+
+    /// Drop stale recency stamps when they pile up (see [`Recency`]); run
+    /// before each new stamp, while every entry's stamp is live.
+    fn compact_recency(&mut self) {
+        let entries = &self.entries;
+        self.recency
+            .compact(entries.len(), |c| entries.get(&c).map(|e| e.last_used));
+    }
+
+    /// The one place an entry enters the map: updates every running total.
+    /// The caller has already stamped `entry.last_used` into the recency
+    /// order.
+    fn insert_entry(&mut self, cell: CellId, entry: ResidentEntry) {
+        self.resident_bytes += entry.bytes();
+        if entry.tag == BufferTag::Replica {
+            self.replica_cells += 1;
+            self.replica_bytes += entry.bytes();
+        }
+        let prev = self.entries.insert(cell, entry);
+        debug_assert!(prev.is_none(), "{cell:?} installed twice");
+    }
+
+    /// The one place an entry leaves the map: updates every running total
+    /// (its recency stamp goes stale). The caller frees the device buffer.
+    fn remove_entry(&mut self, cell: CellId) -> Option<ResidentEntry> {
+        let entry = self.entries.remove(&cell)?;
+        self.resident_bytes -= entry.bytes();
+        if entry.tag == BufferTag::Replica {
+            self.replica_cells -= 1;
+            self.replica_bytes -= entry.bytes();
+        }
+        Some(entry)
+    }
+
+    /// Recompute every running total from the entries and check it.
+    fn debug_check_totals(&self) {
+        let replicas = || {
+            self.entries
+                .values()
+                .filter(|e| e.tag == BufferTag::Replica)
+        };
+        debug_assert_eq!(
+            self.resident_bytes,
+            self.entries.values().map(ResidentEntry::bytes).sum::<u64>()
+        );
+        debug_assert_eq!(self.replica_cells, replicas().count());
+        debug_assert_eq!(
+            self.replica_bytes,
+            replicas().map(ResidentEntry::bytes).sum::<u64>()
+        );
+        debug_assert_eq!(
+            self.recency
+                .live(|c| self.entries.get(&c).map(|e| e.last_used)),
+            self.entries.len()
+        );
     }
 
     /// Whether `cell`'s resident entry is a read-replica (installed through
@@ -262,36 +403,29 @@ impl ResidentCellStore {
 
     /// Read-replica entries currently resident.
     pub fn replica_cells(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.tag == BufferTag::Replica)
-            .count()
+        self.replica_cells
     }
 
     /// Bytes currently held by read-replica entries.
     pub fn replica_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| e.tag == BufferTag::Replica)
-            .map(|e| e.bytes())
-            .sum()
+        self.replica_bytes
     }
 
     /// Drop `cell`'s resident state, if any. Returns the bytes freed.
     pub fn invalidate(&mut self, device: &mut Device, cell: CellId) -> u64 {
-        match self.entries.remove(&cell) {
+        match self.remove_entry(cell) {
             Some(e) => device.free_buffer(e.buffer),
             None => 0,
         }
     }
 
-    /// Evict the least-recently-used resident cell. Returns the victim.
+    /// Evict the least-recently-used resident cell — the smallest
+    /// `(last_used, cell)`. Returns the victim.
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
+        let entries = &self.entries;
         let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(c, e)| (e.last_used, c.0))
-            .map(|(&c, _)| c)?;
+            .recency
+            .victim(|c| entries.get(&c).map(|e| e.last_used))?;
         self.invalidate(device, victim);
         self.evictions += 1;
         Some(victim)
@@ -309,6 +443,7 @@ impl ResidentCellStore {
 
     /// Drop everything (e.g. before reconfiguring the device).
     pub fn clear(&mut self, device: &mut Device) {
+        self.debug_check_totals();
         let cells: Vec<CellId> = self.entries.keys().copied().collect();
         for c in cells {
             self.invalidate(device, c);
@@ -351,7 +486,9 @@ struct TopoEntry {
 pub struct TopologyStore {
     budget_bytes: u64,
     entries: HashMap<CellId, TopoEntry, FxBuildHasher>,
-    tick: u64,
+    recency: Recency,
+    /// Running total of `entries`' bytes.
+    resident_bytes: u64,
     evictions: u64,
     hits: u64,
     misses: u64,
@@ -364,7 +501,8 @@ impl TopologyStore {
         Self {
             budget_bytes,
             entries: HashMap::with_hasher(FxBuildHasher::default()),
-            tick: 0,
+            recency: Recency::default(),
+            resident_bytes: 0,
             evictions: 0,
             hits: 0,
             misses: 0,
@@ -385,7 +523,7 @@ impl TopologyStore {
 
     /// Bytes of topology currently resident on the device.
     pub fn resident_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
+        self.resident_bytes
     }
 
     pub fn contains(&self, cell: CellId) -> bool {
@@ -414,9 +552,9 @@ impl TopologyStore {
     /// fit the budget and the card) so the *next* query hits. A slice wider
     /// than the whole budget is never installed.
     pub fn ensure(&mut self, device: &mut Device, cell: CellId, bytes: u64) -> bool {
+        self.compact_recency();
         if let Some(e) = self.entries.get_mut(&cell) {
-            self.tick += 1;
-            e.last_used = self.tick;
+            e.last_used = self.recency.stamp(cell);
             self.hits += 1;
             return true;
         }
@@ -425,7 +563,7 @@ impl TopologyStore {
             return false;
         }
 
-        while self.resident_bytes() + bytes > self.budget_bytes {
+        while self.resident_bytes + bytes > self.budget_bytes {
             if self.evict_lru(device).is_none() {
                 return false; // unreachable: bytes <= budget and store empty
             }
@@ -441,16 +579,25 @@ impl TopologyStore {
             }
         };
 
-        self.tick += 1;
+        let last_used = self.recency.stamp(cell);
+        self.resident_bytes += bytes;
         self.entries.insert(
             cell,
             TopoEntry {
                 buffer,
                 bytes,
-                last_used: self.tick,
+                last_used,
             },
         );
         false
+    }
+
+    /// Drop stale recency stamps when they pile up (see [`Recency`]); run
+    /// before each new stamp, while every entry's stamp is live.
+    fn compact_recency(&mut self) {
+        let entries = &self.entries;
+        self.recency
+            .compact(entries.len(), |c| entries.get(&c).map(|e| e.last_used));
     }
 
     /// Ensure a whole set of slices in one *staged* transfer: every cell is
@@ -477,16 +624,14 @@ impl TopologyStore {
         out
     }
 
-    /// Evict the least-recently-used resident slice. Returns the victim.
+    /// Evict the least-recently-used resident slice — the smallest
+    /// `(last_used, cell)`. Returns the victim.
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
+        let entries = &self.entries;
         let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(c, e)| (e.last_used, c.0))
-            .map(|(&c, _)| c)?;
-        let e = self.entries.remove(&victim).expect("victim just seen");
-        device.free_buffer(e.buffer);
-        self.evictions += 1;
+            .recency
+            .victim(|c| entries.get(&c).map(|e| e.last_used))?;
+        self.force_evict(device, victim);
         Some(victim)
     }
 
@@ -495,6 +640,7 @@ impl TopologyStore {
     pub fn force_evict(&mut self, device: &mut Device, cell: CellId) -> bool {
         match self.entries.remove(&cell) {
             Some(e) => {
+                self.resident_bytes -= e.bytes;
                 device.free_buffer(e.buffer);
                 self.evictions += 1;
                 true
@@ -503,8 +649,22 @@ impl TopologyStore {
         }
     }
 
+    /// Recompute the running total from the entries and check it.
+    fn debug_check_totals(&self) {
+        debug_assert_eq!(
+            self.resident_bytes,
+            self.entries.values().map(|e| e.bytes).sum::<u64>()
+        );
+        debug_assert_eq!(
+            self.recency
+                .live(|c| self.entries.get(&c).map(|e| e.last_used)),
+            self.entries.len()
+        );
+    }
+
     /// Drop everything.
     pub fn clear(&mut self, device: &mut Device) {
+        self.debug_check_totals();
         let cells: Vec<CellId> = self.entries.keys().copied().collect();
         for c in cells {
             self.force_evict(device, c);
@@ -837,5 +997,322 @@ mod tests {
         s.clear(&mut d);
         assert_eq!(s.resident_cells(), 0);
         assert_eq!(d.residency().live_buffers, 0);
+    }
+}
+
+/// Both stores against a reference model that keeps every entry in a
+/// sorted map and recomputes everything by scanning it: byte sums summed on
+/// demand, victims picked as the smallest `(last_used, cell)`, and the
+/// card's free memory derived from what is resident.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::message::{ObjectId, Timestamp};
+    use gpu_sim::DeviceSpec;
+    use proptest::prelude::*;
+    use roadnet::{EdgeId, EdgePosition};
+    use std::collections::BTreeMap;
+
+    const CELLS: u32 = 12;
+    const BUDGETS: [u64; 3] = [512, 4 << 10, 64 << 20];
+
+    #[derive(Clone, Copy, Debug)]
+    struct RefEntry {
+        epoch: u64,
+        bytes: u64,
+        last_used: u64,
+        replica: bool,
+    }
+
+    /// One store's reference state (the topology store leaves `epoch`,
+    /// `replica` and `external` unused).
+    #[derive(Default)]
+    struct RefStore {
+        budget: u64,
+        entries: BTreeMap<u32, RefEntry>,
+        tick: u64,
+        evictions: u64,
+        external: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl RefStore {
+        fn bytes(&self) -> u64 {
+            self.entries.values().map(|e| e.bytes).sum()
+        }
+
+        fn victim(&self) -> Option<u32> {
+            self.entries
+                .iter()
+                .min_by_key(|(c, e)| (e.last_used, **c))
+                .map(|(&c, _)| c)
+        }
+
+        fn remove(&mut self, card_free: &mut u64, cell: u32) -> Option<RefEntry> {
+            let e = self.entries.remove(&cell)?;
+            *card_free += e.bytes;
+            Some(e)
+        }
+
+        fn evict_lru(&mut self, card_free: &mut u64) -> Option<u32> {
+            let victim = self.victim()?;
+            self.remove(card_free, victim);
+            self.evictions += 1;
+            Some(victim)
+        }
+
+        /// The shared tail of both stores' installs: budget eviction, then
+        /// capacity eviction, then the insert.
+        fn admit(&mut self, card_free: &mut u64, cell: u32, mut e: RefEntry) -> bool {
+            while self.bytes() + self.external + e.bytes > self.budget {
+                if self.evict_lru(card_free).is_none() {
+                    return false;
+                }
+            }
+            while *card_free < e.bytes {
+                if self.evict_lru(card_free).is_none() {
+                    return false;
+                }
+            }
+            *card_free -= e.bytes;
+            self.tick += 1;
+            e.last_used = self.tick;
+            self.entries.insert(cell, e);
+            true
+        }
+
+        fn install(
+            &mut self,
+            card_free: &mut u64,
+            cell: u32,
+            epoch: u64,
+            n: u64,
+            replica: bool,
+        ) -> bool {
+            let bytes = n * CachedMessage::WIRE_BYTES;
+            self.remove(card_free, cell);
+            if self.budget == 0 || n == 0 || bytes > self.budget {
+                return false;
+            }
+            let e = RefEntry {
+                epoch,
+                bytes,
+                last_used: 0,
+                replica,
+            };
+            self.admit(card_free, cell, e)
+        }
+
+        fn lookup(&mut self, card_free: &mut u64, cell: u32, epoch: Option<u64>) -> Option<u64> {
+            let e = *self.entries.get(&cell)?;
+            if epoch != Some(e.epoch) {
+                self.remove(card_free, cell);
+                self.evictions += 1;
+                return None;
+            }
+            self.tick += 1;
+            self.entries.get_mut(&cell).unwrap().last_used = self.tick;
+            Some(e.bytes / CachedMessage::WIRE_BYTES)
+        }
+
+        fn reserve_external(&mut self, card_free: &mut u64, bytes: u64) {
+            if self.budget == 0 || bytes == 0 {
+                return;
+            }
+            while self.bytes() + self.external + bytes > self.budget {
+                if self.evict_lru(card_free).is_none() {
+                    break;
+                }
+            }
+            self.external += bytes;
+        }
+
+        fn ensure(&mut self, card_free: &mut u64, cell: u32, bytes: u64) -> bool {
+            if let Some(e) = self.entries.get_mut(&cell) {
+                self.tick += 1;
+                e.last_used = self.tick;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            if self.budget == 0 || bytes == 0 || bytes > self.budget {
+                return false;
+            }
+            let e = RefEntry {
+                epoch: 0,
+                bytes,
+                last_used: 0,
+                replica: false,
+            };
+            self.admit(card_free, cell, e);
+            false
+        }
+    }
+
+    /// The consolidated list a test installs for `(cell, epoch)`.
+    fn list(cell: u32, epoch: u64, n: u64) -> Vec<CachedMessage> {
+        (0..n)
+            .map(|o| {
+                CachedMessage::update(
+                    ObjectId(o * 100 + cell as u64),
+                    EdgePosition::new(EdgeId(cell), o as u32),
+                    Timestamp(epoch),
+                )
+            })
+            .collect()
+    }
+
+    fn check(
+        d: &Device,
+        cells: &ResidentCellStore,
+        topo: &TopologyStore,
+        rc: &RefStore,
+        rt: &RefStore,
+        prealloc: u64,
+    ) {
+        cells.debug_check_totals();
+        topo.debug_check_totals();
+        assert_eq!(cells.resident_bytes(), rc.bytes());
+        assert_eq!(cells.resident_cells(), rc.entries.len());
+        assert_eq!(cells.evictions(), rc.evictions);
+        assert_eq!(cells.external_bytes(), rc.external);
+        let replicas = || rc.entries.values().filter(|e| e.replica);
+        assert_eq!(cells.replica_cells(), replicas().count());
+        assert_eq!(
+            cells.replica_bytes(),
+            replicas().map(|e| e.bytes).sum::<u64>()
+        );
+        assert_eq!(topo.resident_bytes(), rt.bytes());
+        assert_eq!(topo.resident_cells(), rt.entries.len());
+        assert_eq!(topo.evictions(), rt.evictions);
+        assert_eq!((topo.hits(), topo.misses()), (rt.hits, rt.misses));
+        for c in 0..CELLS {
+            assert_eq!(
+                cells.contains(CellId(c)),
+                rc.entries.contains_key(&c),
+                "cell {c}"
+            );
+            assert_eq!(
+                cells.is_replica(CellId(c)),
+                rc.entries.get(&c).is_some_and(|e| e.replica)
+            );
+            assert_eq!(
+                topo.contains(CellId(c)),
+                rt.entries.contains_key(&c),
+                "topo {c}"
+            );
+        }
+        assert_eq!(d.residency().resident_bytes, rc.bytes() + rt.bytes());
+        assert_eq!(d.memory().in_use(), prealloc + rc.bytes() + rt.bytes());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random interleavings of every store operation on one shared
+        /// card, at budgets that evict constantly, sometimes, and never
+        /// (the last with the card itself nearly full, so capacity evicts):
+        /// both stores make the reference model's decisions — same hits,
+        /// same victims in the same order, same counters — and every
+        /// running total equals its recomputed sum after every step.
+        #[test]
+        fn stores_match_the_reference_model(
+            budget_idx in 0usize..3,
+            squeeze in prop::bool::weighted(0.5),
+            ops in prop::collection::vec(
+                (0u8..16, 0u32..CELLS, 0u64..25, 0u8..3, 1u64..4, 0u64..800), 1..600),
+        ) {
+            let budget = BUDGETS[budget_idx];
+            let mut d = Device::new(DeviceSpec::test_tiny());
+            let capacity = d.memory().capacity();
+            let prealloc = if squeeze { capacity - 6 * 1024 } else { 0 };
+            d.alloc(prealloc).unwrap();
+            let mut card_free = capacity - prealloc;
+            let mut cells = ResidentCellStore::new(budget);
+            let mut topo = TopologyStore::new(budget);
+            let mut rc = RefStore { budget, ..Default::default() };
+            let mut rt = RefStore { budget, ..Default::default() };
+
+            for (kind, cell, n, sel, epoch, bytes) in ops {
+                let c = CellId(cell);
+                match kind {
+                    0 | 1 => {
+                        let m = list(cell, epoch, n);
+                        let replica = kind == 1;
+                        let got = if replica {
+                            cells.install_replica(&mut d, c, epoch, &m)
+                        } else {
+                            cells.install(&mut d, c, epoch, &m)
+                        };
+                        prop_assert_eq!(got, rc.install(&mut card_free, cell, epoch, n, replica));
+                    }
+                    2..=5 => {
+                        // sel 0: the entry's own epoch (a hit); 1: another
+                        // epoch (a stale drop unless it matches); 2: never
+                        // cleaned.
+                        let ep = match sel {
+                            0 => rc.entries.get(&cell).map(|e| e.epoch).or(Some(epoch)),
+                            1 => Some(epoch),
+                            _ => None,
+                        };
+                        let want = rc.lookup(&mut card_free, cell, ep);
+                        let got = cells.lookup(&mut d, c, ep).map(<[CachedMessage]>::to_vec);
+                        let want = want.zip(ep).map(|(len, ep)| list(cell, ep, len));
+                        prop_assert_eq!(got, want);
+                    }
+                    6 => {
+                        let freed = cells.invalidate(&mut d, c);
+                        let e = rc.remove(&mut card_free, cell);
+                        prop_assert_eq!(freed, e.map_or(0, |e| e.bytes));
+                    }
+                    7 => {
+                        let was = rc.remove(&mut card_free, cell).is_some();
+                        rc.evictions += was as u64;
+                        prop_assert_eq!(cells.force_evict(&mut d, c), was);
+                    }
+                    8 => {
+                        cells.reserve_external(&mut d, bytes);
+                        rc.reserve_external(&mut card_free, bytes);
+                    }
+                    9 => {
+                        cells.release_external(bytes);
+                        rc.external = rc.external.saturating_sub(bytes);
+                    }
+                    10 => {
+                        prop_assert_eq!(cells.evict_lru(&mut d).map(|c| c.0), rc.evict_lru(&mut card_free));
+                    }
+                    11..=13 => {
+                        // A staged round over up to three consecutive cells.
+                        let round: Vec<(CellId, u64)> = (0..=u32::from(sel))
+                            .map(|i| (CellId((cell + i) % CELLS), (bytes + 97 * i as u64) % 800))
+                            .collect();
+                        let mut want = StagedTopo::default();
+                        for &(rcell, b) in &round {
+                            if rt.ensure(&mut card_free, rcell.0, b) {
+                                want.hits += 1;
+                            } else {
+                                want.misses += 1;
+                                want.bytes += b;
+                            }
+                        }
+                        let got = topo.stage(&mut d, round);
+                        prop_assert_eq!((got.hits, got.misses, got.bytes), (want.hits, want.misses, want.bytes));
+                    }
+                    14 => {
+                        let was = rt.remove(&mut card_free, cell).is_some();
+                        rt.evictions += was as u64;
+                        prop_assert_eq!(topo.force_evict(&mut d, c), was);
+                    }
+                    _ => {
+                        prop_assert_eq!(topo.evict_lru(&mut d).map(|c| c.0), rt.evict_lru(&mut card_free));
+                    }
+                }
+                check(&d, &cells, &topo, &rc, &rt, prealloc);
+            }
+            cells.clear(&mut d);
+            topo.clear(&mut d);
+            prop_assert_eq!(d.memory().in_use(), prealloc);
+        }
     }
 }

@@ -12,11 +12,17 @@
 //! The kernel here executes the exact lane program on the simulated device
 //! and returns the cleaned result: the newest message per object, grouped
 //! by the cell that message belongs to.
+//!
+//! The emulation runs over flat, reused buffers: one set of lane caches
+//! and one list of the lanes holding a message per launch, and one running
+//! newest message per object standing in for that object's slot column of
+//! 𝒯 (see [`SlotTable`]). Every charge is the one the lane program makes
+//! for the whole bundle, so the modeled cost does not depend on how the
+//! host emulates it.
 
 use std::collections::HashMap;
 
 use gpu_sim::device::KernelCtx;
-use gpu_sim::Lanes;
 
 use crate::grid::CellId;
 use crate::message::{CachedMessage, ObjectId, Timestamp};
@@ -66,33 +72,48 @@ pub struct CleanOutput {
     pub objects_seen: usize,
 }
 
-/// Intermediate table 𝒯: per object, one candidate slot per bundle (plus,
-/// for the fused merge kernel, one slot for the device-resident state).
-type SlotTable = HashMap<ObjectId, Vec<Option<WireMessage>>, FxBuildHasher>;
+/// Intermediate table 𝒯. On the device every object owns one candidate
+/// slot per bundle (plus, for the fused merge kernel, one slot for the
+/// device-resident state), and the result computation folds each slot
+/// column into the newest message. The emulation keeps only that fold's
+/// running value: slots are written in column order (bundle 0, 1, …, then
+/// the resident slot), and [`replaces`] is a strict total order under which
+/// equal keys are equal messages, so folding each write as it lands yields
+/// exactly the newest message the column fold would. Objects enter the
+/// table at their first write, as they would claim their slot row.
+type SlotTable = HashMap<ObjectId, WireMessage, FxBuildHasher>;
+
+/// Keep the newer of `w` and `object`'s current candidate in `table`.
+#[inline]
+fn write_slot(table: &mut SlotTable, w: WireMessage) {
+    table
+        .entry(w.msg.object)
+        .and_modify(|cur| {
+            if replaces(&w, cur) {
+                *cur = w;
+            }
+        })
+        .or_insert(w);
+}
+
+/// Bundles of `2^η` lanes covering `buckets` buckets (at least one).
+fn bundles(buckets: usize, eta: u32) -> usize {
+    buckets.div_ceil(1usize << eta).max(1)
+}
 
 /// Run the X-shuffle cleaning kernel over `buckets` (one bucket per thread).
 ///
 /// Messages with `time < horizon` are expired by the update contract and are
 /// skipped at load time. `eta` selects the bundle width `2^η`.
-pub fn xshuffle_clean(
+pub fn xshuffle_clean<B: AsRef<[WireMessage]>>(
     ctx: &mut KernelCtx,
-    buckets: &[Vec<WireMessage>],
+    buckets: &[B],
     eta: u32,
     horizon: Timestamp,
 ) -> CleanOutput {
-    let width = 1usize << eta;
-    let n_bundles = buckets.len().div_ceil(width).max(1);
-
-    let mut table: SlotTable = HashMap::with_hasher(FxBuildHasher::default());
-    let max_dup = shuffle_into_table(ctx, buckets, eta, horizon, &mut table, n_bundles);
-    let objects_seen = table.len();
-    let per_cell = collect_table(ctx, table, n_bundles);
-
-    CleanOutput {
-        per_cell,
-        max_duplicates_seen: max_dup,
-        objects_seen,
-    }
+    let mut table = SlotTable::default();
+    let max_dup = shuffle_into_table(ctx, buckets, eta, horizon, &mut table);
+    collect_table(ctx, table, bundles(buckets.len(), eta), max_dup)
 }
 
 /// The fused incremental-merge kernel: X-shuffle the *delta* buckets (the
@@ -104,25 +125,24 @@ pub fn xshuffle_clean(
 /// one global read each instead of a PCIe crossing. Entries older than
 /// `horizon` expire during the merge exactly as a full re-clean would
 /// expire them.
-pub fn xshuffle_merge(
+pub fn xshuffle_merge<B: AsRef<[WireMessage]>>(
     ctx: &mut KernelCtx,
     resident: &[WireMessage],
-    delta_buckets: &[Vec<WireMessage>],
+    delta_buckets: &[B],
     eta: u32,
     horizon: Timestamp,
 ) -> CleanOutput {
-    let width = 1usize << eta;
-    let n_bundles = delta_buckets.len().div_ceil(width).max(1);
-    // One extra slot column for the resident state.
-    let n_slots = n_bundles + 1;
-
-    let mut table: SlotTable = HashMap::with_hasher(FxBuildHasher::default());
-    let max_dup = shuffle_into_table(ctx, delta_buckets, eta, horizon, &mut table, n_slots);
+    let mut table = SlotTable::default();
+    let max_dup = shuffle_into_table(ctx, delta_buckets, eta, horizon, &mut table);
 
     // Merge step: one thread per resident entry loads it from device
     // global memory (no transfer — it never left the card) and claims the
-    // resident slot. Entries are unique per object by construction, so the
-    // write is contention-free (no μ(η) retry budget needed).
+    // resident slot, the last of the object's column. Entries are unique per
+    // object by construction, so the write is contention-free (no μ(η)
+    // retry budget needed). Two cells' resident lists can both hold the
+    // object (the older one a stale copy not yet superseded by a tombstone
+    // it never saw); the shared slot resolves with the same total order the
+    // butterfly uses.
     for &w in resident {
         ctx.charge_read(CachedMessage::WIRE_BYTES);
         ctx.charge_alu_one(2);
@@ -130,85 +150,82 @@ pub fn xshuffle_merge(
             continue;
         }
         ctx.charge_write(CachedMessage::WIRE_BYTES);
-        let slots = table
-            .entry(w.msg.object)
-            .or_insert_with(|| vec![None; n_slots]);
-        // Two cells' resident lists can both hold the object (the older one a
-        // stale copy not yet superseded by a tombstone it never saw); resolve
-        // the shared slot with the same total order the butterfly uses.
-        let slot = &mut slots[n_bundles];
-        if slot.is_none_or(|cur| replaces(&w, &cur)) {
-            *slot = Some(w);
-        }
+        write_slot(&mut table, w);
     }
 
-    let objects_seen = table.len();
-    let per_cell = collect_table(ctx, table, n_slots);
-
-    CleanOutput {
-        per_cell,
-        max_duplicates_seen: max_dup,
-        objects_seen,
-    }
+    // One extra slot column for the resident state.
+    collect_table(ctx, table, bundles(delta_buckets.len(), eta) + 1, max_dup)
 }
 
 /// Algorithm 3's bundle loop: butterfly-shuffle every bucket group and
-/// write the survivors into `table` (one slot column per bundle). Returns
-/// the largest duplicate count observed (Theorem 1 diagnostic).
-fn shuffle_into_table(
+/// write the survivors into `table`. Returns the largest duplicate count
+/// observed (Theorem 1 diagnostic).
+fn shuffle_into_table<B: AsRef<[WireMessage]>>(
     ctx: &mut KernelCtx,
-    buckets: &[Vec<WireMessage>],
+    buckets: &[B],
     eta: u32,
     horizon: Timestamp,
     table: &mut SlotTable,
-    n_slots: usize,
 ) -> u32 {
     let width = 1usize << eta;
-    let n_bundles = buckets.len().div_ceil(width).max(1);
-    debug_assert!(n_slots >= n_bundles);
     let mu_eta = mu(eta) as u64;
     let mut max_dup = 0u32;
+    let lane_bucket = |bundle_id: usize, lane: usize| -> &[WireMessage] {
+        buckets
+            .get(bundle_id * width + lane)
+            .map_or(&[], |b| b.as_ref())
+    };
 
-    for bundle_id in 0..n_bundles {
-        let lane_buckets: Vec<&[WireMessage]> = (0..width)
-            .map(|lane| {
-                buckets
-                    .get(bundle_id * width + lane)
-                    .map(|b| b.as_slice())
-                    .unwrap_or(&[])
-            })
-            .collect();
-        let depth = lane_buckets.iter().map(|b| b.len()).max().unwrap_or(0);
+    // Per-lane message caches Γ (size η, Algorithm 3 line 1), reused by
+    // every bundle. Cache entries are stamped with the read round they were
+    // last touched in: the μ(η) bound relies on a lane remembering every
+    // message that reached it *within the current round* (a round inserts
+    // at most η entries, exactly Γ's capacity), so eviction must only take
+    // entries from earlier rounds.
+    let mut caches: Vec<Vec<(WireMessage, usize)>> = vec![Vec::with_capacity(eta as usize); width];
+    // The bundle's live registers as `(lane, message)`. A lane without a
+    // message executes every step as a no-op (it never touches its cache),
+    // so only lanes holding one are emulated; every collective is still
+    // charged for the whole bundle.
+    let mut regs: Vec<(usize, WireMessage)> = Vec::with_capacity(width);
+    // Distinct `(object, time)` survivors of one read round (the set the
+    // paper calls 𝒮), for the duplicate diagnostic.
+    let mut survivors: Vec<(ObjectId, Timestamp)> = Vec::with_capacity(width);
 
+    for bundle_id in 0..bundles(buckets.len(), eta) {
+        let depth = (0..width)
+            .map(|lane| lane_bucket(bundle_id, lane).len())
+            .max()
+            .unwrap_or(0);
+        caches.iter_mut().for_each(Vec::clear);
         let mut warp = ctx.bundle(width);
-        // Per-lane message cache Γ (size η, Algorithm 3 line 1). Entries
-        // are stamped with the read round they were last touched in: the
-        // μ(η) bound relies on a lane remembering every message that
-        // reached it *within the current round* (a round inserts at most η
-        // entries, exactly Γ's capacity), so eviction must only take
-        // entries from earlier rounds.
-        let mut caches: Vec<Vec<(WireMessage, usize)>> =
-            vec![Vec::with_capacity(eta as usize); width];
 
         // Threads walk their buckets from the last message to the first
         // (Algorithm 3 line 3), one synchronous read per step.
         for i in (0..depth).rev() {
             warp.charge_global_read(CachedMessage::WIRE_BYTES);
-            let mut regs: Lanes<Option<WireMessage>> = Lanes::from_fn(width, |lane| {
-                lane_buckets[lane]
-                    .get(i)
-                    .copied()
-                    .filter(|w| w.msg.time >= horizon)
-            });
+            regs.clear();
+            regs.extend((0..width).filter_map(|lane| {
+                let w = *lane_bucket(bundle_id, lane).get(i)?;
+                (w.msg.time >= horizon).then_some((lane, w))
+            }));
 
             for j in 1..=eta {
-                // Merge the travelling message with the lane cache.
-                regs = warp.map(&regs, |lane, reg| {
-                    merge_with_cache(&mut caches[lane], eta as usize, i, *reg)
+                // Merge the travelling message with the lane cache: one op
+                // per lane plus the O(η) cache scan.
+                warp.charge_alu(1 + eta as u64);
+                regs.retain_mut(|(lane, m)| {
+                    match merge_with_cache(&mut caches[*lane], eta as usize, i, Some(*m)) {
+                        Some(next) => {
+                            *m = next;
+                            true
+                        }
+                        None => false,
+                    }
                 });
-                warp.charge_alu(eta as u64); // cache scan is O(η)
                 let mask = 1usize << (eta - j);
-                regs = warp.shuffle_xor(&regs, mask);
+                warp.charge_shuffle_xor(mask);
+                regs.iter_mut().for_each(|(lane, _)| *lane ^= mask);
             }
             // One more cache comparison after the final shuffle: Theorem 2
             // counts coverings at every shuffle k ∈ [1, η], including the
@@ -220,46 +237,33 @@ fn shuffle_into_table(
             // substituting the cached newer one: there are no further
             // exchanges to propagate through, and re-injecting a cached copy
             // can resurrect a message that was already replaced elsewhere.
-            regs = warp.map(&regs, |lane, reg| {
-                let m = (*reg)?;
-                match caches[lane]
+            warp.charge_alu(1 + eta as u64);
+            regs.retain(|(lane, m)| {
+                !caches[*lane]
                     .iter()
                     .find(|(c, _)| c.msg.object == m.msg.object)
-                {
-                    Some((c, _)) if replaces(c, &m) => None,
-                    _ => Some(m),
-                }
+                    .is_some_and(|(c, _)| replaces(c, m))
             });
-            warp.charge_alu(eta as u64);
 
             // Diagnostics: distinct surviving messages per object in this
-            // read round (the set the paper calls 𝒮).
-            let mut per_object: HashMap<ObjectId, Vec<Timestamp>, FxBuildHasher> =
-                HashMap::with_hasher(FxBuildHasher::default());
-            for reg in regs.as_slice().iter().flatten() {
-                let times = per_object.entry(reg.msg.object).or_default();
-                if !times.contains(&reg.msg.time) {
-                    times.push(reg.msg.time);
-                }
-            }
-            for times in per_object.values() {
-                max_dup = max_dup.max(times.len() as u32);
+            // read round.
+            survivors.clear();
+            survivors.extend(regs.iter().map(|(_, w)| (w.msg.object, w.msg.time)));
+            survivors.sort_unstable();
+            survivors.dedup();
+            for run in survivors.chunk_by(|a, b| a.0 == b.0) {
+                max_dup = max_dup.max(run.len() as u32);
             }
 
             // Step 2: every lane attempts the 𝒯 write up to μ(η) times
             // (Algorithm 3 lines 11–13). The simulation is sequential so a
-            // single pass suffices for the value; the cost is charged as the
-            // μ(η) attempts the lock-free kernel needs.
+            // single pass, in lane order, suffices for the value; the cost
+            // is charged as the μ(η) attempts the lock-free kernel needs.
             warp.charge_atomics(mu_eta * width as u64);
             warp.charge_global_write(CachedMessage::WIRE_BYTES * mu_eta);
-            for reg in regs.as_slice().iter().flatten() {
-                let slots = table
-                    .entry(reg.msg.object)
-                    .or_insert_with(|| vec![None; n_slots]);
-                let slot = &mut slots[bundle_id];
-                if slot.is_none_or(|cur| replaces(reg, &cur)) {
-                    *slot = Some(*reg);
-                }
+            regs.sort_unstable_by_key(|&(lane, _)| lane);
+            for &(_, w) in &regs {
+                write_slot(table, w);
             }
         }
     }
@@ -268,13 +272,14 @@ fn shuffle_into_table(
 }
 
 /// Result computation (Algorithm 2 step 4 / GPU_Collect): one thread per
-/// object folds its slot column into the newest message and inserts it into
-/// ℛ keyed by that message's cell.
+/// object folds its `n_slots`-wide slot column into the newest message and
+/// inserts it into ℛ keyed by that message's cell.
 fn collect_table(
     ctx: &mut KernelCtx,
     table: SlotTable,
     n_slots: usize,
-) -> HashMap<CellId, Vec<CachedMessage>, FxBuildHasher> {
+    max_duplicates_seen: u32,
+) -> CleanOutput {
     let objects_seen = table.len();
     // Charged to the same launch context: |T| threads scanning n_slots
     // slots each.
@@ -283,20 +288,16 @@ fn collect_table(
     ctx.charge_write(CachedMessage::WIRE_BYTES * objects_seen as u64);
     let mut per_cell: HashMap<CellId, Vec<CachedMessage>, FxBuildHasher> =
         HashMap::with_hasher(FxBuildHasher::default());
-    for (_, slots) in table {
-        let mut newest: Option<WireMessage> = None;
-        for cand in slots.into_iter().flatten() {
-            if newest.is_none_or(|cur| replaces(&cand, &cur)) {
-                newest = Some(cand);
-            }
-        }
-        if let Some(w) = newest {
-            if !w.msg.is_tombstone() {
-                per_cell.entry(w.cell).or_default().push(w.msg);
-            }
+    for w in table.into_values() {
+        if !w.msg.is_tombstone() {
+            per_cell.entry(w.cell).or_default().push(w.msg);
         }
     }
-    per_cell
+    CleanOutput {
+        per_cell,
+        max_duplicates_seen,
+        objects_seen,
+    }
 }
 
 /// Cache-merge step of Algorithm 3 (lines 5–9) for one lane.

@@ -106,6 +106,17 @@ impl<'a> WarpExecutor<'a> {
     /// restricted to in-bundle exchanges).
     pub fn shuffle_xor<T: Copy>(&mut self, lanes: &Lanes<T>, mask: usize) -> Lanes<T> {
         assert_eq!(lanes.width(), self.width);
+        self.charge_shuffle_xor(mask);
+        Lanes::from_fn(self.width, |i| lanes.vals[i ^ mask])
+    }
+
+    /// Charge one [`Self::shuffle_xor`] exchange without moving registers,
+    /// for emulations that track only the lanes holding data (lane `i`'s
+    /// register moves to lane `i ^ mask`).
+    ///
+    /// # Panics
+    /// As [`Self::shuffle_xor`].
+    pub fn charge_shuffle_xor(&mut self, mask: usize) {
         assert!(mask > 0 && mask < self.width, "lane mask out of range");
         if mask >= self.warp_size {
             // Crosses warp boundaries: shared-memory staging + barrier.
@@ -114,7 +125,6 @@ impl<'a> WarpExecutor<'a> {
         } else {
             self.ops.shuffle += self.width as u64;
         }
-        Lanes::from_fn(self.width, |i| lanes.vals[i ^ mask])
     }
 
     /// Ballot: bitmask (little-endian by lane) of lanes whose predicate holds.
@@ -169,6 +179,17 @@ mod tests {
         let lanes = Lanes::from_fn(8, |i| i as u32);
         let out = w.shuffle_xor(&lanes, 4);
         assert_eq!(out.as_slice(), &[4, 5, 6, 7, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn charge_only_shuffle_matches_shuffle_xor() {
+        for (width, mask) in [(8, 1), (8, 4), (16, 5), (64, 32), (64, 12)] {
+            let lanes = Lanes::from_fn(width, |i| i as u32);
+            let (mut a, mut b) = (OpCounts::default(), OpCounts::default());
+            WarpExecutor::new(&mut a, 32, width).shuffle_xor(&lanes, mask);
+            WarpExecutor::new(&mut b, 32, width).charge_shuffle_xor(mask);
+            assert_eq!(a, b, "width {width} mask {mask}");
+        }
     }
 
     #[test]
