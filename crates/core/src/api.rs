@@ -59,8 +59,10 @@ pub trait MovingObjectIndex {
 
     /// Process a run of location updates as one group commit. Semantically
     /// identical to calling [`Self::handle_update`] once per element in
-    /// order; indexes with a batched ingest path (G-Grid) override this to
-    /// amortize per-message locking.
+    /// order; indexes with a batched ingest path (G-Grid, where
+    /// `handle_update` is the one-update batch) override this to amortize
+    /// per-message locking. Anything [`Self::ingest_buffered`] still stages
+    /// is published first, so the paths can be mixed freely.
     fn ingest_batch(&mut self, updates: &[(ObjectId, EdgePosition, Timestamp)]) {
         for &(o, p, t) in updates {
             self.handle_update(o, p, t);
@@ -68,17 +70,17 @@ pub trait MovingObjectIndex {
     }
 
     /// Process a run of location updates through a *deferred-visibility*
-    /// ingest path: the index may stage the messages in thread-local
-    /// buffers and only publish them at the next [`Self::flush_ingest`]
-    /// barrier (queries flush implicitly, so answers never change — only
-    /// when the shared-structure locks are paid). Indexes without such a
-    /// path fall back to the group commit.
+    /// ingest path: the index may stage the messages and only publish them
+    /// at the next [`Self::flush_ingest`] barrier (queries and direct
+    /// ingest calls flush implicitly, so answers never change — only when
+    /// the shared-structure locks are paid). Indexes without such a path
+    /// fall back to the group commit.
     fn ingest_buffered(&mut self, updates: &[(ObjectId, EdgePosition, Timestamp)]) {
         self.ingest_batch(updates);
     }
 
-    /// Publish everything [`Self::ingest_buffered`] still holds in private
-    /// buffers. A no-op for indexes whose ingest is immediately visible.
+    /// Publish everything [`Self::ingest_buffered`] still stages. A no-op
+    /// for indexes whose ingest is immediately visible.
     fn flush_ingest(&mut self) {}
 
     /// Answer a kNN query issued at time `now`. Returns up to `k`

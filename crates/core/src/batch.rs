@@ -11,7 +11,7 @@
 //! * **Batch-fused cleaning** — the union of all queries' first candidate
 //!   rings is cleaned in one X-shuffle round (one kernel launch, one
 //!   chunked H2D schedule). The consolidated output is kept in a
-//!   [`BatchCleanCache`] keyed by list epoch, so every per-query pipeline
+//!   `BatchCleanCache` keyed by list epoch, so every per-query pipeline
 //!   serves those cells from host memory at zero device cost — no
 //!   re-launch, no re-upload, not even a list freeze.
 //! * **Coalesced topology staging** — the union's CSR slices are staged
@@ -41,7 +41,7 @@
 //! [`BatchResult::gpu_total`] needs no separate shared term. The unsplit
 //! record stays available in [`BatchResult::shared`] for diagnostics.
 //!
-//! Answers are byte-identical to running [`crate::knn::run_knn`] per query
+//! Answers are byte-identical to running `run_knn` per query
 //! in input order: cleaning is semantically idempotent (a query's view of
 //! a cell's live objects does not depend on when the cell was last
 //! consolidated), the cache returns exactly what a fresh clean or a

@@ -2,7 +2,7 @@
 //!
 //! Given a set of cells, freeze their message lists, ship the surviving
 //! buckets to the device in pipelined groups (§V-A; the group count is
-//! planned per round against the link latency, see [`plan_upload`]), run
+//! planned per round against the link latency, see `plan_upload`), run
 //! the X-shuffle kernel, copy the result table ℛ back, and write the
 //! consolidated per-object messages back into the cells' lists.
 //!

@@ -82,16 +82,17 @@ pub struct GGridConfig {
     /// `rebalance_threshold ×` the mean across shards. Only meaningful
     /// when `num_devices > 1`.
     pub rebalance_threshold: f64,
-    /// Per-cell entry cap of the thread-local ingest buffers
+    /// Per-cell message cap of the ingest staging store
     /// ([`crate::server::GGridServer::ingest_buffered`]): a cell whose
-    /// buffered placements reach this count is flushed to its shared
-    /// message list at the end of the ingest call. Larger caps amortize
-    /// more cell locks per flush at the cost of more deferred (invisible
-    /// until flush/query) messages.
+    /// staged messages reach this count is committed to its shared message
+    /// list at the end of the ingest call. Larger caps amortize more cell
+    /// locks per flush at the cost of more deferred (invisible until
+    /// flush/query) messages.
     pub ingest_buffer_cap: usize,
-    /// Global byte budget of the thread-local ingest buffers: when the
-    /// buffered footprint exceeds this, the end-of-call flush drains
-    /// *every* buffered cell. `0` disables the budget (cap-only flushing).
+    /// Byte budget of the ingest staging store, which charges 40 bytes per
+    /// staged message (an 8-byte placement key plus the wire message): when
+    /// the staged footprint exceeds this, the end-of-call flush commits
+    /// *every* staged cell. `0` disables the budget (cap-only flushing).
     pub ingest_buffer_bytes: u64,
     /// Scatter a query's frontier-SDist round across every shard whose
     /// cells the expansion ring touches ([`crate::shard::ShardSet`]): each

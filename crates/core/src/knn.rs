@@ -26,10 +26,10 @@
 //! ## Concurrency
 //!
 //! The pipeline is split into three phases so a batch scheduler can overlap
-//! queries: [`knn_device_phase`] (steps 1–3, needs the device and the
-//! message lists), [`refine_unresolved`] (step 4's Dijkstra expansions —
+//! queries: `knn_device_phase` (steps 1–3, needs the device and the
+//! message lists), `refine_unresolved` (step 4's Dijkstra expansions —
 //! pure CPU, no shared state, safe to run on a worker thread while the
-//! device serves the next query), and [`knn_finalize`] (lazy cleaning of
+//! device serves the next query), and `knn_finalize` (lazy cleaning of
 //! refinement-touched cells plus the final selection). `refine_unresolved`
 //! itself fans the unresolved vertices out over
 //! `GGridConfig::refine_workers` scoped threads; per-worker distance maps

@@ -44,7 +44,6 @@ pub mod busytime;
 pub mod cleaning;
 pub mod config;
 pub mod grid;
-pub mod ingest_buffer;
 pub mod knn;
 pub mod message;
 pub mod message_list;

@@ -210,9 +210,8 @@ impl ShardedObjectTable {
     ///
     /// `visit(index, cell, prev)` runs once per applied update, under that
     /// shard's lock and grouped by shard — callers that emit messages must
-    /// order them by `index` themselves (both ingest paths do: by
-    /// `(cell, index)` or by sequence number). `visit` must not take a cell
-    /// mutex.
+    /// order them by `index` themselves (the ingest path sorts by
+    /// `(cell, index)`). `visit` must not take a cell mutex.
     pub fn set_batch(
         &self,
         batch: &[(ObjectId, EdgePosition, Timestamp)],

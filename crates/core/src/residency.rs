@@ -35,7 +35,7 @@
 //!   replica count and bytes) are counters that every insert and remove
 //!   updates in the same place, so every byte and count accessor is O(1).
 //! * **Recency order.** Every install and hit appends a `(tick, cell)`
-//!   stamp to a [`Recency`] queue, in tick order, and records the tick as
+//!   stamp to a `Recency` queue, in tick order, and records the tick as
 //!   the entry's `last_used`. The LRU victim is the oldest stamp that is
 //!   still its cell's `last_used` — exactly the `min (last_used, cell)` a
 //!   scan over every entry would pick. Superseded stamps are dropped as the

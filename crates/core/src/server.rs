@@ -1,5 +1,6 @@
 //! The query server: G-Grid state plus the update and query entry points.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -15,11 +16,10 @@ use crate::batch::BatchCleanCache;
 use crate::cleaning::{CleanedObjects, CleaningReport};
 use crate::config::GGridConfig;
 use crate::grid::{CellId, GraphGrid};
-use crate::ingest_buffer::{BufferedEntry, ThreadIngestDispatcher};
 use crate::knn::{run_knn, KnnResult};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
-use crate::message_list::CellLists;
-use crate::object_table::ShardedObjectTable;
+use crate::message_list::{CellLists, MessageList};
+use crate::object_table::{FxBuildHasher, ShardedObjectTable};
 use crate::scratch::ScratchPool;
 use crate::shard::{MigrationReport, ShardSet};
 use crate::stats::{guard_hist_bucket, IngestCounters, QueryBreakdown, ServerCounters};
@@ -33,16 +33,21 @@ use crate::subscription::{
 /// enough that the lines are still cached when the loop reaches them.
 const PREFETCH_RUNS: usize = 4;
 
-/// A group-commit placement packed into one word, so phase 2 of
-/// [`GGridServer::ingest_batch`] sorts 8-byte keys: the cell in the high
-/// 32 bits, then the update's batch index, then a tombstone bit. Word
-/// order is `(cell, batch index)` order; the message itself is rebuilt
-/// from the batch at commit time.
+/// What one staged message is charged against `ingest_buffer_bytes`: its
+/// 8-byte placement key plus the wire message.
+const STAGED_ENTRY_BYTES: u64 = 8 + CachedMessage::WIRE_BYTES;
+
+type Update = (ObjectId, EdgePosition, Timestamp);
+
+/// A group-commit placement packed into one word, so the commit sorts
+/// 8-byte keys: the cell in the high 32 bits, then the update's batch
+/// index, then a tombstone bit. Word order is `(cell, batch index)` order;
+/// the message itself is rebuilt from the batch when it is written.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Placement(u64);
 
 impl Placement {
-    /// `index` must be below 2³¹ (`ingest_batch` asserts it per batch).
+    /// `index` must be below 2³¹ (`place` asserts it per batch).
     fn new(cell: CellId, index: usize, tombstone: bool) -> Self {
         Self((u64::from(cell.0) << 32) | ((index as u64) << 1) | u64::from(tombstone))
     }
@@ -56,13 +61,94 @@ impl Placement {
     }
 
     /// The message this placement stands for in `batch`.
-    fn message(self, batch: &[(ObjectId, EdgePosition, Timestamp)]) -> CachedMessage {
+    fn message(self, batch: &[Update]) -> CachedMessage {
         let (o, position, time) = batch[(self.0 as u32 >> 1) as usize];
         if self.is_tombstone() {
             CachedMessage::tombstone(o, time)
         } else {
             CachedMessage::update(o, position, time)
         }
+    }
+}
+
+/// Splits `(cell, index)`-sorted placements into one run per cell.
+fn cell_runs(keys: &[Placement]) -> Vec<&[Placement]> {
+    keys.chunk_by(|a, b| a.cell() == b.cell()).collect()
+}
+
+/// Measured time of one ingest call's worker phases, in nanoseconds.
+#[derive(Default)]
+struct Work {
+    /// Summed over the workers (the serial work volume).
+    busy: u64,
+    /// The slowest worker of each phase, summed over the phases.
+    critical: u64,
+}
+
+/// Run `job(w)` for workers `0..workers`, inline for one worker and on
+/// scoped threads otherwise, adding each worker's time to `work`.
+fn on_workers<T: Send>(workers: usize, work: &mut Work, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let timed = |w: usize| {
+        let started = Instant::now();
+        let out = job(w);
+        (out, started.elapsed().as_nanos() as u64)
+    };
+    let parts: Vec<(T, u64)> = if workers == 1 {
+        vec![timed(0)]
+    } else {
+        crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let timed = &timed;
+                    s.spawn(move |_| timed(w))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ingest worker panicked"))
+                .collect()
+        })
+        .expect("ingest scope failed")
+    };
+    work.busy += parts.iter().map(|&(_, ns)| ns).sum::<u64>();
+    work.critical += parts.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
+    parts.into_iter().map(|(out, _)| out).collect()
+}
+
+/// The staging store of [`GGridServer::ingest_buffered`]: placed messages
+/// waiting for a flush, per cell in arrival order, plus the figures
+/// [`GGridServer::counters`] reports for it.
+#[derive(Default)]
+struct Staging {
+    cells: HashMap<CellId, Vec<CachedMessage>, FxBuildHasher>,
+    /// Messages staged now, over all cells.
+    entries: u64,
+    /// Messages ever staged.
+    staged_total: u64,
+    /// Largest footprint `entries × STAGED_ENTRY_BYTES` seen.
+    high_water_bytes: u64,
+    /// Flushes that committed at least one cell.
+    flushes: u64,
+}
+
+impl Staging {
+    fn bytes(&self) -> u64 {
+        self.entries * STAGED_ENTRY_BYTES
+    }
+
+    /// Remove the runs of `cells` (of every staged cell for `None`), in
+    /// ascending cell order.
+    fn take(&mut self, cells: Option<&[CellId]>) -> Vec<(CellId, Vec<CachedMessage>)> {
+        let mut runs: Vec<(CellId, Vec<CachedMessage>)> = match cells {
+            Some(cells) => cells
+                .iter()
+                .filter_map(|c| self.cells.remove_entry(c))
+                .collect(),
+            None => self.cells.drain().collect(),
+        };
+        runs.sort_unstable_by_key(|&(c, _)| c);
+        self.entries -= runs.iter().map(|(_, m)| m.len() as u64).sum::<u64>();
+        runs
     }
 }
 
@@ -78,16 +164,19 @@ impl Placement {
 /// reader–writer lock ([`ShardedObjectTable`]), so refinement workers read
 /// while ingest workers write — and the whole ingest path takes `&self`.
 ///
-/// **Lock order** (documented invariant): a cell mutex and a table-shard
-/// lock are never held at the same time. The ingest path acquires them
-/// strictly alternately (dest-cell mutex → release → shard lock → release →
-/// prev-cell mutex), and no path acquires two cell mutexes or two shard
-/// locks simultaneously, so no lock cycle can form.
+/// **Lock order** (documented invariant): the staging mutex of
+/// [`Self::ingest_buffered`] comes first. It is taken before any table-shard
+/// lock or cell mutex, never while one is held, and an `ingest_buffered` or
+/// flush call holds it through its placement and commit. Below it, a cell
+/// mutex and a table-shard lock are never held at the same time: placement
+/// takes shard locks one at a time and releases the last before the commit
+/// takes cell mutexes one at a time. The dirty-tracking queues are leaves
+/// that nothing is acquired under. So no lock cycle can form.
 ///
-/// Concurrent `handle_update`/`ingest_batch` callers must serialize updates
-/// *of the same object* themselves (the parallel ingest workers do, by
-/// owning disjoint object-id shards); calls for different objects may run
-/// freely in parallel.
+/// Concurrent ingest callers must serialize updates *of the same object*
+/// themselves (the parallel ingest workers do, by owning disjoint
+/// object-id shards); calls for different objects may run freely in
+/// parallel.
 pub struct GGridServer {
     graph: Arc<Graph>,
     grid: Arc<GraphGrid>,
@@ -122,11 +211,11 @@ pub struct GGridServer {
     /// a replica actually exists, so unreplicated ingest pays one
     /// `has_replicas` scan at most.
     replica_dirty: Mutex<Vec<CellId>>,
-    /// Thread-local ingest buffers (DESIGN.md §5.9): the lock-free fast
-    /// path of [`Self::ingest_buffered`], drained into the shared message
-    /// lists by [`Self::flush_ingest`] and the implicit barriers on every
-    /// query/clean/tick entry point.
-    dispatch: ThreadIngestDispatcher,
+    /// Messages [`Self::ingest_buffered`] placed but has not committed yet
+    /// (DESIGN.md §5.9), drained by [`Self::flush_ingest`], by the implicit
+    /// barrier of every query/clean/tick entry point, and before every
+    /// direct ingest call. First in the lock order.
+    staging: Mutex<Staging>,
 }
 
 impl GGridServer {
@@ -174,7 +263,6 @@ impl GGridServer {
         } else {
             Vec::new()
         };
-        let dispatch = ThreadIngestDispatcher::new(config.ingest_workers);
         Self {
             graph,
             grid,
@@ -191,7 +279,7 @@ impl GGridServer {
             track_dirty: AtomicBool::new(false),
             cell_dirt,
             replica_dirty: Mutex::new(Vec::new()),
-            dispatch,
+            staging: Mutex::default(),
         }
     }
 
@@ -239,10 +327,11 @@ impl GGridServer {
         let mut c = self.counters;
         self.ingest.merge_into(&mut c);
         (c.bucket_allocs, c.bucket_reuses) = self.lists.bucket_alloc_stats();
-        let (flushes, buffered, high_water) = self.dispatch.stats();
-        c.ingest_flushes = flushes;
-        c.buffered_messages = buffered;
-        c.buffer_bytes_high_water = high_water;
+        let staging = self.staging.lock();
+        c.ingest_flushes = staging.flushes;
+        c.buffered_messages = staging.staged_total;
+        c.buffer_bytes_high_water = staging.high_water_bytes;
+        drop(staging);
         c.snapshot_reuses = self.object_table.snapshot_reuses();
         c.subs_active = self.subs.active() as u64;
         for d in 0..self.shards.num_shards() {
@@ -356,69 +445,19 @@ impl GGridServer {
         self.object_table.len()
     }
 
-    /// Append `m` to one cell's message list, metering the lock.
-    fn append_one(&self, cell: CellId, m: CachedMessage) {
-        let mut list = self
-            .lists
-            .lock_metered(cell.index(), &self.ingest.cell_lock_wait_ns);
-        self.ingest.cell_locks.fetch_add(1, Ordering::Relaxed);
-        list.append(m);
-    }
-
     /// The cell an update lands in (Algorithm 1 line 2).
     fn cell_of(&self, position: EdgePosition) -> CellId {
         debug_assert!(position.is_valid(&self.graph), "invalid object position");
         self.grid.cell_of_edge(position.edge)
     }
 
-    /// Algorithm 1: cache a location update.
-    ///
-    /// Lock scope is as narrow as it gets: the destination cell's mutex is
-    /// released before the table shard lock is taken, and the shard lock is
-    /// released before the previous cell's mutex is taken — no two locks
-    /// are ever held together, and [`ShardedObjectTable::set`] returning
-    /// the previous entry makes the old lookup-then-set double walk a
-    /// single probe.
+    /// Algorithm 1: cache a location update. This is the one-update case
+    /// of [`Self::ingest_batch`], with the same placement and commit: an
+    /// update that changes cell also appends a tombstone to its previous
+    /// cell, and each touched cell pays one lock hold and one dirty-epoch
+    /// bump. Unlike `ingest_batch`, it does not count as a batch.
     pub fn handle_update(&self, object: ObjectId, position: EdgePosition, time: Timestamp) {
-        let t0 = Instant::now();
-        let cell = self.cell_of(position);
-        self.append_one(cell, CachedMessage::update(object, position, time));
-        let mut dirtied = 1u64;
-        let prev = self.object_table.set(object, cell, position, time);
-        self.ingest.shard_locks.fetch_add(1, Ordering::Relaxed);
-        let mut tombstone_cell = None;
-        if let Some(prev) = prev {
-            if prev.cell != cell {
-                self.append_one(prev.cell, CachedMessage::tombstone(object, time));
-                self.ingest
-                    .tombstones_written
-                    .fetch_add(1, Ordering::Relaxed);
-                dirtied = 2;
-                tombstone_cell = Some(prev.cell);
-            }
-        }
-        self.ingest
-            .cells_dirtied
-            .fetch_add(dirtied, Ordering::Relaxed);
-        if self.track_dirty.load(Ordering::Relaxed) {
-            let mut pending = self.subs_dirty.lock();
-            pending.push(cell);
-            pending.extend(tombstone_cell);
-        }
-        if self.config.num_devices > 1 {
-            for c in std::iter::once(cell).chain(tombstone_cell) {
-                let owner = self.shards.owner_of(c);
-                self.ingest.shard_dirtied[owner].fetch_add(1, Ordering::Relaxed);
-                self.cell_dirt[c.index()].fetch_add(1, Ordering::Relaxed);
-                if self.shards.has_replicas(c) {
-                    self.replica_dirty.lock().push(c);
-                }
-            }
-        }
-        self.ingest.updates_ingested.fetch_add(1, Ordering::Relaxed);
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.ingest.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        self.ingest.critical_ns.fetch_add(ns, Ordering::Relaxed);
+        self.ingest_direct(&[(object, position, time)], false);
     }
 
     /// Group-commit ingestion (the batched Algorithm 1): apply `updates`
@@ -427,120 +466,228 @@ impl GGridServer {
     /// batch leaves untouched cells' clean-skip stamps warm and touched
     /// cells pay one invalidation instead of one per message.
     ///
-    /// The resulting per-cell message sequences are byte-identical to
-    /// calling [`Self::handle_update`] once per element in order — and
-    /// identical for every `ingest_workers` count:
+    /// Anything [`Self::ingest_buffered`] still stages is committed first,
+    /// so a cell's messages stay in arrival order across the two paths.
+    /// The batch then runs the two phases every ingest path shares:
+    /// placement through the object table, and the group commit of the
+    /// sorted per-cell runs. The resulting per-cell message sequences are
+    /// byte-identical to calling [`Self::handle_update`] once per element
+    /// in order, for every `ingest_workers` count.
     ///
-    /// * **Phase 1 (table)** applies the batch through
-    ///   [`ShardedObjectTable::set_batch`]: each touched object-table
-    ///   shard's write lock is taken once, and its updates are applied in
-    ///   batch order. With `W` workers, worker `w` owns the object shards
-    ///   with `shard % W == w`, so all updates of one object are applied by
-    ///   one worker in batch order. Each update emits its destination
-    ///   placement and, on a cell move, a tombstone placement for the
-    ///   previous cell, both tagged with the update's batch index.
-    /// * **Phase 2 (append)** sorts placements by `(cell, batch index)` —
-    ///   a total order, since one update contributes at most one message
-    ///   per cell — and appends each cell's run under one lock hold.
-    ///   Runs are striped over the workers; no two workers touch one cell.
-    ///   The loop prefetches the cell a few runs ahead and reads no clock
-    ///   (see [`CellLists::lock_metered`]), so the cache misses of
-    ///   consecutive runs overlap.
-    ///
-    /// Returns the set of cells whose dirty epoch the batch bumped (the
-    /// run heads — one entry per touched cell, sorted), so consumers like
-    /// the subscription tick never re-derive it from message placement.
-    /// Materialising that set costs an allocation per batch, so it is only
-    /// built when someone will consume it — a registered subscription
-    /// (`track_dirty`) or shard routing/rebalancing (`num_devices > 1`);
-    /// otherwise the returned vector is empty.
+    /// Returns the cells whose dirty epoch the batch bumped, sorted, one
+    /// entry per touched cell, so consumers like the subscription tick
+    /// never re-derive them from message placement.
     pub fn ingest_batch(&self, updates: &[(ObjectId, EdgePosition, Timestamp)]) -> Vec<CellId> {
         if updates.is_empty() {
             return Vec::new();
         }
-        assert!(updates.len() < 1 << 31, "ingest batch too large");
-        let t0 = Instant::now();
-        let workers = self.config.ingest_workers.clamp(1, updates.len());
-        self.ingest.observe_batch(updates.len());
-        self.ingest
-            .batched_updates
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
+        self.ingest_direct(updates, true)
+    }
 
-        // Phase 1 — object table, one lock per touched shard (set returns
-        // the previous entry: single probe).
-        let place = |w: usize| -> (Vec<Placement>, u64, u64) {
-            let started = Instant::now();
-            let mut out: Vec<Placement> = Vec::with_capacity(updates.len() / workers + 2);
+    /// Buffered ingestion (DESIGN.md §5.9): apply `updates` to the object
+    /// table now, but stage their messages instead of committing them to
+    /// the shared message lists, so a hot cell shared by many small
+    /// arrival batches pays its lock once per flush, not once per call.
+    ///
+    /// Staged messages become visible at a flush. At the end of this call,
+    /// every cell whose staged count reached `config.ingest_buffer_cap` is
+    /// committed, or every staged cell when the staged footprint exceeds
+    /// `config.ingest_buffer_bytes`. The rest waits for
+    /// [`Self::flush_ingest`], for the implicit barrier that every query,
+    /// clean, subscription and rebalance entry point runs first, or for
+    /// the next direct ingest call. Each flushed cell pays **one** lock
+    /// hold and **one** dirty-epoch bump per flush, however many calls
+    /// contributed.
+    ///
+    /// Calls hold the staging mutex throughout, and each call stages its
+    /// messages in `(cell, batch index)` order, so every staged run is in
+    /// arrival order and the per-cell sequences after a flush are
+    /// byte-identical to [`Self::ingest_batch`] over the same calls, for
+    /// every worker count (proptested in `tests/ingest_buffer.rs`).
+    ///
+    /// Returns the cells this call committed (empty while everything stays
+    /// staged).
+    pub fn ingest_buffered(&self, updates: &[(ObjectId, EdgePosition, Timestamp)]) -> Vec<CellId> {
+        if updates.is_empty() {
+            return Vec::new();
+        }
+        let mut staging = self.staging.lock();
+        let t0 = Instant::now();
+        let mut work = Work::default();
+        let keys = self.place(updates, true, &mut work);
+        let mut full = Vec::new();
+        for run in cell_runs(&keys) {
+            let cell = run[0].cell();
+            let staged = staging.cells.entry(cell).or_default();
+            staged.extend(run.iter().map(|p| p.message(updates)));
+            // Every call commits the cells at the cap, so a cell at the
+            // cap now reached it in this call.
+            if staged.len() >= self.config.ingest_buffer_cap {
+                full.push(cell);
+            }
+        }
+        staging.entries += keys.len() as u64;
+        staging.staged_total += keys.len() as u64;
+        staging.high_water_bytes = staging.high_water_bytes.max(staging.bytes());
+        let budget = self.config.ingest_buffer_bytes;
+        let drain = (budget == 0 || staging.bytes() <= budget).then_some(full.as_slice());
+        let committed = self.commit_staged(&mut staging, drain, &mut work);
+        self.record_work(t0, work);
+        committed
+    }
+
+    /// The explicit visibility barrier of [`Self::ingest_buffered`]: commit
+    /// every staged message to the shared message lists (one lock hold and
+    /// one dirty-epoch bump per touched cell) and return the cells
+    /// committed. Every query/clean/subscription/rebalance entry point and
+    /// every direct ingest call runs it first, so buffered ingestion never
+    /// changes an answer or a cell's message order, only when the cell
+    /// locks are paid.
+    pub fn flush_ingest(&self) -> Vec<CellId> {
+        let mut staging = self.staging.lock();
+        if staging.entries == 0 {
+            return Vec::new();
+        }
+        let t0 = Instant::now();
+        let mut work = Work::default();
+        let committed = self.commit_staged(&mut staging, None, &mut work);
+        self.record_work(t0, work);
+        committed
+    }
+
+    /// The direct path of `handle_update` and `ingest_batch`: commit what
+    /// is staged, then place and commit `updates`.
+    fn ingest_direct(&self, updates: &[Update], batched: bool) -> Vec<CellId> {
+        self.flush_ingest();
+        let t0 = Instant::now();
+        let mut work = Work::default();
+        let keys = self.place(updates, batched, &mut work);
+        let dirty = self.commit(
+            &cell_runs(&keys),
+            &mut work,
+            |run| run[0].cell(),
+            |run, list| list.append_batch(run.iter().map(|p| p.message(updates))),
+        );
+        self.record_work(t0, work);
+        dirty
+    }
+
+    /// Commit the staged runs of `cells` (of every staged cell for `None`);
+    /// one buffer flush when any cell is committed.
+    fn commit_staged(
+        &self,
+        staging: &mut Staging,
+        cells: Option<&[CellId]>,
+        work: &mut Work,
+    ) -> Vec<CellId> {
+        let runs = staging.take(cells);
+        if runs.is_empty() {
+            return Vec::new();
+        }
+        staging.flushes += 1;
+        self.commit(
+            &runs,
+            work,
+            |&(cell, _)| cell,
+            |(_, messages), list| list.append_batch(messages.iter().copied()),
+        )
+    }
+
+    /// Phase 1 of every ingest path: apply `updates` to the object table
+    /// and return their placement keys in `(cell, batch index)` order.
+    /// `batched` calls also count as a batch; per-call updates do not.
+    ///
+    /// [`ShardedObjectTable::set_batch`] runs once per worker: with `W`
+    /// workers, worker `w` owns the table shards with `shard % W == w`, so
+    /// all updates of one object are applied by one worker in batch order,
+    /// and each touched shard's write lock is taken once. An update emits
+    /// its destination placement and, on a cell move, a tombstone placement
+    /// for the previous cell, both tagged with its batch index. One update
+    /// puts at most one message in a cell, so `(cell, batch index)` is a
+    /// total order: the sort is deterministic, and each cell's order is the
+    /// sequential one.
+    fn place(&self, updates: &[Update], batched: bool, work: &mut Work) -> Vec<Placement> {
+        assert!(updates.len() < 1 << 31, "ingest batch too large");
+        let workers = self.config.ingest_workers.clamp(1, updates.len());
+        let parts = on_workers(workers, work, |w| {
+            let mut keys = Vec::with_capacity(updates.len() / workers + 2);
             let locks = self.object_table.set_batch(
                 updates,
                 |s| s % workers == w,
                 |p| self.cell_of(p),
                 |idx, cell, prev| {
-                    out.push(Placement::new(cell, idx, false));
+                    keys.push(Placement::new(cell, idx, false));
                     if let Some(prev) = prev.filter(|prev| prev.cell != cell) {
-                        out.push(Placement::new(prev.cell, idx, true));
+                        keys.push(Placement::new(prev.cell, idx, true));
                     }
                 },
             );
-            (out, locks, started.elapsed().as_nanos() as u64)
-        };
-        let (mut placements, shard_locks, busy1, critical1) = if workers == 1 {
-            let (out, locks, ns) = place(0);
-            (out, locks, ns, ns)
-        } else {
-            let parts = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let place = &place;
-                        s.spawn(move |_| place(w))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("ingest worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-            .expect("ingest scope failed");
-            let mut merged = Vec::with_capacity(updates.len());
-            let (mut locks, mut busy, mut critical) = (0u64, 0u64, 0u64);
-            for (out, n, ns) in parts {
-                merged.extend(out);
-                locks += n;
-                busy += ns;
-                critical = critical.max(ns);
-            }
-            (merged, locks, busy, critical)
-        };
-        self.ingest
-            .shard_locks
-            .fetch_add(shard_locks, Ordering::Relaxed);
-        let tombstones = placements.iter().filter(|p| p.is_tombstone()).count() as u64;
-        self.ingest
+            (keys, locks)
+        });
+        let mut parts = parts.into_iter();
+        let (mut keys, mut locks) = parts.next().expect("at least one ingest worker");
+        for (more, n) in parts {
+            keys.extend(more);
+            locks += n;
+        }
+        keys.sort_unstable();
+        let tombstones = keys.iter().filter(|p| p.is_tombstone()).count() as u64;
+        let ingest = &self.ingest;
+        ingest.shard_locks.fetch_add(locks, Ordering::Relaxed);
+        ingest
+            .updates_ingested
+            .fetch_add(updates.len() as u64, Ordering::Relaxed);
+        ingest
             .tombstones_written
             .fetch_add(tombstones, Ordering::Relaxed);
-        self.ingest
-            .tombstones_batched
-            .fetch_add(tombstones, Ordering::Relaxed);
-
-        // Phase 2 — group-commit appends. (cell, batch-index) keys are
-        // unique, so the sort is deterministic, and the per-cell order
-        // equals the sequential interleave.
-        placements.sort_unstable();
-        let mut runs: Vec<&[Placement]> = Vec::new();
-        let mut rest = placements.as_slice();
-        while let Some(&head) = rest.first() {
-            let len = rest.iter().take_while(|p| p.cell() == head.cell()).count();
-            let (run, tail) = rest.split_at(len);
-            runs.push(run);
-            rest = tail;
+        if batched {
+            ingest.observe_batch(updates.len());
+            ingest
+                .batched_updates
+                .fetch_add(updates.len() as u64, Ordering::Relaxed);
+            ingest
+                .tombstones_batched
+                .fetch_add(tombstones, Ordering::Relaxed);
         }
-        let sharded = self.config.num_devices > 1;
-        let dirty: Vec<CellId> = if self.track_dirty.load(Ordering::Relaxed) || sharded {
-            runs.iter().map(|run| run[0].cell()).collect()
-        } else {
-            Vec::new()
-        };
-        if sharded {
+        keys
+    }
+
+    /// Phase 2 of every ingest path, the group commit. `runs` hold one run
+    /// per cell in ascending cell order, each in arrival order; `run_cell`
+    /// names a run's cell and `append` writes the run. Each cell's run is
+    /// appended under one lock hold with one dirty-epoch bump. Runs are
+    /// striped over the workers, so no two workers touch one cell, and the
+    /// loop prefetches a cell a few runs ahead and reads no clock (see
+    /// [`CellLists::lock_metered`]), so the cache misses of consecutive
+    /// runs overlap. The commit then records the dirty tracking: the
+    /// subscriptions' dirty cells and, with several devices, the per-shard
+    /// load and the replicas to invalidate. Returns the committed cells.
+    fn commit<R: Sync>(
+        &self,
+        runs: &[R],
+        work: &mut Work,
+        run_cell: impl Fn(&R) -> CellId,
+        append: impl Fn(&R, &mut MessageList) -> u64 + Sync,
+    ) -> Vec<CellId> {
+        let dirty: Vec<CellId> = runs.iter().map(run_cell).collect();
+        let workers = self.config.ingest_workers.clamp(1, runs.len().max(1));
+        on_workers(workers, work, |w| {
+            for j in (w..runs.len()).step_by(workers) {
+                if let Some(ahead) = dirty.get(j + PREFETCH_RUNS * workers) {
+                    self.lists.prefetch(ahead.index());
+                }
+                let mut list = self
+                    .lists
+                    .lock_metered(dirty[j].index(), &self.ingest.cell_lock_wait_ns);
+                append(&runs[j], &mut list);
+            }
+        });
+        let cells = dirty.len() as u64;
+        self.ingest.cell_locks.fetch_add(cells, Ordering::Relaxed);
+        self.ingest
+            .cells_dirtied
+            .fetch_add(cells, Ordering::Relaxed);
+        if self.config.num_devices > 1 {
             for &c in &dirty {
                 let owner = self.shards.owner_of(c);
                 self.ingest.shard_dirtied[owner].fetch_add(1, Ordering::Relaxed);
@@ -550,256 +697,23 @@ impl GGridServer {
                 }
             }
         }
-        self.ingest
-            .cells_dirtied
-            .fetch_add(runs.len() as u64, Ordering::Relaxed);
-        let commit = |w: usize| -> u64 {
-            let started = Instant::now();
-            for j in (w..runs.len()).step_by(workers) {
-                if let Some(ahead) = runs.get(j + PREFETCH_RUNS * workers) {
-                    self.lists.prefetch(ahead[0].cell().index());
-                }
-                let run = runs[j];
-                let mut list = self
-                    .lists
-                    .lock_metered(run[0].cell().index(), &self.ingest.cell_lock_wait_ns);
-                list.append_batch(run.iter().map(|p| p.message(updates)));
-            }
-            started.elapsed().as_nanos() as u64
-        };
-        let (busy2, critical2) = if workers == 1 {
-            let ns = commit(0);
-            (ns, ns)
-        } else {
-            let times = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let commit = &commit;
-                        s.spawn(move |_| commit(w))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("ingest worker panicked"))
-                    .collect::<Vec<_>>()
-            })
-            .expect("ingest scope failed");
-            let busy: u64 = times.iter().sum();
-            (busy, times.into_iter().max().unwrap_or(0))
-        };
-        self.ingest
-            .cell_locks
-            .fetch_add(runs.len() as u64, Ordering::Relaxed);
-        self.ingest
-            .updates_ingested
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
-
-        // Serial glue (sorting, run splitting) is on the critical path of
-        // either worker count; the phase barriers add their slowest worker.
-        let serial = (t0.elapsed().as_nanos() as u64).saturating_sub(busy1 + busy2);
-        self.ingest
-            .busy_ns
-            .fetch_add(busy1 + busy2 + serial, Ordering::Relaxed);
-        self.ingest
-            .critical_ns
-            .fetch_add(critical1 + critical2 + serial, Ordering::Relaxed);
         if self.track_dirty.load(Ordering::Relaxed) {
             self.subs_dirty.lock().extend_from_slice(&dirty);
         }
         dirty
     }
 
-    /// Buffered ingestion (the lock-free Algorithm 1, DESIGN.md §5.9):
-    /// apply `updates` to the object table now, but stage the resulting
-    /// cell placements/tombstones in thread-private buffers instead of the
-    /// shared message lists. During the parallel phase **no worker touches
-    /// a cell mutex** — each worker locks only its own (uncontended)
-    /// buffer slot once per call — so a hot cell shared by every arrival
-    /// batch costs zero contention in steady state.
-    ///
-    /// Buffered messages become visible at the next flush: a cell whose
-    /// buffered count reaches `config.ingest_buffer_cap` (or everything,
-    /// when the footprint exceeds `config.ingest_buffer_bytes`) is
-    /// committed at the end of this call; the rest waits for
-    /// [`Self::flush_ingest`] or the implicit barrier every query, clean,
-    /// subscription and rebalance entry point runs first. Each flushed
-    /// cell pays **one** lock hold and **one** dirty-epoch bump per flush,
-    /// however many ingest calls contributed.
-    ///
-    /// Every staged message carries a global monotone sequence number (an
-    /// update and its departure tombstone share one), and the flush merges
-    /// the workers' per-cell runs in sequence order — so the per-cell
-    /// message sequences after a flush are byte-identical to
-    /// [`Self::ingest_batch`] over the same calls, for every worker count
-    /// (proptested in `tests/ingest_buffer.rs`).
-    ///
-    /// Returns the cells committed by this call's end-of-call flush (empty
-    /// while everything still sits in the buffers).
-    pub fn ingest_buffered(&self, updates: &[(ObjectId, EdgePosition, Timestamp)]) -> Vec<CellId> {
-        if updates.is_empty() {
-            return Vec::new();
-        }
-        let t0 = Instant::now();
-        let workers = self.config.ingest_workers.clamp(1, updates.len());
-        self.ingest.observe_batch(updates.len());
-        self.ingest
-            .batched_updates
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
-        let base = self.dispatch.next_seq(updates.len());
-
-        // Phase 1 — object table + private buffers. Same object sharding
-        // and shard grouping as `ingest_batch` (worker `w` owns the object
-        // shards with `shard % workers == w`, so per-object order is
-        // preserved); the only lock a worker takes besides one per touched
-        // table shard is its own buffer slot, once.
-        let place = |w: usize| -> (u64, u64, u64, u64) {
-            let started = Instant::now();
-            let mut buf = self.dispatch.worker(w);
-            let (mut staged, mut tombstones) = (0u64, 0u64);
-            let locks = self.object_table.set_batch(
-                updates,
-                |s| s % workers == w,
-                |p| self.cell_of(p),
-                |idx, cell, prev| {
-                    let (o, position, time) = updates[idx];
-                    let seq = base + idx as u64;
-                    buf.push(cell, seq, CachedMessage::update(o, position, time));
-                    staged += 1;
-                    if let Some(prev) = prev.filter(|prev| prev.cell != cell) {
-                        buf.push(prev.cell, seq, CachedMessage::tombstone(o, time));
-                        staged += 1;
-                        tombstones += 1;
-                    }
-                },
-            );
-            (
-                staged,
-                tombstones,
-                locks,
-                started.elapsed().as_nanos() as u64,
-            )
-        };
-        let parts: Vec<(u64, u64, u64, u64)> = if workers == 1 {
-            vec![place(0)]
-        } else {
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let place = &place;
-                        s.spawn(move |_| place(w))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("ingest worker panicked"))
-                    .collect()
-            })
-            .expect("ingest scope failed")
-        };
-        let staged: u64 = parts.iter().map(|&(n, _, _, _)| n).sum();
-        let tombstones: u64 = parts.iter().map(|&(_, t, _, _)| t).sum();
-        let shard_locks: u64 = parts.iter().map(|&(_, _, l, _)| l).sum();
-        let busy1: u64 = parts.iter().map(|&(_, _, _, ns)| ns).sum();
-        let critical1: u64 = parts.iter().map(|&(_, _, _, ns)| ns).max().unwrap_or(0);
-        self.dispatch.note_buffered(staged);
-        self.ingest
-            .shard_locks
-            .fetch_add(shard_locks, Ordering::Relaxed);
-        self.ingest
-            .tombstones_written
-            .fetch_add(tombstones, Ordering::Relaxed);
-        self.ingest
-            .tombstones_batched
-            .fetch_add(tombstones, Ordering::Relaxed);
-        self.ingest
-            .updates_ingested
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
-
-        // End-of-call flush: everything, when the global byte budget is
-        // blown; otherwise only the cells whose buffers filled up.
-        let over_budget = self.config.ingest_buffer_bytes > 0
-            && self.dispatch.buffered_bytes() > self.config.ingest_buffer_bytes;
-        let committed = if over_budget {
-            self.commit_buffered(self.dispatch.drain_all())
-        } else {
-            let full: Vec<(CellId, Vec<BufferedEntry>)> = self
-                .dispatch
-                .cells_over(self.config.ingest_buffer_cap)
-                .into_iter()
-                .filter_map(|c| self.dispatch.drain_cell(c).map(|run| (c, run)))
-                .collect();
-            self.commit_buffered(full)
-        };
-
-        // The phase barrier puts serial glue (flushing included) on the
-        // critical path of every worker count.
-        let serial = (t0.elapsed().as_nanos() as u64).saturating_sub(busy1);
+    /// Add one ingest call's time: its workers' `work`, plus the serial
+    /// glue between the phases (sorting, splitting, staging), which is on
+    /// the critical path of any worker count.
+    fn record_work(&self, t0: Instant, work: Work) {
+        let serial = (t0.elapsed().as_nanos() as u64).saturating_sub(work.busy);
         self.ingest
             .busy_ns
-            .fetch_add(busy1 + serial, Ordering::Relaxed);
+            .fetch_add(work.busy + serial, Ordering::Relaxed);
         self.ingest
             .critical_ns
-            .fetch_add(critical1 + serial, Ordering::Relaxed);
-        committed
-    }
-
-    /// The explicit visibility barrier of [`Self::ingest_buffered`]: drain
-    /// every thread-local ingest buffer into the shared message lists (one
-    /// lock + one dirty-epoch bump per touched cell) and return the cells
-    /// committed. Every query/clean/subscription/rebalance entry point
-    /// calls this implicitly, so buffered ingestion never changes an
-    /// answer — only when the cell locks are paid.
-    pub fn flush_ingest(&self) -> Vec<CellId> {
-        let groups = self.dispatch.drain_all();
-        self.commit_buffered(groups)
-    }
-
-    /// Commit drained buffer groups to their cells: per cell one metered
-    /// lock hold, one `append_batch` (sequence order), one epoch bump —
-    /// plus the same dirty-tracking side effects as the other ingest
-    /// paths. No buffer-slot mutex is held in here (the groups are owned),
-    /// so the cell locks nest under nothing. Like the `ingest_batch`
-    /// commit, the loop prefetches a few cells ahead and reads no clock.
-    fn commit_buffered(&self, groups: Vec<(CellId, Vec<BufferedEntry>)>) -> Vec<CellId> {
-        if groups.is_empty() {
-            return Vec::new();
-        }
-        let t0 = Instant::now();
-        let sharded = self.config.num_devices > 1;
-        let track = self.track_dirty.load(Ordering::Relaxed);
-        // One entry per committed cell — cheap relative to the commit
-        // itself (a flush amortizes many messages per cell), so unlike
-        // `ingest_batch` it is always materialised.
-        let dirty: Vec<CellId> = groups.iter().map(|&(c, _)| c).collect();
-        for (j, (cell, run)) in groups.into_iter().enumerate() {
-            if let Some(ahead) = dirty.get(j + PREFETCH_RUNS) {
-                self.lists.prefetch(ahead.index());
-            }
-            let mut list = self
-                .lists
-                .lock_metered(cell.index(), &self.ingest.cell_lock_wait_ns);
-            list.append_batch(run.iter().map(|&(_, m)| m));
-            drop(list);
-            self.ingest.cell_locks.fetch_add(1, Ordering::Relaxed);
-            self.ingest.cells_dirtied.fetch_add(1, Ordering::Relaxed);
-            if sharded {
-                let owner = self.shards.owner_of(cell);
-                self.ingest.shard_dirtied[owner].fetch_add(1, Ordering::Relaxed);
-                self.cell_dirt[cell.index()].fetch_add(1, Ordering::Relaxed);
-                if self.shards.has_replicas(cell) {
-                    self.replica_dirty.lock().push(cell);
-                }
-            }
-            self.dispatch.recycle(run);
-        }
-        self.dispatch.note_flush();
-        if track {
-            self.subs_dirty.lock().extend_from_slice(&dirty);
-        }
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.ingest.busy_ns.fetch_add(ns, Ordering::Relaxed);
-        self.ingest.critical_ns.fetch_add(ns, Ordering::Relaxed);
-        dirty
+            .fetch_add(work.critical + serial, Ordering::Relaxed);
     }
 
     /// The replica-coherence barrier: tear down the read-replicas of every
@@ -1337,7 +1251,7 @@ impl MovingObjectIndex for GGridServer {
                 + self.object_table.size_bytes()
                 + lists
                 + self.pool.scratch_bytes()
-                + self.dispatch.buffered_bytes(),
+                + self.staging.lock().bytes(),
             // Every shard device holds a mirror of the graph grid to
             // streamline the computation (Fig 6's "G-Grid (GPU)") plus
             // whatever consolidated cell lists and topology slices are
@@ -1420,6 +1334,47 @@ mod tests {
             s
         };
         let _ = grid_probe;
+    }
+
+    /// Every cell's message sequence, oldest first.
+    fn cell_sequences(s: &GGridServer) -> Vec<Vec<CachedMessage>> {
+        (0..s.grid().num_cells())
+            .map(|i| {
+                let list = s.cell_lists().lock(i);
+                list.buckets()
+                    .flat_map(|b| b.messages.iter().copied())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn direct_ingest_lands_after_staged_messages() {
+        let g = gen::toy(42);
+        let s = GGridServer::new(g.clone(), small_config());
+        let a = pos(0, 0);
+        let b = g
+            .edge_ids()
+            .find(|&e| s.grid().cell_of_edge(e) != s.cell_of(a))
+            .map(EdgePosition::at_source)
+            .expect("toy graph spans multiple cells");
+        let (o, first, second) = (ObjectId(1), Timestamp(100), Timestamp(101));
+        let reference = GGridServer::new(g.clone(), small_config());
+        reference.ingest_batch(&[(o, a, first)]);
+        reference.ingest_batch(&[(o, b, second)]);
+        let want = cell_sequences(&reference);
+        let direct: [fn(&GGridServer, Update); 2] = [
+            |s, u| drop(s.ingest_batch(&[u])),
+            |s, (o, p, t)| s.handle_update(o, p, t),
+        ];
+        for (i, direct) in direct.iter().enumerate() {
+            let s = GGridServer::new(g.clone(), small_config());
+            s.ingest_buffered(&[(o, a, first)]);
+            // The move's tombstone must follow the staged update in a's cell.
+            direct(&s, (o, b, second));
+            s.flush_ingest();
+            assert_eq!(cell_sequences(&s), want, "direct path {i}");
+        }
     }
 
     #[test]

@@ -549,13 +549,14 @@ pub struct ServerCounters {
     /// Cumulative measured CPU nanoseconds of the query path (the `cpu_ns`
     /// of every recorded breakdown), for throughput figures.
     pub query_cpu_ns: u64,
-    /// `ingest_batch` invocations.
+    /// Non-empty `ingest_batch` and `ingest_buffered` calls (a
+    /// `handle_update` call is not a batch).
     pub ingest_batches: u64,
-    /// Updates that arrived through `ingest_batch` (subset of
-    /// `updates_ingested`).
+    /// Updates that arrived through `ingest_batch` or `ingest_buffered`
+    /// (subset of `updates_ingested`).
     pub batched_updates: u64,
-    /// Tombstones emitted by the group-commit path, grouped by previous
-    /// cell (subset of `tombstones_written`).
+    /// Tombstones emitted by `ingest_batch` and `ingest_buffered` calls
+    /// (subset of `tombstones_written`).
     pub tombstones_batched: u64,
     /// Cell-mutex acquisitions performed by the ingest path (the batched
     /// path takes each touched cell's lock once per batch; the per-call
@@ -584,20 +585,22 @@ pub struct ServerCounters {
     /// Message-list bucket slabs recycled from the cleaning free list
     /// (steady-state ingest allocates nothing).
     pub bucket_reuses: u64,
-    /// Buffered-ingest flush events that committed at least one cell to
-    /// its shared message list (`ingest_buffered` / `flush_ingest`).
+    /// Flushes of the ingest staging store that committed at least one
+    /// cell to its shared message list (`ingest_buffered`, `flush_ingest`,
+    /// or a direct ingest call finding messages staged). A direct call's
+    /// own commit is not a flush.
     pub ingest_flushes: u64,
-    /// Messages that passed through the thread-local ingest buffers
-    /// (lifetime; subset of `updates_ingested + tombstones_written`).
+    /// Messages that passed through the ingest staging store (lifetime;
+    /// subset of `updates_ingested + tombstones_written`).
     pub buffered_messages: u64,
-    /// High-water mark of the thread-local ingest buffers' footprint, in
-    /// bytes (gauge).
+    /// High-water mark of the ingest staging store's footprint, in bytes
+    /// (gauge).
     pub buffer_bytes_high_water: u64,
     /// Object-table snapshots served from the epoch-validated cache
     /// without an O(|𝒪|) rebuild (gauge).
     pub snapshot_reuses: u64,
-    /// Distinct cells whose dirty epoch an ingest call bumped (run heads of
-    /// the group commit, plus per-message appends), accumulated.
+    /// Distinct cells whose dirty epoch an ingest commit bumped (the run
+    /// heads of the group commit), accumulated.
     pub cells_dirtied: u64,
     /// Currently active kNN subscriptions (gauge, refreshed each tick).
     pub subs_active: u64,

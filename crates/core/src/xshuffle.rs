@@ -16,7 +16,7 @@
 //! The emulation runs over flat, reused buffers: one set of lane caches
 //! and one list of the lanes holding a message per launch, and one running
 //! newest message per object standing in for that object's slot column of
-//! 𝒯 (see [`SlotTable`]). Every charge is the one the lane program makes
+//! 𝒯 (see `SlotTable`). Every charge is the one the lane program makes
 //! for the whole bundle, so the modeled cost does not depend on how the
 //! host emulates it.
 

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roadnet::{gen, EdgeId};
+use std::sync::Barrier;
 
 const EDGES: u32 = 160; // gen::toy edge count
 
@@ -188,6 +189,85 @@ fn buffered_bytes_appear_in_index_size_until_flushed() {
     // 64 updates plus a buffered tombstone per cell move.
     assert!(c.buffered_messages >= 64);
     assert!(c.ingest_flushes >= 1);
+}
+
+#[test]
+fn concurrent_batch_and_buffered_callers_match_sequential() {
+    let graph = gen::toy(13);
+    // Disjoint object sets: even ids go through `ingest_batch`, odd ids
+    // through `ingest_buffered`, from two threads at once.
+    let (evens, odds): (Vec<Update>, Vec<Update>) = update_stream(13, 400)
+        .into_iter()
+        .partition(|&(o, _, _)| o.0 % 2 == 0);
+    let reference = GGridServer::new(graph.clone(), config(1));
+    reference.ingest_batch(&evens);
+    reference.ingest_batch(&odds);
+    let want = state_of(&reference, 40);
+    for workers in [1usize, 2] {
+        let s = GGridServer::new(
+            graph.clone(),
+            GGridConfig {
+                // A small cap makes the buffered thread commit cells while
+                // the batch thread commits its own.
+                ingest_buffer_cap: 4,
+                ..config(workers)
+            },
+        );
+        // Both threads start every round together.
+        const ROUNDS: usize = 25;
+        fn round(v: &[Update], i: usize) -> &[Update] {
+            &v[i * v.len() / ROUNDS..(i + 1) * v.len() / ROUNDS]
+        }
+        let barrier = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..ROUNDS {
+                    barrier.wait();
+                    s.ingest_batch(round(&evens, i));
+                }
+            });
+            scope.spawn(|| {
+                for i in 0..ROUNDS {
+                    barrier.wait();
+                    s.ingest_buffered(round(&odds, i));
+                }
+            });
+        });
+        s.flush_ingest();
+        assert_eq!(state_of(&s, 40), want, "{workers} ingest workers");
+        assert_eq!(s.validate(Timestamp(1_000)), vec![], "{workers} workers");
+    }
+}
+
+#[test]
+fn direct_paths_keep_their_counter_meanings() {
+    let graph = gen::toy(3);
+    let s = GGridServer::new(graph, config(2));
+    let updates = update_stream(3, 120);
+    let (per_call, batch) = updates.split_at(60);
+    for &(o, p, t) in per_call {
+        s.handle_update(o, p, t);
+    }
+    let c = s.counters();
+    assert_eq!(c.updates_ingested, 60);
+    assert!(c.tombstones_written > 0, "the stream must move objects");
+    assert_eq!(
+        (c.ingest_batches, c.batched_updates, c.tombstones_batched),
+        (0, 0, 0),
+        "per-call updates are not batches"
+    );
+    s.ingest_batch(batch);
+    let c = s.counters();
+    assert_eq!((c.ingest_batches, c.batched_updates), (1, 60));
+    assert_eq!(
+        (
+            c.ingest_flushes,
+            c.buffered_messages,
+            c.buffer_bytes_high_water
+        ),
+        (0, 0, 0),
+        "direct ingest with nothing staged is no buffer flush"
+    );
 }
 
 proptest! {

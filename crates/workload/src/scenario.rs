@@ -260,7 +260,7 @@ impl SubscriptionScenarioReport {
     }
 }
 
-/// Replay a subscription scenario against a [`GGridServer`]. The server is
+/// Replay a subscription scenario against a [`GGridServer`](ggrid::GGridServer). The server is
 /// typed concretely — standing queries are a G-Grid capability, not part of
 /// the generic [`MovingObjectIndex`] trait.
 pub fn run_subscription_scenario(
