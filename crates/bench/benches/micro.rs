@@ -2,8 +2,6 @@
 //! partitioning, Dijkstra, the X-shuffle kernel, message caching, and the
 //! object table.
 
-mod common;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ggrid::grid::CellId;
 use ggrid::message::{CachedMessage, ObjectId, Timestamp};

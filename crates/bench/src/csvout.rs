@@ -99,6 +99,17 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Format a per-second rate with an adaptive suffix.
+pub fn fmt_rate(r: f64) -> String {
+    if r >= 1e6 {
+        format!("{:.1}M", r / 1e6)
+    } else if r >= 1e3 {
+        format!("{:.1}k", r / 1e3)
+    } else {
+        format!("{r:.0}")
+    }
+}
+
 /// Format bytes with an adaptive unit.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -152,5 +163,8 @@ mod tests {
         assert_eq!(fmt_bytes(512), "512B");
         assert_eq!(fmt_bytes(2048), "2.00KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.00MiB");
+        assert_eq!(fmt_rate(950.4), "950");
+        assert_eq!(fmt_rate(2_500.0), "2.5k");
+        assert_eq!(fmt_rate(3_200_000.0), "3.2M");
     }
 }

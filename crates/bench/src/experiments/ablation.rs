@@ -8,18 +8,16 @@
 //! * **X-shuffle width** — warp-wide bundles (2^η = 32) vs degenerate
 //!   2-lane bundles, isolating the butterfly dedup's benefit.
 
-use std::sync::Arc;
-
 use ggrid::api::{IndexSize, MovingObjectIndex, SimCosts};
 use ggrid::message::{ObjectId, Timestamp};
 use ggrid::{GGridConfig, GGridServer};
 use roadnet::graph::{Distance, Graph};
 use roadnet::EdgePosition;
+use workload::scenario::run_scenario;
 
 use crate::csvout::{fmt_ns, ResultTable};
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
-use crate::runner::IndexParams;
 
 /// A G-Grid that cleans the touched cell after *every* message — the
 /// eager-update strategy the paper's lazy design replaces.
@@ -62,66 +60,48 @@ impl MovingObjectIndex for EagerGGrid {
     }
 }
 
-fn measure(
-    graph: &Arc<Graph>,
-    index: &mut dyn MovingObjectIndex,
-    cfg: &ExpConfig,
-    params: &IndexParams,
-) -> u64 {
-    let report =
-        workload::scenario::run_scenario(graph, index, &cfg.scenario(), params.t_delta_ms, false);
-    report.amortized_ns_per_query()
-}
-
 pub fn run(cfg: &ExpConfig) -> ResultTable {
     let ds = roadnet::gen::Dataset::NY;
     let graph = build_dataset(&DatasetSpec::new(ds, cfg.scale));
-    let params = cfg.index_params();
+    let t_delta_ms = cfg.index_params().t_delta_ms;
+    let base = GGridConfig {
+        t_delta_ms,
+        ..GGridConfig::default()
+    };
+    let server = |config| Box::new(GGridServer::new((*graph).clone(), config));
+    let variants: [(&str, Box<dyn MovingObjectIndex>); 4] = [
+        ("lazy (paper)", server(base.clone())),
+        (
+            "eager (clean per message)",
+            Box::new(EagerGGrid::new((*graph).clone(), base.clone())),
+        ),
+        (
+            "synchronous transfer (chunks=1)",
+            server(GGridConfig {
+                transfer_chunks: 1,
+                ..base.clone()
+            }),
+        ),
+        (
+            "2-lane bundles (eta=1)",
+            server(GGridConfig { eta: 1, ..base }),
+        ),
+    ];
     let mut t = ResultTable::new(
         &format!("Ablations ({}, k=16)", ds.name()),
         &["Variant", "time/query"],
     );
-
-    let base_cfg = GGridConfig {
-        t_delta_ms: params.t_delta_ms,
-        ..GGridConfig::default()
-    };
-
-    let mut lazy = GGridServer::new((*graph).clone(), base_cfg.clone());
-    t.row(vec![
-        "lazy (paper)".into(),
-        fmt_ns(measure(&graph, &mut lazy, cfg, &params)),
-    ]);
-
-    let mut eager = EagerGGrid::new((*graph).clone(), base_cfg.clone());
-    t.row(vec![
-        "eager (clean per message)".into(),
-        fmt_ns(measure(&graph, &mut eager, cfg, &params)),
-    ]);
-
-    let mut sync_xfer = GGridServer::new(
-        (*graph).clone(),
-        GGridConfig {
-            transfer_chunks: 1,
-            ..base_cfg.clone()
-        },
-    );
-    t.row(vec![
-        "synchronous transfer (chunks=1)".into(),
-        fmt_ns(measure(&graph, &mut sync_xfer, cfg, &params)),
-    ]);
-
-    let mut narrow = GGridServer::new((*graph).clone(), GGridConfig { eta: 1, ..base_cfg });
-    t.row(vec![
-        "2-lane bundles (eta=1)".into(),
-        fmt_ns(measure(&graph, &mut narrow, cfg, &params)),
-    ]);
-
+    for (label, mut index) in variants {
+        let report = run_scenario(&graph, index.as_mut(), &cfg.scenario(), t_delta_ms, false);
+        t.row(vec![label.into(), fmt_ns(report.amortized_ns_per_query())]);
+    }
     t
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]

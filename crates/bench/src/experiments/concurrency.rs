@@ -13,8 +13,15 @@
 //! worker-busy time over the busiest worker's time): it is host-core
 //! independent, so the worker sweep stays meaningful on single-core CI
 //! machines where wall time cannot shrink.
+//!
+//! After the stream, each row replays a fixed 24-query batch through
+//! `knn_batch` and reports its makespan with host refinement overlapping
+//! device work ("Batch pipelined") next to the same operations back to
+//! back ("Batch serial"). "Host cores" tells which regime the measured
+//! clocks ran in.
 
-use ggrid::{GGridConfig, GGridServer};
+use ggrid::prelude::*;
+use roadnet::EdgeId;
 use workload::scenario::run_scenario;
 
 use crate::csvout::{fmt_ns, ResultTable};
@@ -39,6 +46,9 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
             "Hit rate",
             "Refine conc.",
             "Refine speedup",
+            "Batch pipelined",
+            "Batch serial",
+            "Host cores",
         ],
     );
     let params = cfg.index_params();
@@ -50,6 +60,14 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
     // honestly useless.
     let mut scenario = cfg.scenario();
     scenario.query_interval_ms = 1;
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // The batch: eight spread-out positions, three times over, issued
+    // after the stream's last query.
+    let ne = world.graph.num_edges() as u32;
+    let batch: Vec<(EdgePosition, usize)> = (0..24u32)
+        .map(|i| (EdgePosition::at_source(EdgeId(i % 8 * (ne / 8))), 16))
+        .collect();
+    let batch_at = Timestamp(scenario.warmup_ms + scenario.num_queries as u64);
     for clean_skip in [true, false] {
         for workers in WORKER_SWEEP {
             let config = GGridConfig {
@@ -58,9 +76,7 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
                 t_delta_ms: params.t_delta_ms,
                 ..params.ggrid.clone()
             };
-            let grid = world.grid(config.cell_capacity, config.vertex_capacity);
-            let mut server =
-                GGridServer::with_shared_grid(grid, config, gpu_sim::Device::quadro_p2000());
+            let mut server = world.server(config);
             let report = run_scenario(
                 &world.graph,
                 &mut server,
@@ -69,6 +85,7 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
                 false,
             );
             let c = server.counters();
+            let b = server.knn_batch(&batch, batch_at);
             t.row(vec![
                 workers.to_string(),
                 if clean_skip { "on" } else { "off" }.to_string(),
@@ -78,6 +95,9 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
                 format!("{:.1}%", 100.0 * c.clean_skip_hit_rate()),
                 format!("{:.2}", c.refine_concurrency()),
                 format!("{:.2}", c.refine_parallel_speedup()),
+                fmt_ns(b.pipelined_time.0),
+                fmt_ns(b.serial_time.0),
+                host_cores.to_string(),
             ]);
         }
     }

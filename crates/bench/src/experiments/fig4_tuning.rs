@@ -18,114 +18,64 @@ const DELTA_B: [usize; 7] = [4, 8, 16, 32, 64, 128, 256];
 const ETA: [u32; 5] = [3, 4, 5, 6, 7]; // bundle widths 8..128
 const RHO: [f64; 6] = [1.4, 1.6, 1.8, 2.0, 2.4, 3.0];
 
-fn amortized_with(cfg: &ExpConfig, world: &BenchWorld, ggrid: GGridConfig) -> u64 {
-    let mut params = cfg.index_params();
-    params.ggrid = ggrid;
-    let outcome = run_one_in(world, IndexKind::GGrid, &params, &cfg.scenario());
-    outcome.serial_ns_per_query().expect("G-Grid always builds")
-}
-
-fn worlds_for(cfg: &ExpConfig) -> Vec<(roadnet::gen::Dataset, BenchWorld)> {
-    fig4_datasets(cfg)
-        .into_iter()
-        .map(|ds| {
-            let graph = build_dataset(&DatasetSpec::new(ds, cfg.scale));
-            (ds, BenchWorld::new(graph))
-        })
-        .collect()
+/// One sweep: a row per value, a column per dataset, each cell the
+/// serial per-query time of G-Grid with `set(config, value)` applied.
+fn sweep<T: Copy>(
+    cfg: &ExpConfig,
+    title: &str,
+    param: &str,
+    values: &[T],
+    label: impl Fn(T) -> String,
+    set: impl Fn(&mut GGridConfig, T),
+) -> ResultTable {
+    use roadnet::gen::Dataset;
+    let datasets = if cfg.quick {
+        vec![Dataset::NY]
+    } else {
+        vec![Dataset::NY, Dataset::FLA, Dataset::USA]
+    };
+    let worlds: Vec<BenchWorld> = datasets
+        .iter()
+        .map(|&ds| BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale))))
+        .collect();
+    let mut headers = vec![param];
+    headers.extend(datasets.iter().map(|d| d.name()));
+    let mut t = ResultTable::new(title, &headers);
+    for &v in values {
+        let mut row = vec![label(v)];
+        let mut params = cfg.index_params();
+        set(&mut params.ggrid, v);
+        for world in &worlds {
+            let outcome = run_one_in(world, IndexKind::GGrid, &params, &cfg.scenario());
+            let ns = outcome.serial_ns_per_query().expect("G-Grid always builds");
+            row.push(fmt_ns(ns));
+        }
+        t.row(row);
+    }
+    t
 }
 
 /// Fig 4a: vary δᵇ on NY, FLA, USA.
 pub fn run_a(cfg: &ExpConfig) -> ResultTable {
-    let worlds = worlds_for(cfg);
-    let mut headers = vec!["delta_b".to_string()];
-    headers.extend(worlds.iter().map(|(d, _)| d.name().to_string()));
-    let mut t = ResultTable {
-        title: "Fig 4a: query time vs bucket capacity δ^b".into(),
-        headers,
-        rows: Vec::new(),
-    };
-    for &db in &DELTA_B {
-        let mut row = vec![db.to_string()];
-        for (_, world) in &worlds {
-            let ns = amortized_with(
-                cfg,
-                world,
-                GGridConfig {
-                    bucket_capacity: db,
-                    ..GGridConfig::default()
-                },
-            );
-            row.push(fmt_ns(ns));
-        }
-        t.rows.push(row);
-    }
-    t
+    let title = "Fig 4a: query time vs bucket capacity δ^b";
+    let set = |c: &mut GGridConfig, db| c.bucket_capacity = db;
+    sweep(cfg, title, "delta_b", &DELTA_B, |db| db.to_string(), set)
 }
 
 /// Fig 4b: vary the bundle width 2^η.
 pub fn run_b(cfg: &ExpConfig) -> ResultTable {
-    let worlds = worlds_for(cfg);
-    let mut headers = vec!["bundle(2^eta)".to_string()];
-    headers.extend(worlds.iter().map(|(d, _)| d.name().to_string()));
-    let mut t = ResultTable {
-        title: "Fig 4b: query time vs bundle width 2^eta (warp = 32)".into(),
-        headers,
-        rows: Vec::new(),
-    };
-    for &eta in &ETA {
-        let mut row = vec![(1u32 << eta).to_string()];
-        for (_, world) in &worlds {
-            let ns = amortized_with(
-                cfg,
-                world,
-                GGridConfig {
-                    eta,
-                    ..GGridConfig::default()
-                },
-            );
-            row.push(fmt_ns(ns));
-        }
-        t.rows.push(row);
-    }
-    t
+    let title = "Fig 4b: query time vs bundle width 2^eta (warp = 32)";
+    let label = |eta: u32| (1u32 << eta).to_string();
+    sweep(cfg, title, "bundle(2^eta)", &ETA, label, |c, eta| {
+        c.eta = eta
+    })
 }
 
 /// Fig 4c: vary ρ.
 pub fn run_c(cfg: &ExpConfig) -> ResultTable {
-    let worlds = worlds_for(cfg);
-    let mut headers = vec!["rho".to_string()];
-    headers.extend(worlds.iter().map(|(d, _)| d.name().to_string()));
-    let mut t = ResultTable {
-        title: "Fig 4c: query time vs rho (GPU/CPU balance)".into(),
-        headers,
-        rows: Vec::new(),
-    };
-    for &rho in &RHO {
-        let mut row = vec![format!("{rho:.1}")];
-        for (_, world) in &worlds {
-            let ns = amortized_with(
-                cfg,
-                world,
-                GGridConfig {
-                    rho,
-                    ..GGridConfig::default()
-                },
-            );
-            row.push(fmt_ns(ns));
-        }
-        t.rows.push(row);
-    }
-    t
-}
-
-fn fig4_datasets(cfg: &ExpConfig) -> Vec<roadnet::gen::Dataset> {
-    use roadnet::gen::Dataset;
-    if cfg.quick {
-        vec![Dataset::NY]
-    } else {
-        vec![Dataset::NY, Dataset::FLA, Dataset::USA]
-    }
+    let title = "Fig 4c: query time vs rho (GPU/CPU balance)";
+    let label = |rho: f64| format!("{rho:.1}");
+    sweep(cfg, title, "rho", &RHO, label, |c, rho| c.rho = rho)
 }
 
 #[cfg(test)]

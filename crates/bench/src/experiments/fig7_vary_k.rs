@@ -4,10 +4,10 @@
 //! ROAD stays nearly flat (updates dominate it); V-Tree (G) overtakes
 //! V-Tree at large k thanks to parallel distance evaluation.
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::ResultTable;
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
-use crate::runner::{run_all_in, BenchWorld, IndexKind};
+use crate::runner::{serial_row, BenchWorld, IndexKind};
 
 const KS: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
@@ -28,23 +28,13 @@ pub fn run(cfg: &ExpConfig) -> Vec<ResultTable> {
             for &k in &KS {
                 let mut scenario = cfg.scenario();
                 scenario.k = k;
-                let outcomes = run_all_in(&world, &cfg.index_params(), &scenario, &IndexKind::ALL);
-                let find = |kind: IndexKind| {
-                    outcomes
-                        .iter()
-                        .find(|o| o.kind == kind)
-                        .unwrap()
-                        .serial_ns_per_query()
-                        .map(fmt_ns)
-                        .unwrap_or_else(|| "-".into())
-                };
-                t.row(vec![
+                t.row(serial_row(
+                    &world,
+                    &cfg.index_params(),
+                    &scenario,
+                    &IndexKind::ALL,
                     k.to_string(),
-                    find(IndexKind::GGrid),
-                    find(IndexKind::VTree),
-                    find(IndexKind::VTreeGpu),
-                    find(IndexKind::Road),
-                ]);
+                ));
             }
             t
         })

@@ -5,10 +5,10 @@
 //! by around 100× — the lazy strategy only ever pays for the objects near
 //! queries.
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::ResultTable;
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
-use crate::runner::{run_all_in, BenchWorld, IndexKind};
+use crate::runner::{serial_row, BenchWorld, IndexKind};
 
 /// |𝒪| sweep. The paper goes to 10⁶; the default harness stops at 10⁵ to
 /// keep single-core wall time sane and notes the truncation in the output.
@@ -25,12 +25,8 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         ),
         &["|O|", "G-Grid", "V-Tree", "V-Tree (G)", "ROAD"],
     );
-    let sizes: Vec<usize> = if cfg.quick {
-        SIZES[..3].to_vec()
-    } else {
-        SIZES.to_vec()
-    };
-    for &n in &sizes {
+    let sizes: &[usize] = if cfg.quick { &SIZES[..3] } else { &SIZES };
+    for &n in sizes {
         let mut scenario = cfg.scenario();
         scenario.moto.num_objects = n;
         // Cap queries for the biggest fleets: ROAD's O(|O|)-per-message
@@ -38,23 +34,13 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         if n >= 100_000 {
             scenario.num_queries = scenario.num_queries.min(3);
         }
-        let outcomes = run_all_in(&world, &cfg.index_params(), &scenario, &IndexKind::ALL);
-        let find = |kind: IndexKind| {
-            outcomes
-                .iter()
-                .find(|o| o.kind == kind)
-                .unwrap()
-                .serial_ns_per_query()
-                .map(fmt_ns)
-                .unwrap_or_else(|| "-".into())
-        };
-        t.row(vec![
+        t.row(serial_row(
+            &world,
+            &cfg.index_params(),
+            &scenario,
+            &IndexKind::ALL,
             n.to_string(),
-            find(IndexKind::GGrid),
-            find(IndexKind::VTree),
-            find(IndexKind::VTreeGpu),
-            find(IndexKind::Road),
-        ]);
+        ));
     }
     t
 }

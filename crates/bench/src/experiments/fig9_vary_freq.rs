@@ -5,10 +5,10 @@
 //! appends, and cleaning only ever touches queried cells), while the eager
 //! baselines degrade rapidly because every message costs index maintenance.
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::ResultTable;
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
-use crate::runner::{run_all_in, BenchWorld, IndexKind};
+use crate::runner::{serial_row, BenchWorld, IndexKind};
 
 const FREQS: [f64; 6] = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
@@ -19,33 +19,19 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         &format!("Fig 9: query time vs update frequency f ({})", ds.name()),
         &["f (1/s)", "G-Grid", "V-Tree", "V-Tree (G)", "ROAD"],
     );
-    let freqs: Vec<f64> = if cfg.quick {
-        vec![0.5, 1.0, 4.0]
-    } else {
-        FREQS.to_vec()
-    };
-    for &f in &freqs {
+    let freqs: &[f64] = if cfg.quick { &[0.5, 1.0, 4.0] } else { &FREQS };
+    for &f in freqs {
         let mut sub = cfg.clone();
         sub.f_per_sec = f;
         let mut scenario = sub.scenario();
         scenario.moto.num_objects = cfg.objects;
-        let outcomes = run_all_in(&world, &sub.index_params(), &scenario, &IndexKind::ALL);
-        let find = |kind: IndexKind| {
-            outcomes
-                .iter()
-                .find(|o| o.kind == kind)
-                .unwrap()
-                .serial_ns_per_query()
-                .map(fmt_ns)
-                .unwrap_or_else(|| "-".into())
-        };
-        t.row(vec![
+        t.row(serial_row(
+            &world,
+            &sub.index_params(),
+            &scenario,
+            &IndexKind::ALL,
             format!("{f}"),
-            find(IndexKind::GGrid),
-            find(IndexKind::VTree),
-            find(IndexKind::VTreeGpu),
-            find(IndexKind::Road),
-        ]);
+        ));
     }
     t
 }

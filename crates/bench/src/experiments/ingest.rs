@@ -17,14 +17,11 @@
 //!   phase 2).
 //!
 //! Answers are byte-identical across every row — batching and the worker
-//! pool reorder nothing observable. The container the harness runs on is
-//! single-core, so the headline figures are the *modeled* ingest clock
-//! (DESIGN.md §5.1) and the counted lock traffic; wall-clock throughput
-//! is reported alongside. Besides the table/CSV the run writes
-//! `BENCH_4.json` with the enforced figures: the per-batch cell-lock
-//! reduction and the modeled ingest-time saving of the group commit.
-
-use std::path::Path;
+//! pool reorder nothing observable. Wall-clock throughput depends on the
+//! host's free cores, so the headline figures are the *modeled* ingest
+//! clock (DESIGN.md §5.1) and the counted lock traffic. The report
+//! (`BENCH_4.json`) records the per-batch cell-lock reduction and the
+//! modeled ingest-time saving of the group commit.
 
 use ggrid::prelude::*;
 use ggrid::stats::ServerCounters;
@@ -32,9 +29,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roadnet::EdgeId;
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::{fmt_ns, fmt_rate, ResultTable};
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
+use crate::report::{Report, Val};
 use crate::runner::BenchWorld;
 
 /// Counters + answers of one sweep point.
@@ -44,7 +42,7 @@ struct Outcome {
     answers: Vec<Vec<(ObjectId, Distance)>>,
 }
 
-pub fn run(cfg: &ExpConfig) -> ResultTable {
+pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let ds = roadnet::gen::Dataset::NY;
     let world = BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale)));
     let params = cfg.index_params();
@@ -64,9 +62,7 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
                 t_delta_ms: params.t_delta_ms,
                 ..params.ggrid.clone()
             };
-            let grid = world.grid(config.cell_capacity, config.vertex_capacity);
-            let mut server =
-                GGridServer::with_shared_grid(grid, config, gpu_sim::Device::quadro_p2000());
+            let mut server = world.server(config);
             let answers = hot_window_workload(&world, &mut server, cfg, rounds, batched);
             Outcome {
                 label,
@@ -119,20 +115,68 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         ]);
     }
 
-    if let Err(e) = write_bench_json(&cfg.out_dir, cfg, rounds, &outcomes) {
-        eprintln!("warning: failed to write BENCH_4.json: {e}");
-    }
-    t
-}
-
-fn fmt_rate(r: f64) -> String {
-    if r >= 1e6 {
-        format!("{:.1}M", r / 1e6)
-    } else if r >= 1e3 {
-        format!("{:.1}k", r / 1e3)
-    } else {
-        format!("{r:.0}")
-    }
+    let by = |label: &str| outcomes.iter().find(|o| o.label == label).unwrap();
+    let (per_call, batched) = (by("per-call"), by("batched"));
+    let cell_lock_reduction_x = per_call.counters.ingest_cell_locks as f64
+        / batched.counters.ingest_cell_locks.max(1) as f64;
+    let (per_call_ns, batched_ns) = (
+        per_call.counters.modeled_ingest_ns(),
+        batched.counters.modeled_ingest_ns(),
+    );
+    let modeled_saved_pct =
+        100.0 * per_call_ns.saturating_sub(batched_ns) as f64 / per_call_ns.max(1) as f64;
+    let point = |o: &Outcome| {
+        let c = &o.counters;
+        let hist = c
+            .batch_size_hist
+            .nonzero()
+            .iter()
+            .map(|&(lo, n)| Val::List(vec![lo.into(), n.into()]))
+            .collect();
+        Val::Obj(vec![
+            ("updates", c.updates_ingested.into()),
+            ("tombstones", c.tombstones_written.into()),
+            ("batches", c.ingest_batches.into()),
+            ("batched_updates", c.batched_updates.into()),
+            ("tombstones_batched", c.tombstones_batched.into()),
+            ("cell_locks", c.ingest_cell_locks.into()),
+            ("cell_lock_wait_ns", c.ingest_cell_lock_wait_ns.into()),
+            ("shard_locks", c.ingest_shard_locks.into()),
+            ("modeled_ingest_ns", c.modeled_ingest_ns().into()),
+            (
+                "updates_per_sec_modeled",
+                Val::Num(c.updates_per_sec_modeled(), 1),
+            ),
+            (
+                "updates_per_sec_measured",
+                Val::Num(c.updates_per_sec_measured(), 1),
+            ),
+            ("parallel_speedup", Val::Num(c.ingest_parallel_speedup(), 3)),
+            ("bucket_allocs", c.bucket_allocs.into()),
+            ("bucket_reuses", c.bucket_reuses.into()),
+            ("ingest_flushes", c.ingest_flushes.into()),
+            ("buffered_messages", c.buffered_messages.into()),
+            ("buffer_bytes_high_water", c.buffer_bytes_high_water.into()),
+            ("snapshot_reuses", c.snapshot_reuses.into()),
+            ("batch_size_p50", c.batch_size_hist.percentile(50.0).into()),
+            ("batch_size_p99", c.batch_size_hist.percentile(99.0).into()),
+            ("batch_size_hist", Val::List(hist)),
+        ])
+    };
+    let fields = vec![
+        ("dataset", "NY".into()),
+        ("scale", cfg.scale.into()),
+        ("objects", cfg.objects.max(64).into()),
+        ("rounds", rounds.into()),
+        ("queries", per_call.answers.len().into()),
+        ("per_call", point(per_call)),
+        ("batched", point(batched)),
+        ("batched_w2", point(by("batched-w2"))),
+        ("batched_w4", point(by("batched-w4"))),
+        ("cell_lock_reduction_x", Val::Num(cell_lock_reduction_x, 2)),
+        ("modeled_saved_pct", Val::Num(modeled_saved_pct, 2)),
+    ];
+    (t, Report::new("BENCH_4", "ingest", fields))
 }
 
 /// Every round the whole fleet reports from a small hot window of edges,
@@ -179,140 +223,21 @@ fn hot_window_workload(
     answers
 }
 
-fn write_bench_json(
-    dir: &Path,
-    cfg: &ExpConfig,
-    rounds: usize,
-    outcomes: &[Outcome],
-) -> std::io::Result<()> {
-    let by = |label: &str| outcomes.iter().find(|o| o.label == label).unwrap();
-    let (per_call, batched) = (by("per-call"), by("batched"));
-    let cell_lock_reduction_x = per_call.counters.ingest_cell_locks as f64
-        / batched.counters.ingest_cell_locks.max(1) as f64;
-    let modeled_saved_pct = 100.0
-        * (per_call
-            .counters
-            .modeled_ingest_ns()
-            .saturating_sub(batched.counters.modeled_ingest_ns())) as f64
-        / per_call.counters.modeled_ingest_ns().max(1) as f64;
-    let point = |o: &Outcome| {
-        let c = &o.counters;
-        let hist: Vec<String> = c
-            .batch_size_hist
-            .nonzero()
-            .iter()
-            .map(|(lo, n)| format!("[{lo}, {n}]"))
-            .collect();
-        format!(
-            "{{\"updates\": {}, \"tombstones\": {}, \"batches\": {}, \"batched_updates\": {}, \"tombstones_batched\": {}, \"cell_locks\": {}, \"cell_lock_wait_ns\": {}, \"shard_locks\": {}, \"modeled_ingest_ns\": {}, \"updates_per_sec_modeled\": {:.1}, \"updates_per_sec_measured\": {:.1}, \"parallel_speedup\": {:.3}, \"bucket_allocs\": {}, \"bucket_reuses\": {}, \"ingest_flushes\": {}, \"buffered_messages\": {}, \"buffer_bytes_high_water\": {}, \"snapshot_reuses\": {}, \"batch_size_p50\": {}, \"batch_size_p99\": {}, \"batch_size_hist\": [{}]}}",
-            c.updates_ingested,
-            c.tombstones_written,
-            c.ingest_batches,
-            c.batched_updates,
-            c.tombstones_batched,
-            c.ingest_cell_locks,
-            c.ingest_cell_lock_wait_ns,
-            c.ingest_shard_locks,
-            c.modeled_ingest_ns(),
-            c.updates_per_sec_modeled(),
-            c.updates_per_sec_measured(),
-            c.ingest_parallel_speedup(),
-            c.bucket_allocs,
-            c.bucket_reuses,
-            c.ingest_flushes,
-            c.buffered_messages,
-            c.buffer_bytes_high_water,
-            c.snapshot_reuses,
-            c.batch_size_hist.percentile(50.0),
-            c.batch_size_hist.percentile(99.0),
-            hist.join(", "),
-        )
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"ingest\",\n  \"dataset\": \"NY\",\n  \"scale\": {},\n  \"objects\": {},\n  \"rounds\": {},\n  \"queries\": {},\n  \"per_call\": {},\n  \"batched\": {},\n  \"batched_w2\": {},\n  \"batched_w4\": {},\n  \"cell_lock_reduction_x\": {:.2},\n  \"modeled_saved_pct\": {:.2}\n}}\n",
-        cfg.scale,
-        cfg.objects.max(64),
-        rounds,
-        per_call.answers.len(),
-        point(per_call),
-        point(batched),
-        point(by("batched-w2")),
-        point(by("batched-w4")),
-        cell_lock_reduction_x,
-        modeled_saved_pct,
-    );
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_4.json"), json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExpConfig {
-        ExpConfig {
-            scale: 4000,
-            objects: 150,
-            queries: 6,
-            out_dir: std::env::temp_dir().join("ggrid_ingest_exp"),
-            ..ExpConfig::quick()
-        }
-    }
+    use crate::experiments::check_floors;
 
     #[test]
     fn group_commit_cuts_cell_locks_and_modeled_time() {
-        let cfg = tiny();
-        let t = run(&cfg);
+        let cfg = ExpConfig {
+            scale: 4000,
+            objects: 150,
+            queries: 6,
+            ..ExpConfig::quick()
+        };
+        let (t, report) = run(&cfg);
         assert_eq!(t.rows.len(), 4);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_4.json")).unwrap();
-        let field = |name: &str| -> f64 {
-            let tail = json.split(&format!("\"{name}\": ")).nth(1).unwrap();
-            tail.split([',', '\n', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            field("cell_lock_reduction_x") >= 2.0,
-            "group commit cut cell-lock traffic only {:.2}x\n{json}",
-            field("cell_lock_reduction_x")
-        );
-        assert!(
-            field("modeled_saved_pct") >= 30.0,
-            "group commit saved only {:.1}% of modeled ingest time\n{json}",
-            field("modeled_saved_pct")
-        );
-        // The batched rows must actually be batching, and the cleaning
-        // free list must be recycling slabs under the churn.
-        let batched = json.split("\"batched\": ").nth(1).unwrap();
-        let sub = |src: &str, name: &str| -> u64 {
-            src.split(&format!("\"{name}\": "))
-                .nth(1)
-                .unwrap()
-                .split([',', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(sub(batched, "batches") > 0, "no batches recorded\n{json}");
-        assert_eq!(
-            sub(batched, "batched_updates"),
-            sub(batched, "updates"),
-            "batched row took a per-call path\n{json}"
-        );
-        assert!(
-            sub(batched, "bucket_reuses") > 0,
-            "cleaning churn never recycled a bucket slab\n{json}"
-        );
-        let per_call = json.split("\"per_call\": ").nth(1).unwrap();
-        assert_eq!(
-            sub(per_call, "batches"),
-            0,
-            "per-call row went through ingest_batch\n{json}"
-        );
+        check_floors(&report);
     }
 }

@@ -11,6 +11,7 @@ pub mod fig7_vary_k;
 pub mod fig8_vary_objects;
 pub mod fig9_vary_freq;
 pub mod ingest;
+pub mod multidevice;
 pub mod residency;
 pub mod serving;
 pub mod sharding;
@@ -27,6 +28,84 @@ use workload::moto::MotoConfig;
 use workload::scenario::ScenarioConfig;
 
 use crate::runner::IndexParams;
+
+/// Every enforced floor of the `BENCH_N` experiments as `(bench, expr)`,
+/// checked by each experiment's test on its report
+/// ([`crate::report::check_floors`] gives the expression syntax).
+pub const FLOORS: &[(&str, &str)] = &[
+    // BENCH_2: residency saves bus traffic and time; the tight budget churns.
+    ("residency", "h2d_saved_pct >= 30"),
+    ("residency", "sim_time_saved_pct > 0"),
+    ("residency", "tight.evictions > 0"),
+    // BENCH_4: the group commit cuts lock traffic and modeled ingest time;
+    // the batched row really batches and recycles slabs, per-call does not.
+    ("ingest", "cell_lock_reduction_x >= 2"),
+    ("ingest", "modeled_saved_pct >= 30"),
+    ("ingest", "batched.batches > 0"),
+    ("ingest", "batched.batched_updates = updates"),
+    ("ingest", "batched.bucket_reuses > 0"),
+    ("ingest", "per_call.batches = 0"),
+    // BENCH_6: guard regions avoid re-evaluations and beat re-querying;
+    // the delta path repairs somewhere and hot-window movement skips.
+    ("subscriptions", "avoided_pct >= 60"),
+    ("subscriptions", "speedup_vs_requery >= 3"),
+    (
+        "subscriptions",
+        "avoided_pct < 100 | rows.repaired_delta > 0",
+    ),
+    ("subscriptions", "rows[variant=hot-window].skipped > 0"),
+    // BENCH_7: uniform scale-out and hotspot rebalancing; the static
+    // hotspot partition is skewed and the rebalancer migrates.
+    ("sharding", "efficiency_d4_uniform >= 0.60"),
+    ("sharding", "rebalance_recovery_hotspot >= 0.25"),
+    (
+        "sharding",
+        "rows[variant=hotspot,devices=4,rebalance=false].max_busy_share > 0.5",
+    ),
+    (
+        "sharding",
+        "rows[variant=hotspot,devices=4,rebalance=true].cells_migrated > 0",
+    ),
+    // BENCH_8: buffered ingest on the hot window; the capacity point is a
+    // real measurement, and all HW_ROUNDS × HW_FLEET = 3000 hot-window
+    // messages went through the buffers.
+    ("capacity", "hot_window.ingest_speedup_x >= 2"),
+    ("capacity", "hot_window.cell_lock_reduction_x >= 5"),
+    ("capacity", "points.index_bytes > 0"),
+    ("capacity", "points.query_ns > 0"),
+    ("capacity", "points.updates_per_sec_modeled > 0"),
+    ("capacity", "hot_window.buffered.ingest_flushes > 0"),
+    ("capacity", "hot_window.buffered.buffered_messages >= 3000"),
+    // BENCH_9: deadline batching wins at saturation and meets the SLO
+    // fill-only batching misses; every point is a real measurement.
+    ("serving", "floors.adaptive_saturation_speedup_x >= 1.5"),
+    ("serving", "floors.adaptive_slo_attainment >= 0.9"),
+    ("serving", "floors.fixed_slo_attainment < 0.5"),
+    ("serving", "points.p99_modeled_ns > 0"),
+    ("serving", "points.throughput_qps_modeled > 0"),
+    // BENCH_10: cooperative SDist cuts the wide-ring critical path and
+    // replication recovers read-hot skew; both paths actually fired.
+    ("sharding2", "cross_shard_critical_cut >= 0.20"),
+    ("sharding2", "replication_skew_recovery >= 0.30"),
+    (
+        "sharding2",
+        "rows[variant=widering,arm=coop,devices=4].cross_shard_rounds > 0",
+    ),
+    (
+        "sharding2",
+        "rows[variant=readhot,arm=coop_repl,devices=4].replica_hits > 0",
+    ),
+    (
+        "sharding2",
+        "rows[variant=readhot,arm=coop_repl,devices=4].replica_invalidations > 0",
+    ),
+];
+
+/// Check `report` against its bench's entries of [`FLOORS`].
+#[cfg(test)]
+fn check_floors(report: &crate::report::Report) {
+    crate::report::check_floors(report, FLOORS);
+}
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]

@@ -15,11 +15,8 @@
 //!   fallback path (full upload, then re-promotion) is exercised too.
 //!
 //! Answers are identical across every row — the sweep isolates bus traffic
-//! and simulated time, not what is computed. Besides the table/CSV, the run
-//! writes `BENCH_2.json` (simulated time and H2D bytes saved by residency)
-//! so the perf trajectory accumulates machine-readable points.
-
-use std::path::Path;
+//! and simulated time, not what is computed. The report (`BENCH_2.json`)
+//! records the simulated time and H2D bytes residency saves.
 
 use ggrid::prelude::*;
 use ggrid::stats::ServerCounters;
@@ -30,6 +27,7 @@ use roadnet::EdgeId;
 use crate::csvout::{fmt_bytes, fmt_ns, ResultTable};
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
+use crate::report::{Report, Val};
 use crate::runner::BenchWorld;
 
 /// Device budgets swept: disabled, eviction-churning, comfortable.
@@ -45,7 +43,7 @@ struct Outcome {
     answers: Vec<Vec<(ObjectId, Distance)>>,
 }
 
-pub fn run(cfg: &ExpConfig) -> ResultTable {
+pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let ds = roadnet::gen::Dataset::NY;
     let world = BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale)));
     let params = cfg.index_params();
@@ -58,9 +56,7 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
                 t_delta_ms: params.t_delta_ms,
                 ..params.ggrid.clone()
             };
-            let grid = world.grid(config.cell_capacity, config.vertex_capacity);
-            let mut server =
-                GGridServer::with_shared_grid(grid, config, gpu_sim::Device::quadro_p2000());
+            let mut server = world.server(config);
             let answers = repeated_query_workload(&world, &mut server, cfg, rounds);
             Outcome {
                 label,
@@ -122,10 +118,39 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         ]);
     }
 
-    if let Err(e) = write_bench_json(&cfg.out_dir, cfg, rounds, &outcomes) {
-        eprintln!("warning: failed to write BENCH_2.json: {e}");
-    }
-    t
+    let by = |label: &str| outcomes.iter().find(|o| o.label == label).unwrap();
+    let (off, on) = (by("off"), by("on"));
+    let saved_bytes = off.counters.h2d_bytes.saturating_sub(on.counters.h2d_bytes);
+    let saved_pct = 100.0 * saved_bytes as f64 / off.counters.h2d_bytes.max(1) as f64;
+    let (off_ns, on_ns) = (off.counters.gpu_time.0, on.counters.gpu_time.0);
+    let time_saved_pct = 100.0 * off_ns.saturating_sub(on_ns) as f64 / off_ns.max(1) as f64;
+    let point = |o: &Outcome| {
+        Val::Obj(vec![
+            ("budget_bytes", o.budget.into()),
+            ("sim_ns", o.counters.gpu_time.0.into()),
+            ("h2d_bytes", o.counters.h2d_bytes.into()),
+            ("h2d_delta_bytes", o.counters.h2d_delta_bytes.into()),
+            ("h2d_full_bytes", o.counters.h2d_full_bytes.into()),
+            ("d2h_bytes", o.counters.d2h_bytes.into()),
+            ("resident_hits", o.counters.resident_hits.into()),
+            ("evictions", o.counters.evictions.into()),
+            ("resident_cells", o.resident_cells.into()),
+        ])
+    };
+    let fields = vec![
+        ("dataset", "NY".into()),
+        ("scale", cfg.scale.into()),
+        ("objects", cfg.objects.max(32).into()),
+        ("rounds", rounds.into()),
+        ("queries", off.answers.len().into()),
+        ("off", point(off)),
+        ("tight", point(by("tight"))),
+        ("on", point(on)),
+        ("h2d_saved_bytes", saved_bytes.into()),
+        ("h2d_saved_pct", Val::Num(saved_pct, 2)),
+        ("sim_time_saved_pct", Val::Num(time_saved_pct, 2)),
+    ];
+    (t, Report::new("BENCH_2", "residency", fields))
 }
 
 /// Scatter the fleet, then revisit a fixed query frontier for `rounds`
@@ -172,104 +197,21 @@ fn repeated_query_workload(
     answers
 }
 
-fn write_bench_json(
-    dir: &Path,
-    cfg: &ExpConfig,
-    rounds: usize,
-    outcomes: &[Outcome],
-) -> std::io::Result<()> {
-    let by = |label: &str| outcomes.iter().find(|o| o.label == label).unwrap();
-    let (off, on) = (by("off"), by("on"));
-    let saved_bytes = off.counters.h2d_bytes.saturating_sub(on.counters.h2d_bytes);
-    let saved_pct = 100.0 * saved_bytes as f64 / off.counters.h2d_bytes.max(1) as f64;
-    let time_saved_pct = 100.0
-        * (off
-            .counters
-            .gpu_time
-            .0
-            .saturating_sub(on.counters.gpu_time.0)) as f64
-        / off.counters.gpu_time.0.max(1) as f64;
-    let point = |o: &Outcome| {
-        format!(
-            "{{\"budget_bytes\": {}, \"sim_ns\": {}, \"h2d_bytes\": {}, \"h2d_delta_bytes\": {}, \"h2d_full_bytes\": {}, \"d2h_bytes\": {}, \"resident_hits\": {}, \"evictions\": {}, \"resident_cells\": {}}}",
-            o.budget,
-            o.counters.gpu_time.0,
-            o.counters.h2d_bytes,
-            o.counters.h2d_delta_bytes,
-            o.counters.h2d_full_bytes,
-            o.counters.d2h_bytes,
-            o.counters.resident_hits,
-            o.counters.evictions,
-            o.resident_cells,
-        )
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"residency\",\n  \"dataset\": \"NY\",\n  \"scale\": {},\n  \"objects\": {},\n  \"rounds\": {},\n  \"queries\": {},\n  \"off\": {},\n  \"tight\": {},\n  \"on\": {},\n  \"h2d_saved_bytes\": {},\n  \"h2d_saved_pct\": {:.2},\n  \"sim_time_saved_pct\": {:.2}\n}}\n",
-        cfg.scale,
-        cfg.objects.max(32),
-        rounds,
-        off.answers.len(),
-        point(off),
-        point(by("tight")),
-        point(on),
-        saved_bytes,
-        saved_pct,
-        time_saved_pct,
-    );
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_2.json"), json)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExpConfig {
-        ExpConfig {
-            scale: 4000,
-            objects: 150,
-            queries: 6,
-            out_dir: std::env::temp_dir().join("ggrid_residency_exp"),
-            ..ExpConfig::quick()
-        }
-    }
+    use crate::experiments::check_floors;
 
     #[test]
     fn residency_saves_h2d_and_time() {
-        let cfg = tiny();
-        let t = run(&cfg);
-        assert_eq!(t.rows.len(), 3);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_2.json")).unwrap();
-        let field = |name: &str| -> f64 {
-            let tail = json.split(&format!("\"{name}\": ")).nth(1).unwrap();
-            tail.split([',', '\n', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
+        let cfg = ExpConfig {
+            scale: 4000,
+            objects: 150,
+            queries: 6,
+            ..ExpConfig::quick()
         };
-        assert!(
-            field("h2d_saved_pct") >= 30.0,
-            "residency saved only {:.1}% of H2D traffic\n{json}",
-            field("h2d_saved_pct")
-        );
-        assert!(
-            field("sim_time_saved_pct") > 0.0,
-            "residency did not improve simulated time\n{json}"
-        );
-        // The tight budget must actually churn.
-        let tight = json.split("\"tight\": ").nth(1).unwrap();
-        let evictions: u64 = tight
-            .split("\"evictions\": ")
-            .nth(1)
-            .unwrap()
-            .split([',', '}'])
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        assert!(evictions > 0, "tight budget never evicted\n{json}");
+        let (t, report) = run(&cfg);
+        assert_eq!(t.rows.len(), 3);
+        check_floors(&report);
     }
 }

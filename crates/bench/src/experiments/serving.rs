@@ -28,17 +28,17 @@
 //!   `fixed_slo_attainment` < 0.5 — the deadline meets an SLO that
 //!   fill-only batching structurally misses.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use ggrid::grid::GraphGrid;
 use ggrid::prelude::*;
-use ggrid::serve::ServeReport;
 use roadnet::{gen, EdgeId};
 use workload::openloop::{poisson_arrivals, split_round_robin, Arrival, OpenLoopConfig};
 
 use crate::csvout::{fmt_ns, ResultTable};
 use crate::experiments::ExpConfig;
+use crate::report::{find, ns, table, Column, Report, Val};
+use crate::runner::server_on;
 
 /// Queries per serve run (quick mode shrinks this).
 const QUERIES: usize = 512;
@@ -52,29 +52,27 @@ const K: usize = 8;
 /// Maintenance epoch cadence (released requests per epoch).
 const EPOCH_REQUESTS: u64 = 128;
 
-/// One batching policy of the sweep.
-#[derive(Clone, Copy)]
-struct Policy {
-    name: &'static str,
-    max_batch: usize,
-    /// `None` = fill-only (infinite deadline).
-    deadline: Option<u64>,
-}
+/// One batching policy of the sweep: name, max batch size, and batch
+/// deadline in modeled ns (`u64::MAX` = fill-only).
+type Policy = (&'static str, usize, u64);
 
-/// One measured (rate, policy) point.
-struct Point {
-    rate_label: &'static str,
-    rate_qps: f64,
-    policy: Policy,
-    deadline_ns: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    p999_ns: u64,
-    slo_attainment: f64,
-    throughput_qps: f64,
-    mean_batch: f64,
-    report: ServeReport,
-}
+/// Result-table columns over the report rows.
+const COLUMNS: &[Column] = &[
+    ("Load", "load", Val::text),
+    ("Policy", "policy", Val::text),
+    ("p50", "p50_modeled_ns", ns),
+    ("p99", "p99_modeled_ns", ns),
+    ("p99.9", "p999_modeled_ns", ns),
+    ("SLO%", "slo_attainment", |v| {
+        format!("{:.1}%", v.f64() * 100.0)
+    }),
+    ("Thruput q/s", "throughput_qps_modeled", |v| {
+        format!("{:.0}", v.f64())
+    }),
+    ("Mean batch", "mean_batch", |v| format!("{:.1}", v.f64())),
+    ("Deadline closes", "deadline_closes", Val::text),
+    ("Epochs", "epochs", Val::text),
+];
 
 fn server_config() -> GGridConfig {
     GGridConfig {
@@ -85,11 +83,7 @@ fn server_config() -> GGridConfig {
 }
 
 fn fresh_server(grid: &Arc<GraphGrid>, fleet: usize) -> GGridServer {
-    let server = GGridServer::with_shared_grid(
-        grid.clone(),
-        server_config(),
-        gpu_sim::Device::quadro_p2000(),
-    );
+    let server = server_on(grid, server_config());
     let ne = grid.graph().num_edges() as u32;
     let wave: Vec<(ObjectId, EdgePosition, Timestamp)> = (0..fleet as u64)
         .map(|o| {
@@ -154,7 +148,7 @@ fn run_point(
     policy: Policy,
     deadline_ns: u64,
     slo_ns: u64,
-) -> Point {
+) -> Val {
     let schedule = poisson_arrivals(
         grid.graph(),
         &OpenLoopConfig {
@@ -175,8 +169,8 @@ fn run_point(
 
     let mut server = fresh_server(grid, fleet);
     let cfg = ServeConfig {
-        max_batch_size: policy.max_batch,
-        deadline_ns: policy.deadline.unwrap_or(u64::MAX),
+        max_batch_size: policy.1,
+        deadline_ns: policy.2,
         epoch_requests: EPOCH_REQUESTS,
         ..Default::default()
     };
@@ -201,23 +195,38 @@ fn run_point(
     let answered: Vec<_> = outcome.records.iter().filter(|r| !r.shed).collect();
     let within = answered.iter().filter(|r| r.latency_ns() <= slo_ns).count();
     let slo_attainment = within as f64 / answered.len().max(1) as f64;
-    let report = outcome.report;
-    Point {
-        rate_label,
-        rate_qps,
-        policy,
-        deadline_ns,
-        p50_ns: report.latency_hist.percentile(50.0),
-        p99_ns: report.latency_hist.percentile(99.0),
-        p999_ns: report.latency_hist.percentile(99.9),
-        slo_attainment,
-        throughput_qps: report.throughput_qps(),
-        mean_batch: report.queries as f64 / report.batches.max(1) as f64,
-        report,
-    }
+    let r = outcome.report;
+    Val::Obj(vec![
+        ("load", rate_label.into()),
+        ("policy", policy.0.into()),
+        ("rate_qps", Val::Num(rate_qps, 1)),
+        ("max_batch", policy.1.into()),
+        ("deadline_ns", deadline_ns.into()),
+        ("queries", r.queries.into()),
+        ("shed", r.shed.into()),
+        ("batches", r.batches.into()),
+        (
+            "mean_batch",
+            Val::Num(r.queries as f64 / r.batches.max(1) as f64, 2),
+        ),
+        ("fill_closes", r.fill_closes.into()),
+        ("deadline_closes", r.deadline_closes.into()),
+        ("boundary_closes", r.boundary_closes.into()),
+        ("epochs", r.epochs.into()),
+        ("ingest_events", r.ingest_events.into()),
+        ("p50_modeled_ns", r.latency_hist.percentile(50.0).into()),
+        ("p99_modeled_ns", r.latency_hist.percentile(99.0).into()),
+        ("p999_modeled_ns", r.latency_hist.percentile(99.9).into()),
+        (
+            "queue_wait_p99_ns",
+            r.queue_wait_hist.percentile(99.0).into(),
+        ),
+        ("slo_attainment", Val::Num(slo_attainment, 4)),
+        ("throughput_qps_modeled", Val::Num(r.throughput_qps(), 1)),
+    ])
 }
 
-pub fn run(cfg: &ExpConfig) -> ResultTable {
+pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let nv = if cfg.quick { 3_000 } else { 10_000 };
     let graph = Arc::new(gen::synthetic_grid(nv, cfg.seed ^ nv as u64));
     let params = server_config();
@@ -242,91 +251,42 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         ("moderate", 6e9 / deadline_ns as f64),
         ("saturate", 4.0 * 32e9 / cal.s32_ns as f64),
     ];
-    let policies = [
-        Policy {
-            name: "fixed-1",
-            max_batch: 1,
-            deadline: Some(0),
-        },
-        Policy {
-            name: "adaptive-8",
-            max_batch: 8,
-            deadline: Some(deadline_ns),
-        },
-        Policy {
-            name: "adaptive-32",
-            max_batch: 32,
-            deadline: Some(deadline_ns),
-        },
-        Policy {
-            name: "fixed-32",
-            max_batch: 32,
-            deadline: None,
-        },
+    let policies: [Policy; 4] = [
+        ("fixed-1", 1, 0),
+        ("adaptive-8", 8, deadline_ns),
+        ("adaptive-32", 32, deadline_ns),
+        ("fixed-32", 32, u64::MAX),
     ];
-
-    let mut points = Vec::new();
-    for &(label, rate) in &rates {
-        for &policy in &policies {
-            points.push(run_point(
-                &grid,
-                fleet,
-                cfg.seed,
-                queries,
-                label,
-                rate,
-                policy,
-                deadline_ns,
-                slo_ns,
-            ));
-        }
-    }
-
-    let mut t = ResultTable::new(
-        &format!(
-            "Extension: open-loop serving (deadline {}, SLO {}, {} queries/run)",
-            fmt_ns(deadline_ns),
-            fmt_ns(slo_ns),
-            queries
-        ),
-        &[
-            "Load",
-            "Policy",
-            "p50",
-            "p99",
-            "p99.9",
-            "SLO%",
-            "Thruput q/s",
-            "Mean batch",
-            "Deadline closes",
-            "Epochs",
-        ],
-    );
-    for p in &points {
-        t.row(vec![
-            p.rate_label.to_string(),
-            p.policy.name.to_string(),
-            fmt_ns(p.p50_ns),
-            fmt_ns(p.p99_ns),
-            fmt_ns(p.p999_ns),
-            format!("{:.1}%", p.slo_attainment * 100.0),
-            format!("{:.0}", p.throughput_qps),
-            format!("{:.1}", p.mean_batch),
-            p.report.deadline_closes.to_string(),
-            p.report.epochs.to_string(),
-        ]);
-    }
-
-    let find = |label: &str, name: &str| -> &Point {
-        points
-            .iter()
-            .find(|p| p.rate_label == label && p.policy.name == name)
-            .expect("sweep point missing")
+    let point = |&(label, rate): &(&'static str, f64), policy| {
+        run_point(
+            &grid,
+            fleet,
+            cfg.seed,
+            queries,
+            label,
+            rate,
+            policy,
+            deadline_ns,
+            slo_ns,
+        )
     };
-    let speedup = find("saturate", "adaptive-32").throughput_qps
-        / find("saturate", "fixed-1").throughput_qps.max(1e-9);
-    let adaptive_slo = find("moderate", "adaptive-32").slo_attainment;
-    let fixed_slo = find("moderate", "fixed-32").slo_attainment;
+    let points: Vec<Val> = rates
+        .iter()
+        .flat_map(|r| policies.map(|p| point(r, p)))
+        .collect();
+
+    let title = format!(
+        "Extension: open-loop serving (deadline {}, SLO {}, {} queries/run)",
+        fmt_ns(deadline_ns),
+        fmt_ns(slo_ns),
+        queries
+    );
+    let t = table(&title, COLUMNS, &points);
+    let at = |filter: &str, key: &str| find(&points, filter).get(key).f64();
+    let speedup = at("load=saturate,policy=adaptive-32", "throughput_qps_modeled")
+        / at("load=saturate,policy=fixed-1", "throughput_qps_modeled").max(1e-9);
+    let adaptive_slo = at("load=moderate,policy=adaptive-32", "slo_attainment");
+    let fixed_slo = at("load=moderate,policy=fixed-32", "slo_attainment");
     println!(
         "serving floors: adaptive saturation speedup {speedup:.2}x vs fixed-1, \
          moderate-load SLO attainment {:.0}% adaptive vs {:.0}% fill-only",
@@ -334,83 +294,33 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         fixed_slo * 100.0
     );
 
-    if let Err(e) = write_bench_json(
-        &cfg.out_dir,
-        cfg,
-        &cal,
-        deadline_ns,
-        slo_ns,
-        &points,
-        speedup,
-        adaptive_slo,
-        fixed_slo,
-    ) {
-        eprintln!("warning: failed to write BENCH_9.json: {e}");
-    }
-    t
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    dir: &Path,
-    cfg: &ExpConfig,
-    cal: &Calibration,
-    deadline_ns: u64,
-    slo_ns: u64,
-    points: &[Point],
-    speedup: f64,
-    adaptive_slo: f64,
-    fixed_slo: f64,
-) -> std::io::Result<()> {
-    let point_json: Vec<String> = points
-        .iter()
-        .map(|p| {
-            let r = &p.report;
-            format!(
-                "    {{\"load\": \"{}\", \"policy\": \"{}\", \"rate_qps\": {:.1}, \"max_batch\": {}, \"deadline_ns\": {}, \"queries\": {}, \"shed\": {}, \"batches\": {}, \"mean_batch\": {:.2}, \"fill_closes\": {}, \"deadline_closes\": {}, \"boundary_closes\": {}, \"epochs\": {}, \"ingest_events\": {}, \"p50_modeled_ns\": {}, \"p99_modeled_ns\": {}, \"p999_modeled_ns\": {}, \"queue_wait_p99_ns\": {}, \"slo_attainment\": {:.4}, \"throughput_qps_modeled\": {:.1}}}",
-                p.rate_label,
-                p.policy.name,
-                p.rate_qps,
-                p.policy.max_batch,
-                p.deadline_ns,
-                r.queries,
-                r.shed,
-                r.batches,
-                p.mean_batch,
-                r.fill_closes,
-                r.deadline_closes,
-                r.boundary_closes,
-                r.epochs,
-                r.ingest_events,
-                p.p50_ns,
-                p.p99_ns,
-                p.p999_ns,
-                r.queue_wait_hist.percentile(99.0),
-                p.slo_attainment,
-                p.throughput_qps,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"serving\",\n  \"quick\": {},\n  \"seed\": {},\n  \"calibration\": {{\"service_single_ns\": {}, \"service_batch32_ns\": {}, \"deadline_ns\": {}, \"slo_ns\": {}}},\n  \"points\": [\n{}\n  ],\n  \"floors\": {{\n    \"adaptive_saturation_speedup_x\": {:.2},\n    \"adaptive_slo_attainment\": {:.4},\n    \"fixed_slo_attainment\": {:.4}\n  }}\n}}\n",
-        cfg.quick,
-        cfg.seed,
-        cal.s1_ns,
-        cal.s32_ns,
-        deadline_ns,
-        slo_ns,
-        point_json.join(",\n"),
-        speedup,
-        adaptive_slo,
-        fixed_slo,
-    );
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_9.json"), json)
+    let floors = vec![
+        ("adaptive_saturation_speedup_x", Val::Num(speedup, 2)),
+        ("adaptive_slo_attainment", Val::Num(adaptive_slo, 4)),
+        ("fixed_slo_attainment", Val::Num(fixed_slo, 4)),
+    ];
+    let fields = vec![
+        ("quick", Val::Bool(cfg.quick)),
+        ("seed", cfg.seed.into()),
+        (
+            "calibration",
+            Val::Obj(vec![
+                ("service_single_ns", cal.s1_ns.into()),
+                ("service_batch32_ns", cal.s32_ns.into()),
+                ("deadline_ns", deadline_ns.into()),
+                ("slo_ns", slo_ns.into()),
+            ]),
+        ),
+        ("points", Val::Rows(points)),
+        ("floors", Val::Block(floors)),
+    ];
+    (t, Report::new("BENCH_9", "serving", fields))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::check_floors;
 
     /// The enforced serving floors, on the quick sweep: adaptive batching
     /// must beat fixed-1 on saturated throughput by 1.5x, and at moderate
@@ -418,42 +328,11 @@ mod tests {
     #[test]
     fn serving_floors_hold() {
         let cfg = ExpConfig {
-            out_dir: std::env::temp_dir().join("ggrid_serving_exp"),
             objects: 4_000,
             ..ExpConfig::quick()
         };
-        let t = run(&cfg);
+        let (t, report) = run(&cfg);
         assert_eq!(t.rows.len(), 12, "3 load levels x 4 policies");
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_9.json")).unwrap();
-        let field = |name: &str| -> f64 {
-            let tail = json.split(&format!("\"{name}\": ")).nth(1).unwrap();
-            tail.split([',', '\n', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            field("adaptive_saturation_speedup_x") >= 1.5,
-            "adaptive batching only {:.2}x over fixed-1 at saturation\n{json}",
-            field("adaptive_saturation_speedup_x")
-        );
-        assert!(
-            field("adaptive_slo_attainment") >= 0.9,
-            "adaptive deadline met the SLO for only {:.0}% of queries\n{json}",
-            field("adaptive_slo_attainment") * 100.0
-        );
-        assert!(
-            field("fixed_slo_attainment") < 0.5,
-            "fill-only batching unexpectedly met the SLO ({:.0}%)\n{json}",
-            field("fixed_slo_attainment") * 100.0
-        );
-        // Every point must be a real measurement.
-        assert!(field("p99_modeled_ns") > 0.0, "free queries\n{json}");
-        assert!(
-            field("throughput_qps_modeled") > 0.0,
-            "no throughput\n{json}"
-        );
+        check_floors(&report);
     }
 }

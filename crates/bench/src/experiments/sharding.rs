@@ -19,7 +19,7 @@
 //!
 //! The modeled serving time `T(D)` is the sum over epochs of the busiest
 //! shard's busy-time delta (kernel + transfer: the critical path of a
-//! fully concurrent epoch). Headline figures in `BENCH_7.json`:
+//! fully concurrent epoch). Headlines of the report (`BENCH_7.json`):
 //!
 //! * `efficiency_d4_uniform` — `T(1) / (4 · T(4))` on uniform load;
 //! * `rebalance_recovery_hotspot` — the fraction of the hotspot skew
@@ -28,52 +28,38 @@
 //!   `D = 4` uniform (duplicated staging, per-shard cleaning rounds)
 //!   relative to the single-device run.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use ggrid::grid::GraphGrid;
 use ggrid::prelude::*;
-use roadnet::EdgeId;
 use workload::CellWindowSampler;
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::ResultTable;
 use crate::datasets::{build_dataset, DatasetSpec};
+use crate::experiments::multidevice::{edge_window, replay, sweep, EpochAnswers, Script, Wave};
 use crate::experiments::ExpConfig;
-use crate::runner::BenchWorld;
+use crate::report::{find, ns, share, table, Column, Report, Val};
+use crate::runner::{server_on, BenchWorld};
 
 const K: usize = 8;
-const DEVICE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-type Wave = Vec<(ObjectId, EdgePosition, Timestamp)>;
-type QueryBatch = Vec<(EdgePosition, usize)>;
-/// Per epoch per query: the fused batch's `(object, distance)` answers.
-type EpochAnswers = Vec<Vec<Vec<(ObjectId, Distance)>>>;
+/// Result-table columns over the report rows.
+const COLUMNS: &[Column] = &[
+    ("Movement", "variant", Val::text),
+    ("D", "devices", Val::text),
+    ("Rebalance", "rebalance", |v| on_off(v.text() == "true")),
+    ("T(D)", "critical_ns", ns),
+    ("Efficiency", "efficiency", share),
+    ("Max share", "max_busy_share", share),
+    ("Rebalances", "rebalances", Val::text),
+    ("Migrated", "cells_migrated", Val::text),
+];
 
-/// One replay of the scripted stream on a `(variant, D, rebalance)` point.
-struct RunResult {
-    variant: &'static str,
-    devices: usize,
-    rebalance: bool,
-    /// `T(D)`: Σ over epochs of the busiest shard's busy delta.
-    critical_ns: u64,
-    /// Σ over shards of lifetime busy (the modeled total work).
-    total_busy_ns: u64,
-    /// Busiest shard's share of `total_busy_ns` (1.0 at D = 1).
-    max_busy_share: f64,
-    rebalances: u64,
-    cells_migrated: u64,
-    /// Per-epoch fused batch answers, for cross-D equality asserts.
-    answers: EpochAnswers,
+fn on_off(on: bool) -> String {
+    if on { "on" } else { "off" }.to_string()
 }
 
-/// The scripted workload both variants replay identically at every D.
-struct Script {
-    seed_wave: Wave,
-    /// Per epoch: one ingest wave and one query batch.
-    epochs: Vec<(Wave, QueryBatch)>,
-}
-
-pub fn run(cfg: &ExpConfig) -> ResultTable {
+pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let ds = roadnet::gen::Dataset::NY;
     let world = BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale)));
     let base = cfg.index_params().ggrid;
@@ -86,74 +72,72 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
     // evenly over 8 shards; cfg.queries stays the floor for tiny runs.
     let queries = cfg.queries.max(24);
 
-    let mut outcomes: Vec<RunResult> = Vec::new();
-    for &variant in &["uniform", "hotspot"] {
-        let script = build_script(&grid, cfg, variant, objects, wave, epochs, queries);
-        let mut reference_answers: Option<EpochAnswers> = None;
-        for &d in &DEVICE_COUNTS {
-            for rebalance in [false, true] {
-                if d == 1 && rebalance {
-                    continue;
-                }
-                let r = run_stream(&grid, &base, variant, d, rebalance, &script);
-                match &reference_answers {
-                    None => reference_answers = Some(r.answers.clone()),
-                    Some(want) => assert_eq!(
-                        &r.answers, want,
-                        "{variant}: answers diverged from D=1 at D={d} (rebalance={rebalance})"
-                    ),
-                }
-                outcomes.push(r);
+    // T(1) of the variant, from its D = 1 run that comes first.
+    let mut t1 = 0;
+    let script = |variant: &str| build_script(&grid, cfg, variant, objects, wave, epochs, queries);
+    let rows = sweep(
+        &["uniform", "hotspot"],
+        &[false, true],
+        script,
+        |variant, d, rebalance, script| {
+            let (row, answers) = run_stream(
+                &grid,
+                &base,
+                variant,
+                d,
+                rebalance,
+                (d > 1).then_some(t1),
+                script,
+            );
+            if d == 1 {
+                t1 = row.get("critical_ns").u64();
             }
-        }
-    }
-
-    let t1 = |variant: &str| -> u64 {
-        outcomes
-            .iter()
-            .find(|o| o.variant == variant && o.devices == 1)
-            .map(|o| o.critical_ns)
-            .unwrap_or(0)
-    };
-
-    let mut t = ResultTable::new(
-        &format!(
-            "Extension: multi-device sharding ({}, {} objects, wave {}, {} epochs, {} queries/epoch, k={K})",
-            ds.name(),
-            objects,
-            wave,
-            epochs,
-            queries
-        ),
-        &[
-            "Movement",
-            "D",
-            "Rebalance",
-            "T(D)",
-            "Efficiency",
-            "Max share",
-            "Rebalances",
-            "Migrated",
-        ],
+            (row, answers)
+        },
     );
-    for o in &outcomes {
-        let eff = efficiency(t1(o.variant), o.devices, o.critical_ns);
-        t.row(vec![
-            o.variant.to_string(),
-            o.devices.to_string(),
-            if o.rebalance { "on" } else { "off" }.to_string(),
-            fmt_ns(o.critical_ns),
-            format!("{:.0}%", 100.0 * eff),
-            format!("{:.0}%", 100.0 * o.max_busy_share),
-            o.rebalances.to_string(),
-            o.cells_migrated.to_string(),
-        ]);
-    }
 
-    if let Err(e) = write_bench_json(&cfg.out_dir, cfg, objects, wave, epochs, queries, &outcomes) {
-        eprintln!("warning: failed to write BENCH_7.json: {e}");
-    }
-    t
+    let title = format!(
+        "Extension: multi-device sharding ({}, {} objects, wave {}, {} epochs, {} queries/epoch, k={K})",
+        ds.name(),
+        objects,
+        wave,
+        epochs,
+        queries
+    );
+    let t = table(&title, COLUMNS, &rows);
+    let at = |filter: &str, key: &str| find(&rows, filter).get(key).f64();
+
+    // Headlines at D = 4 (the mid-sweep point both floors are set on).
+    let efficiency_d4_uniform = at("variant=uniform,devices=4,rebalance=false", "efficiency");
+    let h1 = at("variant=hotspot,devices=1", "critical_ns");
+    let p_static = at("variant=hotspot,devices=4,rebalance=false", "critical_ns") - h1 / 4.0;
+    let p_rebal = at("variant=hotspot,devices=4,rebalance=true", "critical_ns") - h1 / 4.0;
+    let rebalance_recovery_hotspot = if p_static > 0.0 {
+        (p_static - p_rebal) / p_static
+    } else {
+        0.0
+    };
+    let u4_busy = at("variant=uniform,devices=4,rebalance=false", "total_busy_ns");
+    let u1_busy = at("variant=uniform,devices=1", "total_busy_ns");
+    let merge_overhead_pct = 100.0 * (u4_busy / u1_busy.max(1.0) - 1.0);
+
+    let fields = vec![
+        ("dataset", "NY".into()),
+        ("scale", cfg.scale.into()),
+        ("objects", objects.into()),
+        ("wave", wave.into()),
+        ("epochs", epochs.into()),
+        ("queries_per_epoch", queries.into()),
+        ("k", K.into()),
+        ("rows", Val::Rows(rows)),
+        ("efficiency_d4_uniform", Val::Num(efficiency_d4_uniform, 4)),
+        (
+            "rebalance_recovery_hotspot",
+            Val::Num(rebalance_recovery_hotspot, 4),
+        ),
+        ("merge_overhead_pct", Val::Num(merge_overhead_pct, 2)),
+    ];
+    (t, Report::new("BENCH_7", "sharding", fields))
 }
 
 fn efficiency(t1: u64, d: usize, td: u64) -> f64 {
@@ -175,20 +159,7 @@ fn build_script(
 ) -> Script {
     let num_cells = grid.num_cells() as u32;
     let window = if variant == "hotspot" {
-        let lo = num_cells / 2;
-        // Widen until the window actually contains edges (z-values over
-        // empty cells carry none).
-        let mut w = (num_cells / 16).max(1);
-        loop {
-            let hi = (lo + w).min(num_cells);
-            let has_edges = (0..grid.graph().num_edges() as u32)
-                .map(EdgeId)
-                .any(|e| (lo..hi).contains(&(grid.cell_of_edge(e).index() as u32)));
-            if has_edges || hi == num_cells {
-                break lo..hi;
-            }
-            w *= 2;
-        }
+        edge_window(grid, num_cells / 2, num_cells / 16)
     } else {
         0..num_cells
     };
@@ -208,7 +179,7 @@ fn build_script(
             // window (after the first epoch their tombstones land there
             // too, keeping all dirt local). uniform: the wave rotates
             // through the fleet.
-            let wave_updates: Vec<(ObjectId, EdgePosition, Timestamp)> = (0..wave as u64)
+            let wave_updates: Wave = (0..wave as u64)
                 .map(|j| {
                     let o = if variant == "hotspot" {
                         j
@@ -233,32 +204,18 @@ fn run_stream(
     variant: &'static str,
     devices: usize,
     rebalance: bool,
+    t1: Option<u64>,
     script: &Script,
-) -> RunResult {
+) -> (Val, EpochAnswers) {
     let config = GGridConfig {
         num_devices: devices,
         ..base.clone()
     };
-    let mut server =
-        GGridServer::with_shared_grid(grid.clone(), config, gpu_sim::Device::quadro_p2000());
+    let mut server = server_on(grid, config);
     server.ingest_batch(&script.seed_wave);
+    let run = replay(&mut server, devices, script, false, rebalance);
 
-    let mut prev = server.counters().shard_busy_ns;
-    let mut critical_ns = 0u64;
-    let mut answers = Vec::with_capacity(script.epochs.len());
-    for (wave, queries) in &script.epochs {
-        let t = wave.first().map(|u| u.2).unwrap_or(Timestamp(1_000));
-        server.ingest_batch(wave);
-        let batch = server.knn_batch(queries, t);
-        answers.push(batch.answers);
-        if rebalance {
-            server.rebalance_shards();
-        }
-        let busy = server.counters().shard_busy_ns;
-        critical_ns += (0..devices).map(|i| busy[i] - prev[i]).max().unwrap_or(0);
-        prev = busy;
-    }
-
+    // Lifetime busy (the modeled total work) and the busiest shard's share.
     let c = server.counters();
     let total: u64 = c.shard_busy_ns[..devices].iter().sum();
     let max = c.shard_busy_ns[..devices]
@@ -266,160 +223,43 @@ fn run_stream(
         .max()
         .copied()
         .unwrap_or(0);
-    RunResult {
-        variant,
-        devices,
-        rebalance,
-        critical_ns,
-        total_busy_ns: total,
-        max_busy_share: max as f64 / total.max(1) as f64,
-        rebalances: c.rebalances,
-        cells_migrated: c.cells_migrated,
-        answers,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    dir: &Path,
-    cfg: &ExpConfig,
-    objects: usize,
-    wave: usize,
-    epochs: usize,
-    queries: usize,
-    outcomes: &[RunResult],
-) -> std::io::Result<()> {
-    let t1 = |variant: &str| -> u64 {
-        outcomes
-            .iter()
-            .find(|o| o.variant == variant && o.devices == 1)
-            .map(|o| o.critical_ns)
-            .unwrap_or(0)
-    };
-    let find = |variant: &str, d: usize, rebal: bool| -> &RunResult {
-        outcomes
-            .iter()
-            .find(|o| o.variant == variant && o.devices == d && o.rebalance == rebal)
-            .expect("sweep point missing")
-    };
-
-    let rows: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"variant\": \"{}\", \"devices\": {}, \"rebalance\": {}, \"critical_ns\": {}, \"total_busy_ns\": {}, \"efficiency\": {:.4}, \"max_busy_share\": {:.4}, \"rebalances\": {}, \"cells_migrated\": {}}}",
-                o.variant,
-                o.devices,
-                o.rebalance,
-                o.critical_ns,
-                o.total_busy_ns,
-                efficiency(t1(o.variant), o.devices, o.critical_ns),
-                o.max_busy_share,
-                o.rebalances,
-                o.cells_migrated,
-            )
-        })
-        .collect();
-
-    // Headlines at D = 4 (the mid-sweep point both floors are set on).
-    let u4 = find("uniform", 4, false);
-    let efficiency_d4_uniform = efficiency(t1("uniform"), 4, u4.critical_ns);
-    let h1 = t1("hotspot") as f64;
-    let p_static = find("hotspot", 4, false).critical_ns as f64 - h1 / 4.0;
-    let p_rebal = find("hotspot", 4, true).critical_ns as f64 - h1 / 4.0;
-    let rebalance_recovery_hotspot = if p_static > 0.0 {
-        (p_static - p_rebal) / p_static
-    } else {
-        0.0
-    };
-    let merge_overhead_pct = 100.0
-        * (u4.total_busy_ns as f64 / find("uniform", 1, false).total_busy_ns.max(1) as f64 - 1.0);
-
-    let json = format!(
-        "{{\n  \"bench\": \"sharding\",\n  \"dataset\": \"NY\",\n  \"scale\": {},\n  \"objects\": {},\n  \"wave\": {},\n  \"epochs\": {},\n  \"queries_per_epoch\": {},\n  \"k\": {},\n  \"rows\": [\n    {}\n  ],\n  \"efficiency_d4_uniform\": {:.4},\n  \"rebalance_recovery_hotspot\": {:.4},\n  \"merge_overhead_pct\": {:.2}\n}}\n",
-        cfg.scale,
-        objects,
-        wave,
-        epochs,
-        queries,
-        K,
-        rows.join(",\n    "),
-        efficiency_d4_uniform,
-        rebalance_recovery_hotspot,
-        merge_overhead_pct,
-    );
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_7.json"), json)
+    let t1 = t1.unwrap_or(run.critical_ns);
+    let row = Val::Obj(vec![
+        ("variant", variant.into()),
+        ("devices", devices.into()),
+        ("rebalance", Val::Bool(rebalance)),
+        ("critical_ns", run.critical_ns.into()),
+        ("total_busy_ns", total.into()),
+        (
+            "efficiency",
+            Val::Num(efficiency(t1, devices, run.critical_ns), 4),
+        ),
+        (
+            "max_busy_share",
+            Val::Num(max as f64 / total.max(1) as f64, 4),
+        ),
+        ("rebalances", c.rebalances.into()),
+        ("cells_migrated", c.cells_migrated.into()),
+    ]);
+    (row, run.answers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExpConfig {
-        ExpConfig {
-            scale: 50,
-            objects: 1000,
-            queries: 6,
-            out_dir: std::env::temp_dir().join("ggrid_sharding_exp"),
-            ..ExpConfig::quick()
-        }
-    }
+    use crate::experiments::check_floors;
 
     #[test]
     fn scale_out_floors_hold() {
-        let cfg = tiny();
-        let t = run(&cfg);
+        let cfg = ExpConfig {
+            scale: 50,
+            objects: 1000,
+            queries: 6,
+            ..ExpConfig::quick()
+        };
+        let (t, report) = run(&cfg);
         // 2 variants × (D=1 once + three D>1 points × two arms).
         assert_eq!(t.rows.len(), 14);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_7.json")).unwrap();
-        let field = |name: &str| -> f64 {
-            let tail = json.split(&format!("\"{name}\": ")).last().unwrap();
-            tail.split([',', '\n', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            field("efficiency_d4_uniform") >= 0.60,
-            "uniform scale-out efficiency at D=4 only {:.2}\n{json}",
-            field("efficiency_d4_uniform")
-        );
-        assert!(
-            field("rebalance_recovery_hotspot") >= 0.25,
-            "rebalancing recovered only {:.2} of the hotspot skew penalty\n{json}",
-            field("rebalance_recovery_hotspot")
-        );
-        // The hotspot sweep must be non-degenerate: the static D=4 run is
-        // actually skewed, and the rebalancing arm actually migrated.
-        let hot_static = json
-            .split("\"variant\": \"hotspot\", \"devices\": 4, \"rebalance\": false")
-            .nth(1)
-            .unwrap();
-        let sub_field = |src: &str, name: &str| -> f64 {
-            src.split(&format!("\"{name}\": "))
-                .nth(1)
-                .unwrap()
-                .split([',', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            sub_field(hot_static, "max_busy_share") > 0.5,
-            "hotspot load never skewed the static partition\n{json}"
-        );
-        let hot_rebal = json
-            .split("\"variant\": \"hotspot\", \"devices\": 4, \"rebalance\": true")
-            .nth(1)
-            .unwrap();
-        assert!(
-            sub_field(hot_rebal, "cells_migrated") > 0.0,
-            "rebalancer never migrated a cell under hotspot load\n{json}"
-        );
+        check_floors(&report);
     }
 }

@@ -37,7 +37,7 @@
 //!
 //! Every run's per-epoch fused-batch answers are asserted byte-identical
 //! to the `D = 1` reference — the cooperative paths move modeled cost,
-//! never answers. Headlines in `BENCH_10.json`:
+//! never answers. Headlines of the report (`BENCH_10.json`):
 //!
 //! * `cross_shard_critical_cut` — fraction of the widering critical path
 //!   `T(4)` that the coop arm cuts off the baseline arm;
@@ -46,61 +46,46 @@
 //!   `total/D`, at D = 4 under migration-only coop) that the replication
 //!   arm wins back.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use ggrid::grid::GraphGrid;
 use ggrid::prelude::*;
-use roadnet::EdgeId;
 use workload::CellWindowSampler;
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::ResultTable;
 use crate::datasets::{build_dataset, DatasetSpec};
+use crate::experiments::multidevice::{
+    edge_window, replay, sweep, EpochAnswers, QueryBatch, Script, Wave,
+};
 use crate::experiments::ExpConfig;
-use crate::runner::BenchWorld;
+use crate::report::{find, ns, share, table, Column, Report, Val};
+use crate::runner::{server_on, BenchWorld};
 
 const K: usize = 16;
-const DEVICE_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// (name, cross_shard_sdist, replication)
+/// (name, cross_shard_sdist, replication); the gates only act when there
+/// are shards, so D = 1 runs the baseline alone.
 const ARMS: [(&str, bool, bool); 3] = [
     ("baseline", false, false),
     ("coop", true, false),
     ("coop_repl", true, true),
 ];
 
-type Wave = Vec<(ObjectId, EdgePosition, Timestamp)>;
-type QueryBatch = Vec<(EdgePosition, usize)>;
-type EpochAnswers = Vec<Vec<Vec<(ObjectId, Distance)>>>;
+/// Result-table columns over the report rows.
+const COLUMNS: &[Column] = &[
+    ("Movement", "variant", Val::text),
+    ("Arm", "arm", Val::text),
+    ("D", "devices", Val::text),
+    ("T(D)", "critical_ns", ns),
+    ("Max share", "max_busy_share", share),
+    ("Skew", "skew_ns", ns),
+    ("Coop rounds", "cross_shard_rounds", Val::text),
+    ("Replica hits", "replica_hits", Val::text),
+    ("Invalidations", "replica_invalidations", Val::text),
+    ("Migrated", "cells_migrated", Val::text),
+];
 
-struct RunResult {
-    variant: &'static str,
-    arm: &'static str,
-    devices: usize,
-    /// `T(D)`: Σ over epochs of the busiest shard's busy delta.
-    critical_ns: u64,
-    /// Busy time summed over devices across the serving epochs (the seed
-    /// ingest/clean, identical in every arm, is excluded).
-    total_busy_ns: u64,
-    max_busy_share: f64,
-    /// Imbalance: busiest device's serving busy minus the perfect-balance
-    /// share `total / D` — the busy time a hotspot adds to the critical
-    /// path beyond what the workload costs under even spread.
-    skew_ns: u64,
-    cross_shard_rounds: u64,
-    replica_hits: u64,
-    replica_invalidations: u64,
-    replicas_active: u64,
-    cells_migrated: u64,
-    answers: EpochAnswers,
-}
-
-struct Script {
-    seed_wave: Wave,
-    epochs: Vec<(Wave, QueryBatch)>,
-}
-
-pub fn run(cfg: &ExpConfig) -> ResultTable {
+pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let ds = roadnet::gen::Dataset::NY;
     let world = BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale)));
     let base = cfg.index_params().ggrid;
@@ -110,92 +95,73 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
     let epochs = if cfg.quick { 4 } else { 8 };
     let queries = cfg.queries.max(8);
 
-    let mut outcomes: Vec<RunResult> = Vec::new();
-    for &variant in &["uniform", "widering", "readhot"] {
+    let script = |variant: &str| {
         // readhot is the read-amplification regime: double the reader batch
         // so the per-read folding replication buys dominates the fixed
         // once-per-epoch promotion/invalidation churn it pays for.
-        let q = if variant == "readhot" {
-            queries * 2
-        } else {
-            queries
-        };
-        let script = build_script(&grid, cfg, variant, objects, epochs, q);
-        let mut reference_answers: Option<EpochAnswers> = None;
-        for &d in &DEVICE_COUNTS {
-            for &(arm, cross, repl) in &ARMS {
-                if d == 1 && arm != "baseline" {
-                    continue; // the gates only act when there are shards
-                }
-                let r = run_stream(&grid, &base, variant, arm, d, cross, repl, &script);
-                match &reference_answers {
-                    None => reference_answers = Some(r.answers.clone()),
-                    Some(want) => assert_eq!(
-                        &r.answers, want,
-                        "{variant}: answers diverged from D=1 at D={d} arm={arm}"
-                    ),
-                }
-                outcomes.push(r);
-            }
-        }
-    }
-
-    let mut t = ResultTable::new(
-        &format!(
-            "Extension: cooperative multi-device execution ({}, {} objects, {} epochs, {} queries/epoch, k={K})",
-            ds.name(),
-            objects,
-            epochs,
-            queries
-        ),
-        &[
-            "Movement",
-            "Arm",
-            "D",
-            "T(D)",
-            "Max share",
-            "Skew",
-            "Coop rounds",
-            "Replica hits",
-            "Invalidations",
-            "Migrated",
-        ],
+        let q = queries * if variant == "readhot" { 2 } else { 1 };
+        build_script(&grid, cfg, variant, objects, epochs, q)
+    };
+    let variants = ["uniform", "widering", "readhot"];
+    let rows = sweep(
+        &variants,
+        &ARMS,
+        script,
+        |variant, d, (arm, cross, repl), script| {
+            run_stream(&grid, &base, variant, arm, d, cross, repl, script)
+        },
     );
-    for o in &outcomes {
-        t.row(vec![
-            o.variant.to_string(),
-            o.arm.to_string(),
-            o.devices.to_string(),
-            fmt_ns(o.critical_ns),
-            format!("{:.0}%", 100.0 * o.max_busy_share),
-            fmt_ns(o.skew_ns),
-            o.cross_shard_rounds.to_string(),
-            o.replica_hits.to_string(),
-            o.replica_invalidations.to_string(),
-            o.cells_migrated.to_string(),
-        ]);
-    }
 
-    if let Err(e) = write_bench_json(&cfg.out_dir, cfg, objects, epochs, queries, &outcomes) {
-        eprintln!("warning: failed to write BENCH_10.json: {e}");
-    }
-    t
-}
+    let title = format!(
+        "Extension: cooperative multi-device execution ({}, {} objects, {} epochs, {} queries/epoch, k={K})",
+        ds.name(),
+        objects,
+        epochs,
+        queries
+    );
+    let t = table(&title, COLUMNS, &rows);
+    let at = |filter: &str, key: &str| find(&rows, filter).get(key).f64();
 
-/// A z-order cell window starting at `lo`, widened until it owns edges.
-fn edge_window(grid: &GraphGrid, lo: u32, start_width: u32) -> std::ops::Range<u32> {
-    let num_cells = grid.num_cells() as u32;
-    let mut w = start_width.max(1);
-    loop {
-        let hi = (lo + w).min(num_cells);
-        let has_edges = (0..grid.graph().num_edges() as u32)
-            .map(EdgeId)
-            .any(|e| (lo..hi).contains(&(grid.cell_of_edge(e).index() as u32)));
-        if has_edges || hi == num_cells {
-            break lo..hi;
-        }
-        w *= 2;
-    }
+    // Headlines at D = 4.
+    let wide_base = at("variant=widering,arm=baseline,devices=4", "critical_ns");
+    let wide_coop = at("variant=widering,arm=coop,devices=4", "critical_ns");
+    let cross_shard_critical_cut = if wide_base > 0.0 {
+        1.0 - wide_coop / wide_base
+    } else {
+        0.0
+    };
+
+    // The read-hotspot skew penalty of an arm is the serving busy-time
+    // its busiest device carries beyond the perfect-balance share — under
+    // migration-only cooperative SDist the hot cells' one owner serves
+    // every query's gather and scattered leg, so that excess is exactly
+    // what read-hot replication exists to win back.
+    let p_coop = at("variant=readhot,arm=coop,devices=4", "skew_ns");
+    let p_repl = at("variant=readhot,arm=coop_repl,devices=4", "skew_ns");
+    let replication_skew_recovery = if p_coop > 0.0 {
+        (p_coop - p_repl) / p_coop
+    } else {
+        0.0
+    };
+
+    let fields = vec![
+        ("dataset", "NY".into()),
+        ("scale", cfg.scale.into()),
+        ("objects", objects.into()),
+        ("epochs", epochs.into()),
+        ("queries_per_epoch", queries.into()),
+        ("k", K.into()),
+        ("rows", Val::Rows(rows)),
+        (
+            "cross_shard_critical_cut",
+            Val::Num(cross_shard_critical_cut, 4),
+        ),
+        (
+            "replication_skew_recovery",
+            Val::Num(replication_skew_recovery, 4),
+        ),
+    ];
+    (t, Report::new("BENCH_10", "sharding2", fields))
 }
 
 /// Deterministic per-epoch waves and query batches for one variant.
@@ -309,7 +275,7 @@ fn run_stream(
     cross_shard: bool,
     replication: bool,
     script: &Script,
-) -> RunResult {
+) -> (Val, EpochAnswers) {
     let config = GGridConfig {
         num_devices: devices,
         cross_shard_sdist: cross_shard,
@@ -321,198 +287,61 @@ fn run_stream(
         replicate_threshold: if replication { 4 } else { 0 },
         ..base.clone()
     };
-    let mut server =
-        GGridServer::with_shared_grid(grid.clone(), config, gpu_sim::Device::quadro_p2000());
+    let mut server = server_on(grid, config);
     server.ingest_batch(&script.seed_wave);
     server.clean_all(Timestamp(500));
+    let run = replay(&mut server, devices, script, true, true);
 
-    let mut prev = server.counters().shard_busy_ns;
-    let mut critical_ns = 0u64;
-    let mut served = vec![0u64; devices];
-    let mut answers = Vec::with_capacity(script.epochs.len());
-    for (wave, queries) in &script.epochs {
-        let t = wave.first().map(|u| u.2).unwrap_or(Timestamp(1_000));
-        server.evict_all_topology();
-        server.ingest_batch(wave);
-        let batch = server.knn_batch(queries, t);
-        answers.push(batch.answers);
-        server.rebalance_shards();
-        let busy = server.counters().shard_busy_ns;
-        critical_ns += (0..devices).map(|i| busy[i] - prev[i]).max().unwrap_or(0);
-        for (acc, d) in served.iter_mut().zip(0..devices) {
-            *acc += busy[d] - prev[d];
-        }
-        prev = busy;
-    }
-
+    // Busy time over the serving epochs only: the seed ingest/clean is
+    // identical in every arm.
     let c = server.counters();
-    let total: u64 = served.iter().sum();
-    let max = served.iter().max().copied().unwrap_or(0);
-    RunResult {
-        variant,
-        arm,
-        devices,
-        critical_ns,
-        total_busy_ns: total,
-        max_busy_share: max as f64 / total.max(1) as f64,
-        skew_ns: max.saturating_sub(total / devices.max(1) as u64),
-        cross_shard_rounds: c.cross_shard_rounds,
-        replica_hits: c.replica_hits,
-        replica_invalidations: c.replica_invalidations,
-        replicas_active: c.replicas_active,
-        cells_migrated: c.cells_migrated,
-        answers,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    dir: &Path,
-    cfg: &ExpConfig,
-    objects: usize,
-    epochs: usize,
-    queries: usize,
-    outcomes: &[RunResult],
-) -> std::io::Result<()> {
-    let find = |variant: &str, arm: &str, d: usize| -> &RunResult {
-        outcomes
-            .iter()
-            .find(|o| o.variant == variant && o.arm == arm && o.devices == d)
-            .expect("sweep point missing")
-    };
-
-    let rows: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"variant\": \"{}\", \"arm\": \"{}\", \"devices\": {}, \"critical_ns\": {}, \"total_busy_ns\": {}, \"max_busy_share\": {:.4}, \"skew_ns\": {}, \"cross_shard_rounds\": {}, \"replica_hits\": {}, \"replica_invalidations\": {}, \"replicas_active\": {}, \"cells_migrated\": {}}}",
-                o.variant,
-                o.arm,
-                o.devices,
-                o.critical_ns,
-                o.total_busy_ns,
-                o.max_busy_share,
-                o.skew_ns,
-                o.cross_shard_rounds,
-                o.replica_hits,
-                o.replica_invalidations,
-                o.replicas_active,
-                o.cells_migrated,
-            )
-        })
-        .collect();
-
-    // Headlines at D = 4.
-    let wide_base = find("widering", "baseline", 4).critical_ns as f64;
-    let wide_coop = find("widering", "coop", 4).critical_ns as f64;
-    let cross_shard_critical_cut = if wide_base > 0.0 {
-        1.0 - wide_coop / wide_base
-    } else {
-        0.0
-    };
-
-    // The read-hotspot skew penalty of an arm is the serving busy-time
-    // its busiest device carries beyond the perfect-balance share — under
-    // migration-only cooperative SDist the hot cells' one owner serves
-    // every query's gather and scattered leg, so that excess is exactly
-    // what read-hot replication exists to win back.
-    let p_coop = find("readhot", "coop", 4).skew_ns as f64;
-    let p_repl = find("readhot", "coop_repl", 4).skew_ns as f64;
-    let replication_skew_recovery = if p_coop > 0.0 {
-        (p_coop - p_repl) / p_coop
-    } else {
-        0.0
-    };
-
-    let json = format!(
-        "{{\n  \"bench\": \"sharding2\",\n  \"dataset\": \"NY\",\n  \"scale\": {},\n  \"objects\": {},\n  \"epochs\": {},\n  \"queries_per_epoch\": {},\n  \"k\": {},\n  \"rows\": [\n    {}\n  ],\n  \"cross_shard_critical_cut\": {:.4},\n  \"replication_skew_recovery\": {:.4}\n}}\n",
-        cfg.scale,
-        objects,
-        epochs,
-        queries,
-        K,
-        rows.join(",\n    "),
-        cross_shard_critical_cut,
-        replication_skew_recovery,
-    );
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_10.json"), json)
+    let total: u64 = run.served_ns.iter().sum();
+    let max = run.served_ns.iter().max().copied().unwrap_or(0);
+    let row = Val::Obj(vec![
+        ("variant", variant.into()),
+        ("arm", arm.into()),
+        ("devices", devices.into()),
+        ("critical_ns", run.critical_ns.into()),
+        ("total_busy_ns", total.into()),
+        (
+            "max_busy_share",
+            Val::Num(max as f64 / total.max(1) as f64, 4),
+        ),
+        // Imbalance: the busiest device's serving busy beyond the
+        // perfect-balance share — the busy time a hotspot adds to the
+        // critical path beyond what the workload costs under even spread.
+        (
+            "skew_ns",
+            max.saturating_sub(total / devices.max(1) as u64).into(),
+        ),
+        ("cross_shard_rounds", c.cross_shard_rounds.into()),
+        ("replica_hits", c.replica_hits.into()),
+        ("replica_invalidations", c.replica_invalidations.into()),
+        ("replicas_active", c.replicas_active.into()),
+        ("cells_migrated", c.cells_migrated.into()),
+    ]);
+    (row, run.answers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExpConfig {
-        // Scale 12 (≈22k vertices, 16k cells) is the smallest NY cut where
-        // per-query relaxation dominates the fixed launch/PCIe overheads
-        // enough for the cooperative headline effects to be measurable.
-        ExpConfig {
-            scale: 12,
-            objects: 1000,
-            queries: 8,
-            out_dir: std::env::temp_dir().join("ggrid_sharding2_exp"),
-            ..ExpConfig::quick()
-        }
-    }
+    use crate::experiments::check_floors;
 
     #[test]
     fn cooperative_floors_hold() {
-        let cfg = tiny();
-        let t = run(&cfg);
+        // Scale 12 (≈22k vertices, 16k cells) is the smallest NY cut where
+        // per-query relaxation dominates the fixed launch/PCIe overheads
+        // enough for the cooperative headline effects to be measurable.
+        let cfg = ExpConfig {
+            scale: 12,
+            objects: 1000,
+            queries: 8,
+            ..ExpConfig::quick()
+        };
+        let (t, report) = run(&cfg);
         // 3 variants × (D=1 baseline once + three D>1 points × three arms).
         assert_eq!(t.rows.len(), 30);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_10.json")).unwrap();
-        let field = |name: &str| -> f64 {
-            let tail = json.split(&format!("\"{name}\": ")).last().unwrap();
-            tail.split([',', '\n', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            field("cross_shard_critical_cut") >= 0.20,
-            "cooperative SDist cut only {:.2} of the wide-ring critical path\n{json}",
-            field("cross_shard_critical_cut")
-        );
-        assert!(
-            field("replication_skew_recovery") >= 0.30,
-            "replication recovered only {:.2} of the read-hotspot skew penalty\n{json}",
-            field("replication_skew_recovery")
-        );
-        // Non-degeneracy: the cooperative paths actually fired.
-        let sub_field = |src: &str, name: &str| -> f64 {
-            src.split(&format!("\"{name}\": "))
-                .nth(1)
-                .unwrap()
-                .split([',', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        let coop_wide = json
-            .split("\"variant\": \"widering\", \"arm\": \"coop\", \"devices\": 4")
-            .nth(1)
-            .unwrap();
-        assert!(
-            sub_field(coop_wide, "cross_shard_rounds") > 0.0,
-            "widering coop never took a cooperative SDist round\n{json}"
-        );
-        let repl_hot = json
-            .split("\"variant\": \"readhot\", \"arm\": \"coop_repl\", \"devices\": 4")
-            .nth(1)
-            .unwrap();
-        assert!(
-            sub_field(repl_hot, "replica_hits") > 0.0,
-            "readhot coop_repl never served a ring cell from a replica\n{json}"
-        );
-        assert!(
-            sub_field(repl_hot, "replica_invalidations") > 0.0,
-            "readhot writes never invalidated a replica\n{json}"
-        );
+        check_floors(&report);
     }
 }

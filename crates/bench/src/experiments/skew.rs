@@ -9,10 +9,10 @@
 
 use workload::moto::Placement;
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::ResultTable;
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
-use crate::runner::{run_one_in, BenchWorld, IndexKind};
+use crate::runner::{serial_row, BenchWorld, IndexKind};
 
 pub fn run(cfg: &ExpConfig) -> ResultTable {
     let ds = roadnet::gen::Dataset::NY;
@@ -41,17 +41,9 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
     for (label, placement) in placements {
         let mut scenario = cfg.scenario();
         scenario.moto.placement = placement;
-        let fmt = |kind| {
-            run_one_in(&world, kind, &cfg.index_params(), &scenario)
-                .serial_ns_per_query()
-                .map(fmt_ns)
-                .unwrap_or_else(|| "-".into())
-        };
-        t.row(vec![
-            label.to_string(),
-            fmt(IndexKind::GGrid),
-            fmt(IndexKind::VTree),
-        ]);
+        let kinds = [IndexKind::GGrid, IndexKind::VTree];
+        let params = cfg.index_params();
+        t.row(serial_row(&world, &params, &scenario, &kinds, label.into()));
     }
     t
 }

@@ -18,40 +18,42 @@
 //! The baseline replays the identical waves on a second server and issues a
 //! fresh `knn` per rider per tick; both sides must return byte-identical
 //! answers (the subscription path *is* the query path, incrementally
-//! maintained). Besides the table/CSV the run writes `BENCH_6.json` with
-//! the enforced figures: the fraction of per-tick re-evaluations the guard
-//! avoided or downgraded, and the modeled-throughput speedup of the
-//! subscription path over re-querying everything.
-
-use std::path::Path;
+//! maintained). The report (`BENCH_6.json`) records the fraction of
+//! per-tick re-evaluations the guard avoided or downgraded, and the
+//! modeled speedup of the subscription path over re-querying everything.
 
 use ggrid::prelude::*;
-use ggrid::stats::ServerCounters;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use roadnet::EdgeId;
 
-use crate::csvout::{fmt_ns, ResultTable};
+use crate::csvout::{fmt_rate, ResultTable};
 use crate::datasets::{build_dataset, DatasetSpec};
 use crate::experiments::ExpConfig;
+use crate::report::{ns, table, Column, Report, Val};
 use crate::runner::BenchWorld;
 
 const K: usize = 8;
 /// Edges in the hot window all movement crowds into (hot-window variant).
 const WINDOW: u32 = 96;
 
-/// Measured outcome of one sweep point.
-struct Outcome {
-    variant: &'static str,
-    subs: usize,
-    ticks: usize,
-    wave: usize,
-    counters: ServerCounters,
-    /// Baseline (re-query-everything) modeled ns over the same workload.
-    baseline_ns: u64,
-}
+/// Result-table columns over the report rows.
+const COLUMNS: &[Column] = &[
+    ("Movement", "variant", Val::text),
+    ("Subs", "subs", Val::text),
+    ("Skipped", "skipped", Val::text),
+    ("Delta", "repaired_delta", Val::text),
+    ("Full", "repaired_full", Val::text),
+    ("Avoided", "avoided_pct", |v| format!("{:.1}%", v.f64())),
+    ("ns/tick", "subs_modeled_ns_per_tick", ns),
+    ("Subs/s model", "subs_per_sec_modeled", |v| {
+        fmt_rate(v.f64())
+    }),
+    ("Requery ns/tick", "baseline_ns_per_tick", ns),
+    ("Speedup", "speedup", |v| format!("{:.2}x", v.f64())),
+];
 
-pub fn run(cfg: &ExpConfig) -> ResultTable {
+pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let ds = roadnet::gen::Dataset::NY;
     let world = BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale)));
     let params = cfg.index_params();
@@ -60,16 +62,12 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
     let objects = cfg.objects.max(world.graph.num_edges() / 2);
     let wave = (objects / 32).max(32);
     let ticks = if cfg.quick { 20 } else { 32 };
-    let sub_counts: Vec<usize> = if cfg.quick {
-        vec![16, 48]
-    } else {
-        vec![64, 192]
-    };
+    let sub_counts = if cfg.quick { [16, 48] } else { [64, 192] };
 
-    let mut outcomes = Vec::new();
+    let mut points = Vec::new();
     for &variant in &["uniform", "hot-window"] {
         for &n_subs in &sub_counts {
-            outcomes.push(run_point(
+            points.push(run_point(
                 &world,
                 &params.ggrid,
                 cfg,
@@ -82,55 +80,50 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         }
     }
 
-    let mut t = ResultTable::new(
-        &format!(
-            "Extension: continuous subscriptions ({}, {} objects, wave {}, {} ticks, k={K})",
-            ds.name(),
-            objects,
-            wave,
-            ticks
-        ),
-        &[
-            "Movement",
-            "Subs",
-            "Skipped",
-            "Delta",
-            "Full",
-            "Avoided",
-            "ns/tick",
-            "Subs/s model",
-            "Requery ns/tick",
-            "Speedup",
-        ],
+    let title = format!(
+        "Extension: continuous subscriptions ({}, {} objects, wave {}, {} ticks, k={K})",
+        ds.name(),
+        objects,
+        wave,
+        ticks
     );
-    for o in &outcomes {
-        let c = &o.counters;
-        t.row(vec![
-            o.variant.to_string(),
-            o.subs.to_string(),
-            c.subs_skipped.to_string(),
-            c.subs_repaired_delta.to_string(),
-            c.subs_repaired_full.to_string(),
-            format!("{:.1}%", 100.0 * c.subs_avoided_rate()),
-            fmt_ns(c.subs_modeled_ns_per_tick()),
-            fmt_rate(c.subs_per_sec_modeled()),
-            fmt_ns(o.baseline_ns / o.ticks.max(1) as u64),
-            format!(
-                "{:.2}x",
-                o.baseline_ns as f64 / c.subs_modeled_ns().max(1) as f64
-            ),
-        ]);
+    // Headline figures from the hot-window rows — the localized-churn
+    // deployment the guard index targets (the uniform rows are reported
+    // alongside as the adversarial case).
+    let (mut skipped, mut delta, mut full) = (0u64, 0u64, 0u64);
+    let (mut subs_ns, mut base_ns) = (0u64, 0u64);
+    for (row, point_subs_ns, point_base_ns) in &points {
+        if row.get("variant").text() == "hot-window" {
+            skipped += row.get("skipped").u64();
+            delta += row.get("repaired_delta").u64();
+            full += row.get("repaired_full").u64();
+            subs_ns += point_subs_ns;
+            base_ns += point_base_ns;
+        }
     }
+    let avoided_pct = 100.0 * (skipped + delta) as f64 / (skipped + delta + full).max(1) as f64;
+    let speedup = base_ns as f64 / subs_ns.max(1) as f64;
 
-    if let Err(e) = write_bench_json(&cfg.out_dir, cfg, objects, wave, ticks, &outcomes) {
-        eprintln!("warning: failed to write BENCH_6.json: {e}");
-    }
-    t
+    let rows: Vec<Val> = points.into_iter().map(|p| p.0).collect();
+    let t = table(&title, COLUMNS, &rows);
+    let fields = vec![
+        ("dataset", "NY".into()),
+        ("scale", cfg.scale.into()),
+        ("objects", objects.into()),
+        ("wave", wave.into()),
+        ("ticks", ticks.into()),
+        ("k", K.into()),
+        ("rows", Val::Rows(rows)),
+        ("avoided_pct", Val::Num(avoided_pct, 2)),
+        ("speedup_vs_requery", Val::Num(speedup, 2)),
+    ];
+    (t, Report::new("BENCH_6", "subscriptions", fields))
 }
 
 /// One sweep point: a subscription server and a re-query baseline replay
 /// the identical seed + waves; answers are asserted byte-identical every
-/// tick for every rider.
+/// tick for every rider. Returns the report row, the subscription path's
+/// modeled ns and the baseline's (re-query-everything) modeled ns.
 #[allow(clippy::too_many_arguments)]
 fn run_point(
     world: &BenchWorld,
@@ -141,20 +134,15 @@ fn run_point(
     wave: usize,
     n_subs: usize,
     ticks: usize,
-) -> Outcome {
+) -> (Val, u64, u64) {
     let config = GGridConfig {
         // Expiry churn is exercised by the core tests; the sweep isolates
         // movement-driven invalidation, so reports never go stale.
         t_delta_ms: 1 << 40,
         ..base_config.clone()
     };
-    let grid = world.grid(config.cell_capacity, config.vertex_capacity);
-    let mut server = GGridServer::with_shared_grid(
-        grid.clone(),
-        config.clone(),
-        gpu_sim::Device::quadro_p2000(),
-    );
-    let mut baseline = GGridServer::with_shared_grid(grid, config, gpu_sim::Device::quadro_p2000());
+    let mut server = world.server(config.clone());
+    let mut baseline = world.server(config);
 
     let ne = world.graph.num_edges() as u32;
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5B5);
@@ -219,147 +207,56 @@ fn run_point(
         baseline_ns += (b1.query_cpu_ns - b0.query_cpu_ns) + (b1.gpu_time.0 - b0.gpu_time.0);
     }
 
-    Outcome {
-        variant,
-        subs: n_subs,
-        ticks,
-        wave,
-        counters: server.counters(),
-        baseline_ns,
-    }
-}
-
-fn fmt_rate(r: f64) -> String {
-    if r >= 1e6 {
-        format!("{:.1}M", r / 1e6)
-    } else if r >= 1e3 {
-        format!("{:.1}k", r / 1e3)
-    } else {
-        format!("{r:.0}")
-    }
-}
-
-fn write_bench_json(
-    dir: &Path,
-    cfg: &ExpConfig,
-    objects: usize,
-    wave: usize,
-    ticks: usize,
-    outcomes: &[Outcome],
-) -> std::io::Result<()> {
-    let point = |o: &Outcome| {
-        let c = &o.counters;
-        let hist: Vec<String> = c.guard_radius_hist.iter().map(|v| v.to_string()).collect();
-        format!(
-            "{{\"variant\": \"{}\", \"subs\": {}, \"ticks\": {}, \"wave\": {}, \"invalidated\": {}, \"repaired_delta\": {}, \"repaired_full\": {}, \"skipped\": {}, \"avoided_pct\": {:.2}, \"subs_modeled_ns_per_tick\": {}, \"subs_per_sec_modeled\": {:.1}, \"baseline_ns_per_tick\": {}, \"speedup\": {:.2}, \"guard_radius_hist\": [{}]}}",
-            o.variant,
-            o.subs,
-            o.ticks,
-            o.wave,
-            c.subs_invalidated,
-            c.subs_repaired_delta,
-            c.subs_repaired_full,
-            c.subs_skipped,
-            100.0 * c.subs_avoided_rate(),
-            c.subs_modeled_ns_per_tick(),
-            c.subs_per_sec_modeled(),
-            o.baseline_ns / o.ticks.max(1) as u64,
-            o.baseline_ns as f64 / c.subs_modeled_ns().max(1) as f64,
-            hist.join(", "),
-        )
-    };
-    // Headline figures from the hot-window rows — the localized-churn
-    // deployment the guard index targets (the uniform rows are reported
-    // alongside as the adversarial case).
-    let hot: Vec<&Outcome> = outcomes
-        .iter()
-        .filter(|o| o.variant == "hot-window")
-        .collect();
-    let (mut skipped, mut delta, mut full) = (0u64, 0u64, 0u64);
-    let (mut subs_ns, mut base_ns) = (0u64, 0u64);
-    for o in &hot {
-        skipped += o.counters.subs_skipped;
-        delta += o.counters.subs_repaired_delta;
-        full += o.counters.subs_repaired_full;
-        subs_ns += o.counters.subs_modeled_ns();
-        base_ns += o.baseline_ns;
-    }
-    let avoided_pct = 100.0 * (skipped + delta) as f64 / (skipped + delta + full).max(1) as f64;
-    let speedup = base_ns as f64 / subs_ns.max(1) as f64;
-
-    let rows: Vec<String> = outcomes.iter().map(point).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"subscriptions\",\n  \"dataset\": \"NY\",\n  \"scale\": {},\n  \"objects\": {},\n  \"wave\": {},\n  \"ticks\": {},\n  \"k\": {},\n  \"rows\": [\n    {}\n  ],\n  \"avoided_pct\": {:.2},\n  \"speedup_vs_requery\": {:.2}\n}}\n",
-        cfg.scale,
-        objects,
-        wave,
-        ticks,
-        K,
-        rows.join(",\n    "),
-        avoided_pct,
-        speedup,
-    );
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_6.json"), json)
+    let c = server.counters();
+    let row = Val::Obj(vec![
+        ("variant", variant.into()),
+        ("subs", n_subs.into()),
+        ("ticks", ticks.into()),
+        ("wave", wave.into()),
+        ("invalidated", c.subs_invalidated.into()),
+        ("repaired_delta", c.subs_repaired_delta.into()),
+        ("repaired_full", c.subs_repaired_full.into()),
+        ("skipped", c.subs_skipped.into()),
+        ("avoided_pct", Val::Num(100.0 * c.subs_avoided_rate(), 2)),
+        (
+            "subs_modeled_ns_per_tick",
+            c.subs_modeled_ns_per_tick().into(),
+        ),
+        (
+            "subs_per_sec_modeled",
+            Val::Num(c.subs_per_sec_modeled(), 1),
+        ),
+        (
+            "baseline_ns_per_tick",
+            (baseline_ns / ticks.max(1) as u64).into(),
+        ),
+        (
+            "speedup",
+            Val::Num(baseline_ns as f64 / c.subs_modeled_ns().max(1) as f64, 2),
+        ),
+        (
+            "guard_radius_hist",
+            Val::List(c.guard_radius_hist.iter().map(|&v| v.into()).collect()),
+        ),
+    ]);
+    (row, c.subs_modeled_ns(), baseline_ns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> ExpConfig {
-        ExpConfig {
-            scale: 50,
-            objects: 1000,
-            queries: 6,
-            out_dir: std::env::temp_dir().join("ggrid_subscriptions_exp"),
-            ..ExpConfig::quick()
-        }
-    }
+    use crate::experiments::check_floors;
 
     #[test]
     fn guard_radius_avoids_requery_work() {
-        let cfg = tiny();
-        let t = run(&cfg);
+        let cfg = ExpConfig {
+            scale: 50,
+            objects: 1000,
+            queries: 6,
+            ..ExpConfig::quick()
+        };
+        let (t, report) = run(&cfg);
         assert_eq!(t.rows.len(), 4);
-        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_6.json")).unwrap();
-        let field = |name: &str| -> f64 {
-            let tail = json.split(&format!("\"{name}\": ")).last().unwrap();
-            tail.split([',', '\n', '}'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            field("avoided_pct") >= 60.0,
-            "guard regions avoided only {:.1}% of re-evaluations\n{json}",
-            field("avoided_pct")
-        );
-        assert!(
-            field("speedup_vs_requery") >= 3.0,
-            "subscriptions only {:.2}x faster than re-querying everything\n{json}",
-            field("speedup_vs_requery")
-        );
-        // The sweep must be non-degenerate: movement actually invalidated
-        // subscriptions somewhere, and the delta path actually repaired.
-        assert!(field("avoided_pct") < 100.0 || !json.contains("\"repaired_delta\": 0"));
-        let hot = json.split("\"variant\": \"hot-window\"").nth(1).unwrap();
-        let sub_field = |src: &str, name: &str| -> f64 {
-            src.split(&format!("\"{name}\": "))
-                .nth(1)
-                .unwrap()
-                .split([',', '}', ']'])
-                .next()
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap()
-        };
-        assert!(
-            sub_field(hot, "skipped") > 0.0,
-            "hot-window movement never skipped a subscription\n{json}"
-        );
+        check_floors(&report);
     }
 }

@@ -3,7 +3,8 @@
 //! Regenerates every table and figure of the G-Grid paper's evaluation
 //! (§VII) on the synthetic, scale-preserving datasets of
 //! [`roadnet::gen`]. The `experiments` binary prints each experiment as an
-//! aligned table and writes a CSV next to it under `results/`.
+//! aligned table and writes a CSV next to it under `results/`; the
+//! extension studies also write a [`report::Report`] as `BENCH_N.json`.
 //!
 //! Absolute numbers differ from the paper (the substrate is a simulator,
 //! not the authors' Xeon + Quadro P2000 testbed, and the datasets are
@@ -14,6 +15,7 @@
 pub mod csvout;
 pub mod datasets;
 pub mod experiments;
+pub mod report;
 pub mod runner;
 
 pub use datasets::{build_dataset, DatasetSpec};

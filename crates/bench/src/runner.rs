@@ -16,6 +16,8 @@ use ggrid::{GGridConfig, GGridServer};
 use roadnet::graph::Graph;
 use workload::scenario::{run_scenario, ScenarioConfig, ScenarioReport};
 
+use crate::csvout::fmt_ns;
+
 /// Per-dataset cache of the expensive immutable substrates.
 pub struct BenchWorld {
     pub graph: Arc<Graph>,
@@ -48,6 +50,14 @@ impl BenchWorld {
             .clone()
     }
 
+    /// A G-Grid server for `config` on this world's cached grid.
+    pub fn server(&self, config: GGridConfig) -> GGridServer {
+        server_on(
+            &self.grid(config.cell_capacity, config.vertex_capacity),
+            config,
+        )
+    }
+
     /// The region substrate for a leaf capacity, built once.
     pub fn regions(&self, leaf_capacity: usize) -> Arc<RegionIndex> {
         self.regions
@@ -57,6 +67,11 @@ impl BenchWorld {
             .or_insert_with(|| Arc::new(RegionIndex::build(self.graph.clone(), leaf_capacity)))
             .clone()
     }
+}
+
+/// A G-Grid server on a shared grid, on the paper's device (Quadro P2000).
+pub fn server_on(grid: &Arc<GraphGrid>, config: GGridConfig) -> GGridServer {
+    GGridServer::with_shared_grid(grid.clone(), config, gpu_sim::Device::quadro_p2000())
 }
 
 /// The four competitors of the paper's evaluation.
@@ -140,18 +155,10 @@ pub fn build_index_in(
     params: &IndexParams,
 ) -> Option<Box<dyn MovingObjectIndex>> {
     match kind {
-        IndexKind::GGrid => {
-            let cfg = GGridConfig {
-                t_delta_ms: params.t_delta_ms,
-                ..params.ggrid.clone()
-            };
-            let grid = world.grid(cfg.cell_capacity, cfg.vertex_capacity);
-            Some(Box::new(GGridServer::with_shared_grid(
-                grid,
-                cfg,
-                gpu_sim::Device::quadro_p2000(),
-            )))
-        }
+        IndexKind::GGrid => Some(Box::new(world.server(GGridConfig {
+            t_delta_ms: params.t_delta_ms,
+            ..params.ggrid.clone()
+        }))),
         IndexKind::VTree => Some(Box::new(VTree::from_regions(
             world.graph.clone(),
             world.regions(params.leaf_capacity),
@@ -209,16 +216,6 @@ pub fn run_one_in(
     }
 }
 
-/// Run `scenario` against one index kind (uncached convenience wrapper).
-pub fn run_one(
-    kind: IndexKind,
-    graph: &Arc<Graph>,
-    params: &IndexParams,
-    scenario: &ScenarioConfig,
-) -> RunOutcome {
-    run_one_in(&BenchWorld::new(graph.clone()), kind, params, scenario)
-}
-
 /// Run `scenario` against every index in `kinds`, sharing substrates.
 pub fn run_all_indexes(
     graph: &Arc<Graph>,
@@ -246,13 +243,32 @@ pub fn run_all_in(
         .collect()
 }
 
+/// Run `scenario` against `kinds`: the row `label` followed by each
+/// index's serial per-query time, `-` where it could not be built.
+pub fn serial_row(
+    world: &BenchWorld,
+    params: &IndexParams,
+    scenario: &ScenarioConfig,
+    kinds: &[IndexKind],
+    label: String,
+) -> Vec<String> {
+    let outcomes = run_all_in(world, params, scenario, kinds);
+    let times = outcomes.iter().map(|o| {
+        o.serial_ns_per_query()
+            .map(fmt_ns)
+            .unwrap_or_else(|| "-".into())
+    });
+    std::iter::once(label).chain(times).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use workload::moto::MotoConfig;
 
-    fn tiny_scenario() -> ScenarioConfig {
-        ScenarioConfig {
+    /// Every index on a toy graph with a tiny fleet and three queries.
+    fn tiny_outcomes() -> Vec<RunOutcome> {
+        let scenario = ScenarioConfig {
             moto: MotoConfig {
                 num_objects: 20,
                 update_period_ms: 300,
@@ -265,12 +281,7 @@ mod tests {
             warmup_ms: 350,
             query_seed: 8,
             buffered_ingest: false,
-        }
-    }
-
-    #[test]
-    fn all_four_indexes_run() {
-        let graph = Arc::new(roadnet::gen::toy(2));
+        };
         let params = IndexParams {
             ggrid: GGridConfig {
                 eta: 4,
@@ -279,7 +290,13 @@ mod tests {
             leaf_capacity: 8,
             t_delta_ms: 10_000,
         };
-        let outcomes = run_all_indexes(&graph, &params, &tiny_scenario(), &IndexKind::ALL);
+        let graph = Arc::new(roadnet::gen::toy(2));
+        run_all_indexes(&graph, &params, &scenario, &IndexKind::ALL)
+    }
+
+    #[test]
+    fn all_four_indexes_run() {
+        let outcomes = tiny_outcomes();
         assert_eq!(outcomes.len(), 4);
         for o in &outcomes {
             assert!(!o.build_skipped, "{} failed to build", o.kind.name());
@@ -292,16 +309,7 @@ mod tests {
 
     #[test]
     fn indexes_agree_on_answers() {
-        let graph = Arc::new(roadnet::gen::toy(2));
-        let params = IndexParams {
-            ggrid: GGridConfig {
-                eta: 4,
-                ..Default::default()
-            },
-            leaf_capacity: 8,
-            t_delta_ms: 10_000,
-        };
-        let outcomes = run_all_indexes(&graph, &params, &tiny_scenario(), &IndexKind::ALL);
+        let outcomes = tiny_outcomes();
         let dists: Vec<Vec<Vec<u64>>> = outcomes
             .iter()
             .map(|o| {

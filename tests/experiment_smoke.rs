@@ -230,9 +230,9 @@ fn bench_json_files_parse_with_modeled_keys() {
 #[test]
 fn sharding_smoke() {
     let cfg = mini();
-    let t = sharding::run(&cfg);
+    let (t, report) = sharding::run(&cfg);
     assert_eq!(t.rows.len(), 14, "2 variants x 7 (D, rebalance) points");
-    let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_7.json")).unwrap();
+    let json = report.render();
     assert!(json.contains("\"bench\": \"sharding\""));
     assert!(json.contains("\"efficiency_d4_uniform\""));
 }
