@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the building blocks: Z-curve encoding, graph
-//! partitioning, Dijkstra, the X-shuffle kernel, message caching, and the
-//! object table.
+//! partitioning, the graph-grid build, Dijkstra, the X-shuffle kernel,
+//! message caching, and the object table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ggrid::grid::CellId;
+use ggrid::grid::{CellId, GraphGrid};
 use ggrid::message::{CachedMessage, ObjectId, Timestamp};
 use ggrid::xshuffle::{xshuffle_clean, WireMessage};
 use gpu_sim::{Device, DeviceSpec};
@@ -34,6 +34,22 @@ fn bench_partition(c: &mut Criterion) {
     c.bench_function("partition_576v_cap8", |b| {
         b.iter(|| partition::partition_with_capacity(&g, 8).num_parts)
     });
+}
+
+/// The index build on NY at scale 12 (~22k vertices, ψ = 7 at δᶜ = 3):
+/// the bisection and the cell layout timed apart.
+fn bench_grid_build(c: &mut Criterion) {
+    let g = std::sync::Arc::new(gen::dataset(gen::Dataset::NY, 12, 1));
+    let psi = GraphGrid::build(g.clone(), 3, 2).psi();
+    let assignment = partition::hierarchical_bisection(&g, 2 * psi).assignment;
+    let mut group = c.benchmark_group("grid_build_ny12");
+    group.bench_function("partition", |b| {
+        b.iter(|| partition::hierarchical_bisection(&g, 2 * psi).num_parts)
+    });
+    group.bench_function("assemble", |b| {
+        b.iter(|| GraphGrid::assemble(g.clone(), psi, assignment.clone(), 3, 2).num_cells())
+    });
+    group.finish();
 }
 
 fn bench_dijkstra(c: &mut Criterion) {
@@ -103,6 +119,7 @@ criterion_group!(
     benches,
     bench_zorder,
     bench_partition,
+    bench_grid_build,
     bench_dijkstra,
     bench_xshuffle,
     bench_update_path

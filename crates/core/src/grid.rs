@@ -38,22 +38,44 @@ pub struct GridEdge {
 
 /// One vertex record: `v = ⟨id, 𝒜_e, n⟩`. A vertex with more than δᵛ
 /// in-edges occupies several records (the extras are *virtual vertices*).
-#[derive(Clone, Debug)]
+/// The record's edges are a range of the grid's one in-edge array; read
+/// them with [`Cell::edges`].
+#[derive(Clone, Copy, Debug)]
 pub struct VertexRecord {
     pub vertex: VertexId,
-    pub edges: Vec<GridEdge>,
     /// True for spill records of a vertex that exceeded δᵛ.
     pub is_virtual: bool,
+    edges_start: u32,
+    edges_end: u32,
 }
 
-/// One grid cell: `c = ⟨𝒜_v, n_v, n_e⟩`.
-#[derive(Clone, Debug, Default)]
-pub struct Cell {
-    pub records: Vec<VertexRecord>,
+/// One grid cell: `c = ⟨𝒜_v, n_v, n_e⟩`, a view into the grid's arrays.
+#[derive(Clone, Copy, Debug)]
+pub struct Cell<'a> {
+    pub records: &'a [VertexRecord],
     /// Real (non-virtual) vertices in the cell.
     pub num_vertices: u32,
     /// Edges whose source vertex is in this cell.
     pub num_out_edges: u32,
+    /// The whole grid's in-edge array, which the records index.
+    in_edges: &'a [GridEdge],
+}
+
+impl<'a> Cell<'a> {
+    /// The (at most δᵛ) in-edges stored in record `r` of this cell.
+    pub fn edges(&self, r: &VertexRecord) -> &'a [GridEdge] {
+        &self.in_edges[r.edges_start as usize..r.edges_end as usize]
+    }
+}
+
+/// An out-edge in a [`CellTopology`]: destination, the destination's cell
+/// (Z-value) — the boundary check reads this instead of chasing the
+/// destination's cell through the vertex map — and weight.
+#[derive(Clone, Copy, Debug)]
+struct TopoOutEdge {
+    dest: VertexId,
+    dest_cell: u32,
+    weight: u32,
 }
 
 /// Per-cell CSR slice of the graph, in the layout the device keeps
@@ -62,48 +84,42 @@ pub struct Cell {
 /// CSR stores every edge of every vertex exactly once (virtual spill
 /// records are merged back), which is what the frontier kernel and the
 /// boundary check relax over.
-#[derive(Clone, Debug, Default)]
-pub struct CellTopology {
+///
+/// A view into the grid's arrays: the offsets are the cell's window of
+/// grid-wide offset arrays, so they index the grid-wide edge arrays.
+#[derive(Clone, Copy, Debug)]
+pub struct CellTopology<'a> {
     /// Real vertices of the cell, in record order.
-    pub verts: Vec<VertexId>,
+    pub verts: &'a [VertexId],
     /// `in_offsets[i]..in_offsets[i+1]` indexes `verts[i]`'s in-edges.
-    pub in_offsets: Vec<u32>,
-    /// Source vertex of each in-edge.
-    pub in_src: Vec<VertexId>,
-    pub in_weight: Vec<u32>,
+    in_offsets: &'a [u32],
+    in_edges: &'a [GridEdge],
     /// `out_offsets[i]..out_offsets[i+1]` indexes `verts[i]`'s out-edges.
-    pub out_offsets: Vec<u32>,
-    /// Destination vertex of each out-edge.
-    pub out_dest: Vec<VertexId>,
-    /// Cell (Z-value) of each out-edge's destination — the boundary check
-    /// reads this instead of chasing the destination's cell through the
-    /// vertex map.
-    pub out_dest_cell: Vec<u32>,
-    pub out_weight: Vec<u32>,
+    out_offsets: &'a [u32],
+    out_edges: &'a [TopoOutEdge],
 }
 
-impl CellTopology {
+impl<'a> CellTopology<'a> {
     pub fn num_vertices(&self) -> usize {
         self.verts.len()
     }
 
     /// In-edges of the vertex at local slot `i`: `(source, weight)` pairs.
-    pub fn in_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+    pub fn in_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32)> + 'a {
         let (a, b) = (self.in_offsets[i] as usize, self.in_offsets[i + 1] as usize);
-        self.in_src[a..b]
-            .iter()
-            .copied()
-            .zip(self.in_weight[a..b].iter().copied())
+        self.in_edges[a..b].iter().map(|e| (e.source, e.weight))
     }
 
     /// Out-edges of the vertex at local slot `i`:
     /// `(dest, dest_cell, weight)` triples.
-    pub fn out_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32, u32)> + '_ {
+    pub fn out_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32, u32)> + 'a {
         let (a, b) = (
             self.out_offsets[i] as usize,
             self.out_offsets[i + 1] as usize,
         );
-        (a..b).map(move |j| (self.out_dest[j], self.out_dest_cell[j], self.out_weight[j]))
+        self.out_edges[a..b]
+            .iter()
+            .map(|e| (e.dest, e.dest_cell, e.weight))
     }
 
     pub fn out_degree_of(&self, i: usize) -> usize {
@@ -114,25 +130,48 @@ impl CellTopology {
     /// in-edge entries (source, weight), 12-byte out-edge entries (dest,
     /// dest cell, weight), plus both offset arrays.
     pub fn bytes(&self) -> u64 {
-        let n = self.verts.len() as u64;
-        let offs = 2 * (n + 1) * 4;
-        n * 4 + self.in_src.len() as u64 * 8 + self.out_dest.len() as u64 * 12 + offs
+        let n = self.verts.len();
+        let ins = (self.in_offsets[n] - self.in_offsets[0]) as u64;
+        let outs = (self.out_offsets[n] - self.out_offsets[0]) as u64;
+        let offs = 2 * (n as u64 + 1) * 4;
+        n as u64 * 4 + ins * 8 + outs * 12 + offs
     }
 }
 
 /// The graph grid.
+///
+/// Every per-cell and per-vertex list lives in one grid-wide array, sliced
+/// by an offsets array (CSR): the build makes a fixed handful of
+/// allocations however many cells there are, and the per-cell views
+/// ([`Cell`], [`CellTopology`], [`GraphGrid::neighbors`]) borrow from them.
 pub struct GraphGrid {
     graph: Arc<Graph>,
     psi: u32,
-    cells: Vec<Cell>,
     cell_of_vertex: Vec<u32>,
     /// Inverted index: edge → cell of its source vertex.
     cell_of_edge: Vec<u32>,
     /// Cell adjacency: cells connected by at least one edge in either
-    /// direction (`getNeighbors` in Algorithm 4).
-    neighbors: Vec<Vec<CellId>>,
-    /// Per-cell CSR slices (device-resident topology).
-    topologies: Vec<CellTopology>,
+    /// direction (`getNeighbors` in Algorithm 4); cell `c`'s neighbours are
+    /// `neighbor_cells[neighbor_offsets[c]..neighbor_offsets[c + 1]]`.
+    neighbor_offsets: Vec<u32>,
+    neighbor_cells: Vec<CellId>,
+    /// Every vertex, cell by cell (ascending id inside a cell); cell `c`
+    /// holds `verts[cell_verts[c]..cell_verts[c + 1]]`. A vertex's index
+    /// here is its *grid slot*.
+    cell_verts: Vec<u32>,
+    verts: Vec<VertexId>,
+    /// In-edges by grid slot (`in_offsets`, |V| + 1 entries), in the
+    /// graph's in-edge order: the topology's in-edge CSR, and the edges the
+    /// vertex records chunk by δᵛ.
+    in_offsets: Vec<u32>,
+    in_edges: Vec<GridEdge>,
+    /// Out-edges by grid slot (`out_offsets`, |V| + 1 entries).
+    out_offsets: Vec<u32>,
+    out_edges: Vec<TopoOutEdge>,
+    /// Vertex records; cell `c` holds
+    /// `records[cell_records[c]..cell_records[c + 1]]`.
+    cell_records: Vec<u32>,
+    records: Vec<VertexRecord>,
     /// Local slot of each vertex inside its cell's [`CellTopology`].
     topo_slot: Vec<u32>,
     /// Mean edge weight, rounded down (≥ 1); the frontier kernel's default
@@ -166,7 +205,10 @@ impl GraphGrid {
         }
     }
 
-    fn assemble(
+    /// Lay a finished partition out as the grid: `part_of_vertex` is
+    /// [`hierarchical_bisection`]'s assignment at depth `2ψ`, and every
+    /// part becomes the cell at the Z-value of its de-interleaved id.
+    pub fn assemble(
         graph: Arc<Graph>,
         psi: u32,
         part_of_vertex: Vec<u32>,
@@ -175,6 +217,7 @@ impl GraphGrid {
     ) -> Self {
         let side = 1u32 << psi;
         let num_cells = (side as usize) * (side as usize);
+        let n = graph.num_vertices();
 
         // Map each part id (a 2ψ-bit string of bisection choices, MSB first)
         // onto grid coordinates by de-interleaving: even splits refine x,
@@ -193,44 +236,48 @@ impl GraphGrid {
             zorder::encode(x, y)
         };
 
-        // Cell membership in CSR form (counting sort). The old build kept
-        // one `Vec<VertexId>` per cell — at paper scale (ψ = 9 → 262 144
-        // cells holding ~1 vertex each) that is a heap allocation per cell;
-        // offsets + one flat array is two allocations total, and placing
-        // vertices in ascending id order preserves the per-cell order the
-        // Vec-push build produced.
-        let mut cell_of_vertex = vec![0u32; graph.num_vertices()];
-        let mut member_offsets = vec![0u32; num_cells + 1];
+        // Cell membership by counting sort: vertices placed in ascending id
+        // order inside each cell.
+        let mut cell_of_vertex = vec![0u32; n];
+        let mut cell_verts = vec![0u32; num_cells + 1];
         for v in graph.vertices() {
             let z = part_to_z(part_of_vertex[v.index()]);
             cell_of_vertex[v.index()] = z;
-            member_offsets[z as usize + 1] += 1;
+            cell_verts[z as usize + 1] += 1;
         }
         drop(part_of_vertex);
         for i in 0..num_cells {
-            member_offsets[i + 1] += member_offsets[i];
+            cell_verts[i + 1] += cell_verts[i];
         }
-        let mut member_flat = vec![VertexId(0); graph.num_vertices()];
-        let mut cursor = member_offsets.clone();
+        let mut verts = vec![VertexId(0); n];
+        let mut cursor = cell_verts.clone();
         for v in graph.vertices() {
             let z = cell_of_vertex[v.index()] as usize;
-            member_flat[cursor[z] as usize] = v;
+            verts[cursor[z] as usize] = v;
             cursor[z] += 1;
         }
         drop(cursor);
-        let members = |c: usize| -> &[VertexId] {
-            &member_flat[member_offsets[c] as usize..member_offsets[c + 1] as usize]
-        };
 
-        // Vertex records with δᵛ-capped edge arrays and virtual spill,
-        // streamed cell by cell through one reused in-edge buffer.
-        let mut cells: Vec<Cell> = Vec::with_capacity(num_cells);
-        let mut in_buf: Vec<GridEdge> = Vec::new();
+        // Edges by grid slot, and the vertex records: one per δᵛ chunk of
+        // a vertex's in-edges (one empty record for a vertex with none),
+        // the chunks after the first being virtual.
+        let chunk_len = vertex_capacity.min(u32::MAX as usize) as u32;
+        let mut topo_slot = vec![0u32; n];
+        let mut in_offsets = Vec::with_capacity(n + 1);
+        let mut in_edges = Vec::with_capacity(graph.num_edges());
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_edges = Vec::with_capacity(graph.num_edges());
+        let mut cell_records = Vec::with_capacity(num_cells + 1);
+        let mut records = Vec::with_capacity(n);
+        in_offsets.push(0);
+        out_offsets.push(0);
+        cell_records.push(0);
         for c in 0..num_cells {
-            let mut cell = Cell::default();
-            for &v in members(c) {
-                in_buf.clear();
-                in_buf.extend(graph.in_edges(v).map(|e| {
+            let members = &verts[cell_verts[c] as usize..cell_verts[c + 1] as usize];
+            for (slot, &v) in members.iter().enumerate() {
+                topo_slot[v.index()] = slot as u32;
+                let start = in_edges.len() as u32;
+                in_edges.extend(graph.in_edges(v).map(|e| {
                     let edge = graph.edge(e);
                     GridEdge {
                         edge: e,
@@ -238,38 +285,44 @@ impl GraphGrid {
                         weight: edge.weight,
                     }
                 }));
-                cell.num_vertices += 1;
-                if in_buf.is_empty() {
-                    cell.records.push(VertexRecord {
+                let end = in_edges.len() as u32;
+                in_offsets.push(end);
+                let mut chunk = start;
+                loop {
+                    let chunk_end = end.min(chunk.saturating_add(chunk_len));
+                    records.push(VertexRecord {
                         vertex: v,
-                        edges: Vec::new(),
-                        is_virtual: false,
+                        is_virtual: chunk > start,
+                        edges_start: chunk,
+                        edges_end: chunk_end,
                     });
-                } else {
-                    for (i, chunk) in in_buf.chunks(vertex_capacity).enumerate() {
-                        cell.records.push(VertexRecord {
-                            vertex: v,
-                            edges: chunk.to_vec(),
-                            is_virtual: i > 0,
-                        });
+                    chunk = chunk_end;
+                    if chunk == end {
+                        break;
                     }
                 }
+                out_edges.extend(graph.out_edges(v).map(|e| {
+                    let edge = graph.edge(e);
+                    TopoOutEdge {
+                        dest: edge.dest,
+                        dest_cell: cell_of_vertex[edge.dest.index()],
+                        weight: edge.weight,
+                    }
+                }));
+                out_offsets.push(out_edges.len() as u32);
             }
-            cells.push(cell);
+            cell_records.push(records.len() as u32);
         }
 
-        // Inverted index and out-edge counts.
-        let mut cell_of_edge = vec![0u32; graph.num_edges()];
-        for e in graph.edge_ids() {
-            let src = graph.edge(e).source;
-            let z = cell_of_vertex[src.index()];
-            cell_of_edge[e.index()] = z;
-            cells[z as usize].num_out_edges += 1;
-        }
+        // Inverted index.
+        let cell_of_edge: Vec<u32> = graph
+            .edge_ids()
+            .map(|e| cell_of_vertex[graph.edge(e).source.index()])
+            .collect();
 
         // Cell adjacency from edges crossing cells (either direction): one
-        // global pair list, sorted and deduplicated, then grouped — no
-        // per-cell push Vecs on the way.
+        // global pair list, sorted and deduplicated, then counted into
+        // offsets.
         let mut cross: Vec<(u32, u32)> = Vec::new();
         for e in graph.edge_ids() {
             let edge = graph.edge(e);
@@ -282,41 +335,15 @@ impl GraphGrid {
         }
         cross.sort_unstable();
         cross.dedup();
-        let mut neighbors: Vec<Vec<CellId>> = vec![Vec::new(); num_cells];
-        for &(a, b) in &cross {
-            neighbors[a as usize].push(CellId(b));
+        let mut neighbor_offsets = vec![0u32; num_cells + 1];
+        for &(a, _) in &cross {
+            neighbor_offsets[a as usize + 1] += 1;
         }
+        for i in 0..num_cells {
+            neighbor_offsets[i + 1] += neighbor_offsets[i];
+        }
+        let neighbor_cells = cross.iter().map(|&(_, b)| CellId(b)).collect();
         drop(cross);
-
-        // Per-cell CSR slices: one entry per real vertex (virtual spill
-        // merged back), every in- and out-edge stored exactly once.
-        let mut topo_slot = vec![0u32; graph.num_vertices()];
-        let mut topologies: Vec<CellTopology> = Vec::with_capacity(num_cells);
-        for c in 0..num_cells {
-            let mut t = CellTopology {
-                in_offsets: vec![0],
-                out_offsets: vec![0],
-                ..Default::default()
-            };
-            for (slot, &v) in members(c).iter().enumerate() {
-                topo_slot[v.index()] = slot as u32;
-                t.verts.push(v);
-                for e in graph.in_edges(v) {
-                    let edge = graph.edge(e);
-                    t.in_src.push(edge.source);
-                    t.in_weight.push(edge.weight);
-                }
-                t.in_offsets.push(t.in_src.len() as u32);
-                for e in graph.out_edges(v) {
-                    let edge = graph.edge(e);
-                    t.out_dest.push(edge.dest);
-                    t.out_dest_cell.push(cell_of_vertex[edge.dest.index()]);
-                    t.out_weight.push(edge.weight);
-                }
-                t.out_offsets.push(t.out_dest.len() as u32);
-            }
-            topologies.push(t);
-        }
 
         let weight_sum: u64 = graph.edge_ids().map(|e| graph.edge(e).weight as u64).sum();
         let mean_edge_weight = (weight_sum / graph.num_edges().max(1) as u64).max(1);
@@ -324,11 +351,18 @@ impl GraphGrid {
         Self {
             graph,
             psi,
-            cells,
             cell_of_vertex,
             cell_of_edge,
-            neighbors,
-            topologies,
+            neighbor_offsets,
+            neighbor_cells,
+            cell_verts,
+            verts,
+            in_offsets,
+            in_edges,
+            out_offsets,
+            out_edges,
+            cell_records,
+            records,
             topo_slot,
             mean_edge_weight,
             cell_capacity,
@@ -360,15 +394,31 @@ impl GraphGrid {
     }
 
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.cell_verts.len() - 1
     }
 
-    pub fn cell(&self, c: CellId) -> &Cell {
-        &self.cells[c.index()]
+    pub fn cell(&self, c: CellId) -> Cell<'_> {
+        let (a, b) = self.slot_range(c);
+        Cell {
+            records: &self.records
+                [self.cell_records[c.index()] as usize..self.cell_records[c.index() + 1] as usize],
+            num_vertices: (b - a) as u32,
+            num_out_edges: self.out_offsets[b] - self.out_offsets[a],
+            in_edges: &self.in_edges,
+        }
     }
 
     pub fn cell_ids(&self) -> impl Iterator<Item = CellId> {
-        (0..self.cells.len() as u32).map(CellId)
+        (0..self.num_cells() as u32).map(CellId)
+    }
+
+    /// Grid slots of cell `c`'s vertices.
+    #[inline]
+    fn slot_range(&self, c: CellId) -> (usize, usize) {
+        (
+            self.cell_verts[c.index()] as usize,
+            self.cell_verts[c.index() + 1] as usize,
+        )
     }
 
     /// Cell an object on `e` belongs to (cell of `e`'s source vertex) — the
@@ -383,28 +433,33 @@ impl GraphGrid {
 
     /// Cells connected to `c` by at least one edge.
     pub fn neighbors(&self, c: CellId) -> &[CellId] {
-        &self.neighbors[c.index()]
+        &self.neighbor_cells[self.neighbor_offsets[c.index()] as usize
+            ..self.neighbor_offsets[c.index() + 1] as usize]
     }
 
-    /// Real vertices of a cell (virtual records deduplicated).
+    /// Real vertices of a cell (virtual records deduplicated), in record
+    /// order.
     pub fn vertices_in(&self, c: CellId) -> impl Iterator<Item = VertexId> + '_ {
-        self.cell(c)
-            .records
-            .iter()
-            .filter(|r| !r.is_virtual)
-            .map(|r| r.vertex)
+        self.topology(c).verts.iter().copied()
     }
 
     /// Total vertex records across all cells (one GPU thread each in the
     /// shortest-distance kernel).
     pub fn total_records(&self) -> usize {
-        self.cells.iter().map(|c| c.records.len()).sum()
+        self.records.len()
     }
 
     /// CSR slice of cell `c` — the layout kept resident on the device for
     /// the frontier kernel and the boundary check.
-    pub fn topology(&self, c: CellId) -> &CellTopology {
-        &self.topologies[c.index()]
+    pub fn topology(&self, c: CellId) -> CellTopology<'_> {
+        let (a, b) = self.slot_range(c);
+        CellTopology {
+            verts: &self.verts[a..b],
+            in_offsets: &self.in_offsets[a..=b],
+            in_edges: &self.in_edges,
+            out_offsets: &self.out_offsets[a..=b],
+            out_edges: &self.out_edges,
+        }
     }
 
     /// Local slot of `v` inside its cell's [`CellTopology`].
@@ -426,7 +481,7 @@ impl GraphGrid {
         let record_bytes = 8 + 12 * self.vertex_capacity as u64;
         let cell_payload = 8 + record_bytes * self.cell_capacity as u64;
         let cell_bytes = cell_payload.div_ceil(128) * 128;
-        let cells = self.cells.len() as u64 * cell_bytes;
+        let cells = self.num_cells() as u64 * cell_bytes;
         let inverted = self.cell_of_edge.len() as u64 * 8;
         let vmap = self.cell_of_vertex.len() as u64 * 4;
         cells + inverted + vmap
@@ -470,8 +525,9 @@ mod tests {
         let grid = build_toy();
         let mut any_virtual = false;
         for c in grid.cell_ids() {
-            for r in &grid.cell(c).records {
-                assert!(r.edges.len() <= 2, "record over vertex capacity");
+            let cell = grid.cell(c);
+            for r in cell.records {
+                assert!(cell.edges(r).len() <= 2, "record over vertex capacity");
                 any_virtual |= r.is_virtual;
             }
         }
@@ -485,8 +541,9 @@ mod tests {
         let g = grid.graph().clone();
         let mut stored = vec![0u32; g.num_edges()];
         for c in grid.cell_ids() {
-            for r in &grid.cell(c).records {
-                for ge in &r.edges {
+            let cell = grid.cell(c);
+            for r in cell.records {
+                for ge in cell.edges(r) {
                     stored[ge.edge.index()] += 1;
                     // The record's cell is the destination's cell.
                     assert_eq!(grid.cell_of_vertex(r.vertex), c);
@@ -559,6 +616,20 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_vertex_capacity_keeps_one_record_per_vertex() {
+        let g = Arc::new(gen::toy(42));
+        let grid = GraphGrid::build(g.clone(), 3, usize::MAX);
+        assert_eq!(grid.total_records(), g.num_vertices());
+        for c in grid.cell_ids() {
+            let cell = grid.cell(c);
+            for r in cell.records {
+                assert!(!r.is_virtual);
+                assert_eq!(cell.edges(r).len(), g.in_degree(r.vertex));
+            }
+        }
+    }
+
+    #[test]
     fn topology_matches_graph_edges_exactly_once() {
         let grid = build_toy();
         let g = grid.graph().clone();
@@ -627,5 +698,85 @@ mod tests {
         );
         assert!(small.grid_bytes() > 0);
         assert!(big.grid_bytes() > small.grid_bytes());
+    }
+
+    /// FNV-1a over every array the grid exposes, in a fixed order: the
+    /// vertex and edge maps, then per cell its neighbours in order, its
+    /// records with their edges, its counts, and its topology slice slot by
+    /// slot, then the topology slots and the scalars.
+    fn grid_digest(grid: &GraphGrid) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut word = |w: u64| {
+            for b in w.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let g = grid.graph().clone();
+        word(grid.psi() as u64);
+        for v in g.vertices() {
+            word(grid.cell_of_vertex(v).0 as u64);
+        }
+        for e in g.edge_ids() {
+            word(grid.cell_of_edge(e).0 as u64);
+        }
+        for c in grid.cell_ids() {
+            word(grid.neighbors(c).len() as u64);
+            for n in grid.neighbors(c) {
+                word(n.0 as u64);
+            }
+            let cell = grid.cell(c);
+            word(cell.records.len() as u64);
+            for r in cell.records {
+                word(r.vertex.0 as u64);
+                word(r.is_virtual as u64);
+                word(cell.edges(r).len() as u64);
+                for ge in cell.edges(r) {
+                    word(ge.edge.0 as u64);
+                    word(ge.source.0 as u64);
+                    word(ge.weight as u64);
+                }
+            }
+            word(cell.num_vertices as u64);
+            word(cell.num_out_edges as u64);
+            let t = grid.topology(c);
+            word(t.num_vertices() as u64);
+            word(t.bytes());
+            for (slot, v) in t.verts.iter().enumerate() {
+                word(v.0 as u64);
+                for (src, w) in t.in_edges_of(slot) {
+                    word(src.0 as u64);
+                    word(w as u64);
+                }
+                word(u64::MAX);
+                for (dest, dest_cell, w) in t.out_edges_of(slot) {
+                    word(dest.0 as u64);
+                    word(dest_cell as u64);
+                    word(w as u64);
+                }
+                word(u64::MAX);
+            }
+        }
+        for v in g.vertices() {
+            word(grid.topo_slot_of(v) as u64);
+        }
+        word(grid.mean_edge_weight());
+        word(grid.total_records() as u64);
+        word(grid.grid_bytes());
+        h
+    }
+
+    /// Grids recorded once from a known-good build; any change to the build
+    /// that moves one array entry moves a modeled number and must be
+    /// deliberate.
+    #[test]
+    fn grid_matches_golden() {
+        let ny = Arc::new(gen::dataset(gen::Dataset::NY, 12, 1));
+        let got = [
+            grid_digest(&build_toy()),
+            grid_digest(&GraphGrid::build(ny, 3, 2)),
+        ];
+        let want: [u64; 2] = [825_778_086_771_085_150, 13_283_348_130_303_081_857];
+        assert_eq!(got, want);
     }
 }

@@ -46,63 +46,12 @@ impl Partition {
 
 /// Undirected weighted working graph used during multilevel bisection.
 /// Vertices carry weights (number of original vertices they contain).
-/// Adjacency is a flat CSR (`off[v]..off[v+1]` slices `edges`) — the
-/// builders below construct it with three allocations total instead of one
-/// `Vec` per vertex per coarsening level, which dominated large builds.
+/// Adjacency is a flat CSR (`off[v]..off[v+1]` slices `edges`), each
+/// segment sorted by neighbour id with parallel edges merged.
 struct WorkGraph {
     vwt: Vec<u64>,
     off: Vec<u32>,
     edges: Vec<(u32, u64)>,
-}
-
-/// Epoch-stamped global→local vertex renaming, shared across every node of
-/// the bisection recursion. `from_subset` used to allocate and clear a
-/// fresh O(|V|) map at *every* recursion node — ~2·2^depth allocations of
-/// |V| words, which is what made grid builds infeasible past ~10⁵ vertices.
-/// With the stamp, clearing is an epoch bump and the O(|V|) arrays are
-/// allocated exactly once per partitioning run.
-struct SubsetScratch {
-    local: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl SubsetScratch {
-    fn new(num_vertices: usize) -> Self {
-        Self {
-            local: vec![0; num_vertices],
-            stamp: vec![0; num_vertices],
-            epoch: 0,
-        }
-    }
-
-    /// Invalidate every mapping (O(1) amortised; stamps rewritten once per
-    /// u32 wrap).
-    fn begin(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, global: usize, local: u32) {
-        self.local[global] = local;
-        self.stamp[global] = self.epoch;
-    }
-
-    /// Local index of `global` this epoch, or `u32::MAX` when it is not in
-    /// the current subset (the sentinel the build loop branches on).
-    #[inline]
-    fn get(&self, global: usize) -> u32 {
-        if self.stamp[global] == self.epoch {
-            self.local[global]
-        } else {
-            u32::MAX
-        }
-    }
 }
 
 impl WorkGraph {
@@ -119,51 +68,29 @@ impl WorkGraph {
         &self.edges[self.off[v] as usize..self.off[v + 1] as usize]
     }
 
-    /// Build the level-0 working graph for a subset of `graph`'s vertices.
-    /// Edge directions are ignored and parallel edges merged.
-    fn from_subset(graph: &Graph, subset: &[VertexId], scratch: &mut SubsetScratch) -> Self {
-        scratch.begin();
-        for (i, &v) in subset.iter().enumerate() {
-            scratch.set(v.index(), i as u32);
-        }
-        let n = subset.len();
+    /// The level-0 working graph of all of `graph`: edge directions are
+    /// ignored, self-loops dropped and parallel edges merged. This is the
+    /// only pass over `graph`; every recursion node below the root derives
+    /// its working graph from its parent's with [`Self::split`].
+    fn from_graph(graph: &Graph) -> Self {
+        let n = graph.num_vertices();
         let mut off = vec![0u32; n + 1];
-        for (i, &v) in subset.iter().enumerate() {
-            let mut d = 0u32;
-            for e in graph.out_edges(v) {
-                let j = scratch.get(graph.edge(e).dest.index());
-                if j != u32::MAX && j != i as u32 {
-                    d += 1;
-                }
-            }
-            // In-edges too: the working graph is undirected.
-            for e in graph.in_edges(v) {
-                let j = scratch.get(graph.edge(e).source.index());
-                if j != u32::MAX && j != i as u32 {
-                    d += 1;
-                }
-            }
-            off[i + 1] = d;
+        for v in graph.vertices() {
+            let out = graph.out_edges(v).filter(|&e| graph.edge(e).dest != v);
+            let inc = graph.in_edges(v).filter(|&e| graph.edge(e).source != v);
+            off[v.index() + 1] = (out.count() + inc.count()) as u32;
         }
         for i in 0..n {
             off[i + 1] += off[i];
         }
         let mut edges = vec![(0u32, 0u64); off[n] as usize];
         let mut cursor: Vec<u32> = off[..n].to_vec();
-        for (i, &v) in subset.iter().enumerate() {
-            for e in graph.out_edges(v) {
-                let j = scratch.get(graph.edge(e).dest.index());
-                if j != u32::MAX && j != i as u32 {
-                    edges[cursor[i] as usize] = (j, 1);
-                    cursor[i] += 1;
-                }
-            }
-            for e in graph.in_edges(v) {
-                let j = scratch.get(graph.edge(e).source.index());
-                if j != u32::MAX && j != i as u32 {
-                    edges[cursor[i] as usize] = (j, 1);
-                    cursor[i] += 1;
-                }
+        for v in graph.vertices() {
+            let out = graph.out_edges(v).map(|e| graph.edge(e).dest);
+            let inc = graph.in_edges(v).map(|e| graph.edge(e).source);
+            for u in out.chain(inc).filter(|&u| u != v) {
+                edges[cursor[v.index()] as usize] = (u.0, 1);
+                cursor[v.index()] += 1;
             }
         }
         merge_parallel(&mut off, &mut edges);
@@ -172,6 +99,44 @@ impl WorkGraph {
             off,
             edges,
         }
+    }
+
+    /// The induced subgraphs of the two sides of a bisection (`side[v]`
+    /// true, then false). Each side keeps its vertices in this graph's
+    /// order, so the renaming is monotone: every adjacency segment stays
+    /// sorted and merged, and each child is exactly the working graph a
+    /// fresh build from the original graph would give its vertex subset.
+    fn split(&self, side: &[bool]) -> (WorkGraph, WorkGraph) {
+        let mut local = vec![0u32; self.len()];
+        let mut counts = [0u32; 2];
+        let mut degree_sums = [0usize; 2];
+        for v in 0..self.len() {
+            let s = side[v] as usize;
+            local[v] = counts[s];
+            counts[s] += 1;
+            degree_sums[s] += self.neighbors(v).len();
+        }
+        let mut halves = [0, 1].map(|s| {
+            let mut off = Vec::with_capacity(counts[s] as usize + 1);
+            off.push(0);
+            WorkGraph {
+                vwt: Vec::with_capacity(counts[s] as usize),
+                off,
+                edges: Vec::with_capacity(degree_sums[s]),
+            }
+        });
+        for v in 0..self.len() {
+            let half = &mut halves[side[v] as usize];
+            half.vwt.push(self.vwt[v]);
+            for &(u, w) in self.neighbors(v) {
+                if side[u as usize] == side[v] {
+                    half.edges.push((local[u as usize], w));
+                }
+            }
+            half.off.push(half.edges.len() as u32);
+        }
+        let [right, left] = halves;
+        (left, right)
     }
 }
 
@@ -398,14 +363,34 @@ fn rebalance(g: &WorkGraph, side: &mut [bool]) {
                 (gain, g.vwt[v], v as u32)
             })
             .collect();
-        // Best cut gain first; vertex id breaks ties deterministically.
-        candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.2.cmp(&b.2)));
+        // Best cut gain first; vertex id breaks ties, so the order is total
+        // and deterministic. Every move shrinks the difference by at least
+        // 2, so at most ⌈diff/2⌉ moves happen: sort only that many leading
+        // candidates, and the rest only when skipped (overshooting) ones
+        // use the prefix up before the sides balance. The consumed order is
+        // exactly that of a full sort.
+        let by_gain = |a: &(i64, u64, u32), b: &(i64, u64, u32)| b.0.cmp(&a.0).then(a.2.cmp(&b.2));
+        let mut sorted = (signed_diff(wa) as usize / 2 + 1).min(candidates.len());
+        if sorted < candidates.len() {
+            candidates.select_nth_unstable_by(sorted, by_gain);
+        }
+        candidates[..sorted].sort_unstable_by(by_gain);
         let mut moved_any = false;
-        for &(_, wt, v) in &candidates {
+        let mut next = 0;
+        loop {
             let diff = signed_diff(wa);
             if diff <= 1 {
                 break;
             }
+            if next == sorted {
+                if sorted == candidates.len() {
+                    break;
+                }
+                candidates[sorted..].sort_unstable_by(by_gain);
+                sorted = candidates.len();
+            }
+            let (_, wt, v) = candidates[next];
+            next += 1;
             // A move shifts the difference by 2·wt; skip vertices that
             // would overshoot past ±1.
             if 2 * wt as i64 > diff + 1 {
@@ -433,31 +418,32 @@ fn rebalance(g: &WorkGraph, side: &mut [bool]) {
 /// split), so sibling parts differ in their lowest bits — interleaving the
 /// bits of the id yields the neighbouring-cell layout of the paper.
 pub fn hierarchical_bisection(graph: &Graph, depth: u32) -> Partition {
-    let all: Vec<VertexId> = graph.vertices().collect();
     let mut assignment = vec![0u32; graph.num_vertices()];
-    let mut scratch = SubsetScratch::new(graph.num_vertices());
-    split_recursive(graph, &all, depth, 0, &mut assignment, &mut scratch);
+    if depth > 0 && graph.num_vertices() > 0 {
+        let all: Vec<VertexId> = graph.vertices().collect();
+        split_recursive(
+            WorkGraph::from_graph(graph),
+            &all,
+            depth,
+            0,
+            &mut assignment,
+        );
+    }
     Partition {
         assignment,
         num_parts: 1 << depth,
     }
 }
 
+/// Bisect `wg`, the level-0 working graph of the non-empty `subset` (in
+/// subset order), and recurse into both sides `levels_left - 1` more times.
 fn split_recursive(
-    graph: &Graph,
+    wg: WorkGraph,
     subset: &[VertexId],
     levels_left: u32,
     prefix: u32,
     assignment: &mut [u32],
-    scratch: &mut SubsetScratch,
 ) {
-    if levels_left == 0 || subset.is_empty() {
-        for &v in subset {
-            assignment[v.index()] = prefix;
-        }
-        return;
-    }
-    let wg = WorkGraph::from_subset(graph, subset, scratch);
     let side = bisect(&wg);
     let (mut left, mut right) = (Vec::new(), Vec::new());
     for (i, &v) in subset.iter().enumerate() {
@@ -467,23 +453,22 @@ fn split_recursive(
             right.push(v);
         }
     }
-    drop(side);
-    split_recursive(
-        graph,
-        &left,
-        levels_left - 1,
-        prefix << 1,
-        assignment,
-        scratch,
-    );
-    split_recursive(
-        graph,
-        &right,
-        levels_left - 1,
-        (prefix << 1) | 1,
-        assignment,
-        scratch,
-    );
+    let ids = [prefix << 1, (prefix << 1) | 1];
+    if levels_left == 1 {
+        for (part, id) in [(&left, ids[0]), (&right, ids[1])] {
+            for &v in part {
+                assignment[v.index()] = id;
+            }
+        }
+        return;
+    }
+    let (left_wg, right_wg) = wg.split(&side);
+    drop((wg, side));
+    for (child, part, id) in [(left_wg, left, ids[0]), (right_wg, right, ids[1])] {
+        if !part.is_empty() {
+            split_recursive(child, &part, levels_left - 1, id, assignment);
+        }
+    }
 }
 
 /// Partition into parts of at most `max_part_size` vertices by choosing the
@@ -696,5 +681,82 @@ mod tests {
         let g = gen::toy(4);
         let p = hierarchical_bisection(&g, 3);
         assert!(p.assignment.iter().all(|&a| a < p.num_parts));
+    }
+
+    /// FNV-1a over the assignment, one little-endian `u32` per vertex.
+    fn assignment_digest(p: &Partition) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for a in &p.assignment {
+            for b in a.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Assignments recorded once from a known-good build. A rewrite of the
+    /// bisection's internals (working-graph layout, recursion, sort order)
+    /// must reproduce every one of them bit for bit: the grid's cells, and
+    /// so every answer and modeled number, follow from the assignment.
+    #[test]
+    fn assignments_match_golden() {
+        let mut got = Vec::new();
+        for seed in 1..=5 {
+            let g = gen::toy(seed);
+            for depth in 1..=6 {
+                got.push(assignment_digest(&hierarchical_bisection(&g, depth)));
+            }
+        }
+        let city = gen::grid_city(&gen::GridCityParams {
+            rows: 16,
+            cols: 16,
+            ..Default::default()
+        });
+        got.push(assignment_digest(&hierarchical_bisection(&city, 4)));
+        let ny = gen::dataset(gen::Dataset::NY, 12, 1);
+        got.push(assignment_digest(&hierarchical_bisection(&ny, 12)));
+        let want: [u64; 32] = [
+            // toy(1), depths 1..=6
+            17609979029335065605,
+            15277245743724826741,
+            1323189921157883157,
+            17039844461343729749,
+            9073039722787028597,
+            1103505257300531061,
+            // toy(2), depths 1..=6
+            980285279467587509,
+            7472675056436422101,
+            11385629720800579205,
+            971011540362926133,
+            13650221030616755845,
+            13305422931884497301,
+            // toy(3), depths 1..=6
+            7710708108594811189,
+            8891757742881689893,
+            13145518078419424597,
+            10815207811384523157,
+            4920478175489128165,
+            10898394760218034549,
+            // toy(4), depths 1..=6
+            9002996061627248165,
+            3449103336831239397,
+            17349882317572212421,
+            6132577420913566325,
+            13992776633368370645,
+            4888914395427582645,
+            // toy(5), depths 1..=6
+            8748684326558129109,
+            3976935964892245061,
+            7484255219234632677,
+            17360991844409229333,
+            6431957470977427221,
+            3355544113438118517,
+            // grid_city 16x16, depth 4
+            6306740625272779381,
+            // NY at scale 12, depth 12
+            11825720582186310040,
+        ];
+        assert_eq!(got, want);
     }
 }
