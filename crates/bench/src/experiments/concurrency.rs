@@ -1,10 +1,11 @@
 //! Extension study (beyond the paper): the concurrent query engine.
 //!
-//! Sweeps the refinement worker count × the epoch-based clean-skip cache on
-//! the NY-shaped dataset and reports the amortised query time next to the
-//! engine's own instrumentation: the clean-skip hit rate (cells served from
-//! the host cache instead of a kernel launch) and the average refinement
-//! concurrency (summed worker-busy time over refinement wall time).
+//! Sweeps the host worker count (`host_workers`, the width of refinement
+//! and ingest) × the epoch-based clean-skip cache on the NY-shaped dataset
+//! and reports the amortised query time next to the engine's own
+//! instrumentation: the clean-skip hit rate (cells served from the host
+//! cache instead of a kernel launch) and the average refinement concurrency
+//! (summed worker-busy time over refinement wall time).
 //!
 //! Answers are identical across every row — the sweep isolates *where time
 //! goes*, not what is computed.
@@ -71,7 +72,7 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
     for clean_skip in [true, false] {
         for workers in WORKER_SWEEP {
             let config = GGridConfig {
-                refine_workers: workers,
+                host_workers: workers,
                 clean_skip,
                 t_delta_ms: params.t_delta_ms,
                 ..params.ggrid.clone()

@@ -12,7 +12,7 @@
 //! * **batched** — the same stream through `ingest_batch`: messages are
 //!   pre-grouped by destination cell, so each touched cell's mutex is
 //!   taken once per batch and its dirty epoch bumps once per batch;
-//! * **batched-w2 / batched-w4** — the group commit with 2 and 4 ingest
+//! * **batched-w2 / batched-w4** — the group commit with 2 and 4 host
 //!   workers (disjoint object-id shards in phase 1, striped cell runs in
 //!   phase 2).
 //!
@@ -47,7 +47,7 @@ pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
     let world = BenchWorld::new(build_dataset(&DatasetSpec::new(ds, cfg.scale)));
     let params = cfg.index_params();
     let rounds = cfg.queries.max(6);
-    // (label, ingest workers, group commit?)
+    // (label, host workers, group commit?)
     let sweep: [(&'static str, usize, bool); 4] = [
         ("per-call", 1, false),
         ("batched", 1, true),
@@ -58,7 +58,7 @@ pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
         .iter()
         .map(|&(label, workers, batched)| {
             let config = GGridConfig {
-                ingest_workers: workers,
+                host_workers: workers,
                 t_delta_ms: params.t_delta_ms,
                 ..params.ggrid.clone()
             };

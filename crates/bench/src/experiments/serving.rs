@@ -76,7 +76,7 @@ const COLUMNS: &[Column] = &[
 
 fn server_config() -> GGridConfig {
     GGridConfig {
-        refine_workers: 8,
+        host_workers: 8,
         t_delta_ms: 1 << 40,
         ..Default::default()
     }

@@ -19,14 +19,17 @@
 //!   before the first query runs, so the per-query `GPU_SDist` rounds hit
 //!   the resident topology store.
 //! * **Overlapped refinement** — queries are staged through the
-//!   device-phase → refine → finalise pipeline of [`crate::knn`]: while
-//!   query *i*'s CPU refinement runs on a worker thread, the device
-//!   already executes query *i+1*'s phase. The overlap is accounted on a
-//!   [`StreamTimeline`] with one device stream and one transfer stream
-//!   *per shard* plus one host stream (`2D + 1` streams; `D = 1`
-//!   degenerates to the classic device/host/transfer trio), yielding the
-//!   batch's pipelined makespan next to the serial sum of the same
-//!   operations. Under sharding (`num_devices > 1`) the shared cleaning
+//!   device-phase → refine → finalise pipeline of [`crate::knn`], one
+//!   query behind: query *i* is finalised after query *i+1*'s device
+//!   phase. The host runs each refinement inline, right after its own
+//!   device phase; the overlap of query *i*'s refinement with query
+//!   *i+1*'s device work is modeled on a [`StreamTimeline`], which
+//!   charges the refinement's critical path to the host stream from query
+//!   *i*'s device end. The timeline has one device stream and one
+//!   transfer stream *per shard* plus one host stream (`2D + 1` streams;
+//!   `D = 1` degenerates to the classic device/host/transfer trio),
+//!   yielding the batch's pipelined makespan next to the serial sum of the
+//!   same operations. Under sharding (`num_devices > 1`) the shared cleaning
 //!   pass is routed per owning shard and those legs run concurrently on
 //!   their own streams; each query's kernels occupy only its primary
 //!   shard's streams, so disjoint queries overlap across devices.
@@ -61,23 +64,57 @@ use crate::knn::{knn_device_phase, knn_finalize, refine_unresolved};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
 use crate::object_table::FxBuildHasher;
-use crate::scratch::{CellSet, ScratchPool};
+use crate::scratch::ScratchPool;
 use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
 
-/// Stream layout of the batch timeline for `d` shards: device stream of
-/// shard `i` at index `i`, its transfer stream at `d + i` (D2H copy-backs
-/// overlap the next kernel there, still ordered after their own compute),
-/// and the single host (refinement) stream last. `d = 1` reproduces the
-/// original device/transfer/host trio.
-fn device_stream(_d: usize, shard: usize) -> usize {
-    shard
+/// The batch's modeled schedule over `d` shards: a [`StreamTimeline`] with
+/// shard `i`'s device stream at index `i`, its transfer stream at `d + i`
+/// (D2H copy-backs overlap the next kernel there, still ordered after their
+/// own compute) and the single host (refinement) stream last, plus the
+/// serial sum of the same operations. `d = 1` reproduces the original
+/// device/transfer/host trio.
+struct Schedule {
+    d: usize,
+    timeline: StreamTimeline,
+    serial: SimNanos,
 }
-fn transfer_stream(d: usize, shard: usize) -> usize {
-    d + shard
-}
-fn host_stream(d: usize) -> usize {
-    2 * d
+
+impl Schedule {
+    fn new(d: usize) -> Self {
+        Self {
+            d,
+            timeline: StreamTimeline::new(2 * d + 1),
+            serial: SimNanos::ZERO,
+        }
+    }
+
+    /// A kernel of `dur` on `shard`'s device stream, with no dependency.
+    fn kernel(&mut self, shard: usize, dur: SimNanos) {
+        self.serial += dur;
+        self.timeline.push(shard, SimNanos::ZERO, dur);
+    }
+
+    /// Device work of `total` on `shard`, ready at `ready`: its compute on
+    /// the device stream, then its `copy_back` on the transfer stream.
+    /// Returns the copy-back end.
+    fn device(
+        &mut self,
+        shard: usize,
+        ready: SimNanos,
+        total: SimNanos,
+        copy_back: SimNanos,
+    ) -> SimNanos {
+        let compute_end = self.timeline.push(shard, ready, total - copy_back);
+        self.serial += total;
+        self.timeline.push(self.d + shard, compute_end, copy_back)
+    }
+
+    /// Host work of `ns`, ready at `ready`; returns its end.
+    fn host(&mut self, ready: SimNanos, ns: u64) -> SimNanos {
+        self.serial += SimNanos(ns);
+        self.timeline.push(2 * self.d, ready, SimNanos(ns))
+    }
 }
 
 /// Weight scale for the proportional attribution of the shared pass:
@@ -206,8 +243,7 @@ pub fn run_knn_batch(
         .map(|ring| ring.iter().map(|c| ATTR_SCALE / multiplicity[c]).sum())
         .collect();
 
-    let mut timeline = StreamTimeline::new(2 * d + 1);
-    let mut serial_time = SimNanos::ZERO;
+    let mut schedule = Schedule::new(d);
 
     let mut shared = QueryBreakdown::default();
     let mut cache: Option<BatchCleanCache> = None;
@@ -226,10 +262,7 @@ pub fn run_knn_batch(
             // the owner's transfer stream, so the first query's device
             // phase starts as soon as the kernel is done — not when the
             // result lands on host.
-            let compute = SimNanos(rep.time.0 - rep.copy_back_time.0);
-            let compute_end = timeline.push(device_stream(d, *owner), SimNanos::ZERO, compute);
-            timeline.push(transfer_stream(d, *owner), compute_end, rep.copy_back_time);
-            serial_time += rep.time;
+            schedule.device(*owner, SimNanos::ZERO, rep.time, rep.copy_back_time);
         }
         shared.kernel_launches = shards.total_launches() - launches0;
 
@@ -258,8 +291,7 @@ pub fn run_knn_batch(
             shared.topo_hits += staged.hits as usize;
             shared.topo_misses += staged.misses as usize;
             shared.h2d_coalesced_saved += staged.transactions_saved;
-            timeline.push(device_stream(d, p), SimNanos::ZERO, staged.time);
-            serial_time += staged.time;
+            schedule.kernel(p, staged.time);
         }
     }
 
@@ -279,98 +311,64 @@ pub fn run_knn_batch(
         }
     }
 
-    // Stage the queries through the pipeline. The main thread owns the
-    // device and the lists; refinement — pure CPU — runs on a worker
-    // thread one query behind, so finalising query i happens after the
-    // device phase of query i+1 (exactly what the timeline records).
-    let n = queries.len();
-    let mut answers = Vec::with_capacity(n);
-    let mut per_query = Vec::with_capacity(n);
-
-    crossbeam::thread::scope(|s| {
-        let cache = cache.as_ref();
-        // (pending state, refine handle, device-phase end time, primary)
-        let mut in_flight = None;
-        for (&(q, k), &primary) in queries.iter().zip(&primaries) {
-            let mut pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
-            // Compute on the primary shard's device stream, copy-back on
-            // its transfer stream (ordered after the compute). Refinement
-            // reads the copied-back results, so it waits for the transfer
-            // end; the next query's kernels only wait for the compute end
-            // — and only if they share the primary.
-            let gpu = pending.breakdown.gpu_total();
-            let copy_back = pending.breakdown.copy_back;
-            let compute_end = timeline.push(
-                device_stream(d, primary),
-                SimNanos::ZERO,
-                SimNanos(gpu.0 - copy_back.0),
-            );
-            let device_end = timeline.push(transfer_stream(d, primary), compute_end, copy_back);
-            serial_time += gpu;
+    // Stage the queries through the pipeline, one query behind: each
+    // iteration runs query i's device phase and refinement, then finalises
+    // query i-1, so the device operations keep the pipelined order. The
+    // host runs each refinement inline, right after its own device phase;
+    // the timeline models it overlapping the next query's device phase, on
+    // the host stream from its own device end.
+    let mut answers = Vec::with_capacity(queries.len());
+    let mut per_query = Vec::with_capacity(queries.len());
+    let cache = cache.as_ref();
+    // (pending state, refinement, device-phase end, primary)
+    let mut in_flight = None;
+    // Every query, then `None` to drain the last one.
+    let queued = queries.iter().zip(&primaries).map(Some).chain([None]);
+    for query in queued {
+        let started = query.map(|(&(q, k), &primary)| {
+            let pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
+            // Refinement reads the copied-back results, so it waits for
+            // the transfer end; the next query's kernels only wait for the
+            // compute end — and only if they share the primary.
+            let b = &pending.breakdown;
+            let device_end = schedule.device(primary, SimNanos::ZERO, b.gpu_total(), b.copy_back);
             // Cooperative SDist rounds also occupied other shards'
             // devices; charge those legs on their own device streams so
             // cross-query contention there is modeled. They ran
-            // concurrently with the primary's round (the breakdown
-            // already carries the max), not after it.
+            // concurrently with the primary's round (the breakdown already
+            // carries the max), not after it.
             for &(shard, t) in &pending.remote_ns {
-                timeline.push(device_stream(d, shard), SimNanos::ZERO, t);
-                serial_time += t;
+                schedule.kernel(shard, t);
             }
+            let refined = refine_unresolved(grid, &pending, config.host_workers, pool);
+            (pending, refined, device_end, primary)
+        });
 
-            if let Some((prev, handle, prev_device_end, prev_primary)) = in_flight.take() {
-                finalize_one(
-                    shards,
-                    grid,
-                    lists,
-                    pool,
-                    config,
-                    now,
-                    prev,
-                    handle,
-                    prev_device_end,
-                    prev_primary,
-                    cache,
-                    &mut timeline,
-                    &mut serial_time,
-                    &mut answers,
-                    &mut per_query,
-                );
-            }
-
-            // Hand the refinement inputs to a worker; the next loop
-            // iteration drives the device while it runs. The candidate set
-            // travels to the worker and comes back with the outcome.
-            let unresolved = pending.unresolved.clone();
-            let cells = std::mem::take(&mut pending.cells);
-            let l = pending.l;
-            let workers = config.refine_workers;
-            let handle = s.spawn(move |_| {
-                let refined = refine_unresolved(grid, &unresolved, l, cells.tags(), workers, pool);
-                (refined, cells)
-            });
-            in_flight = Some((pending, handle, device_end, primary));
-        }
-        if let Some((prev, handle, prev_device_end, prev_primary)) = in_flight.take() {
-            finalize_one(
-                shards,
-                grid,
-                lists,
-                pool,
-                config,
-                now,
-                prev,
-                handle,
-                prev_device_end,
-                prev_primary,
-                cache,
-                &mut timeline,
-                &mut serial_time,
-                &mut answers,
-                &mut per_query,
+        // Query i-1 leaves the pipeline as query i enters it.
+        let finished = std::mem::replace(&mut in_flight, started);
+        if let Some((pending, refined, device_end, primary)) = finished {
+            // Host stream: the refinement, eligible once its device phase
+            // ended, charged at its critical path (busiest worker) — the
+            // modeled duration on a host with enough free cores.
+            let refine_end = schedule.host(device_end, refined.critical_ns);
+            let gpu_before = pending.breakdown.gpu_total();
+            let copy_back_before = pending.breakdown.copy_back;
+            let result = knn_finalize(
+                shards, grid, lists, config, now, pending, refined, pool, cache,
             );
+            // Primary device stream: the finalisation's lazy cleaning,
+            // after the refine; its copy-back again overlaps on the
+            // transfer stream.
+            schedule.device(
+                primary,
+                refine_end,
+                result.breakdown.gpu_total() - gpu_before,
+                result.breakdown.copy_back - copy_back_before,
+            );
+            answers.push(result.items);
+            per_query.push(result.breakdown);
         }
-    })
-    .expect("batch scope failed");
+    }
 
     // Release the clean-cache's budget charges: the cache dies with the
     // batch.
@@ -393,67 +391,15 @@ pub fn run_knn_batch(
         shared,
         per_query,
         shared_cells: union.len(),
-        pipelined_time: timeline.makespan(),
-        serial_time,
+        pipelined_time: schedule.timeline.makespan(),
+        serial_time: schedule.serial,
     }
-}
-
-/// Join a query's refinement, finalise it, and record its host/device
-/// operations on the timeline.
-#[allow(clippy::too_many_arguments)]
-fn finalize_one<'scope>(
-    shards: &mut ShardSet,
-    grid: &GraphGrid,
-    lists: &CellLists,
-    pool: &ScratchPool,
-    config: &GGridConfig,
-    now: Timestamp,
-    mut pending: crate::knn::PendingKnn,
-    handle: crossbeam::thread::ScopedJoinHandle<'scope, (crate::knn::RefineOutcome, CellSet)>,
-    device_end: SimNanos,
-    primary: usize,
-    cache: Option<&BatchCleanCache>,
-    timeline: &mut StreamTimeline,
-    serial_time: &mut SimNanos,
-    answers: &mut Vec<Vec<(ObjectId, Distance)>>,
-    per_query: &mut Vec<QueryBreakdown>,
-) {
-    let d = shards.num_shards();
-    let (refined, cells) = handle.join().expect("refinement worker panicked");
-    pending.cells = cells;
-
-    // Host stream: the refinement, eligible once its device phase ended.
-    // Charged at its critical path (busiest worker) — the modeled duration
-    // on a host with enough free cores, consistent with the simulated
-    // device clock on the other stream.
-    let refine_end = timeline.push(host_stream(d), device_end, SimNanos(refined.critical_ns));
-    *serial_time += SimNanos(refined.critical_ns);
-
-    let gpu_before = pending.breakdown.gpu_total();
-    let copy_back_before = pending.breakdown.copy_back;
-    let result = knn_finalize(
-        shards, grid, lists, config, now, pending, refined, pool, cache,
-    );
-
-    // Primary device stream: the finalisation's lazy cleaning, after the
-    // refine; its copy-back again overlaps on the transfer stream.
-    let finalize_gpu = SimNanos(result.breakdown.gpu_total().0 - gpu_before.0);
-    let finalize_copy = SimNanos(result.breakdown.copy_back.0 - copy_back_before.0);
-    let compute_end = timeline.push(
-        device_stream(d, primary),
-        refine_end,
-        SimNanos(finalize_gpu.0 - finalize_copy.0),
-    );
-    timeline.push(transfer_stream(d, primary), compute_end, finalize_copy);
-    *serial_time += finalize_gpu;
-
-    answers.push(result.items);
-    per_query.push(result.breakdown);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knn::golden::Digest;
     use crate::server::GGridServer;
     use roadnet::{gen, EdgeId};
 
@@ -497,21 +443,22 @@ mod tests {
 
     #[test]
     fn batch_matches_individual_with_worker_pool() {
-        // Same identity under a multi-threaded refinement pool.
-        let config = GGridConfig {
-            eta: 4,
-            refine_workers: 4,
-            ..Default::default()
-        };
-        let mut a = loaded_server_with(config.clone());
-        let mut b = loaded_server();
+        // Same identity with several host workers.
         let queries = queries();
-        let batch = a.knn_batch(&queries, Timestamp(500));
+        let mut b = loaded_server();
         let individual: Vec<_> = queries
             .iter()
             .map(|&(q, k)| b.knn(q, k, Timestamp(500)))
             .collect();
-        assert_eq!(batch.answers, individual);
+        for host_workers in [2usize, 4] {
+            let mut a = loaded_server_with(GGridConfig {
+                eta: 4,
+                host_workers,
+                ..Default::default()
+            });
+            let batch = a.knn_batch(&queries, Timestamp(500));
+            assert_eq!(batch.answers, individual, "host_workers={host_workers}");
+        }
     }
 
     #[test]
@@ -585,6 +532,52 @@ mod tests {
         assert_eq!(batch.shared.messages_cleaned, 0);
         assert_eq!(batch.shared_cells, 0);
         assert_eq!(batch.pipelined_time, SimNanos::ZERO);
+    }
+
+    /// The batch's device operations, recorded once from a known-good
+    /// build at one and four devices: a digest of the answers and of each
+    /// query's device counters, and the device-only part of the serial time
+    /// (the serial sum minus the measured refinement in it). Where and when
+    /// the host runs refinement must not move any of them.
+    #[test]
+    fn batch_device_order_matches_golden() {
+        let queries: Vec<(EdgePosition, usize)> = (0..12u32)
+            .map(|i| {
+                let q = EdgePosition::at_source(EdgeId(i * 29 % 160));
+                (q, 1 + (i as usize * 5) % 8)
+            })
+            .collect();
+        let mut got = Vec::new();
+        for d in [1usize, 4] {
+            let mut s = loaded_server_with(GGridConfig {
+                eta: 4,
+                num_devices: d,
+                ..Default::default()
+            });
+            let batch = s.knn_batch(&queries, Timestamp(500));
+            let mut h = Digest::new();
+            for (answer, b) in batch.answers.iter().zip(&batch.per_query) {
+                h.word(answer.len() as u64);
+                for &(o, dist) in answer {
+                    h.word(o.0);
+                    h.word(dist);
+                }
+                h.word(b.gpu_total().0);
+                h.word(b.copy_back.0);
+                h.word(b.topo_hits as u64);
+                h.word(b.topo_misses as u64);
+                h.word(b.cells_skipped as u64);
+                h.word(b.kernel_launches);
+            }
+            let refine: u64 = batch.per_query.iter().map(|b| b.refine_critical_ns).sum();
+            assert!(refine > 0, "the batch must refine at D = {d}");
+            got.push((h.0, batch.serial_time.0 - refine));
+        }
+        let want = [
+            (3_119_763_120_738_137_990, 544_491),
+            (6_042_408_381_952_599_528, 942_562),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

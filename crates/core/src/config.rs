@@ -28,16 +28,15 @@ pub struct GGridConfig {
     /// smallest modeled makespan (see `cleaning::plan_upload`); `1` always
     /// uploads in one copy.
     pub transfer_chunks: usize,
-    /// CPU worker threads for the refinement phase (Algorithm 6): the
-    /// bounded Dijkstra expansions from unresolved vertices fan out over a
-    /// scoped pool of this many threads. `1` runs refinement inline.
-    pub refine_workers: usize,
-    /// CPU worker threads for batched ingestion
-    /// ([`crate::server::GGridServer::ingest_batch`]): workers own disjoint
-    /// object-id shards (table phase) and disjoint cell stripes (append
-    /// phase), so per-object order is preserved and answers are identical
-    /// for every worker count. `1` runs ingestion inline.
-    pub ingest_workers: usize,
+    /// Host workers for the CPU phases, in `1..=256`. Refinement
+    /// (Algorithm 6) deals the unresolved vertices' bounded Dijkstra
+    /// expansions over this many workers. Ingestion
+    /// ([`crate::server::GGridServer::ingest_batch`]) gives each worker
+    /// disjoint object-id shards (table phase) and disjoint cell stripes
+    /// (append phase), so per-object order is preserved. Answers are
+    /// identical for every width. `1` runs both on the calling thread;
+    /// more runs them on that many scoped threads per call.
+    pub host_workers: usize,
     /// Serve already-consolidated cells straight from the message-list
     /// cache instead of re-launching the cleaning kernel (epoch-based
     /// clean-skip). Answers are identical either way; disabling this exists
@@ -128,8 +127,7 @@ impl Default for GGridConfig {
             rho: 1.8,
             t_delta_ms: 10_000,
             transfer_chunks: 4,
-            refine_workers: 1,
-            ingest_workers: 1,
+            host_workers: 1,
             clean_skip: true,
             device_budget_bytes: 64 << 20,
             sdist_delta: 0,
@@ -175,12 +173,8 @@ impl GGridConfig {
             "need at least one transfer chunk"
         );
         assert!(
-            (1..=256).contains(&self.refine_workers),
-            "refine_workers must be in 1..=256"
-        );
-        assert!(
-            (1..=256).contains(&self.ingest_workers),
-            "ingest_workers must be in 1..=256"
+            (1..=256).contains(&self.host_workers),
+            "host_workers must be in 1..=256"
         );
         assert!(
             self.max_subscriptions >= 1,
@@ -217,8 +211,7 @@ mod tests {
         assert_eq!(c.bucket_capacity, 128);
         assert_eq!(c.bundle_width(), 32);
         assert!((c.rho - 1.8).abs() < 1e-9);
-        assert_eq!(c.refine_workers, 1);
-        assert_eq!(c.ingest_workers, 1);
+        assert_eq!(c.host_workers, 1);
         assert!(c.clean_skip);
         assert_eq!(c.device_budget_bytes, 64 << 20);
         assert_eq!(c.sdist_delta, 0, "0 = auto (grid mean edge weight)");
@@ -275,20 +268,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "refine_workers")]
+    #[should_panic(expected = "host_workers")]
     fn zero_workers_rejected() {
         GGridConfig {
-            refine_workers: 0,
+            host_workers: 0,
             ..Default::default()
         }
         .validate();
     }
 
     #[test]
-    #[should_panic(expected = "ingest_workers")]
-    fn zero_ingest_workers_rejected() {
+    #[should_panic(expected = "host_workers")]
+    fn too_many_host_workers_rejected() {
         GGridConfig {
-            ingest_workers: 0,
+            host_workers: 257,
             ..Default::default()
         }
         .validate();

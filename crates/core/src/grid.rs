@@ -491,6 +491,7 @@ impl GraphGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::knn::golden::Digest;
     use roadnet::gen;
 
     fn build_toy() -> GraphGrid {
@@ -705,13 +706,8 @@ mod tests {
     /// records with their edges, its counts, and its topology slice slot by
     /// slot, then the topology slots and the scalars.
     fn grid_digest(grid: &GraphGrid) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut word = |w: u64| {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Digest::new();
+        let mut word = |w: u64| h.word(w);
         let g = grid.graph().clone();
         word(grid.psi() as u64);
         for v in g.vertices() {
@@ -763,7 +759,7 @@ mod tests {
         word(grid.mean_edge_weight());
         word(grid.total_records() as u64);
         word(grid.grid_bytes());
-        h
+        h.0
     }
 
     /// Grids recorded once from a known-good build; any change to the build

@@ -28,14 +28,13 @@
 //! The pipeline is split into three phases so a batch scheduler can overlap
 //! queries: `knn_device_phase` (steps 1–3, needs the device and the
 //! message lists), `refine_unresolved` (step 4's Dijkstra expansions —
-//! pure CPU, no shared state, safe to run on a worker thread while the
-//! device serves the next query), and `knn_finalize` (lazy cleaning of
-//! refinement-touched cells plus the final selection). `refine_unresolved`
-//! itself fans the unresolved vertices out over
-//! `GGridConfig::refine_workers` scoped threads; per-worker distance maps
-//! are merged with `min`, which is commutative and associative, so the
-//! merged result — and therefore the answer — is bit-identical for every
-//! worker count.
+//! pure CPU, no shared state, so the batch timeline can model it
+//! overlapping the next query's device phase), and `knn_finalize` (lazy
+//! cleaning of refinement-touched cells plus the final selection).
+//! `refine_unresolved` itself deals the unresolved vertices out over
+//! `GGridConfig::host_workers` workers; per-worker distance maps are merged
+//! with `min`, which is commutative and associative, so the merged result —
+//! and therefore the answer — is bit-identical for every worker count.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -48,6 +47,7 @@ use roadnet::EdgePosition;
 use crate::batch::BatchCleanCache;
 use crate::busytime::BusyClock;
 use crate::config::GGridConfig;
+use crate::fanout::fan_out;
 use crate::grid::{CellId, GraphGrid};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
@@ -68,8 +68,8 @@ pub struct KnnResult {
 
 /// State of a query between the device phase and finalisation.
 ///
-/// Everything here is owned, so a batch scheduler can hold several pending
-/// queries while their refinements run on worker threads.
+/// Everything here is owned, so a batch scheduler can hold a query until
+/// the next query's device phase has run.
 pub(crate) struct PendingKnn {
     pub k: usize,
     /// The candidate cells, in expansion order (pooled; returned to the
@@ -110,7 +110,7 @@ pub(crate) struct RefineOutcome {
     /// refinement analogue of the simulated device clock, and what the
     /// batch pipeline charges on its host stream.
     pub critical_ns: u64,
-    /// Worker threads actually used.
+    /// Workers actually used.
     pub workers: usize,
     /// Vertices settled across all searches (each worker's multi-source
     /// search settles a shared vertex once).
@@ -154,14 +154,7 @@ pub(crate) fn run_knn(
     cache: Option<&BatchCleanCache>,
 ) -> KnnResult {
     let pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
-    let refined = refine_unresolved(
-        grid,
-        &pending.unresolved,
-        pending.l,
-        pending.cells.tags(),
-        config.refine_workers,
-        pool,
-    );
+    let refined = refine_unresolved(grid, &pending, config.host_workers, pool);
     knn_finalize(
         shards, grid, lists, config, now, pending, refined, pool, cache,
     )
@@ -528,9 +521,9 @@ pub(crate) fn knn_device_phase(
     }
 }
 
-/// Step 4's searches (Algorithm 6): bounded Dijkstra expansion from the
-/// unresolved vertices over the full graph, fanned out over `workers`
-/// scoped threads.
+/// Step 4's searches (Algorithm 6) for a query past its device phase:
+/// bounded Dijkstra expansion from its unresolved vertices over the full
+/// graph, fanned out over `workers` workers (inline for one).
 ///
 /// Each worker runs **one** shared search seeded at `(v, D[v])` for its
 /// whole source group under `radius(l)`. The engine settles each vertex `u`
@@ -542,19 +535,19 @@ pub(crate) fn knn_device_phase(
 /// once per source; DESIGN.md §5.6 has the full argument.
 ///
 /// Pure CPU and side-effect free: it never touches the device or the
-/// message lists, which is what lets a batch scheduler run it concurrently
-/// with another query's device phase. Determinism: each worker builds a
-/// local `best_outer`, maps are merged with `min` (order-independent), and
-/// `touched_cells` is recomputed from the merged map and sorted — so the
-/// outcome is identical for every worker count, including 1.
+/// message lists, which is what lets a batch scheduler model it
+/// overlapping another query's device phase. Determinism: each worker
+/// builds a local `best_outer`, maps are merged with `min`
+/// (order-independent), and `touched_cells` is recomputed from the merged
+/// map and sorted — so the outcome is identical for every worker count,
+/// including 1.
 pub(crate) fn refine_unresolved(
     grid: &GraphGrid,
-    unresolved: &[(VertexId, Distance)],
-    l: Distance,
-    in_set: &[bool],
+    pending: &PendingKnn,
     workers: usize,
     pool: &ScratchPool,
 ) -> RefineOutcome {
+    let (unresolved, l) = (&pending.unresolved[..], pending.l);
     if unresolved.is_empty() {
         return RefineOutcome::empty();
     }
@@ -584,60 +577,42 @@ pub(crate) fn refine_unresolved(
         (local, settled, relaxed, ns)
     };
 
+    // Deal vertices round-robin: adjacent unresolved vertices sit on the
+    // same stretch of the region boundary and have correlated search radii,
+    // so contiguous chunks would load one worker with all the heavy
+    // expansions. Striding spreads them evenly; the min-merge makes the
+    // partition irrelevant to the result. One worker searches the whole
+    // slice in place.
     let workers = workers.max(1).min(unresolved.len());
-    let (best_outer, settled, relaxed, mut busy_ns, mut critical_ns) = if workers == 1 {
-        let (local, settled, relaxed, ns) = expand(unresolved);
-        (local, settled, relaxed, ns, ns)
-    } else {
-        // Deal vertices round-robin: adjacent unresolved vertices sit on
-        // the same stretch of the region boundary and have correlated
-        // search radii, so contiguous chunks would load one worker with
-        // all the heavy expansions. Striding spreads them evenly; the
-        // min-merge makes the partition irrelevant to the result.
-        let partials = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let chunk: Vec<(VertexId, Distance)> = unresolved
-                        .iter()
-                        .skip(w)
-                        .step_by(workers)
-                        .copied()
-                        .collect();
-                    let expand = &expand;
-                    s.spawn(move |_| expand(&chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("refinement worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("refinement scope failed");
-
-        let mut partials = partials.into_iter();
-        let (mut merged, mut settled, mut relaxed, first_ns) =
-            partials.next().expect("at least one worker");
-        let mut busy = first_ns;
-        let mut critical = first_ns;
-        for (local, worker_settled, worker_relaxed, worker_ns) in partials {
-            busy += worker_ns;
-            critical = critical.max(worker_ns);
-            settled += worker_settled;
-            relaxed += worker_relaxed;
-            // min-merge is commutative and associative: the merged scratch
-            // is identical for every worker count and merge order.
-            for (u, du) in local.iter_touched() {
-                merged.min_in(u, du);
-            }
-            pool.release(local);
+    let mut partials = fan_out(workers, |w| {
+        if workers == 1 {
+            return expand(unresolved);
         }
-        (merged, settled, relaxed, busy, critical)
-    };
+        let stride = unresolved.iter().skip(w).step_by(workers);
+        expand(&stride.copied().collect::<Vec<_>>())
+    })
+    .into_iter();
+    let (mut best_outer, mut settled, mut relaxed, first_ns) =
+        partials.next().expect("at least one worker");
+    let mut busy_ns = first_ns;
+    let mut critical_ns = first_ns;
+    for (local, worker_settled, worker_relaxed, worker_ns) in partials {
+        busy_ns += worker_ns;
+        critical_ns = critical_ns.max(worker_ns);
+        settled += worker_settled;
+        relaxed += worker_relaxed;
+        // min-merge is commutative and associative: the merged scratch is
+        // identical for every worker count and merge order.
+        for (u, du) in local.iter_touched() {
+            best_outer.min_in(u, du);
+        }
+        pool.release(local);
+    }
 
     let mut touched_cells: Vec<CellId> = best_outer
         .iter_touched()
         .map(|(u, _)| grid.cell_of_vertex(u))
-        .filter(|c| !in_set[c.index()])
+        .filter(|&c| !pending.cells.contains(c))
         .collect();
     touched_cells.sort_unstable();
     touched_cells.dedup();
@@ -1333,7 +1308,7 @@ fn gpu_unresolved(
 }
 
 #[cfg(test)]
-mod golden;
+pub(crate) mod golden;
 
 #[cfg(test)]
 mod tests {
@@ -1489,14 +1464,7 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(got, expected, "merged rounds must clean the same cells");
 
-        let refined = refine_unresolved(
-            &grid,
-            &pending.unresolved,
-            pending.l,
-            pending.cells.tags(),
-            1,
-            &pool,
-        );
+        let refined = refine_unresolved(&grid, &pending, 1, &pool);
         let result = knn_finalize(
             &mut shards,
             &grid,
@@ -1744,7 +1712,7 @@ mod tests {
         };
         for workers in [2usize, 4, 8] {
             let (grid, lists, device, mut config) = setup(11);
-            config.refine_workers = workers;
+            config.host_workers = workers;
             let objects: Vec<(u64, EdgePosition)> = (0..20u64)
                 .map(|o| (o, EdgePosition::at_source(EdgeId((o * 23 % 160) as u32))))
                 .collect();
@@ -1812,14 +1780,7 @@ mod tests {
         }
 
         for workers in [1usize, 3, 8] {
-            let got = refine_unresolved(
-                &grid,
-                &pending.unresolved,
-                pending.l,
-                pending.cells.tags(),
-                workers,
-                &pool,
-            );
+            let got = refine_unresolved(&grid, &pending, workers, &pool);
             let got_map: HashMap<VertexId, Distance, FxBuildHasher> = got
                 .best_outer
                 .as_ref()
@@ -1868,14 +1829,7 @@ mod tests {
             settled += engine.settled().len() as u64;
             relaxed += engine.relaxed();
         }
-        let fused = refine_unresolved(
-            &grid,
-            &pending.unresolved,
-            pending.l,
-            pending.cells.tags(),
-            1,
-            &pool,
-        );
+        let fused = refine_unresolved(&grid, &pending, 1, &pool);
         assert!(
             fused.settled <= settled,
             "fused {} vs per-vertex {settled}",

@@ -33,16 +33,17 @@ impl Rng {
     }
 }
 
-/// FNV-1a over a stream of words.
+/// FNV-1a over a stream of words; the crate's golden tests digest their
+/// outputs with it.
 #[derive(Clone, Copy)]
-struct Digest(u64);
+pub(crate) struct Digest(pub(crate) u64);
 
 impl Digest {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
 
-    fn word(&mut self, w: u64) {
+    pub(crate) fn word(&mut self, w: u64) {
         for b in w.to_le_bytes() {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);

@@ -43,6 +43,7 @@ pub mod batch;
 pub mod busytime;
 pub mod cleaning;
 pub mod config;
+mod fanout;
 pub mod grid;
 pub mod knn;
 pub mod message;

@@ -133,7 +133,7 @@ impl DenseScratch {
 /// tagged since the last reset, in first-tag order. The kNN path uses
 /// [`CellSet`] for its candidate set (membership mask plus the set in
 /// expansion order) and `CellTags<u8>` for the sharded owner map.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CellTags<T> {
     tags: Vec<T>,
     tagged: Vec<CellId>,

@@ -15,6 +15,7 @@ use crate::api::{IndexSize, MovingObjectIndex, SimCosts};
 use crate::batch::BatchCleanCache;
 use crate::cleaning::{CleanedObjects, CleaningReport};
 use crate::config::GGridConfig;
+use crate::fanout::fan_out;
 use crate::grid::{CellId, GraphGrid};
 use crate::knn::{run_knn, KnnResult};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
@@ -85,31 +86,14 @@ struct Work {
     critical: u64,
 }
 
-/// Run `job(w)` for workers `0..workers`, inline for one worker and on
-/// scoped threads otherwise, adding each worker's time to `work`.
+/// Run `job(w)` for workers `0..workers` through [`fan_out`], adding each
+/// worker's time to `work`.
 fn on_workers<T: Send>(workers: usize, work: &mut Work, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let timed = |w: usize| {
+    let parts: Vec<(T, u64)> = fan_out(workers, |w| {
         let started = Instant::now();
         let out = job(w);
         (out, started.elapsed().as_nanos() as u64)
-    };
-    let parts: Vec<(T, u64)> = if workers == 1 {
-        vec![timed(0)]
-    } else {
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let timed = &timed;
-                    s.spawn(move |_| timed(w))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ingest worker panicked"))
-                .collect()
-        })
-        .expect("ingest scope failed")
-    };
+    });
     work.busy += parts.iter().map(|&(_, ns)| ns).sum::<u64>();
     work.critical += parts.iter().map(|&(_, ns)| ns).max().unwrap_or(0);
     parts.into_iter().map(|(out, _)| out).collect()
@@ -472,7 +456,7 @@ impl GGridServer {
     /// placement through the object table, and the group commit of the
     /// sorted per-cell runs. The resulting per-cell message sequences are
     /// byte-identical to calling [`Self::handle_update`] once per element
-    /// in order, for every `ingest_workers` count.
+    /// in order, for every `host_workers` count.
     ///
     /// Returns the cells whose dirty epoch the batch bumped, sorted, one
     /// entry per touched cell, so consumers like the subscription tick
@@ -608,7 +592,7 @@ impl GGridServer {
     /// sequential one.
     fn place(&self, updates: &[Update], batched: bool, work: &mut Work) -> Vec<Placement> {
         assert!(updates.len() < 1 << 31, "ingest batch too large");
-        let workers = self.config.ingest_workers.clamp(1, updates.len());
+        let workers = self.config.host_workers.clamp(1, updates.len());
         let parts = on_workers(workers, work, |w| {
             let mut keys = Vec::with_capacity(updates.len() / workers + 2);
             let locks = self.object_table.set_batch(
@@ -670,7 +654,7 @@ impl GGridServer {
         append: impl Fn(&R, &mut MessageList) -> u64 + Sync,
     ) -> Vec<CellId> {
         let dirty: Vec<CellId> = runs.iter().map(run_cell).collect();
-        let workers = self.config.ingest_workers.clamp(1, runs.len().max(1));
+        let workers = self.config.host_workers.clamp(1, runs.len().max(1));
         on_workers(workers, work, |w| {
             for j in (w..runs.len()).step_by(workers) {
                 if let Some(ahead) = dirty.get(j + PREFETCH_RUNS * workers) {

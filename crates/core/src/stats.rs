@@ -576,7 +576,7 @@ pub struct ServerCounters {
     pub ingest_busy_ns: u64,
     /// Critical path of the ingest worker pool: the busiest single worker,
     /// per batch, accumulated — the modeled batch duration on a host with
-    /// `ingest_workers` free cores (see `refine_critical_ns`).
+    /// `host_workers` free cores (see `refine_critical_ns`).
     pub ingest_critical_ns: u64,
     /// Ingest batch-size histogram (log-bucketed, see [`Hist`]).
     pub batch_size_hist: Hist,

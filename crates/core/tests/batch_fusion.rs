@@ -9,7 +9,7 @@
 //!   pipelined refinement must not leak one query's schedule into
 //!   another's answer).
 //! * **Refinement is worker-count independent and exact** — sweeping
-//!   `refine_workers ∈ {1, 2, 4}` never changes an answer, tie-breaking
+//!   `host_workers ∈ {1, 2, 4}` never changes an answer, tie-breaking
 //!   included (answers are sorted by `(distance, object id)`, so any tie
 //!   mishandling surfaces as a reordered or truncated result), and the
 //!   distances equal a full-graph Dijkstra reference.
@@ -121,7 +121,7 @@ proptest! {
         for workers in [1usize, 2, 4] {
             let config = GGridConfig {
                 eta: case.eta,
-                refine_workers: workers,
+                host_workers: workers,
                 ..Default::default()
             };
             let mut s = loaded(&case, config);
@@ -134,11 +134,11 @@ proptest! {
                 let want = reference_knn(&case.graph, q, &objs, k);
                 let got_d: Vec<u64> = answer.iter().map(|&(_, d)| d).collect();
                 let want_d: Vec<u64> = want.iter().map(|&(_, d)| d).collect();
-                prop_assert_eq!(got_d, want_d, "refine_workers={}", workers);
+                prop_assert_eq!(got_d, want_d, "host_workers={}", workers);
             }
             match &first {
                 None => first = Some(got),
-                Some(want) => prop_assert_eq!(&got, want, "refine_workers={}", workers),
+                Some(want) => prop_assert_eq!(&got, want, "host_workers={}", workers),
             }
         }
     }

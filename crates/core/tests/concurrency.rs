@@ -15,7 +15,7 @@ fn config(workers: usize, clean_skip: bool) -> GGridConfig {
     GGridConfig {
         eta: 4,
         bucket_capacity: 16,
-        refine_workers: workers,
+        host_workers: workers,
         clean_skip,
         ..Default::default()
     }
@@ -61,8 +61,8 @@ fn batch_answers_identical_to_sequential() {
             .iter()
             .map(|&(q, k)| sequential.knn(q, k, Timestamp(900)))
             .collect();
-        // Concurrent: batch pipeline with a multi-threaded refinement pool.
-        for workers in [1usize, 4] {
+        // Batch pipeline at every host-worker width.
+        for workers in [1usize, 2, 4] {
             let mut concurrent = seeded_server(seed, workers, true);
             let batch = concurrent.knn_batch(&queries, Timestamp(900));
             assert_eq!(batch.answers, want, "seed {seed}, workers {workers}");

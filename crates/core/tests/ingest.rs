@@ -1,6 +1,6 @@
 //! Integration tests for concurrent batched ingestion: `ingest_batch` must
 //! leave the server in a state byte-identical to per-call `handle_update`
-//! — for every `ingest_workers` count — and the group commit must touch
+//! — for every `host_workers` count — and the group commit must touch
 //! each cell's dirty epoch exactly once per batch.
 
 use ggrid::prelude::*;
@@ -11,11 +11,11 @@ use roadnet::{gen, EdgeId};
 
 const EDGES: u32 = 160; // gen::toy edge count
 
-fn config(ingest_workers: usize) -> GGridConfig {
+fn config(host_workers: usize) -> GGridConfig {
     GGridConfig {
         eta: 4,
         bucket_capacity: 16,
-        ingest_workers,
+        host_workers,
         ..Default::default()
     }
 }

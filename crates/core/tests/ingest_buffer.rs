@@ -13,11 +13,11 @@ use std::sync::Barrier;
 
 const EDGES: u32 = 160; // gen::toy edge count
 
-fn config(ingest_workers: usize) -> GGridConfig {
+fn config(host_workers: usize) -> GGridConfig {
     GGridConfig {
         eta: 4,
         bucket_capacity: 16,
-        ingest_workers,
+        host_workers,
         ..Default::default()
     }
 }

@@ -170,7 +170,7 @@ fn loaded_server(seed: u64, workers: usize) -> (GGridServer, HashMap<u64, EdgePo
     let cfg = GGridConfig {
         eta: 4,
         bucket_capacity: 16,
-        refine_workers: workers,
+        host_workers: workers,
         ..Default::default()
     };
     let s = GGridServer::new(gen::toy(seed), cfg);

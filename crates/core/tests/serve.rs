@@ -39,11 +39,11 @@ impl Event {
     }
 }
 
-fn config(refine_workers: usize) -> GGridConfig {
+fn config(host_workers: usize) -> GGridConfig {
     GGridConfig {
         eta: 4,
         bucket_capacity: 16,
-        refine_workers,
+        host_workers,
         t_delta_ms: 1 << 40,
         ..Default::default()
     }
@@ -146,9 +146,9 @@ fn lanes_of(events: &[Event], clients: usize) -> Vec<Vec<Event>> {
 #[allow(clippy::type_complexity)]
 fn reference_answers(
     lanes: &[Vec<Event>],
-    refine_workers: usize,
+    host_workers: usize,
 ) -> Vec<((u32, u64), Vec<(ObjectId, Distance)>)> {
-    let mut server = GGridServer::new(gen::toy(42), config(refine_workers));
+    let mut server = GGridServer::new(gen::toy(42), config(host_workers));
     seed_fleet(&server);
     // Release order.
     let mut merged: Vec<(u64, u32, u64, &Event)> = Vec::new();
@@ -204,9 +204,9 @@ fn reference_answers(
 fn serve_answers(
     lanes: Vec<Vec<Event>>,
     cfg: &ggrid::serve::ServeConfig,
-    refine_workers: usize,
+    host_workers: usize,
 ) -> (Vec<((u32, u64), Vec<(ObjectId, Distance)>)>, QueueSnapshot) {
-    let mut server = GGridServer::new(gen::toy(42), config(refine_workers));
+    let mut server = GGridServer::new(gen::toy(42), config(host_workers));
     seed_fleet(&server);
     let mut queue = ServeQueue::new(cfg);
     let clients: Vec<ServeClient> = (0..lanes.len()).map(|_| queue.client()).collect();
@@ -241,7 +241,7 @@ proptest! {
 
     /// The tentpole invariant: for deadlines {0, mid, ∞} × clients
     /// {1, 4, 16}, with ingest interleaved, maintenance epochs on or off,
-    /// and 1 or 3 refine workers, the serve loop's answers are
+    /// and 1, 2 or 4 host workers, the serve loop's answers are
     /// byte-identical to the direct `knn_batch` replay of the same
     /// stamped multiset — under real thread interleaving.
     #[test]
@@ -250,25 +250,25 @@ proptest! {
         deadline_i in 0usize..3,
         clients_i in 0usize..3,
         max_batch_i in 0usize..3,
-        refine_i in 0usize..2,
+        workers_i in 0usize..3,
         epoch_i in 0usize..2,
     ) {
         let deadline = [0u64, 40_000, u64::MAX][deadline_i];
         let clients = [1usize, 4, 16][clients_i];
         let max_batch = [1usize, 3, 32][max_batch_i];
-        let refine_workers = [1usize, 3][refine_i];
+        let host_workers = [1usize, 2, 4][workers_i];
         let epoch = [0u64, 7][epoch_i];
         let events = schedule(seed, 60);
         let mut lanes = lanes_of(&events, clients);
         stamp_updates(&mut lanes);
-        let reference = reference_answers(&lanes, refine_workers);
+        let reference = reference_answers(&lanes, host_workers);
         let cfg = ggrid::serve::ServeConfig {
             max_batch_size: max_batch,
             deadline_ns: deadline,
             epoch_requests: epoch,
             ..Default::default()
         };
-        let (got, queue) = serve_answers(lanes, &cfg, refine_workers);
+        let (got, queue) = serve_answers(lanes, &cfg, host_workers);
         prop_assert_eq!(got.len(), reference.len());
         for (g, r) in got.iter().zip(&reference) {
             prop_assert_eq!(g, r);

@@ -32,6 +32,8 @@ struct Case {
     queries: Vec<(u32, usize)>,
     steps: Vec<Step>,
     eta: u32,
+    /// Host workers of the sharded runs; the `D = 1` reference uses one.
+    host_workers: usize,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -47,10 +49,10 @@ fn arb_case() -> impl Strategy<Value = Case> {
             ),
             1..5,
         ),
-        2u32..6,
+        (2u32..6, 0usize..3),
     )
         .prop_map(
-            |((rows, cols, seed), initial, queries, raw_steps, eta)| Case {
+            |((rows, cols, seed), initial, queries, raw_steps, (eta, workers_idx))| Case {
                 graph: gen::grid_city(&GridCityParams {
                     rows,
                     cols,
@@ -69,6 +71,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                     })
                     .collect(),
                 eta,
+                host_workers: [1, 2, 4][workers_idx],
             },
         )
 }
@@ -102,14 +105,22 @@ struct Observed {
     subs: Vec<Vec<Vec<(ObjectId, Distance)>>>,
 }
 
-/// Drive the scripted stream on a `num_devices = d` server and collect
-/// every answer surface after each step. `replication` and `cross_shard`
-/// toggle the cooperative multi-device paths; both only change *where*
-/// modeled work lands, never answers.
-fn run_stream(case: &Case, d: usize, replication: bool, cross_shard: bool) -> Observed {
+/// Drive the scripted stream on a `num_devices = d` server with
+/// `host_workers` workers and collect every answer surface after each
+/// step. `replication` and `cross_shard` toggle the cooperative
+/// multi-device paths; both only change *where* modeled work lands, never
+/// answers.
+fn run_stream(
+    case: &Case,
+    d: usize,
+    host_workers: usize,
+    replication: bool,
+    cross_shard: bool,
+) -> Observed {
     let config = GGridConfig {
         eta: case.eta,
         num_devices: d,
+        host_workers,
         // Low bar so the mid-stream rebalance actually fires when skewed.
         rebalance_threshold: 1.05,
         // Low bar so repeated clean-skips promote replicas within the
@@ -189,23 +200,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every answer surface is byte-identical across device counts ×
-    /// replication on/off × cross-shard SDist on/off. The stream's skewed
+    /// replication on/off × cross-shard SDist on/off, and between one host
+    /// worker (the reference) and the case's width. The stream's skewed
     /// hot-window writes land in cells the repeated queries replicate, so
     /// replica invalidation is exercised, and the mid-stream rebalance
     /// migrates cells out from under live replicas.
     #[test]
     fn answers_identical_across_device_counts(case in arb_case()) {
-        let reference = run_stream(&case, 1, false, false);
+        let reference = run_stream(&case, 1, 1, false, false);
         for d in [2usize, 4, 8] {
             for (replication, cross_shard) in
                 [(false, false), (false, true), (true, false), (true, true)]
             {
-                let got = run_stream(&case, d, replication, cross_shard);
+                let got = run_stream(&case, d, case.host_workers, replication, cross_shard);
                 prop_assert_eq!(
                     &got,
                     &reference,
-                    "answers diverged at D={} replication={} cross_shard={}",
+                    "answers diverged at D={} host_workers={} replication={} cross_shard={}",
                     d,
+                    case.host_workers,
                     replication,
                     cross_shard
                 );

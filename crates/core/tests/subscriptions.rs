@@ -32,8 +32,7 @@ struct Case {
     bucket: usize,
     t_delta_ms: u64,
     guard_slack: f64,
-    refine_workers: usize,
-    ingest_workers: usize,
+    host_workers: usize,
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
@@ -60,7 +59,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
         (2u32..6, 1usize..16),
         prop::bool::weighted(0.5),
         0usize..3,
-        (0usize..3, 0usize..3),
+        0usize..3,
     )
         .prop_map(
             |(
@@ -71,7 +70,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 (eta, bucket),
                 long_t_delta,
                 slack_idx,
-                (rw_idx, iw_idx),
+                workers_idx,
             )| Case {
                 graph: gen::grid_city(&GridCityParams {
                     rows,
@@ -87,8 +86,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 bucket,
                 t_delta_ms: if long_t_delta { 25_000 } else { 10_000 },
                 guard_slack: [0.0, 0.25, 1.0][slack_idx],
-                refine_workers: [1, 2, 4][rw_idx],
-                ingest_workers: [1, 2, 4][iw_idx],
+                host_workers: [1, 2, 4][workers_idx],
             },
         )
 }
@@ -130,8 +128,7 @@ proptest! {
                 bucket_capacity: case.bucket,
                 t_delta_ms: case.t_delta_ms,
                 guard_slack: case.guard_slack,
-                refine_workers: case.refine_workers,
-                ingest_workers: case.ingest_workers,
+                host_workers: case.host_workers,
                 ..Default::default()
             },
         );
