@@ -8,8 +8,8 @@
 //!    grid build time, the resident index bytes, the hybrid-clock time
 //!    per kNN query, and the modeled ingest throughput. The 300k/1M point
 //!    is the paper's full-scale regime — before the capacity push
-//!    (epoch-stamped partition scratch, streaming grid assembly, cached
-//!    snapshots, scratch-pool budget) it did not complete.
+//!    (epoch-stamped partition scratch, streaming grid assembly,
+//!    scratch-pool budget) it did not complete.
 //! 2. **Hot-window buffered ingest** — the PR-4 group commit versus the
 //!    thread-buffered path (`ingest_buffered` + query auto-flush) on a
 //!    fleet that reports in *small arrival batches* over a hot window of
@@ -61,7 +61,6 @@ const COLUMNS: &[Column] = &[
         format!("{:.1}k", v.f64() / 1e3)
     }),
     ("Flushes", "ingest_flushes", Val::text),
-    ("Snap reuse", "snapshot_reuses", Val::text),
 ];
 
 /// One measured (|V|, |O|) sweep point.
@@ -301,7 +300,6 @@ fn point(p: &Point) -> Val {
         ("ingest_flushes", c.ingest_flushes.into()),
         ("buffered_messages", c.buffered_messages.into()),
         ("buffer_bytes_high_water", c.buffer_bytes_high_water.into()),
-        ("snapshot_reuses", c.snapshot_reuses.into()),
     ])
 }
 

@@ -1,8 +1,7 @@
 //! Extension study (beyond the paper): the concurrent query engine.
 //!
 //! Sweeps the host worker count (`host_workers`, the width of refinement
-//! and ingest) × the epoch-based clean-skip cache on the NY-shaped dataset
-//! and reports the amortised query time next to the engine's own
+//! and ingest) on the NY-shaped dataset and reports the amortised query time next to the engine's own
 //! instrumentation: the clean-skip hit rate (cells served from the host
 //! cache instead of a kernel launch) and the average refinement concurrency
 //! (summed worker-busy time over refinement wall time).
@@ -40,7 +39,6 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         &format!("Extension: concurrent query engine ({}, k=16)", ds.name()),
         &[
             "Workers",
-            "Clean-skip",
             "ns/query",
             "Skip hits",
             "Skip misses",
@@ -69,38 +67,34 @@ pub fn run(cfg: &ExpConfig) -> ResultTable {
         .map(|i| (EdgePosition::at_source(EdgeId(i % 8 * (ne / 8))), 16))
         .collect();
     let batch_at = Timestamp(scenario.warmup_ms + scenario.num_queries as u64);
-    for clean_skip in [true, false] {
-        for workers in WORKER_SWEEP {
-            let config = GGridConfig {
-                host_workers: workers,
-                clean_skip,
-                t_delta_ms: params.t_delta_ms,
-                ..params.ggrid.clone()
-            };
-            let mut server = world.server(config);
-            let report = run_scenario(
-                &world.graph,
-                &mut server,
-                &scenario,
-                params.t_delta_ms,
-                false,
-            );
-            let c = server.counters();
-            let b = server.knn_batch(&batch, batch_at);
-            t.row(vec![
-                workers.to_string(),
-                if clean_skip { "on" } else { "off" }.to_string(),
-                fmt_ns(report.amortized_ns_per_query()),
-                c.clean_skip_hits.to_string(),
-                c.clean_skip_misses.to_string(),
-                format!("{:.1}%", 100.0 * c.clean_skip_hit_rate()),
-                format!("{:.2}", c.refine_concurrency()),
-                format!("{:.2}", c.refine_parallel_speedup()),
-                fmt_ns(b.pipelined_time.0),
-                fmt_ns(b.serial_time.0),
-                host_cores.to_string(),
-            ]);
-        }
+    for workers in WORKER_SWEEP {
+        let config = GGridConfig {
+            host_workers: workers,
+            t_delta_ms: params.t_delta_ms,
+            ..params.ggrid.clone()
+        };
+        let mut server = world.server(config);
+        let report = run_scenario(
+            &world.graph,
+            &mut server,
+            &scenario,
+            params.t_delta_ms,
+            false,
+        );
+        let c = server.counters();
+        let b = server.knn_batch(&batch, batch_at);
+        t.row(vec![
+            workers.to_string(),
+            fmt_ns(report.amortized_ns_per_query()),
+            c.clean_skip_hits.to_string(),
+            c.clean_skip_misses.to_string(),
+            format!("{:.1}%", 100.0 * c.clean_skip_hit_rate()),
+            format!("{:.2}", c.refine_concurrency()),
+            format!("{:.2}", c.refine_parallel_speedup()),
+            fmt_ns(b.pipelined_time.0),
+            fmt_ns(b.serial_time.0),
+            host_cores.to_string(),
+        ]);
     }
     t
 }
@@ -118,15 +112,11 @@ mod tests {
             ..ExpConfig::quick()
         };
         let t = run(&cfg);
-        assert_eq!(t.rows.len(), 2 * WORKER_SWEEP.len());
-        // With the cache on, a repeated-query stream must hit the skip
-        // path; with it off, hits must be exactly zero.
+        assert_eq!(t.rows.len(), WORKER_SWEEP.len());
+        // A repeated-query stream must hit the skip path at every width.
         for row in &t.rows {
-            let hits: u64 = row[3].parse().unwrap();
-            match row[1].as_str() {
-                "on" => assert!(hits > 0, "no skip hits in row {row:?}"),
-                _ => assert_eq!(hits, 0, "skip hits with cache off {row:?}"),
-            }
+            let hits: u64 = row[2].parse().unwrap();
+            assert!(hits > 0, "no skip hits in row {row:?}");
         }
     }
 }

@@ -157,7 +157,6 @@ pub fn run(cfg: &ExpConfig) -> (ResultTable, Report) {
             ("ingest_flushes", c.ingest_flushes.into()),
             ("buffered_messages", c.buffered_messages.into()),
             ("buffer_bytes_high_water", c.buffer_bytes_high_water.into()),
-            ("snapshot_reuses", c.snapshot_reuses.into()),
             ("batch_size_p50", c.batch_size_hist.percentile(50.0).into()),
             ("batch_size_p99", c.batch_size_hist.percentile(99.0).into()),
             ("batch_size_hist", Val::List(hist)),

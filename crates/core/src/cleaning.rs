@@ -157,7 +157,7 @@ pub fn clean_cells_with_heat(
     let mut resident_msgs: Vec<WireMessage> = Vec::new();
     for &c in cells {
         let mut list = lists.lock(c.index());
-        if config.clean_skip && list.is_clean() {
+        if list.is_clean() {
             rep.cells_skipped += 1;
             if let Some(heat) = read_heat {
                 heat[c.index()].fetch_add(1, Ordering::Relaxed);
@@ -1110,35 +1110,5 @@ mod tests {
         }
         assert_eq!(heat[0].load(Ordering::Relaxed), 2);
         assert_eq!(heat[1].load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn skip_disabled_by_config() {
-        let (mut dev, lists, mut resident) = setup(1);
-        lists.lock(0).append(msg(1, 100));
-        let cfg = GGridConfig {
-            clean_skip: false,
-            ..config()
-        };
-        clean_cells(
-            &mut dev,
-            &lists,
-            &mut resident,
-            &[CellId(0)],
-            &cfg,
-            Timestamp(150),
-        );
-        let launches = dev.launches();
-        let (_, rep) = clean_cells(
-            &mut dev,
-            &lists,
-            &mut resident,
-            &[CellId(0)],
-            &cfg,
-            Timestamp(160),
-        );
-        assert_eq!(rep.cells_skipped, 0);
-        assert_eq!(rep.cells_cleaned, 1);
-        assert!(dev.launches() > launches, "ablation must re-run the kernel");
     }
 }

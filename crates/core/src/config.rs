@@ -37,11 +37,6 @@ pub struct GGridConfig {
     /// identical for every width. `1` runs both on the calling thread;
     /// more runs them on that many scoped threads per call.
     pub host_workers: usize,
-    /// Serve already-consolidated cells straight from the message-list
-    /// cache instead of re-launching the cleaning kernel (epoch-based
-    /// clean-skip). Answers are identical either way; disabling this exists
-    /// for ablations.
-    pub clean_skip: bool,
     /// Per-device memory budget (bytes), applied separately to each of the
     /// two residency stores. The cell store keeps consolidated message
     /// lists resident: re-cleaning a resident cell ships only the delta
@@ -128,7 +123,6 @@ impl Default for GGridConfig {
             t_delta_ms: 10_000,
             transfer_chunks: 4,
             host_workers: 1,
-            clean_skip: true,
             device_budget_bytes: 64 << 20,
             sdist_delta: 0,
             max_subscriptions: 65_536,
@@ -212,7 +206,6 @@ mod tests {
         assert_eq!(c.bundle_width(), 32);
         assert!((c.rho - 1.8).abs() < 1e-9);
         assert_eq!(c.host_workers, 1);
-        assert!(c.clean_skip);
         assert_eq!(c.device_budget_bytes, 64 << 20);
         assert_eq!(c.sdist_delta, 0, "0 = auto (grid mean edge weight)");
         assert_eq!(c.max_subscriptions, 65_536);

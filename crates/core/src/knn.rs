@@ -201,16 +201,8 @@ fn clean_round(
                     // exactly the read the scatter path keeps paying for:
                     // install a device replica so later frontier rounds fold
                     // its work onto this primary.
-                    if config.replication_enabled()
-                        && shards.owner_of(c) != primary
-                        && shards.read_heat_of(c) >= config.replicate_threshold
-                        && !msgs.is_empty()
-                    {
-                        if let Some(epoch) = lists.lock(c.index()).cleaned_epoch() {
-                            if !shards.replica_valid(primary, c, Some(epoch)) {
-                                promote.push((c, epoch, msgs));
-                            }
-                        }
+                    if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
+                        promote.push((c, epoch, msgs));
                     }
                 }
                 continue;
@@ -227,7 +219,7 @@ fn clean_round(
     // The cells the routed clean will serve from the clean-skip cache
     // (the predicate the skip branch itself uses, evaluated pre-clean):
     // remote-owned ones are read out of their owner's device below.
-    let gather: Vec<CellId> = if shards.num_shards() > 1 && config.clean_skip {
+    let gather: Vec<CellId> = if shards.num_shards() > 1 {
         fresh
             .iter()
             .copied()
@@ -248,20 +240,12 @@ fn clean_round(
     if config.replication_enabled() {
         let mut batch: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
         for &c in &fresh {
-            if shards.owner_of(c) == primary || shards.read_heat_of(c) < config.replicate_threshold
-            {
-                continue;
-            }
             let Some(msgs) = cleaned.get(&c) else {
                 continue;
             };
-            let Some(epoch) = lists.lock(c.index()).cleaned_epoch() else {
-                continue;
-            };
-            if shards.replica_valid(primary, c, Some(epoch)) {
-                continue; // already hosted and current
+            if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
+                batch.push((c, epoch, msgs));
             }
-            batch.push((c, epoch, msgs));
         }
         if !batch.is_empty() {
             breakdown.h2d_bytes += shards.promote_replicas_coalesced(primary, &batch);
@@ -272,6 +256,29 @@ fn clean_round(
             objects.extend_from_slice(msgs);
         }
     }
+}
+
+/// The list epoch at which to promote `c`'s consolidated `msgs` as a
+/// read-replica onto `primary`, if it should be: replication is on, `c` is
+/// remote, read-hot, non-empty and consolidated, and `primary` holds no
+/// valid replica of it yet (a stale one is torn down by the check).
+fn replica_epoch(
+    shards: &mut ShardSet,
+    lists: &CellLists,
+    config: &GGridConfig,
+    primary: usize,
+    c: CellId,
+    msgs: &[CachedMessage],
+) -> Option<u64> {
+    if !config.replication_enabled()
+        || shards.owner_of(c) == primary
+        || shards.read_heat_of(c) < config.replicate_threshold
+        || msgs.is_empty()
+    {
+        return None;
+    }
+    let epoch = lists.lock(c.index()).cleaned_epoch()?;
+    (!shards.replica_valid(primary, c, Some(epoch))).then_some(epoch)
 }
 
 /// Steps 1–3: everything that needs the devices and the message lists.

@@ -6,10 +6,8 @@
 //! and then overwrites the entry. Uses an Fx-style hasher: object ids are
 //! dense integers, and the default SipHash is needlessly slow for them.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use roadnet::EdgePosition;
 
@@ -138,20 +136,6 @@ pub fn shard_of(o: ObjectId) -> usize {
 /// callers must never acquire a cell mutex while holding one.
 pub struct ShardedObjectTable {
     shards: Vec<parking_lot::RwLock<ObjectTable>>,
-    /// Per-shard write epochs, bumped after every write (`set`, `remove`,
-    /// or a shard's part of a `set_batch`), validating the cached snapshot
-    /// below.
-    epochs: Vec<AtomicU64>,
-    cache: parking_lot::Mutex<SnapshotCache>,
-    /// Snapshots served from the cache without a rebuild.
-    snapshot_reuses: AtomicU64,
-}
-
-/// Cached result of [`ShardedObjectTable::snapshot`], tagged with the shard
-/// epochs observed when it was built.
-struct SnapshotCache {
-    stamps: Vec<u64>,
-    data: Arc<Vec<(ObjectId, ObjectEntry)>>,
 }
 
 impl Default for ShardedObjectTable {
@@ -166,14 +150,6 @@ impl ShardedObjectTable {
             shards: (0..NUM_SHARDS)
                 .map(|_| parking_lot::RwLock::new(ObjectTable::new()))
                 .collect(),
-            epochs: (0..NUM_SHARDS).map(|_| AtomicU64::new(0)).collect(),
-            cache: parking_lot::Mutex::new(SnapshotCache {
-                // u64::MAX never matches a real epoch, forcing the first
-                // snapshot to build.
-                stamps: vec![u64::MAX; NUM_SHARDS],
-                data: Arc::new(Vec::new()),
-            }),
-            snapshot_reuses: AtomicU64::new(0),
         }
     }
 
@@ -192,15 +168,14 @@ impl ShardedObjectTable {
         position: EdgePosition,
         time: Timestamp,
     ) -> Option<ObjectEntry> {
-        let s = shard_of(o);
-        let prev = self.shards[s].write().set(o, cell, position, time);
-        self.epochs[s].fetch_add(1, Ordering::Release);
-        prev
+        self.shards[shard_of(o)]
+            .write()
+            .set(o, cell, position, time)
     }
 
     /// Batched `setOT`: apply every update of `batch` whose shard satisfies
-    /// `owned`, taking each touched shard's write lock **once** and bumping
-    /// its epoch once. Returns the number of shard locks taken.
+    /// `owned`, taking each touched shard's write lock **once**. Returns the
+    /// number of shard locks taken.
     ///
     /// A counting sort groups the batch indices by shard, resolving each
     /// update's cell on the way (a tight loop, so those lookups overlap);
@@ -252,20 +227,13 @@ impl ShardedObjectTable {
                 let prev = shard.set(o, cell, position, time);
                 visit(i as usize, cell, prev);
             }
-            drop(shard);
-            self.epochs[s].fetch_add(1, Ordering::Release);
             locks += 1;
         }
         locks
     }
 
     pub fn remove(&self, o: ObjectId) -> Option<ObjectEntry> {
-        let s = shard_of(o);
-        let prev = self.shards[s].write().remove(o);
-        if prev.is_some() {
-            self.epochs[s].fetch_add(1, Ordering::Release);
-        }
-        prev
+        self.shards[shard_of(o)].write().remove(o)
     }
 
     pub fn len(&self) -> usize {
@@ -281,66 +249,16 @@ impl ShardedObjectTable {
     }
 
     /// A point-in-time copy of every entry, sorted by object id. Shards are
-    /// visited one at a time (never all locked at once), so this is a
-    /// *consistent-per-shard* snapshot — exact when no writer is active,
-    /// which is how validation and tests use it.
-    ///
-    /// The result is cached and revalidated against per-shard write epochs,
-    /// so repeated snapshots of a quiet table are an epoch comparison plus
-    /// an `Arc` clone — no O(|𝒪|) copy, no re-sort (the pre-capacity-push
-    /// path rebuilt and fully sorted the vector on *every* call, which
-    /// dominated at 1M objects). Rebuilds sort each shard's entries
-    /// individually and k-way merge the runs: sorting 64 runs of N/64 is
-    /// cheaper than one sort of N, and the merge is linear in N.
-    ///
-    /// Epochs are read **before** the shard contents, so a write racing the
-    /// rebuild can only make the cached stamps stale (next call rebuilds) —
-    /// never a fresh stamp over stale data.
-    pub fn snapshot(&self) -> Arc<Vec<(ObjectId, ObjectEntry)>> {
-        let mut cache = self.cache.lock();
-        let stamps: Vec<u64> = self
-            .epochs
-            .iter()
-            .map(|e| e.load(Ordering::Acquire))
-            .collect();
-        if stamps == cache.stamps {
-            self.snapshot_reuses.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(&cache.data);
-        }
-        let mut runs: Vec<Vec<(ObjectId, ObjectEntry)>> = Vec::with_capacity(NUM_SHARDS);
+    /// collected one at a time under their read locks (never all locked at
+    /// once), so this is a *consistent-per-shard* snapshot — exact when no
+    /// writer is active, which is how validation and tests use it.
+    pub fn snapshot(&self) -> Vec<(ObjectId, ObjectEntry)> {
+        let mut all: Vec<(ObjectId, ObjectEntry)> = Vec::with_capacity(self.len());
         for s in &self.shards {
-            let g = s.read();
-            let mut run: Vec<(ObjectId, ObjectEntry)> = g.iter().map(|(o, e)| (o, *e)).collect();
-            run.sort_unstable_by_key(|&(o, _)| o);
-            runs.push(run);
+            all.extend(s.read().iter().map(|(o, e)| (o, *e)));
         }
-        let total = runs.iter().map(Vec::len).sum();
-        let mut all: Vec<(ObjectId, ObjectEntry)> = Vec::with_capacity(total);
-        // K-way merge of the per-shard sorted runs (min-heap on the head of
-        // each run, keyed by object id).
-        let mut heap: BinaryHeap<std::cmp::Reverse<(ObjectId, usize)>> = runs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(i, r)| std::cmp::Reverse((r[0].0, i)))
-            .collect();
-        let mut next = vec![0usize; runs.len()];
-        while let Some(std::cmp::Reverse((_, i))) = heap.pop() {
-            let pos = next[i];
-            all.push(runs[i][pos]);
-            next[i] = pos + 1;
-            if let Some(&(o, _)) = runs[i].get(pos + 1) {
-                heap.push(std::cmp::Reverse((o, i)));
-            }
-        }
-        cache.stamps = stamps;
-        cache.data = Arc::new(all);
-        Arc::clone(&cache.data)
-    }
-
-    /// Snapshots served from the epoch-validated cache without a rebuild.
-    pub fn snapshot_reuses(&self) -> u64 {
-        self.snapshot_reuses.load(Ordering::Relaxed)
+        all.sort_unstable_by_key(|&(o, _)| o);
+        all
     }
 }
 
@@ -446,34 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cache_reuses_until_a_write_invalidates() {
-        let t = ShardedObjectTable::new();
-        for i in 0..50u64 {
-            t.set(ObjectId(i), CellId(0), pos(0, 0), Timestamp(i));
-        }
-        let a = t.snapshot();
-        assert_eq!(t.snapshot_reuses(), 0);
-        let b = t.snapshot();
-        assert_eq!(t.snapshot_reuses(), 1, "quiet table must reuse the cache");
-        assert!(Arc::ptr_eq(&a, &b));
-
-        // A write to any shard invalidates; the rebuilt snapshot sees it.
-        t.set(ObjectId(7), CellId(9), pos(1, 0), Timestamp(99));
-        let c = t.snapshot();
-        assert_eq!(t.snapshot_reuses(), 1);
-        assert!(!Arc::ptr_eq(&b, &c));
-        let entry = c.iter().find(|&&(o, _)| o == ObjectId(7)).unwrap().1;
-        assert_eq!(entry.cell, CellId(9));
-        assert!(c.windows(2).all(|w| w[0].0 < w[1].0));
-
-        // Removing a missing object is not a write; the cache survives.
-        t.remove(ObjectId(12345));
-        let d = t.snapshot();
-        assert_eq!(t.snapshot_reuses(), 2);
-        assert!(Arc::ptr_eq(&c, &d));
-    }
-
-    #[test]
     fn set_batch_matches_sequential_sets() {
         // Repeated objects across several shards, with cell moves.
         let batch: Vec<(ObjectId, EdgePosition, Timestamp)> = (0..300u64)
@@ -501,7 +391,7 @@ mod tests {
         );
         assert_eq!(visited, batch.len());
         assert_eq!(got, want, "each prev equals the sequential set's");
-        assert_eq!(*t.snapshot(), *reference.snapshot());
+        assert_eq!(t.snapshot(), reference.snapshot());
         let shards: std::collections::HashSet<usize> =
             batch.iter().map(|&(o, _, _)| shard_of(o)).collect();
         assert_eq!(locks, shards.len() as u64, "one lock per touched shard");

@@ -20,9 +20,18 @@
 //! (`0` disables the store) and by the card's physical capacity enforced in
 //! [`gpu_sim::mem`]. When either bound is hit, least-recently-used cells
 //! are evicted until the new entry fits; a cell whose consolidated list
-//! alone exceeds the budget is simply never promoted. The
-//! [`TopologyStore`] applies the same budget on its own, separately from
-//! the cell store, so a device holds up to twice the budget across both.
+//! alone exceeds the budget is simply never promoted.
+//!
+//! ## One LRU, two budgets
+//!
+//! [`ResidentCellStore`] and [`TopologyStore`] are thin wrappers over one
+//! private LRU type. It owns everything the two share: the entry map, the
+//! recency order, the running totals, the budget and card-capacity
+//! eviction loops, victim search, removal and `clear`. The cell store adds
+//! epoch validity, replica tagging and the external charge; the topology
+//! store adds hit/miss counting and staged rounds. Each store has its own
+//! LRU and so its own budget: a device holds up to twice the budget across
+//! both.
 //!
 //! ## Bookkeeping cost
 //!
@@ -31,9 +40,9 @@
 //! their bookkeeping is amortised O(1) per operation, never a walk over the
 //! resident set:
 //!
-//! * **Running totals.** Resident bytes (and, for the cell store, the
-//!   replica count and bytes) are counters that every insert and remove
-//!   updates in the same place, so every byte and count accessor is O(1).
+//! * **Running totals.** Resident bytes (and the replica count and bytes)
+//!   are counters that every insert and remove updates in the same place,
+//!   so every byte and count accessor is O(1).
 //! * **Recency order.** Every install and hit appends a `(tick, cell)`
 //!   stamp to a `Recency` queue, in tick order, and records the tick as
 //!   the entry's `last_used`. The LRU victim is the oldest stamp that is
@@ -49,6 +58,33 @@ use gpu_sim::{BufferId, BufferTag, Device};
 use crate::grid::CellId;
 use crate::message::CachedMessage;
 use crate::object_table::FxBuildHasher;
+
+/// What a store keeps per resident cell besides the LRU's own fields.
+trait Payload {
+    /// How the cell's device buffer is tagged.
+    fn tag(&self) -> BufferTag;
+
+    fn is_replica(&self) -> bool {
+        self.tag() == BufferTag::Replica
+    }
+}
+
+/// One resident cell: its device buffer and width, its recency tick, and
+/// what the owning store keeps per cell.
+#[derive(Debug)]
+struct Slot<P> {
+    buffer: BufferId,
+    bytes: u64,
+    last_used: u64,
+    payload: P,
+}
+
+type Slots<P> = HashMap<CellId, Slot<P>, FxBuildHasher>;
+
+/// Whether `(tick, cell)` is still `cell`'s stamp in `slots`.
+fn is_live<P>(slots: &Slots<P>, tick: u64, cell: CellId) -> bool {
+    slots.get(&cell).is_some_and(|s| s.last_used == tick)
+}
 
 /// Recency order of a store's resident cells: an append-only queue of
 /// `(tick, cell)` stamps in tick order.
@@ -77,11 +113,10 @@ impl Recency {
         self.tick
     }
 
-    /// The least-recently-used cell. `last_used(cell)` is the cell's
-    /// current tick, `None` if it is not resident.
-    fn victim(&mut self, last_used: impl Fn(CellId) -> Option<u64>) -> Option<CellId> {
+    /// The least-recently-used cell of `slots`.
+    fn victim<P>(&mut self, slots: &Slots<P>) -> Option<CellId> {
         while let Some(&(tick, cell)) = self.stamps.front() {
-            if last_used(cell) == Some(tick) {
+            if is_live(slots, tick, cell) {
                 return Some(cell);
             }
             self.stamps.pop_front();
@@ -89,62 +124,200 @@ impl Recency {
         None
     }
 
-    /// Drop the stale stamps once the queue holds more than four per
-    /// `live` entry (plus slack): O(queue) work at most once per O(queue)
-    /// stamps pushed.
-    fn compact(&mut self, live: usize, last_used: impl Fn(CellId) -> Option<u64>) {
-        if self.stamps.len() > 4 * live + 16 {
+    /// Drop the stale stamps once the queue holds more than four per live
+    /// entry (plus slack): O(queue) work at most once per O(queue) stamps
+    /// pushed.
+    fn compact<P>(&mut self, slots: &Slots<P>) {
+        if self.stamps.len() > 4 * slots.len() + 16 {
             self.stamps
-                .retain(|&(tick, cell)| last_used(cell) == Some(tick));
+                .retain(|&(tick, cell)| is_live(slots, tick, cell));
         }
     }
 
     /// Live stamps, recounted (consistency checks).
-    fn live(&self, last_used: impl Fn(CellId) -> Option<u64>) -> usize {
+    fn live<P>(&self, slots: &Slots<P>) -> usize {
         self.stamps
             .iter()
-            .filter(|&&(tick, cell)| last_used(cell) == Some(tick))
+            .filter(|&&(tick, cell)| is_live(slots, tick, cell))
             .count()
     }
 }
 
-/// One cell's device-resident consolidated state.
+/// The least-recently-used store both residency stores are built on,
+/// generic over the per-cell payload `P`.
 #[derive(Debug)]
-struct ResidentEntry {
-    buffer: BufferId,
+struct Lru<P> {
+    budget_bytes: u64,
+    slots: Slots<P>,
+    recency: Recency,
+    /// Running totals over `slots`, kept by [`Self::admit`] and
+    /// [`Self::remove`]: all bytes, and the count and bytes of the slots
+    /// tagged [`BufferTag::Replica`] (only the cell store installs those).
+    resident_bytes: u64,
+    replica_cells: usize,
+    replica_bytes: u64,
+    /// Lifetime evictions (monotone; callers diff across a round).
+    evictions: u64,
+}
+
+impl<P: Payload> Lru<P> {
+    fn new(budget_bytes: u64) -> Self {
+        Self {
+            budget_bytes,
+            slots: HashMap::with_hasher(FxBuildHasher::default()),
+            recency: Recency::default(),
+            resident_bytes: 0,
+            replica_cells: 0,
+            replica_bytes: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Mark `cell` most recently used; `None` if it is not resident. Stale
+    /// recency stamps are compacted away first when they pile up (see
+    /// [`Recency`]).
+    fn touch(&mut self, cell: CellId) -> Option<&mut Slot<P>> {
+        self.recency.compact(&self.slots);
+        let slot = self.slots.get_mut(&cell)?;
+        slot.last_used = self.recency.stamp(cell);
+        Some(slot)
+    }
+
+    /// Evict least-recently-used slots until `bytes` more fit the budget;
+    /// `false` if the store empties first.
+    fn make_room(&mut self, device: &mut Device, bytes: u64) -> bool {
+        while self.resident_bytes + bytes > self.budget_bytes {
+            if self.evict_lru(device).is_none() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Make `cell` resident as the most recently used slot, `bytes` wide,
+    /// in a device buffer tagged as `payload` says. Evicts least-recently-used slots until it fits the budget on top of
+    /// `pressure` bytes charged from outside the store, then until the card
+    /// itself can allocate it (other structures share the card). Returns
+    /// `false`, admitting nothing, if the store empties first. `cell` must
+    /// not be resident.
+    fn admit(
+        &mut self,
+        device: &mut Device,
+        cell: CellId,
+        bytes: u64,
+        pressure: u64,
+        payload: P,
+    ) -> bool {
+        if !self.make_room(device, pressure + bytes) {
+            return false;
+        }
+        let buffer = loop {
+            match device.alloc_buffer_tagged(bytes, payload.tag()) {
+                Ok(b) => break b,
+                Err(_) => {
+                    if self.evict_lru(device).is_none() {
+                        return false;
+                    }
+                }
+            }
+        };
+        self.resident_bytes += bytes;
+        if payload.is_replica() {
+            self.replica_cells += 1;
+            self.replica_bytes += bytes;
+        }
+        let slot = Slot {
+            buffer,
+            bytes,
+            last_used: 0, // no stamp: the touch below gives the first
+            payload,
+        };
+        let prev = self.slots.insert(cell, slot);
+        debug_assert!(prev.is_none(), "{cell:?} installed twice");
+        self.touch(cell);
+        true
+    }
+
+    /// The one place a slot leaves the map, as [`Self::admit`] is the one
+    /// it enters: updates every running total (its recency stamp goes
+    /// stale) and frees its device buffer. Counts no eviction. Returns the
+    /// bytes freed, `None` if `cell` was not resident.
+    fn remove(&mut self, device: &mut Device, cell: CellId) -> Option<u64> {
+        let slot = self.slots.remove(&cell)?;
+        self.resident_bytes -= slot.bytes;
+        if slot.payload.is_replica() {
+            self.replica_cells -= 1;
+            self.replica_bytes -= slot.bytes;
+        }
+        Some(device.free_buffer(slot.buffer))
+    }
+
+    /// [`Self::remove`], counted as an eviction. Returns whether `cell` was
+    /// resident.
+    fn evict(&mut self, device: &mut Device, cell: CellId) -> bool {
+        let was = self.remove(device, cell).is_some();
+        self.evictions += u64::from(was);
+        was
+    }
+
+    /// Evict the least-recently-used slot — the smallest
+    /// `(last_used, cell)`. Returns the victim.
+    fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
+        let victim = self.recency.victim(&self.slots)?;
+        self.evict(device, victim);
+        Some(victim)
+    }
+
+    /// Recompute every running total from the slots and check it.
+    fn debug_check_totals(&self) {
+        let replicas = || self.slots.values().filter(|s| s.payload.is_replica());
+        debug_assert_eq!(
+            self.resident_bytes,
+            self.slots.values().map(|s| s.bytes).sum::<u64>()
+        );
+        debug_assert_eq!(self.replica_cells, replicas().count());
+        debug_assert_eq!(self.replica_bytes, replicas().map(|s| s.bytes).sum::<u64>());
+        debug_assert_eq!(self.recency.live(&self.slots), self.slots.len());
+    }
+
+    /// Drop every slot, counting no eviction. Returns how many there were.
+    fn clear(&mut self, device: &mut Device) -> u64 {
+        self.debug_check_totals();
+        let cells: Vec<CellId> = self.slots.keys().copied().collect();
+        for &c in &cells {
+            self.remove(device, c);
+        }
+        cells.len() as u64
+    }
+}
+
+/// A resident cell list's own state.
+#[derive(Debug)]
+struct CellList {
     /// List epoch at install time; the mirror is valid while the cell's
     /// `cleaned_epoch()` equals this.
     epoch: u64,
     /// Host mirror of the device buffer (the simulator computes on host
     /// data; a real port would keep only the device pointer).
     mirror: Vec<CachedMessage>,
-    last_used: u64,
-    /// How the entry's device buffer is tagged: [`BufferTag::General`] for
-    /// the owner's consolidated state, [`BufferTag::Replica`] for a
-    /// read-replica of a cell another shard owns.
+    /// [`BufferTag::General`] for the owner's consolidated state,
+    /// [`BufferTag::Replica`] for a read-replica of a cell another shard
+    /// owns.
     tag: BufferTag,
 }
 
-impl ResidentEntry {
-    fn bytes(&self) -> u64 {
-        self.mirror.len() as u64 * CachedMessage::WIRE_BYTES
+impl Payload for CellList {
+    fn tag(&self) -> BufferTag {
+        self.tag
     }
 }
 
 /// LRU store of device-resident consolidated cell lists.
 #[derive(Debug)]
 pub struct ResidentCellStore {
-    budget_bytes: u64,
-    entries: HashMap<CellId, ResidentEntry, FxBuildHasher>,
-    recency: Recency,
-    /// Running totals over `entries`, kept by [`Self::insert_entry`] and
-    /// [`Self::remove_entry`].
-    resident_bytes: u64,
-    replica_cells: usize,
-    replica_bytes: u64,
-    evictions: u64,
-    /// Bytes other device-resident structures (the batch clean-cache)
-    /// have charged against this budget; eviction decisions count them as
+    lru: Lru<CellList>,
+    /// Bytes other device-resident structures (the batch clean-cache) have
+    /// charged against this budget; eviction decisions count them as
     /// pressure even though no resident entry backs them.
     external_bytes: u64,
 }
@@ -154,32 +327,26 @@ impl ResidentCellStore {
     /// and every install is a no-op.
     pub fn new(budget_bytes: u64) -> Self {
         Self {
-            budget_bytes,
-            entries: HashMap::with_hasher(FxBuildHasher::default()),
-            recency: Recency::default(),
-            resident_bytes: 0,
-            replica_cells: 0,
-            replica_bytes: 0,
-            evictions: 0,
+            lru: Lru::new(budget_bytes),
             external_bytes: 0,
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.budget_bytes > 0
+        self.lru.budget_bytes > 0
     }
 
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.lru.budget_bytes
     }
 
     /// Bytes currently mirrored on the device.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
+        self.lru.resident_bytes
     }
 
     pub fn resident_cells(&self) -> usize {
-        self.entries.len()
+        self.lru.slots.len()
     }
 
     /// Bytes currently charged by external structures
@@ -197,11 +364,7 @@ impl ResidentCellStore {
         if !self.enabled() || bytes == 0 {
             return;
         }
-        while self.resident_bytes + self.external_bytes + bytes > self.budget_bytes {
-            if self.evict_lru(device).is_none() {
-                break;
-            }
-        }
+        self.lru.make_room(device, self.external_bytes + bytes);
         self.external_bytes += bytes;
     }
 
@@ -211,12 +374,12 @@ impl ResidentCellStore {
     }
 
     pub fn contains(&self, cell: CellId) -> bool {
-        self.entries.contains_key(&cell)
+        self.lru.slots.contains_key(&cell)
     }
 
     /// Lifetime LRU/stale evictions (monotone; callers diff across a round).
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.lru.evictions
     }
 
     /// The resident mirror of `cell`, valid against the cell's current
@@ -229,21 +392,12 @@ impl ResidentCellStore {
         cell: CellId,
         cleaned_epoch: Option<u64>,
     ) -> Option<&[CachedMessage]> {
-        match self.entries.get(&cell) {
-            None => None,
-            Some(e) if cleaned_epoch != Some(e.epoch) => {
-                let e = self.remove_entry(cell).expect("entry just seen");
-                device.free_buffer(e.buffer);
-                self.evictions += 1;
-                None
-            }
-            Some(_) => {
-                self.compact_recency();
-                let e = self.entries.get_mut(&cell).expect("entry just seen");
-                e.last_used = self.recency.stamp(cell);
-                Some(&e.mirror)
-            }
+        let epoch = self.lru.slots.get(&cell)?.payload.epoch;
+        if cleaned_epoch != Some(epoch) {
+            self.lru.evict(device, cell);
+            return None;
         }
+        self.lru.touch(cell).map(|s| &s.payload.mirror[..])
     }
 
     /// Install (or refresh) the resident state of `cell` after a cleaning
@@ -285,169 +439,62 @@ impl ResidentCellStore {
         messages: &[CachedMessage],
         tag: BufferTag,
     ) -> bool {
-        if !self.enabled() || messages.is_empty() {
-            self.invalidate(device, cell);
-            return false;
-        }
+        // Free the cell's previous buffer first: the new allocation must not
+        // be blocked by state it is replacing.
+        self.lru.remove(device, cell);
         let bytes = messages.len() as u64 * CachedMessage::WIRE_BYTES;
-        if bytes > self.budget_bytes {
-            self.invalidate(device, cell);
+        if !self.enabled() || messages.is_empty() || bytes > self.budget_bytes() {
             return false;
         }
-
-        // Free the cell's previous buffer first: the new allocation below
-        // must not be blocked by state it is replacing.
-        if let Some(e) = self.remove_entry(cell) {
-            device.free_buffer(e.buffer);
-        }
-
-        // Budget eviction (never counts the slot being refreshed; external
-        // charges squeeze the same budget).
-        while self.resident_bytes + self.external_bytes + bytes > self.budget_bytes {
-            if self.evict_lru(device).is_none() {
-                return false; // bytes <= budget and store empty (or all external)
-            }
-        }
-
-        // Capacity eviction: the card itself may be fuller than the budget
-        // assumes (other structures share it).
-        let buffer = loop {
-            match device.alloc_buffer_tagged(bytes, tag) {
-                Ok(b) => break b,
-                Err(_) => {
-                    if self.evict_lru(device).is_none() {
-                        return false;
-                    }
-                }
-            }
+        let list = CellList {
+            epoch,
+            mirror: messages.to_vec(),
+            tag,
         };
-
-        self.compact_recency();
-        let last_used = self.recency.stamp(cell);
-        self.insert_entry(
-            cell,
-            ResidentEntry {
-                buffer,
-                epoch,
-                mirror: messages.to_vec(),
-                last_used,
-                tag,
-            },
-        );
-        true
-    }
-
-    /// Drop stale recency stamps when they pile up (see [`Recency`]); run
-    /// before each new stamp, while every entry's stamp is live.
-    fn compact_recency(&mut self) {
-        let entries = &self.entries;
-        self.recency
-            .compact(entries.len(), |c| entries.get(&c).map(|e| e.last_used));
-    }
-
-    /// The one place an entry enters the map: updates every running total.
-    /// The caller has already stamped `entry.last_used` into the recency
-    /// order.
-    fn insert_entry(&mut self, cell: CellId, entry: ResidentEntry) {
-        self.resident_bytes += entry.bytes();
-        if entry.tag == BufferTag::Replica {
-            self.replica_cells += 1;
-            self.replica_bytes += entry.bytes();
-        }
-        let prev = self.entries.insert(cell, entry);
-        debug_assert!(prev.is_none(), "{cell:?} installed twice");
-    }
-
-    /// The one place an entry leaves the map: updates every running total
-    /// (its recency stamp goes stale). The caller frees the device buffer.
-    fn remove_entry(&mut self, cell: CellId) -> Option<ResidentEntry> {
-        let entry = self.entries.remove(&cell)?;
-        self.resident_bytes -= entry.bytes();
-        if entry.tag == BufferTag::Replica {
-            self.replica_cells -= 1;
-            self.replica_bytes -= entry.bytes();
-        }
-        Some(entry)
-    }
-
-    /// Recompute every running total from the entries and check it.
-    fn debug_check_totals(&self) {
-        let replicas = || {
-            self.entries
-                .values()
-                .filter(|e| e.tag == BufferTag::Replica)
-        };
-        debug_assert_eq!(
-            self.resident_bytes,
-            self.entries.values().map(ResidentEntry::bytes).sum::<u64>()
-        );
-        debug_assert_eq!(self.replica_cells, replicas().count());
-        debug_assert_eq!(
-            self.replica_bytes,
-            replicas().map(ResidentEntry::bytes).sum::<u64>()
-        );
-        debug_assert_eq!(
-            self.recency
-                .live(|c| self.entries.get(&c).map(|e| e.last_used)),
-            self.entries.len()
-        );
+        self.lru
+            .admit(device, cell, bytes, self.external_bytes, list)
     }
 
     /// Whether `cell`'s resident entry is a read-replica (installed through
     /// [`Self::install_replica`]).
     pub fn is_replica(&self, cell: CellId) -> bool {
-        self.entries
+        self.lru
+            .slots
             .get(&cell)
-            .is_some_and(|e| e.tag == BufferTag::Replica)
+            .is_some_and(|s| s.payload.is_replica())
     }
 
     /// Read-replica entries currently resident.
     pub fn replica_cells(&self) -> usize {
-        self.replica_cells
+        self.lru.replica_cells
     }
 
     /// Bytes currently held by read-replica entries.
     pub fn replica_bytes(&self) -> u64 {
-        self.replica_bytes
+        self.lru.replica_bytes
     }
 
     /// Drop `cell`'s resident state, if any. Returns the bytes freed.
     pub fn invalidate(&mut self, device: &mut Device, cell: CellId) -> u64 {
-        match self.remove_entry(cell) {
-            Some(e) => device.free_buffer(e.buffer),
-            None => 0,
-        }
+        self.lru.remove(device, cell).unwrap_or(0)
     }
 
     /// Evict the least-recently-used resident cell — the smallest
     /// `(last_used, cell)`. Returns the victim.
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
-        let entries = &self.entries;
-        let victim = self
-            .recency
-            .victim(|c| entries.get(&c).map(|e| e.last_used))?;
-        self.invalidate(device, victim);
-        self.evictions += 1;
-        Some(victim)
+        self.lru.evict_lru(device)
     }
 
     /// Forcibly evict a specific cell (tests, ablations). Returns whether
     /// the cell was resident.
     pub fn force_evict(&mut self, device: &mut Device, cell: CellId) -> bool {
-        let was = self.invalidate(device, cell) > 0;
-        if was {
-            self.evictions += 1;
-        }
-        was
+        self.lru.evict(device, cell)
     }
 
-    /// Drop everything (e.g. before reconfiguring the device).
+    /// Drop everything (e.g. before reconfiguring the device). Counts no
+    /// eviction.
     pub fn clear(&mut self, device: &mut Device) {
-        self.debug_check_totals();
-        let cells: Vec<CellId> = self.entries.keys().copied().collect();
-        for c in cells {
-            self.invalidate(device, c);
-        }
+        self.lru.clear(device);
     }
 }
 
@@ -466,12 +513,15 @@ pub struct StagedTopo {
     pub transactions_saved: u64,
 }
 
-/// One cell's device-resident CSR topology slice.
+/// A resident topology slice keeps nothing on the host; its buffer is
+/// always tagged [`BufferTag::Topology`].
 #[derive(Debug)]
-struct TopoEntry {
-    buffer: BufferId,
-    bytes: u64,
-    last_used: u64,
+struct TopoSlice;
+
+impl Payload for TopoSlice {
+    fn tag(&self) -> BufferTag {
+        BufferTag::Topology
+    }
 }
 
 /// LRU store of device-resident per-cell CSR topology slices.
@@ -484,12 +534,7 @@ struct TopoEntry {
 /// for which cells have paid their H2D.
 #[derive(Debug)]
 pub struct TopologyStore {
-    budget_bytes: u64,
-    entries: HashMap<CellId, TopoEntry, FxBuildHasher>,
-    recency: Recency,
-    /// Running total of `entries`' bytes.
-    resident_bytes: u64,
-    evictions: u64,
+    lru: Lru<TopoSlice>,
     hits: u64,
     misses: u64,
 }
@@ -499,40 +544,36 @@ impl TopologyStore {
     /// (the caller pays the per-query upload) and nothing is kept resident.
     pub fn new(budget_bytes: u64) -> Self {
         Self {
-            budget_bytes,
-            entries: HashMap::with_hasher(FxBuildHasher::default()),
-            recency: Recency::default(),
-            resident_bytes: 0,
-            evictions: 0,
+            lru: Lru::new(budget_bytes),
             hits: 0,
             misses: 0,
         }
     }
 
     pub fn enabled(&self) -> bool {
-        self.budget_bytes > 0
+        self.lru.budget_bytes > 0
     }
 
     pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
+        self.lru.budget_bytes
     }
 
     pub fn resident_cells(&self) -> usize {
-        self.entries.len()
+        self.lru.slots.len()
     }
 
     /// Bytes of topology currently resident on the device.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
+        self.lru.resident_bytes
     }
 
     pub fn contains(&self, cell: CellId) -> bool {
-        self.entries.contains_key(&cell)
+        self.lru.slots.contains_key(&cell)
     }
 
     /// Lifetime evictions (monotone).
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.lru.evictions
     }
 
     /// Lifetime lookup hits (cell already resident — no H2D owed).
@@ -552,52 +593,15 @@ impl TopologyStore {
     /// fit the budget and the card) so the *next* query hits. A slice wider
     /// than the whole budget is never installed.
     pub fn ensure(&mut self, device: &mut Device, cell: CellId, bytes: u64) -> bool {
-        self.compact_recency();
-        if let Some(e) = self.entries.get_mut(&cell) {
-            e.last_used = self.recency.stamp(cell);
+        if self.lru.touch(cell).is_some() {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if !self.enabled() || bytes == 0 || bytes > self.budget_bytes {
-            return false;
+        if self.enabled() && bytes > 0 && bytes <= self.budget_bytes() {
+            self.lru.admit(device, cell, bytes, 0, TopoSlice);
         }
-
-        while self.resident_bytes + bytes > self.budget_bytes {
-            if self.evict_lru(device).is_none() {
-                return false; // unreachable: bytes <= budget and store empty
-            }
-        }
-        let buffer = loop {
-            match device.alloc_buffer_tagged(bytes, BufferTag::Topology) {
-                Ok(b) => break b,
-                Err(_) => {
-                    if self.evict_lru(device).is_none() {
-                        return false;
-                    }
-                }
-            }
-        };
-
-        let last_used = self.recency.stamp(cell);
-        self.resident_bytes += bytes;
-        self.entries.insert(
-            cell,
-            TopoEntry {
-                buffer,
-                bytes,
-                last_used,
-            },
-        );
         false
-    }
-
-    /// Drop stale recency stamps when they pile up (see [`Recency`]); run
-    /// before each new stamp, while every entry's stamp is live.
-    fn compact_recency(&mut self) {
-        let entries = &self.entries;
-        self.recency
-            .compact(entries.len(), |c| entries.get(&c).map(|e| e.last_used));
     }
 
     /// Ensure a whole set of slices in one *staged* transfer: every cell is
@@ -627,48 +631,18 @@ impl TopologyStore {
     /// Evict the least-recently-used resident slice — the smallest
     /// `(last_used, cell)`. Returns the victim.
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
-        let entries = &self.entries;
-        let victim = self
-            .recency
-            .victim(|c| entries.get(&c).map(|e| e.last_used))?;
-        self.force_evict(device, victim);
-        Some(victim)
+        self.lru.evict_lru(device)
     }
 
     /// Forcibly evict a specific cell (tests, ablations). Returns whether
     /// the cell was resident.
     pub fn force_evict(&mut self, device: &mut Device, cell: CellId) -> bool {
-        match self.entries.remove(&cell) {
-            Some(e) => {
-                self.resident_bytes -= e.bytes;
-                device.free_buffer(e.buffer);
-                self.evictions += 1;
-                true
-            }
-            None => false,
-        }
+        self.lru.evict(device, cell)
     }
 
-    /// Recompute the running total from the entries and check it.
-    fn debug_check_totals(&self) {
-        debug_assert_eq!(
-            self.resident_bytes,
-            self.entries.values().map(|e| e.bytes).sum::<u64>()
-        );
-        debug_assert_eq!(
-            self.recency
-                .live(|c| self.entries.get(&c).map(|e| e.last_used)),
-            self.entries.len()
-        );
-    }
-
-    /// Drop everything.
+    /// Drop everything, counting one eviction per slice.
     pub fn clear(&mut self, device: &mut Device) {
-        self.debug_check_totals();
-        let cells: Vec<CellId> = self.entries.keys().copied().collect();
-        for c in cells {
-            self.force_evict(device, c);
-        }
+        self.lru.evictions += self.lru.clear(device);
     }
 }
 
@@ -1116,6 +1090,16 @@ mod proptests {
             Some(e.bytes / CachedMessage::WIRE_BYTES)
         }
 
+        /// Drop every entry. The cell store counts no eviction for a
+        /// clear; the topology store counts one per slice.
+        fn clear(&mut self, card_free: &mut u64, counts_evictions: bool) {
+            let cells: Vec<u32> = self.entries.keys().copied().collect();
+            for c in cells {
+                self.remove(card_free, c);
+                self.evictions += counts_evictions as u64;
+            }
+        }
+
         fn reserve_external(&mut self, card_free: &mut u64, bytes: u64) {
             if self.budget == 0 || bytes == 0 {
                 return;
@@ -1171,8 +1155,8 @@ mod proptests {
         rt: &RefStore,
         prealloc: u64,
     ) {
-        cells.debug_check_totals();
-        topo.debug_check_totals();
+        cells.lru.debug_check_totals();
+        topo.lru.debug_check_totals();
         assert_eq!(cells.resident_bytes(), rc.bytes());
         assert_eq!(cells.resident_cells(), rc.entries.len());
         assert_eq!(cells.evictions(), rc.evictions);
@@ -1221,7 +1205,7 @@ mod proptests {
             budget_idx in 0usize..3,
             squeeze in prop::bool::weighted(0.5),
             ops in prop::collection::vec(
-                (0u8..16, 0u32..CELLS, 0u64..25, 0u8..3, 1u64..4, 0u64..800), 1..600),
+                (0u8..17, 0u32..CELLS, 0u64..25, 0u8..3, 1u64..4, 0u64..800), 1..600),
         ) {
             let budget = BUDGETS[budget_idx];
             let mut d = Device::new(DeviceSpec::test_tiny());
@@ -1304,8 +1288,19 @@ mod proptests {
                         rt.evictions += was as u64;
                         prop_assert_eq!(topo.force_evict(&mut d, c), was);
                     }
-                    _ => {
+                    15 => {
                         prop_assert_eq!(topo.evict_lru(&mut d).map(|c| c.0), rt.evict_lru(&mut card_free));
+                    }
+                    _ => {
+                        // sel 0: the cell store; 1: the topology store; 2: both.
+                        if sel != 1 {
+                            cells.clear(&mut d);
+                            rc.clear(&mut card_free, false);
+                        }
+                        if sel != 0 {
+                            topo.clear(&mut d);
+                            rt.clear(&mut card_free, true);
+                        }
                     }
                 }
                 check(&d, &cells, &topo, &rc, &rt, prealloc);

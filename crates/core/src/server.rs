@@ -316,7 +316,6 @@ impl GGridServer {
         c.buffered_messages = staging.staged_total;
         c.buffer_bytes_high_water = staging.high_water_bytes;
         drop(staging);
-        c.snapshot_reuses = self.object_table.snapshot_reuses();
         c.subs_active = self.subs.active() as u64;
         for d in 0..self.shards.num_shards() {
             c.shard_busy_ns[d] = self.shards.shard(d).lifetime_busy_ns();

@@ -361,36 +361,13 @@ impl ShardSet {
                 .is_some()
     }
 
-    /// Promote a read-replica of `cell` (owned elsewhere) onto shard
-    /// `host`: installs the consolidated mirror under the host's budget LRU
-    /// with replica tagging and charges the H2D copy to the host device.
-    /// Returns the modeled transfer time, or `None` when the store declined
-    /// (budget too small, empty list, residency disabled).
-    pub fn promote_replica(
-        &mut self,
-        host: usize,
-        cell: CellId,
-        epoch: u64,
-        messages: &[CachedMessage],
-    ) -> Option<SimNanos> {
-        debug_assert_ne!(host, self.map.owner_of(cell), "owner needs no replica");
-        let s = &mut self.shards[host];
-        if !s
-            .resident
-            .install_replica(&mut s.device, cell, epoch, messages)
-        {
-            return None;
-        }
-        self.replica_installs += 1;
-        let bytes = messages.len() as u64 * CachedMessage::WIRE_BYTES;
-        let s = &mut self.shards[host];
-        Some(s.device.h2d(bytes))
-    }
-
-    /// Promote several cells onto `host` in one coalesced transfer: the
-    /// consolidated lists ship together, paying the PCIe latency once for
-    /// the whole batch instead of once per cell. Returns the bytes shipped
-    /// (zero when nothing was installed — budget pressure or races).
+    /// Promote read-replicas of several cells (owned elsewhere) onto shard
+    /// `host` in one coalesced transfer: each consolidated mirror is
+    /// installed under the host's budget LRU with replica tagging, and the
+    /// lists ship together, paying the PCIe latency once for the whole
+    /// batch instead of once per cell. Returns the bytes shipped (zero when
+    /// nothing was installed — budget too small, empty list, residency
+    /// disabled).
     pub fn promote_replicas_coalesced(
         &mut self,
         host: usize,
@@ -892,7 +869,7 @@ mod tests {
         // put the dirt one cell inward.
         use crate::message::ObjectId;
         use roadnet::{EdgeId, EdgePosition};
-        let msgs = vec![CachedMessage::update(
+        let msgs = [CachedMessage::update(
             ObjectId(7),
             EdgePosition::new(EdgeId(0), 1),
             Timestamp(1),
@@ -904,10 +881,11 @@ mod tests {
         let mut dirt = vec![0u64; 16];
         dirt[6] = 500; // hot shard's dirt sits just inside the boundary
         s.read_heat[7].store(50, Ordering::Relaxed); // boundary cell: hot reads, no writes
-        s.promote_replica(2, CellId(7), 1, &msgs).expect("install"); // readers hold it
-                                                                     // With replication disabled the run would shed cell 7 (and 6)
-                                                                     // rightward; with it enabled, cell 7 truncates the run immediately
-                                                                     // and nothing moves in that direction.
+        let installed = s.promote_replicas_coalesced(2, &[(CellId(7), 1, &msgs[..])]);
+        assert!(installed > 0, "readers hold a replica");
+        // With replication disabled the run would shed cell 7 (and 6)
+        // rightward; with it enabled, cell 7 truncates the run immediately
+        // and nothing moves in that direction.
         let rep = s.maybe_rebalance(&dirt, 1.25, 4);
         assert_eq!(s.migrations_skipped_read_hot(), 1, "skip must be counted");
         if let Some(rep) = rep {
@@ -973,14 +951,17 @@ mod tests {
         let mut s = set(2);
         let cell = CellId(2); // owned by shard 0
         assert_eq!(s.owner_of(cell), 0);
-        let msgs = vec![CachedMessage::update(
+        let msgs = [CachedMessage::update(
             ObjectId(7),
             EdgePosition::new(EdgeId(0), 1),
             Timestamp(1),
         )];
         assert!(!s.has_replicas(cell));
-        let t = s.promote_replica(1, cell, 5, &msgs).expect("install fits");
-        assert!(t.0 > 0, "H2D copy must cost modeled time");
+        let h2d = |s: &ShardSet| s.shard(1).device.ledger().h2d_time;
+        let before = h2d(&s);
+        let bytes = s.promote_replicas_coalesced(1, &[(cell, 5, &msgs[..])]);
+        assert_eq!(bytes, CachedMessage::WIRE_BYTES, "install fits");
+        assert!(h2d(&s) > before, "H2D copy must cost modeled time");
         assert!(s.has_replicas(cell));
         assert_eq!(s.replicas_active(), 1);
         assert!(s.replica_valid(1, cell, Some(5)));
@@ -988,7 +969,10 @@ mod tests {
         assert!(!s.replica_valid(1, cell, Some(6)));
         assert!(!s.has_replicas(cell), "stale replica torn down on check");
         // Reinstall, then explicit invalidation (the dirtied-cell path).
-        s.promote_replica(1, cell, 6, &msgs).expect("reinstall");
+        assert!(
+            s.promote_replicas_coalesced(1, &[(cell, 6, &msgs[..])]) > 0,
+            "reinstall"
+        );
         assert_eq!(s.invalidate_replicas(cell), 1);
         assert!(!s.has_replicas(cell));
         assert_eq!(s.replica_installs(), 2);

@@ -596,9 +596,6 @@ pub struct ServerCounters {
     /// High-water mark of the ingest staging store's footprint, in bytes
     /// (gauge).
     pub buffer_bytes_high_water: u64,
-    /// Object-table snapshots served from the epoch-validated cache
-    /// without an O(|𝒪|) rebuild (gauge).
-    pub snapshot_reuses: u64,
     /// Distinct cells whose dirty epoch an ingest commit bumped (the run
     /// heads of the group commit), accumulated.
     pub cells_dirtied: u64,

@@ -122,7 +122,7 @@ impl crate::server::GGridServer {
                 }
             }
         }
-        for &(o, entry) in self.object_table().snapshot().iter() {
+        for (o, entry) in self.object_table().snapshot() {
             if entry.time < horizon {
                 continue; // expired by contract; lists may have dropped it
             }

@@ -3,28 +3,30 @@
 //! the sequential path, and the epoch-based clean-skip cache must never
 //! serve stale data.
 
+use std::collections::BTreeMap;
+
 use ggrid::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use roadnet::{gen, EdgeId};
+use roadnet::dijkstra::reference_knn;
+use roadnet::{gen, EdgeId, Graph};
 
 const EDGES: u32 = 160; // gen::toy edge count
 
-fn config(workers: usize, clean_skip: bool) -> GGridConfig {
+fn config(workers: usize) -> GGridConfig {
     GGridConfig {
         eta: 4,
         bucket_capacity: 16,
         host_workers: workers,
-        clean_skip,
         ..Default::default()
     }
 }
 
 /// Deterministically scatter a fleet and a few movement rounds.
-fn seeded_server(seed: u64, workers: usize, clean_skip: bool) -> GGridServer {
+fn seeded_server(seed: u64, workers: usize) -> GGridServer {
     let graph = gen::toy(seed);
-    let s = GGridServer::new(graph, config(workers, clean_skip));
+    let s = GGridServer::new(graph, config(workers));
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
     for round in 0..4u64 {
         for o in 0..30u64 {
@@ -56,14 +58,14 @@ fn batch_answers_identical_to_sequential() {
     for seed in [3u64, 21, 77] {
         let queries = query_stream(seed, 8);
         // Sequential reference: one query at a time, single worker.
-        let mut sequential = seeded_server(seed, 1, true);
+        let mut sequential = seeded_server(seed, 1);
         let want: Vec<Vec<(ObjectId, Distance)>> = queries
             .iter()
             .map(|&(q, k)| sequential.knn(q, k, Timestamp(900)))
             .collect();
         // Batch pipeline at every host-worker width.
         for workers in [1usize, 2, 4] {
-            let mut concurrent = seeded_server(seed, workers, true);
+            let mut concurrent = seeded_server(seed, workers);
             let batch = concurrent.knn_batch(&queries, Timestamp(900));
             assert_eq!(batch.answers, want, "seed {seed}, workers {workers}");
         }
@@ -71,27 +73,8 @@ fn batch_answers_identical_to_sequential() {
 }
 
 #[test]
-fn clean_skip_ablation_answers_identical() {
-    // The cache only removes simulated device work — never changes answers.
-    for seed in [5u64, 42] {
-        let queries = query_stream(seed, 8);
-        let mut with_skip = seeded_server(seed, 2, true);
-        let mut without = seeded_server(seed, 2, false);
-        for &(q, k) in &queries {
-            assert_eq!(
-                with_skip.knn(q, k, Timestamp(900)),
-                without.knn(q, k, Timestamp(900)),
-                "seed {seed}"
-            );
-        }
-        assert!(with_skip.counters().clean_skip_hits > 0);
-        assert_eq!(without.counters().clean_skip_hits, 0);
-    }
-}
-
-#[test]
 fn repeated_query_stream_hits_the_skip_cache() {
-    let mut s = seeded_server(9, 1, true);
+    let mut s = seeded_server(9, 1);
     let q = EdgePosition::at_source(EdgeId(13));
     s.knn(q, 4, Timestamp(900));
     let hits_after_first = s.counters().clean_skip_hits;
@@ -104,18 +87,34 @@ fn repeated_query_stream_hits_the_skip_cache() {
     );
 }
 
+/// The exact answer over every object's latest position, as the engine
+/// reports it.
+fn exact_knn(
+    graph: &Graph,
+    latest: &BTreeMap<u64, EdgePosition>,
+    q: EdgePosition,
+    k: usize,
+) -> Vec<(ObjectId, Distance)> {
+    let objects: Vec<(u64, EdgePosition)> = latest.iter().map(|(&o, &p)| (o, p)).collect();
+    reference_knn(graph, q, &objects, k)
+        .into_iter()
+        .map(|(o, d)| (ObjectId(o), d))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The epoch cache never serves a stale cell: after any interleaving of
-    /// updates and queries, a query sees exactly what a cache-disabled
-    /// server sees — in particular an append after a clean invalidates the
-    /// cell, so the newest position always wins.
+    /// updates and queries, every answer, ids and distances, is the exact
+    /// kNN over each object's latest position — in particular an append
+    /// after a clean invalidates the cell, so the newest position always
+    /// wins.
     #[test]
     fn epoch_cache_never_stale(seed in 0u64..1000, ops in prop::collection::vec((0u64..12, 0u32..160, 0u32..2), 4..40) ) {
         let graph = gen::toy(7);
-        let mut cached = GGridServer::new(graph.clone(), config(2, true));
-        let mut reference = GGridServer::new(graph, config(1, false));
+        let mut server = GGridServer::new(graph.clone(), config(2));
+        let mut latest: BTreeMap<u64, EdgePosition> = BTreeMap::new();
         let mut t = 100u64;
         for &(obj, edge, kind) in &ops {
             t += 1;
@@ -123,21 +122,21 @@ proptest! {
             if kind == 0 {
                 // Update: lands in a cell the cache may have marked clean.
                 let p = EdgePosition::at_source(e);
-                cached.handle_update(ObjectId(obj ^ seed), p, Timestamp(t));
-                reference.handle_update(ObjectId(obj ^ seed), p, Timestamp(t));
+                server.handle_update(ObjectId(obj ^ seed), p, Timestamp(t));
+                latest.insert(obj ^ seed, p);
             } else {
                 // Query: must reflect every update made so far.
                 let q = EdgePosition::at_source(e);
-                let got = cached.knn(q, 3, Timestamp(t));
-                let want = reference.knn(q, 3, Timestamp(t));
+                let got = server.knn(q, 3, Timestamp(t));
+                let want = exact_knn(&graph, &latest, q, 3);
                 prop_assert_eq!(got, want, "stale answer after {} ops", ops.len());
             }
         }
         // Closing full-coverage query: every object's final position.
         let q = EdgePosition::at_source(EdgeId(seed as u32 % EDGES));
         prop_assert_eq!(
-            cached.knn(q, 12, Timestamp(t + 1)),
-            reference.knn(q, 12, Timestamp(t + 1))
+            server.knn(q, 12, Timestamp(t + 1)),
+            exact_knn(&graph, &latest, q, 12)
         );
     }
 }

@@ -171,12 +171,6 @@ impl Device {
         self.buffers.free(&mut self.mem, id)
     }
 
-    /// Resize a handle-tracked buffer in place. On out-of-memory the buffer
-    /// ends up freed and the error is returned.
-    pub fn resize_buffer(&mut self, id: BufferId, bytes: u64) -> Result<(), OutOfDeviceMemory> {
-        self.buffers.resize(&mut self.mem, id, bytes)
-    }
-
     /// Size of a live handle-tracked buffer.
     pub fn buffer_bytes(&self, id: BufferId) -> Option<u64> {
         self.buffers.bytes_of(id)

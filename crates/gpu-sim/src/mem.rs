@@ -108,10 +108,9 @@ pub struct BufferId(u64);
 /// subsystem (consolidated cell state vs read-only topology slices).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BufferTag {
+    /// Anything untagged, including a device's own consolidated cell state.
     #[default]
     General,
-    /// Consolidated per-cell object state (PR 2 residency).
-    CellState,
     /// Per-cell CSR topology slices (read-only, immutable).
     Topology,
     /// Read-only replicas of cell state owned by another device (PR 10
@@ -130,9 +129,9 @@ pub struct ResidencyLedger {
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes`.
     pub peak_resident_bytes: u64,
-    /// Lifetime allocations (including the alloc half of a resize).
+    /// Lifetime allocations.
     pub total_allocs: u64,
-    /// Lifetime frees (including the free half of a resize).
+    /// Lifetime frees.
     pub total_frees: u64,
 }
 
@@ -191,30 +190,6 @@ impl BufferTable {
         self.ledger.resident_bytes -= bytes;
         self.ledger.total_frees += 1;
         bytes
-    }
-
-    /// Resize a buffer in place: frees the old reservation and reserves the
-    /// new size under the same handle. On out-of-memory the buffer is left
-    /// freed (the caller was replacing its contents anyway) and the error is
-    /// returned.
-    pub fn resize(
-        &mut self,
-        mem: &mut DeviceMemory,
-        id: BufferId,
-        bytes: u64,
-    ) -> Result<(), OutOfDeviceMemory> {
-        let tag = self.sizes.get(&id.0).map(|&(_, t)| t).unwrap_or_default();
-        self.free(mem, id);
-        mem.alloc(bytes)?;
-        self.sizes.insert(id.0, (bytes, tag));
-        self.ledger.live_buffers += 1;
-        self.ledger.resident_bytes += bytes;
-        self.ledger.total_allocs += 1;
-        self.ledger.peak_resident_bytes = self
-            .ledger
-            .peak_resident_bytes
-            .max(self.ledger.resident_bytes);
-        Ok(())
     }
 
     /// Size of a live buffer, if the handle is valid.
@@ -306,20 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn buffer_resize_reaccounts() {
-        let mut mem = DeviceMemory::new(1000);
-        let mut tab = BufferTable::default();
-        let a = tab.alloc(&mut mem, 100).unwrap();
-        tab.resize(&mut mem, a, 400).unwrap();
-        assert_eq!(tab.bytes_of(a), Some(400));
-        assert_eq!(mem.in_use(), 400);
-        // Resize past capacity leaves the buffer freed, not half-counted.
-        assert!(tab.resize(&mut mem, a, 2000).is_err());
-        assert_eq!(tab.bytes_of(a), None);
-        assert_eq!(mem.in_use(), 0);
-    }
-
-    #[test]
     fn buffer_alloc_over_capacity_rejected() {
         let mut mem = DeviceMemory::new(100);
         let mut tab = BufferTable::default();
@@ -335,18 +296,18 @@ mod tests {
         let a = tab
             .alloc_tagged(&mut mem, 100, BufferTag::Topology)
             .unwrap();
-        let b = tab
-            .alloc_tagged(&mut mem, 200, BufferTag::CellState)
-            .unwrap();
+        let b = tab.alloc_tagged(&mut mem, 200, BufferTag::Replica).unwrap();
         tab.alloc(&mut mem, 50).unwrap();
         assert_eq!(tab.bytes_of_tag(BufferTag::Topology), 100);
-        assert_eq!(tab.bytes_of_tag(BufferTag::CellState), 200);
+        assert_eq!(tab.bytes_of_tag(BufferTag::Replica), 200);
         assert_eq!(tab.bytes_of_tag(BufferTag::General), 50);
-        // Resize keeps the tag; free drops it.
-        tab.resize(&mut mem, a, 150).unwrap();
-        assert_eq!(tab.bytes_of_tag(BufferTag::Topology), 150);
+        // Free drops a buffer's bytes from its own tag only.
         tab.free(&mut mem, b);
-        assert_eq!(tab.bytes_of_tag(BufferTag::CellState), 0);
+        assert_eq!(tab.bytes_of_tag(BufferTag::Replica), 0);
+        assert_eq!(tab.bytes_of_tag(BufferTag::Topology), 100);
+        tab.free(&mut mem, a);
+        assert_eq!(tab.bytes_of_tag(BufferTag::Topology), 0);
+        assert_eq!(tab.bytes_of_tag(BufferTag::General), 50);
     }
 
     #[test]
