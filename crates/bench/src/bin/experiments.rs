@@ -7,7 +7,10 @@
 //!
 //! `--help` lists the experiments (default: all, in [`EXPERIMENTS`]
 //! order). Each prints an aligned table and writes `<out>/<name>.csv`; the
-//! `BENCH_N` studies also write their report as `<out>/BENCH_N.json`. Set
+//! `BENCH_N` studies also write their report as `<out>/BENCH_N.json` and
+//! print its floor verdicts (the floor tests' fixtures are larger than
+//! `--quick`, so a quick run can show a failed floor; the exit code does
+//! not depend on them). Set
 //! `GGRID_DIMACS_DIR` to a directory of real DIMACS `.gr` files to run on
 //! the paper's original datasets.
 
@@ -17,9 +20,9 @@ use ggrid_bench::csvout::ResultTable;
 use ggrid_bench::experiments::{
     ablation, capacity, concurrency, fig10_scalability, fig4_tuning, fig5_datasets,
     fig6_index_size, fig7_vary_k, fig8_vary_objects, fig9_vary_freq, ingest, residency, serving,
-    sharding, sharding2, skew, subscriptions, table2_datasets, ExpConfig,
+    sharding, sharding2, skew, subscriptions, table2_datasets, ExpConfig, FLOORS,
 };
-use ggrid_bench::report::Report;
+use ggrid_bench::report::{floor_verdicts, Report};
 
 /// What one experiment produces: tables with their CSV names, and a
 /// report for the `BENCH_N` studies.
@@ -163,6 +166,13 @@ fn main() {
         if let Some(r) = report {
             if let Err(e) = r.write(&cfg.out_dir) {
                 eprintln!("warning: failed to write {}.json: {e}", r.file);
+            }
+            println!("{} floors:", r.file);
+            for (expr, verdict) in floor_verdicts(&r, FLOORS) {
+                match verdict {
+                    Ok(()) => println!("  pass  {expr}"),
+                    Err(e) => println!("  FAIL  {expr}  ({e})"),
+                }
             }
         }
         eprintln!("[{name} done in {:.1}s]\n", started.elapsed().as_secs_f64());

@@ -227,28 +227,42 @@ impl Report {
     }
 }
 
-/// Check every floor of `report`'s bench: each entry is `(bench, expr)`,
+/// Judge every floor of `report`'s bench: each entry is `(bench, expr)`,
 /// where `expr` is `selector.key op bound` (op one of `>=`, `>`, `<`, `=`;
 /// bound a number or a sibling key), and alternatives joined by ` | `
 /// pass if any passes. A selected row array must pass on every selected
 /// row. Values compare as written to the record (floats rounded to their
-/// decimals). Panics with each failure and the rendered report.
-pub fn check_floors(report: &Report, floors: &[(&str, &str)]) {
-    let mine: Vec<&str> = floors
+/// decimals). Returns each of the bench's floors with `Err` naming the
+/// failing values; a failed floor does not panic (a malformed one does).
+pub fn floor_verdicts<'f>(
+    report: &Report,
+    floors: &[(&str, &'f str)],
+) -> Vec<(&'f str, Result<(), String>)> {
+    floors
         .iter()
         .filter(|(bench, _)| *bench == report.bench)
-        .map(|(_, expr)| *expr)
-        .collect();
-    assert!(!mine.is_empty(), "no floors for bench `{}`", report.bench);
-    let failures: Vec<String> = mine
-        .iter()
-        .filter_map(|expr| {
-            let errors: Vec<String> = expr
+        .map(|&(_, expr)| {
+            let errors: Option<Vec<String>> = expr
                 .split(" | ")
                 .map(|cond| check(report, cond).err())
-                .collect::<Option<_>>()?;
-            Some(format!("{expr}: {}", errors.join("; ")))
+                .collect();
+            (expr, errors.map_or(Ok(()), |e| Err(e.join("; "))))
         })
+        .collect()
+}
+
+/// [`floor_verdicts`], asserted: panics unless the bench has floors and
+/// all of them pass, with each failure and the rendered report.
+pub fn check_floors(report: &Report, floors: &[(&str, &str)]) {
+    let verdicts = floor_verdicts(report, floors);
+    assert!(
+        !verdicts.is_empty(),
+        "no floors for bench `{}`",
+        report.bench
+    );
+    let failures: Vec<String> = verdicts
+        .iter()
+        .filter_map(|(expr, v)| v.as_ref().err().map(|e| format!("{expr}: {e}")))
         .collect();
     assert!(
         failures.is_empty(),
@@ -353,5 +367,28 @@ mod tests {
             let caught = std::panic::catch_unwind(|| check_floors(&r, &[("demo", bad)]));
             assert!(caught.is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn verdicts_report_failures_without_panicking() {
+        let r = sample();
+        let floors = [
+            ("demo", "side.hits = 3"),
+            ("demo", "rows.x > 0"),
+            ("demo", "floors.speedup >= 2 | side.hits > 3"),
+            ("other", "nothing > 0"),
+        ];
+        let verdicts = floor_verdicts(&r, &floors);
+        assert_eq!(
+            verdicts,
+            [
+                ("side.hits = 3", Ok(())),
+                ("rows.x > 0", Err("x = 0".to_string())),
+                (
+                    "floors.speedup >= 2 | side.hits > 3",
+                    Err("speedup = 1.99; hits = 3".to_string())
+                ),
+            ]
+        );
     }
 }

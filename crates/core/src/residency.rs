@@ -280,14 +280,14 @@ impl<P: Payload> Lru<P> {
         debug_assert_eq!(self.recency.live(&self.slots), self.slots.len());
     }
 
-    /// Drop every slot, counting no eviction. Returns how many there were.
-    fn clear(&mut self, device: &mut Device) -> u64 {
+    /// Drop every slot, counting one eviction per slot removed.
+    fn clear(&mut self, device: &mut Device) {
         self.debug_check_totals();
         let cells: Vec<CellId> = self.slots.keys().copied().collect();
         for &c in &cells {
             self.remove(device, c);
         }
-        cells.len() as u64
+        self.evictions += cells.len() as u64;
     }
 }
 
@@ -491,8 +491,8 @@ impl ResidentCellStore {
         self.lru.evict(device, cell)
     }
 
-    /// Drop everything (e.g. before reconfiguring the device). Counts no
-    /// eviction.
+    /// Drop everything (e.g. before reconfiguring the device), counting
+    /// one eviction per cell removed.
     pub fn clear(&mut self, device: &mut Device) {
         self.lru.clear(device);
     }
@@ -640,9 +640,9 @@ impl TopologyStore {
         self.lru.evict(device, cell)
     }
 
-    /// Drop everything, counting one eviction per slice.
+    /// Drop everything, counting one eviction per slice removed.
     pub fn clear(&mut self, device: &mut Device) {
-        self.lru.evictions += self.lru.clear(device);
+        self.lru.clear(device);
     }
 }
 
@@ -1090,13 +1090,13 @@ mod proptests {
             Some(e.bytes / CachedMessage::WIRE_BYTES)
         }
 
-        /// Drop every entry. The cell store counts no eviction for a
-        /// clear; the topology store counts one per slice.
-        fn clear(&mut self, card_free: &mut u64, counts_evictions: bool) {
+        /// Drop every entry, counting one eviction per entry removed
+        /// (both stores).
+        fn clear(&mut self, card_free: &mut u64) {
             let cells: Vec<u32> = self.entries.keys().copied().collect();
             for c in cells {
                 self.remove(card_free, c);
-                self.evictions += counts_evictions as u64;
+                self.evictions += 1;
             }
         }
 
@@ -1295,11 +1295,11 @@ mod proptests {
                         // sel 0: the cell store; 1: the topology store; 2: both.
                         if sel != 1 {
                             cells.clear(&mut d);
-                            rc.clear(&mut card_free, false);
+                            rc.clear(&mut card_free);
                         }
                         if sel != 0 {
                             topo.clear(&mut d);
-                            rt.clear(&mut card_free, true);
+                            rt.clear(&mut card_free);
                         }
                     }
                 }

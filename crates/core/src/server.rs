@@ -371,12 +371,14 @@ impl GGridServer {
         evicted
     }
 
-    /// Forcibly evict every resident cell on every shard.
+    /// Forcibly evict every resident cell on every shard, adding the
+    /// evictions each shard's store counts to [`ServerCounters::evictions`].
     pub fn evict_all_resident(&mut self) {
         for d in 0..self.shards.num_shards() {
             let sh = self.shards.shard_mut(d);
-            self.counters.evictions += sh.resident.resident_cells() as u64;
+            let before = sh.resident.evictions();
             sh.resident.clear(&mut sh.device);
+            self.counters.evictions += sh.resident.evictions() - before;
         }
     }
 
@@ -396,7 +398,9 @@ impl GGridServer {
     }
 
     /// Forcibly evict every resident topology slice (tests and ablations —
-    /// the next query re-uploads what it touches).
+    /// the next query re-uploads what it touches). Each shard's topology
+    /// store counts the evictions; [`ServerCounters::evictions`] counts
+    /// cell lists only.
     pub fn evict_all_topology(&mut self) {
         for d in 0..self.shards.num_shards() {
             let sh = self.shards.shard_mut(d);

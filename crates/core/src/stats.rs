@@ -510,7 +510,8 @@ pub struct ServerCounters {
     pub h2d_full_bytes: u64,
     /// Cells cleaned through the resident delta-merge path.
     pub resident_hits: u64,
-    /// Resident cells evicted (LRU pressure or staleness).
+    /// Resident cell lists evicted: LRU pressure, staleness, forced
+    /// evictions and clears. Topology-slice evictions are not counted here.
     pub evictions: u64,
     /// Cumulative refinement wall time.
     pub refine_ns: u64,
