@@ -27,6 +27,18 @@
 //! kernel would have applied — and cleaning an already-consolidated list is
 //! idempotent.
 
+//! ## Logical buckets, sized slabs
+//!
+//! δᵇ is the *logical* bucket size: a bucket is full at δᵇ messages, so
+//! bucket boundaries, expiry, the delta split, the X-shuffle lanes and the
+//! transfer plan all see the paper's layout. The host slab behind a bucket
+//! is sized by what it holds instead. A slab opens with `min(δᵇ,
+//! OPEN_SLOTS)` slots, or with a consolidated chunk's length when that is
+//! longer, and doubles as its bucket fills, never past δᵇ; a slab retired
+//! to the pool shrinks back to the opening size. Most cells cache a
+//! handful of messages, so a full δᵇ slab per bucket would mostly hold
+//! nothing.
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -41,15 +53,6 @@ pub struct Bucket {
     pub messages: Vec<CachedMessage>,
     /// Time of the latest message in the bucket (`ζ.t`).
     pub latest: Timestamp,
-}
-
-impl Bucket {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            messages: Vec::with_capacity(cap),
-            latest: Timestamp(0),
-        }
-    }
 }
 
 /// The message list of one cell.
@@ -77,8 +80,8 @@ pub struct MessageList {
     /// is exactly this prefix, which is what makes
     /// [`Self::take_delta_for_cleaning`] sound.
     consolidated_len: usize,
-    /// Retired bucket slabs recycled from cleaning: emptied `Vec`s whose
-    /// capacity is kept so steady-state ingest reuses them instead of
+    /// Retired bucket slabs recycled from cleaning: emptied `Vec`s, shrunk
+    /// to the opening size, so steady-state ingest reuses them instead of
     /// allocating. Bounded by [`FREE_LIST_CAP`].
     free: Vec<Vec<CachedMessage>>,
     /// Bucket slabs allocated fresh from the heap (lifetime count).
@@ -90,6 +93,9 @@ pub struct MessageList {
 /// Upper bound on pooled slabs per cell — enough to absorb a cleaning
 /// pass's worth of retirements without hoarding memory on quiet cells.
 const FREE_LIST_CAP: usize = 32;
+
+/// Slots a bucket's slab opens with when δᵇ is larger.
+const OPEN_SLOTS: usize = 16;
 
 impl MessageList {
     pub fn new(bucket_capacity: usize) -> Self {
@@ -107,32 +113,43 @@ impl MessageList {
         }
     }
 
-    /// A fresh tail bucket, served from the free-list pool when possible so
-    /// steady-state ingest (recycled slabs from cleaning) stays off the
-    /// allocator.
-    fn alloc_bucket(&mut self) -> Bucket {
-        match self.free.pop() {
-            Some(slab) => {
+    /// A fresh bucket for `len` messages, its slab served from the
+    /// free-list pool when possible so steady-state ingest (recycled slabs
+    /// from cleaning) stays off the allocator. The slab has exactly the
+    /// opening size or `len` slots, whichever is more.
+    fn alloc_bucket(&mut self, len: usize) -> Bucket {
+        let len = len.max(self.open_slots());
+        let messages = match self.free.pop() {
+            Some(mut slab) => {
                 self.bucket_reuses += 1;
-                Bucket {
-                    messages: slab,
-                    latest: Timestamp(0),
-                }
+                slab.reserve_exact(len);
+                slab
             }
             None => {
                 self.bucket_allocs += 1;
-                Bucket::with_capacity(self.bucket_capacity)
+                Vec::with_capacity(len)
             }
+        };
+        Bucket {
+            messages,
+            latest: Timestamp(0),
         }
+    }
+
+    /// Slots a bucket's slab opens with, and the size a pooled slab
+    /// shrinks back to.
+    fn open_slots(&self) -> usize {
+        self.bucket_capacity.min(OPEN_SLOTS)
     }
 
     /// Return a retired bucket slab to the pool (cleaning calls this under
     /// the same per-cell lock acquisition it already holds). The slab is
-    /// cleared but keeps its capacity; undersized or surplus slabs are
-    /// dropped.
+    /// cleared and shrunk to the opening size; slabs with no capacity or
+    /// beyond the per-cell pool bound are dropped.
     pub fn recycle(&mut self, mut slab: Vec<CachedMessage>) {
-        if self.free.len() < FREE_LIST_CAP && slab.capacity() >= self.bucket_capacity {
+        if self.free.len() < FREE_LIST_CAP && slab.capacity() > 0 {
             slab.clear();
+            slab.shrink_to(self.open_slots());
             self.free.push(slab);
         }
     }
@@ -179,13 +196,19 @@ impl MessageList {
         let b = match &mut self.tail {
             Some(b) if b.messages.len() < self.bucket_capacity => b,
             _ => {
-                let fresh = self.alloc_bucket();
+                let fresh = self.alloc_bucket(1);
                 if let Some(full) = self.tail.replace(fresh) {
                     self.buckets.push_back(full);
                 }
                 self.tail.as_mut().expect("just opened a tail bucket")
             }
         };
+        let len = b.messages.len();
+        if len == b.messages.capacity() {
+            // Double, but never past δᵇ: the bucket is full there.
+            b.messages
+                .reserve_exact(len.min(self.bucket_capacity - len));
+        }
         b.latest = b.latest.max(m.time);
         b.messages.push(m);
     }
@@ -264,7 +287,7 @@ impl MessageList {
             return;
         }
         for chunk in messages.chunks(self.bucket_capacity).rev() {
-            let mut b = self.alloc_bucket();
+            let mut b = self.alloc_bucket(chunk.len());
             b.messages.extend_from_slice(chunk);
             b.latest = chunk.iter().map(|m| m.time).max().unwrap_or(Timestamp(0));
             // On an empty list the last chunk becomes the open tail, so
@@ -339,7 +362,10 @@ impl MessageList {
         self.buckets().map(|b| b.messages.len()).sum()
     }
 
-    /// Resident bytes: full bucket arrays (buckets are fixed-size slabs).
+    /// Resident bytes in the paper's layout: one full δᵇ-slot array per
+    /// bucket. This is the index-size model, not the host's footprint —
+    /// host slabs are sized by what they hold (see the module docs) and
+    /// are not counted here.
     pub fn size_bytes(&self) -> u64 {
         self.num_buckets() as u64 * (self.bucket_capacity as u64 * CachedMessage::WIRE_BYTES + 24)
     }
@@ -763,12 +789,50 @@ mod tests {
     }
 
     #[test]
-    fn recycle_rejects_undersized_slabs() {
-        let mut l = MessageList::new(8);
+    fn recycle_pools_any_slab_at_the_opening_size() {
+        let mut l = MessageList::new(64);
+        l.recycle(Vec::new());
+        assert_eq!(l.free_slabs(), 0, "a slab with no capacity holds nothing");
         l.recycle(Vec::with_capacity(2));
-        assert_eq!(l.free_slabs(), 0, "undersized slab would force a realloc");
-        l.recycle(Vec::with_capacity(8));
-        assert_eq!(l.free_slabs(), 1);
+        l.recycle(Vec::with_capacity(64));
+        assert_eq!(l.free_slabs(), 2, "undersized slabs are pooled too");
+        let caps: Vec<usize> = l.free.iter().map(Vec::capacity).collect();
+        assert_eq!(
+            caps,
+            vec![2, OPEN_SLOTS],
+            "full slabs shrink to the opening size"
+        );
+        // A pooled slab grows on demand: a restored chunk gets its length,
+        // and an undersized slab reopens at the opening size.
+        l.restore_consolidated(&(0..40).map(|i| msg(i, i)).collect::<Vec<_>>());
+        assert_eq!(l.bucket_alloc_stats(), (0, 1));
+        assert_eq!(l.buckets().next().unwrap().messages.capacity(), 40);
+        let _ = l.take_for_cleaning(Timestamp(50), 100);
+        l.append(msg(0, 50));
+        assert_eq!(l.bucket_alloc_stats(), (0, 2));
+        assert_eq!(l.buckets().next().unwrap().messages.capacity(), OPEN_SLOTS);
+    }
+
+    #[test]
+    fn slabs_grow_by_doubling_up_to_the_bucket_capacity() {
+        let caps = |l: &MessageList| -> Vec<usize> {
+            l.buckets().map(|b| b.messages.capacity()).collect()
+        };
+        let mut l = MessageList::new(40);
+        l.append(msg(0, 0));
+        assert_eq!(caps(&l), vec![OPEN_SLOTS]);
+        l.append_batch((1..17).map(|i| msg(i, i)));
+        assert_eq!(caps(&l), vec![32]);
+        l.append_batch((17..41).map(|i| msg(i, i)));
+        assert_eq!(
+            caps(&l),
+            vec![40, OPEN_SLOTS],
+            "capped at δᵇ, then a new bucket"
+        );
+        // Below the opening size the slab opens at δᵇ.
+        let mut small = MessageList::new(3);
+        small.append(msg(0, 0));
+        assert_eq!(caps(&small), vec![3]);
     }
 
     #[test]
@@ -781,5 +845,69 @@ mod tests {
             l.append(msg(i, 2));
         }
         assert!(l.size_bytes() > one);
+    }
+
+    /// Every slab the list holds (its buckets and its pool) fits the
+    /// bucket: at most δᵇ slots, and at most twice its length or the
+    /// opening size.
+    fn assert_slabs_fit(l: &MessageList) {
+        let d = l.bucket_capacity;
+        for b in l.buckets() {
+            let (len, cap) = (b.messages.len(), b.messages.capacity());
+            assert!(cap <= d, "bucket slab of {cap} slots past δᵇ = {d}");
+            assert!(
+                cap <= (2 * len).max(OPEN_SLOTS),
+                "{cap} slots for {len} messages"
+            );
+        }
+        for slab in &l.free {
+            assert!(slab.is_empty() && slab.capacity() <= l.open_slots());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Random interleavings of every operation that opens, fills,
+        /// retires or restores a bucket, at δᵇ both powers of two and
+        /// not, keep every slab sized to what it holds.
+        #[test]
+        fn slabs_stay_sized_to_their_contents(
+            cap_idx in 0usize..7,
+            ops in proptest::prop::collection::vec((0u8..7, 0u64..300, 0u64..50), 1..200),
+        ) {
+            let mut l = MessageList::new([1, 2, 3, 5, 16, 20, 128][cap_idx]);
+            let mut clock = 0u64;
+            for (kind, n, o) in ops {
+                clock += n % 7;
+                match kind {
+                    0 => {
+                        l.append(msg(o, clock));
+                    }
+                    1 => {
+                        l.append_batch((0..n).map(|i| msg(o + i, clock)));
+                    }
+                    2 | 3 => {
+                        let taken = if kind == 2 {
+                            l.take_for_cleaning(Timestamp(clock), n)
+                        } else {
+                            l.take_delta_for_cleaning(Timestamp(clock), n)
+                        };
+                        for b in taken {
+                            l.recycle(b.messages);
+                        }
+                    }
+                    4 | 5 => {
+                        let msgs: Vec<_> = (0..n % 150).map(|i| msg(o + i, clock)).collect();
+                        l.restore_consolidated(&msgs);
+                        if kind == 5 {
+                            l.mark_clean();
+                        }
+                    }
+                    _ => l.recycle(Vec::with_capacity(n as usize)),
+                }
+                assert_slabs_fit(&l);
+            }
+        }
     }
 }

@@ -105,12 +105,14 @@ impl DenseScratch {
             .map(|&i| (VertexId(i), self.dist[i as usize]))
     }
 
-    /// Resident bytes of the three flat arrays (the touched list is
-    /// negligible next to the O(|V|) dist/stamp pair).
+    /// Resident bytes of the graph-sized dist/stamp pair. The touched list
+    /// is left out: its capacity is the high-water mark of whichever
+    /// queries this scratch happened to serve (see
+    /// [`ScratchPool::scratch_bytes`]), and it is negligible next to the
+    /// O(|V|) arrays.
     pub fn size_bytes(&self) -> u64 {
         (self.dist.capacity() * std::mem::size_of::<Distance>()
-            + self.stamp.capacity() * std::mem::size_of::<u32>()
-            + self.touched.capacity() * std::mem::size_of::<u32>()) as u64
+            + self.stamp.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Clear the map by bumping the epoch: O(touched). On the (u32) epoch
@@ -186,9 +188,11 @@ impl<T: Copy + PartialEq> CellTags<T> {
         self.tagged.clear();
     }
 
+    /// Resident bytes of the grid-sized tag array; like
+    /// [`DenseScratch::size_bytes`], the tagged list's history-dependent
+    /// capacity is left out.
     pub fn size_bytes(&self) -> u64 {
-        (self.tags.capacity() * std::mem::size_of::<T>()
-            + self.tagged.capacity() * std::mem::size_of::<CellId>()) as u64
+        (self.tags.capacity() * std::mem::size_of::<T>()) as u64
     }
 }
 
@@ -281,9 +285,17 @@ impl ScratchPool {
         self.pool.lock().len()
     }
 
-    /// Bytes held by idle scratches (dense, Dijkstra and cell tags).
-    /// Counted into the server's `index_size` so capacity benches see pool
-    /// growth.
+    /// Bytes held by idle scratches (dense, Dijkstra and cell tags),
+    /// counted by their graph- and grid-sized arrays. Counted into the
+    /// server's `index_size` so capacity benches see pool growth.
+    ///
+    /// The per-query lists (touched vertices, tagged cells, the Dijkstra
+    /// heap and settled list) are left out. A pooled list keeps the
+    /// capacity of the largest query it served, and which query a pooled
+    /// scratch serves depends on batch boundaries. The serve loop draws
+    /// those on a timeline that includes measured refinement time, so
+    /// counting list capacities made the figure differ between two runs
+    /// of one schedule.
     pub fn scratch_bytes(&self) -> u64 {
         // Lock order: pool before engines, everywhere in this module.
         let pool = self.pool.lock();
@@ -563,6 +575,56 @@ mod tests {
         let owners = pool.acquire_owners(16);
         assert_eq!(owners.tags()[3], u8::MAX);
         assert!(owners.tagged().is_empty());
+    }
+
+    #[test]
+    fn pooled_bytes_do_not_depend_on_which_query_used_which_scratch() {
+        use roadnet::dijkstra::{DijkstraEngine, SearchBounds};
+
+        // Three queries, two large (every vertex and cell, a whole-graph
+        // search) and one small, served on two pooled scratches. Each
+        // per-query list keeps the capacity of the largest query it
+        // served, so the split of queries over scratches — which batch
+        // boundaries decide — must not move the pool's footprint.
+        let g = roadnet::gen::toy(1);
+        let n = g.num_vertices();
+        let footprint = |plan: [&[bool]; 2]| {
+            let pool = ScratchPool::new(n);
+            let mut dense = [pool.acquire(), pool.acquire()];
+            let mut cells = [pool.acquire_cells(n), pool.acquire_cells(n)];
+            let mut engines = [pool.acquire_engine(), pool.acquire_engine()];
+            for (i, queries) in plan.into_iter().enumerate() {
+                for &big in queries {
+                    dense[i].reset();
+                    cells[i].reset();
+                    let touch = if big { n as u32 } else { 1 };
+                    for v in 0..touch {
+                        dense[i].set(VertexId(v), v as Distance);
+                        cells[i].insert(CellId(v));
+                    }
+                    let scratch =
+                        std::mem::replace(&mut engines[i], DijkstraScratch::with_capacity(0));
+                    let mut engine = DijkstraEngine::with_scratch(&g, scratch);
+                    let radius = if big { INFINITY } else { 0 };
+                    engine.run_seeded(&[(VertexId(0), 0)], SearchBounds::radius(radius));
+                    engines[i] = engine.into_scratch();
+                }
+            }
+            let [d0, d1] = dense;
+            let [c0, c1] = cells;
+            let [e0, e1] = engines;
+            pool.release(d0);
+            pool.release(d1);
+            pool.release_cells(c0);
+            pool.release_cells(c1);
+            pool.release_engine(e0);
+            pool.release_engine(e1);
+            pool.scratch_bytes()
+        };
+        assert_eq!(
+            footprint([&[true, true], &[false]]),
+            footprint([&[true, false], &[true]])
+        );
     }
 
     #[test]

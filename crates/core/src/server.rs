@@ -1229,6 +1229,9 @@ impl MovingObjectIndex for GGridServer {
         self.counters.emulation_ns
     }
 
+    /// Message lists are counted in the paper's layout, one full δᵇ-slot
+    /// array per bucket ([`MessageList::size_bytes`]), not by the host
+    /// slabs behind them, which are sized by what they hold.
     fn index_size(&self) -> IndexSize {
         let lists: u64 = self.lists.sum_over(|l| l.size_bytes());
         IndexSize {
@@ -1465,6 +1468,191 @@ mod tests {
         let costs = s.sim_costs();
         assert!(costs.h2d_bytes > 0);
         assert!(costs.total_time() > gpu_sim::SimNanos::ZERO);
+    }
+
+    /// The message lists pinned through a fixed ingest, clean and restore
+    /// stream with a δᵇ that is not a power of two: each cell's message
+    /// sequence, every bucket's length and `latest`, every cleaning report
+    /// and the consolidated output it returns, and the slab counters. How
+    /// the host allocates a bucket's slab must move none of them.
+    #[test]
+    fn message_lists_match_golden() {
+        use crate::knn::golden::Digest;
+
+        let g = gen::toy(42);
+        let edges = g.num_edges() as u64;
+        let mut s = GGridServer::new(
+            g,
+            GGridConfig {
+                bucket_capacity: 5,
+                t_delta_ms: 900,
+                eta: 4,
+                ..Default::default()
+            },
+        );
+        let cells = s.grid.num_cells();
+        let mut rng = 0x5EED_u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut d = Digest::new();
+        let (mut delta_cells, mut full_cells) = (0, 0);
+        let word_msg = |d: &mut Digest, m: &CachedMessage| {
+            d.word(m.object.0);
+            d.word(m.time.0);
+            match m.position {
+                Some(p) => {
+                    d.word(p.edge.0 as u64);
+                    d.word(p.offset as u64);
+                }
+                None => d.word(u64::MAX),
+            }
+        };
+        for round in 0..24u64 {
+            let now = 1_000 + 250 * round;
+            // A hot corner of objects re-reporting and a long tail of rare
+            // ones, so some cells span several buckets and others expire.
+            let batch: Vec<_> = (0..40 + next(80))
+                .map(|i| {
+                    let o = if i % 3 == 0 { next(400) } else { next(24) };
+                    let e = EdgeId(next(edges) as u32);
+                    (
+                        ObjectId(o),
+                        EdgePosition::at_source(e),
+                        Timestamp(now + i / 8),
+                    )
+                })
+                .collect();
+            s.ingest_batch(&batch);
+            for _ in 0..next(6) {
+                let e = EdgeId(next(edges) as u32);
+                s.handle_update(ObjectId(next(400)), pos(e.0, 0), Timestamp(now + 20));
+            }
+            if round % 7 == 6 {
+                s.evict_all_resident();
+            }
+            let pick = next(3);
+            let dirty: Vec<CellId> = s
+                .grid
+                .cell_ids()
+                .filter(|c| round % 5 == 4 || c.index() as u64 % 3 == pick)
+                .collect();
+            s.flush_ingest();
+            let (cleaned, rep) = s.clean_cells_shared(&dirty, Timestamp(now + 30));
+            delta_cells += rep.resident_hits;
+            full_cells += rep.cells_cleaned - rep.resident_hits;
+            for w in [
+                rep.time.0,
+                rep.compute_time.0,
+                rep.copy_back_time.0,
+                rep.kernel_time.0,
+                rep.h2d_bytes,
+                rep.h2d_delta_bytes,
+                rep.h2d_full_bytes,
+                rep.d2h_bytes,
+                rep.buckets as u64,
+                rep.messages as u64,
+                rep.cells_cleaned as u64,
+                rep.cells_skipped as u64,
+                rep.resident_hits as u64,
+                rep.evictions,
+                rep.max_duplicates_seen as u64,
+            ] {
+                d.word(w);
+            }
+            let mut cleaned: Vec<_> = cleaned.into_iter().collect();
+            cleaned.sort_unstable_by_key(|(c, _)| *c);
+            for (c, msgs) in &cleaned {
+                d.word(c.index() as u64);
+                msgs.iter().for_each(|m| word_msg(&mut d, m));
+            }
+        }
+        let (mut allocs, mut reuses, mut pooled, mut buckets) = (0, 0, 0, 0);
+        for c in 0..cells {
+            let l = s.lists.lock(c);
+            d.word(c as u64);
+            for b in l.buckets() {
+                d.word(b.messages.len() as u64);
+                d.word(b.latest.0);
+                b.messages.iter().for_each(|m| word_msg(&mut d, m));
+            }
+            let (a, r) = l.bucket_alloc_stats();
+            allocs += a;
+            reuses += r;
+            pooled += l.free_slabs();
+            buckets += l.num_buckets();
+        }
+        assert!(delta_cells > 0 && full_cells > 0, "both cleaning paths ran");
+        assert_eq!(
+            (allocs, reuses, pooled, buckets, d.0),
+            (194, 941, 92, 102, 14149332358050565825),
+            "message lists moved"
+        );
+    }
+
+    /// One serve schedule replayed on two fresh servers gives the same
+    /// index size, term by term. The serve loop's batch boundaries depend
+    /// on measured refinement time, so the two replays may batch the
+    /// queries differently; no size term may depend on that.
+    #[test]
+    fn serve_replay_sizes_match() {
+        use crate::serve::{serve, ServeConfig, ServeQueue};
+
+        let replay = || {
+            let g = gen::toy(9);
+            let edges = g.num_edges() as u64;
+            let mut s = GGridServer::new(g, small_config());
+            let cfg = ServeConfig {
+                epoch_requests: 64,
+                ..Default::default()
+            };
+            let mut queue = ServeQueue::new(&cfg);
+            let mut client = queue.client();
+            let mut rng = 0xC0FFEE_u64;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut at_ns = 0;
+            for i in 0..600u64 {
+                at_ns += next(600_000);
+                let now = Timestamp(1_000 + at_ns / 1_000_000);
+                if i % 8 == 0 {
+                    let wave = (0..16)
+                        .map(|_| {
+                            let e = EdgeId(next(edges) as u32);
+                            (ObjectId(next(200)), EdgePosition::at_source(e), now)
+                        })
+                        .collect();
+                    client.ingest(wave, at_ns);
+                } else {
+                    let q = EdgePosition::at_source(EdgeId(next(edges) as u32));
+                    client.query(q, 1 + next(8) as usize, now, at_ns);
+                }
+            }
+            drop(client);
+            let out = serve(&mut s, &cfg, queue);
+            assert!(out.report.batches > 0);
+            let size = s.index_size();
+            let staged = s.staging.lock().bytes();
+            [
+                s.grid.grid_bytes(),
+                s.object_table.size_bytes(),
+                s.lists.sum_over(|l| l.size_bytes()),
+                s.pool.scratch_bytes(),
+                staged,
+                s.resident_bytes(),
+                s.topology_resident_bytes(),
+                size.cpu_bytes,
+                size.gpu_bytes,
+            ]
+        };
+        assert_eq!(replay(), replay());
     }
 
     #[test]

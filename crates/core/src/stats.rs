@@ -483,6 +483,8 @@ pub mod ingest_model {
     /// Appending one message to a bucket (slot write + epoch arithmetic).
     pub const APPEND_NS: u64 = 8;
     /// Heap-allocating a fresh bucket slab (avoided by the free-list pool).
+    /// Charged once per bucket opened from the heap; a slab growing inside
+    /// its bucket as messages arrive is left to the measured clock.
     pub const BUCKET_ALLOC_NS: u64 = 150;
 }
 

@@ -71,13 +71,13 @@ impl DijkstraScratch {
         self.dist.len()
     }
 
-    /// Resident bytes of the working memory (distance + stamp arrays
-    /// dominate; heap and settled list are counted at capacity).
+    /// Resident bytes of the graph-sized distance and stamp arrays. The
+    /// heap and settled list are left out: their capacity is the largest
+    /// search this scratch has run, so it depends on which searches it
+    /// served, and it is small next to the O(|V|) arrays.
     pub fn size_bytes(&self) -> u64 {
         (self.dist.capacity() * std::mem::size_of::<Distance>()
-            + self.stamp.capacity() * std::mem::size_of::<u32>()
-            + self.heap.capacity() * std::mem::size_of::<Reverse<(Distance, u32)>>()
-            + self.settled.capacity() * std::mem::size_of::<VertexId>()) as u64
+            + self.stamp.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
