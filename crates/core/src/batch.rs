@@ -24,15 +24,25 @@
 //!   phase. The host runs each refinement inline, right after its own
 //!   device phase; the overlap of query *i*'s refinement with query
 //!   *i+1*'s device work is modeled on a [`StreamTimeline`], which
-//!   charges the refinement's critical path to the host stream from query
-//!   *i*'s device end. The timeline has one device stream and one
-//!   transfer stream *per shard* plus one host stream (`2D + 1` streams;
-//!   `D = 1` degenerates to the classic device/host/transfer trio),
+//!   charges the refinement's critical path to the host stream from the
+//!   end of query *i*'s result copy. The timeline has one device stream
+//!   and one copy stream *per shard* plus one host stream (`2D + 1`
+//!   streams; `D = 1` degenerates to the classic device/copy/host trio),
 //!   yielding the batch's pipelined makespan next to the serial sum of the
-//!   same operations. Under sharding (`num_devices > 1`) the shared cleaning
-//!   pass is routed per owning shard and those legs run concurrently on
-//!   their own streams; each query's kernels occupy only its primary
-//!   shard's streams, so disjoint queries overlap across devices.
+//!   same operations.
+//! * **Overlapped copies** — every device-to-host copy runs on its
+//!   device's copy stream, ready at the end of its own compute: the
+//!   cleaning copy-backs and each query's result copy (the candidate and
+//!   unresolved sets refinement reads). The next query's kernels wait only
+//!   for compute, so queries sharing a primary no longer pay one link
+//!   latency each, back to back.
+//!
+//! Under sharding (`num_devices > 1`) the shared cleaning pass is routed
+//! per owning shard and those legs run concurrently on their own streams;
+//! each query's kernels occupy only its primary shard's streams, so
+//! disjoint queries overlap across devices. A cooperative SDist round's
+//! remote legs go on their own devices' streams, starting no earlier than
+//! their query's device phase.
 //!
 //! **Attribution.** The shared pass is real per-query work done once, so
 //! its cost is split across the queries proportionally to how much of the
@@ -69,11 +79,14 @@ use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
 
 /// The batch's modeled schedule over `d` shards: a [`StreamTimeline`] with
-/// shard `i`'s device stream at index `i`, its transfer stream at `d + i`
-/// (D2H copy-backs overlap the next kernel there, still ordered after their
-/// own compute) and the single host (refinement) stream last, plus the
-/// serial sum of the same operations. `d = 1` reproduces the original
-/// device/transfer/host trio.
+/// shard `i`'s device stream at index `i`, its copy stream at `d + i` and
+/// the single host (refinement) stream last, plus the serial sum of the
+/// same operations. `d = 1` reproduces the original device/copy/host trio.
+///
+/// Every device-to-host copy goes on its device's copy stream: the cleaning
+/// copy-backs and each query's result copy alike. A copy starts at the end
+/// of its own compute, so the next kernel on the device stream waits only
+/// for compute, while the host-side reader (refinement) waits for the copy.
 struct Schedule {
     d: usize,
     timeline: StreamTimeline,
@@ -89,25 +102,49 @@ impl Schedule {
         }
     }
 
-    /// A kernel of `dur` on `shard`'s device stream, with no dependency.
-    fn kernel(&mut self, shard: usize, dur: SimNanos) {
+    /// Topology staging of `dur` on `shard`'s device stream, with no
+    /// dependency.
+    fn stage(&mut self, shard: usize, dur: SimNanos) {
         self.serial += dur;
         self.timeline.push(shard, SimNanos::ZERO, dur);
     }
 
     /// Device work of `total` on `shard`, ready at `ready`: its compute on
-    /// the device stream, then its `copy_back` on the transfer stream.
-    /// Returns the copy-back end.
+    /// the device stream, then its `copies` on the copy stream. Returns the
+    /// copy end.
     fn device(
         &mut self,
         shard: usize,
         ready: SimNanos,
         total: SimNanos,
-        copy_back: SimNanos,
+        copies: SimNanos,
     ) -> SimNanos {
-        let compute_end = self.timeline.push(shard, ready, total - copy_back);
+        let compute_end = self.timeline.push(shard, ready, total - copies);
         self.serial += total;
-        self.timeline.push(self.d + shard, compute_end, copy_back)
+        self.timeline.push(self.d + shard, compute_end, copies)
+    }
+
+    /// One query's device phase: `total` on its `primary`, of which
+    /// `copies` are device-to-host copies (cleaning copy-backs and the
+    /// result copy), plus the remote `legs` of its cooperative SDist rounds
+    /// on their own devices' streams. The legs ran concurrently with the
+    /// primary's round (`total` already carries the max), so none starts
+    /// before the query's compute does. Returns the copy end, where
+    /// refinement may start.
+    fn query(
+        &mut self,
+        primary: usize,
+        total: SimNanos,
+        copies: SimNanos,
+        legs: &[(usize, SimNanos)],
+    ) -> SimNanos {
+        let start = self.timeline.end(primary);
+        let copy_end = self.device(primary, SimNanos::ZERO, total, copies);
+        for &(shard, t) in legs {
+            self.serial += t;
+            self.timeline.push(shard, start, t);
+        }
+        copy_end
     }
 
     /// Host work of `ns`, ready at `ready`; returns its end.
@@ -259,7 +296,7 @@ pub fn run_knn_batch(
         for (owner, rep) in &reports {
             shared.record_cleaning(rep);
             // Copy-back is strictly after this leg's compute but runs on
-            // the owner's transfer stream, so the first query's device
+            // the owner's copy stream, so the first query's device
             // phase starts as soon as the kernel is done — not when the
             // result lands on host.
             schedule.device(*owner, SimNanos::ZERO, rep.time, rep.copy_back_time);
@@ -291,7 +328,7 @@ pub fn run_knn_batch(
             shared.topo_hits += staged.hits as usize;
             shared.topo_misses += staged.misses as usize;
             shared.h2d_coalesced_saved += staged.transactions_saved;
-            schedule.kernel(p, staged.time);
+            schedule.stage(p, staged.time);
         }
     }
 
@@ -328,18 +365,15 @@ pub fn run_knn_batch(
         let started = query.map(|(&(q, k), &primary)| {
             let pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
             // Refinement reads the copied-back results, so it waits for
-            // the transfer end; the next query's kernels only wait for the
-            // compute end — and only if they share the primary.
+            // the copy end; the next query's kernels only wait for the
+            // compute end, and only if they share the primary.
             let b = &pending.breakdown;
-            let device_end = schedule.device(primary, SimNanos::ZERO, b.gpu_total(), b.copy_back);
-            // Cooperative SDist rounds also occupied other shards'
-            // devices; charge those legs on their own device streams so
-            // cross-query contention there is modeled. They ran
-            // concurrently with the primary's round (the breakdown already
-            // carries the max), not after it.
-            for &(shard, t) in &pending.remote_ns {
-                schedule.kernel(shard, t);
-            }
+            let device_end = schedule.query(
+                primary,
+                b.gpu_total(),
+                b.copy_back + b.transfer_out,
+                &pending.remote_ns,
+            );
             let refined = refine_unresolved(grid, &pending, config.host_workers, pool);
             (pending, refined, device_end, primary)
         });
@@ -358,7 +392,7 @@ pub fn run_knn_batch(
             );
             // Primary device stream: the finalisation's lazy cleaning,
             // after the refine; its copy-back again overlaps on the
-            // transfer stream.
+            // copy stream.
             schedule.device(
                 primary,
                 refine_end,
@@ -522,6 +556,36 @@ mod tests {
         let batch = s.knn_batch(&queries(), Timestamp(500));
         assert!(batch.pipelined_time <= batch.serial_time);
         assert!(batch.serial_time > SimNanos::ZERO);
+    }
+
+    #[test]
+    fn result_copies_overlap_the_next_query() {
+        let ns = SimNanos;
+        // One device: two queries of 30 ns, 10 of them copies.
+        let mut s = Schedule::new(1);
+        let copy0 = s.query(0, ns(30), ns(10), &[]);
+        assert_eq!(copy0, ns(30), "compute 0..20, copy 20..30");
+        let copy1 = s.query(0, ns(30), ns(10), &[]);
+        // Query 1's compute starts at query 0's compute end (20), not at
+        // the end of its copy (30).
+        assert_eq!(copy1, ns(50), "compute 20..40, copy 40..50");
+        // Refinement waits for its query's copy.
+        assert_eq!(s.host(copy0, 5), ns(35));
+        assert_eq!(s.host(copy1, 5), ns(55));
+        assert_eq!(s.serial, ns(70));
+        assert!(s.timeline.makespan() <= s.serial);
+        assert_eq!(s.timeline.makespan(), ns(55));
+
+        // Two devices: a query on device 0 queued behind 20 ns of compute,
+        // with a 5 ns remote leg on device 1. The leg starts with its query
+        // (20), not at time zero.
+        let mut s = Schedule::new(2);
+        s.query(0, ns(20), ns(0), &[]);
+        let end = s.query(0, ns(15), ns(5), &[(1, ns(5))]);
+        assert_eq!(end, ns(35), "compute 20..30, copy 30..35");
+        assert_eq!(s.timeline.end(1), ns(25), "leg 20..25 on device 1");
+        assert_eq!(s.serial, ns(40));
+        assert!(s.timeline.makespan() <= s.serial);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct CleaningReport {
     pub compute_time: SimNanos,
     /// D2H copy-back portion of `time`, strictly after all compute. Callers
     /// that overlap streams (the batch pipeline) schedule this on a
-    /// transfer stream so later kernels need not wait on it.
+    /// copy stream so later kernels need not wait on it.
     pub copy_back_time: SimNanos,
     pub kernel_time: SimNanos,
     pub h2d_bytes: u64,

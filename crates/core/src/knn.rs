@@ -211,7 +211,9 @@ fn clean_round(
         fresh.push(c);
     }
     if !promote.is_empty() {
-        breakdown.h2d_bytes += shards.promote_replicas_coalesced(primary, &promote);
+        let shipped = shards.promote_replicas_coalesced(primary, &promote);
+        breakdown.h2d_bytes += shipped.bytes;
+        breakdown.replica_promote += shipped.time;
     }
     if fresh.is_empty() {
         return;
@@ -233,9 +235,11 @@ fn clean_round(
     *cpu_excluded += t0.elapsed();
     breakdown.record_cleaning(&rep);
     if !gather.is_empty() {
-        let (hits, bytes) = shards.gather_remote_lists(primary, &gather, lists, &cleaned, channels);
+        let (hits, shipped) =
+            shards.gather_remote_lists(primary, &gather, lists, &cleaned, channels);
         breakdown.replica_hits += hits;
-        breakdown.d2h_bytes += bytes;
+        breakdown.d2h_bytes += shipped.bytes;
+        breakdown.remote_gather += shipped.time;
     }
     if config.replication_enabled() {
         let mut batch: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
@@ -248,7 +252,9 @@ fn clean_round(
             }
         }
         if !batch.is_empty() {
-            breakdown.h2d_bytes += shards.promote_replicas_coalesced(primary, &batch);
+            let shipped = shards.promote_replicas_coalesced(primary, &batch);
+            breakdown.h2d_bytes += shipped.bytes;
+            breakdown.replica_promote += shipped.time;
         }
     }
     for c in fresh {

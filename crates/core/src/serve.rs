@@ -43,10 +43,15 @@
 //! ```
 //!
 //! Ingest is buffered ([`GGridServer::ingest_buffered`]) at its stamp slot
-//! and charged per the [`ingest_model`] constants; the cell-lock cost of
-//! the flush is paid when a query batch (which must observe the messages)
-//! executes — so query batches and ingest flushes interleave on the one
-//! modeled timeline and neither starves the other.
+//! and each ingest call is charged what it added to the server's own model,
+//! [`ServerCounters::modeled_ingest_ns`] (locks, appends, tombstones, slab
+//! allocations, per the [`ingest_model`] constants); the cost of the flush
+//! is paid when a query batch (which must observe the messages) executes —
+//! so query batches and ingest flushes interleave on the one modeled
+//! timeline and neither starves the other.
+//!
+//! [`ingest_model`]: crate::stats::ingest_model
+//! [`ServerCounters::modeled_ingest_ns`]: crate::stats::ServerCounters::modeled_ingest_ns
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +61,7 @@ use roadnet::{Distance, EdgePosition};
 
 use crate::message::{ObjectId, Timestamp};
 use crate::server::GGridServer;
-use crate::stats::{ingest_model, Hist};
+use crate::stats::Hist;
 
 /// Knobs of the serving loop. All times are modeled nanoseconds (the same
 /// hybrid clock as [`crate::stats::QueryBreakdown::total_ns`]).
@@ -339,7 +344,10 @@ pub struct ServeReport {
     pub epochs: u64,
     /// Subscriptions re-validated across all epoch ticks.
     pub subs_invalidated: u64,
-    /// Modeled ns charged to ingest (appends + shard locks + flush locks).
+    /// Modeled ns charged to ingest: the sum of what each ingest call and
+    /// flush added to [`ServerCounters::modeled_ingest_ns`].
+    ///
+    /// [`ServerCounters::modeled_ingest_ns`]: crate::stats::ServerCounters::modeled_ingest_ns
     pub ingest_modeled_ns: u64,
     /// End-to-end modeled latency of answered queries.
     pub latency_hist: Hist,
@@ -453,6 +461,18 @@ enum Close {
     End,
 }
 
+/// Run one ingest call on `server` and return its modeled cost: what it
+/// added to [`ServerCounters::modeled_ingest_ns`], the server's one ingest
+/// model (read through `GGridServer::ingest_modeled_ns`, which walks no
+/// cell list).
+///
+/// [`ServerCounters::modeled_ingest_ns`]: crate::stats::ServerCounters::modeled_ingest_ns
+fn billed<T>(server: &GGridServer, call: impl FnOnce(&GGridServer) -> T) -> u64 {
+    let before = server.ingest_modeled_ns();
+    call(server);
+    server.ingest_modeled_ns() - before
+}
+
 /// Run the serving loop to completion: release requests in stamp order,
 /// form and execute query batches, apply ingest, run maintenance epochs,
 /// and account modeled latency. Returns when every client has closed and
@@ -503,8 +523,7 @@ pub fn serve(server: &mut GGridServer, cfg: &ServeConfig, queue: ServeQueue) -> 
         }
         // Pay the buffered-ingest flush the batch forces (the queries must
         // observe every message with a smaller stamp), then the batch.
-        let flushed = server.flush_ingest();
-        let flush_ns = flushed.len() as u64 * ingest_model::CELL_LOCK_NS;
+        let flush_ns = billed(server, GGridServer::flush_ingest);
         out.report.ingest_modeled_ns += flush_ns;
         let result = server.knn_batch(&b.queries, b.now);
         let service_ns = flush_ns + result.pipelined_time.0;
@@ -600,9 +619,7 @@ pub fn serve(server: &mut GGridServer, cfg: &ServeConfig, queue: ServeQueue) -> 
                     last_now = last_now.max(ts);
                 }
                 let n = updates.len() as u64;
-                let committed = server.ingest_buffered(&updates);
-                let ingest_ns = n * (ingest_model::APPEND_NS + ingest_model::SHARD_LOCK_NS)
-                    + committed.len() as u64 * ingest_model::CELL_LOCK_NS;
+                let ingest_ns = billed(server, |s| s.ingest_buffered(&updates));
                 out.report.ingest_modeled_ns += ingest_ns;
                 free_ns = free_ns.max(env.arrival_ns) + ingest_ns;
                 out.report.ingest_events += 1;
@@ -616,8 +633,7 @@ pub fn serve(server: &mut GGridServer, cfg: &ServeConfig, queue: ServeQueue) -> 
                 let at = b.meta.last().map(|&(_, _, a)| a).unwrap_or(b.t_open);
                 execute(server, b, Close::Boundary(at), &mut free_ns, &mut out);
             }
-            let flushed = server.flush_ingest();
-            let flush_ns = flushed.len() as u64 * ingest_model::CELL_LOCK_NS;
+            let flush_ns = billed(server, GGridServer::flush_ingest);
             out.report.ingest_modeled_ns += flush_ns;
             free_ns += flush_ns;
             // Maintenance runs off the query critical path (a second
@@ -631,8 +647,7 @@ pub fn serve(server: &mut GGridServer, cfg: &ServeConfig, queue: ServeQueue) -> 
     if let Some(b) = batch.take() {
         execute(server, b, Close::End, &mut free_ns, &mut out);
     }
-    let flushed = server.flush_ingest();
-    out.report.ingest_modeled_ns += flushed.len() as u64 * ingest_model::CELL_LOCK_NS;
+    out.report.ingest_modeled_ns += billed(server, GGridServer::flush_ingest);
 
     out.report.end_ns = free_ns;
     out.report.first_arrival_ns = first_arrival.unwrap_or(0);
@@ -678,6 +693,40 @@ mod tests {
         assert!(q.latency_ns() > 0);
         assert_eq!(out.report.queue.enqueued, 2);
         assert_eq!(out.report.queue.dequeued, 2);
+    }
+
+    #[test]
+    fn ingest_is_billed_on_the_servers_own_model() {
+        let mut s = server();
+        let edges = s.grid().graph().num_edges() as u64;
+        let cfg = ServeConfig {
+            epoch_requests: 2,
+            ..Default::default()
+        };
+        let mut queue = ServeQueue::new(&cfg);
+        let mut c = queue.client();
+        // Forty objects reported in six waves, moving between waves: the
+        // moves across cells write tombstones, and the lists open slabs.
+        for wave in 0..6u64 {
+            let updates = (0..40u64)
+                .map(|o| {
+                    let e = (o * 7 + wave * 31) % edges;
+                    (ObjectId(o), pos(e as u32), Timestamp(10 + wave))
+                })
+                .collect();
+            c.ingest(updates, wave * 1_000);
+        }
+        drop(c);
+        let before = s.counters();
+        let out = serve(&mut s, &cfg, queue);
+        let after = s.counters();
+        assert!(after.tombstones_written > before.tombstones_written);
+        assert!(after.bucket_allocs > before.bucket_allocs);
+        assert!(out.report.epochs > 0, "epoch flushes are billed too");
+        assert_eq!(
+            out.report.ingest_modeled_ns,
+            after.modeled_ingest_ns() - before.modeled_ingest_ns()
+        );
     }
 
     #[test]

@@ -304,6 +304,19 @@ impl GGridServer {
             .collect()
     }
 
+    /// The modeled ingest time so far, [`ServerCounters::modeled_ingest_ns`]
+    /// over the ingest counters alone: its slab term counts the slabs
+    /// ingest commits opened ([`IngestCounters::slabs_opened`]), so no cell
+    /// list is walked. Over any ingest call it moves exactly as the full
+    /// [`Self::counters`] snapshot's figure does, which also counts the
+    /// slabs cleaning opens.
+    pub(crate) fn ingest_modeled_ns(&self) -> u64 {
+        let mut c = ServerCounters::default();
+        self.ingest.merge_into(&mut c);
+        c.bucket_allocs = self.ingest.slabs_opened.load(Ordering::Relaxed);
+        c.modeled_ingest_ns()
+    }
+
     /// A point-in-time snapshot of the server counters: the query-side
     /// counters (owned by `&mut self` paths) merged with the atomic
     /// ingest-side counters and the per-cell bucket-pool statistics.
@@ -658,7 +671,8 @@ impl GGridServer {
     ) -> Vec<CellId> {
         let dirty: Vec<CellId> = runs.iter().map(run_cell).collect();
         let workers = self.config.host_workers.clamp(1, runs.len().max(1));
-        on_workers(workers, work, |w| {
+        let slabs = on_workers(workers, work, |w| {
+            let mut slabs = 0u64;
             for j in (w..runs.len()).step_by(workers) {
                 if let Some(ahead) = dirty.get(j + PREFETCH_RUNS * workers) {
                     self.lists.prefetch(ahead.index());
@@ -666,9 +680,15 @@ impl GGridServer {
                 let mut list = self
                     .lists
                     .lock_metered(dirty[j].index(), &self.ingest.cell_lock_wait_ns);
+                let opened = list.bucket_alloc_stats().0;
                 append(&runs[j], &mut list);
+                slabs += list.bucket_alloc_stats().0 - opened;
             }
+            slabs
         });
+        self.ingest
+            .slabs_opened
+            .fetch_add(slabs.iter().sum(), Ordering::Relaxed);
         let cells = dirty.len() as u64;
         self.ingest.cell_locks.fetch_add(cells, Ordering::Relaxed);
         self.ingest
@@ -1259,6 +1279,7 @@ impl MovingObjectIndex for GGridServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::SimNanos;
     use roadnet::dijkstra::reference_knn;
     use roadnet::gen;
     use roadnet::EdgeId;
@@ -1666,6 +1687,77 @@ mod tests {
         let first = s.knn(q, 5, Timestamp(100));
         for _ in 0..3 {
             assert_eq!(s.knn(q, 5, Timestamp(100)), first);
+        }
+    }
+
+    /// At four devices, the gather and promotion times a batch's
+    /// breakdowns record are the ledger time those transfers added: every
+    /// D2H the batch made is a copy-back, a result copy or a gather, and
+    /// once messages and topology are resident every H2D is a promotion.
+    #[test]
+    fn gather_and_promote_times_match_the_ledgers() {
+        let g = gen::toy(77);
+        // Replication starts off, so the warm-up rounds promote nothing.
+        let mut s = GGridServer::new(
+            g.clone(),
+            GGridConfig {
+                eta: 4,
+                num_devices: 4,
+                replicate_threshold: 0,
+                ..Default::default()
+            },
+        );
+        for o in 0..40u64 {
+            for t in 0..5u64 {
+                let e = EdgeId(((o * 11 + t) % g.num_edges() as u64) as u32);
+                s.handle_update(ObjectId(o), EdgePosition::at_source(e), Timestamp(100 + t));
+            }
+        }
+        let queries: Vec<(EdgePosition, usize)> = (0..12u32)
+            .map(|i| (EdgePosition::at_source(EdgeId(i * 29 % 160)), 8))
+            .collect();
+        let ledgers = |s: &GGridServer| -> (SimNanos, SimNanos) {
+            (0..s.shards.num_shards()).fold((SimNanos::ZERO, SimNanos::ZERO), |(h, d), i| {
+                let l = s.shards.shard(i).device.ledger();
+                (h + l.h2d_time, d + l.d2h_time)
+            })
+        };
+        for round in 0..3 {
+            if round == 2 {
+                // The warm-up left the cells read-hot: this round promotes.
+                // A replica hit moves SDist work onto the primary, so stage
+                // the whole topology everywhere first.
+                s.config.replicate_threshold = 4;
+                for d in 0..s.shards.num_shards() {
+                    let sh = s.shards.shard_mut(d);
+                    let cells = s.grid.cell_ids().map(|c| (c, s.grid.topology(c).bytes()));
+                    sh.topo.stage(&mut sh.device, cells);
+                }
+            }
+            let (h2d0, d2h0) = ledgers(&s);
+            let batch = s.knn_batch(&queries, Timestamp(500));
+            let (h2d1, d2h1) = ledgers(&s);
+            let sum = |f: fn(&QueryBreakdown) -> SimNanos| {
+                batch
+                    .per_query
+                    .iter()
+                    .fold(SimNanos::ZERO, |acc, b| acc + f(b))
+            };
+            let gather = sum(|b| b.remote_gather);
+            let copies = sum(|b| b.copy_back + b.transfer_out);
+            assert_eq!(d2h1 - d2h0, copies + gather, "round {round}");
+            assert!(gather > SimNanos::ZERO, "round {round} must gather");
+            if round == 2 {
+                let uploads: usize = batch
+                    .per_query
+                    .iter()
+                    .map(|b| b.messages_cleaned + b.topo_misses)
+                    .sum();
+                assert_eq!(uploads, 0, "warm-up left nothing to upload");
+                let promote = sum(|b| b.replica_promote);
+                assert!(promote > SimNanos::ZERO, "read-hot cells must promote");
+                assert_eq!(h2d1 - h2d0, promote);
+            }
         }
     }
 }

@@ -142,6 +142,14 @@ pub struct MigrationReport {
     pub topo_evicted: u64,
 }
 
+/// What a cross-device transfer shipped: its bytes and the modeled time
+/// charged to the device ledgers.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Shipped {
+    pub bytes: u64,
+    pub time: SimNanos,
+}
+
 /// `D` devices with their stores and the cell → shard map.
 pub struct ShardSet {
     shards: Vec<ShardState>,
@@ -365,14 +373,14 @@ impl ShardSet {
     /// `host` in one coalesced transfer: each consolidated mirror is
     /// installed under the host's budget LRU with replica tagging, and the
     /// lists ship together, paying the PCIe latency once for the whole
-    /// batch instead of once per cell. Returns the bytes shipped (zero when
-    /// nothing was installed — budget too small, empty list, residency
-    /// disabled).
+    /// batch instead of once per cell. Returns the bytes shipped and the
+    /// H2D time charged to `host`'s ledger (both zero when nothing was
+    /// installed — budget too small, empty list, residency disabled).
     pub fn promote_replicas_coalesced(
         &mut self,
         host: usize,
         batch: &[(CellId, u64, &[CachedMessage])],
-    ) -> u64 {
+    ) -> Shipped {
         let mut bytes = 0u64;
         for &(cell, epoch, messages) in batch {
             debug_assert_ne!(host, self.map.owner_of(cell), "owner needs no replica");
@@ -384,10 +392,12 @@ impl ShardSet {
                 bytes += messages.len() as u64 * CachedMessage::WIRE_BYTES;
             }
         }
-        if bytes > 0 {
-            self.shards[host].device.h2d(bytes);
-        }
-        bytes
+        let time = if bytes > 0 {
+            self.shards[host].device.h2d(bytes)
+        } else {
+            SimNanos::ZERO
+        };
+        Shipped { bytes, time }
     }
 
     /// Model the read side of a routed candidate gather: a clean-skipped
@@ -398,8 +408,9 @@ impl ShardSet {
     /// ring that reads from owner `d` pays the PCIe handshake, later rings
     /// stream on the open channel and pay wire time only. Cells for which
     /// `host` holds a valid replica are read locally instead (the saving
-    /// read-hot promotion exists to buy). Returns `(replica hits, bytes
-    /// shipped by owners)`.
+    /// read-hot promotion exists to buy). Returns the replica hits and what
+    /// the owners shipped: the bytes, and the D2H time summed over the
+    /// owners' ledgers.
     pub fn gather_remote_lists(
         &mut self,
         host: usize,
@@ -407,7 +418,7 @@ impl ShardSet {
         lists: &CellLists,
         cleaned: &CleanedObjects,
         channels: &mut [bool],
-    ) -> (u64, u64) {
+    ) -> (u64, Shipped) {
         let mut per_owner = vec![0u64; self.shards.len()];
         let mut hits = 0u64;
         for &c in skipped {
@@ -426,19 +437,19 @@ impl ShardSet {
                 per_owner[d] += len * CachedMessage::WIRE_BYTES;
             }
         }
-        let mut bytes = 0u64;
+        let mut shipped = Shipped::default();
         for (d, b) in per_owner.into_iter().enumerate() {
             if b > 0 {
-                if channels[d] {
-                    self.shards[d].device.d2h_streamed(b);
+                shipped.time += if channels[d] {
+                    self.shards[d].device.d2h_streamed(b)
                 } else {
                     channels[d] = true;
-                    self.shards[d].device.d2h(b);
-                }
-                bytes += b;
+                    self.shards[d].device.d2h(b)
+                };
+                shipped.bytes += b;
             }
         }
-        (hits, bytes)
+        (hits, shipped)
     }
 
     /// Tear down every read-replica of `cell` (the write-path coherence
@@ -882,7 +893,7 @@ mod tests {
         dirt[6] = 500; // hot shard's dirt sits just inside the boundary
         s.read_heat[7].store(50, Ordering::Relaxed); // boundary cell: hot reads, no writes
         let installed = s.promote_replicas_coalesced(2, &[(CellId(7), 1, &msgs[..])]);
-        assert!(installed > 0, "readers hold a replica");
+        assert!(installed.bytes > 0, "readers hold a replica");
         // With replication disabled the run would shed cell 7 (and 6)
         // rightward; with it enabled, cell 7 truncates the run immediately
         // and nothing moves in that direction.
@@ -959,9 +970,13 @@ mod tests {
         assert!(!s.has_replicas(cell));
         let h2d = |s: &ShardSet| s.shard(1).device.ledger().h2d_time;
         let before = h2d(&s);
-        let bytes = s.promote_replicas_coalesced(1, &[(cell, 5, &msgs[..])]);
-        assert_eq!(bytes, CachedMessage::WIRE_BYTES, "install fits");
-        assert!(h2d(&s) > before, "H2D copy must cost modeled time");
+        let shipped = s.promote_replicas_coalesced(1, &[(cell, 5, &msgs[..])]);
+        assert_eq!(shipped.bytes, CachedMessage::WIRE_BYTES, "install fits");
+        assert!(
+            shipped.time > SimNanos::ZERO,
+            "H2D copy must cost modeled time"
+        );
+        assert_eq!(h2d(&s) - before, shipped.time, "the time is the ledger's");
         assert!(s.has_replicas(cell));
         assert_eq!(s.replicas_active(), 1);
         assert!(s.replica_valid(1, cell, Some(5)));
@@ -970,7 +985,9 @@ mod tests {
         assert!(!s.has_replicas(cell), "stale replica torn down on check");
         // Reinstall, then explicit invalidation (the dirtied-cell path).
         assert!(
-            s.promote_replicas_coalesced(1, &[(cell, 6, &msgs[..])]) > 0,
+            s.promote_replicas_coalesced(1, &[(cell, 6, &msgs[..])])
+                .bytes
+                > 0,
             "reinstall"
         );
         assert_eq!(s.invalidate_replicas(cell), 1);

@@ -17,12 +17,23 @@ pub struct QueryBreakdown {
     pub cleaning: SimNanos,
     /// Shortest-distance kernel (Algorithm 5) + candidate selection.
     pub candidate: SimNanos,
-    /// Result copy back and bookkeeping transfers.
+    /// Result copy back: the candidate and unresolved sets refinement
+    /// reads. The batch pipeline schedules it on the primary's copy stream
+    /// with the cleaning copy-backs, after the query's compute.
     pub transfer_out: SimNanos,
     /// D2H copy-back portion of `cleaning` (consolidated lists streaming
     /// back to the host). Modeled as strictly after all cleaning compute;
-    /// the batch pipeline schedules it on a dedicated transfer stream.
+    /// the batch pipeline schedules it on a dedicated copy stream.
     pub copy_back: SimNanos,
+    /// D2H time remote owners spent shipping this query's clean-skipped
+    /// lists ([`crate::shard::ShardSet::gather_remote_lists`]). The owners'
+    /// device ledgers carry it; [`Self::gpu_total`] does not.
+    pub remote_gather: SimNanos,
+    /// H2D time of the read-replica promotions this query installed on its
+    /// primary ([`crate::shard::ShardSet::promote_replicas_coalesced`]).
+    /// The primary's device ledger carries it; [`Self::gpu_total`] does
+    /// not.
+    pub replica_promote: SimNanos,
     /// Host→device bytes moved for this query.
     pub h2d_bytes: u64,
     /// Portion of `h2d_bytes` shipped as deltas to device-resident cells.
@@ -144,7 +155,9 @@ pub fn split_u64(total: u64, weights: &[u64]) -> Vec<u64> {
 }
 
 impl QueryBreakdown {
-    /// Total simulated device time attributable to the query.
+    /// Total simulated device time attributable to the query: cleaning,
+    /// candidate kernels and the result copy. `remote_gather` and
+    /// `replica_promote` stay outside it.
     pub fn gpu_total(&self) -> SimNanos {
         self.cleaning + self.candidate + self.transfer_out
     }
@@ -197,7 +210,8 @@ impl QueryBreakdown {
                 }
             )+};
         }
-        split!(nanos cleaning, candidate, transfer_out, copy_back, sdist_time);
+        split!(nanos cleaning, candidate, transfer_out, copy_back, remote_gather,
+               replica_promote, sdist_time);
         split!(u64 h2d_bytes, h2d_delta_bytes, h2d_full_bytes, d2h_bytes, evictions,
                cpu_ns, emulation_ns, refine_ns, refine_busy_ns, refine_critical_ns,
                sdist_rounds, sdist_frontier_sum, sdist_settled, sdist_vertices,
@@ -220,7 +234,15 @@ impl QueryBreakdown {
         macro_rules! add {
             ($($f:ident),+) => { $( self.$f += other.$f; )+ };
         }
-        add!(cleaning, candidate, transfer_out, copy_back, sdist_time);
+        add!(
+            cleaning,
+            candidate,
+            transfer_out,
+            copy_back,
+            remote_gather,
+            replica_promote,
+            sdist_time
+        );
         add!(
             h2d_bytes,
             h2d_delta_bytes,
@@ -905,6 +927,10 @@ pub struct IngestCounters {
     pub busy_ns: AtomicU64,
     pub critical_ns: AtomicU64,
     pub cells_dirtied: AtomicU64,
+    /// Bucket slabs the group commits opened from the heap: the ingest
+    /// share of [`ServerCounters::bucket_allocs`], which walks every cell
+    /// list and also counts the slabs cleaning opens.
+    pub slabs_opened: AtomicU64,
     pub batch_size_hist: AtomicHist,
     /// Dirtied-cell events per owning shard (tallied only when
     /// `num_devices > 1` — the rebalancer's load signal).
@@ -1066,6 +1092,8 @@ mod tests {
             cleaning: SimNanos(1_000_001),
             candidate: SimNanos(37),
             copy_back: SimNanos(501),
+            remote_gather: SimNanos(71),
+            replica_promote: SimNanos(43),
             h2d_bytes: 999,
             h2d_full_bytes: 800,
             h2d_delta_bytes: 199,
@@ -1093,6 +1121,8 @@ mod tests {
         }
         assert_eq!(folded.gpu_total(), shared.gpu_total());
         assert_eq!(folded.copy_back, shared.copy_back);
+        assert_eq!(folded.remote_gather, shared.remote_gather);
+        assert_eq!(folded.replica_promote, shared.replica_promote);
         assert_eq!(folded.h2d_bytes, shared.h2d_bytes);
         assert_eq!(folded.h2d_full_bytes, shared.h2d_full_bytes);
         assert_eq!(folded.h2d_delta_bytes, shared.h2d_delta_bytes);
