@@ -36,6 +36,10 @@
 //!   unresolved sets refinement reads). The next query's kernels wait only
 //!   for compute, so queries sharing a primary no longer pay one link
 //!   latency each, back to back.
+//! * **Empty operations hold nothing** — an operation of zero length does
+//!   not move its stream's clock. Most finalisations clean nothing on the
+//!   device (their cells are skip-served), so the next query's kernels do
+//!   not wait behind the earlier query's refinement for them.
 //!
 //! Under sharding (`num_devices > 1`) the shared cleaning pass is routed
 //! per owning shard and those legs run concurrently on their own streams;
@@ -87,6 +91,14 @@ use crate::stats::QueryBreakdown;
 /// copy-backs and each query's result copy alike. A copy starts at the end
 /// of its own compute, so the next kernel on the device stream waits only
 /// for compute, while the host-side reader (refinement) waits for the copy.
+///
+/// Only work that runs holds a stream: an operation of zero length (a
+/// finalisation whose lazy clean ran nothing on the device, a query with no
+/// copies, a cooperative leg of zero length) passes its ready time on to
+/// its dependents but does not move its stream's end
+/// ([`StreamTimeline::push`]). So the next query's kernels never wait for an
+/// earlier query's refinement unless that query's finalisation really
+/// cleaned something on the device.
 struct Schedule {
     d: usize,
     timeline: StreamTimeline,
@@ -586,6 +598,28 @@ mod tests {
         assert_eq!(s.timeline.end(1), ns(25), "leg 20..25 on device 1");
         assert_eq!(s.serial, ns(40));
         assert!(s.timeline.makespan() <= s.serial);
+    }
+
+    #[test]
+    fn empty_finalisation_does_not_hold_the_device() {
+        let ns = SimNanos;
+        // One device: query 0 (20 ns, no copies) refines for 50 ns; its
+        // finalisation is ready at the refinement's end (70). Query 1's
+        // compute comes after that finalisation on the device stream.
+        let run = |finalise: SimNanos| {
+            let mut s = Schedule::new(1);
+            let end0 = s.query(0, ns(20), ns(0), &[]);
+            let refine_end = s.host(end0, 50);
+            s.device(0, refine_end, finalise, ns(0));
+            let end1 = s.query(0, ns(20), ns(0), &[]);
+            assert!(s.timeline.makespan() <= s.serial);
+            (end1, s.timeline.makespan(), s.serial)
+        };
+        // Nothing cleaned on the device: query 1 runs right after query 0's
+        // compute, overlapping the refinement.
+        assert_eq!(run(ns(0)), (ns(40), ns(70), ns(90)));
+        // A real clean still holds the device until it is done.
+        assert_eq!(run(ns(5)), (ns(95), ns(95), ns(95)));
     }
 
     #[test]

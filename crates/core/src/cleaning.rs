@@ -365,6 +365,8 @@ fn finish_round(
     // across cells. Mirrors and kernel output both hold at most one message
     // per object.
     let mut before: HashMap<ObjectId, CachedMessage, FxBuildHasher> = HashMap::default();
+    // Slabs the installs open and reuse, tallied once for the round.
+    let (mut opened, mut reused) = (0, 0);
     let full = work.iter().map(|&c| (c, None));
     let merged = merge.iter().map(|(c, r)| (*c, Some(r.clone())));
     for (c, prior) in full.chain(merged) {
@@ -390,7 +392,10 @@ fn finish_round(
         // consolidated list is written into the cell, stamped, promoted,
         // and handed to the caller without an extra copy.
         let mut list = lists.lock(c.index());
+        let (a, r) = list.bucket_alloc_stats();
         list.restore_consolidated(&msgs);
+        let (a2, r2) = list.bucket_alloc_stats();
+        (opened, reused) = (opened + a2 - a, reused + r2 - r);
         list.mark_clean();
         let epoch = list.epoch();
         drop(list);
@@ -399,6 +404,7 @@ fn finish_round(
             out.insert(c, msgs);
         }
     }
+    lists.add_slabs(opened, reused);
     rep.copy_back_time = device.d2h(d2h_bytes);
     rep.d2h_bytes = d2h_bytes;
     rep.max_duplicates_seen = rep.max_duplicates_seen.max(output.max_duplicates_seen);

@@ -377,9 +377,16 @@ impl MessageList {
 /// disjoint cells far more often than not, and the refinement worker pool
 /// never holds more than one cell's lock at a time, so there is no lock
 /// ordering to get wrong (acquire, read/write, release — never nested).
+///
+/// Slab allocations and reuses are also tallied here, by the two writers
+/// that open slabs (the ingest group commit and cleaning's
+/// [`MessageList::restore_consolidated`]), so the server's counters read
+/// them without locking any cell.
 #[derive(Debug)]
 pub struct CellLists {
     cells: Vec<Mutex<MessageList>>,
+    slabs_opened: AtomicU64,
+    slabs_reused: AtomicU64,
 }
 
 impl CellLists {
@@ -388,6 +395,8 @@ impl CellLists {
             cells: (0..num_cells)
                 .map(|_| Mutex::new(MessageList::new(bucket_capacity)))
                 .collect(),
+            slabs_opened: AtomicU64::new(0),
+            slabs_reused: AtomicU64::new(0),
         }
     }
 
@@ -455,9 +464,28 @@ impl CellLists {
         self.cells.iter().map(|c| f(&c.lock())).sum()
     }
 
-    /// Lifetime `(heap allocations, free-list reuses)` of bucket slabs,
-    /// summed over all cells in one pass (one lock per cell).
-    pub fn bucket_alloc_stats(&self) -> (u64, u64) {
+    /// Lifetime `(heap allocations, free-list reuses)` of bucket slabs over
+    /// all cells, as tallied by their writers: the group commit and
+    /// cleaning's [`MessageList::restore_consolidated`].
+    pub(crate) fn slab_stats(&self) -> (u64, u64) {
+        (
+            self.slabs_opened.load(Ordering::Relaxed),
+            self.slabs_reused.load(Ordering::Relaxed),
+        )
+    }
+
+    /// Tally slabs a writer opened from the heap and reused from the
+    /// free lists, each cell's share being the change of its
+    /// [`MessageList::bucket_alloc_stats`] under the writer's lock.
+    pub(crate) fn add_slabs(&self, opened: u64, reused: u64) {
+        self.slabs_opened.fetch_add(opened, Ordering::Relaxed);
+        self.slabs_reused.fetch_add(reused, Ordering::Relaxed);
+    }
+
+    /// [`Self::slab_stats`] the slow way, summed over every cell (one lock
+    /// per cell): the oracle the tally is tested against.
+    #[cfg(test)]
+    pub(crate) fn bucket_alloc_stats(&self) -> (u64, u64) {
         self.cells.iter().fold((0, 0), |(allocs, reuses), c| {
             let (a, r) = c.lock().bucket_alloc_stats();
             (allocs + a, reuses + r)

@@ -306,10 +306,9 @@ impl GGridServer {
 
     /// The modeled ingest time so far, [`ServerCounters::modeled_ingest_ns`]
     /// over the ingest counters alone: its slab term counts the slabs
-    /// ingest commits opened ([`IngestCounters::slabs_opened`]), so no cell
-    /// list is walked. Over any ingest call it moves exactly as the full
-    /// [`Self::counters`] snapshot's figure does, which also counts the
-    /// slabs cleaning opens.
+    /// ingest commits opened ([`IngestCounters::slabs_opened`]). Over any
+    /// ingest call it moves exactly as the full [`Self::counters`]
+    /// snapshot's figure does, which also counts the slabs cleaning opens.
     pub(crate) fn ingest_modeled_ns(&self) -> u64 {
         let mut c = ServerCounters::default();
         self.ingest.merge_into(&mut c);
@@ -319,11 +318,12 @@ impl GGridServer {
 
     /// A point-in-time snapshot of the server counters: the query-side
     /// counters (owned by `&mut self` paths) merged with the atomic
-    /// ingest-side counters and the per-cell bucket-pool statistics.
+    /// ingest-side counters and the lists' slab tally. It walks per-device
+    /// state only, never the cells.
     pub fn counters(&self) -> ServerCounters {
         let mut c = self.counters;
         self.ingest.merge_into(&mut c);
-        (c.bucket_allocs, c.bucket_reuses) = self.lists.bucket_alloc_stats();
+        (c.bucket_allocs, c.bucket_reuses) = self.lists.slab_stats();
         let staging = self.staging.lock();
         c.ingest_flushes = staging.flushes;
         c.buffered_messages = staging.staged_total;
@@ -672,7 +672,7 @@ impl GGridServer {
         let dirty: Vec<CellId> = runs.iter().map(run_cell).collect();
         let workers = self.config.host_workers.clamp(1, runs.len().max(1));
         let slabs = on_workers(workers, work, |w| {
-            let mut slabs = 0u64;
+            let (mut opened, mut reused) = (0u64, 0u64);
             for j in (w..runs.len()).step_by(workers) {
                 if let Some(ahead) = dirty.get(j + PREFETCH_RUNS * workers) {
                     self.lists.prefetch(ahead.index());
@@ -680,15 +680,20 @@ impl GGridServer {
                 let mut list = self
                     .lists
                     .lock_metered(dirty[j].index(), &self.ingest.cell_lock_wait_ns);
-                let opened = list.bucket_alloc_stats().0;
+                let (a, r) = list.bucket_alloc_stats();
                 append(&runs[j], &mut list);
-                slabs += list.bucket_alloc_stats().0 - opened;
+                let (a2, r2) = list.bucket_alloc_stats();
+                (opened, reused) = (opened + a2 - a, reused + r2 - r);
             }
-            slabs
+            (opened, reused)
         });
+        let (opened, reused) = slabs
+            .iter()
+            .fold((0, 0), |(a, r), &(a2, r2)| (a + a2, r + r2));
+        self.lists.add_slabs(opened, reused);
         self.ingest
             .slabs_opened
-            .fetch_add(slabs.iter().sum(), Ordering::Relaxed);
+            .fetch_add(opened, Ordering::Relaxed);
         let cells = dirty.len() as u64;
         self.ingest.cell_locks.fetch_add(cells, Ordering::Relaxed);
         self.ingest
@@ -1489,6 +1494,60 @@ mod tests {
         let costs = s.sim_costs();
         assert!(costs.h2d_bytes > 0);
         assert!(costs.total_time() > gpu_sim::SimNanos::ZERO);
+    }
+
+    /// The counters snapshot's slab figures come from the writers' tally,
+    /// not from a walk over the cells; after every kind of writer has run
+    /// they must equal the walk.
+    #[test]
+    fn slab_tally_matches_the_walk() {
+        for d in [1usize, 4] {
+            let g = gen::toy(42);
+            let edges = g.num_edges() as u32;
+            let mut s = GGridServer::new(
+                g,
+                GGridConfig {
+                    bucket_capacity: 5,
+                    eta: 4,
+                    num_devices: d,
+                    ..Default::default()
+                },
+            );
+            let at = |i: u64| pos((i * 7 % edges as u64) as u32, 0);
+            for round in 0..6u64 {
+                let t = 100 * (round + 1);
+                let wave: Vec<_> = (0..40u64)
+                    .map(|i| (ObjectId(i), at(i + round * 3), Timestamp(t + i)))
+                    .collect();
+                match round % 3 {
+                    0 => {
+                        s.ingest_batch(&wave);
+                    }
+                    1 => {
+                        s.ingest_buffered(&wave);
+                        s.flush_ingest();
+                    }
+                    _ => {
+                        for &(o, p, ts) in &wave {
+                            s.handle_update(o, p, ts);
+                        }
+                    }
+                }
+                s.knn(at(round), 4, Timestamp(t + 50));
+                let queries: Vec<_> = (0..4).map(|i| (at(round + i * 11), 3)).collect();
+                s.knn_batch(&queries, Timestamp(t + 60));
+                if round % 2 == 1 {
+                    s.clean_all(Timestamp(t + 70));
+                }
+            }
+            let walk = s.lists.bucket_alloc_stats();
+            assert!(
+                walk.0 > 0 && walk.1 > 0,
+                "slabs opened and reused at D = {d}"
+            );
+            let c = s.counters();
+            assert_eq!((c.bucket_allocs, c.bucket_reuses), walk, "D = {d}");
+        }
     }
 
     /// The message lists pinned through a fixed ingest, clean and restore

@@ -928,8 +928,8 @@ pub struct IngestCounters {
     pub critical_ns: AtomicU64,
     pub cells_dirtied: AtomicU64,
     /// Bucket slabs the group commits opened from the heap: the ingest
-    /// share of [`ServerCounters::bucket_allocs`], which walks every cell
-    /// list and also counts the slabs cleaning opens.
+    /// share of [`ServerCounters::bucket_allocs`], which also counts the
+    /// slabs cleaning opens.
     pub slabs_opened: AtomicU64,
     pub batch_size_hist: AtomicHist,
     /// Dirtied-cell events per owning shard (tallied only when

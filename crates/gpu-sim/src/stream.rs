@@ -34,10 +34,16 @@ impl StreamTimeline {
     /// later of `ready` (its cross-stream dependency) and the stream's own
     /// previous operation finishing, and runs without preemption. Returns
     /// the operation's end time, usable as `ready` for dependents.
+    ///
+    /// An operation of zero duration issues nothing: it still returns
+    /// `max(ready, end)` for its dependents, but it leaves the stream's end
+    /// (and so the makespan) where it was, so it cannot hold the stream for
+    /// whatever comes next.
     pub fn push(&mut self, stream: usize, ready: SimNanos, dur: SimNanos) -> SimNanos {
-        let start = self.ends[stream].max(ready);
-        let end = start + dur;
-        self.ends[stream] = end;
+        let end = self.ends[stream].max(ready) + dur;
+        if dur > SimNanos::ZERO {
+            self.ends[stream] = end;
+        }
         end
     }
 
@@ -103,6 +109,23 @@ mod tests {
             serial += SimNanos(d);
         }
         assert!(tl.makespan() <= serial);
+    }
+
+    #[test]
+    fn empty_operation_holds_no_stream() {
+        let mut tl = StreamTimeline::new(2);
+        tl.push(0, SimNanos::ZERO, SimNanos(10));
+        // Ready after the stream's end: dependents see `ready`, but the
+        // stream's end and the makespan stay where they were.
+        assert_eq!(tl.push(0, SimNanos(40), SimNanos::ZERO), SimNanos(40));
+        assert_eq!(tl.end(0), SimNanos(10));
+        assert_eq!(tl.makespan(), SimNanos(10));
+        // Ready before the stream's end: dependents see the end.
+        assert_eq!(tl.push(0, SimNanos(3), SimNanos::ZERO), SimNanos(10));
+        assert_eq!(tl.end(0), SimNanos(10));
+        // A real operation after it starts at the old end.
+        assert_eq!(tl.push(0, SimNanos::ZERO, SimNanos(5)), SimNanos(15));
+        assert_eq!(tl.end(1), SimNanos::ZERO);
     }
 
     #[test]
