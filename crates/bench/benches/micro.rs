@@ -1,15 +1,15 @@
 //! Micro-benchmarks of the building blocks: Z-curve encoding, graph
 //! partitioning, the graph-grid build (also on the repository benchmark's
-//! graph), Dijkstra, the X-shuffle kernel, message caching, and the object
-//! table.
+//! graph), Dijkstra (also refinement-shaped searches on the benchmark's
+//! graph), the X-shuffle kernel, message caching, and the object table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ggrid::grid::{CellId, GraphGrid};
 use ggrid::message::{CachedMessage, ObjectId, Timestamp};
 use ggrid::xshuffle::{xshuffle_clean, WireMessage};
 use gpu_sim::{Device, DeviceSpec};
-use roadnet::dijkstra::DijkstraEngine;
-use roadnet::graph::VertexId;
+use roadnet::dijkstra::{DijkstraEngine, SearchBounds};
+use roadnet::graph::{Distance, VertexId};
 use roadnet::{gen, partition, zorder, EdgeId, EdgePosition};
 
 fn bench_zorder(c: &mut Criterion) {
@@ -76,6 +76,47 @@ fn bench_dijkstra(c: &mut Criterion) {
     });
 }
 
+/// Refinement-shaped searches on the repository benchmark's graph (NY at
+/// scale 2, graph seed 0x6E79, the default δᶜ = 3 grid): one bounded
+/// multi-source Dijkstra per sampled cell, seeded at cost 0 at every vertex
+/// of the cell and its neighbours with an edge leaving that region, radius
+/// five mean edge weights, all on one reused engine as a pooled refinement
+/// worker runs them. 64 cells are sampled evenly along the Z-order. A
+/// search settles about 78 vertices and relaxes about 227 edges, close to
+/// a `sharded_hot` refinement's 70 and 207.
+/// Unlike `dijkstra_full_1024v`, the graph and the distance map are far
+/// larger than the caches, so this case shows the adjacency and map
+/// layout.
+fn bench_refine_boundary_ny2(c: &mut Criterion) {
+    let g = std::sync::Arc::new(gen::dataset(gen::Dataset::NY, 2, 0x6E79));
+    let grid = GraphGrid::build(g.clone(), 3, 2);
+    let step = grid.num_cells() / 64;
+    let seeds: Vec<Vec<(VertexId, Distance)>> = (0..64)
+        .map(|i| {
+            let cell = CellId((i * step) as u32);
+            let mut region = vec![cell];
+            region.extend_from_slice(grid.neighbors(cell));
+            let inside = |v: VertexId| region.contains(&grid.cell_of_vertex(v));
+            region
+                .iter()
+                .flat_map(|&c| grid.vertices_in(c))
+                .filter(|&v| g.out_edges(v).any(|e| !inside(g.edge(e).dest)))
+                .map(|v| (v, 0))
+                .collect()
+        })
+        .collect();
+    let bounds = SearchBounds::radius(5 * grid.mean_edge_weight());
+    let mut engine = DijkstraEngine::new(&g);
+    c.bench_function("refine_boundary_ny2", |b| {
+        b.iter(|| {
+            seeds
+                .iter()
+                .map(|s| engine.run_seeded(s, bounds))
+                .sum::<usize>()
+        })
+    });
+}
+
 fn bench_xshuffle(c: &mut Criterion) {
     // 64 buckets of 8 messages over 12 objects: two 32-lane bundles.
     let buckets: Vec<Vec<WireMessage>> = (0..64u64)
@@ -134,6 +175,7 @@ criterion_group!(
     bench_grid_build,
     bench_grid_build_ny2,
     bench_dijkstra,
+    bench_refine_boundary_ny2,
     bench_xshuffle,
     bench_update_path
 );

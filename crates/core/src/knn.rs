@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, OpCounts, SimNanos};
-use roadnet::dijkstra::{DijkstraEngine, SearchBounds};
+use roadnet::dijkstra::{DijkstraEngine, DijkstraScratch, SearchBounds};
 use roadnet::graph::{Distance, VertexId, INFINITY};
 use roadnet::EdgePosition;
 
@@ -95,9 +95,10 @@ pub(crate) struct PendingKnn {
 /// Result of the CPU refinement phase (Algorithm 6's searches).
 pub(crate) struct RefineOutcome {
     /// `best_outer[u]` = min over unresolved `v` of `D[v] + dist_v(u)` —
-    /// a pooled dense scratch (`None` when nothing was refined); entries
-    /// are exactly the vertices some search settled, all finite.
-    pub best_outer: Option<DenseScratch>,
+    /// the pooled engine scratch the searches ran in (`None` when nothing
+    /// was refined); its finite entries are exactly the vertices some
+    /// search settled.
+    pub best_outer: Option<DijkstraScratch>,
     /// Cells outside the candidate set the searches settled vertices in,
     /// sorted and deduplicated.
     pub touched_cells: Vec<CellId>,
@@ -547,13 +548,20 @@ pub(crate) fn knn_device_phase(
 /// satisfying it. Shared shortest-path subtrees are settled once instead of
 /// once per source; DESIGN.md §5.6 has the full argument.
 ///
+/// Each worker's pooled engine scratch *is* its distance map, and worker
+/// 0's scratch becomes `best_outer`, with no copy in between. That is
+/// sound because under `radius(l)` every vertex the search writes is
+/// settled: a vertex is written only when its distance is `≤ l` (every
+/// seed has `D[v] < l`, Definition 3), and the search pops every heap
+/// entry `≤ l` before it stops, so the map's finite entries are exactly
+/// the settled set, at their final distances.
+///
 /// Pure CPU and side-effect free: it never touches the device or the
 /// message lists, which is what lets a batch scheduler model it
-/// overlapping another query's device phase. Determinism: each worker
-/// builds a local `best_outer`, maps are merged with `min`
-/// (order-independent), and `touched_cells` is recomputed from the merged
-/// map and sorted — so the outcome is identical for every worker count,
-/// including 1.
+/// overlapping another query's device phase. Determinism: worker 0's map
+/// absorbs the other workers' entries by `min` (order-independent), and
+/// `touched_cells` is recomputed from the merged map and sorted — so the
+/// outcome is identical for every worker count, including 1.
 pub(crate) fn refine_unresolved(
     grid: &GraphGrid,
     pending: &PendingKnn,
@@ -575,19 +583,19 @@ pub(crate) fn refine_unresolved(
         // clock is per-thread CPU time, not wall time: preemption under
         // background load must not be charged to the search.
         let mut engine = DijkstraEngine::with_scratch(&graph, pool.acquire_engine());
-        let mut local = pool.acquire();
         let started = BusyClock::start();
         // Seed costs are the absolute `D[v]`, so settled values are already
         // absolute distances through some unresolved vertex.
         engine.run_seeded(chunk, SearchBounds::radius(l));
-        for &u in engine.settled() {
-            local.min_in(u, engine.distance(u));
-        }
-        let settled = engine.settled().len() as u64;
-        let relaxed = engine.relaxed();
         let ns = started.elapsed_ns();
-        pool.release_engine(engine.into_scratch());
-        (local, settled, relaxed, ns)
+        let relaxed = engine.relaxed();
+        let map = engine.into_scratch();
+        debug_assert_eq!(
+            map.entries().count(),
+            map.settled().len(),
+            "a radius search settles every vertex it writes"
+        );
+        (map, relaxed, ns)
     };
 
     // Deal vertices round-robin: adjacent unresolved vertices sit on the
@@ -605,25 +613,23 @@ pub(crate) fn refine_unresolved(
         expand(&stride.copied().collect::<Vec<_>>())
     })
     .into_iter();
-    let (mut best_outer, mut settled, mut relaxed, first_ns) =
-        partials.next().expect("at least one worker");
+    let (mut best_outer, mut relaxed, first_ns) = partials.next().expect("at least one worker");
+    let mut settled = best_outer.settled().len() as u64;
     let mut busy_ns = first_ns;
     let mut critical_ns = first_ns;
-    for (local, worker_settled, worker_relaxed, worker_ns) in partials {
+    for (map, worker_relaxed, worker_ns) in partials {
         busy_ns += worker_ns;
         critical_ns = critical_ns.max(worker_ns);
-        settled += worker_settled;
+        settled += map.settled().len() as u64;
         relaxed += worker_relaxed;
-        // min-merge is commutative and associative: the merged scratch is
+        // min-merge is commutative and associative: the merged map is
         // identical for every worker count and merge order.
-        for (u, du) in local.iter_touched() {
-            best_outer.min_in(u, du);
-        }
-        pool.release(local);
+        best_outer.absorb(&map);
+        pool.release_engine(map);
     }
 
     let mut touched_cells: Vec<CellId> = best_outer
-        .iter_touched()
+        .entries()
         .map(|(u, _)| grid.cell_of_vertex(u))
         .filter(|&c| !pending.cells.contains(c))
         .collect();
@@ -709,13 +715,12 @@ pub(crate) fn knn_finalize(
             }
         }
 
-        // Improve estimates through the unresolved vertices. Scratch
-        // entries are finite by construction, so `< INFINITY` is exactly
-        // the old map's key-present test.
+        // Improve estimates through the unresolved vertices: a finite
+        // entry is a vertex some search settled.
         if let Some(outer_map) = refined.best_outer.as_ref() {
             for (&o, &p) in positions.iter() {
                 let src = graph.edge(p.edge).source;
-                let outer = outer_map.get(src);
+                let outer = outer_map.distance(src);
                 if outer < INFINITY {
                     let est = outer.saturating_add(p.from_source());
                     estimates
@@ -727,7 +732,7 @@ pub(crate) fn knn_finalize(
         }
     }
     if let Some(s) = refined.best_outer {
-        pool.release(s);
+        pool.release_engine(s);
     }
     pool.release_cells(cells);
 
@@ -1798,11 +1803,69 @@ mod tests {
                 .best_outer
                 .as_ref()
                 .expect("unresolved non-empty => scratch present")
-                .iter_touched()
+                .entries()
                 .collect();
             assert_eq!(got_map, want, "workers={workers}");
             assert!(got.touched_cells.windows(2).all(|w| w[0] < w[1]));
             assert!(got.settled > 0 && got.relaxed > 0);
+        }
+    }
+
+    #[test]
+    fn best_outer_holds_exactly_the_settled_set() {
+        // No copy sits between the searches and the result: the returned
+        // map's finite entries must be the union of what the workers'
+        // searches settled, replayed here worker by worker.
+        let (grid, lists, device, config) = setup(7);
+        let objects: Vec<(u64, EdgePosition)> = (0..10u64)
+            .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
+            .collect();
+        place(&grid, &lists, &objects, 100);
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
+        let pool = ScratchPool::new(grid.graph().num_vertices());
+        let mut pending = knn_device_phase(
+            &mut shards,
+            &grid,
+            &lists,
+            &pool,
+            &config,
+            EdgePosition::at_source(EdgeId(2)),
+            4,
+            Timestamp(200),
+            None,
+        );
+        // The toy query leaves few unresolved vertices; seed twelve spread
+        // over the graph so every worker count below has work to split.
+        pending.l = 40;
+        pending.unresolved = (0..12u32)
+            .map(|i| (VertexId(i * 5), (i % 4) as Distance * 6))
+            .collect();
+        let graph = grid.graph().clone();
+        let mut engine = DijkstraEngine::new(&graph);
+        for workers in [1usize, 3, 8] {
+            let (mut want, mut settled) = (Vec::new(), 0);
+            for w in 0..workers {
+                let chunk: Vec<_> = pending
+                    .unresolved
+                    .iter()
+                    .skip(w)
+                    .step_by(workers)
+                    .copied()
+                    .collect();
+                engine.run_seeded(&chunk, SearchBounds::radius(pending.l));
+                want.extend_from_slice(engine.settled());
+                settled += engine.settled().len() as u64;
+            }
+            want.sort_unstable();
+            want.dedup();
+            let got = refine_unresolved(&grid, &pending, workers, &pool);
+            let map = got.best_outer.expect("unresolved non-empty");
+            let mut entries: Vec<VertexId> = map.entries().map(|(v, _)| v).collect();
+            entries.sort_unstable();
+            assert_eq!(entries, want, "workers={workers}");
+            assert!(map.entries().all(|(_, d)| d <= pending.l));
+            assert_eq!(got.settled, settled, "workers={workers}");
+            pool.release_engine(map);
         }
     }
 
@@ -1850,7 +1913,7 @@ mod tests {
         );
         assert!(fused.relaxed <= relaxed);
         if let Some(a) = fused.best_outer {
-            pool.release(a);
+            pool.release_engine(a);
         }
     }
 }

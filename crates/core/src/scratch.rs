@@ -19,9 +19,11 @@
 //! set (and, on a sharded server, its per-cell owner map) resets in
 //! O(|set|) instead of being allocated at O(cells) per query.
 //!
-//! [`ScratchPool`] keeps retired scratches on the server so concurrent
-//! refinement workers and the batch pipeline can each borrow one without
-//! reallocating; `acquire` resets before handing out.
+//! [`ScratchPool`] keeps retired scratches on the server so the distance
+//! phase, the refinement workers and the batch pipeline can each borrow
+//! one without reallocating; `acquire` resets before handing out. The
+//! refinement borrows Dijkstra scratch ([`DijkstraScratch`]) only: its
+//! search map is its result, so it needs no dense copy.
 
 use parking_lot::Mutex;
 use roadnet::dijkstra::DijkstraScratch;
@@ -79,18 +81,6 @@ impl DenseScratch {
             self.touched.push(i as u32);
         }
         self.dist[i] = d;
-    }
-
-    /// `dist[v] = min(dist[v], d)`; returns true when `d` improved the
-    /// entry (the min-merge of the refinement workers).
-    #[inline]
-    pub fn min_in(&mut self, v: VertexId, d: Distance) -> bool {
-        if d < self.get(v) {
-            self.set(v, d);
-            true
-        } else {
-            false
-        }
     }
 
     /// Number of vertices written this epoch.
@@ -222,8 +212,9 @@ impl CellSet {
     }
 }
 
-/// A pool of [`DenseScratch`]es sized for one graph, shared by the query
-/// path and the refinement workers (batch mode borrows several at once).
+/// A pool of [`DenseScratch`]es and [`DijkstraScratch`]es sized for one
+/// graph, shared by the query path and the refinement workers (batch mode
+/// borrows several at once).
 ///
 /// The pool is byte-budgeted: once the *idle* scratches (dense + Dijkstra)
 /// exceed `budget_bytes`, releases evict the oldest pooled buffers instead
@@ -345,9 +336,11 @@ impl ScratchPool {
             .unwrap_or_else(|| DijkstraScratch::with_capacity(self.num_vertices))
     }
 
-    /// Return Dijkstra working memory to the pool. Scratches sized for
-    /// another graph are dropped instead of pooled; pooling past the byte
-    /// budget evicts the oldest idle buffers first.
+    /// Return Dijkstra working memory to the pool. It may still hold its
+    /// last search's map: the next search run in it clears what that one
+    /// wrote. Scratches sized for another graph are dropped instead of
+    /// pooled; pooling past the byte budget evicts the oldest idle buffers
+    /// first.
     pub fn release_engine(&self, s: DijkstraScratch) {
         if s.capacity() == self.num_vertices {
             self.engines.lock().push(s);
@@ -427,16 +420,6 @@ mod tests {
         assert!(s.contains(VertexId(0)));
         assert_eq!(s.get(VertexId(0)), INFINITY);
         assert_eq!(s.touched_len(), 1);
-    }
-
-    #[test]
-    fn min_in_merges() {
-        let mut s = DenseScratch::new(4);
-        assert!(s.min_in(VertexId(1), 10));
-        assert!(!s.min_in(VertexId(1), 12));
-        assert!(s.min_in(VertexId(1), 7));
-        assert_eq!(s.get(VertexId(1)), 7);
-        assert_eq!(s.touched_len(), 1, "re-writes must not re-touch");
     }
 
     #[test]

@@ -1736,6 +1736,51 @@ mod tests {
     }
 
     #[test]
+    fn pooled_scratch_stops_growing_under_batches() {
+        // Refinement results are pooled engine scratches held from one
+        // query's refinement to its finalisation; a batch keeps at most one
+        // query in flight, so over 200 queries the pool must settle at a
+        // fixed footprint instead of growing with the query count.
+        let g = gen::toy(77);
+        let edges = g.num_edges() as u32;
+        let host_workers = 3;
+        let mut s = GGridServer::new(
+            g,
+            GGridConfig {
+                host_workers,
+                ..small_config()
+            },
+        );
+        for o in 0..40u64 {
+            let e = EdgeId((o * 11 % edges as u64) as u32);
+            s.handle_update(ObjectId(o), EdgePosition::at_source(e), Timestamp(100));
+        }
+        let mut settled = 0;
+        let mut footprints = Vec::new();
+        for batch in 0..25u32 {
+            let queries: Vec<_> = (0..8u32)
+                .map(|i| (pos((batch * 8 + i) * 7 % edges, 0), 4usize))
+                .collect();
+            let out = s.knn_batch(&queries, Timestamp(500));
+            settled += out.per_query.iter().map(|b| b.refine_settled).sum::<u64>();
+            footprints.push((s.pool.pooled_engines(), s.pool.scratch_bytes()));
+        }
+        assert!(settled > 0, "the batches must refine");
+        // A refinement fans out over at most `host_workers` engines while
+        // the query before it still holds its result.
+        let bound = host_workers + 1;
+        assert!(
+            footprints.iter().all(|&(e, _)| e <= bound),
+            "{footprints:?}"
+        );
+        let tail = &footprints[footprints.len() - 10..];
+        assert!(
+            tail.iter().all(|f| *f == tail[0]),
+            "pool still growing: {footprints:?}"
+        );
+    }
+
+    #[test]
     fn repeated_queries_stay_consistent() {
         let g = gen::toy(3);
         let mut s = GGridServer::new(g, small_config());

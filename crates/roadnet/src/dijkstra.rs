@@ -39,18 +39,26 @@ impl SearchBounds {
     };
 }
 
-/// Detachable working memory of a [`DijkstraEngine`]: the epoch-stamped
-/// distance array, heap, and settled list. Construction is O(|V|); a
-/// scratch detached with [`DijkstraEngine::into_scratch`] can be re-attached
-/// to another engine over the same graph with
+/// Detachable working memory of a [`DijkstraEngine`]: the distance map,
+/// heap, and settled list.
+///
+/// The map is one `Distance` per vertex, [`INFINITY`] meaning unvisited,
+/// plus the list of vertices written since the last search started; the
+/// next search walks that list back to [`INFINITY`], so reuse costs
+/// O(written), not O(|V|), and a lookup is one load. Construction is
+/// O(|V|); a scratch detached with [`DijkstraEngine::into_scratch`] can be
+/// re-attached to another engine over the same graph with
 /// [`DijkstraEngine::with_scratch`] in O(1), so callers that run many short
 /// searches (G-Grid's refinement phase) pay the allocation once per pool
 /// slot instead of once per query.
+///
+/// A detached scratch still holds the last search's map, readable through
+/// [`Self::distance`] and [`Self::entries`]; G-Grid's refinement hands it
+/// on as its result.
 #[derive(Debug)]
 pub struct DijkstraScratch {
     dist: Vec<Distance>,
-    stamp: Vec<u32>,
-    epoch: u32,
+    written: Vec<u32>,
     heap: BinaryHeap<Reverse<(Distance, u32)>>,
     settled: Vec<VertexId>,
 }
@@ -59,8 +67,7 @@ impl DijkstraScratch {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             dist: vec![INFINITY; n],
-            stamp: vec![0; n],
-            epoch: 0,
+            written: Vec::new(),
             heap: BinaryHeap::new(),
             settled: Vec::new(),
         }
@@ -71,20 +78,72 @@ impl DijkstraScratch {
         self.dist.len()
     }
 
-    /// Resident bytes of the graph-sized distance and stamp arrays. The
-    /// heap and settled list are left out: their capacity is the largest
+    /// Resident bytes of the graph-sized distance map. The written, heap
+    /// and settled lists are left out: their capacity is the largest
     /// search this scratch has run, so it depends on which searches it
-    /// served, and it is small next to the O(|V|) arrays.
+    /// served, and it is small next to the O(|V|) map.
     pub fn size_bytes(&self) -> u64 {
-        (self.dist.capacity() * std::mem::size_of::<Distance>()
-            + self.stamp.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.dist.capacity() * std::mem::size_of::<Distance>()) as u64
+    }
+
+    /// Distance of `v` in the map; [`INFINITY`] when `v` was not written.
+    #[inline]
+    pub fn distance(&self, v: VertexId) -> Distance {
+        self.dist[v.index()]
+    }
+
+    /// Vertices settled by the most recent search, in settling order.
+    pub fn settled(&self) -> &[VertexId] {
+        &self.settled
+    }
+
+    /// `(vertex, distance)` of every finite entry, in first-write order.
+    pub fn entries(&self) -> impl Iterator<Item = (VertexId, Distance)> + '_ {
+        self.written
+            .iter()
+            .map(|&i| (VertexId(i), self.dist[i as usize]))
+    }
+
+    /// `map[v] = min(map[v], d)` for every finite entry `(v, d)` of
+    /// `other`: the map becomes the pointwise minimum of the two, whatever
+    /// the order of absorption. `other` must be sized for the same graph.
+    pub fn absorb(&mut self, other: &DijkstraScratch) {
+        for (v, d) in other.entries() {
+            self.lower(v.0, d);
+        }
+    }
+
+    /// Write `d` to `v` when it is below the entry; a first write records
+    /// `v` for the next reset. Entries are always finite.
+    #[inline]
+    fn lower(&mut self, v: u32, d: Distance) -> bool {
+        let cur = &mut self.dist[v as usize];
+        if d >= *cur {
+            return false;
+        }
+        if *cur == INFINITY {
+            self.written.push(v);
+        }
+        *cur = d;
+        true
+    }
+
+    /// Walk every written vertex back to [`INFINITY`] and empty the lists.
+    fn reset(&mut self) {
+        for &v in &self.written {
+            self.dist[v as usize] = INFINITY;
+        }
+        self.written.clear();
+        self.heap.clear();
+        self.settled.clear();
     }
 }
 
 /// Reusable Dijkstra engine over one graph.
 ///
 /// Distances from the most recent search remain readable until the next
-/// search. Reuse is O(touched) thanks to an epoch-stamped distance array.
+/// search. Reuse is O(written): the next search resets only the vertices
+/// the last one wrote.
 pub struct DijkstraEngine<'g> {
     graph: &'g Graph,
     scratch: DijkstraScratch,
@@ -103,7 +162,6 @@ impl<'g> DijkstraEngine<'g> {
         let n = graph.num_vertices();
         if scratch.dist.len() < n {
             scratch.dist.resize(n, INFINITY);
-            scratch.stamp.resize(n, 0);
         }
         Self {
             graph,
@@ -121,43 +179,15 @@ impl<'g> DijkstraEngine<'g> {
         self.graph
     }
 
-    #[inline]
-    fn reset(&mut self) {
-        if self.scratch.epoch == u32::MAX {
-            // Epoch wrap: clear the stamps so no stale entry can alias the
-            // restarted counter.
-            self.scratch.stamp.fill(0);
-            self.scratch.epoch = 0;
-        }
-        self.scratch.epoch += 1;
-        self.scratch.heap.clear();
-        self.scratch.settled.clear();
-        self.relaxed = 0;
-    }
-
-    #[inline]
-    fn get(&self, v: VertexId) -> Distance {
-        if self.scratch.stamp[v.index()] == self.scratch.epoch {
-            self.scratch.dist[v.index()]
-        } else {
-            INFINITY
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, v: VertexId, d: Distance) {
-        self.scratch.dist[v.index()] = d;
-        self.scratch.stamp[v.index()] = self.scratch.epoch;
-    }
-
     /// Distance to `v` from the seeds of the most recent search.
+    #[inline]
     pub fn distance(&self, v: VertexId) -> Distance {
-        self.get(v)
+        self.scratch.distance(v)
     }
 
     /// Vertices settled by the most recent search, in settling order.
     pub fn settled(&self) -> &[VertexId] {
-        &self.scratch.settled
+        self.scratch.settled()
     }
 
     /// Edges examined (relaxation attempts) by the most recent search.
@@ -175,36 +205,37 @@ impl<'g> DijkstraEngine<'g> {
     /// once per seed, which is where G-Grid's fused refinement (Algorithm 6)
     /// gets its CPU win.
     pub fn run_seeded(&mut self, seeds: &[(VertexId, Distance)], bounds: SearchBounds) -> usize {
-        self.reset();
+        let graph = self.graph;
+        let s = &mut self.scratch;
+        s.reset();
+        let mut relaxed = 0;
         for &(v, d) in seeds {
-            if d < self.get(v) {
-                self.set(v, d);
-                self.scratch.heap.push(Reverse((d, v.0)));
+            if s.lower(v.0, d) {
+                s.heap.push(Reverse((d, v.0)));
             }
         }
-        while let Some(Reverse((d, v))) = self.scratch.heap.pop() {
-            let v = VertexId(v);
-            if d > self.get(v) {
+        while let Some(Reverse((d, v))) = s.heap.pop() {
+            if d > s.dist[v as usize] {
                 continue; // stale entry
             }
             if d > bounds.max_dist {
                 break;
             }
-            self.scratch.settled.push(v);
-            if self.scratch.settled.len() >= bounds.max_settled {
+            s.settled.push(VertexId(v));
+            if s.settled.len() >= bounds.max_settled {
                 break;
             }
-            for e in self.graph.out_edges(v) {
-                let edge = self.graph.edge(e);
-                self.relaxed += 1;
-                let nd = d + edge.weight as Distance;
-                if nd < self.get(edge.dest) && nd <= bounds.max_dist {
-                    self.set(edge.dest, nd);
-                    self.scratch.heap.push(Reverse((nd, edge.dest.0)));
+            let arcs = graph.out_arcs(VertexId(v));
+            relaxed += arcs.len() as u64;
+            for &(dest, w) in arcs {
+                let nd = d + w as Distance;
+                if nd <= bounds.max_dist && s.lower(dest, nd) {
+                    s.heap.push(Reverse((nd, dest)));
                 }
             }
         }
-        self.scratch.settled.len()
+        self.relaxed = relaxed;
+        s.settled.len()
     }
 
     /// Full single-source Dijkstra from a vertex.
@@ -227,7 +258,7 @@ impl<'g> DijkstraEngine<'g> {
     /// for two positions on the same edge where `p` lies ahead of `q`.
     pub fn position_distance(&self, q: EdgePosition, p: EdgePosition) -> Distance {
         let via_source = self
-            .get(self.graph.edge(p.edge).source)
+            .distance(self.graph.edge(p.edge).source)
             .saturating_add(p.from_source());
         if p.edge == q.edge && p.offset >= q.offset {
             let along = (p.offset - q.offset) as Distance;
@@ -440,8 +471,8 @@ mod tests {
         e1.run_from_vertex(VertexId(0));
         let want: Vec<Distance> = g.vertices().map(|v| e1.distance(v)).collect();
         let scratch = e1.into_scratch();
-        // Re-attached scratch carries stale stamps from the first search;
-        // the next run must not read them as live distances.
+        // Re-attached scratch carries the first search's map; the next
+        // run must start from a clean one.
         let mut e2 = DijkstraEngine::with_scratch(&g, scratch);
         e2.run_from_vertex(VertexId(0));
         let got: Vec<Distance> = g.vertices().map(|v| e2.distance(v)).collect();
@@ -457,18 +488,65 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_clears_stale_stamps() {
-        let g = ring();
-        let mut scratch = DijkstraScratch::with_capacity(g.num_vertices());
-        scratch.epoch = u32::MAX; // force the wrap on the next reset
-        scratch.stamp.fill(u32::MAX); // stale stamps that would alias epoch 0
-        scratch.dist.fill(0);
-        let mut e = DijkstraEngine::with_scratch(&g, scratch);
-        e.run_seeded(&[(VertexId(0), 0)], SearchBounds::radius(0));
-        // Only the seed is settled; the poisoned zero distances must not
-        // leak through as already-settled vertices.
-        assert_eq!(e.settled(), &[VertexId(0)]);
-        assert_eq!(e.distance(VertexId(2)), INFINITY);
+    fn reattached_scratch_forgets_the_last_search() {
+        // The first search stops on its settle cap, so it also writes
+        // vertices it never settles; the reset must clear those too.
+        let g = crate::gen::toy(4);
+        let mut first = DijkstraEngine::new(&g);
+        let capped = SearchBounds {
+            max_dist: INFINITY,
+            max_settled: 20,
+        };
+        first.run_seeded(&[(VertexId(0), 0)], capped);
+        let scratch = first.into_scratch();
+        let written: Vec<VertexId> = scratch.entries().map(|(v, _)| v).collect();
+        assert!(written.len() > scratch.settled().len());
+
+        let far = VertexId(g.num_vertices() as u32 - 1);
+        let bounds = SearchBounds::radius(30);
+        let mut again = DijkstraEngine::with_scratch(&g, scratch);
+        again.run_seeded(&[(far, 0)], bounds);
+        let mut fresh = DijkstraEngine::new(&g);
+        fresh.run_seeded(&[(far, 0)], bounds);
+        for &v in &written {
+            let resettled = again.settled().contains(&v);
+            let want = if resettled {
+                fresh.distance(v)
+            } else {
+                INFINITY
+            };
+            assert_eq!(again.distance(v), want, "vertex {v:?}");
+        }
+        for v in g.vertices() {
+            assert_eq!(again.distance(v), fresh.distance(v), "vertex {v:?}");
+        }
+        assert_eq!(again.settled(), fresh.settled());
+    }
+
+    #[test]
+    fn absorb_is_the_pointwise_min() {
+        let g = crate::gen::toy(2);
+        let bounds = SearchBounds::radius(25);
+        let search = |seed: u32| {
+            let mut e = DijkstraEngine::new(&g);
+            e.run_seeded(&[(VertexId(seed), 0)], bounds);
+            e.into_scratch()
+        };
+        let (a, b) = (search(0), search(9));
+        let mut ab = search(0);
+        ab.absorb(&b);
+        let mut ba = search(9);
+        ba.absorb(&a);
+        for v in g.vertices() {
+            let want = a.distance(v).min(b.distance(v));
+            assert_eq!(ab.distance(v), want);
+            assert_eq!(ba.distance(v), want);
+        }
+        let mut written: Vec<_> = ab.entries().collect();
+        written.sort_unstable();
+        let mut other: Vec<_> = ba.entries().collect();
+        other.sort_unstable();
+        assert_eq!(written, other, "each finite entry listed once");
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! the *destination* of, see paper §III-A). Edge ids are stable indexes into
 //! a single edge array so both adjacency views and all downstream indexes
 //! (inverted edge index, object table) can refer to edges by id.
+//!
+//! The forward view also carries each out-edge's `(dest, weight)` inline
+//! ([`Graph::out_arcs`]), so a search relaxes a vertex's edges with one
+//! sequential read instead of one random [`Edge`] load per edge.
 
 use std::fmt;
 
@@ -69,6 +73,9 @@ pub struct Graph {
     // CSR by source vertex.
     out_offsets: Vec<u32>,
     out_edges: Vec<EdgeId>,
+    /// `(dest, weight)` of `out_edges[i]` at index `i`: the same offsets
+    /// slice both.
+    out_arcs: Vec<(u32, u32)>,
     // CSR by destination vertex.
     in_offsets: Vec<u32>,
     in_edges: Vec<EdgeId>,
@@ -99,6 +106,15 @@ impl Graph {
         let lo = self.out_offsets[v.index()] as usize;
         let hi = self.out_offsets[v.index() + 1] as usize;
         self.out_edges[lo..hi].iter().copied()
+    }
+
+    /// `(dest, weight)` of every edge leaving `v`, in [`Self::out_edges`]
+    /// order: the adjacency Dijkstra relaxes through.
+    #[inline]
+    pub fn out_arcs(&self, v: VertexId) -> &[(u32, u32)] {
+        let lo = self.out_offsets[v.index()] as usize;
+        let hi = self.out_offsets[v.index() + 1] as usize;
+        &self.out_arcs[lo..hi]
     }
 
     /// Edges entering `v` (v is the destination vertex). This is the view the
@@ -144,6 +160,7 @@ impl Graph {
         self.edges.len() * std::mem::size_of::<Edge>()
             + (self.out_offsets.len() + self.in_offsets.len()) * 4
             + (self.out_edges.len() + self.in_edges.len()) * 4
+            + self.out_arcs.len() * std::mem::size_of::<(u32, u32)>()
             + self.coords.len() * 8
     }
 }
@@ -236,12 +253,24 @@ impl GraphBuilder {
         if !self.coords.is_empty() {
             self.coords.resize(n, (0.0, 0.0));
         }
+        // Both grew by doubling; the graph keeps them for its lifetime, and
+        // slack on a reused heap page is resident memory.
+        self.edges.shrink_to_fit();
+        self.coords.shrink_to_fit();
         let (out_offsets, out_edges) = csr_by(&self.edges, n, |e| e.source);
+        let out_arcs = out_edges
+            .iter()
+            .map(|&e| {
+                let edge = self.edges[e.index()];
+                (edge.dest.0, edge.weight)
+            })
+            .collect();
         let (in_offsets, in_edges) = csr_by(&self.edges, n, |e| e.dest);
         Graph {
             edges: self.edges,
             out_offsets,
             out_edges,
+            out_arcs,
             in_offsets,
             in_edges,
             coords: self.coords,
@@ -297,6 +326,25 @@ mod tests {
         let outs: Vec<_> = g.out_edges(VertexId(0)).map(|e| g.edge(e).dest).collect();
         assert_eq!(outs, vec![VertexId(1), VertexId(2)]);
         assert_eq!(g.out_degree(VertexId(3)), 1);
+    }
+
+    /// The inline arcs mirror `out_edges` exactly: same order, same
+    /// destination and weight, for every vertex.
+    fn assert_arcs_mirror_edges(g: &Graph) {
+        for v in g.vertices() {
+            let want: Vec<(u32, u32)> = g
+                .out_edges(v)
+                .map(|e| (g.edge(e).dest.0, g.edge(e).weight))
+                .collect();
+            assert_eq!(g.out_arcs(v), &want[..], "vertex {v:?}");
+        }
+    }
+
+    #[test]
+    fn out_arcs_mirror_out_edges() {
+        assert_arcs_mirror_edges(&diamond());
+        assert_arcs_mirror_edges(&crate::gen::toy(3));
+        assert_arcs_mirror_edges(&crate::gen::dataset(crate::gen::Dataset::NY, 12, 5));
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The build environment cannot fetch crates.io, so this crate provides
 //! the `Mutex`/`RwLock` surface the workspace uses, backed by `std::sync`.
 //! The shim keeps `parking_lot`'s ergonomics: `lock()`/`read()`/`write()`
-//! return guards directly (poisoning is converted into a panic, which is
-//! what every caller would do with the `Result` anyway).
+//! return guards directly, and like `parking_lot` the locks do not poison.
+//! A lock whose holder panicked is handed to the next caller as it was
+//! left: the poisoned `std` guard is recovered with `into_inner`, not
+//! turned into a panic.
 
 use std::fmt;
 use std::sync;
