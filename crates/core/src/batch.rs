@@ -6,14 +6,16 @@
 //! cleaning shares one device pass, and host refinement of one query
 //! overlaps device work of another.
 //!
-//! [`run_knn_batch`] makes the **batch** the unit of device work:
+//! `run_knn_batch` makes the **batch** the unit of device work:
 //!
 //! * **Batch-fused cleaning** — the union of all queries' first candidate
-//!   rings is cleaned in one X-shuffle round (one kernel launch, one
-//!   chunked H2D schedule). The consolidated output is kept in a
-//!   `BatchCleanCache` keyed by list epoch, so every per-query pipeline
-//!   serves those cells from host memory at zero device cost — no
-//!   re-launch, no re-upload, not even a list freeze.
+//!   rings, as the query planner draws them ([`crate::knn`]), is cleaned in
+//!   one X-shuffle round (one kernel launch, one chunked H2D schedule). The
+//!   round's output records each cell's list epoch, so it is itself the
+//!   cache every per-query pipeline serves those cells from, at zero device
+//!   cost while the epoch holds — no re-launch, no re-upload, not even a
+//!   list freeze. Each query's own rounds follow its plan as they would
+//!   outside a batch.
 //! * **Coalesced topology staging** — the union's CSR slices are staged
 //!   onto the device in one transfer (one PCIe latency for all misses)
 //!   before the first query runs, so the per-query `GPU_SDist` rounds hit
@@ -65,20 +67,14 @@
 //! clean-skip snapshot of the same epoch would, and the refinement merge
 //! is order-independent. DESIGN.md §5.6 carries the full argument.
 
-use std::collections::HashMap;
-
 use gpu_sim::{SimNanos, StreamTimeline};
 use roadnet::graph::Distance;
 use roadnet::EdgePosition;
 
 use crate::cleaning::CleanedObjects;
-use crate::config::GGridConfig;
-use crate::grid::{CellId, GraphGrid};
-use crate::knn::{knn_device_phase, knn_finalize, refine_unresolved};
+use crate::grid::CellId;
+use crate::knn::{first_ring, knn_device_phase, knn_finalize, refine_unresolved, QueryEnv};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
-use crate::message_list::CellLists;
-use crate::object_table::FxBuildHasher;
-use crate::scratch::ScratchPool;
 use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
 
@@ -172,49 +168,6 @@ impl Schedule {
 /// ratios matter, and the integer split preserves totals regardless).
 const ATTR_SCALE: u64 = 720_720;
 
-/// Host-side cache of the batch's shared cleaning pass: for each union
-/// cell, the consolidated live objects and the list epoch they correspond
-/// to. A per-query cleaning round hits the cache only while the list's
-/// epoch still equals the recorded one — i.e. no message has landed in the
-/// cell since the shared pass — which is exactly the condition under which
-/// the shared output *is* what cleaning the cell now would produce.
-pub(crate) struct BatchCleanCache {
-    entries: HashMap<CellId, (u64, Vec<CachedMessage>), FxBuildHasher>,
-}
-
-impl BatchCleanCache {
-    /// Record the shared pass's output. Cells whose list was appended to
-    /// between the pass and this call (epoch moved past the cleaned stamp)
-    /// are left out — serving them from the cache would drop the new
-    /// messages, so they fall through to a real clean instead.
-    pub(crate) fn build(lists: &CellLists, union: &[CellId], cleaned: &CleanedObjects) -> Self {
-        let mut entries: HashMap<CellId, (u64, Vec<CachedMessage>), FxBuildHasher> =
-            HashMap::default();
-        for &c in union {
-            let list = lists.lock(c.index());
-            if list.is_clean() {
-                let epoch = list.epoch();
-                drop(list);
-                let msgs = cleaned.get(&c).cloned().unwrap_or_default();
-                entries.insert(c, (epoch, msgs));
-            }
-        }
-        Self { entries }
-    }
-
-    /// The cached consolidation of `cell`, if it is still current (the
-    /// list's epoch has not moved since the shared pass).
-    pub(crate) fn lookup(&self, lists: &CellLists, cell: CellId) -> Option<&[CachedMessage]> {
-        let (epoch, msgs) = self.entries.get(&cell)?;
-        let list = lists.lock(cell.index());
-        if list.epoch() == *epoch {
-            Some(msgs)
-        } else {
-            None
-        }
-    }
-}
-
 /// Result of a query batch.
 #[derive(Debug)]
 pub struct BatchResult {
@@ -250,52 +203,50 @@ impl BatchResult {
 
 /// Execute a batch of kNN queries sharing one fused cleaning + staging
 /// pass and overlapping host refinement with device work.
-#[allow(clippy::too_many_arguments)]
-pub fn run_knn_batch(
+pub(crate) fn run_knn_batch(
     shards: &mut ShardSet,
-    grid: &GraphGrid,
-    lists: &CellLists,
-    pool: &ScratchPool,
-    config: &GGridConfig,
+    env: QueryEnv,
     queries: &[(EdgePosition, usize)],
     now: Timestamp,
 ) -> BatchResult {
+    let QueryEnv {
+        grid,
+        lists,
+        pool,
+        config,
+    } = env;
     let d = shards.num_shards();
 
-    // Per-query first candidate rings (own cell + neighbours) and their
-    // union; ring multiplicities drive the attribution weights. A query's
-    // *primary* shard — where its kernels run — owns its own cell.
+    // Per-query first candidate rings and their union; ring multiplicities
+    // drive the attribution weights. A query's *primary* shard — where its
+    // kernels run — owns its own cell.
     let mut rings: Vec<Vec<CellId>> = Vec::with_capacity(queries.len());
     let mut primaries: Vec<usize> = Vec::with_capacity(queries.len());
-    let mut union: Vec<CellId> = Vec::new();
     for &(q, _) in queries {
         let c = grid.cell_of_edge(q.edge);
         primaries.push(shards.owner_of(c));
-        let mut ring = vec![c];
-        ring.extend_from_slice(grid.neighbors(c));
-        ring.sort_unstable();
-        ring.dedup();
-        union.extend_from_slice(&ring);
-        rings.push(ring);
+        rings.push(first_ring(grid, c).collect());
     }
+    // Every ring cell once per ring holding it, sorted: a cell's run length
+    // is its multiplicity.
+    let mut union: Vec<CellId> = rings.concat();
     union.sort_unstable();
-    union.dedup();
-
-    let mut multiplicity: HashMap<CellId, u64, FxBuildHasher> = HashMap::default();
-    for ring in &rings {
-        for &c in ring {
-            *multiplicity.entry(c).or_insert(0) += 1;
-        }
-    }
+    let multiplicity =
+        |c: &CellId| union.partition_point(|x| x <= c) - union.partition_point(|x| x < c);
     let weights: Vec<u64> = rings
         .iter()
-        .map(|ring| ring.iter().map(|c| ATTR_SCALE / multiplicity[c]).sum())
+        .map(|ring| {
+            ring.iter()
+                .map(|c| ATTR_SCALE / multiplicity(c) as u64)
+                .sum()
+        })
         .collect();
+    union.dedup();
 
     let mut schedule = Schedule::new(d);
 
     let mut shared = QueryBreakdown::default();
-    let mut cache: Option<BatchCleanCache> = None;
+    let mut cache: Option<CleanedObjects> = None;
     if !union.is_empty() && !queries.is_empty() {
         let launches0 = shards.total_launches();
         let t0 = std::time::Instant::now();
@@ -303,7 +254,7 @@ pub fn run_knn_batch(
         // per-shard legs are independent and run concurrently on their own
         // device streams.
         let (cleaned, reports) = shards.clean_cells_routed(lists, &union, config, now);
-        cache = Some(BatchCleanCache::build(lists, &union, &cleaned));
+        cache = Some(cleaned);
         shared.emulation_ns = t0.elapsed().as_nanos() as u64;
         for (owner, rep) in &reports {
             shared.record_cleaning(rep);
@@ -349,7 +300,7 @@ pub fn run_knn_batch(
     // decisions see the true memory pressure (released before returning).
     let mut cache_charges: Vec<u64> = vec![0; d];
     if let Some(cache) = &cache {
-        for (&c, (_, msgs)) in &cache.entries {
+        for (c, msgs) in cache.iter() {
             cache_charges[shards.owner_of(c)] += msgs.len() as u64 * CachedMessage::WIRE_BYTES;
         }
         for (i, &bytes) in cache_charges.iter().enumerate() {
@@ -375,7 +326,7 @@ pub fn run_knn_batch(
     let queued = queries.iter().zip(&primaries).map(Some).chain([None]);
     for query in queued {
         let started = query.map(|(&(q, k), &primary)| {
-            let pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
+            let pending = knn_device_phase(shards, env, q, k, now, cache);
             // Refinement reads the copied-back results, so it waits for
             // the copy end; the next query's kernels only wait for the
             // compute end, and only if they share the primary.
@@ -399,9 +350,7 @@ pub fn run_knn_batch(
             let refine_end = schedule.host(device_end, refined.critical_ns);
             let gpu_before = pending.breakdown.gpu_total();
             let copy_back_before = pending.breakdown.copy_back;
-            let result = knn_finalize(
-                shards, grid, lists, config, now, pending, refined, pool, cache,
-            );
+            let result = knn_finalize(shards, env, now, pending, refined, cache);
             // Primary device stream: the finalisation's lazy cleaning,
             // after the refine; its copy-back again overlaps on the
             // copy stream.
@@ -445,8 +394,10 @@ pub fn run_knn_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::GGridConfig;
     use crate::knn::golden::Digest;
     use crate::server::GGridServer;
+    use gpu_sim::{Device, DeviceSpec};
     use roadnet::{gen, EdgeId};
 
     fn loaded_server_with(config: GGridConfig) -> GGridServer {
@@ -515,7 +466,7 @@ mod tests {
         let batch = a.knn_batch(&queries, Timestamp(500));
         // The batch's win is device time: one big pipelined pass replaces
         // many small launches and transfers with per-call overheads, and
-        // the batch clean-cache spares the per-query re-cleans afterwards.
+        // the shared pass's output spares the per-query re-cleans afterwards.
         let mut individual_gpu = gpu_sim::SimNanos::ZERO;
         for &(q, k) in &queries {
             b.knn(q, k, Timestamp(500));
@@ -680,21 +631,47 @@ mod tests {
 
     #[test]
     fn cache_rejects_stale_epochs() {
-        // Build a cache over a consolidated cell, dirty it, and check the
-        // lookup refuses the stale entry.
-        let mut sv = loaded_server();
-        sv.clean_all(Timestamp(500));
-        let cell = sv.grid().cell_of_edge(EdgeId(0));
-        let union = [cell];
-        let cleaned = CleanedObjects::default();
-        let cache = BatchCleanCache::build(sv.cell_lists(), &union, &cleaned);
-        assert!(cache.lookup(sv.cell_lists(), cell).is_some());
-        // A new message moves the epoch; the entry must go stale.
+        // A round's output serves a cell only while no message has landed
+        // in it since: every cell it read (empty ones included) is current
+        // until a new message moves that cell's epoch.
+        let sv = loaded_server();
+        let (grid, lists, config) = (sv.grid(), sv.cell_lists(), sv.config());
+        let device = Device::new(DeviceSpec::test_tiny());
+        let mut shards = ShardSet::single(device, config, grid.num_cells());
+        let cells: Vec<CellId> = grid.cell_ids().collect();
+        let (cleaned, _) = shards.clean_cells(lists, &cells, config, Timestamp(500));
+        assert!(cells.iter().all(|&c| cleaned.current(lists, c).is_some()));
+        assert!(cells.iter().any(|&c| cleaned[c].is_empty()));
+        let cell = grid.cell_of_edge(EdgeId(0));
         sv.handle_update(
             ObjectId(999),
             EdgePosition::at_source(EdgeId(0)),
             Timestamp(600),
         );
-        assert!(cache.lookup(sv.cell_lists(), cell).is_none());
+        assert!(cleaned.current(lists, cell).is_none());
+        assert!(cells
+            .iter()
+            .all(|&c| c == cell || cleaned.current(lists, c).is_some()));
+    }
+
+    #[test]
+    fn shared_pass_cleans_the_planned_first_rings() {
+        let mut s = loaded_server();
+        let queries = queries();
+        let grid = s.grid();
+        let mut union: Vec<CellId> = queries
+            .iter()
+            .flat_map(|&(q, _)| first_ring(grid, grid.cell_of_edge(q.edge)))
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        let batch = s.knn_batch(&queries, Timestamp(500));
+        // The shared pass reads each union cell once, cleaning or skipping it.
+        assert_eq!(batch.shared_cells, union.len());
+        let shared = &batch.shared;
+        assert_eq!(shared.cells_cleaned + shared.cells_skipped, union.len());
+        assert!(union
+            .iter()
+            .all(|c| s.cell_lists().lock(c.index()).is_clean()));
     }
 }

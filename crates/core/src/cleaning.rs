@@ -96,9 +96,52 @@ impl CleaningReport {
     }
 }
 
-/// Objects found alive in the cleaned cells: newest position per object,
-/// grouped by cell.
-pub type CleanedObjects = HashMap<CellId, Vec<CachedMessage>, FxBuildHasher>;
+/// What a cleaning round read, for every cell it consolidated or skipped
+/// (empty ones included): the live objects, newest position per object,
+/// and the list epoch they are current at. While a cell's list stays at
+/// that epoch its entry *is* what cleaning the cell again would yield, so
+/// one round's output is the cache later rounds serve from
+/// ([`Self::current`]): a batch's shared pass and a subscription tick's
+/// pre-clean hand theirs to the queries and repairs that follow.
+#[derive(Debug, Default)]
+pub struct CleanedObjects {
+    cells: HashMap<CellId, (u64, Vec<CachedMessage>), FxBuildHasher>,
+}
+
+impl CleanedObjects {
+    /// `cell`'s live objects if the round read it and no message has
+    /// landed in its list since: exactly what cleaning it now would yield.
+    pub fn current(&self, lists: &CellLists, cell: CellId) -> Option<&[CachedMessage]> {
+        let (epoch, msgs) = self.cells.get(&cell)?;
+        (lists.lock(cell.index()).epoch() == *epoch).then_some(msgs.as_slice())
+    }
+
+    /// Every cell the round read, with its live objects, in no set order.
+    pub fn iter(&self) -> impl Iterator<Item = (CellId, &[CachedMessage])> {
+        self.cells
+            .iter()
+            .map(|(&c, (_, msgs))| (c, msgs.as_slice()))
+    }
+
+    /// Fold in another round's output over disjoint cells.
+    pub(crate) fn absorb(&mut self, other: Self) {
+        self.cells.extend(other.cells);
+    }
+
+    fn insert(&mut self, cell: CellId, epoch: u64, msgs: Vec<CachedMessage>) {
+        self.cells.insert(cell, (epoch, msgs));
+    }
+}
+
+impl std::ops::Index<CellId> for CleanedObjects {
+    type Output = [CachedMessage];
+
+    /// The live objects the round found in `cell`; panics if it did not.
+    fn index(&self, cell: CellId) -> &[CachedMessage] {
+        let (_, msgs) = self.cells.get(&cell).expect("cell not read by this round");
+        msgs
+    }
+}
 
 /// Clean the message lists of `cells`.
 ///
@@ -162,10 +205,7 @@ pub fn clean_cells_with_heat(
             if let Some(heat) = read_heat {
                 heat[c.index()].fetch_add(1, Ordering::Relaxed);
             }
-            let cached = list.snapshot_clean(horizon);
-            if !cached.is_empty() {
-                out.insert(c, cached);
-            }
+            out.insert(c, list.epoch(), list.snapshot_clean(horizon));
             continue;
         }
         let frozen = match resident.lookup(device, c, list.cleaned_epoch()) {
@@ -209,6 +249,7 @@ pub fn clean_cells_with_heat(
         for &c in work.iter().chain(merge.iter().map(|(c, _)| c)) {
             let mut list = lists.lock(c.index());
             list.mark_clean();
+            out.insert(c, list.epoch(), Vec::new());
             resident.invalidate(device, c);
         }
         rep.evictions = resident.evictions() - evictions_before;
@@ -400,9 +441,7 @@ fn finish_round(
         let epoch = list.epoch();
         drop(list);
         resident.install(device, c, epoch, &msgs);
-        if !msgs.is_empty() {
-            out.insert(c, msgs);
-        }
+        out.insert(c, epoch, msgs);
     }
     lists.add_slabs(opened, reused);
     rep.copy_back_time = device.d2h(d2h_bytes);
@@ -455,9 +494,9 @@ mod tests {
             &config(),
             Timestamp(150),
         );
-        assert!(objs.contains_key(&CellId(0)));
-        assert!(objs.contains_key(&CellId(2)));
-        assert!(!objs.contains_key(&CellId(1)));
+        assert!(objs.current(&lists, CellId(0)).is_some());
+        assert!(objs.current(&lists, CellId(2)).is_some());
+        assert!(objs.current(&lists, CellId(1)).is_none());
         assert_eq!(rep.messages, 2);
         assert_eq!(rep.cells_cleaned, 2);
         // Cell 1 untouched.
@@ -480,11 +519,11 @@ mod tests {
             &config(),
             Timestamp(200),
         );
-        assert_eq!(objs[&CellId(0)].len(), 2);
+        assert_eq!(objs[CellId(0)].len(), 2);
         // List now holds exactly one message per live object.
         assert_eq!(lists.lock(0).total_messages(), 2);
         // And they are the newest ones.
-        let newest: Vec<u64> = objs[&CellId(0)].iter().map(|m| m.time.0).collect();
+        let newest: Vec<u64> = objs[CellId(0)].iter().map(|m| m.time.0).collect();
         assert!(newest.iter().all(|&t| t == 119));
     }
 
@@ -499,7 +538,8 @@ mod tests {
             &config(),
             Timestamp(100),
         );
-        assert!(objs.is_empty());
+        // Both cells are read and yield nothing.
+        assert!(objs[CellId(0)].is_empty() && objs[CellId(1)].is_empty());
         assert_eq!(rep.time, SimNanos::ZERO);
         assert_eq!(dev.ledger().h2d_transfers, 0);
     }
@@ -651,8 +691,8 @@ mod tests {
             Timestamp(5100),
         );
         assert_eq!(rep.messages, 1, "stale bucket must be dropped on the CPU");
-        assert_eq!(objs[&CellId(0)].len(), 1);
-        assert_eq!(objs[&CellId(0)][0].object, ObjectId(2));
+        assert_eq!(objs[CellId(0)].len(), 1);
+        assert_eq!(objs[CellId(0)][0].object, ObjectId(2));
     }
 
     #[test]
@@ -679,7 +719,7 @@ mod tests {
             &cfg,
             Timestamp(160),
         );
-        assert_eq!(a[&CellId(0)], b[&CellId(0)]);
+        assert_eq!(a[CellId(0)], b[CellId(0)]);
     }
 
     #[test]
@@ -712,7 +752,7 @@ mod tests {
         assert_eq!(rep_b.cells_cleaned, 0);
         assert_eq!(rep_b.time, SimNanos::ZERO);
         assert_eq!(dev.launches(), launches, "skip must not launch a kernel");
-        assert_eq!(a[&CellId(0)], b[&CellId(0)]);
+        assert_eq!(a[CellId(0)], b[CellId(0)]);
     }
 
     #[test]
@@ -739,7 +779,7 @@ mod tests {
         );
         assert_eq!(rep.cells_cleaned, 1, "appended cell must be re-cleaned");
         assert_eq!(rep.cells_skipped, 0);
-        assert_eq!(objs[&CellId(0)].len(), 2);
+        assert_eq!(objs[CellId(0)].len(), 2);
     }
 
     #[test]
@@ -762,7 +802,7 @@ mod tests {
             &cfg,
             Timestamp(4100),
         );
-        assert_eq!(first[&CellId(0)].len(), 1);
+        assert_eq!(first[CellId(0)].len(), 1);
         // Second clean (horizon 4100) skips, and the cached t=4000 message
         // is now past the horizon — the cell must come back empty.
         let (objs, rep) = clean_cells(
@@ -774,7 +814,7 @@ mod tests {
             Timestamp(4600),
         );
         assert_eq!(rep.cells_skipped, 1);
-        assert!(!objs.contains_key(&CellId(0)));
+        assert!(objs[CellId(0)].is_empty());
     }
 
     #[test]
@@ -817,8 +857,8 @@ mod tests {
         assert_eq!(rep_b.d2h_bytes, CachedMessage::WIRE_BYTES);
         assert!(rep_b.d2h_bytes < rep_a.d2h_bytes);
         // Answer matches a from-scratch consolidation.
-        assert_eq!(objs[&CellId(0)].len(), 8);
-        let newest = objs[&CellId(0)]
+        assert_eq!(objs[CellId(0)].len(), 8);
+        let newest = objs[CellId(0)]
             .iter()
             .find(|m| m.object == ObjectId(3))
             .unwrap();
@@ -864,7 +904,7 @@ mod tests {
             Timestamp(200),
         );
         assert_eq!(rep.resident_hits, 1);
-        let mut live: Vec<u64> = objs[&CellId(0)].iter().map(|m| m.object.0).collect();
+        let mut live: Vec<u64> = objs[CellId(0)].iter().map(|m| m.object.0).collect();
         live.sort_unstable();
         assert_eq!(live, [0, 1, 4, 5, 6]);
         // Merged cell 0: two changed objects (6 added, 1 moved) ship whole,
@@ -994,7 +1034,7 @@ mod tests {
         assert_eq!(rep.resident_hits, 0);
         assert_eq!(rep.h2d_delta_bytes, 0);
         assert_eq!(rep.h2d_full_bytes, 5 * CachedMessage::WIRE_BYTES);
-        assert_eq!(objs[&CellId(0)].len(), 5);
+        assert_eq!(objs[CellId(0)].len(), 5);
         // ... and the cell is resident once more afterwards.
         assert!(resident.contains(CellId(0)));
     }
@@ -1031,7 +1071,7 @@ mod tests {
         );
         assert_eq!(rep.resident_hits, 1);
         assert_eq!(rep.h2d_bytes, 0, "expired delta must not ship");
-        assert!(!objs.contains_key(&CellId(0)));
+        assert!(objs[CellId(0)].is_empty());
         assert_eq!(lists.lock(0).total_messages(), 0);
         assert!(
             !resident.contains(CellId(0)),

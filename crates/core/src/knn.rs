@@ -35,6 +35,19 @@
 //! `GGridConfig::host_workers` workers; per-worker distance maps are merged
 //! with `min`, which is commutative and associative, so the merged result —
 //! and therefore the answer — is bit-identical for every worker count.
+//!
+//! ## Planning and execution
+//!
+//! Every decision about a query's rounds is made in one place, the planner
+//! `QueryPlan`: the first ring (the query's cell and its neighbours, which
+//! is also what a batch's shared pass cleans), which rings merge into one
+//! cleaning round, and where each SDist round runs (every candidate cell's
+//! effective owner, and whether the round scatters over the owners or stays
+//! on the primary). The executors only run the plan: `clean_round` cleans a
+//! round's cells, serving those a supplied [`CleanedObjects`] still holds,
+//! and [`gpu_sdist_frontier`] runs an SDist round on any placement, a
+//! primary-only round being its one-device case. The single, batch and
+//! sharded paths all go through both.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -44,17 +57,16 @@ use roadnet::dijkstra::{DijkstraEngine, DijkstraScratch, SearchBounds};
 use roadnet::graph::{Distance, VertexId, INFINITY};
 use roadnet::EdgePosition;
 
-use crate::batch::BatchCleanCache;
 use crate::busytime::BusyClock;
+use crate::cleaning::CleanedObjects;
 use crate::config::GGridConfig;
 use crate::fanout::fan_out;
 use crate::grid::{CellId, GraphGrid};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
 use crate::object_table::FxBuildHasher;
-use crate::residency::{StagedTopo, TopologyStore};
-use crate::scratch::{CellSet, DenseScratch, ScratchPool};
-use crate::shard::ShardSet;
+use crate::scratch::{CellSet, CellTags, DenseScratch, ScratchPool};
+use crate::shard::{ShardSet, MAX_DEVICES};
 use crate::stats::QueryBreakdown;
 
 /// Result of a kNN query.
@@ -93,6 +105,7 @@ pub(crate) struct PendingKnn {
 }
 
 /// Result of the CPU refinement phase (Algorithm 6's searches).
+#[derive(Default)]
 pub(crate) struct RefineOutcome {
     /// `best_outer[u]` = min over unresolved `v` of `D[v] + dist_v(u)` —
     /// the pooled engine scratch the searches ran in (`None` when nothing
@@ -120,17 +133,28 @@ pub(crate) struct RefineOutcome {
     pub relaxed: u64,
 }
 
-impl RefineOutcome {
-    fn empty() -> Self {
+/// What a query reads besides the devices: the grid, the message lists,
+/// the scratch pool and the configuration.
+#[derive(Clone, Copy)]
+pub(crate) struct QueryEnv<'a> {
+    pub grid: &'a GraphGrid,
+    pub lists: &'a CellLists,
+    pub pool: &'a ScratchPool,
+    pub config: &'a GGridConfig,
+}
+
+impl<'a> QueryEnv<'a> {
+    pub(crate) fn new(
+        grid: &'a GraphGrid,
+        lists: &'a CellLists,
+        pool: &'a ScratchPool,
+        config: &'a GGridConfig,
+    ) -> Self {
         Self {
-            best_outer: None,
-            touched_cells: Vec::new(),
-            wall_ns: 0,
-            busy_ns: 0,
-            critical_ns: 0,
-            workers: 0,
-            settled: 0,
-            relaxed: 0,
+            grid,
+            lists,
+            pool,
+            config,
         }
     }
 }
@@ -140,127 +164,141 @@ impl RefineOutcome {
 /// This is the single full-pipeline entry point: ad-hoc queries
 /// (`GGridServer::knn`), the batch scheduler's per-query legs, and
 /// subscription full re-evaluations all run through here, optionally
-/// serving cleaning rounds from a shared [`BatchCleanCache`] (epoch-checked,
-/// so answers are byte-identical with or without one).
-#[allow(clippy::too_many_arguments)]
+/// serving cleaning rounds from an earlier round's [`CleanedObjects`]
+/// (epoch-checked, so answers are byte-identical with or without one).
 pub(crate) fn run_knn(
     shards: &mut ShardSet,
-    grid: &GraphGrid,
-    lists: &CellLists,
-    pool: &ScratchPool,
-    config: &GGridConfig,
+    env: QueryEnv,
     q: EdgePosition,
     k: usize,
     now: Timestamp,
-    cache: Option<&BatchCleanCache>,
+    cache: Option<&CleanedObjects>,
 ) -> KnnResult {
-    let pending = knn_device_phase(shards, grid, lists, pool, config, q, k, now, cache);
-    let refined = refine_unresolved(grid, &pending, config.host_workers, pool);
-    knn_finalize(
-        shards, grid, lists, config, now, pending, refined, pool, cache,
-    )
+    let pending = knn_device_phase(shards, env, q, k, now, cache);
+    let refined = refine_unresolved(env.grid, &pending, env.config.host_workers, env.pool);
+    knn_finalize(shards, env, now, pending, refined, cache)
 }
 
-/// One cleaning round of the expansion: clean `cells` (already added to
-/// the candidate set by the caller) and merge their live objects into the
-/// pool.
-///
-/// When a [`BatchCleanCache`] is supplied, cells whose consolidated state
-/// the batch's shared pass already produced — and whose list epoch proves
-/// no message landed since — are served from the cache at zero device cost
-/// (counted as skips); everything else falls through to
-/// [`ShardSet::clean_cells`], which routes each cell to its owning device.
-///
-/// Freshly cleaned *remote* cells whose clean-skip read heat crossed
-/// `GGridConfig::replicate_threshold` are promoted as read-replicas onto
-/// the query's `primary` device here — the one place consolidated messages
-/// and their list epoch are both in hand.
-#[allow(clippy::too_many_arguments)]
-fn clean_round(
-    shards: &mut ShardSet,
-    lists: &CellLists,
-    config: &GGridConfig,
+/// The round executor of one query phase: runs the phase's planned
+/// cleaning rounds, keeping the live objects they find and what they cost.
+struct Executor<'a> {
+    env: QueryEnv<'a>,
     now: Timestamp,
+    /// An earlier round's output, served from while its cells are current.
+    cache: Option<&'a CleanedObjects>,
     primary: usize,
-    cells: &[CellId],
-    objects: &mut Vec<CachedMessage>,
-    breakdown: &mut QueryBreakdown,
-    cpu_excluded: &mut Duration,
-    cache: Option<&BatchCleanCache>,
-    channels: &mut [bool],
-) {
-    let mut fresh: Vec<CellId> = Vec::with_capacity(cells.len());
-    let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
-    for &c in cells {
-        if let Some(cache) = cache {
-            if let Some(msgs) = cache.lookup(lists, c) {
-                objects.extend_from_slice(msgs);
-                breakdown.cells_skipped += 1;
-                if shards.num_shards() > 1 {
-                    shards.note_read(c);
-                    // A hot remote cell served out of the host batch cache is
-                    // exactly the read the scatter path keeps paying for:
-                    // install a device replica so later frontier rounds fold
-                    // its work onto this primary.
-                    if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
-                        promote.push((c, epoch, msgs));
-                    }
-                }
-                continue;
-            }
+    /// Owners this phase has opened a gather stream from.
+    channels: [bool; MAX_DEVICES],
+    objects: Vec<CachedMessage>,
+    breakdown: QueryBreakdown,
+    /// Host time spent emulating kernels, kept off the CPU clock.
+    emulation: Duration,
+}
+
+impl<'a> Executor<'a> {
+    fn new(
+        env: QueryEnv<'a>,
+        now: Timestamp,
+        cache: Option<&'a CleanedObjects>,
+        primary: usize,
+        objects: Vec<CachedMessage>,
+        breakdown: QueryBreakdown,
+    ) -> Self {
+        Self {
+            env,
+            now,
+            cache,
+            primary,
+            channels: [false; MAX_DEVICES],
+            objects,
+            breakdown,
+            emulation: Duration::ZERO,
         }
-        fresh.push(c);
     }
-    if !promote.is_empty() {
-        let shipped = shards.promote_replicas_coalesced(primary, &promote);
-        breakdown.h2d_bytes += shipped.bytes;
-        breakdown.replica_promote += shipped.time;
-    }
-    if fresh.is_empty() {
-        return;
-    }
-    // The cells the routed clean will serve from the clean-skip cache
-    // (the predicate the skip branch itself uses, evaluated pre-clean):
-    // remote-owned ones are read out of their owner's device below.
-    let gather: Vec<CellId> = if shards.num_shards() > 1 {
-        fresh
-            .iter()
-            .copied()
-            .filter(|&c| shards.owner_of(c) != primary && lists.lock(c.index()).is_clean())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let t0 = Instant::now();
-    let (cleaned, rep) = shards.clean_cells(lists, &fresh, config, now);
-    *cpu_excluded += t0.elapsed();
-    breakdown.record_cleaning(&rep);
-    if !gather.is_empty() {
-        let (hits, shipped) =
-            shards.gather_remote_lists(primary, &gather, lists, &cleaned, channels);
-        breakdown.replica_hits += hits;
-        breakdown.d2h_bytes += shipped.bytes;
-        breakdown.remote_gather += shipped.time;
-    }
-    if config.replication_enabled() {
-        let mut batch: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
-        for &c in &fresh {
-            let Some(msgs) = cleaned.get(&c) else {
+
+    /// One cleaning round: clean `cells` (already added to the candidate
+    /// set by the planner) and merge their live objects into the pool.
+    ///
+    /// When an earlier round's output is supplied as the cache (a batch's
+    /// shared pass, a subscription tick's pre-clean), cells it read whose
+    /// list epoch proves no message landed since are served from it at zero
+    /// device cost (counted as skips); everything else falls through to
+    /// [`ShardSet::clean_cells`], which routes each cell to its owning device.
+    ///
+    /// Freshly cleaned *remote* cells whose clean-skip read heat crossed
+    /// `GGridConfig::replicate_threshold` are promoted as read-replicas onto
+    /// the query's primary device here — the one place consolidated messages
+    /// and their list epoch are both in hand.
+    fn clean(&mut self, shards: &mut ShardSet, cells: &[CellId]) {
+        let (lists, config, primary) = (self.env.lists, self.env.config, self.primary);
+        let breakdown = &mut self.breakdown;
+        let mut fresh: Vec<CellId> = Vec::with_capacity(cells.len());
+        let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
+        for &c in cells {
+            let Some(msgs) = self.cache.and_then(|cache| cache.current(lists, c)) else {
+                fresh.push(c);
                 continue;
             };
-            if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
-                batch.push((c, epoch, msgs));
+            self.objects.extend_from_slice(msgs);
+            breakdown.cells_skipped += 1;
+            if shards.num_shards() > 1 {
+                shards.note_read(c);
+                // A hot remote cell served out of the cache is exactly the
+                // read the scatter path keeps paying for: install a device
+                // replica so later frontier rounds fold its work onto this
+                // primary.
+                if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
+                    promote.push((c, epoch, msgs));
+                }
             }
         }
-        if !batch.is_empty() {
-            let shipped = shards.promote_replicas_coalesced(primary, &batch);
+        if !promote.is_empty() {
+            let shipped = shards.promote_replicas_coalesced(primary, &promote);
             breakdown.h2d_bytes += shipped.bytes;
             breakdown.replica_promote += shipped.time;
         }
-    }
-    for c in fresh {
-        if let Some(msgs) = cleaned.get(&c) {
-            objects.extend_from_slice(msgs);
+        if fresh.is_empty() {
+            return;
+        }
+        // The cells the routed clean will serve from the clean-skip cache
+        // (the predicate the skip branch itself uses, evaluated pre-clean):
+        // remote-owned ones are read out of their owner's device below.
+        let gather: Vec<CellId> = if shards.num_shards() > 1 {
+            fresh
+                .iter()
+                .copied()
+                .filter(|&c| shards.owner_of(c) != primary && lists.lock(c.index()).is_clean())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let t0 = Instant::now();
+        let (cleaned, rep) = shards.clean_cells(lists, &fresh, config, self.now);
+        self.emulation += t0.elapsed();
+        breakdown.record_cleaning(&rep);
+        if !gather.is_empty() {
+            let (hits, shipped) =
+                shards.gather_remote_lists(primary, &gather, lists, &cleaned, &mut self.channels);
+            breakdown.replica_hits += hits;
+            breakdown.d2h_bytes += shipped.bytes;
+            breakdown.remote_gather += shipped.time;
+        }
+        if config.replication_enabled() {
+            let mut batch: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
+            for &c in &fresh {
+                let msgs = &cleaned[c];
+                if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
+                    batch.push((c, epoch, msgs));
+                }
+            }
+            if !batch.is_empty() {
+                let shipped = shards.promote_replicas_coalesced(primary, &batch);
+                breakdown.h2d_bytes += shipped.bytes;
+                breakdown.replica_promote += shipped.time;
+            }
+        }
+        for c in fresh {
+            self.objects.extend_from_slice(&cleaned[c]);
         }
     }
 }
@@ -288,195 +326,229 @@ fn replica_epoch(
     (!shards.replica_valid(primary, c, Some(epoch))).then_some(epoch)
 }
 
-/// Steps 1–3: everything that needs the devices and the message lists.
-///
-/// Cleaning rounds route each cell to its owning shard; the query-wide
-/// kernels (`GPU_SDist`, selection, unresolved) run on the query's
-/// *primary* shard — the owner of the query's own cell.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn knn_device_phase(
-    shards: &mut ShardSet,
-    grid: &GraphGrid,
-    lists: &CellLists,
-    pool: &ScratchPool,
-    config: &GGridConfig,
-    q: EdgePosition,
-    k: usize,
-    now: Timestamp,
-    cache: Option<&BatchCleanCache>,
-) -> PendingKnn {
-    assert!(k >= 1, "k must be at least 1");
-    let graph = grid.graph().clone();
-    assert!(q.is_valid(&graph), "query position invalid for this graph");
-    let mut breakdown = QueryBreakdown::default();
-    let launches0 = shards.total_launches();
-    let cpu_start = Instant::now();
-    let mut cpu_excluded = Duration::ZERO; // host time spent emulating kernels
-    let mut channels = [false; crate::shard::MAX_DEVICES]; // per-query gather streams
+/// The first ring of a query whose own cell is `c_q`: the cell, then its
+/// neighbours (sorted, never `c_q` itself). The one rule for where a query
+/// starts: its first cleaning round, and the batch's shared pass, which
+/// cleans the union of its queries' first rings.
+pub(crate) fn first_ring(grid: &GraphGrid, c_q: CellId) -> impl Iterator<Item = CellId> + '_ {
+    std::iter::once(c_q).chain(grid.neighbors(c_q).iter().copied())
+}
 
-    // ---- Step 1: candidate cells (Algorithm 4 lines 1-4) ----
-    let mut cells = pool.acquire_cells(grid.num_cells());
-    let c_q = grid.cell_of_edge(q.edge);
-    let primary = shards.owner_of(c_q);
-    let mut ring: Vec<CellId> = std::iter::once(c_q)
-        .chain(grid.neighbors(c_q).iter().copied())
-        .filter(|&c| cells.insert(c))
-        .collect();
+/// The query planner: the one place that decides which cells a query
+/// cleans in which round and where its SDist rounds run. The single, batch
+/// and sharded paths all execute its plan; none plans for itself.
+struct QueryPlan<'a> {
+    env: QueryEnv<'a>,
+    /// The query's own cell.
+    c_q: CellId,
+    /// The query's primary shard, the owner of its own cell: where its
+    /// query-wide kernels run.
+    primary: usize,
+    /// Live objects the expansion stops at: ⌈ρ·k⌉, and at least k.
+    target: usize,
+    /// The candidate set L, in expansion order (pooled).
+    cells: CellSet,
+    /// The ring added to L last.
+    ring: Vec<CellId>,
+    /// Effective owner per candidate cell (pooled; only when `D > 1`).
+    owners: Option<CellTags<u8>>,
+}
 
-    let mut objects: Vec<CachedMessage> = Vec::new();
-    let target = ((config.rho * k as f64).ceil() as usize).max(k);
+impl<'a> QueryPlan<'a> {
+    /// An empty plan for a k-query at `q`.
+    fn new(env: QueryEnv<'a>, shards: &ShardSet, q: EdgePosition, k: usize) -> Self {
+        let (grid, pool) = (env.grid, env.pool);
+        let c_q = grid.cell_of_edge(q.edge);
+        Self {
+            env,
+            c_q,
+            primary: shards.owner_of(c_q),
+            target: ((env.config.rho * k as f64).ceil() as usize).max(k),
+            cells: pool.acquire_cells(grid.num_cells()),
+            ring: Vec::new(),
+            owners: (shards.num_shards() > 1).then(|| pool.acquire_owners(grid.num_cells())),
+        }
+    }
 
-    // Expand ring by ring until ρ·k live objects are known. A cell cannot
-    // yield more live objects than its list holds messages, so while the
-    // objects already known plus the messages of the rings queued for this
-    // round stay below the target, ring-by-ring expansion would certainly
-    // clean the next ring as well: queue it into the same round. The cells
-    // cleaned are the same; each merged ring saves an upload, a launch and
-    // a copy-back.
-    loop {
-        let mut round = ring.clone();
-        let mut bound = objects.len();
-        while stays_below(lists, &ring, &mut bound, target) {
-            let next = next_ring(grid, &mut cells, &ring);
+    /// Add the next ring to the candidate set and return it: the
+    /// [`first_ring`] while the set is empty, then `neighbors(L) \ L`.
+    /// Empty once the expansion has reached every connected cell.
+    fn advance(&mut self) -> &[CellId] {
+        let (grid, cells) = (self.env.grid, &mut self.cells);
+        self.ring = if cells.is_empty() {
+            first_ring(grid, self.c_q)
+                .filter(|&c| cells.insert(c))
+                .collect()
+        } else {
+            next_ring(grid, cells, &self.ring)
+        };
+        &self.ring
+    }
+
+    /// The next cleaning round of the expansion (Algorithm 4 lines 1–4),
+    /// given the `known` live objects so far; `None` once ρ·k are known or
+    /// the expansion is exhausted.
+    ///
+    /// A round is the next ring, merged with the rings after it while they
+    /// are sure to be needed: a cell cannot yield more live objects than
+    /// its list holds messages, so while the objects known plus the
+    /// messages of the rings queued for this round stay below the target,
+    /// ring-by-ring expansion would certainly clean the next ring as well.
+    /// The cells cleaned are the same; each merged ring saves an upload, a
+    /// launch and a copy-back.
+    fn cleaning_round(&mut self, known: usize) -> Option<Vec<CellId>> {
+        if known >= self.target {
+            return None;
+        }
+        let mut round = self.advance().to_vec();
+        if round.is_empty() {
+            return None;
+        }
+        let mut bound = known;
+        while stays_below(self.env.lists, &self.ring, &mut bound, self.target) {
+            let next = self.advance();
             if next.is_empty() {
                 break;
             }
-            round.extend_from_slice(&next);
-            ring = next;
+            round.extend_from_slice(next);
         }
-        clean_round(
-            shards,
-            lists,
-            config,
-            now,
-            primary,
-            &round,
-            &mut objects,
-            &mut breakdown,
-            &mut cpu_excluded,
-            cache,
-            &mut channels,
-        );
-        if objects.len() >= target {
-            break;
+        Some(round)
+    }
+
+    /// Place an SDist round over the candidate set. Each cell's effective
+    /// owner is its owner, except that a remote cell with a *valid* replica
+    /// on the primary counts as primary-owned (a replica hit): its relax
+    /// work stays local, shrinking the round's device span. The round
+    /// scatters over the owners only when it spans several devices and
+    /// `GGridConfig::cross_shard_sdist` is on; otherwise, and always at
+    /// `D = 1`, it runs on the primary alone.
+    fn sdist_round(
+        &mut self,
+        shards: &mut ShardSet,
+        breakdown: &mut QueryBreakdown,
+    ) -> SdistRound<'_> {
+        let (lists, config) = (self.env.lists, self.env.config);
+        let mut round = SdistRound {
+            in_set: self.cells.tags(),
+            set: self.cells.tagged(),
+            primary: self.primary,
+            owners: None,
+        };
+        let Some(owners) = self.owners.as_mut() else {
+            return round;
+        };
+        let mut seen = [false; MAX_DEVICES];
+        for &c in round.set {
+            let own = shards.owner_of(c);
+            let eff = if own != round.primary
+                && config.replication_enabled()
+                && shards.replica_valid(round.primary, c, lists.lock(c.index()).cleaned_epoch())
+            {
+                breakdown.replica_hits += 1;
+                round.primary
+            } else {
+                own
+            };
+            owners.set(c, eff as u8);
+            seen[eff] = true;
         }
-        ring = next_ring(grid, &mut cells, &ring);
-        if ring.is_empty() {
-            break;
+        let span = seen.iter().filter(|&&s| s).count();
+        breakdown.ring_span = breakdown.ring_span.max(span);
+        if span > 1 && config.cross_shard_sdist {
+            breakdown.cross_shard_rounds += 1;
+            round.owners = Some(owners.tags());
         }
+        round
+    }
+
+    /// Release the pooled owner map and hand back the candidate set.
+    fn finish(self) -> CellSet {
+        if let Some(owners) = self.owners {
+            self.env.pool.release_owners(owners);
+        }
+        self.cells
+    }
+}
+
+/// Steps 1–3: everything that needs the devices and the message lists,
+/// executing the query's [`QueryPlan`].
+///
+/// Cleaning rounds route each cell to its owning shard; the query-wide
+/// kernels (`GPU_SDist`, selection, unresolved) run on the query's
+/// *primary* shard — the owner of the query's own cell — with SDist's
+/// relax work scattered over the owners when the plan says so.
+pub(crate) fn knn_device_phase(
+    shards: &mut ShardSet,
+    env: QueryEnv,
+    q: EdgePosition,
+    k: usize,
+    now: Timestamp,
+    cache: Option<&CleanedObjects>,
+) -> PendingKnn {
+    let QueryEnv {
+        grid, pool, config, ..
+    } = env;
+    assert!(k >= 1, "k must be at least 1");
+    let graph = grid.graph().clone();
+    assert!(q.is_valid(&graph), "query position invalid for this graph");
+    let launches0 = shards.total_launches();
+    let cpu_start = Instant::now();
+    let mut plan = QueryPlan::new(env, shards, q, k);
+    let primary = plan.primary;
+    let mut ex = Executor::new(env, now, cache, primary, Vec::new(), Default::default());
+
+    // ---- Step 1: candidate cells (Algorithm 4 lines 1-4) ----
+    while let Some(round) = plan.cleaning_round(ex.objects.len()) {
+        ex.clean(shards, &round);
     }
 
     // ---- Step 2: candidate distances, with a robustness loop: if fewer
     // than k candidates are reachable inside the induced subgraph, keep
-    // expanding (degenerate topologies only; normally runs once). ----
+    // expanding one ring at a time (degenerate topologies only; normally
+    // runs once). ----
     let mut dist = pool.acquire();
     let mut remote_ns: Vec<(usize, SimNanos)> = Vec::new();
-    let mut owners = (shards.num_shards() > 1).then(|| pool.acquire_owners(grid.num_cells()));
     let candidates = loop {
         let t0 = Instant::now();
-        // Effective owner per ring cell: a remote cell with a *valid*
-        // replica on the primary counts as primary-owned (a replica hit) —
-        // its relax work stays local, shrinking the ring's device span.
-        let mut span = 1usize;
-        if let Some(owners) = owners.as_mut() {
-            let mut seen = [false; crate::shard::MAX_DEVICES];
-            for &c in cells.tagged() {
-                let own = shards.owner_of(c);
-                let eff = if own != primary
-                    && config.replication_enabled()
-                    && shards.replica_valid(primary, c, lists.lock(c.index()).cleaned_epoch())
-                {
-                    breakdown.replica_hits += 1;
-                    primary
-                } else {
-                    own
-                };
-                owners.set(c, eff as u8);
-                seen[eff] = true;
-            }
-            span = seen.iter().filter(|&&s| s).count();
-            breakdown.ring_span = breakdown.ring_span.max(span);
-        }
-        let cooperative = span > 1 && config.cross_shard_sdist;
-        let s = if let Some(owners) = owners.as_ref().filter(|_| cooperative) {
-            // Cooperative round: every owning device relaxes its slice of
-            // the ring concurrently; the modeled critical path is the max
-            // over owners instead of their sum.
-            breakdown.cross_shard_rounds += 1;
-            let (s, legs) = gpu_sdist_frontier_scattered(
-                shards,
-                primary,
-                owners.tags(),
-                grid,
-                config,
-                cells.tags(),
-                cells.tagged(),
-                q,
-                &graph,
-                &objects,
-                k,
-                &mut dist,
-            );
-            remote_ns.extend(legs);
-            s
-        } else {
-            let (device, _, topo) = shards.parts(primary);
-            gpu_sdist_frontier(
-                device,
-                grid,
-                topo,
-                config,
-                cells.tags(),
-                cells.tagged(),
-                q,
-                &graph,
-                &objects,
-                k,
-                &mut dist,
-            )
-        };
+        let round = plan.sdist_round(shards, &mut ex.breakdown);
+        let (s, legs) =
+            gpu_sdist_frontier(shards, round, grid, config, q, &ex.objects, k, &mut dist);
+        remote_ns.extend(legs);
         let device = &mut shards.shard_mut(primary).device;
-        let (candidates, firstk_time) = gpu_first_k(device, q, &dist, &objects, &graph);
-        cpu_excluded += t0.elapsed();
-        breakdown.candidate += s.time + firstk_time;
-        breakdown.sdist_time += s.time;
-        breakdown.sdist_rounds += s.rounds;
-        breakdown.sdist_frontier_sum += s.frontier_sum;
-        breakdown.sdist_frontier_max = breakdown.sdist_frontier_max.max(s.frontier_max);
-        breakdown.sdist_settled += s.settled;
-        breakdown.sdist_vertices += s.vertices;
-        breakdown.sdist_pruned += s.pruned;
-        breakdown.h2d_topo_bytes += s.h2d_topo_bytes;
-        breakdown.h2d_bytes += s.h2d_topo_bytes;
-        breakdown.topo_hits += s.topo_hits;
-        breakdown.topo_misses += s.topo_misses;
-        breakdown.h2d_coalesced_saved += s.h2d_coalesced_saved;
+        let (candidates, firstk_time) = gpu_first_k(device, q, &dist, &ex.objects, &graph);
+        ex.emulation += t0.elapsed();
+        let b = &mut ex.breakdown;
+        b.candidate += s.time + firstk_time;
+        b.sdist_time += s.time;
+        b.sdist_rounds += s.rounds;
+        b.sdist_frontier_sum += s.frontier_sum;
+        b.sdist_frontier_max = b.sdist_frontier_max.max(s.frontier_max);
+        b.sdist_settled += s.settled;
+        b.sdist_vertices += s.vertices;
+        b.sdist_pruned += s.pruned;
+        b.h2d_topo_bytes += s.h2d_topo_bytes;
+        b.h2d_bytes += s.h2d_topo_bytes;
+        b.topo_hits += s.topo_hits;
+        b.topo_misses += s.topo_misses;
+        b.h2d_coalesced_saved += s.h2d_coalesced_saved;
 
         let finite = candidates.iter().filter(|c| c.1 < INFINITY).count();
-        if finite >= k.min(objects.len()) {
+        if finite >= k.min(ex.objects.len()) {
             break candidates;
         }
-        ring = next_ring(grid, &mut cells, &ring);
+        let ring = plan.advance();
         if ring.is_empty() {
             break candidates;
         }
-        clean_round(
-            shards,
-            lists,
-            config,
-            now,
-            primary,
-            &ring,
-            &mut objects,
-            &mut breakdown,
-            &mut cpu_excluded,
-            cache,
-            &mut channels,
-        );
+        ex.clean(shards, ring);
     };
-    if let Some(owners) = owners {
-        pool.release_owners(owners);
-    }
+    let cells = plan.finish();
+    let Executor {
+        objects,
+        mut breakdown,
+        mut emulation,
+        ..
+    } = ex;
     breakdown.candidates = candidates.len();
 
     // Best estimate per object so far.
@@ -500,7 +572,7 @@ pub(crate) fn knn_device_phase(
         let t0 = Instant::now();
         let device = &mut shards.shard_mut(primary).device;
         let (u, t) = gpu_unresolved(device, grid, cells.tags(), cells.tagged(), &dist, l);
-        cpu_excluded += t0.elapsed();
+        emulation += t0.elapsed();
         breakdown.candidate += t;
         u
     };
@@ -517,8 +589,8 @@ pub(crate) fn knn_device_phase(
     }
 
     let wall = cpu_start.elapsed();
-    breakdown.cpu_ns += wall.saturating_sub(cpu_excluded).as_nanos() as u64;
-    breakdown.emulation_ns += cpu_excluded.as_nanos() as u64;
+    breakdown.cpu_ns += wall.saturating_sub(emulation).as_nanos() as u64;
+    breakdown.emulation_ns += emulation.as_nanos() as u64;
     breakdown.kernel_launches += shards.total_launches() - launches0;
 
     PendingKnn {
@@ -570,7 +642,7 @@ pub(crate) fn refine_unresolved(
 ) -> RefineOutcome {
     let (unresolved, l) = (&pending.unresolved[..], pending.l);
     if unresolved.is_empty() {
-        return RefineOutcome::empty();
+        return RefineOutcome::default();
     }
     let graph = grid.graph().clone();
     let t0 = Instant::now();
@@ -653,63 +725,46 @@ pub(crate) fn refine_unresolved(
 
 /// Close out a query: lazily clean the refinement-touched cells, improve
 /// the estimates through the unresolved vertices, and select the answer.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn knn_finalize(
     shards: &mut ShardSet,
-    grid: &GraphGrid,
-    lists: &CellLists,
-    config: &GGridConfig,
+    env: QueryEnv,
     now: Timestamp,
     pending: PendingKnn,
     refined: RefineOutcome,
-    pool: &ScratchPool,
-    cache: Option<&BatchCleanCache>,
+    cache: Option<&CleanedObjects>,
 ) -> KnnResult {
     let PendingKnn {
         k,
         mut cells,
-        mut objects,
+        objects,
         mut estimates,
         mut positions,
-        l: _,
         unresolved,
         primary,
-        remote_ns: _,
-        mut breakdown,
+        breakdown,
+        ..
     } = pending;
-    let graph = grid.graph();
+    let (graph, pool) = (env.grid.graph(), env.pool);
     let launches0 = shards.total_launches();
     let cpu_start = Instant::now();
-    let mut cpu_excluded = Duration::ZERO;
-    let mut channels = [false; crate::shard::MAX_DEVICES]; // per-query gather streams
+    let mut ex = Executor::new(env, now, cache, primary, objects, breakdown);
 
     if !unresolved.is_empty() {
-        breakdown.refine_ns = refined.wall_ns;
-        breakdown.refine_busy_ns = refined.busy_ns;
-        breakdown.refine_critical_ns = refined.critical_ns;
-        breakdown.refine_workers = refined.workers;
-        breakdown.refine_settled = refined.settled;
-        breakdown.refine_relaxed = refined.relaxed;
+        let b = &mut ex.breakdown;
+        b.refine_ns = refined.wall_ns;
+        b.refine_busy_ns = refined.busy_ns;
+        b.refine_critical_ns = refined.critical_ns;
+        b.refine_workers = refined.workers;
+        b.refine_settled = refined.settled;
+        b.refine_relaxed = refined.relaxed;
 
         // Lazily clean the cells the refinement wandered into and add their
         // objects to the pool.
         for &c in &refined.touched_cells {
             cells.insert(c);
         }
-        clean_round(
-            shards,
-            lists,
-            config,
-            now,
-            primary,
-            &refined.touched_cells,
-            &mut objects,
-            &mut breakdown,
-            &mut cpu_excluded,
-            cache,
-            &mut channels,
-        );
-        for m in &objects {
+        ex.clean(shards, &refined.touched_cells);
+        for m in &ex.objects {
             if let Some(p) = m.position {
                 positions.entry(m.object).or_insert(p);
             }
@@ -735,6 +790,11 @@ pub(crate) fn knn_finalize(
         pool.release_engine(s);
     }
     pool.release_cells(cells);
+    let Executor {
+        mut breakdown,
+        emulation,
+        ..
+    } = ex;
 
     // ---- Final selection ----
     let mut final_items: Vec<(ObjectId, Distance)> = estimates
@@ -746,8 +806,8 @@ pub(crate) fn knn_finalize(
 
     let wall = cpu_start.elapsed();
     // Refinement wall time counts as CPU work (it did before the split).
-    breakdown.cpu_ns += wall.saturating_sub(cpu_excluded).as_nanos() as u64 + breakdown.refine_ns;
-    breakdown.emulation_ns += cpu_excluded.as_nanos() as u64;
+    breakdown.cpu_ns += wall.saturating_sub(emulation).as_nanos() as u64 + breakdown.refine_ns;
+    breakdown.emulation_ns += emulation.as_nanos() as u64;
     breakdown.kernel_launches += shards.total_launches() - launches0;
 
     KnnResult {
@@ -827,19 +887,24 @@ pub struct SdistStats {
     pub h2d_coalesced_saved: u64,
 }
 
-impl SdistStats {
-    /// Fold one device's staged topology upload into the counters (its
-    /// time is charged by the caller, per device).
-    fn record_staged(&mut self, staged: &StagedTopo) {
-        self.topo_hits += staged.hits as usize;
-        self.topo_misses += staged.misses as usize;
-        self.h2d_topo_bytes += staged.bytes;
-        self.h2d_coalesced_saved += staged.transactions_saved;
-    }
+/// One planned SDist round: the candidate cells and where their work runs.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct SdistRound<'a> {
+    /// Candidate-set membership, indexed by `CellId::index()`.
+    pub in_set: &'a [bool],
+    /// The candidate cells.
+    pub set: &'a [CellId],
+    /// The device that launches the kernel and pays its coordination.
+    pub primary: usize,
+    /// Effective owner per cell, indexed by `CellId::index()`, when the
+    /// round scatters over its owners; `None` runs all of it on `primary`.
+    pub owners: Option<&'a [u8]>,
 }
 
 /// Algorithm 5 `GPU_SDist`: shortest distances over the subgraph induced by
-/// the candidate cells, landing in `scratch` (reset here).
+/// the round's candidate cells, landing in `scratch` (reset here). The one
+/// function that stages topology for and launches the frontier kernel.
 ///
 /// Runs as near–far (two-bucket delta-stepping) SSSP over the candidate
 /// cells' resident CSR slices. Only active vertices relax their out-edges;
@@ -850,53 +915,130 @@ impl SdistStats {
 /// pruning; `k = 0` disables it and computes the full induced fixpoint). The
 /// result is the fixed point the paper's parallel Bellman–Ford reaches; the
 /// exactness argument is in DESIGN.md §5.3.
+///
+/// Each owning device stages its own cells' CSR slices (a hot slice is
+/// already on the card and skips the upload; a device's misses ride one
+/// staged transfer, a single PCIe latency) and is charged exactly the
+/// relaxation work its vertices generate. The relaxation runs once, on the
+/// shared host-side scratch, under a detached metering context, so the
+/// distances (and the answers) do not depend on the placement; only the
+/// cost attribution moves. The primary pays the metered total minus the
+/// remote slices: its own vertices' work plus every collective, barrier
+/// and far-pile compaction (the coordination that in a real deployment
+/// rides the host-side min-merge of the per-shard frontiers). The modeled
+/// time is the slowest participant's; the remote legs come back as
+/// `(shard, time)` so a batch scheduler can place them on their devices'
+/// streams. A primary-only round is the one-device case: no per-vertex
+/// tally and one launch, priced exactly as a direct launch of the body.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gpu_sdist_frontier(
-    device: &mut Device,
+    shards: &mut ShardSet,
+    round: SdistRound,
     grid: &GraphGrid,
-    topo: &mut TopologyStore,
     config: &GGridConfig,
-    in_set: &[bool],
-    set: &[CellId],
     q: EdgePosition,
-    graph: &roadnet::Graph,
     objects: &[CachedMessage],
     k: usize,
     scratch: &mut DenseScratch,
-) -> SdistStats {
+) -> (SdistStats, Vec<(usize, SimNanos)>) {
+    let SdistRound {
+        in_set,
+        set,
+        primary,
+        owners,
+    } = round;
+    let owner = |c: CellId| owners.map_or(primary, |o| o[c.index()] as usize);
     let mut stats = SdistStats::default();
+    let num_shards = shards.num_shards();
+    let mut device_ns = vec![SimNanos::ZERO; num_shards];
 
-    // Resident topology: a hot cell's slice is already on the card and
-    // skips the upload entirely; the round's misses ride one staged
-    // transfer (a single PCIe latency charge).
-    let staged = topo.stage(device, set.iter().map(|&c| (c, grid.topology(c).bytes())));
-    stats.record_staged(&staged);
-    stats.time += staged.time;
-
-    let total_vertices: usize = set.iter().map(|&c| grid.topology(c).num_vertices()).sum();
+    // Each owner stages its own slice of the candidate topology.
+    let (mut holds, mut threads) = ([false; MAX_DEVICES], [0usize; MAX_DEVICES]);
+    for &c in set {
+        holds[owner(c)] = true;
+        threads[owner(c)] += grid.topology(c).num_vertices();
+    }
+    for d in (0..num_shards).filter(|&d| holds[d]) {
+        let (device, _, topo) = shards.parts(d);
+        let slice = set.iter().filter(|&&c| owner(c) == d);
+        let staged = topo.stage(device, slice.map(|&c| (c, grid.topology(c).bytes())));
+        stats.topo_hits += staged.hits as usize;
+        stats.topo_misses += staged.misses as usize;
+        stats.h2d_topo_bytes += staged.bytes;
+        stats.h2d_coalesced_saved += staged.transactions_saved;
+        device_ns[d] += staged.time;
+    }
+    let total_vertices: usize = threads.iter().sum();
     stats.vertices = total_vertices as u64;
 
-    let prelude = FrontierPrelude::new(grid, config, in_set, q, graph, objects, scratch);
-    let ((), report) = device.launch(total_vertices.max(1), |ctx| {
-        frontier_relax_body(
-            ctx,
-            grid,
-            in_set,
-            &prelude,
-            k,
-            scratch,
-            &mut stats,
-            &mut |_, _| {},
-        )
-    });
-    stats.time += report.time;
-    stats
+    let prelude = FrontierPrelude::new(grid, config, in_set, q, grid.graph(), objects, scratch);
+    // Meter the relaxation once; a scattered round tallies each per-vertex
+    // charge site against the device that owns the vertex's cell.
+    let warp = shards.shard(primary).device.spec().warp_size as usize;
+    let mut ctx = gpu_sim::KernelCtx::detached(warp, total_vertices.max(1));
+    let mut slices = vec![OpCounts::default(); num_shards];
+    let mut scatter = |v: VertexId, ops: OpCounts| slices[owner(grid.cell_of_vertex(v))].add(&ops);
+    let mut local = |_: VertexId, _: OpCounts| {};
+    let tally: &mut dyn FnMut(VertexId, OpCounts) = if owners.is_some() {
+        &mut scatter
+    } else {
+        &mut local
+    };
+    frontier_relax_body(
+        &mut ctx, grid, in_set, &prelude, k, scratch, &mut stats, tally,
+    );
+
+    // Replay the remote slices on their devices. The per-vertex tallies
+    // cover relax and object-bound work; the metered residual (near/far
+    // compaction, reductions, frontier bookkeeping) is data-parallel over
+    // the whole frontier, so the cooperative launch splits it across the
+    // participants in proportion to the vertices each hosts. Barriers are
+    // the exception: every sub-kernel runs the same rounds, so each
+    // participant pays the full sync count.
+    let mut remote_total = OpCounts::default();
+    let mut scatter_groups: Vec<(usize, usize, OpCounts)> = Vec::new();
+    for (d, slice) in slices.iter().enumerate() {
+        if d == primary || !slice.any() {
+            continue;
+        }
+        remote_total.add(slice);
+        scatter_groups.push((d, threads[d].max(1), *slice));
+    }
+    let residual = ctx.ops().saturating_sub(&remote_total);
+    let mut primary_ops = residual;
+    for (_, threads, ops) in &mut scatter_groups {
+        let mut share = residual.scaled(*threads as u64, total_vertices.max(1) as u64);
+        primary_ops = primary_ops.saturating_sub(&share);
+        share.syncs = residual.syncs;
+        ops.add(&share);
+    }
+    primary_ops.syncs = residual.syncs;
+    for (d, t) in shards.launch_scattered(&scatter_groups) {
+        device_ns[d] += t;
+    }
+    let report = shards
+        .shard_mut(primary)
+        .device
+        .launch_ops(total_vertices.max(1), primary_ops);
+    device_ns[primary] += report.time;
+
+    // Remote legs go back to the caller so a batch scheduler can place them
+    // on the remote devices' streams; the round's modeled duration is the
+    // slowest participant.
+    let legs: Vec<(usize, SimNanos)> = device_ns
+        .iter()
+        .enumerate()
+        .filter(|&(d, t)| d != primary && *t > SimNanos::ZERO)
+        .map(|(d, &t)| (d, t))
+        .collect();
+    stats.time += device_ns.iter().copied().max().unwrap_or(SimNanos::ZERO);
+    (stats, legs)
 }
 
-/// What both frontier kernels derive identically from the query before
-/// relaxing: the bucket width δ, the live objects per source vertex, and
-/// the seed at the query edge's destination.
+/// What the frontier kernel derives from the query before relaxing: the
+/// bucket width δ, the live objects per source vertex, and the seed at the
+/// query edge's destination.
 struct FrontierPrelude {
     delta: u64,
     /// Live objects per source vertex, for the running k-th candidate
@@ -951,12 +1093,11 @@ impl FrontierPrelude {
     }
 }
 
-/// The near–far relaxation shared by [`gpu_sdist_frontier`] and its
-/// cross-shard scattered variant. Every per-vertex charge site reports the
-/// same op slice through `tally`, keyed by the vertex whose owning device
-/// should pay for it; collectives, barriers, and far-pile compaction charge
-/// only `ctx` — they are coordination work, left in the residual the scatter
-/// path bills to the primary device. Round, frontier, settled and pruned
+/// The near–far relaxation of [`gpu_sdist_frontier`]. Every per-vertex
+/// charge site reports the same op slice through `tally`, keyed by the
+/// vertex whose owning device should pay for it; collectives, barriers, and
+/// far-pile compaction charge only `ctx` — they are coordination work, left
+/// in the residual a scattered round bills to the primary device. Round, frontier, settled and pruned
 /// counts accumulate into `stats`.
 #[allow(clippy::too_many_arguments)]
 fn frontier_relax_body(
@@ -1112,125 +1253,6 @@ fn frontier_relax_body(
     }
 }
 
-/// Cooperative cross-shard `GPU_SDist`: the ring's cells are grouped by
-/// *effective* owner (replica-hosted remote cells count as the primary's),
-/// each owning device stages its own topology slice and is charged exactly
-/// the relaxation work its vertices generate, and the modeled round time is
-/// the **max** over the participating devices instead of their sum.
-///
-/// The relaxation itself runs once, on the shared host-side scratch, under a
-/// detached metering context — so the distances (and therefore the answers)
-/// are byte-identical to the single-device path; only the cost attribution
-/// moves. The primary device pays the metered total minus the carved-out
-/// remote slices: its own vertices' work plus every collective, barrier, and
-/// far-pile compaction (the coordination that in a real deployment rides the
-/// host-side min-merge of the per-shard frontiers).
-#[allow(clippy::too_many_arguments)]
-fn gpu_sdist_frontier_scattered(
-    shards: &mut ShardSet,
-    primary: usize,
-    owners: &[u8],
-    grid: &GraphGrid,
-    config: &GGridConfig,
-    in_set: &[bool],
-    set: &[CellId],
-    q: EdgePosition,
-    graph: &roadnet::Graph,
-    objects: &[CachedMessage],
-    k: usize,
-    scratch: &mut DenseScratch,
-) -> (SdistStats, Vec<(usize, SimNanos)>) {
-    let mut stats = SdistStats::default();
-    let num_shards = shards.num_shards();
-    let mut device_ns = vec![SimNanos::ZERO; num_shards];
-
-    // Group the ring by effective owner; each owner stages its own slice of
-    // the candidate topology on its own device.
-    let mut groups: Vec<Vec<CellId>> = vec![Vec::new(); num_shards];
-    for &c in set {
-        groups[owners[c.index()] as usize].push(c);
-    }
-    for (d, cells) in groups.iter().enumerate() {
-        if cells.is_empty() {
-            continue;
-        }
-        let (device, _, topo) = shards.parts(d);
-        let staged = topo.stage(device, cells.iter().map(|&c| (c, grid.topology(c).bytes())));
-        stats.record_staged(&staged);
-        device_ns[d] += staged.time;
-    }
-
-    let total_vertices: usize = set.iter().map(|&c| grid.topology(c).num_vertices()).sum();
-    stats.vertices = total_vertices as u64;
-
-    let prelude = FrontierPrelude::new(grid, config, in_set, q, graph, objects, scratch);
-    // Meter the relaxation once, tallying each per-vertex charge site
-    // against the device that owns the vertex's cell.
-    let warp = shards.shard(primary).device.spec().warp_size as usize;
-    let mut ctx = gpu_sim::KernelCtx::detached(warp, total_vertices.max(1));
-    let mut slices = vec![OpCounts::default(); num_shards];
-    frontier_relax_body(
-        &mut ctx,
-        grid,
-        in_set,
-        &prelude,
-        k,
-        scratch,
-        &mut stats,
-        &mut |v, ops| slices[owners[grid.cell_of_vertex(v).index()] as usize].add(&ops),
-    );
-
-    // Replay the remote slices on their devices. The per-vertex tallies
-    // cover relax and object-bound work; the metered residual (near/far
-    // compaction, reductions, frontier bookkeeping) is data-parallel over
-    // the whole frontier, so the cooperative launch splits it across the
-    // participants in proportion to the vertices each hosts. Barriers are
-    // the exception: every sub-kernel runs the same rounds, so each
-    // participant pays the full sync count.
-    let mut remote_total = OpCounts::default();
-    let mut scatter_groups: Vec<(usize, usize, OpCounts)> = Vec::new();
-    for (d, slice) in slices.iter().enumerate() {
-        if d == primary || !slice.any() {
-            continue;
-        }
-        remote_total.add(slice);
-        let threads: usize = groups[d]
-            .iter()
-            .map(|&c| grid.topology(c).num_vertices())
-            .sum();
-        scatter_groups.push((d, threads.max(1), *slice));
-    }
-    let residual = ctx.ops().saturating_sub(&remote_total);
-    let mut primary_ops = residual;
-    for (_, threads, ops) in &mut scatter_groups {
-        let mut share = residual.scaled(*threads as u64, total_vertices.max(1) as u64);
-        primary_ops = primary_ops.saturating_sub(&share);
-        share.syncs = residual.syncs;
-        ops.add(&share);
-    }
-    primary_ops.syncs = residual.syncs;
-    for (d, t) in shards.launch_scattered(&scatter_groups) {
-        device_ns[d] += t;
-    }
-    let report = shards
-        .shard_mut(primary)
-        .device
-        .launch_ops(total_vertices.max(1), primary_ops);
-    device_ns[primary] += report.time;
-
-    // Remote legs go back to the caller so a batch scheduler can place them
-    // on the remote devices' streams; the round's modeled duration is the
-    // slowest participant.
-    let legs: Vec<(usize, SimNanos)> = device_ns
-        .iter()
-        .enumerate()
-        .filter(|&(d, t)| d != primary && *t > SimNanos::ZERO)
-        .map(|(d, &t)| (d, t))
-        .collect();
-    stats.time += device_ns.iter().copied().max().unwrap_or(SimNanos::ZERO);
-    (stats, legs)
-}
-
 /// Distance from the query to an object position given the induced vertex
 /// distances, including the along-the-edge shortcut when both share an edge.
 fn object_distance(
@@ -1352,10 +1374,19 @@ mod tests {
         (grid, lists, Device::new(DeviceSpec::test_tiny()), config)
     }
 
+    /// A round over `set` run on device 0 alone.
+    fn on_primary<'a>(in_set: &'a [bool], set: &'a [CellId]) -> SdistRound<'a> {
+        SdistRound {
+            in_set,
+            set,
+            primary: 0,
+            owners: None,
+        }
+    }
+
     /// The full induced-subgraph fixed point: `gpu_sdist_frontier` with
-    /// pruning disabled (`k = 0`) on a cold topology store.
+    /// pruning disabled (`k = 0`) on a cold device.
     fn induced_sdist(
-        device: &mut Device,
         grid: &GraphGrid,
         in_set: &[bool],
         set: &[CellId],
@@ -1363,21 +1394,10 @@ mod tests {
         dist: &mut DenseScratch,
     ) -> SdistStats {
         let config = GGridConfig::default();
-        let mut topo = TopologyStore::new(config.device_budget_bytes);
-        let graph = grid.graph().clone();
-        gpu_sdist_frontier(
-            device,
-            grid,
-            &mut topo,
-            &config,
-            in_set,
-            set,
-            q,
-            &graph,
-            &[],
-            0,
-            dist,
-        )
+        let device = Device::new(DeviceSpec::test_tiny());
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
+        let round = on_primary(in_set, set);
+        gpu_sdist_frontier(&mut shards, round, grid, &config, q, &[], 0, dist).0
     }
 
     fn place(grid: &GraphGrid, lists: &CellLists, objects: &[(u64, EdgePosition)], t: u64) {
@@ -1387,6 +1407,27 @@ mod tests {
                 .lock(cell.index())
                 .append(CachedMessage::update(ObjectId(o), p, Timestamp(t)));
         }
+    }
+
+    /// The refinement fixture: the toy query leaves no unresolved vertex
+    /// at all, so seed twelve spread over the graph under l = 40, enough
+    /// for every worker count below to have work to split.
+    fn refine_fixture() -> (Arc<GraphGrid>, ScratchPool, PendingKnn) {
+        let (grid, lists, device, config) = setup(7);
+        let objects: Vec<(u64, EdgePosition)> = (0..10u64)
+            .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
+            .collect();
+        place(&grid, &lists, &objects, 100);
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
+        let pool = ScratchPool::new(grid.graph().num_vertices());
+        let env = QueryEnv::new(&grid, &lists, &pool, &config);
+        let q = EdgePosition::at_source(EdgeId(2));
+        let mut pending = knn_device_phase(&mut shards, env, q, 4, Timestamp(200), None);
+        pending.l = 40;
+        pending.unresolved = (0..12u32)
+            .map(|i| (VertexId(i * 5), (i % 4) as Distance * 6))
+            .collect();
+        (grid, pool, pending)
     }
 
     #[test]
@@ -1457,19 +1498,10 @@ mod tests {
 
         let mut shards = ShardSet::single(device, &config, grid.num_cells());
         let pool = ScratchPool::new(graph.num_vertices());
+        let env = QueryEnv::new(&grid, &lists, &pool, &config);
         let d2h = |shards: &ShardSet| shards.shard(0).device.ledger().d2h_transfers;
         let before = d2h(&shards);
-        let pending = knn_device_phase(
-            &mut shards,
-            &grid,
-            &lists,
-            &pool,
-            &config,
-            q,
-            k,
-            Timestamp(200),
-            None,
-        );
+        let pending = knn_device_phase(&mut shards, env, q, k, Timestamp(200), None);
         // One copy-back carries the candidates and unresolved vertices;
         // every other D2H is a cleaning round's.
         let cleaning_d2h = d2h(&shards) - before - 1;
@@ -1483,21 +1515,122 @@ mod tests {
         assert_eq!(got, expected, "merged rounds must clean the same cells");
 
         let refined = refine_unresolved(&grid, &pending, 1, &pool);
-        let result = knn_finalize(
-            &mut shards,
-            &grid,
-            &lists,
-            &config,
-            Timestamp(200),
-            pending,
-            refined,
-            &pool,
-            None,
-        );
+        let result = knn_finalize(&mut shards, env, Timestamp(200), pending, refined, None);
         let want = roadnet::dijkstra::reference_knn(&graph, q, &objects, k);
         let got_d: Vec<u64> = result.items.iter().map(|&(_, d)| d).collect();
         let want_d: Vec<u64> = want.iter().map(|&(_, d)| d).collect();
         assert_eq!(got_d, want_d);
+    }
+
+    /// Plan a 4-query at edge `e`, add its first ring and place its SDist
+    /// round: each ring cell's owner in the placement (`None` when the
+    /// round runs on the primary alone), and the planning counters.
+    fn first_placement(
+        env: QueryEnv,
+        shards: &mut ShardSet,
+        e: u32,
+    ) -> (Option<Vec<(CellId, usize)>>, QueryBreakdown) {
+        let mut plan = QueryPlan::new(env, shards, EdgePosition::at_source(EdgeId(e)), 4);
+        plan.advance();
+        let mut b = QueryBreakdown::default();
+        let round = plan.sdist_round(shards, &mut b);
+        let owners = round.owners.map(|o| {
+            let owner = |&c: &CellId| (c, o[c.index()] as usize);
+            round.set.iter().map(owner).collect()
+        });
+        (owners, b)
+    }
+
+    /// Four devices over `grid`, and the first edge whose first ring spans
+    /// `wanted(span)` of them.
+    fn four_devices(grid: &GraphGrid, wanted: fn(usize) -> bool) -> (GGridConfig, ShardSet, u32) {
+        let config = GGridConfig {
+            num_devices: 4,
+            ..setup(5).3
+        };
+        let shards = ShardSet::new(grid, &config, Device::new(DeviceSpec::test_tiny()));
+        let span = |e: u32| {
+            let mut owners: Vec<usize> = first_ring(grid, grid.cell_of_edge(EdgeId(e)))
+                .map(|c| shards.owner_of(c))
+                .collect();
+            owners.sort_unstable();
+            owners.dedup();
+            owners.len()
+        };
+        let e = (0..grid.graph().num_edges() as u32)
+            .find(|&e| wanted(span(e)))
+            .expect("fixture has such a query");
+        (config, shards, e)
+    }
+
+    #[test]
+    fn placement_is_primary_only_unless_a_round_spans_devices() {
+        let (grid, lists, device, config) = setup(5);
+        let pool = ScratchPool::new(grid.graph().num_vertices());
+        let mut one = ShardSet::single(device, &config, grid.num_cells());
+        let env = QueryEnv::new(&grid, &lists, &pool, &config);
+        let (owners, b) = first_placement(env, &mut one, 0);
+        assert!(owners.is_none() && b.ring_span == 0, "D = 1");
+
+        let (four, mut shards, local) = four_devices(&grid, |span| span == 1);
+        let env = QueryEnv::new(&grid, &lists, &pool, &four);
+        let (owners, b) = first_placement(env, &mut shards, local);
+        assert!(owners.is_none() && b.ring_span == 1, "all on the primary");
+
+        let (four, mut shards, cross) = four_devices(&grid, |span| span > 1);
+        let env = QueryEnv::new(&grid, &lists, &pool, &four);
+        let (owners, b) = first_placement(env, &mut shards, cross);
+        let owners = owners.expect("a ring over several devices scatters");
+        assert!(owners.iter().all(|&(c, d)| d == shards.owner_of(c)));
+        assert!(b.ring_span > 1 && b.cross_shard_rounds == 1);
+
+        let baseline = GGridConfig {
+            cross_shard_sdist: false,
+            ..four
+        };
+        let env = QueryEnv::new(&grid, &lists, &pool, &baseline);
+        let (owners, b) = first_placement(env, &mut shards, cross);
+        assert!(owners.is_none() && b.ring_span > 1 && b.cross_shard_rounds == 0);
+    }
+
+    #[test]
+    fn replica_on_the_primary_counts_as_primary_owned() {
+        let (grid, lists, ..) = setup(5);
+        let pool = ScratchPool::new(grid.graph().num_vertices());
+        let (four, mut shards, e) = four_devices(&grid, |span| span > 1);
+        let env = QueryEnv::new(&grid, &lists, &pool, &four);
+        let c_q = grid.cell_of_edge(EdgeId(e));
+        let primary = shards.owner_of(c_q);
+        let remote = first_ring(&grid, c_q)
+            .find(|&c| shards.owner_of(c) != primary)
+            .unwrap();
+        // Consolidate one object in the remote cell.
+        let on = (0..grid.graph().num_edges() as u32)
+            .find(|&e| grid.cell_of_edge(EdgeId(e)) == remote)
+            .unwrap();
+        place(
+            &grid,
+            &lists,
+            &[(1, EdgePosition::at_source(EdgeId(on)))],
+            100,
+        );
+        let (cleaned, _) = shards.clean_cells(&lists, &[remote], &four, Timestamp(100));
+        let remote_owner =
+            |owners: Vec<(CellId, usize)>| owners.iter().find(|o| o.0 == remote).unwrap().1;
+
+        let (owners, b) = first_placement(env, &mut shards, e);
+        assert_eq!(remote_owner(owners.unwrap()), shards.owner_of(remote));
+        assert_eq!(b.replica_hits, 0);
+
+        let epoch = lists.lock(remote.index()).cleaned_epoch().unwrap();
+        let promote = [(remote, epoch, &cleaned[remote])];
+        assert!(shards.promote_replicas_coalesced(primary, &promote).bytes > 0);
+        let (owners, b) = first_placement(env, &mut shards, e);
+        assert_eq!(b.replica_hits, 1);
+        match owners {
+            Some(owners) => assert_eq!(remote_owner(owners), primary),
+            None => assert_eq!(b.ring_span, 1, "the replica made the whole ring local"),
+        }
     }
 
     #[test]
@@ -1515,28 +1648,21 @@ mod tests {
 
     #[test]
     fn sdist_matches_dijkstra_when_all_cells_included() {
-        let (grid, _, mut device, config) = setup(9);
+        let (grid, _, device, config) = setup(9);
         let graph = grid.graph().clone();
         let set: Vec<crate::grid::CellId> = grid.cell_ids().collect();
         let in_set = vec![true; grid.num_cells()];
         let q = EdgePosition::at_source(EdgeId(4));
         // With pruning disabled (k = 0) the kernel settles the exact
         // full-graph distances: every cell is in the induced subgraph.
-        let mut topo = TopologyStore::new(config.device_budget_bytes);
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
         let mut fdist = DenseScratch::new(graph.num_vertices());
-        let cold = gpu_sdist_frontier(
-            &mut device,
-            &grid,
-            &mut topo,
-            &config,
-            &in_set,
-            &set,
-            q,
-            &graph,
-            &[],
-            0,
-            &mut fdist,
-        );
+        let mut run = |fdist: &mut DenseScratch| {
+            let round = on_primary(&in_set, &set);
+            gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &[], 0, fdist)
+        };
+        let (cold, legs) = run(&mut fdist);
+        assert!(legs.is_empty(), "a primary-only round has no remote legs");
         assert!(cold.time > gpu_sim::SimNanos::ZERO);
         assert!(cold.rounds > 0 && cold.h2d_topo_bytes > 0);
         assert_eq!(cold.pruned, 0, "k = 0 never prunes");
@@ -1546,19 +1672,7 @@ mod tests {
             assert_eq!(fdist.get(v), engine.distance(v), "{v:?} diverges");
         }
         // A hot store pays zero topology upload for the same answer.
-        let warm = gpu_sdist_frontier(
-            &mut device,
-            &grid,
-            &mut topo,
-            &config,
-            &in_set,
-            &set,
-            q,
-            &graph,
-            &[],
-            0,
-            &mut fdist,
-        );
+        let (warm, _) = run(&mut fdist);
         assert_eq!(warm.h2d_topo_bytes, 0, "warm store must skip uploads");
         assert_eq!(warm.topo_hits, set.len());
         assert!(warm.settled > 0 && warm.frontier_max > 0);
@@ -1571,20 +1685,16 @@ mod tests {
     fn sdist_induced_overestimates_full_graph() {
         // With only part of the grid included, induced distances can only
         // be larger or equal — never smaller.
-        let (grid, _, mut device, _) = setup(9);
+        let (grid, ..) = setup(9);
         let graph = grid.graph().clone();
         let q = EdgePosition::at_source(EdgeId(4));
-        let c_q = grid.cell_of_edge(q.edge);
-        let mut set = vec![c_q];
-        set.extend_from_slice(grid.neighbors(c_q));
-        set.sort_unstable();
-        set.dedup();
+        let set: Vec<CellId> = first_ring(&grid, grid.cell_of_edge(q.edge)).collect();
         let mut in_set = vec![false; grid.num_cells()];
         for c in &set {
             in_set[c.index()] = true;
         }
         let mut dist = DenseScratch::new(graph.num_vertices());
-        induced_sdist(&mut device, &grid, &in_set, &set, q, &mut dist);
+        induced_sdist(&grid, &in_set, &set, q, &mut dist);
         let mut engine = DijkstraEngine::new(&graph);
         engine.run_from_position(q, SearchBounds::UNBOUNDED);
         for (v, d) in dist.iter_touched() {
@@ -1600,7 +1710,7 @@ mod tests {
         let set: Vec<crate::grid::CellId> = grid.cell_ids().collect();
         let in_set = vec![true; grid.num_cells()];
         let mut dist = DenseScratch::new(graph.num_vertices());
-        induced_sdist(&mut device, &grid, &in_set, &set, q, &mut dist);
+        induced_sdist(&grid, &in_set, &set, q, &mut dist);
         let objects: Vec<CachedMessage> = (0..10u64)
             .map(|o| {
                 CachedMessage::update(
@@ -1622,17 +1732,13 @@ mod tests {
         let (grid, _, mut device, _) = setup(7);
         let graph = grid.graph().clone();
         let q = EdgePosition::at_source(EdgeId(2));
-        let c_q = grid.cell_of_edge(q.edge);
-        let mut set = vec![c_q];
-        set.extend_from_slice(grid.neighbors(c_q));
-        set.sort_unstable();
-        set.dedup();
+        let set: Vec<CellId> = first_ring(&grid, grid.cell_of_edge(q.edge)).collect();
         let mut in_set = vec![false; grid.num_cells()];
         for c in &set {
             in_set[c.index()] = true;
         }
         let mut dist = DenseScratch::new(graph.num_vertices());
-        induced_sdist(&mut device, &grid, &in_set, &set, q, &mut dist);
+        induced_sdist(&grid, &in_set, &set, q, &mut dist);
         let l = 50;
         let (unresolved, _) = gpu_unresolved(&mut device, &grid, &in_set, &set, &dist, l);
         for &(v, d) in &unresolved {
@@ -1650,18 +1756,9 @@ mod tests {
         let bad = EdgePosition::new(EdgeId(0), 10_000);
         let mut shards = ShardSet::single(device, &config, grid.num_cells());
         let pool = ScratchPool::new(grid.graph().num_vertices());
+        let env = QueryEnv::new(&grid, &lists, &pool, &config);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_knn(
-                &mut shards,
-                &grid,
-                &lists,
-                &pool,
-                &config,
-                bad,
-                1,
-                Timestamp(1),
-                None,
-            )
+            run_knn(&mut shards, env, bad, 1, Timestamp(1), None)
         }));
         assert!(result.is_err());
     }
@@ -1676,17 +1773,8 @@ mod tests {
         let q = EdgePosition::at_source(EdgeId(1));
         let mut shards = ShardSet::single(device, &config, grid.num_cells());
         let pool = ScratchPool::new(grid.graph().num_vertices());
-        let result = run_knn(
-            &mut shards,
-            &grid,
-            &lists,
-            &pool,
-            &config,
-            q,
-            3,
-            Timestamp(200),
-            None,
-        );
+        let env = QueryEnv::new(&grid, &lists, &pool, &config);
+        let result = run_knn(&mut shards, env, q, 3, Timestamp(200), None);
         assert_eq!(result.items.len(), 3);
         let want = roadnet::dijkstra::reference_knn(grid.graph(), q, &objects, 3);
         let got_d: Vec<u64> = result.items.iter().map(|&(_, d)| d).collect();
@@ -1702,33 +1790,7 @@ mod tests {
     fn answers_identical_across_worker_counts() {
         // The refinement merge is order-independent, so every worker count
         // must produce bit-identical answers.
-        let reference: Vec<Vec<(ObjectId, Distance)>> = {
-            let (grid, lists, device, config) = setup(11);
-            let objects: Vec<(u64, EdgePosition)> = (0..20u64)
-                .map(|o| (o, EdgePosition::at_source(EdgeId((o * 23 % 160) as u32))))
-                .collect();
-            place(&grid, &lists, &objects, 100);
-            let mut shards = ShardSet::single(device, &config, grid.num_cells());
-            let pool = ScratchPool::new(grid.graph().num_vertices());
-            (0..5u32)
-                .map(|i| {
-                    let q = EdgePosition::at_source(EdgeId(i * 31 % 160));
-                    run_knn(
-                        &mut shards,
-                        &grid,
-                        &lists,
-                        &pool,
-                        &config,
-                        q,
-                        6,
-                        Timestamp(200),
-                        None,
-                    )
-                    .items
-                })
-                .collect()
-        };
-        for workers in [2usize, 4, 8] {
+        let answers = |workers: usize| -> Vec<Vec<(ObjectId, Distance)>> {
             let (grid, lists, device, mut config) = setup(11);
             config.host_workers = workers;
             let objects: Vec<(u64, EdgePosition)> = (0..20u64)
@@ -1737,22 +1799,17 @@ mod tests {
             place(&grid, &lists, &objects, 100);
             let mut shards = ShardSet::single(device, &config, grid.num_cells());
             let pool = ScratchPool::new(grid.graph().num_vertices());
-            for (i, want) in reference.iter().enumerate() {
-                let q = EdgePosition::at_source(EdgeId(i as u32 * 31 % 160));
-                let got = run_knn(
-                    &mut shards,
-                    &grid,
-                    &lists,
-                    &pool,
-                    &config,
-                    q,
-                    6,
-                    Timestamp(200),
-                    None,
-                )
-                .items;
-                assert_eq!(&got, want, "workers={workers} query {i} diverged");
-            }
+            let env = QueryEnv::new(&grid, &lists, &pool, &config);
+            (0..5u32)
+                .map(|i| {
+                    let q = EdgePosition::at_source(EdgeId(i * 31 % 160));
+                    run_knn(&mut shards, env, q, 6, Timestamp(200), None).items
+                })
+                .collect()
+        };
+        let reference = answers(1);
+        for workers in [2usize, 4, 8] {
+            assert_eq!(answers(workers), reference, "workers={workers}");
         }
     }
 
@@ -1760,28 +1817,8 @@ mod tests {
     fn refine_outcome_matches_sequential_reference() {
         // Cross-check the parallel refinement against an in-test sequential
         // re-implementation of the original single-threaded loop.
-        let (grid, lists, device, config) = setup(7);
-        let objects: Vec<(u64, EdgePosition)> = (0..10u64)
-            .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
-            .collect();
-        place(&grid, &lists, &objects, 100);
-        let q = EdgePosition::at_source(EdgeId(2));
-        let mut shards = ShardSet::single(device, &config, grid.num_cells());
-        let pool = ScratchPool::new(grid.graph().num_vertices());
-        let pending = knn_device_phase(
-            &mut shards,
-            &grid,
-            &lists,
-            &pool,
-            &config,
-            q,
-            4,
-            Timestamp(200),
-            None,
-        );
-        if pending.unresolved.is_empty() {
-            return; // nothing to refine on this topology
-        }
+        let (grid, pool, pending) = refine_fixture();
+        assert!(!pending.unresolved.is_empty(), "nothing to refine");
 
         let graph = grid.graph().clone();
         let mut engine = DijkstraEngine::new(&graph);
@@ -1816,30 +1853,7 @@ mod tests {
         // No copy sits between the searches and the result: the returned
         // map's finite entries must be the union of what the workers'
         // searches settled, replayed here worker by worker.
-        let (grid, lists, device, config) = setup(7);
-        let objects: Vec<(u64, EdgePosition)> = (0..10u64)
-            .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
-            .collect();
-        place(&grid, &lists, &objects, 100);
-        let mut shards = ShardSet::single(device, &config, grid.num_cells());
-        let pool = ScratchPool::new(grid.graph().num_vertices());
-        let mut pending = knn_device_phase(
-            &mut shards,
-            &grid,
-            &lists,
-            &pool,
-            &config,
-            EdgePosition::at_source(EdgeId(2)),
-            4,
-            Timestamp(200),
-            None,
-        );
-        // The toy query leaves few unresolved vertices; seed twelve spread
-        // over the graph so every worker count below has work to split.
-        pending.l = 40;
-        pending.unresolved = (0..12u32)
-            .map(|i| (VertexId(i * 5), (i % 4) as Distance * 6))
-            .collect();
+        let (grid, pool, pending) = refine_fixture();
         let graph = grid.graph().clone();
         let mut engine = DijkstraEngine::new(&graph);
         for workers in [1usize, 3, 8] {
@@ -1872,31 +1886,12 @@ mod tests {
     #[test]
     fn multi_source_refine_does_less_work() {
         // The shared search settles overlapping subtrees once; with several
-        // unresolved sources its settled count can only be <= that of one
-        // bounded search per vertex (which settles shared vertices once per
-        // source), replayed here as the reference.
-        let (grid, lists, device, config) = setup(7);
-        let objects: Vec<(u64, EdgePosition)> = (0..10u64)
-            .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
-            .collect();
-        place(&grid, &lists, &objects, 100);
-        let q = EdgePosition::at_source(EdgeId(2));
-        let mut shards = ShardSet::single(device, &config, grid.num_cells());
-        let pool = ScratchPool::new(grid.graph().num_vertices());
-        let pending = knn_device_phase(
-            &mut shards,
-            &grid,
-            &lists,
-            &pool,
-            &config,
-            q,
-            4,
-            Timestamp(200),
-            None,
-        );
-        if pending.unresolved.len() < 2 {
-            return; // no sharing to measure on this topology
-        }
+        // unresolved sources whose balls overlap (the fixture's do) it
+        // settles and relaxes strictly less than one bounded search per
+        // vertex (which settles shared vertices once per source), replayed
+        // here as the reference.
+        let (grid, pool, pending) = refine_fixture();
+        assert!(pending.unresolved.len() >= 2, "no sharing to measure");
         let graph = grid.graph().clone();
         let mut engine = DijkstraEngine::new(&graph);
         let (mut settled, mut relaxed) = (0u64, 0u64);
@@ -1907,11 +1902,11 @@ mod tests {
         }
         let fused = refine_unresolved(&grid, &pending, 1, &pool);
         assert!(
-            fused.settled <= settled,
+            fused.settled < settled,
             "fused {} vs per-vertex {settled}",
             fused.settled
         );
-        assert!(fused.relaxed <= relaxed);
+        assert!(fused.relaxed < relaxed);
         if let Some(a) = fused.best_outer {
             pool.release_engine(a);
         }

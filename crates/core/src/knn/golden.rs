@@ -388,18 +388,23 @@ fn knn_kernels_match_golden() {
         let dist_digest = d.0;
 
         // The launched kernel, cold and then warm topology store.
-        let mut device = Device::new(DeviceSpec::quadro_p2000());
-        let mut topo = TopologyStore::new(f.config.device_budget_bytes);
-        let run = |device: &mut Device, topo: &mut TopologyStore, dist: &mut DenseScratch| {
-            gpu_sdist_frontier(
-                device, &f.grid, topo, &f.config, &f.in_set, &f.set, f.q, &graph, &f.objects, k,
-                dist,
-            )
+        let device = Device::new(DeviceSpec::quadro_p2000());
+        let mut shards = ShardSet::single(device, &f.config, f.grid.num_cells());
+        let round = SdistRound {
+            in_set: &f.in_set,
+            set: &f.set,
+            primary: 0,
+            owners: None,
         };
-        let cold = sdist_fields(&run(&mut device, &mut topo, &mut dist));
-        let warm = sdist_fields(&run(&mut device, &mut topo, &mut dist));
+        let mut run = |dist: &mut DenseScratch| {
+            let c = &f.config;
+            gpu_sdist_frontier(&mut shards, round, &f.grid, c, f.q, &f.objects, k, dist).0
+        };
+        let cold = sdist_fields(&run(&mut dist));
+        let warm = sdist_fields(&run(&mut dist));
+        let device = &mut shards.shard_mut(0).device;
 
-        let (cands, t_first) = gpu_first_k(&mut device, f.q, &dist, &f.objects, &graph);
+        let (cands, t_first) = gpu_first_k(device, f.q, &dist, &f.objects, &graph);
         let mut d = Digest::new();
         for &(o, dv, p) in &cands {
             d.word(o.0);
@@ -410,7 +415,7 @@ fn knn_kernels_match_golden() {
         let first = (t_first.0, d.0);
 
         let l = kth_distance(&cands, k);
-        let (unres, t_unres) = gpu_unresolved(&mut device, &f.grid, &f.in_set, &f.set, &dist, l);
+        let (unres, t_unres) = gpu_unresolved(device, &f.grid, &f.in_set, &f.set, &dist, l);
         let mut d = Digest::new();
         for &(v, dv) in &unres {
             d.word(v.0 as u64);

@@ -12,12 +12,11 @@ use roadnet::graph::{Distance, Graph, INFINITY};
 use roadnet::EdgePosition;
 
 use crate::api::{IndexSize, MovingObjectIndex, SimCosts};
-use crate::batch::BatchCleanCache;
-use crate::cleaning::{CleanedObjects, CleaningReport};
+use crate::cleaning::CleanedObjects;
 use crate::config::GGridConfig;
 use crate::fanout::fan_out;
 use crate::grid::{CellId, GraphGrid};
-use crate::knn::{run_knn, KnnResult};
+use crate::knn::{run_knn, KnnResult, QueryEnv};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::{CellLists, MessageList};
 use crate::object_table::{FxBuildHasher, ShardedObjectTable};
@@ -753,22 +752,6 @@ impl GGridServer {
         }
     }
 
-    /// The one cell-cleaning entry point on the server: the eager-clean
-    /// calls ([`Self::clean_all`], [`Self::clean_cell_of_edge`]) and the
-    /// subscription tick's shared pre-clean and delta repairs all go
-    /// through here, so there is exactly one place that drives
-    /// [`crate::cleaning::clean_cells`] from `&mut self`. Callers fold the
-    /// report into the counters themselves (queries and subscriptions
-    /// attribute it differently).
-    fn clean_cells_shared(
-        &mut self,
-        cells: &[CellId],
-        now: Timestamp,
-    ) -> (CleanedObjects, CleaningReport) {
-        self.shards
-            .clean_cells(&self.lists, cells, &self.config, now)
-    }
-
     /// Eagerly clean the message list of the cell containing `edge`
     /// (ablation support: calling this after every update degenerates the
     /// lazy strategy into the eager one the paper compares against).
@@ -776,7 +759,9 @@ impl GGridServer {
         self.flush_ingest();
         self.sync_replicas();
         let cell = self.grid.cell_of_edge(edge);
-        let (_, rep) = self.clean_cells_shared(&[cell], now);
+        let (_, rep) = self
+            .shards
+            .clean_cells(&self.lists, &[cell], &self.config, now);
         self.counters.record_cleaning(&rep);
     }
 
@@ -785,7 +770,9 @@ impl GGridServer {
         self.flush_ingest();
         self.sync_replicas();
         let cells: Vec<CellId> = self.grid.cell_ids().collect();
-        let (_, rep) = self.clean_cells_shared(&cells, now);
+        let (_, rep) = self
+            .shards
+            .clean_cells(&self.lists, &cells, &self.config, now);
         self.counters.record_cleaning(&rep);
     }
 
@@ -805,15 +792,8 @@ impl GGridServer {
     ) -> crate::batch::BatchResult {
         self.flush_ingest();
         self.sync_replicas();
-        let result = crate::batch::run_knn_batch(
-            &mut self.shards,
-            &self.grid,
-            &self.lists,
-            &self.pool,
-            &self.config,
-            queries,
-            now,
-        );
+        let env = QueryEnv::new(&self.grid, &self.lists, &self.pool, &self.config);
+        let result = crate::batch::run_knn_batch(&mut self.shards, env, queries, now);
         // The shared pass is already attributed into the per-query
         // breakdowns (exact proportional split), so recording those covers
         // the whole batch with no special case for the shared record.
@@ -843,19 +823,10 @@ impl GGridServer {
         q: EdgePosition,
         k: usize,
         now: Timestamp,
-        cache: Option<&BatchCleanCache>,
+        cache: Option<&CleanedObjects>,
     ) -> KnnResult {
-        let result = run_knn(
-            &mut self.shards,
-            &self.grid,
-            &self.lists,
-            &self.pool,
-            &self.config,
-            q,
-            k,
-            now,
-            cache,
-        );
+        let env = QueryEnv::new(&self.grid, &self.lists, &self.pool, &self.config);
+        let result = run_knn(&mut self.shards, env, q, k, now, cache);
         self.last_breakdown = result.breakdown;
         self.counters.kernel_launches = self.shards.total_launches();
         result
@@ -998,8 +969,8 @@ impl GGridServer {
         let mut inner = 0u64;
 
         // Shared pre-clean: every guard cell a repair will read,
-        // consolidated in one pass and served to the repairs through the
-        // epoch-checked cache — untouched cells cost a host snapshot, no
+        // consolidated in one pass whose output is the epoch-checked cache
+        // the repairs read — untouched cells cost a host snapshot, no
         // device work. Dirty cells under no guard are left alone; the
         // next ad-hoc query that actually visits them cleans them.
         let cache = if affected.is_empty() {
@@ -1014,10 +985,12 @@ impl GGridServer {
             union.sort_unstable();
             union.dedup();
             let t0 = Instant::now();
-            let (cleaned, rep) = self.clean_cells_shared(&union, now);
+            let (cleaned, rep) = self
+                .shards
+                .clean_cells(&self.lists, &union, &self.config, now);
             tick_b.emulation_ns += t0.elapsed().as_nanos() as u64;
             tick_b.record_cleaning(&rep);
-            Some(BatchCleanCache::build(&self.lists, &union, &cleaned))
+            Some(cleaned)
         };
 
         for id in affected {
@@ -1062,7 +1035,7 @@ impl GGridServer {
         q: EdgePosition,
         k: usize,
         now: Timestamp,
-        cache: Option<&BatchCleanCache>,
+        cache: Option<&CleanedObjects>,
         inner: &mut u64,
     ) -> Subscription {
         let r = self.query_pipeline(q, k + 1, now, cache);
@@ -1139,7 +1112,7 @@ impl GGridServer {
         &mut self,
         sub: &mut Subscription,
         now: Timestamp,
-        cache: Option<&BatchCleanCache>,
+        cache: Option<&CleanedObjects>,
         tick_b: &mut QueryBreakdown,
     ) -> bool {
         let guard = sub.guard_radius;
@@ -1147,7 +1120,7 @@ impl GGridServer {
         let mut msgs: Vec<CachedMessage> = Vec::new();
         let mut misses: Vec<CellId> = Vec::new();
         for &c in &sub.guard_cells {
-            match cache.and_then(|ca| ca.lookup(&self.lists, c)) {
+            match cache.and_then(|ca| ca.current(&self.lists, c)) {
                 Some(m) => {
                     msgs.extend_from_slice(m);
                     tick_b.cells_skipped += 1;
@@ -1157,13 +1130,13 @@ impl GGridServer {
         }
         if !misses.is_empty() {
             let t0 = Instant::now();
-            let (cleaned, rep) = self.clean_cells_shared(&misses, now);
+            let (cleaned, rep) = self
+                .shards
+                .clean_cells(&self.lists, &misses, &self.config, now);
             tick_b.emulation_ns += t0.elapsed().as_nanos() as u64;
             tick_b.record_cleaning(&rep);
             for c in &misses {
-                if let Some(m) = cleaned.get(c) {
-                    msgs.extend_from_slice(m);
-                }
+                msgs.extend_from_slice(&cleaned[*c]);
             }
         }
 
@@ -1621,7 +1594,9 @@ mod tests {
                 .filter(|c| round % 5 == 4 || c.index() as u64 % 3 == pick)
                 .collect();
             s.flush_ingest();
-            let (cleaned, rep) = s.clean_cells_shared(&dirty, Timestamp(now + 30));
+            let (cleaned, rep) =
+                s.shards
+                    .clean_cells(&s.lists, &dirty, &s.config, Timestamp(now + 30));
             delta_cells += rep.resident_hits;
             full_cells += rep.cells_cleaned - rep.resident_hits;
             for w in [
@@ -1643,7 +1618,9 @@ mod tests {
             ] {
                 d.word(w);
             }
-            let mut cleaned: Vec<_> = cleaned.into_iter().collect();
+            // The cells that yielded live objects (the output also records
+            // the empty ones, which the digest has never covered).
+            let mut cleaned: Vec<_> = cleaned.iter().filter(|(_, m)| !m.is_empty()).collect();
             cleaned.sort_unstable_by_key(|(c, _)| *c);
             for (c, msgs) in &cleaned {
                 d.word(c.index() as u64);

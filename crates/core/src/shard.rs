@@ -298,7 +298,7 @@ impl ShardSet {
                 now,
                 Some(heat),
             );
-            merged.extend(cleaned);
+            merged.absorb(cleaned);
             reports.push((d, rep));
         }
         (merged, reports)
@@ -426,7 +426,7 @@ impl ShardSet {
             if d == host {
                 continue;
             }
-            let len = cleaned.get(&c).map_or(0, Vec::len) as u64;
+            let len = cleaned[c].len() as u64;
             if len == 0 {
                 continue; // an empty cell has nothing to ship
             }

@@ -12,10 +12,10 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use ggrid::grid::{CellId, GraphGrid};
-use ggrid::knn::gpu_sdist_frontier;
+use ggrid::knn::{gpu_sdist_frontier, SdistRound};
 use ggrid::prelude::*;
-use ggrid::residency::TopologyStore;
 use ggrid::scratch::DenseScratch;
+use ggrid::shard::ShardSet;
 use gpu_sim::{Device, DeviceSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -140,27 +140,22 @@ proptest! {
         let (in_set, set) = candidate_set(&grid, q, all_cells);
         let want = induced_dijkstra(&graph, &grid, &in_set, q);
 
-        let mut device = Device::new(DeviceSpec::test_tiny());
-        let config = frontier_config(delta);
-
         let budget = [0u64, 600, 64 << 20][budget_sel];
-        let mut topo = TopologyStore::new(budget);
+        let config = GGridConfig { device_budget_bytes: budget, ..frontier_config(delta) };
+        let device = Device::new(DeviceSpec::test_tiny());
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
+        let round = SdistRound { in_set: &in_set, set: &set, primary: 0, owners: None };
         let mut frontier = DenseScratch::new(graph.num_vertices());
-        gpu_sdist_frontier(
-            &mut device, &grid, &mut topo, &config, &in_set, &set, q, &graph, &[], 0,
-            &mut frontier,
-        );
+        gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &[], 0, &mut frontier);
         assert_matches_reference("frontier", &grid, &set, &frontier, &want);
 
         // Evict the query's cell mid-stream and re-run: the re-upload must
         // not change a single distance.
-        topo.force_evict(&mut device, grid.cell_of_edge(q.edge));
-        gpu_sdist_frontier(
-            &mut device, &grid, &mut topo, &config, &in_set, &set, q, &graph, &[], 0,
-            &mut frontier,
-        );
+        let shard = shards.shard_mut(0);
+        shard.topo.force_evict(&mut shard.device, grid.cell_of_edge(q.edge));
+        gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &[], 0, &mut frontier);
         assert_matches_reference("frontier after eviction", &grid, &set, &frontier, &want);
-        prop_assert!(topo.resident_bytes() <= budget);
+        prop_assert!(shards.shard(0).topo.resident_bytes() <= budget);
     }
 }
 
@@ -314,18 +309,25 @@ fn pruning_engages_on_clustered_objects() {
             )
         })
         .collect();
-    let mut device = Device::new(DeviceSpec::test_tiny());
-    let mut topo = TopologyStore::new(64 << 20);
+    let config = GGridConfig {
+        device_budget_bytes: 64 << 20,
+        ..frontier_config(0)
+    };
+    let device = Device::new(DeviceSpec::test_tiny());
+    let mut shards = ShardSet::single(device, &config, grid.num_cells());
+    let round = SdistRound {
+        in_set: &in_set,
+        set: &set,
+        primary: 0,
+        owners: None,
+    };
     let mut scratch = DenseScratch::new(graph.num_vertices());
-    let stats = gpu_sdist_frontier(
-        &mut device,
+    let (stats, _) = gpu_sdist_frontier(
+        &mut shards,
+        round,
         &grid,
-        &mut topo,
-        &frontier_config(0),
-        &in_set,
-        &set,
+        &config,
         q,
-        &graph,
         &objects,
         2,
         &mut scratch,
