@@ -584,10 +584,11 @@ mod tests {
     }
 
     /// The batch's device operations, recorded once from a known-good
-    /// build at one and four devices: a digest of the answers and of each
-    /// query's device counters, and the device-only part of the serial time
-    /// (the serial sum minus the measured refinement in it). Where and when
-    /// the host runs refinement must not move any of them.
+    /// build at one and four devices: a digest of the answers, a digest of
+    /// each query's device counters, and the device-only part of the serial
+    /// time (the serial sum minus the measured refinement in it). Where and
+    /// when the host runs refinement must not move any of them; a plan
+    /// change moves the last two, never the answers.
     #[test]
     fn batch_device_order_matches_golden() {
         let queries: Vec<(EdgePosition, usize)> = (0..12u32)
@@ -604,27 +605,35 @@ mod tests {
                 ..Default::default()
             });
             let batch = s.knn_batch(&queries, Timestamp(500));
-            let mut h = Digest::new();
+            let (mut answers, mut counters) = (Digest::new(), Digest::new());
             for (answer, b) in batch.answers.iter().zip(&batch.per_query) {
-                h.word(answer.len() as u64);
+                answers.word(answer.len() as u64);
                 for &(o, dist) in answer {
-                    h.word(o.0);
-                    h.word(dist);
+                    answers.word(o.0);
+                    answers.word(dist);
                 }
-                h.word(b.gpu_total().0);
-                h.word(b.copy_back.0);
-                h.word(b.topo_hits as u64);
-                h.word(b.topo_misses as u64);
-                h.word(b.cells_skipped as u64);
-                h.word(b.kernel_launches);
+                counters.word(b.gpu_total().0);
+                counters.word(b.copy_back.0);
+                counters.word(b.topo_hits as u64);
+                counters.word(b.topo_misses as u64);
+                counters.word(b.cells_skipped as u64);
+                counters.word(b.kernel_launches);
             }
             let refine: u64 = batch.per_query.iter().map(|b| b.refine_critical_ns).sum();
             assert!(refine > 0, "the batch must refine at D = {d}");
-            got.push((h.0, batch.serial_time.0 - refine));
+            got.push((answers.0, counters.0, batch.serial_time.0 - refine));
         }
         let want = [
-            (3_119_763_120_738_137_990, 544_491),
-            (6_042_408_381_952_599_528, 942_562),
+            (
+                17_933_386_209_648_488_112,
+                8_853_267_947_700_844_332,
+                495_955,
+            ),
+            (
+                17_933_386_209_648_488_112,
+                1_657_229_634_573_677_297,
+                702_167,
+            ),
         ];
         assert_eq!(got, want);
     }

@@ -88,12 +88,14 @@ pub struct GGridConfig {
     /// the staged footprint exceeds this, the end-of-call flush commits
     /// *every* staged cell. `0` disables the budget (cap-only flushing).
     pub ingest_buffer_bytes: u64,
-    /// Scatter a query's frontier-SDist round across every shard whose
+    /// Let a query's frontier-SDist round scatter across every shard whose
     /// cells the expansion ring touches ([`crate::shard::ShardSet`]): each
     /// owning device is charged its slice of the relax work concurrently on
     /// the modeled timeline and the host min-merges the per-shard frontiers,
     /// so the round's modeled critical path is the max over owners instead
-    /// of their sum. Answers are byte-identical either way; only meaningful
+    /// of their sum. The planner scatters a round only when that saves more
+    /// critical path than it adds work; `false` keeps every round on the
+    /// primary. Answers are byte-identical either way; only meaningful
     /// when `num_devices > 1`.
     pub cross_shard_sdist: bool,
     /// Clean-skip read-heat threshold above which a remote cell's

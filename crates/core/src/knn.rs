@@ -39,15 +39,32 @@
 //! ## Planning and execution
 //!
 //! Every decision about a query's rounds is made in one place, the planner
-//! `QueryPlan`: the first ring (the query's cell and its neighbours, which
-//! is also what a batch's shared pass cleans), which rings merge into one
-//! cleaning round, and where each SDist round runs (every candidate cell's
-//! effective owner, and whether the round scatters over the owners or stays
-//! on the primary). The executors only run the plan: `clean_round` cleans a
-//! round's cells, serving those a supplied [`CleanedObjects`] still holds,
-//! and [`gpu_sdist_frontier`] runs an SDist round on any placement, a
-//! primary-only round being its one-device case. The single, batch and
-//! sharded paths all go through both.
+//! `QueryPlan`, from one cost model; the executors only run the plan.
+//!
+//! - **The first ring** (the query's cell and its neighbours) is a cleaning
+//!   round of its own. It is also what a batch's shared pass cleans, so a
+//!   batched query serves its first round from that pass, and the single,
+//!   batch and sharded paths run one plan.
+//! - **Later rings merge** into one cleaning round while the objects known
+//!   plus the merged rings' live-object tallies stay below ⌈ρk⌉. The tally
+//!   (`CellLists::live_objects`, kept by the ingest placement and read
+//!   without a cell mutex) bounds what a clean of the cell can yield, so
+//!   every merged ring is one ring-by-ring expansion would clean as well:
+//!   the cells cleaned are exactly ring-by-ring's, and only the number of
+//!   rounds (each an upload, a launch and a copy-back) falls.
+//! - **An SDist round scatters** over its cells' effective owners only when
+//!   that pays. The kernel is metered once, before anything is charged,
+//!   and both placements are priced: each participant's launch of its
+//!   metered slice and residual share, and the topology staging each
+//!   placement would miss. The round scatters when the critical path it
+//!   saves exceeds the work it adds; `GGridConfig::cross_shard_sdist`
+//!   off keeps every round on the primary.
+//!
+//! `Executor::clean` cleans a round's cells, serving those a supplied
+//! [`CleanedObjects`] still holds, and promotes the round's read-hot remote
+//! cells in one transfer; [`gpu_sdist_frontier`]'s two halves meter an
+//! SDist round and replay it on the placement the planner chose, a
+//! primary-only round being the one-device case.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -225,15 +242,17 @@ impl<'a> Executor<'a> {
     /// device cost (counted as skips); everything else falls through to
     /// [`ShardSet::clean_cells`], which routes each cell to its owning device.
     ///
-    /// Freshly cleaned *remote* cells whose clean-skip read heat crossed
+    /// Read-hot *remote* cells of the round, cache-served or freshly
+    /// cleaned, whose clean-skip read heat crossed
     /// `GGridConfig::replicate_threshold` are promoted as read-replicas onto
-    /// the query's primary device here — the one place consolidated messages
-    /// and their list epoch are both in hand.
+    /// the query's primary device after the clean, in one transfer — the
+    /// one place consolidated messages and their list epoch are both in
+    /// hand.
     fn clean(&mut self, shards: &mut ShardSet, cells: &[CellId]) {
         let (lists, config, primary) = (self.env.lists, self.env.config, self.primary);
         let breakdown = &mut self.breakdown;
         let mut fresh: Vec<CellId> = Vec::with_capacity(cells.len());
-        let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
+        let mut served: Vec<(CellId, &[CachedMessage])> = Vec::new();
         for &c in cells {
             let Some(msgs) = self.cache.and_then(|cache| cache.current(lists, c)) else {
                 fresh.push(c);
@@ -242,57 +261,58 @@ impl<'a> Executor<'a> {
             self.objects.extend_from_slice(msgs);
             breakdown.cells_skipped += 1;
             if shards.num_shards() > 1 {
-                shards.note_read(c);
                 // A hot remote cell served out of the cache is exactly the
-                // read the scatter path keeps paying for: install a device
-                // replica so later frontier rounds fold its work onto this
-                // primary.
+                // read the scatter path keeps paying for: a device replica
+                // folds later frontier rounds' work onto this primary.
+                shards.note_read(c);
+                served.push((c, msgs));
+            }
+        }
+        let mut cleaned = CleanedObjects::default();
+        if !fresh.is_empty() {
+            // The cells the routed clean will serve from the clean-skip
+            // cache (the predicate the skip branch itself uses, evaluated
+            // pre-clean): remote-owned ones are read out of their owner's
+            // device below.
+            let gather: Vec<CellId> = if shards.num_shards() > 1 {
+                fresh
+                    .iter()
+                    .copied()
+                    .filter(|&c| shards.owner_of(c) != primary && lists.lock(c.index()).is_clean())
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let t0 = Instant::now();
+            let (out, rep) = shards.clean_cells(lists, &fresh, config, self.now);
+            cleaned = out;
+            self.emulation += t0.elapsed();
+            breakdown.record_cleaning(&rep);
+            if !gather.is_empty() {
+                let (hits, shipped) = shards.gather_remote_lists(
+                    primary,
+                    &gather,
+                    lists,
+                    &cleaned,
+                    &mut self.channels,
+                );
+                breakdown.replica_hits += hits;
+                breakdown.d2h_bytes += shipped.bytes;
+                breakdown.remote_gather += shipped.time;
+            }
+        }
+        if config.replication_enabled() {
+            let round = served
+                .into_iter()
+                .chain(fresh.iter().map(|&c| (c, &cleaned[c][..])));
+            let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
+            for (c, msgs) in round {
                 if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
                     promote.push((c, epoch, msgs));
                 }
             }
-        }
-        if !promote.is_empty() {
-            let shipped = shards.promote_replicas_coalesced(primary, &promote);
-            breakdown.h2d_bytes += shipped.bytes;
-            breakdown.replica_promote += shipped.time;
-        }
-        if fresh.is_empty() {
-            return;
-        }
-        // The cells the routed clean will serve from the clean-skip cache
-        // (the predicate the skip branch itself uses, evaluated pre-clean):
-        // remote-owned ones are read out of their owner's device below.
-        let gather: Vec<CellId> = if shards.num_shards() > 1 {
-            fresh
-                .iter()
-                .copied()
-                .filter(|&c| shards.owner_of(c) != primary && lists.lock(c.index()).is_clean())
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let t0 = Instant::now();
-        let (cleaned, rep) = shards.clean_cells(lists, &fresh, config, self.now);
-        self.emulation += t0.elapsed();
-        breakdown.record_cleaning(&rep);
-        if !gather.is_empty() {
-            let (hits, shipped) =
-                shards.gather_remote_lists(primary, &gather, lists, &cleaned, &mut self.channels);
-            breakdown.replica_hits += hits;
-            breakdown.d2h_bytes += shipped.bytes;
-            breakdown.remote_gather += shipped.time;
-        }
-        if config.replication_enabled() {
-            let mut batch: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
-            for &c in &fresh {
-                let msgs = &cleaned[c];
-                if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
-                    batch.push((c, epoch, msgs));
-                }
-            }
-            if !batch.is_empty() {
-                let shipped = shards.promote_replicas_coalesced(primary, &batch);
+            if !promote.is_empty() {
+                let shipped = shards.promote_replicas_coalesced(primary, &promote);
                 breakdown.h2d_bytes += shipped.bytes;
                 breakdown.replica_promote += shipped.time;
             }
@@ -389,20 +409,26 @@ impl<'a> QueryPlan<'a> {
     /// given the `known` live objects so far; `None` once ρ·k are known or
     /// the expansion is exhausted.
     ///
-    /// A round is the next ring, merged with the rings after it while they
-    /// are sure to be needed: a cell cannot yield more live objects than
-    /// its list holds messages, so while the objects known plus the
-    /// messages of the rings queued for this round stay below the target,
-    /// ring-by-ring expansion would certainly clean the next ring as well.
-    /// The cells cleaned are the same; each merged ring saves an upload, a
-    /// launch and a copy-back.
+    /// The first ring is a round of its own: it is what a batch's shared
+    /// pass cleans, so a batched query serves it from that pass. Every
+    /// later round is the next ring, merged with the rings after it while
+    /// they are sure to be needed: a clean of a cell yields at most its
+    /// live-object tally ([`CellLists::live_objects`]), so while the
+    /// objects known plus the tallies of the rings queued for this round
+    /// stay below the target, ring-by-ring expansion would certainly clean
+    /// the next ring as well. The cells cleaned are the same; each merged
+    /// ring saves an upload, a launch and a copy-back.
     fn cleaning_round(&mut self, known: usize) -> Option<Vec<CellId>> {
         if known >= self.target {
             return None;
         }
+        let first = self.cells.is_empty();
         let mut round = self.advance().to_vec();
         if round.is_empty() {
             return None;
+        }
+        if first {
+            return Some(round);
         }
         let mut bound = known;
         while stays_below(self.env.lists, &self.ring, &mut bound, self.target) {
@@ -415,50 +441,71 @@ impl<'a> QueryPlan<'a> {
         Some(round)
     }
 
-    /// Place an SDist round over the candidate set. Each cell's effective
-    /// owner is its owner, except that a remote cell with a *valid* replica
-    /// on the primary counts as primary-owned (a replica hit): its relax
-    /// work stays local, shrinking the round's device span. The round
-    /// scatters over the owners only when it spans several devices and
-    /// `GGridConfig::cross_shard_sdist` is on; otherwise, and always at
-    /// `D = 1`, it runs on the primary alone.
+    /// Place an SDist round over the candidate set, with its kernel
+    /// metered by `meter` (which runs the kernel once and charges nothing).
+    ///
+    /// Each cell's effective owner is its owner, except that a remote cell
+    /// with a *valid* replica on the primary counts as primary-owned (a
+    /// replica hit): its relax work stays local, shrinking the round's
+    /// device span. A round that spans several devices, with
+    /// `GGridConfig::cross_shard_sdist` on, is metered per owner and both
+    /// placements are priced before anything is charged
+    /// ([`MeteredSdist::price`]); it scatters over the owners only when
+    /// the critical path it saves exceeds the work it adds. Otherwise, and
+    /// always at `D = 1`, it runs on the primary alone.
     fn sdist_round(
         &mut self,
         shards: &mut ShardSet,
         breakdown: &mut QueryBreakdown,
-    ) -> SdistRound<'_> {
-        let (lists, config) = (self.env.lists, self.env.config);
-        let mut round = SdistRound {
+        meter: impl FnOnce(SdistRound) -> MeteredSdist,
+    ) -> (SdistRound<'_>, MeteredSdist) {
+        let (grid, lists, config) = (self.env.grid, self.env.lists, self.env.config);
+        let primary = self.primary;
+        let mut span = 0;
+        if let Some(owners) = self.owners.as_mut() {
+            let mut seen = [false; MAX_DEVICES];
+            for &c in self.cells.tagged() {
+                let own = shards.owner_of(c);
+                let eff = if own != primary
+                    && config.replication_enabled()
+                    && shards.replica_valid(primary, c, lists.lock(c.index()).cleaned_epoch())
+                {
+                    breakdown.replica_hits += 1;
+                    primary
+                } else {
+                    own
+                };
+                owners.set(c, eff as u8);
+                seen[eff] = true;
+            }
+            span = seen.iter().filter(|&&s| s).count();
+            breakdown.ring_span = breakdown.ring_span.max(span);
+        }
+        let solo = SdistRound {
             in_set: self.cells.tags(),
             set: self.cells.tagged(),
-            primary: self.primary,
+            primary,
             owners: None,
         };
-        let Some(owners) = self.owners.as_mut() else {
-            return round;
+        let owners = match &self.owners {
+            Some(owners) if span > 1 && config.cross_shard_sdist => owners.tags(),
+            _ => return (solo, meter(solo)),
         };
-        let mut seen = [false; MAX_DEVICES];
-        for &c in round.set {
-            let own = shards.owner_of(c);
-            let eff = if own != round.primary
-                && config.replication_enabled()
-                && shards.replica_valid(round.primary, c, lists.lock(c.index()).cleaned_epoch())
-            {
-                breakdown.replica_hits += 1;
-                round.primary
-            } else {
-                own
-            };
-            owners.set(c, eff as u8);
-            seen[eff] = true;
-        }
-        let span = seen.iter().filter(|&&s| s).count();
-        breakdown.ring_span = breakdown.ring_span.max(span);
-        if span > 1 && config.cross_shard_sdist {
+        let spread = SdistRound {
+            owners: Some(owners),
+            ..solo
+        };
+        let metered = meter(spread);
+        let (solo_time, _) = metered.price(shards, grid, solo);
+        let (critical, work) = metered.price(shards, grid, spread);
+        // Saved critical path `solo − critical` against added work
+        // `work − solo` (negative when the owners hold topology the
+        // primary would have to stage).
+        if 2 * solo_time.0 > critical.0 + work.0 {
             breakdown.cross_shard_rounds += 1;
-            round.owners = Some(owners.tags());
+            return (spread, metered);
         }
-        round
+        (solo, metered)
     }
 
     /// Release the pooled owner map and hand back the candidate set.
@@ -508,11 +555,14 @@ pub(crate) fn knn_device_phase(
     // runs once). ----
     let mut dist = pool.acquire();
     let mut remote_ns: Vec<(usize, SimNanos)> = Vec::new();
+    let warp = shards.shard(primary).device.spec().warp_size as usize;
     let candidates = loop {
         let t0 = Instant::now();
-        let round = plan.sdist_round(shards, &mut ex.breakdown);
-        let (s, legs) =
-            gpu_sdist_frontier(shards, round, grid, config, q, &ex.objects, k, &mut dist);
+        let objects = &ex.objects;
+        let (round, metered) = plan.sdist_round(shards, &mut ex.breakdown, |round| {
+            MeteredSdist::run(warp, round, grid, config, q, objects, k, &mut dist)
+        });
+        let (s, legs) = metered.replay(shards, round, grid);
         remote_ns.extend(legs);
         let device = &mut shards.shard_mut(primary).device;
         let (candidates, firstk_time) = gpu_first_k(device, q, &dist, &ex.objects, &graph);
@@ -830,12 +880,13 @@ fn next_ring(grid: &GraphGrid, cells: &mut CellSet, ring: &[CellId]) -> Vec<Cell
     out
 }
 
-/// Add the messages held by `cells`' lists to `bound` — a clean of a cell
+/// Add the live-object tallies of `cells` to `bound` — a clean of a cell
 /// yields at most that many live objects — and report whether it stays
-/// below `target`. Counting stops as soon as it does not.
+/// below `target`. Counting stops as soon as it does not. Reads no cell
+/// mutex.
 fn stays_below(lists: &CellLists, cells: &[CellId], bound: &mut usize, target: usize) -> bool {
-    for c in cells {
-        *bound += lists.lock(c.index()).total_messages();
+    for &c in cells {
+        *bound += lists.live_objects(c);
         if *bound >= target {
             return false;
         }
@@ -902,9 +953,18 @@ pub struct SdistRound<'a> {
     pub owners: Option<&'a [u8]>,
 }
 
+impl SdistRound<'_> {
+    /// The device that runs `c`'s share of the round.
+    fn owner(&self, c: CellId) -> usize {
+        self.owners.map_or(self.primary, |o| o[c.index()] as usize)
+    }
+}
+
 /// Algorithm 5 `GPU_SDist`: shortest distances over the subgraph induced by
-/// the round's candidate cells, landing in `scratch` (reset here). The one
-/// function that stages topology for and launches the frontier kernel.
+/// the round's candidate cells, landing in `scratch` (reset here), on the
+/// round's placement: the kernel is metered once, then replayed on the
+/// placement's devices. The query pipeline runs the two halves apart, so
+/// its planner can price both placements in between.
 ///
 /// Runs as near–far (two-bucket delta-stepping) SSSP over the candidate
 /// cells' resident CSR slices. Only active vertices relax their out-edges;
@@ -915,21 +975,6 @@ pub struct SdistRound<'a> {
 /// pruning; `k = 0` disables it and computes the full induced fixpoint). The
 /// result is the fixed point the paper's parallel Bellman–Ford reaches; the
 /// exactness argument is in DESIGN.md §5.3.
-///
-/// Each owning device stages its own cells' CSR slices (a hot slice is
-/// already on the card and skips the upload; a device's misses ride one
-/// staged transfer, a single PCIe latency) and is charged exactly the
-/// relaxation work its vertices generate. The relaxation runs once, on the
-/// shared host-side scratch, under a detached metering context, so the
-/// distances (and the answers) do not depend on the placement; only the
-/// cost attribution moves. The primary pays the metered total minus the
-/// remote slices: its own vertices' work plus every collective, barrier
-/// and far-pile compaction (the coordination that in a real deployment
-/// rides the host-side min-merge of the per-shard frontiers). The modeled
-/// time is the slowest participant's; the remote legs come back as
-/// `(shard, time)` so a batch scheduler can place them on their devices'
-/// streams. A primary-only round is the one-device case: no per-vertex
-/// tally and one launch, priced exactly as a direct launch of the body.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gpu_sdist_frontier(
@@ -942,98 +987,198 @@ pub fn gpu_sdist_frontier(
     k: usize,
     scratch: &mut DenseScratch,
 ) -> (SdistStats, Vec<(usize, SimNanos)>) {
-    let SdistRound {
-        in_set,
-        set,
-        primary,
-        owners,
-    } = round;
-    let owner = |c: CellId| owners.map_or(primary, |o| o[c.index()] as usize);
-    let mut stats = SdistStats::default();
-    let num_shards = shards.num_shards();
-    let mut device_ns = vec![SimNanos::ZERO; num_shards];
+    let warp = shards.shard(round.primary).device.spec().warp_size as usize;
+    MeteredSdist::run(warp, round, grid, config, q, objects, k, scratch).replay(shards, round, grid)
+}
 
-    // Each owner stages its own slice of the candidate topology.
-    let (mut holds, mut threads) = ([false; MAX_DEVICES], [0usize; MAX_DEVICES]);
-    for &c in set {
-        holds[owner(c)] = true;
-        threads[owner(c)] += grid.topology(c).num_vertices();
-    }
-    for d in (0..num_shards).filter(|&d| holds[d]) {
-        let (device, _, topo) = shards.parts(d);
-        let slice = set.iter().filter(|&&c| owner(c) == d);
-        let staged = topo.stage(device, slice.map(|&c| (c, grid.topology(c).bytes())));
-        stats.topo_hits += staged.hits as usize;
-        stats.topo_misses += staged.misses as usize;
-        stats.h2d_topo_bytes += staged.bytes;
-        stats.h2d_coalesced_saved += staged.transactions_saved;
-        device_ns[d] += staged.time;
-    }
-    let total_vertices: usize = threads.iter().sum();
-    stats.vertices = total_vertices as u64;
+/// A frontier SDist round run once on the host under a detached metering
+/// context, before any device is charged: the kernel's counters, its whole
+/// op profile, and, when the round names owners, each owner's per-vertex
+/// op slice and hosted vertices. The relaxation runs on the shared
+/// host-side scratch, so the distances (and the answers) do not depend on
+/// the placement; only the cost attribution does.
+struct MeteredSdist {
+    stats: SdistStats,
+    ops: OpCounts,
+    slices: [OpCounts; MAX_DEVICES],
+    /// Candidate vertices per owner (all on the primary without owners).
+    threads: [usize; MAX_DEVICES],
+}
 
-    let prelude = FrontierPrelude::new(grid, config, in_set, q, grid.graph(), objects, scratch);
-    // Meter the relaxation once; a scattered round tallies each per-vertex
-    // charge site against the device that owns the vertex's cell.
-    let warp = shards.shard(primary).device.spec().warp_size as usize;
-    let mut ctx = gpu_sim::KernelCtx::detached(warp, total_vertices.max(1));
-    let mut slices = vec![OpCounts::default(); num_shards];
-    let mut scatter = |v: VertexId, ops: OpCounts| slices[owner(grid.cell_of_vertex(v))].add(&ops);
-    let mut local = |_: VertexId, _: OpCounts| {};
-    let tally: &mut dyn FnMut(VertexId, OpCounts) = if owners.is_some() {
-        &mut scatter
-    } else {
-        &mut local
-    };
-    frontier_relax_body(
-        &mut ctx, grid, in_set, &prelude, k, scratch, &mut stats, tally,
-    );
-
-    // Replay the remote slices on their devices. The per-vertex tallies
-    // cover relax and object-bound work; the metered residual (near/far
-    // compaction, reductions, frontier bookkeeping) is data-parallel over
-    // the whole frontier, so the cooperative launch splits it across the
-    // participants in proportion to the vertices each hosts. Barriers are
-    // the exception: every sub-kernel runs the same rounds, so each
-    // participant pays the full sync count.
-    let mut remote_total = OpCounts::default();
-    let mut scatter_groups: Vec<(usize, usize, OpCounts)> = Vec::new();
-    for (d, slice) in slices.iter().enumerate() {
-        if d == primary || !slice.any() {
-            continue;
+impl MeteredSdist {
+    /// Meter the kernel over `round`'s candidate cells on a context of
+    /// `warp`-wide warps, tallying each per-vertex charge site against the
+    /// owner of the vertex's cell when the round names owners.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        warp: usize,
+        round: SdistRound,
+        grid: &GraphGrid,
+        config: &GGridConfig,
+        q: EdgePosition,
+        objects: &[CachedMessage],
+        k: usize,
+        scratch: &mut DenseScratch,
+    ) -> Self {
+        let mut stats = SdistStats::default();
+        let mut threads = [0usize; MAX_DEVICES];
+        for &c in round.set {
+            threads[round.owner(c)] += grid.topology(c).num_vertices();
         }
-        remote_total.add(slice);
-        scatter_groups.push((d, threads[d].max(1), *slice));
+        let total_vertices: usize = threads.iter().sum();
+        stats.vertices = total_vertices as u64;
+        let in_set = round.in_set;
+        let prelude = FrontierPrelude::new(grid, config, in_set, q, grid.graph(), objects, scratch);
+        let mut ctx = gpu_sim::KernelCtx::detached(warp, total_vertices.max(1));
+        let mut slices = [OpCounts::default(); MAX_DEVICES];
+        let mut scatter =
+            |v: VertexId, ops: OpCounts| slices[round.owner(grid.cell_of_vertex(v))].add(&ops);
+        let mut local = |_: VertexId, _: OpCounts| {};
+        let tally: &mut dyn FnMut(VertexId, OpCounts) = if round.owners.is_some() {
+            &mut scatter
+        } else {
+            &mut local
+        };
+        frontier_relax_body(
+            &mut ctx, grid, in_set, &prelude, k, scratch, &mut stats, tally,
+        );
+        Self {
+            stats,
+            ops: *ctx.ops(),
+            slices,
+            threads,
+        }
     }
-    let residual = ctx.ops().saturating_sub(&remote_total);
-    let mut primary_ops = residual;
-    for (_, threads, ops) in &mut scatter_groups {
-        let mut share = residual.scaled(*threads as u64, total_vertices.max(1) as u64);
-        primary_ops = primary_ops.saturating_sub(&share);
-        share.syncs = residual.syncs;
-        ops.add(&share);
-    }
-    primary_ops.syncs = residual.syncs;
-    for (d, t) in shards.launch_scattered(&scatter_groups) {
-        device_ns[d] += t;
-    }
-    let report = shards
-        .shard_mut(primary)
-        .device
-        .launch_ops(total_vertices.max(1), primary_ops);
-    device_ns[primary] += report.time;
 
-    // Remote legs go back to the caller so a batch scheduler can place them
-    // on the remote devices' streams; the round's modeled duration is the
-    // slowest participant.
-    let legs: Vec<(usize, SimNanos)> = device_ns
-        .iter()
-        .enumerate()
-        .filter(|&(d, t)| d != primary && *t > SimNanos::ZERO)
-        .map(|(d, &t)| (d, t))
-        .collect();
-    stats.time += device_ns.iter().copied().max().unwrap_or(SimNanos::ZERO);
-    (stats, legs)
+    /// The launches of the metered kernel on a placement: the primary's
+    /// op profile and each remote owner's `(device, threads, ops)`.
+    ///
+    /// Scattered, the per-vertex tallies cover relax and object-bound
+    /// work; the metered residual (near/far compaction, reductions,
+    /// frontier bookkeeping) is data-parallel over the whole frontier, so
+    /// the cooperative launch splits it across the participants in
+    /// proportion to the vertices each hosts, the primary keeping the rest
+    /// (the coordination that in a real deployment rides the host-side
+    /// min-merge of the per-shard frontiers). Barriers are the exception:
+    /// every sub-kernel runs the same rounds, so each participant pays the
+    /// full sync count. A primary-only round is one launch of the whole
+    /// profile, priced exactly as a direct launch of the body.
+    fn launches(&self, primary: usize, scatter: bool) -> (OpCounts, Vec<(usize, usize, OpCounts)>) {
+        if !scatter {
+            return (self.ops, Vec::new());
+        }
+        let total_vertices = self.stats.vertices.max(1);
+        let mut remote_total = OpCounts::default();
+        let mut groups: Vec<(usize, usize, OpCounts)> = Vec::new();
+        for (d, slice) in self.slices.iter().enumerate() {
+            if d == primary || !slice.any() {
+                continue;
+            }
+            remote_total.add(slice);
+            groups.push((d, self.threads[d].max(1), *slice));
+        }
+        let residual = self.ops.saturating_sub(&remote_total);
+        let mut primary_ops = residual;
+        for (_, threads, ops) in &mut groups {
+            let mut share = residual.scaled(*threads as u64, total_vertices);
+            primary_ops = primary_ops.saturating_sub(&share);
+            share.syncs = residual.syncs;
+            ops.add(&share);
+        }
+        primary_ops.syncs = residual.syncs;
+        (primary_ops, groups)
+    }
+
+    /// Modeled `(critical path, work)` of running the metered kernel on
+    /// `round`'s placement, charging nothing: each participant's topology
+    /// staging (the slices its [`crate::residency::TopologyStore`] does not
+    /// hold, in one transfer) plus its launch, through the device's
+    /// [`gpu_sim::CostModel::launch_time`]. The critical path is the
+    /// slowest participant; the work is their sum.
+    fn price(
+        &self,
+        shards: &ShardSet,
+        grid: &GraphGrid,
+        round: SdistRound,
+    ) -> (SimNanos, SimNanos) {
+        let mut missed: [Option<u64>; MAX_DEVICES] = [None; MAX_DEVICES];
+        for &c in round.set {
+            let d = round.owner(c);
+            if !shards.shard(d).topo.contains(c) {
+                *missed[d].get_or_insert(0) += grid.topology(c).bytes();
+            }
+        }
+        let mut busy = [SimNanos::ZERO; MAX_DEVICES];
+        for (d, bytes) in missed.iter().enumerate() {
+            if let Some(bytes) = *bytes {
+                busy[d] += gpu_sim::xfer::transfer_time(shards.shard(d).device.spec(), bytes);
+            }
+        }
+        let launch = |d: usize, threads: usize, ops: &OpCounts| {
+            let device = &shards.shard(d).device;
+            device.cost_model().launch_time(device.spec(), threads, ops)
+        };
+        let (primary_ops, groups) = self.launches(round.primary, round.owners.is_some());
+        for (d, threads, ops) in &groups {
+            busy[*d] += launch(*d, *threads, ops);
+        }
+        let threads = self.stats.vertices as usize;
+        busy[round.primary] += launch(round.primary, threads.max(1), &primary_ops);
+        let critical = busy.iter().copied().max().unwrap_or(SimNanos::ZERO);
+        (critical, busy.iter().copied().sum())
+    }
+
+    /// Charge the metered kernel on `round`'s placement, which must be the
+    /// one it was metered under or primary-only. Each participating device
+    /// stages its own cells' CSR slices (a hot slice is already on the card
+    /// and skips the upload; a device's misses ride one staged transfer, a
+    /// single PCIe latency) and runs its launch; the remote launches are
+    /// concurrent sub-kernels. The round's modeled time is the slowest
+    /// participant's, and the remote legs come back as `(shard, time)` so a
+    /// batch scheduler can place them on their devices' streams.
+    fn replay(
+        self,
+        shards: &mut ShardSet,
+        round: SdistRound,
+        grid: &GraphGrid,
+    ) -> (SdistStats, Vec<(usize, SimNanos)>) {
+        let mut stats = self.stats;
+        let num_shards = shards.num_shards();
+        let mut device_ns = vec![SimNanos::ZERO; num_shards];
+        let mut holds = [false; MAX_DEVICES];
+        for &c in round.set {
+            holds[round.owner(c)] = true;
+        }
+        for d in (0..num_shards).filter(|&d| holds[d]) {
+            let (device, _, topo) = shards.parts(d);
+            let slice = round.set.iter().filter(|&&c| round.owner(c) == d);
+            let staged = topo.stage(device, slice.map(|&c| (c, grid.topology(c).bytes())));
+            stats.topo_hits += staged.hits as usize;
+            stats.topo_misses += staged.misses as usize;
+            stats.h2d_topo_bytes += staged.bytes;
+            stats.h2d_coalesced_saved += staged.transactions_saved;
+            device_ns[d] += staged.time;
+        }
+        let (primary_ops, groups) = self.launches(round.primary, round.owners.is_some());
+        for (d, t) in shards.launch_scattered(&groups) {
+            device_ns[d] += t;
+        }
+        let threads = self.stats.vertices as usize;
+        let report = shards
+            .shard_mut(round.primary)
+            .device
+            .launch_ops(threads.max(1), primary_ops);
+        device_ns[round.primary] += report.time;
+
+        let legs: Vec<(usize, SimNanos)> = device_ns
+            .iter()
+            .enumerate()
+            .filter(|&(d, t)| d != round.primary && *t > SimNanos::ZERO)
+            .map(|(d, &t)| (d, t))
+            .collect();
+        stats.time += device_ns.iter().copied().max().unwrap_or(SimNanos::ZERO);
+        (stats, legs)
+    }
 }
 
 /// What the frontier kernel derives from the query before relaxing: the
@@ -1400,9 +1545,12 @@ mod tests {
         gpu_sdist_frontier(&mut shards, round, grid, &config, q, &[], 0, dist).0
     }
 
+    /// Place each of `objects` (new objects, one update each) in its cell:
+    /// its message, and its move in the live-object tally.
     fn place(grid: &GraphGrid, lists: &CellLists, objects: &[(u64, EdgePosition)], t: u64) {
         for &(o, p) in objects {
             let cell = grid.cell_of_edge(p.edge);
+            lists.track_move(None, cell);
             lists
                 .lock(cell.index())
                 .append(CachedMessage::update(ObjectId(o), p, Timestamp(t)));
@@ -1522,23 +1670,60 @@ mod tests {
         assert_eq!(got_d, want_d);
     }
 
-    /// Plan a 4-query at edge `e`, add its first ring and place its SDist
-    /// round: each ring cell's owner in the placement (`None` when the
-    /// round runs on the primary alone), and the planning counters.
-    fn first_placement(
-        env: QueryEnv,
-        shards: &mut ShardSet,
-        e: u32,
-    ) -> (Option<Vec<(CellId, usize)>>, QueryBreakdown) {
-        let mut plan = QueryPlan::new(env, shards, EdgePosition::at_source(EdgeId(e)), 4);
-        plan.advance();
+    /// What planning and running one SDist round did.
+    struct Placed {
+        /// Each candidate cell's device in the placement; `None` when the
+        /// round ran on the primary alone.
+        scattered: Option<Vec<(CellId, usize)>>,
+        /// Each candidate cell's effective owner (only when `D > 1`).
+        effective: Vec<(CellId, usize)>,
+        /// The devices the round launched on.
+        launched: Vec<usize>,
+        b: QueryBreakdown,
+    }
+
+    /// Plan a 4-query at edge `e` with no objects known, add up to `rings`
+    /// rings of candidates, then place and run its SDist round.
+    fn place_round(env: QueryEnv, shards: &mut ShardSet, e: u32, rings: usize) -> Placed {
+        let q = EdgePosition::at_source(EdgeId(e));
+        let mut plan = QueryPlan::new(env, shards, q, 4);
+        for _ in 0..rings {
+            if plan.advance().is_empty() {
+                break;
+            }
+        }
+        let launches = |shards: &ShardSet| -> Vec<u64> {
+            let devices = 0..shards.num_shards();
+            devices.map(|d| shards.shard(d).device.launches()).collect()
+        };
+        let before = launches(shards);
         let mut b = QueryBreakdown::default();
-        let round = plan.sdist_round(shards, &mut b);
-        let owners = round.owners.map(|o| {
+        let mut dist = DenseScratch::new(env.grid.graph().num_vertices());
+        let warp = shards.shard(plan.primary).device.spec().warp_size as usize;
+        let (round, metered) = plan.sdist_round(shards, &mut b, |round| {
+            MeteredSdist::run(warp, round, env.grid, env.config, q, &[], 4, &mut dist)
+        });
+        let scattered = round.owners.map(|o| {
             let owner = |&c: &CellId| (c, o[c.index()] as usize);
             round.set.iter().map(owner).collect()
         });
-        (owners, b)
+        metered.replay(shards, round, env.grid);
+        let after = launches(shards);
+        let launched = (0..after.len()).filter(|&d| after[d] > before[d]).collect();
+        let effective = match &plan.owners {
+            Some(o) => {
+                let owner = |&c: &CellId| (c, o.tags()[c.index()] as usize);
+                plan.cells.tagged().iter().map(owner).collect()
+            }
+            None => Vec::new(),
+        };
+        plan.finish();
+        Placed {
+            scattered,
+            effective,
+            launched,
+            b,
+        }
     }
 
     /// Four devices over `grid`, and the first edge whose first ring spans
@@ -1564,33 +1749,72 @@ mod tests {
     }
 
     #[test]
-    fn placement_is_primary_only_unless_a_round_spans_devices() {
+    fn a_round_scatters_only_when_it_pays() {
         let (grid, lists, device, config) = setup(5);
         let pool = ScratchPool::new(grid.graph().num_vertices());
         let mut one = ShardSet::single(device, &config, grid.num_cells());
         let env = QueryEnv::new(&grid, &lists, &pool, &config);
-        let (owners, b) = first_placement(env, &mut one, 0);
-        assert!(owners.is_none() && b.ring_span == 0, "D = 1");
+        let p = place_round(env, &mut one, 0, 1);
+        assert!(p.scattered.is_none() && p.b.ring_span == 0, "D = 1");
 
         let (four, mut shards, local) = four_devices(&grid, |span| span == 1);
         let env = QueryEnv::new(&grid, &lists, &pool, &four);
-        let (owners, b) = first_placement(env, &mut shards, local);
-        assert!(owners.is_none() && b.ring_span == 1, "all on the primary");
+        let p = place_round(env, &mut shards, local, 1);
+        assert!(
+            p.scattered.is_none() && p.b.ring_span == 1,
+            "all on the primary"
+        );
 
+        // A first ring over several devices is a few cells: another
+        // device's staging latency and launch cost more than its share of
+        // the relaxation saves, so the round stays on the primary.
         let (four, mut shards, cross) = four_devices(&grid, |span| span > 1);
         let env = QueryEnv::new(&grid, &lists, &pool, &four);
-        let (owners, b) = first_placement(env, &mut shards, cross);
-        let owners = owners.expect("a ring over several devices scatters");
-        assert!(owners.iter().all(|&(c, d)| d == shards.owner_of(c)));
-        assert!(b.ring_span > 1 && b.cross_shard_rounds == 1);
+        let primary = shards.owner_of(grid.cell_of_edge(EdgeId(cross)));
+        let p = place_round(env, &mut shards, cross, 1);
+        assert!(p.scattered.is_none(), "a light round runs on the primary");
+        assert_eq!(p.launched, vec![primary]);
+        assert!(p.b.ring_span > 1 && p.b.cross_shard_rounds == 0);
 
+        // The whole of a larger city: the relaxation outweighs the staging
+        // and the extra launches, so the round scatters over its owners.
+        let city = Arc::new(GraphGrid::build(
+            Arc::new(gen::grid_city(&gen::GridCityParams {
+                rows: 40,
+                cols: 40,
+                edge_ratio: 2.5,
+                weight_range: (1, 20),
+                seed: 5,
+            })),
+            config.cell_capacity,
+            config.vertex_capacity,
+        ));
+        let city_lists = CellLists::new(city.num_cells(), config.bucket_capacity);
+        let pool = ScratchPool::new(city.graph().num_vertices());
+        let (four, mut shards, cross) = four_devices(&city, |span| span > 1);
+        let env = QueryEnv::new(&city, &city_lists, &pool, &four);
+        let p = place_round(env, &mut shards, cross, usize::MAX);
+        let scattered = p.scattered.expect("a heavy round scatters");
+        assert!(scattered.iter().all(|&(c, d)| d == shards.owner_of(c)));
+        let mut owners: Vec<usize> = scattered.iter().map(|&(_, d)| d).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        assert_eq!(
+            p.launched, owners,
+            "one launch on each owner, none elsewhere"
+        );
+        assert!(p.b.ring_span == 4 && p.b.cross_shard_rounds == 1);
+
+        // With cooperative SDist off, not even a heavy round scatters.
         let baseline = GGridConfig {
             cross_shard_sdist: false,
             ..four
         };
-        let env = QueryEnv::new(&grid, &lists, &pool, &baseline);
-        let (owners, b) = first_placement(env, &mut shards, cross);
-        assert!(owners.is_none() && b.ring_span > 1 && b.cross_shard_rounds == 0);
+        let env = QueryEnv::new(&city, &city_lists, &pool, &baseline);
+        let primary = shards.owner_of(city.cell_of_edge(EdgeId(cross)));
+        let p = place_round(env, &mut shards, cross, usize::MAX);
+        assert!(p.scattered.is_none() && p.launched == vec![primary]);
+        assert!(p.b.ring_span == 4 && p.b.cross_shard_rounds == 0);
     }
 
     #[test]
@@ -1618,18 +1842,75 @@ mod tests {
         let remote_owner =
             |owners: Vec<(CellId, usize)>| owners.iter().find(|o| o.0 == remote).unwrap().1;
 
-        let (owners, b) = first_placement(env, &mut shards, e);
-        assert_eq!(remote_owner(owners.unwrap()), shards.owner_of(remote));
-        assert_eq!(b.replica_hits, 0);
+        let p = place_round(env, &mut shards, e, 1);
+        assert_eq!(remote_owner(p.effective), shards.owner_of(remote));
+        assert_eq!(p.b.replica_hits, 0);
 
         let epoch = lists.lock(remote.index()).cleaned_epoch().unwrap();
         let promote = [(remote, epoch, &cleaned[remote])];
         assert!(shards.promote_replicas_coalesced(primary, &promote).bytes > 0);
-        let (owners, b) = first_placement(env, &mut shards, e);
-        assert_eq!(b.replica_hits, 1);
-        match owners {
-            Some(owners) => assert_eq!(remote_owner(owners), primary),
-            None => assert_eq!(b.ring_span, 1, "the replica made the whole ring local"),
+        let p = place_round(env, &mut shards, e, 1);
+        assert_eq!(p.b.replica_hits, 1);
+        assert_eq!(remote_owner(p.effective), primary);
+    }
+
+    #[test]
+    fn a_round_promotes_its_replicas_in_one_transfer() {
+        let (grid, lists, ..) = setup(5);
+        let pool = ScratchPool::new(grid.graph().num_vertices());
+        let (four, mut shards, _) = four_devices(&grid, |span| span > 1);
+        let env = QueryEnv::new(&grid, &lists, &pool, &four);
+        let primary = 0;
+        // Two remote cells, each with an object on one of its edges.
+        let mut remote: Vec<(CellId, u32)> = (0..grid.graph().num_edges() as u32)
+            .map(|e| (grid.cell_of_edge(EdgeId(e)), e))
+            .filter(|&(c, _)| shards.owner_of(c) != primary)
+            .collect();
+        remote.sort_by_key(|&(c, _)| c);
+        remote.dedup_by_key(|&mut (c, _)| c);
+        let [(served, e1), (fresh, e2)] = [remote[0], remote[1]];
+        // `served` comes out of an earlier round's output; `fresh` is
+        // dirty, so this round cleans it. Both are read-hot.
+        place(
+            &grid,
+            &lists,
+            &[(1, EdgePosition::at_source(EdgeId(e1)))],
+            100,
+        );
+        let (cache, _) = shards.clean_cells(&lists, &[served], &four, Timestamp(100));
+        place(
+            &grid,
+            &lists,
+            &[(2, EdgePosition::at_source(EdgeId(e2)))],
+            100,
+        );
+        for c in [served, fresh] {
+            (0..four.replicate_threshold).for_each(|_| shards.note_read(c));
+        }
+
+        let h2d = |shards: &ShardSet| shards.shard(primary).device.ledger().h2d_transfers;
+        let before = h2d(&shards);
+        let mut ex = Executor::new(
+            env,
+            Timestamp(100),
+            Some(&cache),
+            primary,
+            Vec::new(),
+            QueryBreakdown::default(),
+        );
+        ex.clean(&mut shards, &[served, fresh]);
+        assert_eq!(
+            ex.breakdown.cells_skipped, 1,
+            "one cell served from the output"
+        );
+        assert_eq!(
+            h2d(&shards) - before,
+            1,
+            "one promotion transfer for the round"
+        );
+        for c in [served, fresh] {
+            let epoch = lists.lock(c.index()).cleaned_epoch();
+            assert!(shards.replica_valid(primary, c, epoch), "{c:?} promoted");
         }
     }
 

@@ -40,11 +40,12 @@
 //! nothing.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::grid::CellId;
 use crate::message::{CachedMessage, Timestamp};
 
 /// A bucket: `ζ = ⟨𝒜_m, n, t, p_n⟩` (the link is implicit in the deque).
@@ -382,9 +383,15 @@ impl MessageList {
 /// that open slabs (the ingest group commit and cleaning's
 /// [`MessageList::restore_consolidated`]), so the server's counters read
 /// them without locking any cell.
+///
+/// Each cell also carries a tally of the objects whose latest placement
+/// is that cell (`CellLists::track_move`), kept by the ingest placement and
+/// read by the query planner without the cell's mutex: a clean of the
+/// cell yields at most that many live objects.
 #[derive(Debug)]
 pub struct CellLists {
     cells: Vec<Mutex<MessageList>>,
+    live: Vec<AtomicU32>,
     slabs_opened: AtomicU64,
     slabs_reused: AtomicU64,
 }
@@ -395,6 +402,7 @@ impl CellLists {
             cells: (0..num_cells)
                 .map(|_| Mutex::new(MessageList::new(bucket_capacity)))
                 .collect(),
+            live: (0..num_cells).map(|_| AtomicU32::new(0)).collect(),
             slabs_opened: AtomicU64::new(0),
             slabs_reused: AtomicU64::new(0),
         }
@@ -457,6 +465,35 @@ impl CellLists {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = cell_index;
+    }
+
+    /// Record that an object's latest placement moved from `prev` (`None`
+    /// for a new object) to `cell`: the cell it enters gains one live
+    /// object and the cell it leaves loses one; an update within one cell
+    /// changes nothing. The ingest placement calls this once per applied
+    /// update, in each object's update order.
+    pub(crate) fn track_move(&self, prev: Option<CellId>, cell: CellId) {
+        if prev == Some(cell) {
+            return;
+        }
+        self.live[cell.index()].fetch_add(1, Ordering::Relaxed);
+        if let Some(prev) = prev {
+            self.live[prev.index()].fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Objects whose latest placement is `cell`, read without its mutex.
+    /// A clean of the cell yields at most this many live objects (an
+    /// object is live in one cell, the one its newest message names) when
+    /// each object's updates carry increasing stamps; DESIGN.md §5.6 has
+    /// the equal-stamp exception.
+    pub(crate) fn live_objects(&self, cell: CellId) -> usize {
+        self.live[cell.index()].load(Ordering::Relaxed) as usize
+    }
+
+    /// Bytes of the live-object tally (part of the index size).
+    pub(crate) fn tally_bytes(&self) -> u64 {
+        (self.live.len() * std::mem::size_of::<AtomicU32>()) as u64
     }
 
     /// Sum of `f` over all cells (diagnostics; locks one cell at a time).

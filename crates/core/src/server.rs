@@ -601,10 +601,11 @@ impl GGridServer {
     /// all updates of one object are applied by one worker in batch order,
     /// and each touched shard's write lock is taken once. An update emits
     /// its destination placement and, on a cell move, a tombstone placement
-    /// for the previous cell, both tagged with its batch index. One update
-    /// puts at most one message in a cell, so `(cell, batch index)` is a
-    /// total order: the sort is deterministic, and each cell's order is the
-    /// sequential one.
+    /// for the previous cell, both tagged with its batch index, and moves
+    /// the object in the per-cell live-object tally
+    /// ([`CellLists::track_move`]). One update puts at most one message in
+    /// a cell, so `(cell, batch index)` is a total order: the sort is
+    /// deterministic, and each cell's order is the sequential one.
     fn place(&self, updates: &[Update], batched: bool, work: &mut Work) -> Vec<Placement> {
         assert!(updates.len() < 1 << 31, "ingest batch too large");
         let workers = self.config.host_workers.clamp(1, updates.len());
@@ -615,6 +616,7 @@ impl GGridServer {
                 |s| s % workers == w,
                 |p| self.cell_of(p),
                 |idx, cell, prev| {
+                    self.lists.track_move(prev.map(|prev| prev.cell), cell);
                     keys.push(Placement::new(cell, idx, false));
                     if let Some(prev) = prev.filter(|prev| prev.cell != cell) {
                         keys.push(Placement::new(prev.cell, idx, true));
@@ -1233,11 +1235,13 @@ impl MovingObjectIndex for GGridServer {
     fn index_size(&self) -> IndexSize {
         let lists: u64 = self.lists.sum_over(|l| l.size_bytes());
         IndexSize {
-            // Graph grid + object table + message lists + pooled scratch
-            // and staged ingest buffers live on the CPU.
+            // Graph grid + object table + message lists and their
+            // live-object tally + pooled scratch and staged ingest buffers
+            // live on the CPU.
             cpu_bytes: self.grid.grid_bytes()
                 + self.object_table.size_bytes()
                 + lists
+                + self.lists.tally_bytes()
                 + self.pool.scratch_bytes()
                 + self.staging.lock().bytes(),
             // Every shard device holds a mirror of the graph grid to
@@ -1838,6 +1842,90 @@ mod tests {
                 let promote = sum(|b| b.replica_promote);
                 assert!(promote > SimNanos::ZERO, "read-hot cells must promote");
                 assert_eq!(h2d1 - h2d0, promote);
+            }
+        }
+    }
+
+    mod tally {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Assert that each cell's live-object tally counts the objects
+        /// the object table places in it.
+        fn assert_tally_matches_table(s: &GGridServer) {
+            let mut placed = vec![0usize; s.grid.num_cells()];
+            for (_, entry) in s.object_table.snapshot() {
+                placed[entry.cell.index()] += 1;
+            }
+            for c in s.grid.cell_ids() {
+                assert_eq!(s.lists.live_objects(c), placed[c.index()], "{c:?}");
+            }
+        }
+
+        /// Clean every cell at `now`: per cell, the live objects the clean
+        /// yields and the cell's tally.
+        fn yields(s: &mut GGridServer, now: Timestamp) -> Vec<(usize, usize)> {
+            s.flush_ingest();
+            let cells: Vec<CellId> = s.grid.cell_ids().collect();
+            let (cleaned, _) = s.shards.clean_cells(&s.lists, &cells, &s.config, now);
+            let live = |c: CellId| cleaned[c].iter().filter(|m| m.position.is_some()).count();
+            cells
+                .iter()
+                .map(|&c| (live(c), s.lists.live_objects(c)))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Every ingest path keeps each cell's tally equal to the
+            /// objects the object table places in it, through cell moves
+            /// and repeated same-cell updates (stamps rise, so each
+            /// object's are unique); no clean yields more live objects than
+            /// its cell's tally, and every cell yields exactly its tally
+            /// while nothing has expired.
+            #[test]
+            fn live_tally_matches_the_object_table(
+                workers in 1usize..4,
+                steps in prop::collection::vec(
+                    (0u8..3, prop::collection::vec((0u64..12, 0u32..160, prop::bool::ANY), 1..20)),
+                    1..12,
+                ),
+            ) {
+                let g = gen::toy(9);
+                let edges = g.num_edges() as u32;
+                let mut s = GGridServer::new(g, GGridConfig {
+                    host_workers: workers,
+                    ..small_config()
+                });
+                let mut last: HashMap<u64, EdgePosition> = HashMap::new();
+                let mut t = 100u64;
+                for (path, draws) in steps {
+                    let updates: Vec<(ObjectId, EdgePosition, Timestamp)> = draws
+                        .into_iter()
+                        .map(|(o, e, stay)| {
+                            t += 1;
+                            let fresh = pos(e % edges, 0);
+                            let p = if stay { *last.entry(o).or_insert(fresh) } else { fresh };
+                            last.insert(o, p);
+                            (ObjectId(o), p, Timestamp(t))
+                        })
+                        .collect();
+                    match path {
+                        0 => updates.iter().for_each(|&(o, p, t)| s.handle_update(o, p, t)),
+                        1 => drop(s.ingest_batch(&updates)),
+                        _ => drop(s.ingest_buffered(&updates)),
+                    }
+                    assert_tally_matches_table(&s);
+                }
+                for (live, tally) in yields(&mut s, Timestamp(t + 1)) {
+                    prop_assert_eq!(live, tally);
+                }
+                // Once the older half of the stamps has expired.
+                let later = Timestamp((100 + t) / 2 + s.config.t_delta_ms);
+                for (live, tally) in yields(&mut s, later) {
+                    prop_assert!(live <= tally);
+                }
             }
         }
     }

@@ -281,88 +281,110 @@ fn single_shard_query_touches_one_device() {
     );
 }
 
-/// A query whose candidate ring spans three shards must launch kernels on
-/// exactly those three devices: cleaning routes each ring cell to its
-/// owner, and the cooperative SDist round scatters the relaxation across
-/// the same owners — the fourth device stays idle.
-#[test]
-fn three_shard_ring_launches_on_exactly_three_devices() {
+/// Four tiny devices over a `side`² grid city with an object on every
+/// `stride`-th edge, all reported at time 1,000. Replication is off, so
+/// every cell's effective owner is its owner.
+fn four_tiny_devices(side: u32, stride: usize, cross_shard_sdist: bool) -> GGridServer {
     let graph = gen::grid_city(&GridCityParams {
-        rows: 8,
-        cols: 8,
+        rows: side,
+        cols: side,
         edge_ratio: 2.5,
         weight_range: (1, 30),
         seed: 3,
     });
-    let mut server = GGridServer::new(
-        graph.clone(),
-        GGridConfig {
-            eta: 3,
-            num_devices: 4,
-            // Keep effective owners = true owners: replicas would fold
-            // remote cells into the primary and shrink the span.
-            replicate_threshold: 0,
-            ..Default::default()
-        },
-    );
-    assert_eq!(server.num_shards(), 4);
-
-    // Objects everywhere, so the first candidate ring already holds ρ·k
-    // of them and the expansion never widens past it.
-    let now = Timestamp(1_000);
-    for (i, e) in (0..graph.num_edges() as u32).step_by(3).enumerate() {
-        server.handle_update(ObjectId(i as u64), EdgePosition::at_source(EdgeId(e)), now);
-    }
-
-    // Find a query edge whose first ring (own cell + neighbours) spans
-    // exactly three shards and is object-dense enough not to expand.
-    let ranges = server.shard_ranges();
-    let owner_of = |cell: usize| {
-        ranges
-            .iter()
-            .position(|r| r.contains(&(cell as u32)))
-            .unwrap()
+    let config = GGridConfig {
+        eta: 3,
+        num_devices: 4,
+        replicate_threshold: 0,
+        cross_shard_sdist,
+        ..Default::default()
     };
-    let pick = (0..graph.num_edges() as u32).map(EdgeId).find(|&e| {
-        let c = server.grid().cell_of_edge(e);
-        let mut ring = vec![c];
-        ring.extend_from_slice(server.grid().neighbors(c));
-        let mut owners: Vec<usize> = ring.iter().map(|&c| owner_of(c.index())).collect();
-        owners.sort_unstable();
-        owners.dedup();
-        let objects_in_ring = (0..graph.num_edges() as u32)
-            .step_by(3)
-            .filter(|&oe| ring.contains(&server.grid().cell_of_edge(EdgeId(oe))))
-            .count();
-        owners.len() == 3 && objects_in_ring >= 8
-    });
-    let q = pick.expect("an 8x8 grid over 4 z-contiguous shards has a 3-shard ring");
+    let device = gpu_sim::Device::new(gpu_sim::DeviceSpec::test_tiny());
+    let server = GGridServer::with_device(graph.clone(), config, device);
+    assert_eq!(server.num_shards(), 4);
+    for (i, e) in (0..graph.num_edges() as u32).step_by(stride).enumerate() {
+        let p = EdgePosition::at_source(EdgeId(e));
+        server.handle_update(ObjectId(i as u64), p, Timestamp(1_000));
+    }
+    server
+}
 
-    let c = server.grid().cell_of_edge(q);
-    let mut expected: Vec<usize> = std::iter::once(c)
-        .chain(server.grid().neighbors(c).iter().copied())
-        .map(|c| owner_of(c.index()))
-        .collect();
-    expected.sort_unstable();
-    expected.dedup();
-
+/// Run a k-query at `q` twice at one instant and return the devices the
+/// repeat launched on. The first run cleans every candidate cell, so the
+/// repeat serves them all from the clean-skip cache: its launches are the
+/// query-wide kernels alone (SDist, selection, unresolved).
+fn repeat_launches(server: &mut GGridServer, q: EdgeId, k: usize) -> Vec<usize> {
+    let q = EdgePosition::at_source(q);
+    let first = server.knn(q, k, Timestamp(2_000));
     let before = server.device_launches();
-    let got = server.knn(EdgePosition::at_source(q), 3, Timestamp(2_000));
-    assert!(!got.is_empty());
+    let again = server.knn(q, k, Timestamp(2_000));
+    assert_eq!(again, first);
+    assert_eq!(server.last_breakdown().cells_cleaned, 0, "all served");
     let after = server.device_launches();
+    (0..4).filter(|&d| after[d] > before[d]).collect()
+}
 
-    let touched: Vec<usize> = (0..4).filter(|&d| after[d] > before[d]).collect();
-    assert_eq!(
-        touched, expected,
-        "kernels must land on exactly the ring's three owners (launches: {before:?} -> {after:?})"
-    );
-    assert_eq!(touched.len(), 3);
+/// The shard that owns cell `cell`.
+fn owner_of(server: &GGridServer, cell: usize) -> usize {
+    let ranges = server.shard_ranges();
+    ranges
+        .iter()
+        .position(|r| r.contains(&(cell as u32)))
+        .unwrap()
+}
+
+/// A query whose first ring spans three shards and already holds ρ·k
+/// objects: its SDist round relaxes a few cells, less than another
+/// device's staging latency and launch would save, so it runs on the
+/// primary alone.
+#[test]
+fn light_spanning_round_runs_on_the_primary() {
+    let mut server = four_tiny_devices(8, 3, true);
+    let grid = server.grid();
+    let q = (0..grid.graph().num_edges() as u32)
+        .map(EdgeId)
+        .find(|&e| {
+            let c = grid.cell_of_edge(e);
+            let mut owners: Vec<usize> = std::iter::once(c)
+                .chain(grid.neighbors(c).iter().copied())
+                .map(|c| owner_of(&server, c.index()))
+                .collect();
+            owners.sort_unstable();
+            owners.dedup();
+            owners.len() == 3
+        })
+        .expect("an 8x8 grid over 4 z-contiguous shards has a 3-shard ring");
+    let primary = owner_of(&server, grid.cell_of_edge(q).index());
+    assert_eq!(repeat_launches(&mut server, q, 3), vec![primary]);
     let b = server.last_breakdown();
-    assert_eq!(b.ring_span, 3, "recorded ring span must match");
-    assert!(
-        b.cross_shard_rounds >= 1,
-        "the wide ring must take the cooperative SDist path"
+    assert_eq!(b.ring_span, 3);
+    assert_eq!(
+        b.cross_shard_rounds, 0,
+        "a light round stays on the primary"
     );
+}
+/// A query far from a sparse fleet: its candidates grow over a larger
+/// city, and its SDist round's relaxation outweighs the staging and the
+/// extra launches, so it scatters: it launches on exactly its owners and
+/// counts one cooperative round. With cooperative SDist off, the same
+/// round runs on the primary alone.
+#[test]
+fn heavy_spanning_round_scatters_over_its_owners() {
+    for cross_shard_sdist in [true, false] {
+        let mut server = four_tiny_devices(24, 97, cross_shard_sdist);
+        let q = EdgeId(0);
+        let primary = owner_of(&server, server.grid().cell_of_edge(q).index());
+        let launched = repeat_launches(&mut server, q, 8);
+        let b = server.last_breakdown();
+        assert_eq!(b.ring_span, 4, "the candidates span every device");
+        if cross_shard_sdist {
+            assert_eq!(launched, vec![0, 1, 2, 3]);
+            assert_eq!(b.cross_shard_rounds, 1);
+        } else {
+            assert_eq!(launched, vec![primary]);
+            assert_eq!(b.cross_shard_rounds, 0);
+        }
+    }
 }
 
 /// A replica made stale by a write is torn down before the next read:
