@@ -295,9 +295,10 @@ pub(crate) fn run_knn_batch(
         }
     }
 
-    // Charge the clean-cache's host-pinned mirror bytes against the owning
-    // devices' residency budgets for the lifetime of the batch, so eviction
-    // decisions see the true memory pressure (released before returning).
+    // Charge the shared pass's cleaned lists (host-pinned mirror bytes)
+    // against the owning devices' residency budgets for the lifetime of the
+    // batch, so eviction decisions see the true memory pressure (released
+    // before returning).
     let mut cache_charges: Vec<u64> = vec![0; d];
     if let Some(cache) = &cache {
         for (c, msgs) in cache.iter() {
@@ -365,7 +366,7 @@ pub(crate) fn run_knn_batch(
         }
     }
 
-    // Release the clean-cache's budget charges: the cache dies with the
+    // Release the shared pass's budget charges: its output dies with the
     // batch.
     for (i, &bytes) in cache_charges.iter().enumerate() {
         if bytes > 0 {

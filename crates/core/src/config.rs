@@ -63,8 +63,7 @@ pub struct GGridConfig {
     /// region (more cells whose updates invalidate the subscription).
     /// `0.0` is correct but repairs more often.
     pub guard_slack: f64,
-    /// Number of simulated devices the server shards cells over
-    /// ([`crate::shard::ShardSet`]). Cells are partitioned into contiguous
+    /// Number of simulated devices the server shards cells over. Cells are partitioned into contiguous
     /// z-order ranges weighted by record count; each device owns its own
     /// residency/topology budget (`device_budget_bytes` is per device).
     /// `1` is the paper's single-GPU deployment; answers are byte-identical
@@ -89,7 +88,7 @@ pub struct GGridConfig {
     /// *every* staged cell. `0` disables the budget (cap-only flushing).
     pub ingest_buffer_bytes: u64,
     /// Let a query's frontier-SDist round scatter across every shard whose
-    /// cells the expansion ring touches ([`crate::shard::ShardSet`]): each
+    /// cells the expansion ring touches: each
     /// owning device is charged its slice of the relax work concurrently on
     /// the modeled timeline and the host min-merges the per-shard frontiers,
     /// so the round's modeled critical path is the max over owners instead
@@ -106,11 +105,11 @@ pub struct GGridConfig {
     /// (replicating) read-hot write-cold cells over migrating them. `0`
     /// disables replication. Answers are byte-identical either way.
     pub replicate_threshold: u64,
-    /// Byte budget of the shared [`crate::scratch::ScratchPool`]: pooled
-    /// dense/Dijkstra scratch beyond this is evicted oldest-first on
-    /// release, so a burst of query workers cannot pin O(workers × |V|)
-    /// memory forever. `0` disables the bound (the pre-capacity-push
-    /// behaviour).
+    /// Byte budget of the server's pool of vertex distance maps (8 bytes
+    /// per vertex each), which the distance phase and the refinement
+    /// searches both borrow from: idle maps beyond this are evicted
+    /// oldest-first on release, so a burst of query workers cannot pin
+    /// O(workers × |V|) memory forever. `0` disables the bound.
     pub scratch_budget_bytes: u64,
 }
 
@@ -141,15 +140,10 @@ impl Default for GGridConfig {
 }
 
 impl GGridConfig {
-    /// Bundle width 2^η.
-    pub fn bundle_width(&self) -> usize {
-        1usize << self.eta
-    }
-
     /// Whether read-hot cell replication is in effect: it needs a nonzero
     /// heat threshold and more than one device (with a single device every
     /// cell is already local, so a replica would duplicate its own owner).
-    pub fn replication_enabled(&self) -> bool {
+    pub(crate) fn replication_enabled(&self) -> bool {
         self.num_devices > 1 && self.replicate_threshold > 0
     }
 
@@ -205,7 +199,7 @@ mod tests {
         assert_eq!(c.cell_capacity, 3);
         assert_eq!(c.vertex_capacity, 2);
         assert_eq!(c.bucket_capacity, 128);
-        assert_eq!(c.bundle_width(), 32);
+        assert_eq!(1 << c.eta, 32, "bundles of 32 threads");
         assert!((c.rho - 1.8).abs() < 1e-9);
         assert_eq!(c.host_workers, 1);
         assert_eq!(c.device_budget_bytes, 64 << 20);

@@ -88,12 +88,12 @@ struct TopoOutEdge {
 /// A view into the grid's arrays: the offsets are the cell's window of
 /// grid-wide offset arrays, so they index the grid-wide edge arrays.
 #[derive(Clone, Copy, Debug)]
-pub struct CellTopology<'a> {
+pub(crate) struct CellTopology<'a> {
     /// Real vertices of the cell, in record order.
     pub verts: &'a [VertexId],
-    /// `in_offsets[i]..in_offsets[i+1]` indexes `verts[i]`'s in-edges.
+    /// `in_offsets[i]..in_offsets[i+1]` indexes `verts[i]`'s in-edges in
+    /// the grid's in-edge array.
     in_offsets: &'a [u32],
-    in_edges: &'a [GridEdge],
     /// `out_offsets[i]..out_offsets[i+1]` indexes `verts[i]`'s out-edges.
     out_offsets: &'a [u32],
     out_edges: &'a [TopoOutEdge],
@@ -104,15 +104,9 @@ impl<'a> CellTopology<'a> {
         self.verts.len()
     }
 
-    /// In-edges of the vertex at local slot `i`: `(source, weight)` pairs.
-    pub fn in_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32)> + 'a {
-        let (a, b) = (self.in_offsets[i] as usize, self.in_offsets[i + 1] as usize);
-        self.in_edges[a..b].iter().map(|e| (e.source, e.weight))
-    }
-
     /// Out-edges of the vertex at local slot `i`:
     /// `(dest, dest_cell, weight)` triples.
-    pub fn out_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32, u32)> + 'a {
+    pub(crate) fn out_edges_of(&self, i: usize) -> impl Iterator<Item = (VertexId, u32, u32)> + 'a {
         let (a, b) = (
             self.out_offsets[i] as usize,
             self.out_offsets[i + 1] as usize,
@@ -122,14 +116,14 @@ impl<'a> CellTopology<'a> {
             .map(|e| (e.dest, e.dest_cell, e.weight))
     }
 
-    pub fn out_degree_of(&self, i: usize) -> usize {
+    pub(crate) fn out_degree_of(&self, i: usize) -> usize {
         (self.out_offsets[i + 1] - self.out_offsets[i]) as usize
     }
 
     /// Wire footprint of the slice on the device: 4-byte vertex ids, 8-byte
     /// in-edge entries (source, weight), 12-byte out-edge entries (dest,
     /// dest cell, weight), plus both offset arrays.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         let n = self.verts.len();
         let ins = (self.in_offsets[n] - self.in_offsets[0]) as u64;
         let outs = (self.out_offsets[n] - self.out_offsets[0]) as u64;
@@ -143,7 +137,8 @@ impl<'a> CellTopology<'a> {
 /// Every per-cell and per-vertex list lives in one grid-wide array, sliced
 /// by an offsets array (CSR): the build makes a fixed handful of
 /// allocations however many cells there are, and the per-cell views
-/// ([`Cell`], [`CellTopology`], [`GraphGrid::neighbors`]) borrow from them.
+/// ([`Cell`], the CSR topology slices, [`GraphGrid::neighbors`]) borrow
+/// from them.
 pub struct GraphGrid {
     graph: Arc<Graph>,
     psi: u32,
@@ -408,7 +403,7 @@ impl GraphGrid {
         }
     }
 
-    pub fn cell_ids(&self) -> impl Iterator<Item = CellId> {
+    pub(crate) fn cell_ids(&self) -> impl Iterator<Item = CellId> {
         (0..self.num_cells() as u32).map(CellId)
     }
 
@@ -443,27 +438,20 @@ impl GraphGrid {
         self.topology(c).verts.iter().copied()
     }
 
-    /// Total vertex records across all cells (one GPU thread each in the
-    /// shortest-distance kernel).
-    pub fn total_records(&self) -> usize {
-        self.records.len()
-    }
-
     /// CSR slice of cell `c` — the layout kept resident on the device for
     /// the frontier kernel and the boundary check.
-    pub fn topology(&self, c: CellId) -> CellTopology<'_> {
+    pub(crate) fn topology(&self, c: CellId) -> CellTopology<'_> {
         let (a, b) = self.slot_range(c);
         CellTopology {
             verts: &self.verts[a..b],
             in_offsets: &self.in_offsets[a..=b],
-            in_edges: &self.in_edges,
             out_offsets: &self.out_offsets[a..=b],
             out_edges: &self.out_edges,
         }
     }
 
     /// Local slot of `v` inside its cell's [`CellTopology`].
-    pub fn topo_slot_of(&self, v: VertexId) -> usize {
+    pub(crate) fn topo_slot_of(&self, v: VertexId) -> usize {
         self.topo_slot[v.index()] as usize
     }
 
@@ -493,6 +481,17 @@ mod tests {
     use super::*;
     use crate::knn::golden::Digest;
     use roadnet::gen;
+
+    /// In-edges of the vertex at local slot `i` of a cell's CSR slice:
+    /// `(source, weight)` pairs.
+    fn in_edges_of<'a>(
+        grid: &'a GraphGrid,
+        t: &CellTopology,
+        i: usize,
+    ) -> impl Iterator<Item = (VertexId, u32)> + 'a {
+        let (a, b) = (t.in_offsets[i] as usize, t.in_offsets[i + 1] as usize);
+        grid.in_edges[a..b].iter().map(|e| (e.source, e.weight))
+    }
 
     fn build_toy() -> GraphGrid {
         let g = Arc::new(gen::toy(42));
@@ -620,7 +619,7 @@ mod tests {
     fn unbounded_vertex_capacity_keeps_one_record_per_vertex() {
         let g = Arc::new(gen::toy(42));
         let grid = GraphGrid::build(g.clone(), 3, usize::MAX);
-        assert_eq!(grid.total_records(), g.num_vertices());
+        assert_eq!(grid.records.len(), g.num_vertices());
         for c in grid.cell_ids() {
             let cell = grid.cell(c);
             for r in cell.records {
@@ -642,7 +641,7 @@ mod tests {
             for (slot, &v) in t.verts.iter().enumerate() {
                 assert_eq!(grid.cell_of_vertex(v), c);
                 assert_eq!(grid.topo_slot_of(v), slot);
-                for (src, w) in t.in_edges_of(slot) {
+                for (src, w) in in_edges_of(&grid, &t, slot) {
                     let e = g
                         .in_edges(v)
                         .find(|&e| {
@@ -740,7 +739,7 @@ mod tests {
             word(t.bytes());
             for (slot, v) in t.verts.iter().enumerate() {
                 word(v.0 as u64);
-                for (src, w) in t.in_edges_of(slot) {
+                for (src, w) in in_edges_of(grid, &t, slot) {
                     word(src.0 as u64);
                     word(w as u64);
                 }
@@ -757,7 +756,7 @@ mod tests {
             word(grid.topo_slot_of(v) as u64);
         }
         word(grid.mean_edge_weight());
-        word(grid.total_records() as u64);
+        word(grid.records.len() as u64);
         word(grid.grid_bytes());
         h.0
     }

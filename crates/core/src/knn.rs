@@ -62,9 +62,21 @@
 //!
 //! `Executor::clean` cleans a round's cells, serving those a supplied
 //! [`CleanedObjects`] still holds, and promotes the round's read-hot remote
-//! cells in one transfer; [`gpu_sdist_frontier`]'s two halves meter an
-//! SDist round and replay it on the placement the planner chose, a
-//! primary-only round being the one-device case.
+//! cells in one transfer; `MeteredSdist::run` meters an SDist round once
+//! and `MeteredSdist::replay` charges it on the placement the planner
+//! chose, a primary-only round being the one-device case.
+//!
+//! ## One distance map
+//!
+//! SDist and refinement both write a `VertexId → Distance` map whose
+//! entries only fall, and both borrow it from the same [`ScratchPool`]
+//! (roadnet's [`DijkstraScratch`]). A map can come out of the pool holding
+//! its last user's entries, and clearing it costs O(written), so each
+//! clear runs on the clock of the phase that pays for it: SDist clears its
+//! map when it seeds it and again before handing it back, both inside the
+//! emulated kernel bracket, and a refinement search clears its map when it
+//! starts, on the refinement clock. A refinement that borrows the map
+//! SDist just returned therefore starts on an empty map.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -82,7 +94,7 @@ use crate::grid::{CellId, GraphGrid};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::message_list::CellLists;
 use crate::object_table::FxBuildHasher;
-use crate::scratch::{CellSet, CellTags, DenseScratch, ScratchPool};
+use crate::scratch::{CellSet, CellTags, ScratchPool};
 use crate::shard::{ShardSet, MAX_DEVICES};
 use crate::stats::QueryBreakdown;
 
@@ -141,8 +153,6 @@ pub(crate) struct RefineOutcome {
     /// refinement analogue of the simulated device clock, and what the
     /// batch pipeline charges on its host stream.
     pub critical_ns: u64,
-    /// Workers actually used.
-    pub workers: usize,
     /// Vertices settled across all searches (each worker's multi-source
     /// search settles a shared vertex once).
     pub settled: u64,
@@ -553,7 +563,7 @@ pub(crate) fn knn_device_phase(
     // than k candidates are reachable inside the induced subgraph, keep
     // expanding one ring at a time (degenerate topologies only; normally
     // runs once). ----
-    let mut dist = pool.acquire();
+    let mut dist = pool.acquire_map();
     let mut remote_ns: Vec<(usize, SimNanos)> = Vec::new();
     let warp = shards.shard(primary).device.spec().warp_size as usize;
     let candidates = loop {
@@ -627,7 +637,13 @@ pub(crate) fn knn_device_phase(
         u
     };
     breakdown.unresolved = unresolved.len();
-    pool.release(dist);
+    // Hand the map back empty, inside the emulated bracket: a refinement
+    // that borrows it next would otherwise clear SDist's entries on the
+    // host clock.
+    let t0 = Instant::now();
+    dist.clear();
+    emulation += t0.elapsed();
+    pool.release_map(dist);
 
     // Copy the candidate set and unresolved set back to the host
     // (Algorithm 4 line 10 input).
@@ -704,7 +720,7 @@ pub(crate) fn refine_unresolved(
         // first query, so nothing material is hidden from the clock. The
         // clock is per-thread CPU time, not wall time: preemption under
         // background load must not be charged to the search.
-        let mut engine = DijkstraEngine::with_scratch(&graph, pool.acquire_engine());
+        let mut engine = DijkstraEngine::with_scratch(&graph, pool.acquire_map());
         let started = BusyClock::start();
         // Seed costs are the absolute `D[v]`, so settled values are already
         // absolute distances through some unresolved vertex.
@@ -747,7 +763,7 @@ pub(crate) fn refine_unresolved(
         // min-merge is commutative and associative: the merged map is
         // identical for every worker count and merge order.
         best_outer.absorb(&map);
-        pool.release_engine(map);
+        pool.release_map(map);
     }
 
     let mut touched_cells: Vec<CellId> = best_outer
@@ -767,7 +783,6 @@ pub(crate) fn refine_unresolved(
         wall_ns: wall_ns.max(1),
         busy_ns,
         critical_ns,
-        workers,
         settled,
         relaxed,
     }
@@ -804,7 +819,6 @@ pub(crate) fn knn_finalize(
         b.refine_ns = refined.wall_ns;
         b.refine_busy_ns = refined.busy_ns;
         b.refine_critical_ns = refined.critical_ns;
-        b.refine_workers = refined.workers;
         b.refine_settled = refined.settled;
         b.refine_relaxed = refined.relaxed;
 
@@ -837,7 +851,7 @@ pub(crate) fn knn_finalize(
         }
     }
     if let Some(s) = refined.best_outer {
-        pool.release_engine(s);
+        pool.release_map(s);
     }
     pool.release_cells(cells);
     let Executor {
@@ -910,7 +924,6 @@ fn kth_distance(candidates: &[(ObjectId, Distance, EdgePosition)], k: usize) -> 
 }
 
 /// Instrumentation of one `GPU_SDist` invocation.
-#[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SdistStats {
     /// Simulated time: topology upload + kernel.
@@ -939,7 +952,6 @@ pub struct SdistStats {
 }
 
 /// One planned SDist round: the candidate cells and where their work runs.
-#[doc(hidden)]
 #[derive(Clone, Copy, Debug)]
 pub struct SdistRound<'a> {
     /// Candidate-set membership, indexed by `CellId::index()`.
@@ -960,11 +972,11 @@ impl SdistRound<'_> {
     }
 }
 
-/// Algorithm 5 `GPU_SDist`: shortest distances over the subgraph induced by
-/// the round's candidate cells, landing in `scratch` (reset here), on the
-/// round's placement: the kernel is metered once, then replayed on the
-/// placement's devices. The query pipeline runs the two halves apart, so
-/// its planner can price both placements in between.
+/// Algorithm 5 `GPU_SDist` in one call: shortest distances over the
+/// subgraph induced by the round's candidate cells, landing in `scratch`
+/// (cleared here), metered once and replayed on the round's placement. The
+/// query pipeline runs the two halves apart, so its planner can price both
+/// placements in between; tests run them together.
 ///
 /// Runs as near–far (two-bucket delta-stepping) SSSP over the candidate
 /// cells' resident CSR slices. Only active vertices relax their out-edges;
@@ -975,9 +987,9 @@ impl SdistRound<'_> {
 /// pruning; `k = 0` disables it and computes the full induced fixpoint). The
 /// result is the fixed point the paper's parallel Bellman–Ford reaches; the
 /// exactness argument is in DESIGN.md §5.3.
-#[doc(hidden)]
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn gpu_sdist_frontier(
+fn gpu_sdist_frontier(
     shards: &mut ShardSet,
     round: SdistRound,
     grid: &GraphGrid,
@@ -985,7 +997,7 @@ pub fn gpu_sdist_frontier(
     q: EdgePosition,
     objects: &[CachedMessage],
     k: usize,
-    scratch: &mut DenseScratch,
+    scratch: &mut DijkstraScratch,
 ) -> (SdistStats, Vec<(usize, SimNanos)>) {
     let warp = shards.shard(round.primary).device.spec().warp_size as usize;
     MeteredSdist::run(warp, round, grid, config, q, objects, k, scratch).replay(shards, round, grid)
@@ -1018,7 +1030,7 @@ impl MeteredSdist {
         q: EdgePosition,
         objects: &[CachedMessage],
         k: usize,
-        scratch: &mut DenseScratch,
+        scratch: &mut DijkstraScratch,
     ) -> Self {
         let mut stats = SdistStats::default();
         let mut threads = [0usize; MAX_DEVICES];
@@ -1197,7 +1209,7 @@ struct FrontierPrelude {
 }
 
 impl FrontierPrelude {
-    /// Build the prelude, resetting `scratch` and seeding it at `q_dest`.
+    /// Build the prelude, clearing `scratch` and seeding it at `q_dest`.
     fn new(
         grid: &GraphGrid,
         config: &GGridConfig,
@@ -1205,7 +1217,7 @@ impl FrontierPrelude {
         q: EdgePosition,
         graph: &roadnet::Graph,
         objects: &[CachedMessage],
-        scratch: &mut DenseScratch,
+        scratch: &mut DijkstraScratch,
     ) -> Self {
         let delta = if config.sdist_delta > 0 {
             config.sdist_delta as u64
@@ -1223,11 +1235,11 @@ impl FrontierPrelude {
                     .push(p.from_source());
             }
         }
-        scratch.reset();
+        scratch.clear();
         let q_dest = graph.edge(q.edge).dest;
         let seeded = in_set[grid.cell_of_vertex(q_dest).index()];
         if seeded {
-            scratch.set(q_dest, q.to_dest(graph));
+            scratch.lower(q_dest, q.to_dest(graph));
         }
         Self {
             delta,
@@ -1238,12 +1250,13 @@ impl FrontierPrelude {
     }
 }
 
-/// The near–far relaxation of [`gpu_sdist_frontier`]. Every per-vertex
-/// charge site reports the same op slice through `tally`, keyed by the
-/// vertex whose owning device should pay for it; collectives, barriers, and
-/// far-pile compaction charge only `ctx` — they are coordination work, left
-/// in the residual a scattered round bills to the primary device. Round, frontier, settled and pruned
-/// counts accumulate into `stats`.
+/// The near–far relaxation of `GPU_SDist` (see [`MeteredSdist::run`]).
+/// Every per-vertex charge site reports the same op slice through `tally`,
+/// keyed by the vertex whose owning device should pay for it; collectives,
+/// barriers, and far-pile compaction charge only `ctx` — they are
+/// coordination work, left in the residual a scattered round bills to the
+/// primary device. Round, frontier, settled and pruned counts accumulate
+/// into `stats`.
 #[allow(clippy::too_many_arguments)]
 fn frontier_relax_body(
     ctx: &mut gpu_sim::KernelCtx,
@@ -1251,7 +1264,7 @@ fn frontier_relax_body(
     in_set: &[bool],
     prelude: &FrontierPrelude,
     k: usize,
-    scratch: &mut DenseScratch,
+    scratch: &mut DijkstraScratch,
     stats: &mut SdistStats,
     tally: &mut dyn FnMut(VertexId, OpCounts),
 ) {
@@ -1266,7 +1279,7 @@ fn frontier_relax_body(
     let mut k_heap = std::collections::BinaryHeap::new();
 
     if seeded {
-        let d0 = scratch.get(q_dest);
+        let d0 = scratch.distance(q_dest);
         let mut cur_threshold = (d0 / delta + 1) * delta;
         let mut near: Vec<VertexId> = vec![q_dest];
         let mut far: Vec<VertexId> = Vec::new();
@@ -1293,14 +1306,13 @@ fn frontier_relax_body(
                             ..Default::default()
                         },
                     );
-                    let dv = scratch.get(v);
+                    let dv = scratch.distance(v);
                     for (dest, dest_cell, w) in t.out_edges_of(slot) {
                         if !in_set[dest_cell as usize] {
                             continue; // induced subgraph only
                         }
                         let nd = dv.saturating_add(w as Distance);
-                        if nd < scratch.get(dest) {
-                            scratch.set(dest, nd);
+                        if scratch.lower(dest, nd) {
                             ctx.charge_write(8);
                             tally(
                                 dest,
@@ -1342,7 +1354,7 @@ fn frontier_relax_body(
                             ..Default::default()
                         },
                     );
-                    let dv = scratch.get(v);
+                    let dv = scratch.distance(v);
                     for &fs in list {
                         let cd = dv.saturating_add(fs);
                         if k_heap.len() < k {
@@ -1367,15 +1379,16 @@ fn frontier_relax_body(
             far.sort_unstable_by_key(|v| v.0);
             far.dedup();
             ctx.charge_alu_one(far.len() as u64);
-            let (kept, _) =
-                gpu_sim::collective::partition_by(ctx, &far, |&v| scratch.get(v) >= cur_threshold);
+            let (kept, _) = gpu_sim::collective::partition_by(ctx, &far, |&v| {
+                scratch.distance(v) >= cur_threshold
+            });
             far = kept;
             if far.is_empty() {
                 break;
             }
             let min_far = gpu_sim::collective::reduce(
                 ctx,
-                far.iter().map(|&v| scratch.get(v)).collect(),
+                far.iter().map(|&v| scratch.distance(v)).collect(),
                 |a, b: Distance| a.min(b),
             )
             .unwrap_or(INFINITY);
@@ -1390,8 +1403,9 @@ fn frontier_relax_body(
             }
 
             cur_threshold = (min_far / delta + 1) * delta;
-            let (n2, f2) =
-                gpu_sim::collective::partition_by(ctx, &far, |&v| scratch.get(v) < cur_threshold);
+            let (n2, f2) = gpu_sim::collective::partition_by(ctx, &far, |&v| {
+                scratch.distance(v) < cur_threshold
+            });
             near = n2;
             far = f2;
         }
@@ -1403,11 +1417,11 @@ fn frontier_relax_body(
 fn object_distance(
     q: EdgePosition,
     p: EdgePosition,
-    dist: &DenseScratch,
+    dist: &DijkstraScratch,
     graph: &roadnet::Graph,
 ) -> Distance {
     let src = graph.edge(p.edge).source;
-    let via = dist.get(src).saturating_add(p.from_source());
+    let via = dist.distance(src).saturating_add(p.from_source());
     if p.edge == q.edge && p.offset >= q.offset {
         via.min((p.offset - q.offset) as Distance)
     } else {
@@ -1421,7 +1435,7 @@ fn object_distance(
 fn gpu_first_k(
     device: &mut Device,
     q: EdgePosition,
-    dist: &DenseScratch,
+    dist: &DijkstraScratch,
     objects: &[CachedMessage],
     graph: &roadnet::Graph,
 ) -> (Vec<(ObjectId, Distance, EdgePosition)>, gpu_sim::SimNanos) {
@@ -1462,7 +1476,7 @@ fn gpu_unresolved(
     grid: &GraphGrid,
     in_set: &[bool],
     set: &[CellId],
-    dist: &DenseScratch,
+    dist: &DijkstraScratch,
     l: Distance,
 ) -> (Vec<(VertexId, Distance)>, gpu_sim::SimNanos) {
     let total_vertices: usize = set.iter().map(|&c| grid.topology(c).num_vertices()).sum();
@@ -1475,7 +1489,7 @@ fn gpu_unresolved(
                 let deg = t.out_degree_of(slot) as u64;
                 ctx.charge_alu_one(1 + deg);
                 ctx.charge_read(8 + 12 * deg);
-                let dv = dist.get(v);
+                let dv = dist.distance(v);
                 if dv >= l {
                     continue;
                 }
@@ -1536,7 +1550,7 @@ mod tests {
         in_set: &[bool],
         set: &[CellId],
         q: EdgePosition,
-        dist: &mut DenseScratch,
+        dist: &mut DijkstraScratch,
     ) -> SdistStats {
         let config = GGridConfig::default();
         let device = Device::new(DeviceSpec::test_tiny());
@@ -1698,7 +1712,7 @@ mod tests {
         };
         let before = launches(shards);
         let mut b = QueryBreakdown::default();
-        let mut dist = DenseScratch::new(env.grid.graph().num_vertices());
+        let mut dist = DijkstraScratch::with_capacity(env.grid.graph().num_vertices());
         let warp = shards.shard(plan.primary).device.spec().warp_size as usize;
         let (round, metered) = plan.sdist_round(shards, &mut b, |round| {
             MeteredSdist::run(warp, round, env.grid, env.config, q, &[], 4, &mut dist)
@@ -1937,8 +1951,8 @@ mod tests {
         // With pruning disabled (k = 0) the kernel settles the exact
         // full-graph distances: every cell is in the induced subgraph.
         let mut shards = ShardSet::single(device, &config, grid.num_cells());
-        let mut fdist = DenseScratch::new(graph.num_vertices());
-        let mut run = |fdist: &mut DenseScratch| {
+        let mut fdist = DijkstraScratch::with_capacity(graph.num_vertices());
+        let mut run = |fdist: &mut DijkstraScratch| {
             let round = on_primary(&in_set, &set);
             gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &[], 0, fdist)
         };
@@ -1950,7 +1964,7 @@ mod tests {
         let mut engine = DijkstraEngine::new(&graph);
         engine.run_from_position(q, SearchBounds::UNBOUNDED);
         for v in graph.vertices() {
-            assert_eq!(fdist.get(v), engine.distance(v), "{v:?} diverges");
+            assert_eq!(fdist.distance(v), engine.distance(v), "{v:?} diverges");
         }
         // A hot store pays zero topology upload for the same answer.
         let (warm, _) = run(&mut fdist);
@@ -1958,7 +1972,11 @@ mod tests {
         assert_eq!(warm.topo_hits, set.len());
         assert!(warm.settled > 0 && warm.frontier_max > 0);
         for v in graph.vertices() {
-            assert_eq!(fdist.get(v), engine.distance(v), "frontier {v:?} diverges");
+            assert_eq!(
+                fdist.distance(v),
+                engine.distance(v),
+                "frontier {v:?} diverges"
+            );
         }
     }
 
@@ -1974,11 +1992,11 @@ mod tests {
         for c in &set {
             in_set[c.index()] = true;
         }
-        let mut dist = DenseScratch::new(graph.num_vertices());
+        let mut dist = DijkstraScratch::with_capacity(graph.num_vertices());
         induced_sdist(&grid, &in_set, &set, q, &mut dist);
         let mut engine = DijkstraEngine::new(&graph);
         engine.run_from_position(q, SearchBounds::UNBOUNDED);
-        for (v, d) in dist.iter_touched() {
+        for (v, d) in dist.entries() {
             assert!(d >= engine.distance(v), "{v:?}: induced {d} < exact");
         }
     }
@@ -1990,7 +2008,7 @@ mod tests {
         let q = EdgePosition::at_source(EdgeId(0));
         let set: Vec<crate::grid::CellId> = grid.cell_ids().collect();
         let in_set = vec![true; grid.num_cells()];
-        let mut dist = DenseScratch::new(graph.num_vertices());
+        let mut dist = DijkstraScratch::with_capacity(graph.num_vertices());
         induced_sdist(&grid, &in_set, &set, q, &mut dist);
         let objects: Vec<CachedMessage> = (0..10u64)
             .map(|o| {
@@ -2018,7 +2036,7 @@ mod tests {
         for c in &set {
             in_set[c.index()] = true;
         }
-        let mut dist = DenseScratch::new(graph.num_vertices());
+        let mut dist = DijkstraScratch::with_capacity(graph.num_vertices());
         induced_sdist(&grid, &in_set, &set, q, &mut dist);
         let l = 50;
         let (unresolved, _) = gpu_unresolved(&mut device, &grid, &in_set, &set, &dist, l);
@@ -2064,7 +2082,7 @@ mod tests {
         assert!(result.breakdown.cells_cleaned > 0);
         assert!(result.breakdown.sdist_rounds > 0, "sdist must be counted");
         assert!(result.breakdown.sdist_vertices > 0);
-        assert!(pool.pooled() > 0, "scratch must return to the pool");
+        assert!(pool.pooled_maps() > 0, "scratch must return to the pool");
     }
 
     #[test]
@@ -2160,7 +2178,7 @@ mod tests {
             assert_eq!(entries, want, "workers={workers}");
             assert!(map.entries().all(|(_, d)| d <= pending.l));
             assert_eq!(got.settled, settled, "workers={workers}");
-            pool.release_engine(map);
+            pool.release_map(map);
         }
     }
 
@@ -2189,7 +2207,205 @@ mod tests {
         );
         assert!(fused.relaxed < relaxed);
         if let Some(a) = fused.best_outer {
-            pool.release_engine(a);
+            pool.release_map(a);
         }
+    }
+    /// `in_set` for `set` over `grid`.
+    fn membership(grid: &GraphGrid, set: &[CellId]) -> Vec<bool> {
+        let mut in_set = vec![false; grid.num_cells()];
+        for c in set {
+            in_set[c.index()] = true;
+        }
+        in_set
+    }
+
+    /// A map's finite entries, sorted.
+    fn sorted_entries(map: &DijkstraScratch) -> Vec<(VertexId, Distance)> {
+        let mut entries: Vec<_> = map.entries().collect();
+        entries.sort_unstable();
+        entries
+    }
+
+    /// Host Dijkstra over the subgraph induced by the candidate cells: the
+    /// fixed point of the paper's parallel Bellman–Ford, which the frontier
+    /// kernel must reproduce.
+    fn induced_dijkstra(grid: &GraphGrid, in_set: &[bool], q: EdgePosition) -> Vec<Distance> {
+        let graph = grid.graph();
+        let inside = |v: VertexId| in_set[grid.cell_of_vertex(v).index()];
+        let mut dist = vec![INFINITY; graph.num_vertices()];
+        let q_dest = graph.edge(q.edge).dest;
+        if !inside(q_dest) {
+            return dist;
+        }
+        let mut heap = std::collections::BinaryHeap::new();
+        dist[q_dest.index()] = q.to_dest(graph);
+        heap.push(std::cmp::Reverse((q.to_dest(graph), q_dest)));
+        while let Some(std::cmp::Reverse((d, v))) = heap.pop() {
+            if d > dist[v.index()] {
+                continue;
+            }
+            for e in graph.out_edges(v) {
+                let edge = graph.edge(e);
+                let nd = d.saturating_add(edge.weight as Distance);
+                if inside(edge.dest) && nd < dist[edge.dest.index()] {
+                    dist[edge.dest.index()] = nd;
+                    heap.push(std::cmp::Reverse((nd, edge.dest)));
+                }
+            }
+        }
+        dist
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Frontier kernel == induced-subgraph Dijkstra, with pruning
+        /// disabled (k = 0, no objects), across random toy graphs, query
+        /// edges, bucket widths, candidate-set shapes, and topology budgets,
+        /// including a forced mid-stream eviction between two runs.
+        #[test]
+        fn frontier_matches_dense_and_dijkstra(
+            seed in 0u64..40,
+            edge in 0u32..160,
+            offset_frac in 0u32..4,
+            delta_sel in 0usize..5,
+            all_cells in proptest::prelude::prop::bool::weighted(0.5),
+            budget_sel in 0usize..3,
+        ) {
+            let grid = GraphGrid::build(Arc::new(gen::toy(seed)), 3, 2);
+            let graph = grid.graph();
+            let weight = graph.edge(EdgeId(edge)).weight;
+            let q = EdgePosition::new(EdgeId(edge), weight * offset_frac / 4);
+            let mut set: Vec<CellId> = if all_cells {
+                grid.cell_ids().collect()
+            } else {
+                first_ring(&grid, grid.cell_of_edge(q.edge)).collect()
+            };
+            set.sort_unstable();
+            let in_set = membership(&grid, &set);
+            let want = induced_dijkstra(&grid, &in_set, q);
+
+            let budget = [0u64, 600, 64 << 20][budget_sel];
+            let config = GGridConfig {
+                eta: 4,
+                bucket_capacity: 16,
+                sdist_delta: [0u32, 1, 7, 300, 100_000][delta_sel],
+                device_budget_bytes: budget,
+                ..Default::default()
+            };
+            let device = Device::new(DeviceSpec::test_tiny());
+            let mut shards = ShardSet::single(device, &config, grid.num_cells());
+            let round = on_primary(&in_set, &set);
+            let mut map = DijkstraScratch::with_capacity(graph.num_vertices());
+            let check = |map: &DijkstraScratch, label: &str| {
+                for &c in &set {
+                    for v in grid.vertices_in(c) {
+                        assert_eq!(map.distance(v), want[v.index()], "{label}: {v:?}");
+                    }
+                }
+            };
+            gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &[], 0, &mut map);
+            check(&map, "frontier");
+
+            // Evict the query's cell mid-stream and re-run: the re-upload
+            // must not change a single distance.
+            let shard = shards.shard_mut(0);
+            shard.topo.force_evict(&mut shard.device, grid.cell_of_edge(q.edge));
+            gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &[], 0, &mut map);
+            check(&map, "frontier after eviction");
+            proptest::prop_assert!(shards.shard(0).topo.resident_bytes() <= budget);
+        }
+    }
+
+    #[test]
+    fn pruning_engages_on_clustered_objects() {
+        // Many objects right next to the query with a large candidate
+        // region: the k-bound closes fast and the far pile is abandoned.
+        let grid = GraphGrid::build(Arc::new(gen::toy(4)), 3, 2);
+        let q = EdgePosition::at_source(EdgeId(0));
+        let set: Vec<CellId> = grid.cell_ids().collect();
+        let in_set = membership(&grid, &set);
+        let objects: Vec<CachedMessage> = (0..12u64)
+            .map(|o| {
+                let p = EdgePosition::at_source(EdgeId(o as u32 % 4));
+                CachedMessage::update(ObjectId(o), p, Timestamp(1))
+            })
+            .collect();
+        let config = GGridConfig {
+            eta: 4,
+            bucket_capacity: 16,
+            device_budget_bytes: 64 << 20,
+            ..Default::default()
+        };
+        let device = Device::new(DeviceSpec::test_tiny());
+        let mut shards = ShardSet::single(device, &config, grid.num_cells());
+        let round = on_primary(&in_set, &set);
+        let mut map = DijkstraScratch::with_capacity(grid.graph().num_vertices());
+        let (stats, _) =
+            gpu_sdist_frontier(&mut shards, round, &grid, &config, q, &objects, 2, &mut map);
+        assert!(
+            stats.pruned > 0,
+            "clustered objects must trigger k-bounded pruning"
+        );
+        assert!(stats.settled + stats.pruned <= stats.vertices);
+
+        // Pruning must not disturb the answers the query pipeline reads:
+        // no tentative distance falls below its exact induced distance.
+        let want = induced_dijkstra(&grid, &in_set, q);
+        for (v, d) in map.entries() {
+            assert!(d >= want[v.index()], "{v:?}: tentative {d} below exact");
+        }
+    }
+
+    #[test]
+    fn sdist_and_refinement_share_one_map() {
+        let (grid, pool, pending) = refine_fixture();
+        let n = grid.graph().num_vertices();
+        // The device phase hands its map back with no finite entry.
+        assert_eq!(pool.pooled_maps(), 1);
+        let map = pool.acquire_map();
+        assert_eq!(map.entries().count(), 0, "SDist must release an empty map");
+        pool.release_map(map);
+
+        // Refinement in the map SDist handed back == in a fresh map.
+        let reused = refine_unresolved(&grid, &pending, 1, &pool);
+        let fresh = refine_unresolved(&grid, &pending, 1, &ScratchPool::new(n));
+        let mut dirty = reused.best_outer.expect("the fixture refines");
+        let fresh_map = fresh.best_outer.expect("the fixture refines");
+        assert_eq!(sorted_entries(&dirty), sorted_entries(&fresh_map));
+        assert_eq!(reused.touched_cells, fresh.touched_cells);
+        assert_eq!(reused.settled, fresh.settled);
+
+        // SDist in the map that refinement left dirty == in a fresh map.
+        assert!(dirty.entries().count() > 0);
+        let q = EdgePosition::at_source(EdgeId(2));
+        let set: Vec<CellId> = first_ring(&grid, grid.cell_of_edge(q.edge)).collect();
+        let in_set = membership(&grid, &set);
+        let mut clean = DijkstraScratch::with_capacity(n);
+        let on_dirty = induced_sdist(&grid, &in_set, &set, q, &mut dirty);
+        let on_clean = induced_sdist(&grid, &in_set, &set, q, &mut clean);
+        assert_eq!(sorted_entries(&dirty), sorted_entries(&clean));
+        assert_eq!(format!("{on_dirty:?}"), format!("{on_clean:?}"));
+
+        // Whole queries on a pool holding a refinement-dirty map answer as
+        // on a fresh pool.
+        let answers = |pool: &ScratchPool| -> Vec<Vec<(ObjectId, Distance)>> {
+            let (grid, lists, device, config) = setup(7);
+            let objects: Vec<(u64, EdgePosition)> = (0..10u64)
+                .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
+                .collect();
+            place(&grid, &lists, &objects, 100);
+            let mut shards = ShardSet::single(device, &config, grid.num_cells());
+            let env = QueryEnv::new(&grid, &lists, pool, &config);
+            (0..6u32)
+                .map(|i| {
+                    let q = EdgePosition::at_source(EdgeId(i * 29 % 160));
+                    run_knn(&mut shards, env, q, 3, Timestamp(200), None).items
+                })
+                .collect()
+        };
+        let dirty_pool = ScratchPool::new(n);
+        dirty_pool.release_map(fresh_map);
+        assert_eq!(answers(&dirty_pool), answers(&ScratchPool::new(n)));
     }
 }

@@ -354,7 +354,7 @@ fn knn_kernels_match_golden() {
     for &seed in &KNN_SEEDS {
         let f = fixture(seed);
         let graph = f.grid.graph().clone();
-        let mut dist = DenseScratch::new(graph.num_vertices());
+        let mut dist = DijkstraScratch::with_capacity(graph.num_vertices());
 
         // The relax body on a detached context: its exact op counts.
         let prelude = FrontierPrelude::new(
@@ -378,7 +378,7 @@ fn knn_kernels_match_golden() {
             &mut |_, _| {},
         );
         let relax_ops = ops(ctx.ops());
-        let mut touched: Vec<(VertexId, Distance)> = dist.iter_touched().collect();
+        let mut touched: Vec<(VertexId, Distance)> = dist.entries().collect();
         touched.sort_unstable();
         let mut d = Digest::new();
         for (v, dv) in touched {
@@ -396,7 +396,7 @@ fn knn_kernels_match_golden() {
             primary: 0,
             owners: None,
         };
-        let mut run = |dist: &mut DenseScratch| {
+        let mut run = |dist: &mut DijkstraScratch| {
             let c = &f.config;
             gpu_sdist_frontier(&mut shards, round, &f.grid, c, f.q, &f.objects, k, dist).0
         };

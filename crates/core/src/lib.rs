@@ -8,12 +8,12 @@
 //! messages. Its two ideas:
 //!
 //! 1. **Lazy updates** (§IV): a message is *cached* in the per-cell
-//!    [`message_list`] of the grid cell it lands in, instead of being applied
+//!    message list of the grid cell it lands in, instead of being applied
 //!    to the index. Only when a query touches a cell are its cached messages
 //!    *cleaned* — deduplicated down to the newest message per object — and
 //!    that cleaning runs as a massively parallel GPU kernel built on the
 //!    butterfly-shuffle [`xshuffle`] with the duplicate bound μ(η) of
-//!    Theorem 1 ([`mu`]).
+//!    Theorem 1.
 //! 2. **CPU–GPU collaboration** (§V): the GPU cleans messages, computes
 //!    shortest-path distances over the candidate cells (a parallelised
 //!    Bellman–Ford, Algorithm 5) and produces a candidate result set; the
@@ -39,25 +39,25 @@
 //! ```
 
 pub mod api;
-pub mod batch;
-pub mod busytime;
-pub mod cleaning;
+mod batch;
+mod busytime;
+mod cleaning;
 pub mod config;
 mod fanout;
 pub mod grid;
-pub mod knn;
+mod knn;
 pub mod message;
-pub mod message_list;
-pub mod mu;
-pub mod object_table;
-pub mod residency;
-pub mod scratch;
+mod message_list;
+mod mu;
+mod object_table;
+mod residency;
+mod scratch;
 pub mod serve;
-pub mod server;
-pub mod shard;
+mod server;
+mod shard;
 pub mod stats;
 pub mod subscription;
-pub mod validate;
+mod validate;
 pub mod xshuffle;
 
 /// Convenient re-exports for typical use.
@@ -75,3 +75,8 @@ pub use api::{IndexSize, MovingObjectIndex, SimCosts};
 pub use config::GGridConfig;
 pub use message::{CachedMessage, ObjectId, Timestamp};
 pub use server::GGridServer;
+
+/// The object-table shard an object's updates lock; the ingest tests count
+/// shard locks against it.
+#[doc(hidden)]
+pub use object_table::shard_of;

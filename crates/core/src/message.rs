@@ -46,7 +46,7 @@ impl CachedMessage {
         }
     }
 
-    pub fn tombstone(object: ObjectId, time: Timestamp) -> Self {
+    pub(crate) fn tombstone(object: ObjectId, time: Timestamp) -> Self {
         Self {
             object,
             position: None,
@@ -54,20 +54,13 @@ impl CachedMessage {
         }
     }
 
-    pub fn is_tombstone(&self) -> bool {
+    pub(crate) fn is_tombstone(&self) -> bool {
         self.position.is_none()
     }
 
     /// Wire size of a message when shipped to the GPU: the 5-tuple
     /// `⟨o, c, e, d, t⟩` of §IV-B1 — 8 + 4 + 4 + 4 + 8 bytes, padded to 32.
-    pub const WIRE_BYTES: u64 = 32;
-}
-
-/// `true` when `a` should replace `b` as "the latest message of this object":
-/// newer timestamp wins; ties keep the incumbent (deterministic).
-#[inline]
-pub fn newer(a: &CachedMessage, b: &CachedMessage) -> bool {
-    a.time > b.time
+    pub(crate) const WIRE_BYTES: u64 = 32;
 }
 
 #[cfg(test)]
@@ -81,21 +74,6 @@ mod tests {
         assert!(t.is_tombstone());
         let u = CachedMessage::update(ObjectId(4), EdgePosition::new(EdgeId(0), 1), Timestamp(9));
         assert!(!u.is_tombstone());
-    }
-
-    #[test]
-    fn newer_prefers_later_time() {
-        let a = CachedMessage::tombstone(ObjectId(1), Timestamp(10));
-        let b = CachedMessage::tombstone(ObjectId(1), Timestamp(9));
-        assert!(newer(&a, &b));
-        assert!(!newer(&b, &a));
-    }
-
-    #[test]
-    fn newer_tie_keeps_incumbent() {
-        let a = CachedMessage::tombstone(ObjectId(1), Timestamp(10));
-        let b = CachedMessage::tombstone(ObjectId(2), Timestamp(10));
-        assert!(!newer(&a, &b));
     }
 
     #[test]

@@ -156,6 +156,7 @@ impl MessageList {
     }
 
     /// Slabs currently pooled for reuse.
+    #[cfg(test)]
     pub fn free_slabs(&self) -> usize {
         self.free.len()
     }
@@ -165,10 +166,11 @@ impl MessageList {
         (self.bucket_allocs, self.bucket_reuses)
     }
 
-    /// Append a message to the tail bucket, opening a new bucket when full
-    /// (the `append` of Algorithm 1). Returns the list's new dirty epoch,
-    /// so the ingest path can report which cells a call dirtied (and at
-    /// which version) without re-deriving it from message placement.
+    /// Append one message to the tail bucket, opening a new bucket when
+    /// full (the `append` of Algorithm 1), and return the list's new dirty
+    /// epoch: the single-message reference [`Self::append_batch`] must
+    /// match.
+    #[cfg(test)]
     pub fn append(&mut self, m: CachedMessage) -> u64 {
         self.dirty_epoch += 1;
         self.push_tail(m);
@@ -410,10 +412,6 @@ impl CellLists {
 
     pub fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Lock one cell's list. Callers must not hold another cell's guard.

@@ -7,35 +7,12 @@
 //! attempt the final write into the intermediate table 𝒯, so it directly
 //! sets the kernel's cost.
 //!
-//! This module implements the paper's λ/μ formulas plus the underlying
-//! *cover* relation (Definition 2 / Lemma 1), and — for small bundles — an
-//! exact brute-force computation of the largest *exclusive set* (a set of
-//! threads that pairwise do not cover each other), which is the true worst
-//! case the formula upper-bounds.
-
-/// Number of maximal runs of `1`s in the binary representation of `x` — the
-/// paper's *x-distance* `𝒳(α, β)` applied to `x = α ⊕ β` (Definition 2).
-pub fn order_of_sequence(mut x: u64) -> u32 {
-    let mut runs = 0;
-    while x != 0 {
-        // Skip to the start of the next run and strip it.
-        x >>= x.trailing_zeros();
-        x >>= x.trailing_ones();
-        runs += 1;
-    }
-    runs
-}
-
-/// The x-distance between two thread indexes.
-pub fn x_distance(alpha: u64, beta: u64) -> u32 {
-    order_of_sequence(alpha ^ beta)
-}
-
-/// Whether thread `alpha` covers thread `beta` in a `2^η` bundle (Lemma 1:
-/// exactly when their xor is a single run of ones).
-pub fn covers(alpha: u64, beta: u64) -> bool {
-    alpha != beta && x_distance(alpha, beta) == 1
-}
+//! This module implements the paper's λ/μ formulas. Its tests hold the
+//! reference they are checked against: the underlying *cover* relation
+//! (Definition 2 / Lemma 1) and, for small bundles, an exact brute-force
+//! computation of the largest *exclusive set* (a set of threads that
+//! pairwise do not cover each other), which is the true worst case the
+//! formula upper-bounds.
 
 /// `λ(η, i) = i·C(η+1, 2) − Σ_{j=1}^{i} (14−j)(j−1)/2 + i` (Theorem 1).
 pub fn lambda(eta: u32, i: u32) -> i64 {
@@ -72,51 +49,75 @@ pub fn mu(eta: u32) -> u32 {
     }
 }
 
-/// Exact size of the largest exclusive set in a `2^η` bundle, by exhaustive
-/// search. Only feasible for η ≤ 4 (16 threads); used to validate that the
-/// closed-form μ(η) really is an upper bound.
-pub fn max_exclusive_set_brute(eta: u32) -> u32 {
-    assert!(eta <= 4, "brute force only for small bundles");
-    let n = 1usize << eta;
-    // adjacency[i] bit j set ⇔ i and j cover each other (cannot coexist).
-    let mut conflict = vec![0u32; n];
-    for (a, row) in conflict.iter_mut().enumerate() {
-        for b in 0..n {
-            if a != b && covers(a as u64, b as u64) {
-                *row |= 1 << b;
-            }
-        }
-    }
-    fn dfs(next: usize, chosen_conflicts: u32, count: u32, conflict: &[u32], best: &mut u32) {
-        let n = conflict.len();
-        if count + (n - next) as u32 <= *best {
-            return; // cannot beat best
-        }
-        if next == n {
-            *best = (*best).max(count);
-            return;
-        }
-        // Take `next` if it conflicts with nothing chosen.
-        if chosen_conflicts & (1 << next) == 0 {
-            dfs(
-                next + 1,
-                chosen_conflicts | conflict[next],
-                count + 1,
-                conflict,
-                best,
-            );
-        }
-        dfs(next + 1, chosen_conflicts, count, conflict, best);
-        *best = (*best).max(count);
-    }
-    let mut best = 0;
-    dfs(0, 0, 0, &conflict, &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of maximal runs of `1`s in the binary representation of `x` — the
+    /// paper's *x-distance* `𝒳(α, β)` applied to `x = α ⊕ β` (Definition 2).
+    fn order_of_sequence(mut x: u64) -> u32 {
+        let mut runs = 0;
+        while x != 0 {
+            // Skip to the start of the next run and strip it.
+            x >>= x.trailing_zeros();
+            x >>= x.trailing_ones();
+            runs += 1;
+        }
+        runs
+    }
+
+    /// The x-distance between two thread indexes.
+    fn x_distance(alpha: u64, beta: u64) -> u32 {
+        order_of_sequence(alpha ^ beta)
+    }
+
+    /// Whether thread `alpha` covers thread `beta` in a `2^η` bundle (Lemma 1:
+    /// exactly when their xor is a single run of ones).
+    fn covers(alpha: u64, beta: u64) -> bool {
+        alpha != beta && x_distance(alpha, beta) == 1
+    }
+
+    /// Exact size of the largest exclusive set in a `2^η` bundle, by exhaustive
+    /// search. Only feasible for η ≤ 4 (16 threads); used to validate that the
+    /// closed-form μ(η) really is an upper bound.
+    fn max_exclusive_set_brute(eta: u32) -> u32 {
+        assert!(eta <= 4, "brute force only for small bundles");
+        let n = 1usize << eta;
+        // adjacency[i] bit j set ⇔ i and j cover each other (cannot coexist).
+        let mut conflict = vec![0u32; n];
+        for (a, row) in conflict.iter_mut().enumerate() {
+            for b in 0..n {
+                if a != b && covers(a as u64, b as u64) {
+                    *row |= 1 << b;
+                }
+            }
+        }
+        fn dfs(next: usize, chosen_conflicts: u32, count: u32, conflict: &[u32], best: &mut u32) {
+            let n = conflict.len();
+            if count + (n - next) as u32 <= *best {
+                return; // cannot beat best
+            }
+            if next == n {
+                *best = (*best).max(count);
+                return;
+            }
+            // Take `next` if it conflicts with nothing chosen.
+            if chosen_conflicts & (1 << next) == 0 {
+                dfs(
+                    next + 1,
+                    chosen_conflicts | conflict[next],
+                    count + 1,
+                    conflict,
+                    best,
+                );
+            }
+            dfs(next + 1, chosen_conflicts, count, conflict, best);
+            *best = (*best).max(count);
+        }
+        let mut best = 0;
+        dfs(0, 0, 0, &conflict, &mut best);
+        best
+    }
 
     #[test]
     fn order_counts_runs() {

@@ -62,12 +62,6 @@ impl ObjectTable {
         Self::default()
     }
 
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            map: HashMap::with_capacity_and_hasher(n, FxBuildHasher::default()),
-        }
-    }
-
     pub fn get(&self, o: ObjectId) -> Option<&ObjectEntry> {
         self.map.get(&o)
     }
@@ -91,16 +85,8 @@ impl ObjectTable {
         )
     }
 
-    pub fn remove(&mut self, o: ObjectId) -> Option<ObjectEntry> {
-        self.map.remove(&o)
-    }
-
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectEntry)> {
@@ -159,8 +145,9 @@ impl ShardedObjectTable {
         self.shards[shard_of(o)].read().get(o).copied()
     }
 
-    /// `setOT`: overwrite the latest location, returning the previous
-    /// entry. One lookup serves both the tombstone decision and the store.
+    /// `setOT` for one object: overwrite the latest location, returning the
+    /// previous entry. The reference [`Self::set_batch`] is checked against.
+    #[cfg(test)]
     pub fn set(
         &self,
         o: ObjectId,
@@ -181,7 +168,7 @@ impl ShardedObjectTable {
     /// update's cell on the way (a tight loop, so those lookups overlap);
     /// each shard's updates are then applied in batch order, so every
     /// object sees its updates in order and each `prev` is exactly what a
-    /// sequential [`Self::set`] per update would have returned.
+    /// sequential single-object `setOT` per update would have returned.
     ///
     /// `visit(index, cell, prev)` runs once per applied update, under that
     /// shard's lock and grouped by shard — callers that emit messages must
@@ -232,16 +219,8 @@ impl ShardedObjectTable {
         locks
     }
 
-    pub fn remove(&self, o: ObjectId) -> Option<ObjectEntry> {
-        self.shards[shard_of(o)].write().remove(o)
-    }
-
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
     }
 
     pub fn size_bytes(&self) -> u64 {
@@ -289,15 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn remove() {
-        let mut t = ObjectTable::new();
-        t.set(ObjectId(9), CellId(0), pos(0, 0), Timestamp(1));
-        assert!(t.remove(ObjectId(9)).is_some());
-        assert!(t.is_empty());
-        assert!(t.remove(ObjectId(9)).is_none());
-    }
-
-    #[test]
     fn iteration_covers_all() {
         let mut t = ObjectTable::new();
         for i in 0..100 {
@@ -319,9 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_set_get_remove() {
+    fn sharded_set_get_overwrite() {
         let t = ShardedObjectTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(t
             .set(ObjectId(1), CellId(3), pos(5, 2), Timestamp(10))
             .is_none());
@@ -331,8 +301,7 @@ mod tests {
         assert_eq!(prev.cell, CellId(3));
         assert_eq!(t.get(ObjectId(1)).unwrap().cell, CellId(4));
         assert_eq!(t.len(), 1);
-        assert!(t.remove(ObjectId(1)).is_some());
-        assert!(t.get(ObjectId(1)).is_none());
+        assert!(t.get(ObjectId(2)).is_none());
     }
 
     #[test]

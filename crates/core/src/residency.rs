@@ -316,9 +316,10 @@ impl Payload for CellList {
 #[derive(Debug)]
 pub struct ResidentCellStore {
     lru: Lru<CellList>,
-    /// Bytes other device-resident structures (the batch clean-cache) have
-    /// charged against this budget; eviction decisions count them as
-    /// pressure even though no resident entry backs them.
+    /// Bytes other device-resident structures (a batch's shared-pass
+    /// output, held for the batch's lifetime) have charged against this
+    /// budget; eviction decisions count them as pressure even though no
+    /// resident entry backs them.
     external_bytes: u64,
 }
 
@@ -351,12 +352,14 @@ impl ResidentCellStore {
 
     /// Bytes currently charged by external structures
     /// (see [`Self::reserve_external`]).
+    #[cfg(test)]
     pub fn external_bytes(&self) -> u64 {
         self.external_bytes
     }
 
     /// Charge `bytes` of device memory held by an external structure (the
-    /// batch clean-cache) against this budget, evicting LRU residents to
+    /// cleaned lists of a batch's shared pass, which its queries serve
+    /// cleaning rounds from) against this budget, evicting LRU residents to
     /// make room. Best-effort: the charge is recorded even if the budget
     /// cannot be met (the external structure exists regardless; the ledger
     /// must reflect the true pressure). No-op while residency is disabled.
@@ -470,6 +473,7 @@ impl ResidentCellStore {
     }
 
     /// Bytes currently held by read-replica entries.
+    #[cfg(test)]
     pub fn replica_bytes(&self) -> u64 {
         self.lru.replica_bytes
     }
@@ -481,6 +485,7 @@ impl ResidentCellStore {
 
     /// Evict the least-recently-used resident cell — the smallest
     /// `(last_used, cell)`. Returns the victim.
+    #[cfg(test)]
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
         self.lru.evict_lru(device)
     }
@@ -535,8 +540,6 @@ impl Payload for TopoSlice {
 #[derive(Debug)]
 pub struct TopologyStore {
     lru: Lru<TopoSlice>,
-    hits: u64,
-    misses: u64,
 }
 
 impl TopologyStore {
@@ -545,8 +548,6 @@ impl TopologyStore {
     pub fn new(budget_bytes: u64) -> Self {
         Self {
             lru: Lru::new(budget_bytes),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -572,18 +573,9 @@ impl TopologyStore {
     }
 
     /// Lifetime evictions (monotone).
+    #[cfg(test)]
     pub fn evictions(&self) -> u64 {
         self.lru.evictions
-    }
-
-    /// Lifetime lookup hits (cell already resident — no H2D owed).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime lookup misses (caller owes the upload).
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Make `cell`'s slice (`bytes` wide) resident if possible. Returns
@@ -594,10 +586,8 @@ impl TopologyStore {
     /// than the whole budget is never installed.
     pub fn ensure(&mut self, device: &mut Device, cell: CellId, bytes: u64) -> bool {
         if self.lru.touch(cell).is_some() {
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         if self.enabled() && bytes > 0 && bytes <= self.budget_bytes() {
             self.lru.admit(device, cell, bytes, 0, TopoSlice);
         }
@@ -630,6 +620,7 @@ impl TopologyStore {
 
     /// Evict the least-recently-used resident slice — the smallest
     /// `(last_used, cell)`. Returns the victim.
+    #[cfg(test)]
     pub fn evict_lru(&mut self, device: &mut Device) -> Option<CellId> {
         self.lru.evict_lru(device)
     }
@@ -862,7 +853,6 @@ mod tests {
         assert!(!s.ensure(&mut d, CellId(3), 400), "first touch is a miss");
         assert!(s.contains(CellId(3)));
         assert!(s.ensure(&mut d, CellId(3), 400), "second touch hits");
-        assert_eq!((s.hits(), s.misses()), (1, 1));
         assert_eq!(s.resident_bytes(), 400);
         assert_eq!(
             d.resident_bytes_tagged(gpu_sim::BufferTag::Topology),
@@ -879,7 +869,6 @@ mod tests {
         assert!(!s.ensure(&mut d, CellId(0), 100), "stays a miss");
         assert_eq!(s.resident_cells(), 0);
         assert_eq!(d.residency().live_buffers, 0);
-        assert_eq!(s.misses(), 2);
     }
 
     #[test]
@@ -1007,8 +996,6 @@ mod proptests {
         tick: u64,
         evictions: u64,
         external: u64,
-        hits: u64,
-        misses: u64,
     }
 
     impl RefStore {
@@ -1116,10 +1103,8 @@ mod proptests {
             if let Some(e) = self.entries.get_mut(&cell) {
                 self.tick += 1;
                 e.last_used = self.tick;
-                self.hits += 1;
                 return true;
             }
-            self.misses += 1;
             if self.budget == 0 || bytes == 0 || bytes > self.budget {
                 return false;
             }
@@ -1170,7 +1155,6 @@ mod proptests {
         assert_eq!(topo.resident_bytes(), rt.bytes());
         assert_eq!(topo.resident_cells(), rt.entries.len());
         assert_eq!(topo.evictions(), rt.evictions);
-        assert_eq!((topo.hits(), topo.misses()), (rt.hits, rt.misses));
         for c in 0..CELLS {
             assert_eq!(
                 cells.contains(CellId(c)),

@@ -1,123 +1,29 @@
-//! Pooled dense distance scratch (epoch-stamped).
+//! Pooled per-query working memory.
 //!
-//! The distance phase used to build a fresh `HashMap<VertexId, Distance>`
-//! per query — per-query allocation plus hash churn on every relax. A
-//! [`DenseScratch`] replaces the map with three flat arrays indexed by
-//! `VertexId::index()`:
-//!
-//! * `dist[v]` — the tentative distance, valid only when
-//! * `stamp[v]` equals the scratch's current `epoch`, and
-//! * `touched` — the list of vertices written this epoch.
-//!
-//! A `get` of an unstamped vertex returns [`INFINITY`], exactly the
-//! semantics of a missing `HashMap` key in the old code, so the scratch is
-//! a drop-in replacement. Clearing is an epoch bump — O(touched), not
-//! O(|V|) — which is what makes reuse across queries free.
+//! Both halves of a query's distance computation build the same thing: a
+//! `VertexId → Distance` map over the road graph whose entries only fall.
+//! The device-side `GPU_SDist` relaxation (Algorithm 5) and the host-side
+//! refinement searches (Algorithm 6) therefore share one type for it,
+//! roadnet's [`DijkstraScratch`]: one `Distance` per vertex,
+//! [`INFINITY`](roadnet::graph::INFINITY) meaning unwritten, plus the list
+//! of vertices written since the last clear, so a clear costs O(written),
+//! not O(|V|).
 //!
 //! [`CellTags`] is the per-cell analogue: a dense tag array over the grid's
 //! cells that remembers which cells it tagged, so a kNN query's candidate
 //! set (and, on a sharded server, its per-cell owner map) resets in
 //! O(|set|) instead of being allocated at O(cells) per query.
 //!
-//! [`ScratchPool`] keeps retired scratches on the server so the distance
-//! phase, the refinement workers and the batch pipeline can each borrow
-//! one without reallocating; `acquire` resets before handing out. The
-//! refinement borrows Dijkstra scratch ([`DijkstraScratch`]) only: its
-//! search map is its result, so it needs no dense copy.
+//! [`ScratchPool`] keeps retired maps and tag arrays on the server so the
+//! distance phase, the refinement workers and the batch pipeline can each
+//! borrow one without reallocating. A borrowed map may still hold its last
+//! user's entries: whoever writes into it clears it first, on the clock
+//! that user's phase is charged to (see [`ScratchPool::acquire_map`]).
 
 use parking_lot::Mutex;
 use roadnet::dijkstra::DijkstraScratch;
-use roadnet::graph::{Distance, VertexId, INFINITY};
 
 use crate::grid::CellId;
-
-/// A dense `VertexId → Distance` map with O(touched) clearing.
-#[derive(Debug)]
-pub struct DenseScratch {
-    dist: Vec<Distance>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    touched: Vec<u32>,
-}
-
-impl DenseScratch {
-    pub fn new(num_vertices: usize) -> Self {
-        Self {
-            dist: vec![INFINITY; num_vertices],
-            stamp: vec![0; num_vertices],
-            epoch: 1,
-            touched: Vec::new(),
-        }
-    }
-
-    /// Vertices this scratch can index (the graph it was sized for).
-    pub fn capacity(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// Tentative distance of `v`; [`INFINITY`] when `v` was not written
-    /// this epoch (the `HashMap` miss of the old code).
-    #[inline]
-    pub fn get(&self, v: VertexId) -> Distance {
-        if self.stamp[v.index()] == self.epoch {
-            self.dist[v.index()]
-        } else {
-            INFINITY
-        }
-    }
-
-    /// Whether `v` was written this epoch.
-    #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.stamp[v.index()] == self.epoch
-    }
-
-    /// Write `d`, stamping `v` into the current epoch.
-    #[inline]
-    pub fn set(&mut self, v: VertexId, d: Distance) {
-        let i = v.index();
-        if self.stamp[i] != self.epoch {
-            self.stamp[i] = self.epoch;
-            self.touched.push(i as u32);
-        }
-        self.dist[i] = d;
-    }
-
-    /// Number of vertices written this epoch.
-    pub fn touched_len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// `(vertex, distance)` pairs written this epoch, in first-write order.
-    pub fn iter_touched(&self) -> impl Iterator<Item = (VertexId, Distance)> + '_ {
-        self.touched
-            .iter()
-            .map(|&i| (VertexId(i), self.dist[i as usize]))
-    }
-
-    /// Resident bytes of the graph-sized dist/stamp pair. The touched list
-    /// is left out: its capacity is the high-water mark of whichever
-    /// queries this scratch happened to serve (see
-    /// [`ScratchPool::scratch_bytes`]), and it is negligible next to the
-    /// O(|V|) arrays.
-    pub fn size_bytes(&self) -> u64 {
-        (self.dist.capacity() * std::mem::size_of::<Distance>()
-            + self.stamp.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Clear the map by bumping the epoch: O(touched). On the (u32) epoch
-    /// wrapping around, the stamps are rewritten once — still amortised
-    /// O(touched).
-    pub fn reset(&mut self) {
-        self.touched.clear();
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-}
 
 /// A dense `CellId → T` tag array with O(tagged) reset.
 ///
@@ -179,7 +85,7 @@ impl<T: Copy + PartialEq> CellTags<T> {
     }
 
     /// Resident bytes of the grid-sized tag array; like
-    /// [`DenseScratch::size_bytes`], the tagged list's history-dependent
+    /// [`DijkstraScratch::size_bytes`], the tagged list's history-dependent
     /// capacity is left out.
     pub fn size_bytes(&self) -> u64 {
         (self.tags.capacity() * std::mem::size_of::<T>()) as u64
@@ -212,145 +118,106 @@ impl CellSet {
     }
 }
 
-/// A pool of [`DenseScratch`]es and [`DijkstraScratch`]es sized for one
-/// graph, shared by the query path and the refinement workers (batch mode
-/// borrows several at once).
+/// A pool of vertex distance maps ([`DijkstraScratch`]) sized for one
+/// graph, shared by the distance phase and the refinement workers (batch
+/// mode borrows several at once), plus the per-cell tag arrays.
 ///
-/// The pool is byte-budgeted: once the *idle* scratches (dense + Dijkstra)
-/// exceed `budget_bytes`, releases evict the oldest pooled buffers instead
-/// of hoarding them — before the capacity push a warmed pool pinned
-/// O(workers × |V|) memory forever, which at 300k vertices is ~2.4 MB per
-/// retired worker scratch. A budget of `0` disables the bound.
+/// The maps are byte-budgeted: once the idle maps exceed `budget_bytes`,
+/// releases evict the oldest pooled maps instead of hoarding them, so a
+/// warmed pool does not pin O(workers × |V|) memory forever. A budget of
+/// `0` disables the bound.
 #[derive(Debug)]
 pub struct ScratchPool {
     num_vertices: usize,
     budget_bytes: u64,
-    pool: Mutex<Vec<DenseScratch>>,
-    engines: Mutex<Vec<DijkstraScratch>>,
+    maps: Mutex<Vec<DijkstraScratch>>,
     cell_sets: Mutex<Vec<CellSet>>,
     owner_maps: Mutex<Vec<CellTags<u8>>>,
 }
 
 impl ScratchPool {
+    #[cfg(test)]
     pub fn new(num_vertices: usize) -> Self {
         Self::with_budget(num_vertices, 0)
     }
 
-    /// A pool whose idle buffers are bounded to `budget_bytes` (0 =
+    /// A pool whose idle maps are bounded to `budget_bytes` (0 =
     /// unbounded).
     pub fn with_budget(num_vertices: usize, budget_bytes: u64) -> Self {
         Self {
             num_vertices,
             budget_bytes,
-            pool: Mutex::new(Vec::new()),
-            engines: Mutex::new(Vec::new()),
+            maps: Mutex::new(Vec::new()),
             cell_sets: Mutex::new(Vec::new()),
             owner_maps: Mutex::new(Vec::new()),
         }
     }
 
-    /// Borrow a scratch (freshly reset). Allocates only when the pool is
-    /// empty — steady state reuses retired scratches.
-    pub fn acquire(&self) -> DenseScratch {
-        let mut s = self
-            .pool
-            .lock()
-            .pop()
-            .unwrap_or_else(|| DenseScratch::new(self.num_vertices));
-        s.reset();
-        s
-    }
-
-    /// Return a scratch to the pool. Scratches sized for another graph are
-    /// dropped instead of pooled; pooling past the byte budget evicts the
-    /// oldest idle buffers first.
-    pub fn release(&self, s: DenseScratch) {
-        if s.capacity() == self.num_vertices {
-            self.pool.lock().push(s);
-            self.enforce_budget();
-        }
-    }
-
-    /// Scratches currently idle in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.lock().len()
-    }
-
-    /// Bytes held by idle scratches (dense, Dijkstra and cell tags),
-    /// counted by their graph- and grid-sized arrays. Counted into the
-    /// server's `index_size` so capacity benches see pool growth.
+    /// Borrow a vertex distance map. Allocates only when the pool is empty:
+    /// steady state re-attaches a retired map in O(1), keeping the O(|V|)
+    /// array build out of the per-query path.
     ///
-    /// The per-query lists (touched vertices, tagged cells, the Dijkstra
-    /// heap and settled list) are left out. A pooled list keeps the
-    /// capacity of the largest query it served, and which query a pooled
-    /// scratch serves depends on batch boundaries. The serve loop draws
-    /// those on a timeline that includes measured refinement time, so
-    /// counting list capacities made the figure differ between two runs
-    /// of one schedule.
-    pub fn scratch_bytes(&self) -> u64 {
-        // Lock order: pool before engines, everywhere in this module.
-        let pool = self.pool.lock();
-        let engines = self.engines.lock();
-        pool.iter().map(DenseScratch::size_bytes).sum::<u64>()
-            + engines.iter().map(DijkstraScratch::size_bytes).sum::<u64>()
-            + self
-                .cell_sets
-                .lock()
-                .iter()
-                .map(CellTags::size_bytes)
-                .sum::<u64>()
-            + self
-                .owner_maps
-                .lock()
-                .iter()
-                .map(CellTags::size_bytes)
-                .sum::<u64>()
-    }
-
-    /// Evict oldest idle buffers until the pooled footprint fits the
-    /// budget. Dense scratches evict first (largest), then engines.
-    fn enforce_budget(&self) {
-        if self.budget_bytes == 0 {
-            return;
-        }
-        let mut pool = self.pool.lock();
-        let mut engines = self.engines.lock();
-        let mut total = pool.iter().map(DenseScratch::size_bytes).sum::<u64>()
-            + engines.iter().map(DijkstraScratch::size_bytes).sum::<u64>();
-        while total > self.budget_bytes && !pool.is_empty() {
-            total = total.saturating_sub(pool.remove(0).size_bytes());
-        }
-        while total > self.budget_bytes && !engines.is_empty() {
-            total = total.saturating_sub(engines.remove(0).size_bytes());
-        }
-    }
-
-    /// Borrow Dijkstra working memory for a refinement search. Like
-    /// [`acquire`](Self::acquire), allocation happens only on a cold pool:
-    /// steady state re-attaches a retired scratch in O(1), keeping the
-    /// O(|V|) distance-array build out of the per-query path.
-    pub fn acquire_engine(&self) -> DijkstraScratch {
-        self.engines
+    /// The map is handed out as it was released, so it may hold entries:
+    /// the distance phase clears it inside its emulated kernel bracket and
+    /// hands it back empty, and a refinement search clears it when it
+    /// starts. No clear runs here, on the caller's host clock.
+    pub fn acquire_map(&self) -> DijkstraScratch {
+        self.maps
             .lock()
             .pop()
             .unwrap_or_else(|| DijkstraScratch::with_capacity(self.num_vertices))
     }
 
-    /// Return Dijkstra working memory to the pool. It may still hold its
-    /// last search's map: the next search run in it clears what that one
-    /// wrote. Scratches sized for another graph are dropped instead of
-    /// pooled; pooling past the byte budget evicts the oldest idle buffers
-    /// first.
-    pub fn release_engine(&self, s: DijkstraScratch) {
-        if s.capacity() == self.num_vertices {
-            self.engines.lock().push(s);
-            self.enforce_budget();
+    /// Return a map to the pool. Maps sized for another graph are dropped
+    /// instead of pooled; pooling past the byte budget evicts the oldest
+    /// idle maps first.
+    pub fn release_map(&self, s: DijkstraScratch) {
+        if s.capacity() != self.num_vertices {
+            return;
+        }
+        let mut maps = self.maps.lock();
+        maps.push(s);
+        if self.budget_bytes == 0 {
+            return;
+        }
+        let mut total: u64 = maps.iter().map(DijkstraScratch::size_bytes).sum();
+        while total > self.budget_bytes && !maps.is_empty() {
+            total = total.saturating_sub(maps.remove(0).size_bytes());
         }
     }
 
-    /// Engine scratches currently idle in the pool.
-    pub fn pooled_engines(&self) -> usize {
-        self.engines.lock().len()
+    /// Maps currently idle in the pool.
+    #[cfg(test)]
+    pub fn pooled_maps(&self) -> usize {
+        self.maps.lock().len()
+    }
+
+    /// Bytes held by idle maps and cell tags, counted by their graph- and
+    /// grid-sized arrays. Counted into the server's `index_size` so
+    /// capacity benches see pool growth.
+    ///
+    /// The per-query lists (written vertices, tagged cells, the Dijkstra
+    /// heap and settled list) are left out. A pooled list keeps the
+    /// capacity of the largest query it served, and which query a pooled
+    /// map serves depends on batch boundaries. The serve loop draws those
+    /// on a timeline that includes measured refinement time, so counting
+    /// list capacities made the figure differ between two runs of one
+    /// schedule.
+    pub fn scratch_bytes(&self) -> u64 {
+        let maps: u64 = self
+            .maps
+            .lock()
+            .iter()
+            .map(DijkstraScratch::size_bytes)
+            .sum();
+        let cells: u64 = self.cell_sets.lock().iter().map(CellTags::size_bytes).sum();
+        let owners: u64 = self
+            .owner_maps
+            .lock()
+            .iter()
+            .map(CellTags::size_bytes)
+            .sum();
+        maps + cells + owners
     }
 
     /// Borrow an empty candidate-cell set for a grid of `num_cells` cells.
@@ -397,132 +264,110 @@ fn acquire_tags<T: Copy + PartialEq>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roadnet::graph::{VertexId, INFINITY};
 
     #[test]
     fn get_set_miss_semantics() {
-        let mut s = DenseScratch::new(8);
-        assert_eq!(s.get(VertexId(3)), INFINITY);
-        assert!(!s.contains(VertexId(3)));
-        s.set(VertexId(3), 42);
-        assert_eq!(s.get(VertexId(3)), 42);
-        assert!(s.contains(VertexId(3)));
-        assert_eq!(s.get(VertexId(4)), INFINITY);
-        assert_eq!(s.touched_len(), 1);
-    }
-
-    #[test]
-    fn explicit_infinity_still_counts_as_touched() {
-        // The dense Bellman–Ford seeds every candidate vertex with INFINITY;
-        // those entries must read back as INFINITY either way, but count as
-        // touched (they were written).
-        let mut s = DenseScratch::new(4);
-        s.set(VertexId(0), INFINITY);
-        assert!(s.contains(VertexId(0)));
-        assert_eq!(s.get(VertexId(0)), INFINITY);
-        assert_eq!(s.touched_len(), 1);
+        let pool = ScratchPool::new(8);
+        let mut map = pool.acquire_map();
+        assert_eq!(map.distance(VertexId(3)), INFINITY);
+        assert!(map.lower(VertexId(3), 42));
+        assert_eq!(map.distance(VertexId(3)), 42);
+        assert!(!map.lower(VertexId(3), 42), "an equal distance is no fall");
+        assert!(!map.lower(VertexId(3), 50), "entries only fall");
+        assert_eq!(map.distance(VertexId(4)), INFINITY);
+        assert_eq!(map.entries().count(), 1);
     }
 
     #[test]
     fn reset_clears_in_o_touched() {
-        let mut s = DenseScratch::new(1000);
-        s.set(VertexId(5), 1);
-        s.set(VertexId(900), 2);
-        s.reset();
-        assert_eq!(s.get(VertexId(5)), INFINITY);
-        assert_eq!(s.get(VertexId(900)), INFINITY);
-        assert_eq!(s.touched_len(), 0);
-        s.set(VertexId(5), 9);
-        assert_eq!(s.get(VertexId(5)), 9);
-    }
-
-    #[test]
-    fn epoch_wrap_survives() {
-        let mut s = DenseScratch::new(4);
-        s.set(VertexId(0), 7);
-        s.epoch = u32::MAX - 1;
-        // Stale stamp from epoch 1 must not leak through the wrap.
-        s.stamp[0] = 1;
-        s.reset(); // -> u32::MAX
-        assert_eq!(s.get(VertexId(0)), INFINITY);
-        s.set(VertexId(1), 3);
-        s.reset(); // wraps: stamps rewritten, epoch back to 1
-        assert_eq!(s.epoch, 1);
-        assert_eq!(s.get(VertexId(0)), INFINITY);
-        assert_eq!(s.get(VertexId(1)), INFINITY);
-        s.set(VertexId(2), 5);
-        assert_eq!(s.get(VertexId(2)), 5);
+        let pool = ScratchPool::new(1000);
+        let mut map = pool.acquire_map();
+        map.lower(VertexId(5), 1);
+        map.lower(VertexId(900), 2);
+        map.clear();
+        assert_eq!(map.distance(VertexId(5)), INFINITY);
+        assert_eq!(map.distance(VertexId(900)), INFINITY);
+        assert_eq!(map.entries().count(), 0);
+        map.lower(VertexId(5), 9);
+        assert_eq!(map.distance(VertexId(5)), 9);
     }
 
     #[test]
     fn iter_touched_lists_pairs() {
-        let mut s = DenseScratch::new(8);
-        s.set(VertexId(6), 60);
-        s.set(VertexId(2), 20);
-        s.set(VertexId(6), 61);
-        let got: Vec<_> = s.iter_touched().collect();
-        assert_eq!(got, vec![(VertexId(6), 61), (VertexId(2), 20)]);
+        let pool = ScratchPool::new(8);
+        let mut map = pool.acquire_map();
+        map.lower(VertexId(6), 61);
+        map.lower(VertexId(2), 20);
+        map.lower(VertexId(6), 60);
+        let got: Vec<_> = map.entries().collect();
+        assert_eq!(got, vec![(VertexId(6), 60), (VertexId(2), 20)]);
     }
 
     #[test]
     fn pool_reuses_and_resets() {
         let pool = ScratchPool::new(16);
-        let mut a = pool.acquire();
-        a.set(VertexId(3), 3);
-        pool.release(a);
-        assert_eq!(pool.pooled(), 1);
-        let b = pool.acquire();
-        assert_eq!(b.get(VertexId(3)), INFINITY, "acquire must reset");
-        assert_eq!(pool.pooled(), 0);
-        pool.release(b);
+        let mut a = pool.acquire_map();
+        a.lower(VertexId(3), 3);
+        pool.release_map(a);
+        assert_eq!(pool.pooled_maps(), 1);
+        // The pool hands a map back as it was released: clearing is the
+        // writer's job, on the clock of the phase that writes.
+        let mut b = pool.acquire_map();
+        assert_eq!(b.distance(VertexId(3)), 3, "acquire must not clear");
+        assert_eq!(pool.pooled_maps(), 0);
+        b.clear();
+        pool.release_map(b);
 
-        // A scratch for another graph is dropped, not pooled.
-        pool.release(DenseScratch::new(4));
-        assert_eq!(pool.pooled(), 1);
+        // A map for another graph is dropped, not pooled.
+        pool.release_map(DijkstraScratch::with_capacity(4));
+        assert_eq!(pool.pooled_maps(), 1);
+        assert_eq!(pool.acquire_map().entries().count(), 0);
     }
 
     #[test]
     fn engine_pool_round_trips() {
         let pool = ScratchPool::new(16);
-        let s = pool.acquire_engine();
+        let s = pool.acquire_map();
         assert_eq!(s.capacity(), 16);
-        pool.release_engine(s);
-        assert_eq!(pool.pooled_engines(), 1);
-        let _again = pool.acquire_engine();
-        assert_eq!(pool.pooled_engines(), 0);
+        pool.release_map(s);
+        assert_eq!(pool.pooled_maps(), 1);
+        let _again = pool.acquire_map();
+        assert_eq!(pool.pooled_maps(), 0);
 
         // Mismatched capacity is dropped, not pooled.
-        pool.release_engine(DijkstraScratch::with_capacity(4));
-        assert_eq!(pool.pooled_engines(), 0);
+        pool.release_map(DijkstraScratch::with_capacity(4));
+        assert_eq!(pool.pooled_maps(), 0);
     }
 
     #[test]
     fn budget_evicts_oldest_idle_scratch() {
-        let one = DenseScratch::new(16).size_bytes();
-        // Budget fits exactly two dense scratches.
+        let one = DijkstraScratch::with_capacity(16).size_bytes();
+        // Budget fits exactly two maps.
         let pool = ScratchPool::with_budget(16, 2 * one);
-        let (a, b, c) = (pool.acquire(), pool.acquire(), pool.acquire());
-        pool.release(a);
-        pool.release(b);
-        assert_eq!(pool.pooled(), 2);
+        let (mut a, b, c) = (pool.acquire_map(), pool.acquire_map(), pool.acquire_map());
+        a.lower(VertexId(1), 1);
+        pool.release_map(a);
+        pool.release_map(b);
+        assert_eq!(pool.pooled_maps(), 2);
         assert!(pool.scratch_bytes() <= 2 * one);
-        pool.release(c);
-        assert_eq!(pool.pooled(), 2, "third release must evict the oldest");
+        pool.release_map(c);
+        assert_eq!(pool.pooled_maps(), 2, "third release must evict the oldest");
         assert!(pool.scratch_bytes() <= 2 * one);
-
-        // Engines share the same budget and evict once dense is drained.
-        let e = pool.acquire_engine();
-        pool.release_engine(e);
-        assert!(pool.scratch_bytes() <= 2 * one);
-        assert!(pool.pooled() + pool.pooled_engines() >= 1);
+        let maps = [pool.acquire_map(), pool.acquire_map()];
+        assert!(
+            maps.iter().all(|m| m.entries().count() == 0),
+            "the oldest map, the written one, went first"
+        );
     }
 
     #[test]
     fn zero_budget_is_unbounded() {
         let pool = ScratchPool::new(1000);
         for _ in 0..8 {
-            pool.release(DenseScratch::new(1000));
+            pool.release_map(DijkstraScratch::with_capacity(1000));
         }
-        assert_eq!(pool.pooled(), 8);
+        assert_eq!(pool.pooled_maps(), 8);
         assert!(pool.scratch_bytes() > 0);
     }
 
@@ -563,6 +408,7 @@ mod tests {
     #[test]
     fn pooled_bytes_do_not_depend_on_which_query_used_which_scratch() {
         use roadnet::dijkstra::{DijkstraEngine, SearchBounds};
+        use roadnet::graph::Distance;
 
         // Three queries, two large (every vertex and cell, a whole-graph
         // search) and one small, served on two pooled scratches. Each
@@ -573,35 +419,32 @@ mod tests {
         let n = g.num_vertices();
         let footprint = |plan: [&[bool]; 2]| {
             let pool = ScratchPool::new(n);
-            let mut dense = [pool.acquire(), pool.acquire()];
             let mut cells = [pool.acquire_cells(n), pool.acquire_cells(n)];
-            let mut engines = [pool.acquire_engine(), pool.acquire_engine()];
+            let mut maps = [pool.acquire_map(), pool.acquire_map()];
             for (i, queries) in plan.into_iter().enumerate() {
                 for &big in queries {
-                    dense[i].reset();
+                    // The distance phase's writes, then a refinement search
+                    // in the same map.
                     cells[i].reset();
+                    maps[i].clear();
                     let touch = if big { n as u32 } else { 1 };
                     for v in 0..touch {
-                        dense[i].set(VertexId(v), v as Distance);
+                        maps[i].lower(VertexId(v), v as Distance);
                         cells[i].insert(CellId(v));
                     }
-                    let scratch =
-                        std::mem::replace(&mut engines[i], DijkstraScratch::with_capacity(0));
-                    let mut engine = DijkstraEngine::with_scratch(&g, scratch);
+                    let map = std::mem::replace(&mut maps[i], DijkstraScratch::with_capacity(0));
+                    let mut engine = DijkstraEngine::with_scratch(&g, map);
                     let radius = if big { INFINITY } else { 0 };
                     engine.run_seeded(&[(VertexId(0), 0)], SearchBounds::radius(radius));
-                    engines[i] = engine.into_scratch();
+                    maps[i] = engine.into_scratch();
                 }
             }
-            let [d0, d1] = dense;
             let [c0, c1] = cells;
-            let [e0, e1] = engines;
-            pool.release(d0);
-            pool.release(d1);
+            let [m0, m1] = maps;
             pool.release_cells(c0);
             pool.release_cells(c1);
-            pool.release_engine(e0);
-            pool.release_engine(e1);
+            pool.release_map(m0);
+            pool.release_map(m1);
             pool.scratch_bytes()
         };
         assert_eq!(
@@ -613,12 +456,12 @@ mod tests {
     #[test]
     fn pool_hands_out_multiple_concurrently() {
         let pool = ScratchPool::new(8);
-        let a = pool.acquire();
-        let b = pool.acquire();
+        let a = pool.acquire_map();
+        let b = pool.acquire_map();
         assert_eq!(a.capacity(), 8);
         assert_eq!(b.capacity(), 8);
-        pool.release(a);
-        pool.release(b);
-        assert_eq!(pool.pooled(), 2);
+        pool.release_map(a);
+        pool.release_map(b);
+        assert_eq!(pool.pooled_maps(), 2);
     }
 }

@@ -45,12 +45,11 @@
 //! Ingest is buffered ([`GGridServer::ingest_buffered`]) at its stamp slot
 //! and each ingest call is charged what it added to the server's own model,
 //! [`ServerCounters::modeled_ingest_ns`] (locks, appends, tombstones, slab
-//! allocations, per the [`ingest_model`] constants); the cost of the flush
+//! allocations, per the `ingest_model` constants); the cost of the flush
 //! is paid when a query batch (which must observe the messages) executes —
 //! so query batches and ingest flushes interleave on the one modeled
 //! timeline and neither starves the other.
 //!
-//! [`ingest_model`]: crate::stats::ingest_model
 //! [`ServerCounters::modeled_ingest_ns`]: crate::stats::ServerCounters::modeled_ingest_ns
 
 use std::collections::VecDeque;
@@ -117,7 +116,7 @@ impl ServeConfig {
 /// bumps `dequeued`/`shed`. Everything else the serve loop shares across
 /// threads is the MPSC channel itself and the server.
 #[derive(Debug, Default)]
-pub struct QueueCounters {
+pub(crate) struct QueueCounters {
     /// Requests sent by clients.
     pub enqueued: AtomicU64,
     /// Requests released (in stamp order) by the loop.
@@ -143,7 +142,7 @@ impl QueueCounters {
     }
 
     /// Relaxed point-in-time copy.
-    pub fn snapshot(&self) -> QueueSnapshot {
+    pub(crate) fn snapshot(&self) -> QueueSnapshot {
         QueueSnapshot {
             enqueued: self.enqueued.load(Ordering::Relaxed),
             dequeued: self.dequeued.load(Ordering::Relaxed),
@@ -153,7 +152,7 @@ impl QueueCounters {
     }
 }
 
-/// Plain-integer snapshot of [`QueueCounters`].
+/// Plain-integer snapshot of the serve queue's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueSnapshot {
     pub enqueued: u64,
@@ -220,11 +219,6 @@ impl ServeQueue {
             counters: Arc::clone(&self.counters),
             bound: self.bound,
         }
-    }
-
-    /// The shared queue counters (for monitoring while the loop runs).
-    pub fn counters(&self) -> Arc<QueueCounters> {
-        Arc::clone(&self.counters)
     }
 }
 

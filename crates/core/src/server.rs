@@ -142,9 +142,9 @@ impl Staging {
 /// appends (Algorithm 1); queries run the CPU–GPU pipeline of Algorithm 4.
 ///
 /// Shared state is lock-guarded for the concurrent query and ingest
-/// engines: the message lists sit behind one mutex per cell ([`CellLists`])
-/// and the object table is sharded 64 ways, each shard behind its own
-/// reader–writer lock ([`ShardedObjectTable`]), so refinement workers read
+/// engines: the message lists sit behind one mutex per cell and the object
+/// table is sharded 64 ways, each shard behind its own reader–writer lock,
+/// so refinement workers read
 /// while ingest workers write — and the whole ingest path takes `&self`.
 ///
 /// **Lock order** (documented invariant): the staging mutex of
@@ -1078,7 +1078,7 @@ impl GGridServer {
         if guard >= INFINITY {
             return (Vec::new(), true);
         }
-        let mut engine = DijkstraEngine::with_scratch(&self.graph, self.pool.acquire_engine());
+        let mut engine = DijkstraEngine::with_scratch(&self.graph, self.pool.acquire_map());
         engine.run_from_position(q, SearchBounds::radius(guard));
         let cells = guard_cover(
             &self.grid,
@@ -1088,7 +1088,7 @@ impl GGridServer {
             guard,
             q,
         );
-        self.pool.release_engine(engine.into_scratch());
+        self.pool.release_map(engine.into_scratch());
         (cells, false)
     }
 
@@ -1142,7 +1142,7 @@ impl GGridServer {
             }
         }
 
-        let mut engine = DijkstraEngine::with_scratch(&self.graph, self.pool.acquire_engine());
+        let mut engine = DijkstraEngine::with_scratch(&self.graph, self.pool.acquire_map());
         engine.run_from_position(sub.q, SearchBounds::radius(guard));
         let mut scored: Vec<(Distance, ObjectId, Timestamp)> = msgs
             .iter()
@@ -1162,7 +1162,7 @@ impl GGridServer {
         if scored.len() < k {
             // The true k-th neighbour may lie beyond the guard; the guard
             // cannot certify a short answer.
-            self.pool.release_engine(engine.into_scratch());
+            self.pool.release_map(engine.into_scratch());
             return false;
         }
         sub.result = scored[..k].iter().map(|&(d, o, _)| (o, d)).collect();
@@ -1182,7 +1182,7 @@ impl GGridServer {
         }
         sub.expires_at = self.member_expiry(scored[..k].iter().map(|&(_, _, t)| t));
         self.counters.guard_radius_hist[guard_hist_bucket(sub.guard_radius)] += 1;
-        self.pool.release_engine(engine.into_scratch());
+        self.pool.release_map(engine.into_scratch());
         true
     }
 }
@@ -1230,7 +1230,7 @@ impl MovingObjectIndex for GGridServer {
     }
 
     /// Message lists are counted in the paper's layout, one full δᵇ-slot
-    /// array per bucket ([`MessageList::size_bytes`]), not by the host
+    /// array per bucket (`MessageList::size_bytes`), not by the host
     /// slabs behind them, which are sized by what they hold.
     fn index_size(&self) -> IndexSize {
         let lists: u64 = self.lists.sum_over(|l| l.size_bytes());
@@ -1718,10 +1718,11 @@ mod tests {
 
     #[test]
     fn pooled_scratch_stops_growing_under_batches() {
-        // Refinement results are pooled engine scratches held from one
-        // query's refinement to its finalisation; a batch keeps at most one
-        // query in flight, so over 200 queries the pool must settle at a
-        // fixed footprint instead of growing with the query count.
+        // SDist and refinement borrow vertex maps from one pool, and a
+        // refinement result is a map held from one query's refinement to
+        // its finalisation; a batch keeps at most one query in flight, so
+        // over 200 queries the pool must settle at a fixed footprint
+        // instead of growing with the query count.
         let g = gen::toy(77);
         let edges = g.num_edges() as u32;
         let host_workers = 3;
@@ -1744,15 +1745,25 @@ mod tests {
                 .collect();
             let out = s.knn_batch(&queries, Timestamp(500));
             settled += out.per_query.iter().map(|b| b.refine_settled).sum::<u64>();
-            footprints.push((s.pool.pooled_engines(), s.pool.scratch_bytes()));
+            footprints.push((s.pool.pooled_maps(), s.pool.scratch_bytes()));
         }
         assert!(settled > 0, "the batches must refine");
-        // A refinement fans out over at most `host_workers` engines while
-        // the query before it still holds its result.
+        // Every vertex map the pool ever made is idle between batches. A
+        // refinement fans out over at most `host_workers` maps while the
+        // query before it still holds its result, and SDist hands its map
+        // back before its query refines, so it needs no map of its own.
         let bound = host_workers + 1;
+        let map_bytes = s.graph.num_vertices() as u64 * 8;
         assert!(
-            footprints.iter().all(|&(e, _)| e <= bound),
+            footprints.iter().all(|&(m, _)| (1..=bound).contains(&m)),
             "{footprints:?}"
+        );
+        assert!(
+            footprints.iter().all(|&(m, bytes)| {
+                let maps = m as u64 * map_bytes;
+                bytes >= maps && bytes - maps < map_bytes
+            }),
+            "a pooled map is one 8-byte distance per vertex: {footprints:?}"
         );
         let tail = &footprints[footprints.len() - 10..];
         assert!(

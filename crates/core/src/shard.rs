@@ -71,10 +71,6 @@ impl ShardMap {
         }
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.starts.len()
-    }
-
     /// The shard that owns `cell`.
     pub fn owner_of(&self, cell: CellId) -> usize {
         let idx = cell.index() as u32;
@@ -159,8 +155,6 @@ pub struct ShardSet {
     /// Atomic so cleaning can tally through a shared borrow while the
     /// owning shard is mutably borrowed.
     read_heat: Vec<AtomicU64>,
-    /// Lifetime read-replica promotions.
-    replica_installs: u64,
     /// Lifetime replica teardowns forced by writes or migrations (LRU
     /// evictions under budget pressure are counted as ordinary evictions).
     replica_invalidations: u64,
@@ -203,7 +197,6 @@ impl ShardSet {
             shards,
             map,
             read_heat,
-            replica_installs: 0,
             replica_invalidations: 0,
             migrations_skipped_read_hot: 0,
         }
@@ -212,6 +205,7 @@ impl ShardSet {
     /// A single-shard set over `num_cells` cells wrapping `device` — the
     /// `D = 1` degenerate case used by unit tests that drive the query
     /// pipeline directly (no grid mirror is reserved here).
+    #[cfg(test)]
     pub fn single(device: Device, config: &GGridConfig, num_cells: usize) -> Self {
         let whole = std::iter::once(0..num_cells as u32).collect::<Vec<_>>();
         let map = ShardMap::from_ranges(&whole, num_cells as u32);
@@ -219,7 +213,6 @@ impl ShardSet {
             shards: vec![ShardState::new(device, config)],
             map,
             read_heat: (0..num_cells).map(|_| AtomicU64::new(0)).collect(),
-            replica_installs: 0,
             replica_invalidations: 0,
             migrations_skipped_read_hot: 0,
         }
@@ -332,7 +325,8 @@ impl ShardSet {
 
     /// Count one served read of `cell`'s consolidated list toward its read
     /// heat. The routed clean-skip path tallies internally; this is for
-    /// reads served by caches in front of it (the batch clean cache), which
+    /// reads served by caches in front of it (an earlier round's cleaned
+    /// output, such as a batch's shared pass), which
     /// are exactly as "hot" a signal for replication as a skip.
     pub fn note_read(&self, cell: CellId) {
         self.read_heat[cell.index()].fetch_add(1, Ordering::Relaxed);
@@ -388,7 +382,6 @@ impl ShardSet {
             if s.resident
                 .install_replica(&mut s.device, cell, epoch, messages)
             {
-                self.replica_installs += 1;
                 bytes += messages.len() as u64 * CachedMessage::WIRE_BYTES;
             }
         }
@@ -474,11 +467,6 @@ impl ShardSet {
             .iter()
             .map(|s| s.resident.replica_cells() as u64)
             .sum()
-    }
-
-    /// Lifetime replica promotions.
-    pub fn replica_installs(&self) -> u64 {
-        self.replica_installs
     }
 
     /// Lifetime write/migration-forced replica teardowns.
@@ -719,7 +707,6 @@ mod tests {
     #[test]
     fn owner_of_routes_by_range() {
         let m = map4();
-        assert_eq!(m.num_shards(), 4);
         assert_eq!(m.owner_of(CellId(0)), 0);
         assert_eq!(m.owner_of(CellId(3)), 0);
         assert_eq!(m.owner_of(CellId(4)), 1);
@@ -761,7 +748,6 @@ mod tests {
             shards,
             map: ShardMap::from_ranges(&ranges, 16),
             read_heat: (0..16).map(|_| AtomicU64::new(0)).collect(),
-            replica_installs: 0,
             replica_invalidations: 0,
             migrations_skipped_read_hot: 0,
         }
@@ -860,7 +846,6 @@ mod tests {
             shards,
             map: ShardMap::from_ranges(&[0..1, 1..2], 2),
             read_heat: (0..2).map(|_| AtomicU64::new(0)).collect(),
-            replica_installs: 0,
             replica_invalidations: 0,
             migrations_skipped_read_hot: 0,
         };
@@ -992,7 +977,6 @@ mod tests {
         );
         assert_eq!(s.invalidate_replicas(cell), 1);
         assert!(!s.has_replicas(cell));
-        assert_eq!(s.replica_installs(), 2);
         assert_eq!(s.replica_invalidations(), 1); // only the explicit teardown
     }
 }

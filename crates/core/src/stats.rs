@@ -26,11 +26,11 @@ pub struct QueryBreakdown {
     /// the batch pipeline schedules it on a dedicated copy stream.
     pub copy_back: SimNanos,
     /// D2H time remote owners spent shipping this query's clean-skipped
-    /// lists ([`crate::shard::ShardSet::gather_remote_lists`]). The owners'
+    /// lists (`ShardSet::gather_remote_lists`). The owners'
     /// device ledgers carry it; [`Self::gpu_total`] does not.
     pub remote_gather: SimNanos,
     /// H2D time of the read-replica promotions this query installed on its
-    /// primary ([`crate::shard::ShardSet::promote_replicas_coalesced`]).
+    /// primary (`ShardSet::promote_replicas_coalesced`).
     /// The primary's device ledger carries it; [`Self::gpu_total`] does
     /// not.
     pub replica_promote: SimNanos,
@@ -75,12 +75,10 @@ pub struct QueryBreakdown {
     pub refine_busy_ns: u64,
     /// Critical path of the refinement pool: the busiest single worker.
     /// This is the phase's modeled duration on a host with at least
-    /// `refine_workers` free cores — the refinement analogue of the
+    /// `host_workers` free cores — the refinement analogue of the
     /// simulated device clock, so worker scaling stays observable even on
     /// core-starved CI machines where `refine_ns` cannot shrink.
     pub refine_critical_ns: u64,
-    /// Worker threads the refinement phase ran on (0 = no refinement).
-    pub refine_workers: usize,
     /// Simulated device time of the shortest-distance kernel alone,
     /// including its topology upload (subset of `candidate`).
     pub sdist_time: SimNanos,
@@ -133,7 +131,7 @@ pub struct QueryBreakdown {
 /// prefix targets `⌊total · W_i / W⌋`, so the shares telescope to `total`
 /// with no drift regardless of weight skew. All-zero weights fall back to
 /// an equal split. Deterministic (pure integer arithmetic).
-pub fn split_u64(total: u64, weights: &[u64]) -> Vec<u64> {
+pub(crate) fn split_u64(total: u64, weights: &[u64]) -> Vec<u64> {
     if weights.is_empty() {
         return Vec::new();
     }
@@ -166,7 +164,7 @@ impl QueryBreakdown {
     /// place that knows which [`CleaningReport`] fields a query absorbs, so
     /// the expansion loop, the batch pipeline's shared pass, and the
     /// server's eager-clean entry points cannot drift apart.
-    pub fn record_cleaning(&mut self, rep: &CleaningReport) {
+    pub(crate) fn record_cleaning(&mut self, rep: &CleaningReport) {
         self.cleaning += rep.time;
         self.copy_back += rep.copy_back_time;
         self.h2d_bytes += rep.h2d_bytes;
@@ -191,7 +189,7 @@ impl QueryBreakdown {
     /// with [`Self::absorb`] reconstructs this breakdown exactly (the
     /// max-style fields `sdist_frontier_max` / `refine_workers` are copied,
     /// not divided).
-    pub fn split_shares(&self, weights: &[u64]) -> Vec<QueryBreakdown> {
+    pub(crate) fn split_shares(&self, weights: &[u64]) -> Vec<QueryBreakdown> {
         let mut out = vec![QueryBreakdown::default(); weights.len()];
         macro_rules! split {
             (nanos $($f:ident),+) => {$(
@@ -221,7 +219,6 @@ impl QueryBreakdown {
                candidates, unresolved, topo_hits, topo_misses);
         for o in &mut out {
             o.sdist_frontier_max = self.sdist_frontier_max;
-            o.refine_workers = self.refine_workers;
             o.ring_span = self.ring_span;
         }
         out
@@ -230,7 +227,7 @@ impl QueryBreakdown {
     /// Add another breakdown's counters into this one (used to fold a
     /// batch's attributed share into a query's own breakdown). Additive
     /// fields sum; the max-style fields take the max.
-    pub fn absorb(&mut self, other: &QueryBreakdown) {
+    pub(crate) fn absorb(&mut self, other: &QueryBreakdown) {
         macro_rules! add {
             ($($f:ident),+) => { $( self.$f += other.$f; )+ };
         }
@@ -278,7 +275,6 @@ impl QueryBreakdown {
             topo_misses
         );
         self.sdist_frontier_max = self.sdist_frontier_max.max(other.sdist_frontier_max);
-        self.refine_workers = self.refine_workers.max(other.refine_workers);
         self.ring_span = self.ring_span.max(other.ring_span);
     }
 
@@ -308,7 +304,7 @@ impl QueryBreakdown {
 /// Number of buckets in the log-bucketed [`Hist`]: values 0–3 get exact
 /// buckets, every octave above splits into 4 sub-buckets (HDR-histogram
 /// style, 2 significant bits), up to `u64::MAX`.
-pub const HIST_BUCKETS: usize = 252;
+pub(crate) const HIST_BUCKETS: usize = 252;
 
 /// Bucket index of `v` in the log-bucketed histogram. Values 0–3 map to
 /// buckets 0–3; larger values map to `(h-1)*4 + sub` where `h` is the
@@ -316,7 +312,7 @@ pub const HIST_BUCKETS: usize = 252;
 /// most 25% of its lower bound and percentile reads stay within that
 /// relative error.
 #[inline]
-pub fn hist_bucket(v: u64) -> usize {
+pub(crate) fn hist_bucket(v: u64) -> usize {
     if v < 4 {
         return v as usize;
     }
@@ -327,7 +323,7 @@ pub fn hist_bucket(v: u64) -> usize {
 
 /// Inclusive `(lo, hi)` value range of bucket `idx` (inverse of
 /// [`hist_bucket`]).
-pub fn hist_bucket_bounds(idx: usize) -> (u64, u64) {
+pub(crate) fn hist_bucket_bounds(idx: usize) -> (u64, u64) {
     if idx < 4 {
         return (idx as u64, idx as u64);
     }
@@ -363,14 +359,14 @@ impl Default for Hist {
 }
 
 impl Hist {
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         self.counts[hist_bucket(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
     }
 
-    pub fn merge(&mut self, other: &Hist) {
+    pub(crate) fn merge(&mut self, other: &Hist) {
         for (d, s) in self.counts.iter_mut().zip(&other.counts) {
             *d += s;
         }
@@ -381,13 +377,6 @@ impl Hist {
 
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum as f64 / self.count as f64
     }
 
     /// Nearest-rank percentile (`p` in 0–100): the upper bound of the
@@ -423,7 +412,7 @@ impl Hist {
 /// Lock-free sibling of [`Hist`] for counter paths that take `&self` from
 /// many threads (the ingest side, the serve queue). All stores are relaxed;
 /// [`Self::snapshot`] folds it into a plain [`Hist`].
-pub struct AtomicHist {
+pub(crate) struct AtomicHist {
     counts: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
@@ -452,14 +441,14 @@ impl Default for AtomicHist {
 }
 
 impl AtomicHist {
-    pub fn record(&self, v: u64) {
+    pub(crate) fn record(&self, v: u64) {
         self.counts[hist_bucket(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self) -> Hist {
+    pub(crate) fn snapshot(&self) -> Hist {
         let mut h = Hist::default();
         for (d, s) in h.counts.iter_mut().zip(&self.counts) {
             *d = s.load(Ordering::Relaxed);
@@ -472,16 +461,16 @@ impl AtomicHist {
 }
 
 /// Number of buckets in the subscription guard-radius histogram.
-pub const GUARD_HIST_BUCKETS: usize = 8;
+pub(crate) const GUARD_HIST_BUCKETS: usize = 8;
 
 /// Upper bounds (inclusive, in weight units) of the guard-radius histogram
 /// buckets; the last bucket is open-ended and also absorbs the unbounded
 /// (`covers_all`) guards of subscriptions with fewer than k+1 candidates.
-pub const GUARD_HIST_BOUNDS: [u64; GUARD_HIST_BUCKETS - 1] =
+pub(crate) const GUARD_HIST_BOUNDS: [u64; GUARD_HIST_BUCKETS - 1] =
     [64, 256, 1_024, 4_096, 16_384, 65_536, 262_144];
 
 /// Histogram bucket index for a guard radius `r`.
-pub fn guard_hist_bucket(r: u64) -> usize {
+pub(crate) fn guard_hist_bucket(r: u64) -> usize {
     GUARD_HIST_BOUNDS
         .iter()
         .position(|&b| r <= b)
@@ -497,7 +486,7 @@ pub fn guard_hist_bucket(r: u64) -> usize {
 /// host-independent. Values are calibrated to uncontended `parking_lot`
 /// lock round-trips and small-`Vec` heap traffic on a ~3 GHz core; only
 /// the *ratios* matter for the batched-vs-per-call comparison.
-pub mod ingest_model {
+pub(crate) mod ingest_model {
     /// One cell-mutex acquire/release pair.
     pub const CELL_LOCK_NS: u64 = 48;
     /// One object-table shard RwLock write acquire/release pair.
@@ -642,8 +631,8 @@ pub struct ServerCounters {
     /// Subscriptions left untouched by a tick because no dirtied cell
     /// intersected their guard region — the re-evaluations avoided.
     pub subs_skipped: u64,
-    /// Guard-radius histogram over every (re)computed guard; bucket bounds
-    /// in [`GUARD_HIST_BOUNDS`].
+    /// Guard-radius histogram over every (re)computed guard; the bucket
+    /// bounds are `GUARD_HIST_BOUNDS` (inclusive; the last is open-ended).
     pub guard_radius_hist: [u64; GUARD_HIST_BUCKETS],
     /// Modeled nanoseconds per `tick_subscriptions` invocation (hybrid
     /// clock: measured host + simulated device), log-bucketed.
@@ -687,7 +676,7 @@ pub struct ServerCounters {
 }
 
 impl ServerCounters {
-    pub fn record_query(&mut self, b: &QueryBreakdown) {
+    pub(crate) fn record_query(&mut self, b: &QueryBreakdown) {
         self.record_breakdown(b);
         self.queries += 1;
         self.query_cpu_ns += b.cpu_ns;
@@ -701,9 +690,9 @@ impl ServerCounters {
     /// and cleaning work lands in the same global fields as ad-hoc queries
     /// — it is real server work — but the host time is attributed to
     /// `subs_cpu_ns` instead of `query_cpu_ns` and no ad-hoc query is
-    /// counted, so `queries_per_sec_modeled` stays an ad-hoc figure and
+    /// counted, so `query_cpu_ns` stays an ad-hoc figure and
     /// [`Self::subs_modeled_ns`] a subscription one.
-    pub fn record_subscription(&mut self, b: &QueryBreakdown) {
+    pub(crate) fn record_subscription(&mut self, b: &QueryBreakdown) {
         self.record_breakdown(b);
         self.subs_cpu_ns += b.cpu_ns;
         self.subs_gpu_time += b.gpu_total();
@@ -743,7 +732,7 @@ impl ServerCounters {
     /// Fold one cleaning round's report into the lifetime counters — used
     /// by the server's eager-clean entry points (`clean_cell_of_edge`,
     /// `clean_all`) so neither can silently drop a field the other records.
-    pub fn record_cleaning(&mut self, rep: &CleaningReport) {
+    pub(crate) fn record_cleaning(&mut self, rep: &CleaningReport) {
         self.gpu_time += rep.time;
         self.h2d_bytes += rep.h2d_bytes;
         self.h2d_delta_bytes += rep.h2d_delta_bytes;
@@ -757,7 +746,7 @@ impl ServerCounters {
     }
 
     /// Modeled nanoseconds the ingest path spent on structural operations
-    /// (locks, appends, slab allocations), per the [`ingest_model`]
+    /// (locks, appends, slab allocations), per the `ingest_model`
     /// constants. Deterministic for a given workload: it counts operations,
     /// not wall time, so the group-commit saving is visible even on a
     /// single-core host where the measured clock cannot shrink.
@@ -794,28 +783,6 @@ impl ServerCounters {
             return 0.0;
         }
         self.ingest_busy_ns as f64 / self.ingest_critical_ns as f64
-    }
-
-    /// Measured query throughput in queries per second: queries over the
-    /// wall-clock host time they consumed (CPU phases + device emulation).
-    /// Host-dependent; the modeled figure below is the deterministic one.
-    pub fn queries_per_sec_measured(&self) -> f64 {
-        let ns = self.query_cpu_ns + self.emulation_ns;
-        if ns == 0 {
-            return 0.0;
-        }
-        self.queries as f64 * 1e9 / ns as f64
-    }
-
-    /// Modeled query throughput in queries per second: queries over the
-    /// hybrid clock (measured CPU phases + *simulated* device time), the
-    /// per-query [`QueryBreakdown::total_ns`] convention accumulated.
-    pub fn queries_per_sec_modeled(&self) -> f64 {
-        let ns = self.query_cpu_ns + self.gpu_time.0;
-        if ns == 0 {
-            return 0.0;
-        }
-        self.queries as f64 * 1e9 / ns as f64
     }
 
     /// Total modeled nanoseconds of the subscription path: measured host
@@ -915,7 +882,7 @@ impl ServerCounters {
 /// query-side counters stay in the plain [`ServerCounters`] behind
 /// `&mut self`; `GGridServer::counters` merges the two into one snapshot.
 #[derive(Debug, Default)]
-pub struct IngestCounters {
+pub(crate) struct IngestCounters {
     pub updates_ingested: AtomicU64,
     pub tombstones_written: AtomicU64,
     pub ingest_batches: AtomicU64,
@@ -939,13 +906,13 @@ pub struct IngestCounters {
 
 impl IngestCounters {
     /// Record one batch of `n` updates in the size histogram.
-    pub fn observe_batch(&self, n: usize) {
+    pub(crate) fn observe_batch(&self, n: usize) {
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
         self.batch_size_hist.record(n as u64);
     }
 
     /// Merge a relaxed snapshot of the atomics into `c`.
-    pub fn merge_into(&self, c: &mut ServerCounters) {
+    pub(crate) fn merge_into(&self, c: &mut ServerCounters) {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         c.updates_ingested += ld(&self.updates_ingested);
         c.tombstones_written += ld(&self.tombstones_written);
@@ -1061,7 +1028,6 @@ mod tests {
             refine_ns: 100,
             refine_busy_ns: 180,
             refine_critical_ns: 90,
-            refine_workers: 2,
             ..Default::default()
         };
         assert!((b.refine_concurrency().unwrap() - 1.8).abs() < 1e-12);
@@ -1147,8 +1113,6 @@ mod tests {
     #[test]
     fn query_throughput_counters() {
         let mut c = ServerCounters::default();
-        assert_eq!(c.queries_per_sec_measured(), 0.0);
-        assert_eq!(c.queries_per_sec_modeled(), 0.0);
         c.record_query(&QueryBreakdown {
             cleaning: SimNanos(300),
             cpu_ns: 500,
@@ -1163,10 +1127,6 @@ mod tests {
         assert_eq!(c.h2d_coalesced_saved, 4);
         assert_eq!(c.refine_settled, 10);
         assert_eq!(c.refine_relaxed, 25);
-        // measured: 1 query over 500 + 700 host ns.
-        assert!((c.queries_per_sec_measured() - 1e9 / 1200.0).abs() < 1e-3);
-        // modeled: 1 query over 500 cpu + 300 simulated device ns.
-        assert!((c.queries_per_sec_modeled() - 1e9 / 800.0).abs() < 1e-3);
     }
 
     #[test]
@@ -1205,7 +1165,7 @@ mod tests {
         }
         assert_eq!(h.count, 1000);
         assert_eq!(h.max, 1000);
-        assert!((h.mean() - 500.5).abs() < 1e-9);
+        assert_eq!(h.sum, 500_500);
         for (p, exact) in [(50.0, 500u64), (99.0, 990), (99.9, 999)] {
             let got = h.percentile(p);
             assert!(got >= exact, "p{p} read {got} below exact {exact}");
@@ -1417,7 +1377,6 @@ mod tests {
             refine_ns: 200, // single-core host: wall ≈ busy
             refine_busy_ns: 200,
             refine_critical_ns: 100,
-            refine_workers: 2,
             ..Default::default()
         };
         assert!((b.refine_parallel_speedup().unwrap() - 2.0).abs() < 1e-12);

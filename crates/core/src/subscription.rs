@@ -45,11 +45,6 @@ impl SubscriptionId {
     fn gen(self) -> u32 {
         (self.0 >> 32) as u32
     }
-
-    /// Opaque numeric form (diagnostics, logs).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 /// State of one standing query.
@@ -162,7 +157,7 @@ impl SubscriptionRegistry {
         Some(sub)
     }
 
-    pub fn put_back(&mut self, id: SubscriptionId, sub: Subscription) {
+    pub(crate) fn put_back(&mut self, id: SubscriptionId, sub: Subscription) {
         debug_assert_eq!(self.gens[id.slot()], id.gen());
         debug_assert!(self.slots[id.slot()].is_none());
         self.index(id, &sub);
@@ -195,7 +190,7 @@ impl SubscriptionRegistry {
     /// dirtied cell, unbounded guard with any dirt at all, or a member's
     /// report may have left the freshness horizon. Sorted by id, so the
     /// repair order — and every counter downstream — is deterministic.
-    pub fn affected(&self, dirty: &[CellId], now: Timestamp) -> Vec<SubscriptionId> {
+    pub(crate) fn affected(&self, dirty: &[CellId], now: Timestamp) -> Vec<SubscriptionId> {
         let mut out: Vec<SubscriptionId> = Vec::new();
         for &c in dirty {
             out.extend_from_slice(&self.by_cell[c.index()]);

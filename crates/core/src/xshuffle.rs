@@ -5,7 +5,7 @@
 //! `shuffle_xor` exchanges with lane masks `2^{η-1}, 2^{η-2}, …, 1`,
 //! merging the travelling message with a small per-lane cache Γ, so that
 //! duplicates of the same object collapse without any locking. Theorem 1
-//! ([`crate::mu`]) bounds the surviving duplicates per object per bundle by
+//! (the `mu` module) bounds the surviving duplicates per object per bundle by
 //! μ(η), which caps the number of write attempts each lane needs against
 //! the intermediate table 𝒯.
 //!
@@ -45,7 +45,7 @@ pub struct WireMessage {
 /// kernel processes messages in a data-dependent order and must converge to
 /// the same answer as any sequential scan.
 #[inline]
-pub fn replaces(a: &WireMessage, b: &WireMessage) -> bool {
+pub(crate) fn replaces(a: &WireMessage, b: &WireMessage) -> bool {
     order_key(a) > order_key(b)
 }
 
@@ -125,7 +125,7 @@ pub fn xshuffle_clean<B: AsRef<[WireMessage]>>(
 /// one global read each instead of a PCIe crossing. Entries older than
 /// `horizon` expire during the merge exactly as a full re-clean would
 /// expire them.
-pub fn xshuffle_merge<B: AsRef<[WireMessage]>>(
+pub(crate) fn xshuffle_merge<B: AsRef<[WireMessage]>>(
     ctx: &mut KernelCtx,
     resident: &[WireMessage],
     delta_buckets: &[B],

@@ -195,7 +195,7 @@ fn batch_bumps_touched_cell_epoch_once_and_leaves_others_warm() {
 
 #[test]
 fn shard_locks_count_one_per_touched_shard() {
-    use ggrid::object_table::shard_of;
+    use ggrid::shard_of;
     use std::collections::HashSet;
     let graph = gen::toy(9);
     let updates = update_stream(9, 300);

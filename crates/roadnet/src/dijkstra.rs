@@ -39,22 +39,23 @@ impl SearchBounds {
     };
 }
 
-/// Detachable working memory of a [`DijkstraEngine`]: the distance map,
-/// heap, and settled list.
+/// A `VertexId → Distance` map whose entries only ever fall, plus the
+/// working memory of a [`DijkstraEngine`] (heap and settled list).
 ///
 /// The map is one `Distance` per vertex, [`INFINITY`] meaning unvisited,
-/// plus the list of vertices written since the last search started; the
-/// next search walks that list back to [`INFINITY`], so reuse costs
-/// O(written), not O(|V|), and a lookup is one load. Construction is
-/// O(|V|); a scratch detached with [`DijkstraEngine::into_scratch`] can be
-/// re-attached to another engine over the same graph with
-/// [`DijkstraEngine::with_scratch`] in O(1), so callers that run many short
-/// searches (G-Grid's refinement phase) pay the allocation once per pool
-/// slot instead of once per query.
+/// plus the list of vertices written since the last [`Self::clear`]; a
+/// clear walks that list back to [`INFINITY`], so reuse costs O(written),
+/// not O(|V|), and a lookup is one load. Construction is O(|V|); a scratch
+/// detached with [`DijkstraEngine::into_scratch`] can be re-attached to
+/// another engine over the same graph with [`DijkstraEngine::with_scratch`]
+/// in O(1), so callers that run many short searches pay the allocation
+/// once per pool slot instead of once per query.
 ///
-/// A detached scratch still holds the last search's map, readable through
-/// [`Self::distance`] and [`Self::entries`]; G-Grid's refinement hands it
-/// on as its result.
+/// The map is usable without an engine through [`Self::lower`]: G-Grid's
+/// device-side distance phase relaxes into the same pooled maps its
+/// refinement searches run in. A detached scratch still holds the last
+/// search's map, readable through [`Self::distance`] and [`Self::entries`];
+/// G-Grid's refinement hands it on as its result.
 #[derive(Debug)]
 pub struct DijkstraScratch {
     dist: Vec<Distance>,
@@ -109,27 +110,29 @@ impl DijkstraScratch {
     /// the order of absorption. `other` must be sized for the same graph.
     pub fn absorb(&mut self, other: &DijkstraScratch) {
         for (v, d) in other.entries() {
-            self.lower(v.0, d);
+            self.lower(v, d);
         }
     }
 
-    /// Write `d` to `v` when it is below the entry; a first write records
-    /// `v` for the next reset. Entries are always finite.
+    /// Write `d` to `v` when it is below the entry, returning whether it
+    /// was; a first write records `v` for the next clear. Entries are
+    /// always finite.
     #[inline]
-    fn lower(&mut self, v: u32, d: Distance) -> bool {
-        let cur = &mut self.dist[v as usize];
+    pub fn lower(&mut self, v: VertexId, d: Distance) -> bool {
+        let cur = &mut self.dist[v.index()];
         if d >= *cur {
             return false;
         }
         if *cur == INFINITY {
-            self.written.push(v);
+            self.written.push(v.0);
         }
         *cur = d;
         true
     }
 
-    /// Walk every written vertex back to [`INFINITY`] and empty the lists.
-    fn reset(&mut self) {
+    /// Walk every written vertex back to [`INFINITY`] and empty the lists:
+    /// O(written).
+    pub fn clear(&mut self) {
         for &v in &self.written {
             self.dist[v as usize] = INFINITY;
         }
@@ -207,10 +210,10 @@ impl<'g> DijkstraEngine<'g> {
     pub fn run_seeded(&mut self, seeds: &[(VertexId, Distance)], bounds: SearchBounds) -> usize {
         let graph = self.graph;
         let s = &mut self.scratch;
-        s.reset();
+        s.clear();
         let mut relaxed = 0;
         for &(v, d) in seeds {
-            if s.lower(v.0, d) {
+            if s.lower(v, d) {
                 s.heap.push(Reverse((d, v.0)));
             }
         }
@@ -229,7 +232,7 @@ impl<'g> DijkstraEngine<'g> {
             relaxed += arcs.len() as u64;
             for &(dest, w) in arcs {
                 let nd = d + w as Distance;
-                if nd <= bounds.max_dist && s.lower(dest, nd) {
+                if nd <= bounds.max_dist && s.lower(VertexId(dest), nd) {
                     s.heap.push(Reverse((nd, dest)));
                 }
             }
