@@ -8,18 +8,22 @@
 //!
 //! `run_knn_batch` makes the **batch** the unit of device work:
 //!
-//! * **Batch-fused cleaning** — the union of all queries' first candidate
-//!   rings, as the query planner draws them ([`crate::knn`]), is cleaned in
-//!   one X-shuffle round (one kernel launch, one chunked H2D schedule). The
-//!   round's output records each cell's list epoch, so it is itself the
-//!   cache every per-query pipeline serves those cells from, at zero device
-//!   cost while the epoch holds — no re-launch, no re-upload, not even a
-//!   list freeze. Each query's own rounds follow its plan as they would
-//!   outside a batch.
-//! * **Coalesced topology staging** — the union's CSR slices are staged
-//!   onto the device in one transfer (one PCIe latency for all misses)
-//!   before the first query runs, so the per-query `GPU_SDist` rounds hit
-//!   the resident topology store.
+//! * **Batch-fused cleaning** — the union of all queries' planned first
+//!   cleaning rounds, as the query planner draws them from the live-object
+//!   tallies before any object is known ([`crate::knn`]), is cleaned in
+//!   one X-shuffle round per owning device (one kernel launch, one chunked
+//!   H2D schedule, one copy-back). The round's output records each cell's
+//!   list epoch, so it is itself the cache every per-query pipeline serves
+//!   those cells from, at zero device cost while the epoch holds — no
+//!   re-launch, no re-upload, not even a list freeze. Each query's own
+//!   later rounds follow its plan as they would outside a batch.
+//! * **Coalesced topology staging** — the CSR slices of the queries' first
+//!   rings (the cells around each query, which every SDist round of it
+//!   contains) are staged onto each primary in one transfer (one PCIe
+//!   latency for all misses) before the first query runs, so the
+//!   per-query `GPU_SDist` rounds hit the resident topology store. The
+//!   rest of a planned first round is staged by whichever devices the
+//!   planner places its SDist work on.
 //! * **Overlapped refinement** — queries are staged through the
 //!   device-phase → refine → finalise pipeline of [`crate::knn`], one
 //!   query behind: query *i* is finalised after query *i+1*'s device
@@ -52,9 +56,9 @@
 //!
 //! **Attribution.** The shared pass is real per-query work done once, so
 //! its cost is split across the queries proportionally to how much of the
-//! union each asked for: query *i*'s weight is `Σ_{c ∈ ring_i} 1/mult(c)`,
-//! where `mult(c)` counts the queries whose first ring contains `c` — a
-//! cell wanted by four queries bills each a quarter. The integer split
+//! union each asked for: query *i*'s weight is `Σ_{c ∈ round_i} 1/mult(c)`,
+//! where `mult(c)` counts the queries whose planned first round contains
+//! `c` — a cell wanted by four queries bills each a quarter. The integer split
 //! ([`crate::stats::split_u64`]) telescopes exactly, so the per-query
 //! breakdowns sum to precisely the work the batch did and
 //! [`BatchResult::gpu_total`] needs no separate shared term. The unsplit
@@ -73,7 +77,9 @@ use roadnet::EdgePosition;
 
 use crate::cleaning::CleanedObjects;
 use crate::grid::CellId;
-use crate::knn::{first_ring, knn_device_phase, knn_finalize, refine_unresolved, QueryEnv};
+use crate::knn::{
+    first_ring, first_round, knn_device_phase, knn_finalize, refine_unresolved, QueryEnv,
+};
 use crate::message::{CachedMessage, ObjectId, Timestamp};
 use crate::shard::ShardSet;
 use crate::stats::QueryBreakdown;
@@ -181,7 +187,7 @@ pub struct BatchResult {
     /// proportional share of the shared pass.
     pub per_query: Vec<QueryBreakdown>,
     /// Cells the shared pass cleaned once on behalf of the whole batch
-    /// (the size of the first-ring union).
+    /// (the size of the union of the planned first rounds).
     pub shared_cells: usize,
     /// Makespan of the batch with host refinement overlapping device work
     /// (device time is simulated, refinement time is measured host time).
@@ -217,26 +223,26 @@ pub(crate) fn run_knn_batch(
     } = env;
     let d = shards.num_shards();
 
-    // Per-query first candidate rings and their union; ring multiplicities
+    // Per-query planned first rounds and their union; cell multiplicities
     // drive the attribution weights. A query's *primary* shard — where its
     // kernels run — owns its own cell.
-    let mut rings: Vec<Vec<CellId>> = Vec::with_capacity(queries.len());
+    let mut rounds: Vec<Vec<CellId>> = Vec::with_capacity(queries.len());
     let mut primaries: Vec<usize> = Vec::with_capacity(queries.len());
-    for &(q, _) in queries {
-        let c = grid.cell_of_edge(q.edge);
-        primaries.push(shards.owner_of(c));
-        rings.push(first_ring(grid, c).collect());
+    for &(q, k) in queries {
+        primaries.push(shards.owner_of(grid.cell_of_edge(q.edge)));
+        rounds.push(first_round(shards, env, q, k));
     }
-    // Every ring cell once per ring holding it, sorted: a cell's run length
-    // is its multiplicity.
-    let mut union: Vec<CellId> = rings.concat();
+    // Every round cell once per round holding it, sorted: a cell's run
+    // length is its multiplicity.
+    let mut union: Vec<CellId> = rounds.concat();
     union.sort_unstable();
     let multiplicity =
         |c: &CellId| union.partition_point(|x| x <= c) - union.partition_point(|x| x < c);
-    let weights: Vec<u64> = rings
+    let weights: Vec<u64> = rounds
         .iter()
-        .map(|ring| {
-            ring.iter()
+        .map(|round| {
+            round
+                .iter()
                 .map(|c| ATTR_SCALE / multiplicity(c) as u64)
                 .sum()
         })
@@ -252,27 +258,30 @@ pub(crate) fn run_knn_batch(
         let t0 = std::time::Instant::now();
         // The fused pass routes each union cell to its owning shard; the
         // per-shard legs are independent and run concurrently on their own
-        // device streams.
+        // device streams, each settling its copy-back at once.
         let (cleaned, reports) = shards.clean_cells_routed(lists, &union, config, now);
         cache = Some(cleaned);
-        shared.emulation_ns = t0.elapsed().as_nanos() as u64;
         for (owner, rep) in &reports {
-            shared.record_cleaning(rep);
+            let copy_back = shards.settle(*owner, rep);
+            shared.record_cleaning(rep, copy_back);
             // Copy-back is strictly after this leg's compute but runs on
             // the owner's copy stream, so the first query's device
             // phase starts as soon as the kernel is done — not when the
             // result lands on host.
-            schedule.device(*owner, SimNanos::ZERO, rep.time, rep.copy_back_time);
+            let total = rep.compute_time + copy_back;
+            schedule.device(*owner, SimNanos::ZERO, total, copy_back);
         }
+        shared.emulation_ns = t0.elapsed().as_nanos() as u64;
         shared.kernel_launches = shards.total_launches() - launches0;
 
-        // Stage each primary group's topology in one coalesced transfer per
-        // shard, so the per-query sdist rounds find every first-ring CSR
-        // slice resident on the device they will run on. With one shard the
-        // single group is exactly the union.
+        // Stage each primary group's first rings in one coalesced transfer
+        // per shard, so the per-query sdist rounds find the CSR slices
+        // around each query resident on the device they will run on. The
+        // cells further out are left to the SDist placement: staging them
+        // all on the primary would price every round onto it.
         let mut per_primary: Vec<Vec<CellId>> = vec![Vec::new(); d];
-        for (ring, &p) in rings.iter().zip(&primaries) {
-            per_primary[p].extend_from_slice(ring);
+        for (&(q, _), &p) in queries.iter().zip(&primaries) {
+            per_primary[p].extend(first_ring(grid, grid.cell_of_edge(q.edge)));
         }
         for (p, mut cells) in per_primary.into_iter().enumerate() {
             if cells.is_empty() {
@@ -627,13 +636,13 @@ mod tests {
         let want = [
             (
                 17_933_386_209_648_488_112,
-                8_853_267_947_700_844_332,
-                495_955,
+                2_798_516_273_969_838_814,
+                375_110,
             ),
             (
                 17_933_386_209_648_488_112,
-                1_657_229_634_573_677_297,
-                702_167,
+                16_205_375_463_710_603_615,
+                508_268,
             ),
         ];
         assert_eq!(got, want);
@@ -649,7 +658,7 @@ mod tests {
         let device = Device::new(DeviceSpec::test_tiny());
         let mut shards = ShardSet::single(device, config, grid.num_cells());
         let cells: Vec<CellId> = grid.cell_ids().collect();
-        let (cleaned, _) = shards.clean_cells(lists, &cells, config, Timestamp(500));
+        let (cleaned, ..) = shards.clean_cells(lists, &cells, config, Timestamp(500));
         assert!(cells.iter().all(|&c| cleaned.current(lists, c).is_some()));
         assert!(cells.iter().any(|&c| cleaned[c].is_empty()));
         let cell = grid.cell_of_edge(EdgeId(0));
@@ -668,13 +677,41 @@ mod tests {
     fn shared_pass_cleans_the_planned_first_rings() {
         let mut s = loaded_server();
         let queries = queries();
-        let grid = s.grid();
-        let mut union: Vec<CellId> = queries
-            .iter()
-            .flat_map(|&(q, _)| first_ring(grid, grid.cell_of_edge(q.edge)))
-            .collect();
+        let (grid, lists, config) = (s.grid(), s.cell_lists(), s.config());
+        // Each query's planned first round, drawn ring by ring: its first
+        // ring, then each next ring while the rings so far tally fewer live
+        // objects than ⌈ρk⌉.
+        let planned = |q: EdgePosition, k: usize| -> Vec<CellId> {
+            let target = ((config.rho * k as f64).ceil() as usize).max(k);
+            let mut round: Vec<CellId> = first_ring(grid, grid.cell_of_edge(q.edge)).collect();
+            let mut ring = round.clone();
+            let tally =
+                |cells: &[CellId]| -> usize { cells.iter().map(|&c| lists.live_objects(c)).sum() };
+            while tally(&round) < target {
+                let mut next: Vec<CellId> = ring
+                    .iter()
+                    .flat_map(|&c| grid.neighbors(c).iter().copied())
+                    .filter(|c| !round.contains(c))
+                    .collect();
+                next.sort_unstable();
+                next.dedup();
+                if next.is_empty() {
+                    break;
+                }
+                round.extend_from_slice(&next);
+                ring = next;
+            }
+            round
+        };
+        let mut union: Vec<CellId> = queries.iter().flat_map(|&(q, k)| planned(q, k)).collect();
         union.sort_unstable();
         union.dedup();
+        let rings: usize = queries
+            .iter()
+            .flat_map(|&(q, _)| first_ring(grid, grid.cell_of_edge(q.edge)))
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+        assert!(union.len() > rings, "the fixture must merge later rings");
         let batch = s.knn_batch(&queries, Timestamp(500));
         // The shared pass reads each union cell once, cleaning or skipping it.
         assert_eq!(batch.shared_cells, union.len());

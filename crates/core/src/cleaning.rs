@@ -3,8 +3,15 @@
 //! Given a set of cells, freeze their message lists, ship the surviving
 //! buckets to the device in pipelined groups (§V-A; the group count is
 //! planned per round against the link latency, see `plan_upload`), run
-//! the X-shuffle kernel, copy the result table ℛ back, and write the
-//! consolidated per-object messages back into the cells' lists.
+//! the X-shuffle kernel, and write the consolidated per-object messages
+//! back into the cells' lists.
+//!
+//! A round does not charge the copy of the result table ℛ back to the
+//! host itself: it reports the copy-back it owes ([`CleaningReport`]'s
+//! `copy_backs` and `d2h_bytes`), and its caller settles it with
+//! [`CleaningReport::settle`]. A kNN query's device phase settles
+//! everything it owes a device in one staged copy at its end; callers
+//! outside a query settle each round at once.
 //!
 //! Cells whose lists are still exactly the result of their last cleaning
 //! pass (no append since — see the epoch tracking in
@@ -41,16 +48,13 @@ use crate::xshuffle::{xshuffle_clean, xshuffle_merge, WireMessage};
 /// Cost report of one cleaning round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CleaningReport {
-    /// End-to-end simulated time: pipelined upload+kernel, plus the result
-    /// copy back.
-    pub time: SimNanos,
-    /// Upload + kernel portion of `time` (copy-back excluded): everything
-    /// that must finish before the result starts streaming back.
+    /// Simulated upload + kernel time (pipelined): everything that must
+    /// finish before the result table ℛ can stream back. The copy-back is
+    /// not in it: the round owes it ([`Self::copy_backs`], `d2h_bytes`),
+    /// and whoever settles it ([`Self::settle`]) holds its time.
     pub compute_time: SimNanos,
-    /// D2H copy-back portion of `time`, strictly after all compute. Callers
-    /// that overlap streams (the batch pipeline) schedule this on a
-    /// copy stream so later kernels need not wait on it.
-    pub copy_back_time: SimNanos,
+    /// Copy-backs of ℛ the round owes its device: one per kernel launch.
+    pub copy_backs: usize,
     pub kernel_time: SimNanos,
     pub h2d_bytes: u64,
     /// Portion of `h2d_bytes` that was a delta upload to a resident cell.
@@ -78,9 +82,8 @@ impl CleaningReport {
     /// per-shard reports directly instead), except the duplicate
     /// diagnostic, which is a max.
     pub fn merge(&mut self, other: &Self) {
-        self.time += other.time;
         self.compute_time += other.compute_time;
-        self.copy_back_time += other.copy_back_time;
+        self.copy_backs += other.copy_backs;
         self.kernel_time += other.kernel_time;
         self.h2d_bytes += other.h2d_bytes;
         self.h2d_delta_bytes += other.h2d_delta_bytes;
@@ -94,33 +97,56 @@ impl CleaningReport {
         self.evictions += other.evictions;
         self.max_duplicates_seen = self.max_duplicates_seen.max(other.max_duplicates_seen);
     }
+
+    /// Charge the copy-backs this report owes to `device` (the one that
+    /// cleaned its cells) as one staged D2H of `d2h_bytes`, and return the
+    /// copy's time. A report that owes nothing costs nothing.
+    pub(crate) fn settle(&self, device: &mut Device) -> SimNanos {
+        device.d2h_staged(self.copy_backs, self.d2h_bytes)
+    }
 }
 
 /// What a cleaning round read, for every cell it consolidated or skipped
 /// (empty ones included): the live objects, newest position per object,
-/// and the list epoch they are current at. While a cell's list stays at
+/// the list epoch they are current at, and whether the round read the
+/// cell by clean skip (no kernel ran on it, so no copy-back brought its
+/// list to the host). While a cell's list stays at
 /// that epoch its entry *is* what cleaning the cell again would yield, so
 /// one round's output is the cache later rounds serve from
 /// ([`Self::current`]): a batch's shared pass and a subscription tick's
 /// pre-clean hand theirs to the queries and repairs that follow.
 #[derive(Debug, Default)]
 pub struct CleanedObjects {
-    cells: HashMap<CellId, (u64, Vec<CachedMessage>), FxBuildHasher>,
+    cells: HashMap<CellId, Read, FxBuildHasher>,
+}
+
+/// One cell's entry in [`CleanedObjects`].
+#[derive(Debug)]
+struct Read {
+    epoch: u64,
+    by_skip: bool,
+    msgs: Vec<CachedMessage>,
 }
 
 impl CleanedObjects {
     /// `cell`'s live objects if the round read it and no message has
     /// landed in its list since: exactly what cleaning it now would yield.
     pub fn current(&self, lists: &CellLists, cell: CellId) -> Option<&[CachedMessage]> {
-        let (epoch, msgs) = self.cells.get(&cell)?;
-        (lists.lock(cell.index()).epoch() == *epoch).then_some(msgs.as_slice())
+        let read = self.cells.get(&cell)?;
+        (lists.lock(cell.index()).epoch() == read.epoch).then_some(read.msgs.as_slice())
+    }
+
+    /// Whether the round read `cell` by clean skip; panics if it did not
+    /// read the cell.
+    pub fn read_by_skip(&self, cell: CellId) -> bool {
+        self.cells[&cell].by_skip
     }
 
     /// Every cell the round read, with its live objects, in no set order.
     pub fn iter(&self) -> impl Iterator<Item = (CellId, &[CachedMessage])> {
         self.cells
             .iter()
-            .map(|(&c, (_, msgs))| (c, msgs.as_slice()))
+            .map(|(&c, read)| (c, read.msgs.as_slice()))
     }
 
     /// Fold in another round's output over disjoint cells.
@@ -128,8 +154,13 @@ impl CleanedObjects {
         self.cells.extend(other.cells);
     }
 
-    fn insert(&mut self, cell: CellId, epoch: u64, msgs: Vec<CachedMessage>) {
-        self.cells.insert(cell, (epoch, msgs));
+    fn insert(&mut self, cell: CellId, epoch: u64, by_skip: bool, msgs: Vec<CachedMessage>) {
+        let read = Read {
+            epoch,
+            by_skip,
+            msgs,
+        };
+        self.cells.insert(cell, read);
     }
 }
 
@@ -138,19 +169,18 @@ impl std::ops::Index<CellId> for CleanedObjects {
 
     /// The live objects the round found in `cell`; panics if it did not.
     fn index(&self, cell: CellId) -> &[CachedMessage] {
-        let (_, msgs) = self.cells.get(&cell).expect("cell not read by this round");
-        msgs
+        &self
+            .cells
+            .get(&cell)
+            .expect("cell not read by this round")
+            .msgs
     }
 }
 
-/// Clean the message lists of `cells`.
-///
-/// `lists` is the per-cell message-list array (indexed by cell id). After
-/// the call, each cleaned cell's list holds one consolidated message per
-/// surviving object (plus anything that arrived during the simulated GPU
-/// processing), and is stamped clean at its current epoch so repeat
-/// requests can skip the kernel while no new message lands in the cell.
-pub fn clean_cells(
+/// Clean `cells` on one device and settle the copy-back at once: the
+/// single-device form of [`clean_cells_with_heat`] the unit tests drive.
+#[cfg(test)]
+fn clean_cells(
     device: &mut Device,
     lists: &CellLists,
     resident: &mut ResidentCellStore,
@@ -158,11 +188,23 @@ pub fn clean_cells(
     config: &GGridConfig,
     now: Timestamp,
 ) -> (CleanedObjects, CleaningReport) {
-    clean_cells_with_heat(device, lists, resident, cells, config, now, None)
+    let (out, rep) = clean_cells_with_heat(device, lists, resident, cells, config, now, None);
+    rep.settle(device);
+    (out, rep)
 }
 
-/// [`clean_cells`] with an optional per-cell read-heat tally: every cell
-/// served from the clean-skip cache bumps `read_heat[cell]`. This is the
+/// Clean the message lists of `cells`, leaving the copy-back owed.
+///
+/// `lists` is the per-cell message-list array (indexed by cell id). After
+/// the call, each cleaned cell's list holds one consolidated message per
+/// surviving object (plus anything that arrived during the simulated GPU
+/// processing), and is stamped clean at its current epoch so repeat
+/// requests can skip the kernel while no new message lands in the cell.
+/// The report's `copy_backs` and `d2h_bytes` are the copy of ℛ the round
+/// owes `device`; [`CleaningReport::settle`] charges it.
+///
+/// `read_heat`, when given, is a per-cell read tally: every cell served
+/// from the clean-skip cache bumps `read_heat[cell]`. This is the
 /// replication signal of the sharded server — a cell that is repeatedly
 /// read while already consolidated is exactly one whose list is worth
 /// promoting onto the reading devices (see `GGridConfig::replicate_threshold`).
@@ -205,7 +247,7 @@ pub fn clean_cells_with_heat(
             if let Some(heat) = read_heat {
                 heat[c.index()].fetch_add(1, Ordering::Relaxed);
             }
-            out.insert(c, list.epoch(), list.snapshot_clean(horizon));
+            out.insert(c, list.epoch(), true, list.snapshot_clean(horizon));
             continue;
         }
         let frozen = match resident.lookup(device, c, list.cleaned_epoch()) {
@@ -249,7 +291,7 @@ pub fn clean_cells_with_heat(
         for &c in work.iter().chain(merge.iter().map(|(c, _)| c)) {
             let mut list = lists.lock(c.index());
             list.mark_clean();
-            out.insert(c, list.epoch(), Vec::new());
+            out.insert(c, list.epoch(), false, Vec::new());
             resident.invalidate(device, c);
         }
         rep.evictions = resident.evictions() - evictions_before;
@@ -332,7 +374,6 @@ pub fn clean_cells_with_heat(
     debug_assert_eq!(rep.h2d_full_bytes + rep.h2d_delta_bytes, h2d_bytes);
 
     rep.compute_time = overlapped;
-    rep.time = rep.compute_time + rep.copy_back_time;
     rep.h2d_bytes = h2d_bytes;
     rep.buckets = buckets.len();
     rep.messages = wire.len();
@@ -381,7 +422,7 @@ fn plan_upload(
     best
 }
 
-/// Copy-back accounting + CPU-side installation for one cleaning round.
+/// Copy-back sizing + CPU-side installation for one cleaning round.
 ///
 /// Cells cleaned through the full path copy their whole consolidated list
 /// back; cells cleaned through the resident merge path copy back only the
@@ -441,10 +482,10 @@ fn finish_round(
         let epoch = list.epoch();
         drop(list);
         resident.install(device, c, epoch, &msgs);
-        out.insert(c, epoch, msgs);
+        out.insert(c, epoch, false, msgs);
     }
     lists.add_slabs(opened, reused);
-    rep.copy_back_time = device.d2h(d2h_bytes);
+    rep.copy_backs = 1;
     rep.d2h_bytes = d2h_bytes;
     rep.max_duplicates_seen = rep.max_duplicates_seen.max(output.max_duplicates_seen);
     // Anything left in the kernel output belongs to cells outside the
@@ -540,8 +581,10 @@ mod tests {
         );
         // Both cells are read and yield nothing.
         assert!(objs[CellId(0)].is_empty() && objs[CellId(1)].is_empty());
-        assert_eq!(rep.time, SimNanos::ZERO);
+        assert_eq!(rep.compute_time, SimNanos::ZERO);
+        assert_eq!(rep.copy_backs, 0);
         assert_eq!(dev.ledger().h2d_transfers, 0);
+        assert_eq!(dev.ledger().d2h_transfers, 0);
     }
 
     #[test]
@@ -565,7 +608,7 @@ mod tests {
         assert_eq!(rep.h2d_bytes, 10 * CachedMessage::WIRE_BYTES);
         assert_eq!(dev.ledger().h2d_bytes, rep.h2d_bytes);
         assert_eq!(dev.ledger().d2h_bytes, rep.d2h_bytes);
-        assert!(rep.time > SimNanos::ZERO);
+        assert!(rep.compute_time > SimNanos::ZERO);
     }
 
     /// Fill cell 0 with `n` fresh messages over `n / 4` objects.
@@ -750,7 +793,8 @@ mod tests {
         );
         assert_eq!(rep_b.cells_skipped, 1);
         assert_eq!(rep_b.cells_cleaned, 0);
-        assert_eq!(rep_b.time, SimNanos::ZERO);
+        assert_eq!(rep_b.compute_time, SimNanos::ZERO);
+        assert_eq!(rep_b.copy_backs, 0);
         assert_eq!(dev.launches(), launches, "skip must not launch a kernel");
         assert_eq!(a[CellId(0)], b[CellId(0)]);
     }
@@ -960,16 +1004,23 @@ mod tests {
             lists.lock(0).append(msg(o, 100));
         }
         let cfg = config();
-        let (_, rep) = clean_cells(
+        let cells = [CellId(0)];
+        let (_, rep) = clean_cells_with_heat(
             &mut dev,
             &lists,
             &mut resident,
-            &[CellId(0)],
+            &cells,
             &cfg,
             Timestamp(200),
+            None,
         );
-        assert!(rep.copy_back_time > SimNanos::ZERO);
-        assert_eq!(rep.time, rep.compute_time + rep.copy_back_time);
+        // The round charges its upload and kernel, and owes one copy-back.
+        assert!(rep.compute_time > SimNanos::ZERO);
+        assert_eq!((rep.copy_backs, dev.ledger().d2h_transfers), (1, 0));
+        let copy = rep.settle(&mut dev);
+        assert!(copy > SimNanos::ZERO);
+        assert_eq!(dev.ledger().d2h_time, copy);
+        assert_eq!(dev.ledger().d2h_bytes, rep.d2h_bytes);
     }
 
     #[test]

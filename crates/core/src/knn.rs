@@ -41,17 +41,18 @@
 //! Every decision about a query's rounds is made in one place, the planner
 //! `QueryPlan`, from one cost model; the executors only run the plan.
 //!
-//! - **The first ring** (the query's cell and its neighbours) is a cleaning
-//!   round of its own. It is also what a batch's shared pass cleans, so a
-//!   batched query serves its first round from that pass, and the single,
-//!   batch and sharded paths run one plan.
-//! - **Later rings merge** into one cleaning round while the objects known
-//!   plus the merged rings' live-object tallies stay below ⌈ρk⌉. The tally
+//! - **Rings merge** into one cleaning round while the objects known plus
+//!   the merged rings' live-object tallies stay below ⌈ρk⌉, starting from
+//!   the first ring (the query's cell and its neighbours). The tally
 //!   (`CellLists::live_objects`, kept by the ingest placement and read
 //!   without a cell mutex) bounds what a clean of the cell can yield, so
 //!   every merged ring is one ring-by-ring expansion would clean as well:
 //!   the cells cleaned are exactly ring-by-ring's, and only the number of
-//!   rounds (each an upload, a launch and a copy-back) falls.
+//!   rounds (each an upload and a launch) falls.
+//! - **The first round** is planned before any object is known, so a
+//!   batch's shared pass cleans each query's planned first round on its
+//!   behalf and the query serves it from that pass: the single, batch and
+//!   sharded paths run one plan.
 //! - **An SDist round scatters** over its cells' effective owners only when
 //!   that pays. The kernel is metered once, before anything is charged,
 //!   and both placements are priced: each participant's launch of its
@@ -65,6 +66,17 @@
 //! cells in one transfer; `MeteredSdist::run` meters an SDist round once
 //! and `MeteredSdist::replay` charges it on the placement the planner
 //! chose, a primary-only round being the one-device case.
+//!
+//! ## One copy back per device
+//!
+//! A cleaning round does not copy its result table back on its own: it
+//! reports the copy it owes its device, and so does each gather of remote
+//! clean-skipped lists. `Executor::settle` ships everything a phase owes a
+//! device in one staged D2H at the phase's end, and on the primary that
+//! copy also carries the candidate and unresolved sets. Only the
+//! live-object count of each expansion round comes back before that: the
+//! planner picks the next round from it, so each device that cleaned in
+//! the round ships its count at once (`Executor::read_counts`).
 //!
 //! ## One distance map
 //!
@@ -81,6 +93,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+use gpu_sim::xfer::transfer_time;
 use gpu_sim::{Device, OpCounts, SimNanos};
 use roadnet::dijkstra::{DijkstraEngine, DijkstraScratch, SearchBounds};
 use roadnet::graph::{Distance, VertexId, INFINITY};
@@ -206,6 +219,22 @@ pub(crate) fn run_knn(
     knn_finalize(shards, env, now, pending, refined, cache)
 }
 
+/// Bytes of one device's live-object count of a cleaning round.
+const COUNT_BYTES: u64 = 4;
+
+/// What one device phase of a query owes a device's link back to the host,
+/// settled in one staged copy at the phase's end.
+#[derive(Clone, Copy, Debug, Default)]
+struct Owed {
+    /// Cleaning rounds run on the device, one result table ℛ each.
+    copy_backs: usize,
+    copy_back_bytes: u64,
+    /// Rounds whose remote clean-skipped lists the device ships to the
+    /// query's primary.
+    gathers: usize,
+    gather_bytes: u64,
+}
+
 /// The round executor of one query phase: runs the phase's planned
 /// cleaning rounds, keeping the live objects they find and what they cost.
 struct Executor<'a> {
@@ -214,8 +243,8 @@ struct Executor<'a> {
     /// An earlier round's output, served from while its cells are current.
     cache: Option<&'a CleanedObjects>,
     primary: usize,
-    /// Owners this phase has opened a gather stream from.
-    channels: [bool; MAX_DEVICES],
+    /// What the phase owes each device's link so far.
+    owed: [Owed; MAX_DEVICES],
     objects: Vec<CachedMessage>,
     breakdown: QueryBreakdown,
     /// Host time spent emulating kernels, kept off the CPU clock.
@@ -236,7 +265,7 @@ impl<'a> Executor<'a> {
             now,
             cache,
             primary,
-            channels: [false; MAX_DEVICES],
+            owed: [Owed::default(); MAX_DEVICES],
             objects,
             breakdown,
             emulation: Duration::ZERO,
@@ -250,7 +279,11 @@ impl<'a> Executor<'a> {
     /// shared pass, a subscription tick's pre-clean), cells it read whose
     /// list epoch proves no message landed since are served from it at zero
     /// device cost (counted as skips); everything else falls through to
-    /// [`ShardSet::clean_cells`], which routes each cell to its owning device.
+    /// [`ShardSet::clean_cells_routed`], which routes each cell to its
+    /// owning device. What the round owes each device's link — its result
+    /// tables and the remote clean-skipped lists the primary gathers — is
+    /// added to [`Self::owed`], for [`Self::settle`] to ship at the phase's
+    /// end.
     ///
     /// Read-hot *remote* cells of the round, cache-served or freshly
     /// cleaned, whose clean-skip read heat crossed
@@ -258,77 +291,143 @@ impl<'a> Executor<'a> {
     /// the query's primary device after the clean, in one transfer — the
     /// one place consolidated messages and their list epoch are both in
     /// hand.
-    fn clean(&mut self, shards: &mut ShardSet, cells: &[CellId]) {
+    ///
+    /// Returns the devices that ran a cleaning kernel in the round: only
+    /// they hold its live-object count (cache-served cells are on the
+    /// host).
+    fn clean(&mut self, shards: &mut ShardSet, cells: &[CellId]) -> Vec<usize> {
         let (lists, config, primary) = (self.env.lists, self.env.config, self.primary);
+        let sharded = shards.num_shards() > 1;
         let breakdown = &mut self.breakdown;
         let mut fresh: Vec<CellId> = Vec::with_capacity(cells.len());
-        let mut served: Vec<(CellId, &[CachedMessage])> = Vec::new();
+        // Every cell the round reads, with the round output it is read from.
+        let mut reads: Vec<(CellId, &CleanedObjects)> = Vec::new();
         for &c in cells {
-            let Some(msgs) = self.cache.and_then(|cache| cache.current(lists, c)) else {
+            let Some((msgs, cache)) = self
+                .cache
+                .and_then(|cache| Some((cache.current(lists, c)?, cache)))
+            else {
                 fresh.push(c);
                 continue;
             };
             self.objects.extend_from_slice(msgs);
             breakdown.cells_skipped += 1;
-            if shards.num_shards() > 1 {
+            if sharded {
                 // A hot remote cell served out of the cache is exactly the
                 // read the scatter path keeps paying for: a device replica
                 // folds later frontier rounds' work onto this primary.
                 shards.note_read(c);
-                served.push((c, msgs));
+                reads.push((c, cache));
             }
         }
         let mut cleaned = CleanedObjects::default();
+        let mut launched = Vec::new();
         if !fresh.is_empty() {
-            // The cells the routed clean will serve from the clean-skip
-            // cache (the predicate the skip branch itself uses, evaluated
-            // pre-clean): remote-owned ones are read out of their owner's
-            // device below.
-            let gather: Vec<CellId> = if shards.num_shards() > 1 {
-                fresh
-                    .iter()
-                    .copied()
-                    .filter(|&c| shards.owner_of(c) != primary && lists.lock(c.index()).is_clean())
-                    .collect()
-            } else {
-                Vec::new()
-            };
             let t0 = Instant::now();
-            let (out, rep) = shards.clean_cells(lists, &fresh, config, self.now);
+            let (out, reports) = shards.clean_cells_routed(lists, &fresh, config, self.now);
             cleaned = out;
             self.emulation += t0.elapsed();
-            breakdown.record_cleaning(&rep);
-            if !gather.is_empty() {
-                let (hits, shipped) = shards.gather_remote_lists(
-                    primary,
-                    &gather,
-                    lists,
-                    &cleaned,
-                    &mut self.channels,
-                );
-                breakdown.replica_hits += hits;
-                breakdown.d2h_bytes += shipped.bytes;
-                breakdown.remote_gather += shipped.time;
-            }
-        }
-        if config.replication_enabled() {
-            let round = served
-                .into_iter()
-                .chain(fresh.iter().map(|&c| (c, &cleaned[c][..])));
-            let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
-            for (c, msgs) in round {
-                if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
-                    promote.push((c, epoch, msgs));
+            for (d, rep) in &reports {
+                breakdown.record_cleaning(rep, SimNanos::ZERO);
+                self.owed[*d].copy_backs += rep.copy_backs;
+                self.owed[*d].copy_back_bytes += rep.d2h_bytes;
+                if rep.copy_backs > 0 {
+                    launched.push(*d);
                 }
             }
-            if !promote.is_empty() {
-                let shipped = shards.promote_replicas_coalesced(primary, &promote);
-                breakdown.h2d_bytes += shipped.bytes;
-                breakdown.replica_promote += shipped.time;
+        }
+        if sharded {
+            reads.extend(fresh.iter().map(|&c| (c, &cleaned)));
+
+            // Remote cells read by clean skip, here or in the round the cache
+            // came from, were copied back by no round: their owners read them
+            // out of device-resident state and ship them.
+            let gather: Vec<(CellId, usize)> = reads
+                .iter()
+                .filter(|&&(c, from)| from.read_by_skip(c) && shards.owner_of(c) != primary)
+                .map(|&(c, from)| (c, from[c].len()))
+                .collect();
+            let (hits, bytes) = shards.gather_remote_lists(primary, &gather, lists);
+            breakdown.replica_hits += hits;
+            for (owed, &b) in self.owed.iter_mut().zip(&bytes).filter(|(_, &b)| b > 0) {
+                owed.gathers += 1;
+                owed.gather_bytes += b;
+                breakdown.d2h_bytes += b;
+            }
+
+            if config.replication_enabled() {
+                let mut promote: Vec<(CellId, u64, &[CachedMessage])> = Vec::new();
+                for &(c, from) in &reads {
+                    let msgs = &from[c];
+                    if let Some(epoch) = replica_epoch(shards, lists, config, primary, c, msgs) {
+                        promote.push((c, epoch, msgs));
+                    }
+                }
+                if !promote.is_empty() {
+                    let shipped = shards.promote_replicas_coalesced(primary, &promote);
+                    breakdown.h2d_bytes += shipped.bytes;
+                    breakdown.replica_promote += shipped.time;
+                }
             }
         }
-        for c in fresh {
-            self.objects.extend_from_slice(&cleaned[c]);
+        self.objects.extend(fresh.iter().flat_map(|&c| &cleaned[c]));
+        launched
+    }
+
+    /// Read the live-object count of the round just cleaned back from each
+    /// of `devices`, the ones that cleaned cells in it: the planner picks
+    /// the next round from that count, so the host waits for it before the
+    /// phase settles. One [`COUNT_BYTES`] D2H per device, on the cleaning
+    /// clock rather than a copy stream, since the next round waits for it;
+    /// the objects themselves stay owed.
+    fn read_counts(&mut self, shards: &mut ShardSet, devices: &[usize]) {
+        for &d in devices {
+            let t = shards.shard_mut(d).device.d2h(COUNT_BYTES);
+            let b = &mut self.breakdown;
+            b.cleaning += t;
+            b.d2h_bytes += COUNT_BYTES;
+            b.count_reads += 1;
+        }
+    }
+
+    /// Close the phase's device traffic: ship everything it owes each
+    /// device in one staged D2H per device, the `result` bytes (the
+    /// candidate and unresolved sets) riding the primary's copy.
+    ///
+    /// The copy's time is billed to the breakdown by part: the first part
+    /// present, in the order result, copy-back, gather, carries the link
+    /// latency, and every other part its wire time, so `transfer_out`,
+    /// `copy_back` (inside `cleaning`) and `remote_gather` add up to exactly
+    /// what the devices' ledgers were charged.
+    fn settle(&mut self, shards: &mut ShardSet, result: u64) {
+        let b = &mut self.breakdown;
+        for d in 0..shards.num_shards() {
+            let owed = std::mem::take(&mut self.owed[d]);
+            let out = if d == self.primary { result } else { 0 };
+            // (segments, bytes) of the result, copy-back and gather parts.
+            let parts = [
+                (usize::from(out > 0), out),
+                (owed.copy_backs, owed.copy_back_bytes),
+                (owed.gathers, owed.gather_bytes),
+            ];
+            let Some(first) = parts.iter().position(|&(n, _)| n > 0) else {
+                continue;
+            };
+            let device = &mut shards.shard_mut(d).device;
+            let segments = parts.iter().map(|p| p.0).sum();
+            let t = device.d2h_staged(segments, parts.iter().map(|p| p.1).sum());
+            let latency = SimNanos(device.spec().pcie_latency_ns);
+            let mut share = parts.map(|(_, bytes)| transfer_time(device.spec(), bytes) - latency);
+            // The first part takes what the others' wire time leaves of the
+            // copy: the latency and its own wire time.
+            share[first] = SimNanos::ZERO;
+            share[first] = t - share.iter().copied().sum();
+            let [out_t, copy_back, gather] = share;
+            b.transfer_out += out_t;
+            b.copy_back += copy_back;
+            b.cleaning += copy_back;
+            b.remote_gather += gather;
+            b.d2h_bytes += out;
         }
     }
 }
@@ -357,11 +456,25 @@ fn replica_epoch(
 }
 
 /// The first ring of a query whose own cell is `c_q`: the cell, then its
-/// neighbours (sorted, never `c_q` itself). The one rule for where a query
-/// starts: its first cleaning round, and the batch's shared pass, which
-/// cleans the union of its queries' first rings.
+/// neighbours (sorted, never `c_q` itself). The one rule for where a
+/// query's expansion starts: every cleaning round the planner draws grows
+/// from it, and a batch stages its topology up front.
 pub(crate) fn first_ring(grid: &GraphGrid, c_q: CellId) -> impl Iterator<Item = CellId> + '_ {
     std::iter::once(c_q).chain(grid.neighbors(c_q).iter().copied())
+}
+
+/// The first cleaning round a k-query at `q` will plan, before it knows any
+/// object: the round a batch's shared pass cleans on its behalf.
+pub(crate) fn first_round(
+    shards: &ShardSet,
+    env: QueryEnv,
+    q: EdgePosition,
+    k: usize,
+) -> Vec<CellId> {
+    let mut plan = QueryPlan::new(env, shards, q, k);
+    let round = plan.cleaning_round(0).unwrap_or_default();
+    env.pool.release_cells(plan.finish());
+    round
 }
 
 /// The query planner: the one place that decides which cells a query
@@ -419,26 +532,22 @@ impl<'a> QueryPlan<'a> {
     /// given the `known` live objects so far; `None` once ρ·k are known or
     /// the expansion is exhausted.
     ///
-    /// The first ring is a round of its own: it is what a batch's shared
-    /// pass cleans, so a batched query serves it from that pass. Every
-    /// later round is the next ring, merged with the rings after it while
-    /// they are sure to be needed: a clean of a cell yields at most its
-    /// live-object tally ([`CellLists::live_objects`]), so while the
-    /// objects known plus the tallies of the rings queued for this round
-    /// stay below the target, ring-by-ring expansion would certainly clean
-    /// the next ring as well. The cells cleaned are the same; each merged
-    /// ring saves an upload, a launch and a copy-back.
+    /// Every round, the first included, is the next ring, merged with the
+    /// rings after it while they are sure to be needed: a clean of a cell
+    /// yields at most its live-object tally ([`CellLists::live_objects`]),
+    /// so while the objects known plus the tallies of the rings queued for
+    /// this round stay below the target, ring-by-ring expansion would
+    /// certainly clean the next ring as well. The cells cleaned are the
+    /// same; each merged ring saves an upload and a launch. The first round
+    /// is planned before any object is known, so a batch's shared pass can
+    /// clean it on the query's behalf ([`first_round`]).
     fn cleaning_round(&mut self, known: usize) -> Option<Vec<CellId>> {
         if known >= self.target {
             return None;
         }
-        let first = self.cells.is_empty();
         let mut round = self.advance().to_vec();
         if round.is_empty() {
             return None;
-        }
-        if first {
-            return Some(round);
         }
         let mut bound = known;
         while stays_below(self.env.lists, &self.ring, &mut bound, self.target) {
@@ -556,7 +665,8 @@ pub(crate) fn knn_device_phase(
 
     // ---- Step 1: candidate cells (Algorithm 4 lines 1-4) ----
     while let Some(round) = plan.cleaning_round(ex.objects.len()) {
-        ex.clean(shards, &round);
+        let launched = ex.clean(shards, &round);
+        ex.read_counts(shards, &launched);
     }
 
     // ---- Step 2: candidate distances, with a robustness loop: if fewer
@@ -603,13 +713,7 @@ pub(crate) fn knn_device_phase(
         ex.clean(shards, ring);
     };
     let cells = plan.finish();
-    let Executor {
-        objects,
-        mut breakdown,
-        mut emulation,
-        ..
-    } = ex;
-    breakdown.candidates = candidates.len();
+    ex.breakdown.candidates = candidates.len();
 
     // Best estimate per object so far.
     let mut estimates: HashMap<ObjectId, Distance, FxBuildHasher> =
@@ -632,27 +736,29 @@ pub(crate) fn knn_device_phase(
         let t0 = Instant::now();
         let device = &mut shards.shard_mut(primary).device;
         let (u, t) = gpu_unresolved(device, grid, cells.tags(), cells.tagged(), &dist, l);
-        emulation += t0.elapsed();
-        breakdown.candidate += t;
+        ex.emulation += t0.elapsed();
+        ex.breakdown.candidate += t;
         u
     };
-    breakdown.unresolved = unresolved.len();
+    ex.breakdown.unresolved = unresolved.len();
     // Hand the map back empty, inside the emulated bracket: a refinement
     // that borrows it next would otherwise clear SDist's entries on the
     // host clock.
     let t0 = Instant::now();
     dist.clear();
-    emulation += t0.elapsed();
+    ex.emulation += t0.elapsed();
     pool.release_map(dist);
 
     // Copy the candidate set and unresolved set back to the host
-    // (Algorithm 4 line 10 input).
+    // (Algorithm 4 line 10 input), with everything else the phase owes.
     let out_bytes = candidates.len() as u64 * 16 + unresolved.len() as u64 * 12;
-    if out_bytes > 0 {
-        let device = &mut shards.shard_mut(primary).device;
-        breakdown.transfer_out += device.d2h(out_bytes);
-        breakdown.d2h_bytes += out_bytes;
-    }
+    ex.settle(shards, out_bytes);
+    let Executor {
+        objects,
+        mut breakdown,
+        emulation,
+        ..
+    } = ex;
 
     let wall = cpu_start.elapsed();
     breakdown.cpu_ns += wall.saturating_sub(emulation).as_nanos() as u64;
@@ -854,6 +960,7 @@ pub(crate) fn knn_finalize(
         pool.release_map(s);
     }
     pool.release_cells(cells);
+    ex.settle(shards, 0);
     let Executor {
         mut breakdown,
         emulation,
@@ -1123,7 +1230,7 @@ impl MeteredSdist {
         let mut busy = [SimNanos::ZERO; MAX_DEVICES];
         for (d, bytes) in missed.iter().enumerate() {
             if let Some(bytes) = *bytes {
-                busy[d] += gpu_sim::xfer::transfer_time(shards.shard(d).device.spec(), bytes);
+                busy[d] += transfer_time(shards.shard(d).device.spec(), bytes);
             }
         }
         let launch = |d: usize, threads: usize, ops: &OpCounts| {
@@ -1661,16 +1768,21 @@ mod tests {
         let mut shards = ShardSet::single(device, &config, grid.num_cells());
         let pool = ScratchPool::new(graph.num_vertices());
         let env = QueryEnv::new(&grid, &lists, &pool, &config);
-        let d2h = |shards: &ShardSet| shards.shard(0).device.ledger().d2h_transfers;
-        let before = d2h(&shards);
+        let ledger = |shards: &ShardSet| *shards.shard(0).device.ledger();
+        let before = ledger(&shards);
         let pending = knn_device_phase(&mut shards, env, q, k, Timestamp(200), None);
-        // One copy-back carries the candidates and unresolved vertices;
-        // every other D2H is a cleaning round's.
-        let cleaning_d2h = d2h(&shards) - before - 1;
+        // The phase settles one copy-back per cleaning round and its
+        // candidates and unresolved vertices in one staged copy, so the
+        // segments it saved count the rounds; the planner read each
+        // round's live-object count before planning past it.
+        let after = ledger(&shards);
+        let rounds = after.d2h_coalesced_saved - before.d2h_coalesced_saved;
         assert!(
-            cleaning_d2h < rings,
-            "{cleaning_d2h} cleaning copy-backs for {rings} rings"
+            rounds >= 1 && rounds < rings as u64,
+            "{rounds} cleaning rounds for {rings} rings"
         );
+        assert_eq!(pending.breakdown.count_reads, rounds);
+        assert_eq!(after.d2h_transfers - before.d2h_transfers, rounds + 1);
         let mut got = pending.cells.tagged().to_vec();
         got.sort_unstable();
         expected.sort_unstable();
@@ -1682,6 +1794,141 @@ mod tests {
         let got_d: Vec<u64> = result.items.iter().map(|&(_, d)| d).collect();
         let want_d: Vec<u64> = want.iter().map(|&(_, d)| d).collect();
         assert_eq!(got_d, want_d);
+    }
+
+    /// Each device's D2H transfer count.
+    fn d2h_counts(shards: &ShardSet) -> Vec<u64> {
+        let devices = 0..shards.num_shards();
+        devices
+            .map(|d| shards.shard(d).device.ledger().d2h_transfers)
+            .collect()
+    }
+
+    /// Assert that, besides the phase's `reads` live-object count reads,
+    /// each device's D2H count rose by at most one since `before`: every
+    /// copy-back, gather and result set it owed rode one staged copy.
+    /// Return the new counts.
+    fn at_most_one_copy_each(
+        shards: &ShardSet,
+        before: &[u64],
+        reads: u64,
+        phase: &str,
+    ) -> Vec<u64> {
+        let after = d2h_counts(shards);
+        let rises: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        for (d, &rise) in rises.iter().enumerate() {
+            assert!(
+                rise <= 1 + reads,
+                "{phase}: device {d} made {rise} copies, {reads} reads"
+            );
+        }
+        let used = rises.iter().filter(|&&r| r > 0).count() as u64;
+        let copies = rises.iter().sum::<u64>() - reads;
+        assert!(copies <= used, "{phase}: {copies} copies on {used} devices");
+        after
+    }
+
+    #[test]
+    fn a_query_phase_copies_back_once_per_device() {
+        let (grid, _, _, config) = setup(5);
+        let graph = grid.graph().clone();
+        // Half the fleet reported long ago and has expired by the query
+        // time, yet the live-object tally still counts it: the tally plans
+        // rounds too small, so phases run several cleaning rounds.
+        let objects: Vec<(u64, EdgePosition)> = (0..40u64)
+            .map(|o| (o, EdgePosition::at_source(EdgeId((o * 37 % 160) as u32))))
+            .collect();
+        let (stale, live) = objects.split_at(20);
+        let now = Timestamp(20_000);
+        let queries: Vec<(EdgePosition, usize)> = (0..8u32)
+            .map(|i| {
+                (
+                    EdgePosition::at_source(EdgeId(i * 19 % 160)),
+                    3 + i as usize % 4,
+                )
+            })
+            .collect();
+        let pool = ScratchPool::new(graph.num_vertices());
+        let mut answers: Vec<Vec<Vec<(ObjectId, Distance)>>> = Vec::new();
+        for d in [1usize, 4] {
+            let config = GGridConfig {
+                num_devices: d,
+                ..config.clone()
+            };
+            let fresh_lists = || {
+                let lists = CellLists::new(grid.num_cells(), config.bucket_capacity);
+                place(&grid, &lists, stale, 100);
+                place(&grid, &lists, live, 15_000);
+                lists
+            };
+            let device = Device::new(DeviceSpec::test_tiny());
+
+            // The single path: each query's device phase and finalisation.
+            let lists = fresh_lists();
+            let env = QueryEnv::new(&grid, &lists, &pool, &config);
+            let mut shards = ShardSet::new(&grid, &config, device);
+            let mut single = Vec::new();
+            let mut counts = d2h_counts(&shards);
+            for &(q, k) in &queries {
+                let pending = knn_device_phase(&mut shards, env, q, k, now, None);
+                let reads = pending.breakdown.count_reads;
+                counts = at_most_one_copy_each(&shards, &counts, reads, "device phase");
+                let refined = refine_unresolved(&grid, &pending, 1, &pool);
+                let result = knn_finalize(&mut shards, env, now, pending, refined, None);
+                assert_eq!(
+                    result.breakdown.count_reads, reads,
+                    "finalisation reads no count"
+                );
+                counts = at_most_one_copy_each(&shards, &counts, 0, "finalisation");
+                single.push(result.items);
+            }
+            let saved: u64 = (0..d)
+                .map(|i| shards.shard(i).device.ledger().d2h_coalesced_saved)
+                .sum();
+            assert!(saved > 0, "D = {d}: no phase folded two copies into one");
+
+            // The batch path: the shared pass's output serves each query's
+            // phases, which again copy back at most once per device.
+            let lists = fresh_lists();
+            let env = QueryEnv::new(&grid, &lists, &pool, &config);
+            let mut shards = ShardSet::new(&grid, &config, Device::new(DeviceSpec::test_tiny()));
+            let mut union: Vec<CellId> = queries
+                .iter()
+                .flat_map(|&(q, k)| first_round(&shards, env, q, k))
+                .collect();
+            union.sort_unstable();
+            union.dedup();
+            let (cache, reports) = shards.clean_cells_routed(&lists, &union, &config, now);
+            for (d, rep) in &reports {
+                shards.settle(*d, rep);
+            }
+            let mut counts = d2h_counts(&shards);
+            let mut batched = Vec::new();
+            for &(q, k) in &queries {
+                let pending = knn_device_phase(&mut shards, env, q, k, now, Some(&cache));
+                let reads = pending.breakdown.count_reads;
+                counts = at_most_one_copy_each(&shards, &counts, reads, "batched device phase");
+                let refined = refine_unresolved(&grid, &pending, 1, &pool);
+                let result = knn_finalize(&mut shards, env, now, pending, refined, Some(&cache));
+                counts = at_most_one_copy_each(&shards, &counts, 0, "batched finalisation");
+                batched.push(result.items);
+            }
+            assert_eq!(batched, single, "D = {d}: batch and single paths differ");
+            let lists = fresh_lists();
+            let env = QueryEnv::new(&grid, &lists, &pool, &config);
+            let mut shards = ShardSet::new(&grid, &config, Device::new(DeviceSpec::test_tiny()));
+            let batch = crate::batch::run_knn_batch(&mut shards, env, &queries, now);
+            assert_eq!(batch.answers, single, "D = {d}: the batch pipeline differs");
+            answers.push(single);
+        }
+        // Exact, and the same at every device count.
+        for (got, &(q, k)) in answers[0].iter().zip(&queries) {
+            let want = roadnet::dijkstra::reference_knn(&graph, q, live, k);
+            let got_d: Vec<Distance> = got.iter().map(|&(_, d)| d).collect();
+            let want_d: Vec<Distance> = want.iter().map(|&(_, d)| d).collect();
+            assert_eq!(got_d, want_d, "q = {q:?}");
+        }
+        assert_eq!(answers[0], answers[1], "D = 1 and D = 4 differ");
     }
 
     /// What planning and running one SDist round did.
@@ -1852,7 +2099,7 @@ mod tests {
             &[(1, EdgePosition::at_source(EdgeId(on)))],
             100,
         );
-        let (cleaned, _) = shards.clean_cells(&lists, &[remote], &four, Timestamp(100));
+        let (cleaned, ..) = shards.clean_cells(&lists, &[remote], &four, Timestamp(100));
         let remote_owner =
             |owners: Vec<(CellId, usize)>| owners.iter().find(|o| o.0 == remote).unwrap().1;
 
@@ -1891,7 +2138,7 @@ mod tests {
             &[(1, EdgePosition::at_source(EdgeId(e1)))],
             100,
         );
-        let (cache, _) = shards.clean_cells(&lists, &[served], &four, Timestamp(100));
+        let (cache, ..) = shards.clean_cells(&lists, &[served], &four, Timestamp(100));
         place(
             &grid,
             &lists,
@@ -2264,7 +2511,7 @@ mod tests {
         /// edges, bucket widths, candidate-set shapes, and topology budgets,
         /// including a forced mid-stream eviction between two runs.
         #[test]
-        fn frontier_matches_dense_and_dijkstra(
+        fn frontier_matches_induced_dijkstra(
             seed in 0u64..40,
             edge in 0u32..160,
             offset_frac in 0u32..4,

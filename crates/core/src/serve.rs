@@ -332,8 +332,6 @@ pub struct ServeReport {
     pub boundary_closes: u64,
     /// Ingest envelopes applied.
     pub ingest_events: u64,
-    /// Location updates those envelopes carried.
-    pub ingest_messages: u64,
     /// Maintenance epochs run.
     pub epochs: u64,
     /// Subscriptions re-validated across all epoch ticks.
@@ -612,12 +610,10 @@ pub fn serve(server: &mut GGridServer, cfg: &ServeConfig, queue: ServeQueue) -> 
                 if let Some(ts) = updates.iter().map(|&(_, _, t)| t).max() {
                     last_now = last_now.max(ts);
                 }
-                let n = updates.len() as u64;
                 let ingest_ns = billed(server, |s| s.ingest_buffered(&updates));
                 out.report.ingest_modeled_ns += ingest_ns;
                 free_ns = free_ns.max(env.arrival_ns) + ingest_ns;
                 out.report.ingest_events += 1;
-                out.report.ingest_messages += n;
             }
             Payload::Close => unreachable!("Close envelopes are consumed by the merge"),
         }

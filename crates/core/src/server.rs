@@ -761,10 +761,10 @@ impl GGridServer {
         self.flush_ingest();
         self.sync_replicas();
         let cell = self.grid.cell_of_edge(edge);
-        let (_, rep) = self
+        let (_, rep, copy_back) = self
             .shards
             .clean_cells(&self.lists, &[cell], &self.config, now);
-        self.counters.record_cleaning(&rep);
+        self.counters.record_cleaning(&rep, copy_back);
     }
 
     /// Eagerly clean every cell (used by tests and ablations).
@@ -772,10 +772,10 @@ impl GGridServer {
         self.flush_ingest();
         self.sync_replicas();
         let cells: Vec<CellId> = self.grid.cell_ids().collect();
-        let (_, rep) = self
+        let (_, rep, copy_back) = self
             .shards
             .clean_cells(&self.lists, &cells, &self.config, now);
-        self.counters.record_cleaning(&rep);
+        self.counters.record_cleaning(&rep, copy_back);
     }
 
     /// Answer a kNN query issued at `now`; returns up to `k`
@@ -987,11 +987,11 @@ impl GGridServer {
             union.sort_unstable();
             union.dedup();
             let t0 = Instant::now();
-            let (cleaned, rep) = self
-                .shards
-                .clean_cells(&self.lists, &union, &self.config, now);
+            let (cleaned, rep, copy_back) =
+                self.shards
+                    .clean_cells(&self.lists, &union, &self.config, now);
             tick_b.emulation_ns += t0.elapsed().as_nanos() as u64;
-            tick_b.record_cleaning(&rep);
+            tick_b.record_cleaning(&rep, copy_back);
             Some(cleaned)
         };
 
@@ -1132,11 +1132,11 @@ impl GGridServer {
         }
         if !misses.is_empty() {
             let t0 = Instant::now();
-            let (cleaned, rep) = self
-                .shards
-                .clean_cells(&self.lists, &misses, &self.config, now);
+            let (cleaned, rep, copy_back) =
+                self.shards
+                    .clean_cells(&self.lists, &misses, &self.config, now);
             tick_b.emulation_ns += t0.elapsed().as_nanos() as u64;
-            tick_b.record_cleaning(&rep);
+            tick_b.record_cleaning(&rep, copy_back);
             for c in &misses {
                 msgs.extend_from_slice(&cleaned[*c]);
             }
@@ -1598,15 +1598,15 @@ mod tests {
                 .filter(|c| round % 5 == 4 || c.index() as u64 % 3 == pick)
                 .collect();
             s.flush_ingest();
-            let (cleaned, rep) =
+            let (cleaned, rep, copy_back) =
                 s.shards
                     .clean_cells(&s.lists, &dirty, &s.config, Timestamp(now + 30));
             delta_cells += rep.resident_hits;
             full_cells += rep.cells_cleaned - rep.resident_hits;
             for w in [
-                rep.time.0,
+                (rep.compute_time + copy_back).0,
                 rep.compute_time.0,
-                rep.copy_back_time.0,
+                copy_back.0,
                 rep.kernel_time.0,
                 rep.h2d_bytes,
                 rep.h2d_delta_bytes,
@@ -1809,6 +1809,15 @@ mod tests {
                 s.handle_update(ObjectId(o), EdgePosition::at_source(e), Timestamp(100 + t));
             }
         }
+        // A batch's shared pass cleans every cell its queries' first rounds
+        // need, so only a cell it read by clean skip is gathered: clean
+        // everything, then dirty a few cells again, so the first batch
+        // both cleans and gathers.
+        s.clean_all(Timestamp(400));
+        for o in 0..8u64 {
+            let e = EdgeId((o * 17 % g.num_edges() as u64) as u32);
+            s.handle_update(ObjectId(o), EdgePosition::at_source(e), Timestamp(450));
+        }
         let queries: Vec<(EdgePosition, usize)> = (0..12u32)
             .map(|i| (EdgePosition::at_source(EdgeId(i * 29 % 160)), 8))
             .collect();
@@ -1878,7 +1887,7 @@ mod tests {
         fn yields(s: &mut GGridServer, now: Timestamp) -> Vec<(usize, usize)> {
             s.flush_ingest();
             let cells: Vec<CellId> = s.grid.cell_ids().collect();
-            let (cleaned, _) = s.shards.clean_cells(&s.lists, &cells, &s.config, now);
+            let (cleaned, ..) = s.shards.clean_cells(&s.lists, &cells, &s.config, now);
             let live = |c: CellId| cleaned[c].iter().filter(|m| m.position.is_some()).count();
             cells
                 .iter()

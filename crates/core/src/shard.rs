@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gpu_sim::{Device, OpCounts, SimNanos};
 
-use crate::cleaning::{clean_cells, clean_cells_with_heat, CleanedObjects, CleaningReport};
+use crate::cleaning::{clean_cells_with_heat, CleanedObjects, CleaningReport};
 use crate::config::GGridConfig;
 use crate::grid::{CellId, GraphGrid};
 use crate::message::{CachedMessage, Timestamp};
@@ -256,7 +256,10 @@ impl ShardSet {
     /// caller's relative order within each owner), clean each owner's slice
     /// on its own device, and return the merged output next to the
     /// per-shard reports. Cells are disjoint across shards, so the merged
-    /// [`CleanedObjects`] is identical to the single-device pass.
+    /// [`CleanedObjects`] is identical to the single-device pass. Each
+    /// report still owes its device the copy-back
+    /// ([`CleaningReport::settle`]); with `D > 1`, clean-skip reads tally
+    /// the cells' read heat.
     pub fn clean_cells_routed(
         &mut self,
         lists: &CellLists,
@@ -264,19 +267,13 @@ impl ShardSet {
         config: &GGridConfig,
         now: Timestamp,
     ) -> (CleanedObjects, Vec<(usize, CleaningReport)>) {
-        if self.shards.len() == 1 {
-            let s = &mut self.shards[0];
-            let (cleaned, rep) =
-                clean_cells(&mut s.device, lists, &mut s.resident, cells, config, now);
-            return (cleaned, vec![(0, rep)]);
-        }
         let mut by_owner: Vec<Vec<CellId>> = vec![Vec::new(); self.shards.len()];
         for &c in cells {
             by_owner[self.map.owner_of(c)].push(c);
         }
         let mut merged = CleanedObjects::default();
         let mut reports = Vec::new();
-        let heat = &self.read_heat;
+        let heat = (self.shards.len() > 1).then_some(&self.read_heat[..]);
         for (d, owned) in by_owner.into_iter().enumerate() {
             if owned.is_empty() {
                 continue;
@@ -289,7 +286,7 @@ impl ShardSet {
                 &owned,
                 config,
                 now,
-                Some(heat),
+                heat,
             );
             merged.absorb(cleaned);
             reports.push((d, rep));
@@ -316,6 +313,12 @@ impl ShardSet {
                 (d, rep.time)
             })
             .collect()
+    }
+
+    /// Settle a routed report's copy-back on `shard`, the device that
+    /// cleaned its cells, in one copy; returns the copy's time.
+    pub fn settle(&mut self, shard: usize, rep: &CleaningReport) -> SimNanos {
+        rep.settle(&mut self.shards[shard].device)
     }
 
     /// Clean-skip read heat of `cell` (see `GGridConfig::replicate_threshold`).
@@ -393,56 +396,35 @@ impl ShardSet {
         Shipped { bytes, time }
     }
 
-    /// Model the read side of a routed candidate gather: a clean-skipped
-    /// cell owned by a remote shard serves its consolidated list out of the
-    /// owner's device-resident state, so the owner ships it — one coalesced
-    /// D2H per owner covering every list it contributes to this ring.
-    /// `channels[d]` is the caller's per-query streaming state: the first
-    /// ring that reads from owner `d` pays the PCIe handshake, later rings
-    /// stream on the open channel and pay wire time only. Cells for which
-    /// `host` holds a valid replica are read locally instead (the saving
-    /// read-hot promotion exists to buy). Returns the replica hits and what
-    /// the owners shipped: the bytes, and the D2H time summed over the
-    /// owners' ledgers.
+    /// Size the read side of a routed candidate gather: `reads` are
+    /// remote-owned cells read by clean skip, with their live-message
+    /// counts, whose consolidated lists the owners serve out of their
+    /// device-resident state and ship back. Cells for which `host` holds a
+    /// valid replica are read locally instead (the saving read-hot
+    /// promotion exists to buy), and empty ones ship nothing. Returns the
+    /// replica hits and the bytes each owner owes; the caller settles them
+    /// with the rest of what it owes that owner, in one staged copy.
     pub fn gather_remote_lists(
         &mut self,
         host: usize,
-        skipped: &[CellId],
+        reads: &[(CellId, usize)],
         lists: &CellLists,
-        cleaned: &CleanedObjects,
-        channels: &mut [bool],
-    ) -> (u64, Shipped) {
-        let mut per_owner = vec![0u64; self.shards.len()];
+    ) -> (u64, [u64; MAX_DEVICES]) {
+        let mut per_owner = [0u64; MAX_DEVICES];
         let mut hits = 0u64;
-        for &c in skipped {
+        for &(c, len) in reads {
             let d = self.map.owner_of(c);
-            if d == host {
+            if d == host || len == 0 {
                 continue;
-            }
-            let len = cleaned[c].len() as u64;
-            if len == 0 {
-                continue; // an empty cell has nothing to ship
             }
             let epoch = lists.lock(c.index()).cleaned_epoch();
             if self.replica_valid(host, c, epoch) {
                 hits += 1;
             } else {
-                per_owner[d] += len * CachedMessage::WIRE_BYTES;
+                per_owner[d] += len as u64 * CachedMessage::WIRE_BYTES;
             }
         }
-        let mut shipped = Shipped::default();
-        for (d, b) in per_owner.into_iter().enumerate() {
-            if b > 0 {
-                shipped.time += if channels[d] {
-                    self.shards[d].device.d2h_streamed(b)
-                } else {
-                    channels[d] = true;
-                    self.shards[d].device.d2h(b)
-                };
-                shipped.bytes += b;
-            }
-        }
-        (hits, shipped)
+        (hits, per_owner)
     }
 
     /// Tear down every read-replica of `cell` (the write-path coherence
@@ -480,22 +462,26 @@ impl ShardSet {
         self.migrations_skipped_read_hot
     }
 
-    /// As [`Self::clean_cells_routed`] with the reports folded into one
-    /// (the per-query accounting path, where stream-level overlap is not
-    /// being modeled).
+    /// As [`Self::clean_cells_routed`], with every copy-back settled at
+    /// once and the reports folded into one: the clean of a caller outside
+    /// a query (eager cleans, a subscription tick's pre-clean and repairs),
+    /// where stream-level overlap is not being modeled. Returns the
+    /// settled copy-backs' summed time next to the folded report.
     pub fn clean_cells(
         &mut self,
         lists: &CellLists,
         cells: &[CellId],
         config: &GGridConfig,
         now: Timestamp,
-    ) -> (CleanedObjects, CleaningReport) {
+    ) -> (CleanedObjects, CleaningReport, SimNanos) {
         let (merged, reports) = self.clean_cells_routed(lists, cells, config, now);
         let mut total = CleaningReport::default();
-        for (_, rep) in &reports {
+        let mut copy_back = SimNanos::ZERO;
+        for (d, rep) in &reports {
+            copy_back += self.settle(*d, rep);
             total.merge(rep);
         }
-        (merged, total)
+        (merged, total, copy_back)
     }
 
     /// Per-shard busy time since the last snapshot.

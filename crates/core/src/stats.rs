@@ -18,16 +18,21 @@ pub struct QueryBreakdown {
     /// Shortest-distance kernel (Algorithm 5) + candidate selection.
     pub candidate: SimNanos,
     /// Result copy back: the candidate and unresolved sets refinement
-    /// reads. The batch pipeline schedules it on the primary's copy stream
-    /// with the cleaning copy-backs, after the query's compute.
+    /// reads. They ride the staged copy that settles everything the
+    /// query's device phase owes its primary; this is their share of it
+    /// (the link latency and their wire time). The batch pipeline schedules
+    /// it on the primary's copy stream with the cleaning copy-backs, after
+    /// the query's compute.
     pub transfer_out: SimNanos,
     /// D2H copy-back portion of `cleaning` (consolidated lists streaming
-    /// back to the host). Modeled as strictly after all cleaning compute;
-    /// the batch pipeline schedules it on a dedicated copy stream.
+    /// back to the host): each device's share of the staged copy its
+    /// query phase settled there. Modeled as strictly after all cleaning
+    /// compute; the batch pipeline schedules it on a dedicated copy stream.
     pub copy_back: SimNanos,
     /// D2H time remote owners spent shipping this query's clean-skipped
-    /// lists (`ShardSet::gather_remote_lists`). The owners'
-    /// device ledgers carry it; [`Self::gpu_total`] does not.
+    /// lists (`ShardSet::gather_remote_lists`), as their share of the
+    /// staged copy settled on each owner. The owners' device ledgers carry
+    /// it; [`Self::gpu_total`] does not.
     pub remote_gather: SimNanos,
     /// H2D time of the read-replica promotions this query installed on its
     /// primary (`ShardSet::promote_replicas_coalesced`).
@@ -42,6 +47,10 @@ pub struct QueryBreakdown {
     pub h2d_full_bytes: u64,
     /// Device→host bytes moved for this query.
     pub d2h_bytes: u64,
+    /// Live-object counts read back before the phase settled: one small
+    /// D2H per device per cleaning round the planner chose the next round
+    /// after (inside `cleaning`).
+    pub count_reads: u64,
     /// Cells whose lists the cleaning kernel actually processed.
     pub cells_cleaned: usize,
     /// Cells served straight from the epoch-based clean-skip cache (no
@@ -163,10 +172,13 @@ impl QueryBreakdown {
     /// Fold one cleaning round's report into the breakdown — the single
     /// place that knows which [`CleaningReport`] fields a query absorbs, so
     /// the expansion loop, the batch pipeline's shared pass, and the
-    /// server's eager-clean entry points cannot drift apart.
-    pub(crate) fn record_cleaning(&mut self, rep: &CleaningReport) {
-        self.cleaning += rep.time;
-        self.copy_back += rep.copy_back_time;
+    /// server's eager-clean entry points cannot drift apart. `copy_back`
+    /// is the time of the copy the caller settled for the report
+    /// ([`CleaningReport::settle`]); a query that still owes it passes
+    /// zero and adds the copy when its phase settles.
+    pub(crate) fn record_cleaning(&mut self, rep: &CleaningReport, copy_back: SimNanos) {
+        self.cleaning += rep.compute_time + copy_back;
+        self.copy_back += copy_back;
         self.h2d_bytes += rep.h2d_bytes;
         self.h2d_delta_bytes += rep.h2d_delta_bytes;
         self.h2d_full_bytes += rep.h2d_full_bytes;
@@ -210,7 +222,7 @@ impl QueryBreakdown {
         }
         split!(nanos cleaning, candidate, transfer_out, copy_back, remote_gather,
                replica_promote, sdist_time);
-        split!(u64 h2d_bytes, h2d_delta_bytes, h2d_full_bytes, d2h_bytes, evictions,
+        split!(u64 h2d_bytes, h2d_delta_bytes, h2d_full_bytes, d2h_bytes, count_reads, evictions,
                cpu_ns, emulation_ns, refine_ns, refine_busy_ns, refine_critical_ns,
                sdist_rounds, sdist_frontier_sum, sdist_settled, sdist_vertices,
                sdist_pruned, h2d_topo_bytes, h2d_coalesced_saved, refine_settled,
@@ -245,6 +257,7 @@ impl QueryBreakdown {
             h2d_delta_bytes,
             h2d_full_bytes,
             d2h_bytes,
+            count_reads,
             evictions,
             cpu_ns,
             emulation_ns,
@@ -558,7 +571,8 @@ pub struct ServerCounters {
     /// Cumulative out-edges examined by CPU refinement searches.
     pub refine_relaxed: u64,
     /// Cells cleaned once by a batch's shared pass on behalf of several
-    /// queries (the size of each batch's first-ring union, accumulated).
+    /// queries (the size of each batch's union of planned first rounds,
+    /// accumulated).
     pub batch_shared_cells: u64,
     /// Cumulative measured CPU nanoseconds of the query path (the `cpu_ns`
     /// of every recorded breakdown), for throughput figures.
@@ -732,8 +746,9 @@ impl ServerCounters {
     /// Fold one cleaning round's report into the lifetime counters — used
     /// by the server's eager-clean entry points (`clean_cell_of_edge`,
     /// `clean_all`) so neither can silently drop a field the other records.
-    pub(crate) fn record_cleaning(&mut self, rep: &CleaningReport) {
-        self.gpu_time += rep.time;
+    /// `copy_back` is the time of the copy-back settled for the report.
+    pub(crate) fn record_cleaning(&mut self, rep: &CleaningReport, copy_back: SimNanos) {
+        self.gpu_time += rep.compute_time + copy_back;
         self.h2d_bytes += rep.h2d_bytes;
         self.h2d_delta_bytes += rep.h2d_delta_bytes;
         self.h2d_full_bytes += rep.h2d_full_bytes;
@@ -1280,7 +1295,7 @@ mod tests {
     #[test]
     fn record_cleaning_accumulates_all_byte_counters() {
         let rep = CleaningReport {
-            time: SimNanos(50),
+            compute_time: SimNanos(40),
             h2d_bytes: 100,
             h2d_delta_bytes: 40,
             h2d_full_bytes: 60,
@@ -1293,8 +1308,8 @@ mod tests {
             ..Default::default()
         };
         let mut c = ServerCounters::default();
-        c.record_cleaning(&rep);
-        c.record_cleaning(&rep);
+        c.record_cleaning(&rep, SimNanos(10));
+        c.record_cleaning(&rep, SimNanos(10));
         assert_eq!(c.gpu_time, SimNanos(100));
         assert_eq!(c.h2d_bytes, 200);
         assert_eq!(c.h2d_delta_bytes, 80);
@@ -1304,8 +1319,9 @@ mod tests {
         assert_eq!(c.clean_skip_hits, 2);
         assert_eq!(c.clean_skip_misses, 4);
         let mut b = QueryBreakdown::default();
-        b.record_cleaning(&rep);
+        b.record_cleaning(&rep, SimNanos(10));
         assert_eq!(b.cleaning, SimNanos(50));
+        assert_eq!(b.copy_back, SimNanos(10));
         assert_eq!(b.h2d_bytes, 100);
         assert_eq!(b.d2h_bytes, 30);
         assert_eq!(b.evictions, 1);

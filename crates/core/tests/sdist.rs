@@ -59,7 +59,7 @@ fn distances(answer: &[(ObjectId, Distance)]) -> Vec<Distance> {
 }
 
 #[test]
-fn knn_answers_identical_dense_vs_frontier() {
+fn knn_answers_exact_and_identical_across_workers() {
     // Repeated queries with interleaved updates: every answer carries the
     // exact full-graph distances, and the answer stream is byte-identical
     // across refinement worker counts.
@@ -93,7 +93,7 @@ fn knn_answers_identical_dense_vs_frontier() {
 }
 
 #[test]
-fn batch_answers_identical_dense_vs_frontier() {
+fn batch_answers_exact_and_identical_to_single() {
     // Batch answers equal one-at-a-time answers on a twin server, and
     // carry the exact full-graph distances.
     let (mut batched, latest) = loaded_server(33, 3);

@@ -212,17 +212,16 @@ impl Device {
         t
     }
 
-    /// Copy `bytes` device→host over an already-open streaming channel: an
-    /// earlier [`Self::d2h`] on the same logical stream paid the PCIe
-    /// handshake, so only wire time is charged. Zero bytes cost nothing.
-    pub fn d2h_streamed(&mut self, bytes: u64) -> SimNanos {
-        if bytes == 0 {
+    /// Copy `segments` logical device-side segments totalling `bytes` back
+    /// to the host in one coalesced device→host transfer: the fixed PCIe
+    /// latency is paid once for the whole stage rather than once per
+    /// segment. Zero segments cost nothing. Returns the simulated duration.
+    pub fn d2h_staged(&mut self, segments: usize, bytes: u64) -> SimNanos {
+        if segments == 0 {
             return SimNanos::ZERO;
         }
-        let t = SimNanos::from_secs_f64(bytes as f64 / self.spec.pcie_bandwidth_bytes_per_sec);
-        self.ledger.d2h_bytes += bytes;
-        self.ledger.d2h_time += t;
-        self.ledger.d2h_transfers += 1;
+        let t = self.d2h(bytes);
+        self.ledger.d2h_coalesced_saved += segments as u64 - 1;
         t
     }
 
@@ -360,6 +359,28 @@ mod tests {
         let mut b = Device::new(DeviceSpec::test_tiny());
         assert_eq!(a.h2d_staged(1, 777), b.h2d(777));
         assert_eq!(a.ledger().h2d_coalesced_saved, 0);
+    }
+
+    #[test]
+    fn staged_copy_back_pays_latency_once() {
+        let mut dev = Device::new(DeviceSpec::test_tiny());
+        let latency = dev.spec().pcie_latency_ns;
+        let staged = dev.d2h_staged(3, 3000);
+        let mut per_seg = Device::new(DeviceSpec::test_tiny());
+        let split: SimNanos = (0..3).map(|_| per_seg.d2h(1000)).sum();
+        // Same bytes, two fewer latency charges.
+        assert_eq!(split - staged, SimNanos(2 * latency));
+        let l = dev.ledger();
+        assert_eq!(l.d2h_bytes, per_seg.ledger().d2h_bytes);
+        assert_eq!((l.d2h_transfers, per_seg.ledger().d2h_transfers), (1, 3));
+        assert_eq!(l.d2h_coalesced_saved, 2);
+        assert_eq!(l.h2d_coalesced_saved, 0);
+        // Zero segments ship nothing; one is a plain copy.
+        assert_eq!(dev.d2h_staged(0, 0), SimNanos::ZERO);
+        let mut one = Device::new(DeviceSpec::test_tiny());
+        assert_eq!(one.d2h_staged(1, 777), per_seg.d2h(777));
+        assert_eq!(dev.ledger().d2h_transfers, 1);
+        assert_eq!(one.ledger().d2h_coalesced_saved, 0);
     }
 
     #[test]

@@ -17,6 +17,9 @@ pub struct TransferLedger {
     /// single coalesced H2D copy (each saved transaction would have paid the
     /// fixed link latency on its own).
     pub h2d_coalesced_saved: u64,
+    /// PCIe transactions avoided by staging several logical copy-backs into
+    /// a single coalesced D2H copy.
+    pub d2h_coalesced_saved: u64,
 }
 
 impl TransferLedger {
@@ -36,6 +39,7 @@ impl TransferLedger {
         self.h2d_transfers += other.h2d_transfers;
         self.d2h_transfers += other.d2h_transfers;
         self.h2d_coalesced_saved += other.h2d_coalesced_saved;
+        self.d2h_coalesced_saved += other.d2h_coalesced_saved;
     }
 }
 
